@@ -19,13 +19,24 @@ import numpy as np
 
 from . import __version__, greens, lattice as lattice_mod, oracle, qse, vqe
 from .config import ConfigError, RunConfig, config_from_dict, load_config
-from .greens import GreensEngine, KrylovBasisConfig
-from .pauli import gershgorin_kappa, single_site
-from .simulator import EvolutionOperator, StateVector
+from .greens import GreensEngine, GreensError, KrylovBasisConfig
+from .lattice import LatticeError
+from .oracle import OracleError
+from .pauli import PauliError, gershgorin_kappa, pauli_sum, single_site
+from .qse import QseError
+from .simulator import EvolutionOperator, SimulationError, StateVector
+from .vqe import VqeError
 
 
 class PipelineError(RuntimeError):
     pass
+
+
+# every error the package raises on bad input ends the CLI with exit code 2
+_EXIT_2_ERRORS = (
+    ConfigError, PipelineError, LatticeError, OracleError, QseError,
+    GreensError, SimulationError, PauliError, VqeError,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -147,25 +158,24 @@ def cmd_vqe(config: RunConfig, out_dir: Path) -> None:
     h0, _ = _hamiltonians(config, lat)
     decomp = oracle.diagonalize(h0)
 
-    sweep_rows = []
-    for d in config.vqe.layer_sweep:
+    def train(layers: int) -> vqe.VqeResult:
+        # training is deterministic in (layers, seed); tolerance only sets `converged`
         _, result, _ = vqe.prepare_reference_state(
-            lat, h0, layers=d,
+            lat, h0, layers=layers,
             epochs=config.vqe.epochs, learning_rate=config.vqe.learning_rate,
             seed=config.seed, scan_epochs=config.vqe.scan_epochs,
-            oracle_decomp=decomp,
+            oracle_decomp=decomp, tolerance=1e-8,
         )
-        sweep_rows.append([d, result.infidelity, result.energy_distance])
+        return result
+
+    trained = {d: train(d) for d in dict.fromkeys(config.vqe.layer_sweep)}
+    sweep_rows = [[d, trained[d].infidelity, trained[d].energy_distance] for d in config.vqe.layer_sweep]
     write_csv(out_dir / "vqe_layer_sweep.csv", config, ["d", "infidelity", "delta_e"], sweep_rows)
 
-    state, result, group = vqe.prepare_reference_state(
-        lat, h0, layers=config.vqe.layers,
-        epochs=config.vqe.epochs, learning_rate=config.vqe.learning_rate,
-        seed=config.seed, scan_epochs=config.vqe.scan_epochs,
-        oracle_decomp=decomp, tolerance=1e-8,
-    )
+    layers = config.vqe.layers
+    result = trained[layers] if layers in trained else train(layers)
     payload = result.to_json_dict()
-    payload["layers"] = config.vqe.layers
+    payload["layers"] = layers
     payload["config_echo"] = _config_echo(config)
     write_json(out_dir / "vqe_result.json", config, payload)
     print(f"vqe: dE={result.energy_distance:.3e} infidelity={result.infidelity:.3e} "
@@ -297,8 +307,6 @@ def cmd_greens(config: RunConfig, out_dir: Path) -> None:
         print(f"greens[{kind}]: max rel deviation of Re G vs ED = {dev:.4f}")
 
         # tridiagonal coefficients for the pair seed, for reproducibility audits
-        from .pauli import pauli_sum
-
         combined = pauli_sum([c_a, c_b], lat.num_sites)
         _, psi_mats, psi0, _ = engine.seed_subspace(combined)
         for tag, negate in (("greater", False), ("lesser", True)):
@@ -331,12 +339,9 @@ def cmd_dsf(config: RunConfig, out_dir: Path) -> None:
         )
         engine = GreensEngine(h, gs, basis, cfg)
         s_qse = greens.dynamical_structure_factor(engine, lat.positions, q, omega, delta)
-        if np.iscomplexobj(s_qse):
-            raise PipelineError(
-                "structure factor came out complex; only q = 0 is supported end to end"
-            )
-        decomp = oracle.diagonalize(h)
-        s_ed = greens.dynamical_structure_factor_ed(decomp, lat.num_sites, omega, delta)
+        s_ed = greens.dynamical_structure_factor_ed(
+            oracle.diagonalize(h), lat.num_sites, omega, delta, positions=lat.positions, q=q
+        )
         return s_qse, s_ed
 
     results = _map_tasks(one_field, list(config.dsf.h_values), config.threads)
@@ -414,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
             cmd_all(config, out_dir)
         else:
             _COMMANDS[args.command](config, out_dir)
-    except (ConfigError, PipelineError) as exc:
+    except _EXIT_2_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -171,8 +171,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     lat_raw = raw.get("lattice", {})
     _require(isinstance(lat_raw, dict), "$.lattice", "must be an object")
     lattice = LatticeConfig(
-        rows=_get_number(lat_raw, "$.lattice", "rows", 2, integer=True, minimum=1),
-        cols=_get_number(lat_raw, "$.lattice", "cols", 2, integer=True, minimum=1),
+        rows=_get_number(lat_raw, "$.lattice", "rows", 2, integer=True, minimum=2),
+        cols=_get_number(lat_raw, "$.lattice", "cols", 2, integer=True, minimum=2),
     )
     n = lattice.num_sites
 

@@ -1,19 +1,24 @@
 """Krylov-subspace Green's functions, spectral functions, structure factor.
 
-The retarded correlator for a single-site Pauli excitation c at sites
-(a, b) splits into a particle-like part <GS| c_a (z - H)^-1 c_b |GS> and
-a hole-like part <GS| c_a (z + H)^-1 c_b |GS>. Both are evaluated in a
-multigrid subspace built on top of c|GS>: a three-term Lanczos
-recursion run purely on the subspace H/S matrices yields tridiagonal
-coefficients {a_n}, {b_n}, and the diagonal correlator is the standard
-continued fraction in those coefficients. The hole-like part reuses the
-identical machinery with the Hamiltonian negated, since
-(z + H)^-1 = (z - (-H))^-1.
+The retarded correlator for an excitation operator A splits into a
+particle-like part <GS| A^dag (z - H)^-1 A |GS> and a hole-like part
+<GS| A^dag (z + H)^-1 A |GS>. Both are evaluated in a multigrid subspace
+built on top of A|GS>: a three-term Lanczos recursion run purely on the
+subspace H/S matrices yields tridiagonal coefficients {a_n}, {b_n}, and
+the correlator is the standard continued fraction in those coefficients,
+scaled by the squared seed norm because A need not be unitary. The
+hole-like part reuses the identical machinery with the Hamiltonian
+negated, since (z + H)^-1 = (z - (-H))^-1.
 
-Off-diagonal elements come from the polarization identity
-G_ab = (G+_ab - G_aa - G_bb) / 2 with G+ seeded by (c_a + c_b)|GS>;
-the seed is normalized and the resulting fraction scaled back by the
-squared norm, because a sum of two Pauli strings is not unitary.
+Single-site Green's functions take A = sigma_a. Off-diagonal elements
+come from the polarization identity G_ab = (G+_ab - G_aa - G_bb) / 2 with
+G+ seeded by (sigma_a + sigma_b)|GS>.
+
+The dynamical structure factor is seeded once per Pauli kind mu by the
+collective operator A_q^mu = sum_i exp(i q.r_i) sigma_i^mu, whose
+correlator is the whole double site sum sum_ij exp(-i q.(r_i - r_j)) G_ij.
+The exact-diagonalization side builds its Lehmann weights from the same
+operator, so both sides always measure the same quantity.
 
 No ground-energy shift is applied to z by default: the evaluation
 argument is exactly z = omega + i*delta on both the subspace and the
@@ -241,8 +246,8 @@ class GreensEngine:
     """Shared context for GF runs on one (Hamiltonian, QSE ground state).
 
     Caches the reconstructed ground statevector, the excitation-subspace
-    evolution operator and finished diagonal curves, since the structure
-    factor revisits every site's diagonal many times.
+    evolution operator and finished diagonal curves, which every
+    off-diagonal element through the polarization identity reuses.
     """
 
     hamiltonian: PauliSum
@@ -363,7 +368,7 @@ class GreensEngine:
 
 def _grid_key(z_grid: np.ndarray) -> tuple:
     z = np.asarray(z_grid, dtype=complex)
-    return (z.size, complex(z[0]), complex(z[-1]))
+    return (z.shape, z.tobytes())
 
 
 def krylov_seed(
@@ -406,6 +411,13 @@ def retarded_gf(
     )
 
 
+def _collective_excitation(kind: str, positions: np.ndarray, q: np.ndarray) -> PauliSum:
+    """A_q = sum_i exp(i q.r_i) sigma_i^kind as one Pauli sum."""
+    n = len(positions)
+    phases = np.exp(1j * (np.asarray(positions, dtype=float) @ np.asarray(q, dtype=float)))
+    return pauli_sum([single_site(kind, i, n, phase) for i, phase in enumerate(phases)], n)
+
+
 def dynamical_structure_factor(
     engine: GreensEngine,
     positions: np.ndarray,
@@ -414,29 +426,18 @@ def dynamical_structure_factor(
     delta: float,
     kinds: str = "XYZ",
 ) -> np.ndarray:
-    """(1/N) sum_mu sum_ij exp(-i q (r_i - r_j)) Im G^mumu_ij at fixed field.
+    """S(q, omega) = (1/N) sum_mu Im <A_q^mu^dag R(z) A_q^mu> at fixed field.
 
-    Off-diagonal elements are assembled through the polarization
-    identity, diagonal curves are cached, and the (i, j)/(j, i) pair
-    symmetry of the identity halves the work.
+    One Krylov subspace per Pauli kind, seeded by the collective
+    excitation A_q^mu; its correlator equals the double site sum
+    sum_ij exp(-i q.(r_i - r_j)) G^mumu_ij, so the result is real.
     """
     omega = np.asarray(omega_grid, dtype=float)
     z = omega + 1j * delta
-    n = engine.num_sites
-    q = np.asarray(q, dtype=float)
-    total = np.zeros(omega.size, dtype=complex)
+    total = np.zeros(omega.size)
     for kind in kinds:
-        for i in range(n):
-            total += np.imag(engine.diagonal_gf(kind, i, z))
-            for j in range(i + 1, n):
-                im_g = np.imag(engine.offdiagonal_gf(kind, i, j, z))
-                phase_ij = np.exp(-1j * q @ (positions[i] - positions[j]))
-                phase_ji = np.exp(-1j * q @ (positions[j] - positions[i]))
-                total += (phase_ij + phase_ji) * im_g
-    total /= n
-    if np.max(np.abs(total.imag)) < 1e-10 * max(1.0, np.max(np.abs(total.real))):
-        return total.real
-    return total
+        total += np.imag(engine.correlator(_collective_excitation(kind, positions, q), z))
+    return total / engine.num_sites
 
 
 def dynamical_structure_factor_ed(
@@ -446,23 +447,26 @@ def dynamical_structure_factor_ed(
     delta: float,
     kinds: str = "XYZ",
     ground_vector: np.ndarray | None = None,
+    *,
+    positions: np.ndarray | None = None,
+    q: np.ndarray = (0.0, 0.0),
 ) -> np.ndarray:
-    """Exact q=0 structure factor via collective-operator Lehmann weights.
+    """Exact S(q, omega) from the Lehmann weights |<n| A_q^mu |GS>|^2.
 
-    At q=0 the double site sum of Im G^mumu_ij collapses, by linearity of
-    Im, to the resolvent of the collective operator sum_i sigma_i^mu.
+    A_q^mu is the same collective operator that seeds the subspace side.
+    ``positions`` may be omitted only at q = 0, where every phase is one.
     """
-    from .pauli import apply_term
-
+    if positions is None:
+        if np.any(np.asarray(q) != 0.0):
+            raise GreensError("q != 0 needs the site positions")
+        positions = np.zeros((num_sites, 2))
     omega = np.asarray(omega_grid, dtype=float)
     z = omega + 1j * delta
     gs = decomp.ground_vector() if ground_vector is None else ground_vector
     evecs, evals = decomp.eigenvectors, decomp.eigenvalues
     total = np.zeros(omega.size)
     for kind in kinds:
-        collective = np.zeros_like(gs)
-        for i in range(num_sites):
-            collective += apply_term(single_site(kind, i, num_sites), gs)
+        collective = apply_sum(_collective_excitation(kind, positions, q), gs)
         weights = np.abs(evecs.conj().T @ collective) ** 2
         resolvent = (weights[None, :] / (z[:, None] - evals[None, :])).sum(axis=1)
         resolvent += (weights[None, :] / (z[:, None] + evals[None, :])).sum(axis=1)

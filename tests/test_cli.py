@@ -1,8 +1,10 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from kitaevqse import vqe
 from kitaevqse.cli import main
 from kitaevqse.config import ConfigError, config_from_dict, load_config
 
@@ -24,6 +26,11 @@ def workdir(tmp_path_factory):
     config_path = path / "config.json"
     config_path.write_text(json.dumps(FAST_CONFIG))
     return path, config_path
+
+
+def data_rows(path):
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
 
 
 def run(command, workdir, extra=()):
@@ -76,6 +83,10 @@ class TestConfigValidation:
     def test_empty_h_grid_rejected(self):
         with pytest.raises(ConfigError, match=r"\$\.dsf\.h_values"):
             config_from_dict({"dsf": {"h_values": []}})
+
+    def test_single_row_lattice_rejected(self):
+        with pytest.raises(ConfigError, match=r"\$\.lattice\.rows"):
+            config_from_dict({"lattice": {"rows": 1}})
 
 
 class TestPipeline:
@@ -135,6 +146,27 @@ class TestPipeline:
             values = np.array([float(line.split(",")[2]) for line in lines[1:]])
             assert values.min() >= 0.0 and values.max() <= 1.0
 
+    def test_dsf_ed_table_follows_q(self, workdir, tmp_path):
+        path, _ = workdir
+        shutil.copy(path / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
+        config_path = tmp_path / "q.json"
+        config_path.write_text(json.dumps({**FAST_CONFIG, "dsf": {**FAST_CONFIG["dsf"], "q": [1.0, 0.0]}}))
+        assert main(["dsf", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+        ed_q, ed_0 = data_rows(tmp_path / "dsf_ed.csv"), data_rows(path / "out" / "dsf_ed.csv")
+        assert np.max(np.abs(ed_q[:, 2] - ed_0[:, 2])) > 0.05
+        qse_q = data_rows(tmp_path / "dsf_qse.csv")
+        assert np.max(np.abs(qse_q[:, 2] - ed_q[:, 2])) < 0.15
+
+    def test_package_error_exits_2_without_traceback(self, tmp_path, capsys):
+        # 4x2 cells is N=16, beyond the dense diagonalization cap of 14 sites
+        config_path = tmp_path / "big.json"
+        config_path.write_text(json.dumps({"lattice": {"rows": 4, "cols": 2}}))
+        rc = main(["ed-reference", "--config", str(config_path), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_metadata_header(self, workdir):
         path, _ = workdir
         text = (path / "out" / "qse_shape_sweep.csv").read_text()
@@ -167,6 +199,26 @@ class TestDeterminism:
         a = self._strip_timestamp((tmp_path / "a" / "vqe_layer_sweep.csv").read_text())
         b = self._strip_timestamp((tmp_path / "b" / "vqe_layer_sweep.csv").read_text())
         assert a == b
+
+    @pytest.mark.parametrize("vqe_cfg, expected_calls", [
+        ({}, 5),  # default sweep [0..4] contains layers = 1: trained once
+        ({"layers": 2, "layer_sweep": [0, 1]}, 3),
+    ])
+    def test_vqe_trains_each_depth_once(self, tmp_path, monkeypatch, vqe_cfg, expected_calls):
+        calls = []
+        original = vqe.prepare_reference_state
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs["layers"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(vqe, "prepare_reference_state", counting)
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({"vqe": {"epochs": 20, "scan_epochs": 5, **vqe_cfg}}))
+        assert main(["vqe", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == expected_calls
+        result = json.loads((tmp_path / "o" / "vqe_result.json").read_text())
+        assert result["layers"] == vqe_cfg.get("layers", 1)
 
     def test_seed_flag_overrides(self, tmp_path):
         config_path = tmp_path / "c.json"

@@ -225,6 +225,17 @@ class TestRetardedGf:
         diag = engine8.diagonal_gf("Z", 0, z)
         assert np.max(np.abs((plus - 2 * diag) / 2 - diag)) < 1e-8
 
+    def test_diagonal_cache_keys_on_whole_grid(self, engine8):
+        # same size and endpoints, different interior: no stale cache hit
+        first = np.linspace(-5, 5, 11) + 0.1j
+        second = first.copy()
+        second[1:-1] += 0.3
+        values_first = engine8.diagonal_gf("X", 3, first)
+        values_second = engine8.diagonal_gf("X", 3, second)
+        fresh = engine8.correlator(pauli_sum([single_site("X", 3, 8)], 8), second)
+        assert np.max(np.abs(values_second - values_first)) > 1e-3
+        assert np.max(np.abs(values_second - fresh)) < 1e-12
+
     def test_offdiagonal_requires_distinct_sites(self, engine8):
         with pytest.raises(GreensError):
             engine8.offdiagonal_gf("Z", 2, 2, np.array([0.1j]))
@@ -277,6 +288,52 @@ class TestDsf:
         s_ed = dynamical_structure_factor_ed(dec_8, 8, omega, 0.1)
         nq, ne = normalize_intensity(s_qse), normalize_intensity(s_ed)
         assert np.max(np.abs(nq - ne)) < 0.05
+
+    def test_qse_vs_ed_nonzero_q(self, engine8, lat8, dec_8):
+        omega = np.linspace(-9, 9, 61)
+        q = np.array([1.0, 0.0])
+        s_qse = dynamical_structure_factor(engine8, lat8.positions, q, omega, 0.1)
+        s_ed = dynamical_structure_factor_ed(dec_8, 8, omega, 0.1, positions=lat8.positions, q=q)
+        nq, ne = normalize_intensity(s_qse), normalize_intensity(s_ed)
+        assert np.max(np.abs(nq - ne)) < 0.05
+
+    def test_ed_collective_equals_pairwise_lehmann_sum(self, lat8, dec_8):
+        # (1/N) sum_mu Im sum_ij exp(-i q.(r_i - r_j)) G_ij from single-site ED pairs
+        omega = np.linspace(-9, 9, 31)
+        z = omega + 0.1j
+        q = np.array([1.0, -0.5])
+        pos = lat8.positions
+        pairwise = np.zeros(omega.size)
+        for kind in "XYZ":
+            total = np.zeros(omega.size, dtype=complex)
+            for i in range(8):
+                for j in range(8):
+                    g_ij = oracle.exact_resolvent_gf(
+                        dec_8, single_site(kind, i, 8), single_site(kind, j, 8), z
+                    )
+                    total += np.exp(-1j * q @ (pos[i] - pos[j])) * g_ij
+            pairwise += np.imag(total) / 8
+        collective = dynamical_structure_factor_ed(dec_8, 8, omega, 0.1, positions=pos, q=q)
+        assert np.max(np.abs(collective - pairwise)) < 1e-10 * np.max(np.abs(pairwise))
+
+    def test_ed_nonzero_q_needs_positions(self, dec_8):
+        with pytest.raises(GreensError, match="positions"):
+            dynamical_structure_factor_ed(dec_8, 8, np.zeros(3), 0.1, q=(1.0, 0.0))
+
+    def test_one_correlator_per_kind(self, engine8, lat8, monkeypatch):
+        calls = []
+        original = GreensEngine.correlator
+
+        def counting(self, excitation, z_grid):
+            calls.append(len(excitation))
+            return original(self, excitation, z_grid)
+
+        monkeypatch.setattr(GreensEngine, "correlator", counting)
+        omega = np.linspace(-5, 5, 11)
+        for kinds in ("XYZ", "Z"):
+            calls.clear()
+            dynamical_structure_factor(engine8, lat8.positions, np.zeros(2), omega, 0.1, kinds=kinds)
+            assert calls == [8] * len(kinds)  # one collective seed over all 8 sites per kind
 
     def test_ed_dsf_sign(self, dec_8):
         omega = np.linspace(-9, 9, 41)
