@@ -8,7 +8,7 @@ Trotter steps, delta = 0.1, and the energy grid omega in [-10, 10].
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,9 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise ConfigError(f"{path}: {message}")
 
 
-def _get_number(obj: dict, path: str, key: str, default, *, integer=False, minimum=None):
-    value = obj.get(key, default)
+def _get_number(obj: dict, path: str, key: str, defaults, *, integer=False, minimum=None):
+    """``obj[key]``, else the field of the same name on the ``defaults`` dataclass."""
+    value = obj.get(key, getattr(defaults, key))
     where = f"{path}.{key}"
     if integer:
         _require(isinstance(value, int) and not isinstance(value, bool), where, "must be an integer")
@@ -112,51 +113,7 @@ class RunConfig:
     dsf: DsfConfig = field(default_factory=DsfConfig)
 
     def to_json_dict(self) -> dict:
-        return {
-            "lattice": {"rows": self.lattice.rows, "cols": self.lattice.cols},
-            "coupling": self.coupling,
-            "field_z": self.field_z,
-            "seed": self.seed,
-            "threads": self.threads,
-            "output_dir": self.output_dir,
-            "vqe": {
-                "layers": self.vqe.layers,
-                "epochs": self.vqe.epochs,
-                "learning_rate": self.vqe.learning_rate,
-                "scan_epochs": self.vqe.scan_epochs,
-                "layer_sweep": list(self.vqe.layer_sweep),
-            },
-            "qse": {
-                "n_k": self.qse.n_k,
-                "n_l": self.qse.n_l,
-                "evolution_mode": self.qse.evolution_mode,
-                "trotter_steps": self.qse.trotter_steps,
-                "hoa_tau_scale": self.qse.hoa_tau_scale,
-                "assembly_mode": self.qse.assembly_mode,
-                "shape_sweep": [list(p) for p in self.qse.shape_sweep],
-                "trotter_sweep": list(self.qse.trotter_sweep),
-            },
-            "gf": {
-                "tilde_n_k": self.gf.tilde_n_k,
-                "tilde_n_l": self.gf.tilde_n_l,
-                "trotter_steps": self.gf.trotter_steps,
-                "evolution_mode": self.gf.evolution_mode,
-                "delta": self.gf.delta,
-                "omega_min": self.gf.omega_min,
-                "omega_max": self.gf.omega_max,
-                "omega_step": self.gf.omega_step,
-                "site_pair": list(self.gf.site_pair),
-                "kinds": list(self.gf.kinds),
-            },
-            "dsf": {
-                "h_values": list(self.dsf.h_values),
-                "omega_min": self.dsf.omega_min,
-                "omega_max": self.dsf.omega_max,
-                "omega_step": self.dsf.omega_step,
-                "delta": self.dsf.delta,
-                "q": list(self.dsf.q),
-            },
-        }
+        return asdict(self)
 
 
 _EVOLUTION_MODES = ("exact", "trotter2")
@@ -164,6 +121,7 @@ _EVOLUTION_MODES = ("exact", "trotter2")
 
 def config_from_dict(raw: dict) -> RunConfig:
     _require(isinstance(raw, dict), "$", "top level must be a JSON object")
+    default = RunConfig()
     known = {"lattice", "coupling", "field_z", "seed", "threads", "output_dir", "vqe", "qse", "gf", "dsf"}
     for key in raw:
         _require(key in known, f"$.{key}", "unknown configuration key")
@@ -171,34 +129,34 @@ def config_from_dict(raw: dict) -> RunConfig:
     lat_raw = raw.get("lattice", {})
     _require(isinstance(lat_raw, dict), "$.lattice", "must be an object")
     lattice = LatticeConfig(
-        rows=_get_number(lat_raw, "$.lattice", "rows", 2, integer=True, minimum=2),
-        cols=_get_number(lat_raw, "$.lattice", "cols", 2, integer=True, minimum=2),
+        rows=_get_number(lat_raw, "$.lattice", "rows", default.lattice, integer=True, minimum=2),
+        cols=_get_number(lat_raw, "$.lattice", "cols", default.lattice, integer=True, minimum=2),
     )
     n = lattice.num_sites
 
-    coupling = raw.get("coupling", -1.0)
+    coupling = raw.get("coupling", default.coupling)
     if isinstance(coupling, list):
         _require(len(coupling) == 3, "$.coupling", "list form must have exactly 3 entries")
         _require(all(isinstance(x, (int, float)) for x in coupling), "$.coupling", "entries must be numbers")
     else:
         _require(isinstance(coupling, (int, float)), "$.coupling", "must be a number or 3-list")
 
-    field_z = raw.get("field_z", 0.1)
+    field_z = raw.get("field_z", default.field_z)
     _require(isinstance(field_z, (int, float)), "$.field_z", "must be a number")
 
-    seed = _get_number(raw, "$", "seed", 1, integer=True, minimum=0)
-    threads = _get_number(raw, "$", "threads", 1, integer=True, minimum=1)
-    output_dir = raw.get("output_dir", "out")
+    seed = _get_number(raw, "$", "seed", default, integer=True, minimum=0)
+    threads = _get_number(raw, "$", "threads", default, integer=True, minimum=1)
+    output_dir = raw.get("output_dir", default.output_dir)
     _require(isinstance(output_dir, str) and output_dir, "$.output_dir", "must be a non-empty string")
 
     v = raw.get("vqe", {})
     _require(isinstance(v, dict), "$.vqe", "must be an object")
     vqe_cfg = VqeConfig(
-        layers=_get_number(v, "$.vqe", "layers", 1, integer=True, minimum=0),
-        epochs=_get_number(v, "$.vqe", "epochs", 800, integer=True, minimum=1),
-        learning_rate=_get_number(v, "$.vqe", "learning_rate", 0.1, minimum=0.0),
-        scan_epochs=_get_number(v, "$.vqe", "scan_epochs", 120, integer=True, minimum=1),
-        layer_sweep=v.get("layer_sweep", [0, 1, 2, 3, 4]),
+        layers=_get_number(v, "$.vqe", "layers", default.vqe, integer=True, minimum=0),
+        epochs=_get_number(v, "$.vqe", "epochs", default.vqe, integer=True, minimum=1),
+        learning_rate=_get_number(v, "$.vqe", "learning_rate", default.vqe, minimum=0.0),
+        scan_epochs=_get_number(v, "$.vqe", "scan_epochs", default.vqe, integer=True, minimum=1),
+        layer_sweep=v.get("layer_sweep", default.vqe.layer_sweep),
     )
     _require(
         isinstance(vqe_cfg.layer_sweep, list)
@@ -209,14 +167,14 @@ def config_from_dict(raw: dict) -> RunConfig:
     q = raw.get("qse", {})
     _require(isinstance(q, dict), "$.qse", "must be an object")
     qse_cfg = QseConfig(
-        n_k=_get_number(q, "$.qse", "n_k", 3, integer=True, minimum=0),
-        n_l=_get_number(q, "$.qse", "n_l", 3, integer=True, minimum=0),
-        evolution_mode=q.get("evolution_mode", "exact"),
-        trotter_steps=_get_number(q, "$.qse", "trotter_steps", 5, integer=True, minimum=1),
-        hoa_tau_scale=_get_number(q, "$.qse", "hoa_tau_scale", 0.1, minimum=0.0),
-        assembly_mode=q.get("assembly_mode", "exact"),
-        shape_sweep=[tuple(p) for p in q.get("shape_sweep", [[n_l, n_k] for n_l in range(4) for n_k in range(4)])],
-        trotter_sweep=q.get("trotter_sweep", list(range(1, 11))),
+        n_k=_get_number(q, "$.qse", "n_k", default.qse, integer=True, minimum=0),
+        n_l=_get_number(q, "$.qse", "n_l", default.qse, integer=True, minimum=0),
+        evolution_mode=q.get("evolution_mode", default.qse.evolution_mode),
+        trotter_steps=_get_number(q, "$.qse", "trotter_steps", default.qse, integer=True, minimum=1),
+        hoa_tau_scale=_get_number(q, "$.qse", "hoa_tau_scale", default.qse, minimum=0.0),
+        assembly_mode=q.get("assembly_mode", default.qse.assembly_mode),
+        shape_sweep=[tuple(p) for p in q.get("shape_sweep", default.qse.shape_sweep)],
+        trotter_sweep=q.get("trotter_sweep", default.qse.trotter_sweep),
     )
     _require(qse_cfg.evolution_mode in _EVOLUTION_MODES, "$.qse.evolution_mode", f"must be one of {_EVOLUTION_MODES}")
     _require(qse_cfg.assembly_mode in ("exact", "hoa"), "$.qse.assembly_mode", "must be 'exact' or 'hoa'")
@@ -235,16 +193,16 @@ def config_from_dict(raw: dict) -> RunConfig:
     g = raw.get("gf", {})
     _require(isinstance(g, dict), "$.gf", "must be an object")
     gf_cfg = GfConfig(
-        tilde_n_k=_get_number(g, "$.gf", "tilde_n_k", 3, integer=True, minimum=0),
-        tilde_n_l=_get_number(g, "$.gf", "tilde_n_l", 3, integer=True, minimum=0),
-        trotter_steps=_get_number(g, "$.gf", "trotter_steps", 5, integer=True, minimum=1),
-        evolution_mode=g.get("evolution_mode", "exact"),
-        delta=_get_number(g, "$.gf", "delta", 0.1),
-        omega_min=_get_number(g, "$.gf", "omega_min", -10.0),
-        omega_max=_get_number(g, "$.gf", "omega_max", 10.0),
-        omega_step=_get_number(g, "$.gf", "omega_step", 0.1, minimum=1e-12),
-        site_pair=tuple(g.get("site_pair", [1, 2])),
-        kinds=g.get("kinds", ["Z"]),
+        tilde_n_k=_get_number(g, "$.gf", "tilde_n_k", default.gf, integer=True, minimum=0),
+        tilde_n_l=_get_number(g, "$.gf", "tilde_n_l", default.gf, integer=True, minimum=0),
+        trotter_steps=_get_number(g, "$.gf", "trotter_steps", default.gf, integer=True, minimum=1),
+        evolution_mode=g.get("evolution_mode", default.gf.evolution_mode),
+        delta=_get_number(g, "$.gf", "delta", default.gf),
+        omega_min=_get_number(g, "$.gf", "omega_min", default.gf),
+        omega_max=_get_number(g, "$.gf", "omega_max", default.gf),
+        omega_step=_get_number(g, "$.gf", "omega_step", default.gf, minimum=1e-12),
+        site_pair=tuple(g.get("site_pair", default.gf.site_pair)),
+        kinds=g.get("kinds", default.gf.kinds),
     )
     _require(gf_cfg.evolution_mode in _EVOLUTION_MODES, "$.gf.evolution_mode", f"must be one of {_EVOLUTION_MODES}")
     _require(gf_cfg.delta > 0.0, "$.gf.delta", "must be positive")
@@ -266,12 +224,12 @@ def config_from_dict(raw: dict) -> RunConfig:
     d = raw.get("dsf", {})
     _require(isinstance(d, dict), "$.dsf", "must be an object")
     dsf_cfg = DsfConfig(
-        h_values=d.get("h_values", [round(0.05 * i, 10) for i in range(11)]),
-        omega_min=_get_number(d, "$.dsf", "omega_min", -10.0),
-        omega_max=_get_number(d, "$.dsf", "omega_max", 10.0),
-        omega_step=_get_number(d, "$.dsf", "omega_step", 0.1, minimum=1e-12),
-        delta=_get_number(d, "$.dsf", "delta", 0.1),
-        q=tuple(d.get("q", [0.0, 0.0])),
+        h_values=d.get("h_values", default.dsf.h_values),
+        omega_min=_get_number(d, "$.dsf", "omega_min", default.dsf),
+        omega_max=_get_number(d, "$.dsf", "omega_max", default.dsf),
+        omega_step=_get_number(d, "$.dsf", "omega_step", default.dsf, minimum=1e-12),
+        delta=_get_number(d, "$.dsf", "delta", default.dsf),
+        q=tuple(d.get("q", default.dsf.q)),
     )
     _require(
         isinstance(dsf_cfg.h_values, list) and len(dsf_cfg.h_values) > 0

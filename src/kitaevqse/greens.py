@@ -371,21 +371,6 @@ def _grid_key(z_grid: np.ndarray) -> tuple:
     return (z.shape, z.tobytes())
 
 
-def krylov_seed(
-    gs: QseGroundState,
-    gs_basis: SubspaceBasis,
-    c_dag: ExcitationOperator,
-    cfg: KrylovBasisConfig,
-    s_threshold: float = 1e-12,
-) -> tuple[SubspaceBasis, np.ndarray]:
-    """Excitation subspace and starting coefficients for one Pauli excitation."""
-    engine = GreensEngine(gs_basis.evolution.hamiltonian, gs, gs_basis, cfg, s_threshold)
-    n = engine.num_sites
-    excitation = pauli_sum([c_dag.term(n)], n)
-    psi_basis, _, psi0, _ = engine.seed_subspace(excitation)
-    return psi_basis, psi0
-
-
 def retarded_gf(
     engine: GreensEngine,
     site_a: int,

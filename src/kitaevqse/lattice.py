@@ -54,12 +54,6 @@ class HoneycombLattice:
     def bonds(self, kind: str) -> tuple[tuple[int, int], ...]:
         return {"x": self.bonds_x, "y": self.bonds_y, "z": self.bonds_z}[kind]
 
-    def all_bonds(self) -> list[tuple[str, tuple[int, int]]]:
-        out = []
-        for kind in _BOND_KINDS:
-            out.extend((kind, b) for b in self.bonds(kind))
-        return out
-
     def to_fixture_dict(self) -> dict:
         return {
             "num_sites": self.num_sites,

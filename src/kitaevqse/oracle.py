@@ -8,9 +8,7 @@ which covers every shipped Kitaev instance.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -111,12 +109,6 @@ def exact_resolvent_gf(
 
 def _dagger(term: PauliTerm) -> PauliTerm:
     return term.with_coefficient(np.conj(term.coefficient))
-
-
-def emit_fixture(entries: list[dict], path: str | Path, version: str) -> None:
-    """Versioned JSON of ground energies/degeneracies per instance."""
-    payload = {"version": version, "entries": entries}
-    Path(path).write_text(json.dumps(payload, indent=2))
 
 
 def fixture_entry(label: str, h: PauliSum, decomp: SpectralDecomposition) -> dict:

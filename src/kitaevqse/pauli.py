@@ -10,6 +10,7 @@ same axes and coefficients below ``MERGE_TOL`` are pruned.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,6 +70,15 @@ class PauliTerm:
 
     def support(self) -> tuple[int, ...]:
         return tuple(q for q, ch in enumerate(self.axes) if ch != "I")
+
+    @cached_property
+    def action(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only (src, phase): P|psi>[i] = phase[i] * psi[src[i]], coefficient excluded.
+
+        Built by :func:`term_phases` on first use and kept on this term;
+        field-based equality and hashing are unaffected.
+        """
+        return term_phases(self)
 
     def __str__(self) -> str:
         return term_to_string(self)
@@ -187,58 +197,50 @@ def pauli_sum(terms: Iterable[PauliTerm], num_sites: int) -> PauliSum:
 
 
 # ---------------------------------------------------------------------------
-# Basis action: P|i> = phase(i) |i ^ flip_mask>, with site 0 on the most
-# significant bit. These arrays drive matrix-free application and to_matrix.
+# Basis action: P|psi>[i] = phase[i] * psi[src[i]] with src[i] = i ^ flip_mask
+# and site 0 on the most significant bit (the symplectic flip/sign-mask form
+# of Aaronson & Gottesman, PRA 70, 052328 (2004)). Each term builds this
+# coefficient-free action once, on first use of PauliTerm.action, and keeps it
+# read-only; apply, rotation, Trotter, VQE and to_matrix all go through it
+# and apply the coefficient as a scalar.
 # ---------------------------------------------------------------------------
 
-def term_masks(term: PauliTerm) -> tuple[int, int, int]:
-    """(flip_mask, sign_mask, y_count) for the string's basis action."""
+def term_phases(term: PauliTerm) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient-free basis action (src, phase) of the term's Pauli string.
+
+    X and Y sites set the flip mask, Z and Y sites the sign mask, and each
+    Y contributes a factor i, so ``phase[i] = i^y (-1)^popcount(src[i] & sign)``.
+    Both arrays are read-only. Use the cached ``PauliTerm.action`` rather
+    than calling this directly.
+    """
     n = term.num_sites
-    flip = 0
-    sign = 0
-    y_count = 0
+    flip = sign = 0
     for q, ch in enumerate(term.axes):
         bit = 1 << (n - 1 - q)
         if ch in "XY":
             flip |= bit
         if ch in "ZY":
             sign |= bit
-        if ch == "Y":
-            y_count += 1
-    return flip, sign, y_count
-
-
-def term_phases(term: PauliTerm) -> tuple[int, np.ndarray]:
-    """(flip_mask, per-index phase array) such that P|i> = phase[i]|i ^ flip>.
-
-    The phase includes the term coefficient.
-    """
-    n = term.num_sites
-    flip, sign, y_count = term_masks(term)
-    dim = 1 << n
-    idx = np.arange(dim, dtype=np.int64)
-    parity = np.bitwise_count(np.bitwise_and(idx, sign)) & 1
-    phases = np.where(parity, -1.0, 1.0).astype(complex)
-    phases *= term.coefficient * (1j) ** y_count
-    return flip, phases
+    src = np.bitwise_xor(np.arange(1 << n, dtype=np.int64), flip)
+    parity = np.bitwise_count(np.bitwise_and(src, sign)) & 1
+    phase = np.where(parity, -1.0, 1.0) * (1j) ** term.axes.count("Y")
+    src.flags.writeable = False
+    phase.flags.writeable = False
+    return src, phase
 
 
 def apply_term(term: PauliTerm, amplitudes: np.ndarray) -> np.ndarray:
     """Matrix-free P|psi> for one term."""
-    flip, phases = term_phases(term)
-    idx = np.arange(amplitudes.size, dtype=np.int64)
-    src = np.bitwise_xor(idx, flip)
-    return phases[src] * amplitudes[src]
+    src, phase = term.action
+    return term.coefficient * (phase * amplitudes[src])
 
 
 def apply_sum(h: PauliSum, amplitudes: np.ndarray) -> np.ndarray:
     """Matrix-free H|psi>."""
     out = np.zeros_like(amplitudes)
-    idx = np.arange(amplitudes.size, dtype=np.int64)
     for term in h.terms:
-        flip, phases = term_phases(term)
-        src = np.bitwise_xor(idx, flip)
-        out += phases[src] * amplitudes[src]
+        src, phase = term.action
+        out += term.coefficient * (phase * amplitudes[src])
     return out
 
 
@@ -252,20 +254,18 @@ def term_to_matrix(term: PauliTerm) -> np.ndarray:
 def to_matrix(h: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:
     """Dense 2^N x 2^N matrix of the sum.
 
-    Assembled column-wise from the basis action, so memory stays at one
-    output matrix.
+    Assembled from each term's basis action (row i holds ``phase[i]`` in
+    column ``src[i]``), so memory stays at one output matrix.
     """
     n = h.num_sites
     if n > cap:
         raise PauliError(f"register size {n} exceeds dense cap {cap}")
     dim = 1 << n
     mat = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim, dtype=np.int64)
+    rows = np.arange(dim, dtype=np.int64)
     for term in h.terms:
-        flip, phases = term_phases(term)
-        rows = np.bitwise_xor(cols, flip)
-        # P|i> lands on row i ^ flip with phase(i)
-        np.add.at(mat, (rows, cols), phases)
+        src, phase = term.action
+        mat[rows, src] += term.coefficient * phase
     return mat
 
 

@@ -152,17 +152,6 @@ class SubspaceMatrices:
 
         Path(path).write_text(json.dumps(self.to_json_dict()))
 
-    def save_csv(self, path) -> None:
-        """Flat (matrix, row, col, re, im) listing for offline inspection."""
-        from pathlib import Path
-
-        lines = ["matrix,row,col,re,im"]
-        for name, mat in (("H", self.hamiltonian), ("S", self.overlap)):
-            for i in range(mat.shape[0]):
-                for j in range(mat.shape[1]):
-                    lines.append(f"{name},{i},{j},{mat[i, j].real!r},{mat[i, j].imag!r}")
-        Path(path).write_text("\n".join(lines) + "\n")
-
 
 def assemble_matrices(
     basis: SubspaceBasis,

@@ -5,28 +5,22 @@ Rotation convention: ``apply_pauli_rotation(state, term, angle)`` applies
 ``c`` its (real) coefficient. The full exponent prefactor is therefore
 ``angle * c / 2``; Trotter code folds coupling constants through ``c``.
 
-Exact evolution caches a dense eigendecomposition of the Hamiltonian so
-repeated ``V(t)`` applications with many different ``t`` cost two dense
-matvecs each. Real-symmetric Hamiltonians (any Kitaev + z-field
-instance) are detected and factorized in real arithmetic.
+Exact evolution caches the dense eigendecomposition that
+``oracle.diagonalize`` returns for the Hamiltonian, so repeated ``V(t)``
+applications with many different ``t`` cost two dense matvecs each.
+Rotations and Pauli products use each term's cached basis action
+(``PauliTerm.action``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .pauli import (
-    DEFAULT_DENSE_CAP,
-    PauliSum,
-    PauliTerm,
-    apply_sum,
-    term_phases,
-    to_matrix,
-)
+from .oracle import diagonalize
+from .pauli import DEFAULT_DENSE_CAP, PauliSum, PauliTerm, apply_sum, apply_term
 
 class SimulationError(ValueError):
     """Raised on contract violations in the statevector engine."""
@@ -71,13 +65,6 @@ class StateVector:
             raise SimulationError("cannot normalize a zero state")
         return StateVector(self.amplitudes / nrm, self.num_sites)
 
-    def dump_amplitudes(self, path: str | Path) -> None:
-        """Binary debug dump: little-endian f64 pairs (re, im) per amplitude."""
-        interleaved = np.empty(2 * self.amplitudes.size, dtype="<f8")
-        interleaved[0::2] = self.amplitudes.real
-        interleaved[1::2] = self.amplitudes.imag
-        Path(path).write_bytes(interleaved.tobytes())
-
 
 def overlap(a: StateVector, b: StateVector) -> complex:
     """Exact inner product <a|b>."""
@@ -100,8 +87,6 @@ def apply_pauli(state: StateVector, term: PauliTerm) -> StateVector:
     """term |state> including the term coefficient."""
     if term.num_sites != state.num_sites:
         raise SimulationError("size mismatch in Pauli application")
-    from .pauli import apply_term
-
     return StateVector(apply_term(term, state.amplitudes), state.num_sites)
 
 
@@ -109,10 +94,8 @@ def _rotation_inplace(amplitudes: np.ndarray, term: PauliTerm, angle: float) -> 
     theta = 0.5 * angle * term.coefficient.real
     if theta == 0.0:
         return
-    flip, phases = term_phases(term.with_coefficient(1.0))
-    idx = np.arange(amplitudes.size, dtype=np.int64)
-    src = np.bitwise_xor(idx, flip)
-    rotated = phases[src] * amplitudes[src]
+    src, phase = term.action
+    rotated = phase * amplitudes[src]
     amplitudes *= np.cos(theta)
     amplitudes -= 1j * np.sin(theta) * rotated
 
@@ -191,13 +174,9 @@ class EvolutionOperator:
                 raise SimulationError(
                     f"exact evolution needs a dense factorization; {n} sites exceeds cap {self.dense_cap}"
                 )
-            mat = to_matrix(self.hamiltonian, cap=self.dense_cap)
-            if np.max(np.abs(mat.imag)) <= 1e-14 * max(1.0, np.max(np.abs(mat.real))):
-                evals, evecs = np.linalg.eigh(mat.real)
-            else:
-                evals, evecs = np.linalg.eigh(mat)
-            self._eigenvalues = evals
-            self._eigenvectors = np.ascontiguousarray(evecs)
+            decomp = diagonalize(self.hamiltonian, cap=self.dense_cap)
+            self._eigenvalues = decomp.eigenvalues
+            self._eigenvectors = decomp.eigenvectors
         return self._eigenvalues, self._eigenvectors
 
 

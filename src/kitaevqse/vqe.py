@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ from . import pauli
 from .lattice import HoneycombLattice, StabilizerGroup, stabilizer_group
 from .oracle import SpectralDecomposition, ground_space_fidelity
 from .pauli import PauliSum, PauliTerm, commutes
-from .simulator import StateVector
+from .simulator import StateVector, _rotation_inplace
 
 
 class VqeError(RuntimeError):
@@ -68,19 +67,13 @@ class AnsatzCircuit:
     def num_parameters(self) -> int:
         return len(self.generators)
 
-    @cached_property
-    def _rotations(self):
-        return [pauli.term_phases(g) for g in self.generators]
-
     def apply(self, parameters: np.ndarray, state: StateVector) -> StateVector:
         parameters = np.asarray(parameters, dtype=float)
         if parameters.shape != (self.num_parameters,):
             raise VqeError(f"expected {self.num_parameters} parameters, got {parameters.shape}")
         amps = state.amplitudes.copy()
-        idx = np.arange(amps.size, dtype=np.int64)
-        for (flip, phases), theta in zip(self._rotations, parameters):
-            src = np.bitwise_xor(idx, flip)
-            amps = np.cos(theta / 2) * amps - 1j * np.sin(theta / 2) * (phases[src] * amps[src])
+        for gen, theta in zip(self.generators, parameters):
+            _rotation_inplace(amps, gen, theta)
         return StateVector(amps, state.num_sites)
 
     def energy_and_gradient(
@@ -88,24 +81,15 @@ class AnsatzCircuit:
     ) -> tuple[float, np.ndarray]:
         """Adjoint-mode energy gradient: one forward pass, one reverse sweep."""
         parameters = np.asarray(parameters, dtype=float)
-        rot = self._rotations
-        idx = np.arange(state.amplitudes.size, dtype=np.int64)
-        amps = state.amplitudes.copy()
-        for (flip, phases), theta in zip(rot, parameters):
-            src = np.bitwise_xor(idx, flip)
-            amps = np.cos(theta / 2) * amps - 1j * np.sin(theta / 2) * (phases[src] * amps[src])
-        lam = pauli.apply_sum(h, amps)
-        energy = float(np.real(np.vdot(amps, lam)))
+        psi = self.apply(parameters, state).amplitudes
+        lam = pauli.apply_sum(h, psi)
+        energy = float(np.real(np.vdot(psi, lam)))
         grads = np.zeros(self.num_parameters)
-        psi = amps
         for k in range(self.num_parameters - 1, -1, -1):
-            flip, phases = rot[k]
-            theta = parameters[k]
-            src = np.bitwise_xor(idx, flip)
-            grads[k] = 2.0 * np.real(np.vdot(lam, -0.5j * (phases[src] * psi[src])))
-            cos_t, sin_t = np.cos(theta / 2), np.sin(theta / 2)
-            psi = cos_t * psi + 1j * sin_t * (phases[src] * psi[src])
-            lam = cos_t * lam + 1j * sin_t * (phases[src] * lam[src])
+            gen, theta = self.generators[k], parameters[k]
+            grads[k] = 2.0 * np.real(np.vdot(lam, -0.5j * pauli.apply_term(gen, psi)))
+            _rotation_inplace(psi, gen, -theta)
+            _rotation_inplace(lam, gen, -theta)
         return energy, grads
 
 

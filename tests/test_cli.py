@@ -6,7 +6,7 @@ import pytest
 
 from kitaevqse import vqe
 from kitaevqse.cli import main
-from kitaevqse.config import ConfigError, config_from_dict, load_config
+from kitaevqse.config import ConfigError, RunConfig, config_from_dict, load_config
 
 FAST_CONFIG = {
     "lattice": {"rows": 2, "cols": 2},
@@ -43,8 +43,19 @@ def run(command, workdir, extra=()):
 class TestConfigValidation:
     def test_defaults_load(self):
         cfg = config_from_dict({})
+        assert cfg == RunConfig()
         assert cfg.lattice.num_sites == 8
         assert cfg.qse.n_k == 3
+
+    def test_json_round_trip(self):
+        cfg = config_from_dict({
+            **FAST_CONFIG,
+            "coupling": [-1.0, -0.5, 0.25],
+            "gf": {"site_pair": [2, 5], "kinds": ["X", "Z"], "evolution_mode": "trotter2"},
+            "dsf": {"h_values": [0.2], "q": [1.0, 0.5]},
+        })
+        assert cfg != RunConfig()
+        assert config_from_dict(json.loads(json.dumps(cfg.to_json_dict()))) == cfg
 
     def test_unknown_key_path(self):
         with pytest.raises(ConfigError, match=r"\$\.bogus"):

@@ -13,7 +13,6 @@ from kitaevqse.greens import (
     continued_fraction,
     dynamical_structure_factor,
     dynamical_structure_factor_ed,
-    krylov_seed,
     lanczos_iterate,
     normalize_intensity,
     retarded_gf,
@@ -174,7 +173,9 @@ class TestKrylovSeed:
     def test_trivial_single_state_basis(self, qse8, h_8):
         gs, basis, _ = qse8
         cfg = KrylovBasisConfig(tilde_n_k=0, tilde_n_l=0)
-        psi_basis, psi0 = krylov_seed(gs, basis, ExcitationOperator("Z", 0), cfg)
+        engine = GreensEngine(h_8, gs, basis, cfg)
+        excitation = pauli_sum([ExcitationOperator("Z", 0).term(8)], 8)
+        psi_basis, _, psi0, _ = engine.seed_subspace(excitation)
         assert len(psi_basis) == 1
         assert psi0.shape == (1,)
         assert abs(psi0[0]) == pytest.approx(1.0, abs=1e-8)

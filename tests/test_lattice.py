@@ -44,7 +44,7 @@ class TestBuildLattice:
             assert all(c == 1 for c in touched.values())
 
     def test_bond_lists_partition_edges(self, lat8):
-        all_pairs = [frozenset(b) for _, b in lat8.all_bonds()]
+        all_pairs = [frozenset(b) for kind in "xyz" for b in lat8.bonds(kind)]
         assert len(all_pairs) == len(set(all_pairs)) == 12
 
     def test_fixture_export_round_trip(self, lat8, tmp_path):

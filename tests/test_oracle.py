@@ -119,11 +119,9 @@ class TestExactResolventGf:
 
 
 class TestFixtureEmission:
-    def test_round_trip(self, h0_8, dec0_8, tmp_path):
+    def test_round_trip(self, h0_8, dec0_8):
         entry = oracle.fixture_entry("n8_j-1", h0_8, dec0_8)
-        path = tmp_path / "fixture.json"
-        oracle.emit_fixture([entry], path, version="0.1.0")
-        data = json.loads(path.read_text())
-        assert data["version"] == "0.1.0"
-        assert data["entries"][0]["ground_energy"] == pytest.approx(E0_N8_J_MINUS1)
-        assert data["entries"][0]["ground_degeneracy"] == 1
+        data = json.loads(json.dumps(entry))
+        assert data["label"] == "n8_j-1"
+        assert data["ground_energy"] == pytest.approx(E0_N8_J_MINUS1)
+        assert data["ground_degeneracy"] == 1

@@ -152,7 +152,21 @@ class TestToMatrix:
         s = pauli_sum(terms, 3)
         rng = np.random.default_rng(3)
         vec = rng.normal(size=8) + 1j * rng.normal(size=8)
-        assert np.allclose(pauli.apply_sum(s, vec), to_matrix(s) @ vec, atol=1e-10)
+        # Kronecker-product reference, independent of the basis-action kernel
+        dense = sum((pauli.term_to_matrix(t) for t in s.terms), np.zeros((8, 8), complex))
+        assert np.allclose(pauli.apply_sum(s, vec), dense @ vec, atol=1e-10)
+        assert np.allclose(to_matrix(s), dense, atol=1e-12)
+
+
+class TestBasisAction:
+    def test_built_once_and_read_only(self):
+        term, twin = PauliTerm(0.5, "XYZ"), PauliTerm(0.5, "XYZ")
+        src, phase = term.action
+        assert term.action[0] is src
+        assert term == twin and hash(term) == hash(twin)
+        for arr in (src, phase):
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
 
 
 class TestGershgorinKappa:

@@ -133,16 +133,11 @@ class TestAssembleMatrices:
     def test_matrix_export(self, qse8, tmp_path):
         _, _, mats = qse8
         json_path = tmp_path / "mats.json"
-        csv_path = tmp_path / "mats.csv"
         mats.save_json(json_path)
-        mats.save_csv(csv_path)
         import json as json_mod
 
         data = json_mod.loads(json_path.read_text())
         assert np.allclose(np.asarray(data["overlap_re"]), mats.overlap.real)
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "matrix,row,col,re,im"
-        assert len(lines) == 1 + 2 * mats.size**2
 
 
 class TestSolveGroundState:

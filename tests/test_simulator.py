@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kitaevqse.pauli import PauliTerm, pauli_sum, single_site, to_matrix, two_site
+from kitaevqse.pauli import PauliTerm, pauli_sum, single_site, term_to_matrix, to_matrix, two_site
 from kitaevqse.simulator import (
     EvolutionOperator,
     SimulationError,
@@ -34,16 +34,6 @@ class TestStateVector:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(SimulationError):
             StateVector(np.zeros(7), 3)
-
-    def test_amplitude_dump_layout(self, tmp_path):
-        state = StateVector(np.array([1 + 2j, 3 - 4j]) / np.sqrt(30), 1)
-        path = tmp_path / "amps.bin"
-        state.dump_amplitudes(path)
-        raw = np.frombuffer(path.read_bytes(), dtype="<f8")
-        assert raw.size == 4
-        assert raw[0] == pytest.approx(state.amplitudes[0].real)
-        assert raw[1] == pytest.approx(state.amplitudes[0].imag)
-        assert raw[2] == pytest.approx(state.amplitudes[1].real)
 
 
 class TestOverlapExpectation:
@@ -104,7 +94,7 @@ class TestPauliRotation:
         term = PauliTerm(coeff, axes)
         psi = random_state(2, 5)
         out = apply_pauli_rotation(psi, term, angle)
-        gen = to_matrix(pauli_sum([term], 2))
+        gen = term_to_matrix(term)
         expected = scipy.linalg.expm(-0.5j * angle * gen) @ psi.amplitudes
         assert np.allclose(out.amplitudes, expected, atol=1e-10)
         assert out.norm() == pytest.approx(1.0, abs=1e-12)
@@ -186,6 +176,19 @@ class TestEvolve:
         for _ in range(50):
             psi = evolve(psi, trot, 0.17)
         assert abs(psi.norm() - 1.0) < 1e-12
+
+    def test_trotter_builds_each_term_action_once(self, lat8, monkeypatch):
+        from kitaevqse import pauli
+        from kitaevqse.lattice import kitaev_hamiltonian
+
+        calls = []
+        build = pauli.term_phases
+        monkeypatch.setattr(pauli, "term_phases", lambda term: calls.append(term) or build(term))
+        h = kitaev_hamiltonian(lat8, -1.0, 0.1)
+        op = EvolutionOperator(h, mode="trotter2", trotter_steps=3)
+        psi = random_state(8, 2)
+        evolve(evolve(psi, op, 0.4), op, 0.4)
+        assert len(calls) == len(h)
 
     def test_exact_cap(self, lat8):
         from kitaevqse.lattice import kitaev_hamiltonian

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kitaevqse import pauli, vqe
-from kitaevqse.lattice import stabilizer_group
+from kitaevqse.lattice import kitaev_hamiltonian, stabilizer_group
 from kitaevqse.simulator import expectation
 from kitaevqse.vqe import (
     AnsatzCircuit,
@@ -67,6 +67,19 @@ class TestAnsatz:
             e_minus = expectation(ansatz8.apply(minus, init8), h0_8)
             fd = (e_plus - e_minus) / (2 * step)
             assert grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-7)
+
+    def test_gradient_reuses_term_actions(self, lat8, init8, monkeypatch):
+        calls = []
+        build = pauli.term_phases
+        monkeypatch.setattr(pauli, "term_phases", lambda term: calls.append(term) or build(term))
+        ansatz = AnsatzCircuit.for_lattice(lat8, 2)
+        h = kitaev_hamiltonian(lat8, -1.0)
+        theta = np.linspace(-1.0, 1.0, ansatz.num_parameters)
+        ansatz.energy_and_gradient(theta, h, init8)
+        first = len(calls)
+        assert first == len(h) + len(set(ansatz.generators))
+        ansatz.energy_and_gradient(theta, h, init8)
+        assert len(calls) == first
 
 
 class TestSectorState:
