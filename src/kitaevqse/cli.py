@@ -306,14 +306,11 @@ def cmd_greens(config: RunConfig, out_dir: Path) -> None:
         dev = np.max(np.abs(samples.values.real - gf_ed.real)) / np.max(np.abs(gf_ed.real))
         print(f"greens[{kind}]: max rel deviation of Re G vs ED = {dev:.4f}")
 
-        # tridiagonal coefficients for the pair seed, for reproducibility audits
-        combined = pauli_sum([c_a, c_b], lat.num_sites)
-        _, psi_mats, psi0, _ = engine.seed_subspace(combined)
-        for tag, negate in (("greater", False), ("lesser", True)):
-            coeffs = greens.lanczos_iterate(
-                psi_mats, psi0, negate_hamiltonian=negate, kappa=engine.kappa
-            )
-            coeffs.save(out_dir / f"lanczos_{tag}_{suffix}.json")
+        # tridiagonal coefficients of the pair seed behind G_ab, for reproducibility
+        # audits; the hole part is the same recursion with a -> -a
+        coeffs, _ = engine.recursion(pauli_sum([c_a, c_b], lat.num_sites))
+        coeffs.save(out_dir / f"lanczos_greater_{suffix}.json")
+        coeffs.hole().save(out_dir / f"lanczos_lesser_{suffix}.json")
 
 
 def cmd_dsf(config: RunConfig, out_dir: Path) -> None:

@@ -7,8 +7,8 @@ built on top of A|GS>: a three-term Lanczos recursion run purely on the
 subspace H/S matrices yields tridiagonal coefficients {a_n}, {b_n}, and
 the correlator is the standard continued fraction in those coefficients,
 scaled by the squared seed norm because A need not be unitary. The
-hole-like part reuses the identical machinery with the Hamiltonian
-negated, since (z + H)^-1 = (z - (-H))^-1.
+hole-like part is the same recursion with a -> -a: (z + H)^-1 =
+(z - (-H))^-1, and the recursion for -H from the same seed is (-a_n, b_n).
 
 Single-site Green's functions take A = sigma_a. Off-diagonal elements
 come from the polarization identity G_ab = (G+_ab - G_aa - G_bb) / 2 with
@@ -42,6 +42,7 @@ from .qse import (
     SubspaceMatrices,
     assemble_matrices,
     build_basis,
+    canonical_orthogonalization,
     default_time_step,
     reconstruct_state,
 )
@@ -49,6 +50,8 @@ from .simulator import EvolutionOperator, StateVector
 
 LANCZOS_B2_REL_TOL = 1e-8
 LANCZOS_IMAG_TOL = 1e-8
+SEED_S_THRESHOLD = 1e-12  # seed projection: keep as much span as possible
+LANCZOS_S_THRESHOLD = 1e-10  # recursion: favor well-conditioned spectral data
 
 
 class GreensError(ValueError):
@@ -91,6 +94,7 @@ class LanczosCoefficients:
     b: np.ndarray
     termination_index: int
     vectors: np.ndarray | None = None  # subspace coordinates of the Krylov states
+    stop_reason: str | None = None  # "b2_tol" (Krylov space exhausted) or "rank" (of S)
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=float)
@@ -98,11 +102,16 @@ class LanczosCoefficients:
         if self.a.size != self.b.size or self.a.size == 0:
             raise GreensError("need equal-length, non-empty a and b with b[0] = 0")
 
+    def hole(self) -> "LanczosCoefficients":
+        """The same recursion for -H: a -> -a, b unchanged."""
+        return LanczosCoefficients(-self.a, self.b, self.termination_index, stop_reason=self.stop_reason)
+
     def to_json_dict(self) -> dict:
         return {
             "a": self.a.tolist(),
             "b": self.b.tolist(),
             "termination_index": self.termination_index,
+            "stop_reason": self.stop_reason,
         }
 
     def save(self, path: str | Path) -> None:
@@ -134,25 +143,11 @@ def continued_fraction(coeffs: LanczosCoefficients, z) -> np.ndarray | complex:
     return out if out.shape else complex(out)
 
 
-def _regularized_inverse(s_mat: np.ndarray, threshold: float) -> tuple[np.ndarray, int]:
-    eigs, vecs = np.linalg.eigh(s_mat)
-    if eigs[-1] <= 0.0:
-        raise GreensError("overlap matrix is numerically rank zero")
-    keep = eigs > threshold * eigs[-1]
-    if not np.any(keep):
-        raise GreensError("overlap matrix rank-deficient beyond regularization")
-    kept = vecs[:, keep]
-    inv = (kept / eigs[keep]) @ kept.conj().T
-    return inv, int(np.sum(keep))
-
-
 def lanczos_iterate(
     psi_mats: SubspaceMatrices,
     psi0: np.ndarray,
     *,
-    negate_hamiltonian: bool = False,
     kappa: float | None = None,
-    s_threshold: float = 1e-10,
     keep_vectors: bool = False,
 ) -> LanczosCoefficients:
     """Three-term recursion a_n = psi_n^dag H psi_n, b_n^2 by the variance
@@ -168,20 +163,13 @@ def lanczos_iterate(
 
     The starting vector is S-normalized internally. Iteration stops
     when b_n^2 falls below tol = 1e-8 * (kappa/2)^2 (invariant subspace
-    exhausted) or at the regularized rank of S; b_n^2 < -tol aborts.
+    exhausted, "b2_tol") or at the regularized rank of S ("rank");
+    b_n^2 < -tol aborts. The hole part, the recursion for -H, is this
+    run with a -> -a (:meth:`LanczosCoefficients.hole`).
     """
-    h_mat = -psi_mats.hamiltonian if negate_hamiltonian else psi_mats.hamiltonian
-    s_mat = psi_mats.overlap
-
-    eigs, vecs = np.linalg.eigh(s_mat)
-    if eigs[-1] <= 0.0:
-        raise GreensError("overlap matrix is numerically rank zero")
-    keep = eigs > s_threshold * eigs[-1]
-    if not np.any(keep):
-        raise GreensError("overlap matrix rank-deficient beyond regularization")
-    rank = int(np.sum(keep))
-    transform = vecs[:, keep] / np.sqrt(eigs[keep])  # X with X^dag S X = I
-    h_ortho = transform.conj().T @ h_mat @ transform
+    transform, s_eigs = canonical_orthogonalization(psi_mats.overlap, LANCZOS_S_THRESHOLD)
+    rank = transform.shape[1]
+    h_ortho = transform.conj().T @ psi_mats.hamiltonian @ transform
     h_ortho = 0.5 * (h_ortho + h_ortho.conj().T)
 
     if kappa is None:
@@ -190,8 +178,8 @@ def lanczos_iterate(
         scale = kappa / 2.0
     b2_tol = LANCZOS_B2_REL_TOL * max(scale, 1.0) ** 2
 
-    # orthonormal coordinates of psi0: y = X^dag S psi0 = s^{1/2} U^dag psi0
-    y = np.sqrt(eigs[keep]) * (vecs[:, keep].conj().T @ np.asarray(psi0, dtype=complex))
+    # orthonormal coordinates of psi0: y = X^dag S psi0 = s X^dag psi0 on the kept block
+    y = s_eigs[-rank:] * (transform.conj().T @ np.asarray(psi0, dtype=complex))
     norm0 = float(np.real(np.vdot(y, y)))
     if norm0 <= 0.0:
         raise GreensError("starting vector has non-positive S-norm")
@@ -201,32 +189,30 @@ def lanczos_iterate(
     b_list: list[float] = [0.0]
     basis = [y]
     prev = np.zeros_like(y)
-
-    a_raw = complex(np.vdot(y, h_ortho @ y))
-    if abs(a_raw.imag) > LANCZOS_IMAG_TOL * max(1.0, abs(a_raw.real)):
-        raise GreensError(f"a_0 has imaginary residue {a_raw.imag:g}")
-    a_list.append(a_raw.real)
-
-    while len(a_list) < rank:
+    while True:
         n = len(a_list)
         hy = h_ortho @ y
+        a_raw = complex(np.vdot(y, hy))
+        if abs(a_raw.imag) > LANCZOS_IMAG_TOL * max(1.0, abs(a_raw.real)):
+            raise GreensError(f"a_{n} has imaginary residue {a_raw.imag:g}")
+        a_list.append(a_raw.real)
+        if n + 1 == rank:
+            stop_reason = "rank"
+            break
         b2 = float(np.real(np.vdot(hy, hy))) - a_list[-1] ** 2 - b_list[-1] ** 2
         if b2 < -b2_tol:
             raise GreensError(
-                f"b_{n}^2 = {b2:g} is negative beyond tolerance: ill-conditioned subspace"
+                f"b_{n + 1}^2 = {b2:g} is negative beyond tolerance: ill-conditioned subspace"
             )
         if b2 <= b2_tol:
+            stop_reason = "b2_tol"
             break
         b_n = float(np.sqrt(b2))
         nxt = (hy - a_list[-1] * y - b_list[-1] * prev) / b_n
         for column in basis:
             nxt -= np.vdot(column, nxt) * column
         nxt /= np.linalg.norm(nxt)
-        a_raw = complex(np.vdot(nxt, h_ortho @ nxt))
-        if abs(a_raw.imag) > LANCZOS_IMAG_TOL * max(1.0, abs(a_raw.real)):
-            raise GreensError(f"a_{n} has imaginary residue {a_raw.imag:g}")
         prev, y = y, nxt
-        a_list.append(a_raw.real)
         b_list.append(b_n)
         basis.append(y)
 
@@ -238,6 +224,7 @@ def lanczos_iterate(
         b=np.array(b_list),
         termination_index=len(a_list),
         vectors=vectors,
+        stop_reason=stop_reason,
     )
 
 
@@ -245,20 +232,19 @@ def lanczos_iterate(
 class GreensEngine:
     """Shared context for GF runs on one (Hamiltonian, QSE ground state).
 
-    Caches the reconstructed ground statevector, the excitation-subspace
-    evolution operator and finished diagonal curves, which every
-    off-diagonal element through the polarization identity reuses.
+    Caches the ground statevector, the excitation-subspace evolution
+    operator, each seed's Lanczos recursion and finished diagonal curves,
+    which every off-diagonal element through the polarization identity reuses.
     """
 
     hamiltonian: PauliSum
     gs: QseGroundState
     gs_basis: SubspaceBasis
     config: KrylovBasisConfig
-    s_threshold: float = 1e-12      # seed projection: keep as much span as possible
-    lanczos_threshold: float = 1e-10  # recursion: favor well-conditioned spectral data
     shift_energy: bool = False
     _gs_state: StateVector | None = field(default=None, repr=False)
     _evolution: EvolutionOperator | None = field(default=None, repr=False)
+    _recursions: dict = field(default_factory=dict, repr=False)
     _diag_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -320,27 +306,25 @@ class GreensEngine:
         )
         transition = psi_stack.conj() @ exc_phi.T
         rhs = transition @ self.gs.coefficients
-        s_inv, _ = _regularized_inverse(psi_mats.overlap, self.s_threshold)
-        psi0 = s_inv @ rhs
+        transform, _ = canonical_orthogonalization(psi_mats.overlap, SEED_S_THRESHOLD)
+        psi0 = transform @ (transform.conj().T @ rhs)  # S^+ rhs on the kept block
         return psi_basis, psi_mats, psi0, norm_sq
+
+    def recursion(self, excitation: PauliSum) -> tuple[LanczosCoefficients, float]:
+        """(particle-part Lanczos coefficients, seed norm squared), one run per seed."""
+        if excitation not in self._recursions:
+            _, psi_mats, psi0, norm_sq = self.seed_subspace(excitation)
+            coeffs = lanczos_iterate(psi_mats, psi0, kappa=self.kappa)
+            self._recursions[excitation] = (coeffs, norm_sq)
+        return self._recursions[excitation]
 
     def correlator(self, excitation: PauliSum, z_grid: np.ndarray) -> np.ndarray:
         """Particle plus hole resolvent for one (possibly composite) excitation."""
-        _, psi_mats, psi0, norm_sq = self.seed_subspace(excitation)
+        coeffs, norm_sq = self.recursion(excitation)
         z = np.asarray(z_grid, dtype=complex)
         if self.shift_energy:
             z = z + self.gs.energy
-        greater = continued_fraction(
-            lanczos_iterate(psi_mats, psi0, kappa=self.kappa, s_threshold=self.lanczos_threshold), z
-        )
-        lesser = continued_fraction(
-            lanczos_iterate(
-                psi_mats, psi0, negate_hamiltonian=True, kappa=self.kappa,
-                s_threshold=self.lanczos_threshold,
-            ),
-            z,
-        )
-        return norm_sq * (greater + lesser)
+        return norm_sq * (continued_fraction(coeffs, z) + continued_fraction(coeffs.hole(), z))
 
     def diagonal_gf(self, kind: str, site: int, z_grid: np.ndarray) -> np.ndarray:
         key = (kind, site, _grid_key(z_grid))

@@ -10,7 +10,8 @@ orthogonalization: eigendecompose S, drop the near-null directions,
 transform to an ordinary Hermitian problem, solve densely. Spectral
 truncation (rather than a ridge term) keeps the solution inside the
 span of the basis, so the variational bound on the energy survives
-regularization.
+regularization. :func:`canonical_orthogonalization` factorizes S here
+and in ``greens``.
 """
 
 from __future__ import annotations
@@ -221,6 +222,21 @@ class QseGroundState:
         return self.coefficients.size
 
 
+def canonical_orthogonalization(
+    s_mat: np.ndarray, threshold: float = DEFAULT_S_THRESHOLD
+) -> tuple[np.ndarray, np.ndarray]:
+    """(X, ascending S eigenvalues): X^dag S X = I on the S-eigendirections
+    above ``threshold`` times the largest, one column of X per kept direction.
+    """
+    s_eigs, s_vecs = np.linalg.eigh(s_mat)
+    if s_eigs[-1] <= 0.0:
+        raise QseError("overlap matrix is numerically rank zero")
+    keep = s_eigs > threshold * s_eigs[-1]
+    if not np.any(keep):
+        raise QseError("regularization discarded the entire subspace")
+    return s_vecs[:, keep] / np.sqrt(s_eigs[keep]), s_eigs
+
+
 def solve_ground_state(
     mats: SubspaceMatrices,
     threshold: float = DEFAULT_S_THRESHOLD,
@@ -239,27 +255,21 @@ def solve_ground_state(
         if residual > 1e-8 * max(1.0, np.max(np.abs(mat))):
             raise QseError(f"{name} is not Hermitian (residual {residual:g})")
 
-    s_eigs, s_vecs = np.linalg.eigh(s_mat)
-    s_max = float(s_eigs[-1])
-    if s_max <= 0.0:
-        raise QseError("overlap matrix is numerically rank zero")
-    if s_eigs[0] < -psd_tol * s_max:
+    transform, s_eigs = canonical_orthogonalization(s_mat, threshold)
+    if s_eigs[0] < -psd_tol * s_eigs[-1]:
         raise QseError(f"overlap matrix is not PSD: min eigenvalue {s_eigs[0]:g}")
-
-    keep = s_eigs > threshold * s_max
-    if not np.any(keep):
-        raise QseError("regularization discarded the entire subspace")
-    transform = s_vecs[:, keep] / np.sqrt(s_eigs[keep])
     h_ortho = transform.conj().T @ h_mat @ transform
     h_ortho = 0.5 * (h_ortho + h_ortho.conj().T)
     evals, evecs = np.linalg.eigh(h_ortho)
     coeffs = transform @ evecs[:, 0]
 
+    kept = transform.shape[1]
     report = {
         "s_eigenvalues": s_eigs.tolist(),
         "threshold": threshold,
-        "kept": int(np.sum(keep)),
-        "discarded": int(np.sum(~keep)),
+        "kept": kept,
+        "discarded": s_eigs.size - kept,
+        "condition_number": float(s_eigs[-1] / s_eigs[-kept]),
     }
     return QseGroundState(coefficients=coeffs, energy=float(evals[0]), regularization_report=report)
 

@@ -187,28 +187,30 @@ def _evolve_exact(op: EvolutionOperator, amplitudes: np.ndarray, t: float) -> np
     return evecs @ coords
 
 
-def _evolve_trotter2(op: EvolutionOperator, amplitudes: np.ndarray, t: float) -> np.ndarray:
+def trotter_schedule(op: EvolutionOperator, t: float) -> list[tuple[PauliTerm, float]]:
+    """(term, angle) rotations of one trotter2 V(t), in the order they run.
+
+    Per step: head groups, the last group at a doubled angle (the merged
+    symmetrized middle pair), head groups reversed. One commuting group is
+    exact at any r and runs once.
+    """
     groups = op.term_ordering
+    if len(groups) == 1:
+        return [(term, 2.0 * t) for term in groups[0]]
+    tau = t / op.trotter_steps
+    head, middle = groups[:-1], groups[-1]
+    step = [(term, tau) for group in head for term in group]
+    step += [(term, 2.0 * tau) for term in middle]
+    step += [(term, tau) for group in reversed(head) for term in group]
+    return step * op.trotter_steps
+
+
+def _evolve_trotter2(op: EvolutionOperator, amplitudes: np.ndarray, t: float) -> np.ndarray:
     out = amplitudes.copy()
     if t == 0.0:
         return out
-    tau = t / op.trotter_steps
-    if len(groups) == 1:
-        # single commuting group: the product formula is exact at any r
-        for term in groups[0]:
-            _rotation_inplace(out, term, 2.0 * t)
-        return out
-    head, middle = groups[:-1], groups[-1]
-    for _ in range(op.trotter_steps):
-        for group in head:
-            for term in group:
-                _rotation_inplace(out, term, tau)
-        # symmetrized middle pair merged into one full-step layer
-        for term in middle:
-            _rotation_inplace(out, term, 2.0 * tau)
-        for group in reversed(head):
-            for term in group:
-                _rotation_inplace(out, term, tau)
+    for term, angle in trotter_schedule(op, t):
+        _rotation_inplace(out, term, angle)
     return out
 
 
@@ -241,19 +243,21 @@ def evolve_times(op: EvolutionOperator, state: StateVector, times: Sequence[floa
 def cnot_depth(op: EvolutionOperator, n_l: int) -> tuple[int, int]:
     """(CNOT layer count, CNOT gate count) for the Trotterized circuit.
 
-    Per V(t) application on the bond-colored honeycomb Hamiltonian, the
-    three two-site rotation sweeps symmetrize to five CNOT-bearing
-    layers per step (the doubled middle sweep merges), each rotation
-    costing two CNOTs and N/2 rotations running in parallel per layer:
-    10r layers and 5Nr CNOTs. The layer figure scales with the deepest
-    multigrid chain, n_l + 1 applications.
+    Counted on :func:`trotter_schedule`: a weight-w rotation is a ladder of
+    2(w - 1) CNOTs starting on the first layer where all its sites are free;
+    10r layers and 5Nr CNOTs per V(t) on the honeycomb Hamiltonian. Layers
+    scale with the deepest multigrid chain, n_l + 1 applications.
     """
     if op.mode != "trotter2":
         raise SimulationError("gate counts are defined for trotter2 mode only")
     if n_l < 0:
         raise SimulationError("n_l must be non-negative")
-    n = op.hamiltonian.num_sites
-    r = op.trotter_steps
-    layers = 10 * r * (n_l + 1)
-    cnots = 5 * n * r
-    return layers, cnots
+    free = np.zeros(op.hamiltonian.num_sites, dtype=int)  # first free CNOT layer per site
+    cnots = 0
+    for term, _ in trotter_schedule(op, 1.0):
+        sites = list(term.support())
+        ladder = 2 * (len(sites) - 1)
+        if ladder > 0:
+            free[sites] = free[sites].max() + ladder
+            cnots += ladder
+    return int(free.max()) * (n_l + 1), cnots

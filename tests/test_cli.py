@@ -7,6 +7,7 @@ import pytest
 from kitaevqse import vqe
 from kitaevqse.cli import main
 from kitaevqse.config import ConfigError, RunConfig, config_from_dict, load_config
+from kitaevqse.greens import GreensEngine
 
 FAST_CONFIG = {
     "lattice": {"rows": 2, "cols": 2},
@@ -156,6 +157,32 @@ class TestPipeline:
             ]
             values = np.array([float(line.split(",")[2]) for line in lines[1:]])
             assert values.min() >= 0.0 and values.max() <= 1.0
+
+    def test_lesser_dump_is_greater_with_a_negated(self, workdir):
+        path, _ = workdir
+        greater = json.loads((path / "out" / "lanczos_greater_z.json").read_text())
+        lesser = json.loads((path / "out" / "lanczos_lesser_z.json").read_text())
+        assert lesser["a"] == [-a for a in greater["a"]]
+        assert lesser["b"] == greater["b"]
+        assert lesser["termination_index"] == greater["termination_index"] == len(greater["a"])
+        assert lesser["stop_reason"] == greater["stop_reason"] in ("b2_tol", "rank")
+
+    def test_greens_builds_three_seed_subspaces_per_kind(self, workdir, tmp_path, monkeypatch):
+        path, _ = workdir
+        for name in ("vqe_result.json", "qse_ground_state.json"):
+            shutil.copy(path / "out" / name, tmp_path / name)
+        calls = []
+        original = GreensEngine.seed_subspace
+
+        def counting(self, excitation):
+            calls.append(len(excitation))
+            return original(self, excitation)
+
+        monkeypatch.setattr(GreensEngine, "seed_subspace", counting)
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({**FAST_CONFIG, "gf": {**FAST_CONFIG["gf"], "kinds": ["X", "Z"]}}))
+        assert main(["greens", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+        assert calls == [2, 1, 1] * 2  # per kind: the pair seed, then each single site
 
     def test_dsf_ed_table_follows_q(self, workdir, tmp_path):
         path, _ = workdir

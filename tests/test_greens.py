@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kitaevqse import oracle
+from kitaevqse import greens, oracle
 from kitaevqse.greens import (
     ExcitationOperator,
     GreensEngine,
@@ -110,28 +110,44 @@ class TestLanczosIterate:
         assert continued_fraction(coeffs, z) == pytest.approx(exact, abs=1e-10)
 
     def test_negated_hamiltonian_flips_a(self):
+        # the recursion for (-H, S) is the hole part: a -> -a, b unchanged
         rng = np.random.default_rng(3)
         mat = rng.normal(size=(5, 5))
         mat = (mat + mat.T) / 2
         mats = _toy_matrices(mat)
         v0 = rng.normal(size=5)
         plus = lanczos_iterate(mats, v0, kappa=None)
-        minus = lanczos_iterate(mats, v0, negate_hamiltonian=True, kappa=None)
+        minus = lanczos_iterate(SubspaceMatrices(-mats.hamiltonian, mats.overlap, "exact"), v0, kappa=None)
         assert np.allclose(plus.a, -minus.a, atol=1e-10)
         assert np.allclose(plus.b, minus.b, atol=1e-10)
+        assert np.allclose(plus.hole().a, minus.a, atol=1e-10)
+        assert plus.hole().termination_index == minus.termination_index
 
     def test_lesser_equals_greater_of_negated_matrix(self):
-        # the sign-flipped engine evaluates <v|(z + H)^-1|v>
+        # the greater part of (-H, S) and the hole part of (H, S) both evaluate <v|(z + H)^-1|v>
         rng = np.random.default_rng(4)
         mat = rng.normal(size=(5, 5))
         mat = (mat + mat.T) / 2
         mats = _toy_matrices(mat)
         v0 = rng.normal(size=5)
         v0 /= np.linalg.norm(v0)
-        coeffs = lanczos_iterate(mats, v0, negate_hamiltonian=True, kappa=None)
+        negated = lanczos_iterate(SubspaceMatrices(-mats.hamiltonian, mats.overlap, "exact"), v0, kappa=None)
+        hole = lanczos_iterate(mats, v0, kappa=None).hole()
         z = 0.4 + 0.7j
         exact = v0 @ np.linalg.inv(z * np.eye(5) + mat) @ v0
-        assert continued_fraction(coeffs, z) == pytest.approx(exact, abs=1e-10)
+        assert continued_fraction(negated, z) == pytest.approx(exact, abs=1e-10)
+        assert continued_fraction(hole, z) == pytest.approx(exact, abs=1e-10)
+
+    def test_stop_reason(self):
+        # an eigenstate seed exhausts its Krylov space at once; a generic seed runs to the rank of S
+        eigen = lanczos_iterate(_toy_matrices(np.diag([0.3, -1.0, 2.0])), np.array([0, 1.0, 0]), kappa=4.0)
+        rng = np.random.default_rng(6)
+        mat = rng.normal(size=(6, 6))
+        full = lanczos_iterate(_toy_matrices((mat + mat.T) / 2), rng.normal(size=6), kappa=None)
+        assert eigen.stop_reason == "b2_tol"
+        assert (full.stop_reason, full.termination_index) == ("rank", 6)
+        assert full.to_json_dict()["stop_reason"] == "rank"
+        assert full.hole().stop_reason == "rank"
 
     def test_spectrum_within_hamiltonian_bounds(self, engine8, dec_8):
         excitation = pauli_sum([single_site("Z", 0, 8)], 8)
@@ -236,6 +252,26 @@ class TestRetardedGf:
         fresh = engine8.correlator(pauli_sum([single_site("X", 3, 8)], 8), second)
         assert np.max(np.abs(values_second - values_first)) > 1e-3
         assert np.max(np.abs(values_second - fresh)) < 1e-12
+
+    def test_one_recursion_per_seed(self, h_8, qse8, monkeypatch):
+        gs, basis, _ = qse8
+        engine = GreensEngine(h_8, gs, basis, KrylovBasisConfig(tilde_n_k=2, tilde_n_l=2))
+        calls = []
+        original = greens.lanczos_iterate
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].size)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(greens, "lanczos_iterate", counting)
+        z = np.linspace(-5, 5, 11) + 0.1j
+        excitation = pauli_sum([single_site("X", 5, 8)], 8)
+        first = engine.correlator(excitation, z)
+        assert len(calls) == 1  # particle and hole part from one recursion
+        again = engine.correlator(excitation, z)
+        engine.correlator(excitation, z + 0.5)
+        assert len(calls) == 1  # the same seed reuses its recursion on any grid
+        assert np.array_equal(first, again)
 
     def test_offdiagonal_requires_distinct_sites(self, engine8):
         with pytest.raises(GreensError):

@@ -8,6 +8,7 @@ from kitaevqse.qse import (
     assemble_matrices,
     basis_size,
     build_basis,
+    canonical_orthogonalization,
     default_time_step,
     multigrid_indices,
     perturb_matrices,
@@ -138,6 +139,48 @@ class TestAssembleMatrices:
 
         data = json_mod.loads(json_path.read_text())
         assert np.allclose(np.asarray(data["overlap_re"]), mats.overlap.real)
+
+
+def _overlap_with_spectrum(spectrum, seed=0):
+    rng = np.random.default_rng(seed)
+    n = len(spectrum)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return (q * np.asarray(spectrum)) @ q.conj().T
+
+
+class TestCanonicalOrthogonalization:
+    SPECTRUM = [4.0, 1.0, 2e-3, 1e-9, 1e-15, 0.0]
+
+    def test_kept_block_is_orthonormal(self):
+        s_mat = _overlap_with_spectrum(self.SPECTRUM)
+        x, s_eigs = canonical_orthogonalization(s_mat, threshold=1e-6)
+        assert x.shape == (6, 3)
+        assert np.max(np.abs(x.conj().T @ s_mat @ x - np.eye(3))) < 1e-12
+        assert np.allclose(s_eigs, sorted(self.SPECTRUM), atol=1e-14)
+
+    @pytest.mark.parametrize("threshold, kept", [(0.5, 1), (1e-2, 2), (1e-6, 3), (1e-12, 4)])
+    def test_kept_count_follows_threshold(self, threshold, kept):
+        x, s_eigs = canonical_orthogonalization(_overlap_with_spectrum(self.SPECTRUM), threshold)
+        assert x.shape[1] == kept
+        assert np.sum(s_eigs > threshold * s_eigs[-1]) == kept
+
+    def test_zero_overlap_rejected(self):
+        with pytest.raises(QseError, match="rank zero"):
+            canonical_orthogonalization(np.zeros((3, 3), complex))
+
+    def test_threshold_above_one_discards_everything(self):
+        with pytest.raises(QseError, match="entire subspace"):
+            canonical_orthogonalization(np.eye(2), threshold=1.0)
+
+    def test_report_counts_and_condition_number(self, qse8):
+        gs, _, mats = qse8
+        report = gs.regularization_report
+        s_eigs = np.asarray(report["s_eigenvalues"])
+        kept = s_eigs > report["threshold"] * s_eigs[-1]
+        assert (report["kept"], report["discarded"]) == (kept.sum(), (~kept).sum())
+        assert report["kept"] + report["discarded"] == mats.size
+        assert report["condition_number"] == pytest.approx(s_eigs[-1] / s_eigs[kept].min())
+        assert 1.0 <= report["condition_number"] < 1.0 / report["threshold"]
 
 
 class TestSolveGroundState:

@@ -223,6 +223,18 @@ class TestCnotDepth:
         layers, _ = cnot_depth(op, n_l=3)
         assert layers == 40
 
+    def test_counts_follow_the_schedule(self, h_8):
+        # a weight-3 leftover becomes the middle group: per step the head sweeps
+        # the X, Y and Z bonds twice (6 layers of 2-CNOT rotations, 24 rotations)
+        # and the XYZ term is a 4-CNOT ladder that the bonds on sites 0-2 wait for
+        leftover = PauliTerm(0.5, "XYZIIIII")
+        op = EvolutionOperator(pauli_sum([*h_8.terms, leftover], 8), mode="trotter2", trotter_steps=3)
+        assert op.term_ordering[-1] == [leftover]
+        assert cnot_depth(op, n_l=1) == ((6 * 2 + 4) * 3 * 2, (24 * 2 + 4) * 3)
+        # one commuting group runs once at any r: one layer of parallel ZZ rotations
+        zz = pauli_sum([two_site("Z", 0, 1, 8), two_site("Z", 2, 3, 8)], 8)
+        assert cnot_depth(EvolutionOperator(zz, mode="trotter2", trotter_steps=5), n_l=0) == (2, 4)
+
     def test_exact_mode_rejected(self, evolution_8):
         with pytest.raises(SimulationError):
             cnot_depth(evolution_8, 1)
