@@ -163,7 +163,7 @@ def cmd_vqe(config: RunConfig, out_dir: Path) -> None:
         _, result, _ = vqe.prepare_reference_state(
             lat, h0, layers=layers,
             epochs=config.vqe.epochs, learning_rate=config.vqe.learning_rate,
-            seed=config.seed, scan_epochs=config.vqe.scan_epochs,
+            seed=config.seed,
             oracle_decomp=decomp, tolerance=1e-8,
         )
         return result

@@ -8,7 +8,7 @@ Trotter steps, delta = 0.1, and the energy grid omega in [-10, 10].
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,13 @@ class ConfigError(ValueError):
 def _require(cond: bool, path: str, message: str) -> None:
     if not cond:
         raise ConfigError(f"{path}: {message}")
+
+
+def _reject_unknown(obj: dict, path: str, defaults) -> None:
+    """Every key of ``obj`` must name a field of the ``defaults`` dataclass."""
+    known = {f.name for f in fields(defaults)}
+    for key in obj:
+        _require(key in known, f"{path}.{key}", "unknown configuration key")
 
 
 def _get_number(obj: dict, path: str, key: str, defaults, *, integer=False, minimum=None):
@@ -51,7 +58,6 @@ class VqeConfig:
     layers: int = 1
     epochs: int = 800
     learning_rate: float = 0.1
-    scan_epochs: int = 120
     layer_sweep: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
 
 
@@ -122,12 +128,11 @@ _EVOLUTION_MODES = ("exact", "trotter2")
 def config_from_dict(raw: dict) -> RunConfig:
     _require(isinstance(raw, dict), "$", "top level must be a JSON object")
     default = RunConfig()
-    known = {"lattice", "coupling", "field_z", "seed", "threads", "output_dir", "vqe", "qse", "gf", "dsf"}
-    for key in raw:
-        _require(key in known, f"$.{key}", "unknown configuration key")
+    _reject_unknown(raw, "$", default)
 
     lat_raw = raw.get("lattice", {})
     _require(isinstance(lat_raw, dict), "$.lattice", "must be an object")
+    _reject_unknown(lat_raw, "$.lattice", default.lattice)
     lattice = LatticeConfig(
         rows=_get_number(lat_raw, "$.lattice", "rows", default.lattice, integer=True, minimum=2),
         cols=_get_number(lat_raw, "$.lattice", "cols", default.lattice, integer=True, minimum=2),
@@ -151,11 +156,11 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     v = raw.get("vqe", {})
     _require(isinstance(v, dict), "$.vqe", "must be an object")
+    _reject_unknown(v, "$.vqe", default.vqe)
     vqe_cfg = VqeConfig(
         layers=_get_number(v, "$.vqe", "layers", default.vqe, integer=True, minimum=0),
         epochs=_get_number(v, "$.vqe", "epochs", default.vqe, integer=True, minimum=1),
         learning_rate=_get_number(v, "$.vqe", "learning_rate", default.vqe, minimum=0.0),
-        scan_epochs=_get_number(v, "$.vqe", "scan_epochs", default.vqe, integer=True, minimum=1),
         layer_sweep=v.get("layer_sweep", default.vqe.layer_sweep),
     )
     _require(
@@ -166,6 +171,7 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     q = raw.get("qse", {})
     _require(isinstance(q, dict), "$.qse", "must be an object")
+    _reject_unknown(q, "$.qse", default.qse)
     qse_cfg = QseConfig(
         n_k=_get_number(q, "$.qse", "n_k", default.qse, integer=True, minimum=0),
         n_l=_get_number(q, "$.qse", "n_l", default.qse, integer=True, minimum=0),
@@ -192,6 +198,7 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     g = raw.get("gf", {})
     _require(isinstance(g, dict), "$.gf", "must be an object")
+    _reject_unknown(g, "$.gf", default.gf)
     gf_cfg = GfConfig(
         tilde_n_k=_get_number(g, "$.gf", "tilde_n_k", default.gf, integer=True, minimum=0),
         tilde_n_l=_get_number(g, "$.gf", "tilde_n_l", default.gf, integer=True, minimum=0),
@@ -223,6 +230,7 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     d = raw.get("dsf", {})
     _require(isinstance(d, dict), "$.dsf", "must be an object")
+    _reject_unknown(d, "$.dsf", default.dsf)
     dsf_cfg = DsfConfig(
         h_values=d.get("h_values", default.dsf.h_values),
         omega_min=_get_number(d, "$.dsf", "omega_min", default.dsf),

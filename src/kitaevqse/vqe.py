@@ -6,11 +6,14 @@ symmetry sector. One independent angle per bond per layer; within a
 layer the sweep order is X-bonds, Y-bonds, Z-bonds in lattice bond
 order.
 
-Ground-state search scans candidate stabilizer sectors (both uniform
-plaquette signs crossed with the four loop-sign pairs), briefly trains
-each, and fully trains the lowest-energy candidate. On the shipped
-torus lattices the winning sector is size-dependent, so the scan is the
-load-bearing step rather than an optimization.
+Choosing the sector is therefore a spectral question, not an
+optimization one. H0 commutes with every plaquette and loop (Kitaev,
+Ann. Phys. 321, 2 (2006)), so each candidate sector (both uniform
+plaquette signs crossed with the four loop-sign pairs) has an exact
+ground energy, which a short Lanczos run inside the sector finds. The
+lowest-energy sector is the only one trained. Lieb's theorem fixes the
+flux sector only in the thermodynamic limit; on the shipped tori the
+winner is size-dependent and has to be computed.
 """
 
 from __future__ import annotations
@@ -102,6 +105,8 @@ class VqeResult:
     training_history: dict
     converged: bool | None
     sector_targets: tuple[int, ...] | None = None
+    # (targets, exact in-sector ground energy) per consistent candidate sector
+    sector_energies: list[tuple[tuple[int, ...], float]] | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -111,6 +116,9 @@ class VqeResult:
             "energy_distance": self.energy_distance,
             "converged": self.converged,
             "sector_targets": list(self.sector_targets) if self.sector_targets else None,
+            "sector_energies": None if self.sector_energies is None else [
+                {"targets": list(targets), "energy": energy} for targets, energy in self.sector_energies
+            ],
             "training_history": {
                 k: [float(x) for x in v] for k, v in self.training_history.items()
             },
@@ -118,6 +126,17 @@ class VqeResult:
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2))
+
+
+def _project_into_sector(amps: np.ndarray, group: StabilizerGroup) -> np.ndarray | None:
+    """(1 + t*g)/2 for every generator, renormalizing after each; None once it annihilates."""
+    for gen, target in zip(group.generators, group.target_eigenvalues):
+        amps = 0.5 * (amps + target * pauli.apply_term(gen, amps))
+        nrm = np.linalg.norm(amps)
+        if nrm < 1e-8:
+            return None
+        amps /= nrm
+    return amps
 
 
 def prepare_sector_state(group: StabilizerGroup, lat: HoneycombLattice) -> StateVector:
@@ -132,17 +151,47 @@ def prepare_sector_state(group: StabilizerGroup, lat: HoneycombLattice) -> State
     for start in range(dim):
         amps = np.zeros(dim, dtype=complex)
         amps[start] = 1.0
-        survived = True
-        for gen, target in zip(group.generators, group.target_eigenvalues):
-            amps = 0.5 * (amps + target * pauli.apply_term(gen, amps))
-            nrm = np.linalg.norm(amps)
-            if nrm < 1e-8:
-                survived = False
-                break
-            amps /= nrm
-        if survived:
+        amps = _project_into_sector(amps, group)
+        if amps is not None:
             return StateVector(amps, lat.num_sites)
     raise VqeError("inconsistent sector: projector cascade annihilates every basis state")
+
+
+def sector_ground_energy(h0: PauliSum, group: StabilizerGroup, lat: HoneycombLattice) -> float:
+    """Exact ground energy of ``h0`` restricted to one stabilizer sector.
+
+    Projects a fixed-seed random vector into the sector with the
+    :func:`prepare_sector_state` cascade and runs Lanczos with full
+    reorthogonalization from it. ``h0`` must commute with every
+    generator, so the Krylov space stays inside the sector, whose
+    dimension is 2^(N/2 - 1); the run stops when beta < 1e-10 or after
+    that many steps, and the lowest Ritz value is the sector's ground
+    energy. Raises when the sign pattern is inconsistent.
+    """
+    dim = 1 << lat.num_sites
+    rng = np.random.default_rng(0)
+    start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    q = _project_into_sector(start / np.linalg.norm(start), group)
+    if q is None:
+        raise VqeError("inconsistent sector: projector cascade annihilates a random vector")
+    max_steps = 1 << (lat.num_sites // 2 - 1)
+    basis = np.empty((max_steps, dim), dtype=complex)
+    alphas: list[float] = []
+    betas: list[float] = []
+    for k in range(max_steps):
+        basis[k] = q
+        w = pauli.apply_sum(h0, q)
+        alphas.append(float(np.real(np.vdot(q, w))))
+        krylov = basis[: k + 1]
+        for _ in range(2):  # full reorthogonalization, twice is enough
+            w -= krylov.T @ (krylov.conj() @ w)
+        beta = float(np.linalg.norm(w))
+        if beta < 1e-10 or k + 1 == max_steps:
+            break
+        betas.append(beta)
+        q = w / beta
+    tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    return float(np.linalg.eigvalsh(tridiagonal)[0])
 
 
 def _adam_minimize(
@@ -268,38 +317,35 @@ def prepare_reference_state(
     epochs: int = 800,
     learning_rate: float = 0.1,
     seed: int = 0,
-    scan_epochs: int = 120,
     oracle_decomp: SpectralDecomposition | None = None,
     tolerance: float | None = None,
 ) -> tuple[StateVector, VqeResult, StabilizerGroup]:
-    """Sector-scanned VQE ground-state preparation for the zero-field model.
+    """Symmetry-guided VQE ground-state preparation for the zero-field model.
 
-    Each consistent candidate sector is briefly trained; the lowest
-    brief energy wins and is retrained with the full epoch budget from
-    the same parameter init.
+    Ranks the consistent candidate sectors by :func:`sector_ground_energy`,
+    breaking ties within 1e-9 by :func:`candidate_sectors` order, and
+    trains only the winner. The result records every ranked sector's
+    energy in ``sector_energies``.
     """
     ansatz = AnsatzCircuit.for_lattice(lat, layers)
-    best: tuple[float, StabilizerGroup, StateVector] | None = None
+    ranked: list[tuple[StabilizerGroup, float]] = []
     for group in candidate_sectors(lat):
         try:
-            init_state = prepare_sector_state(group, lat)
+            ranked.append((group, sector_ground_energy(h0, group, lat)))
         except VqeError:
             continue  # inconsistent sign pattern on this torus
-        scan = train(
-            h0, ansatz, init_state,
-            epochs=min(scan_epochs, epochs), learning_rate=learning_rate, seed=seed,
-        )
-        if best is None or scan.final_energy < best[0]:
-            best = (scan.final_energy, group, init_state)
-    if best is None:
+    if not ranked:
         raise VqeError("no consistent stabilizer sector found")
 
-    _, group, init_state = best
+    lowest = min(energy for _, energy in ranked)
+    group = next(g for g, energy in ranked if energy <= lowest + 1e-9)
+    init_state = prepare_sector_state(group, lat)
     result = train(
         h0, ansatz, init_state,
         epochs=epochs, learning_rate=learning_rate, seed=seed,
         oracle_decomp=oracle_decomp, tolerance=tolerance,
     )
     result.sector_targets = group.target_eigenvalues
+    result.sector_energies = [(g.target_eigenvalues, energy) for g, energy in ranked]
     state = ansatz.apply(result.optimal_parameters, init_state) if ansatz.num_parameters else init_state
     return state, result, group

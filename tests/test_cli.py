@@ -62,6 +62,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"\$\.bogus"):
             config_from_dict({"bogus": 1})
 
+    @pytest.mark.parametrize("raw, path", [
+        ({"lattice": {"row": 3}}, r"\$\.lattice\.row"),
+        ({"vqe": {"epoch": 20}}, r"\$\.vqe\.epoch"),
+        ({"qse": {"nk": 2}}, r"\$\.qse\.nk"),
+        ({"gf": {"detla": 0.2}}, r"\$\.gf\.detla"),
+        ({"dsf": {"h_value": [0.0]}}, r"\$\.dsf\.h_value"),
+    ])
+    def test_unknown_section_key_path(self, raw, path):
+        with pytest.raises(ConfigError, match=path + ": unknown configuration key"):
+            config_from_dict(raw)
+
     def test_nested_error_path(self):
         with pytest.raises(ConfigError, match=r"\$\.qse\.n_k"):
             config_from_dict({"qse": {"n_k": -1}})
@@ -252,7 +263,7 @@ class TestDeterminism:
 
         monkeypatch.setattr(vqe, "prepare_reference_state", counting)
         config_path = tmp_path / "c.json"
-        config_path.write_text(json.dumps({"vqe": {"epochs": 20, "scan_epochs": 5, **vqe_cfg}}))
+        config_path.write_text(json.dumps({"vqe": {"epochs": 20, **vqe_cfg}}))
         assert main(["vqe", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
         assert len(calls) == expected_calls
         result = json.loads((tmp_path / "o" / "vqe_result.json").read_text())
