@@ -20,10 +20,9 @@ correlator is the whole double site sum sum_ij exp(-i q.(r_i - r_j)) G_ij.
 The exact-diagonalization side builds its Lehmann weights from the same
 operator, so both sides always measure the same quantity.
 
-No ground-energy shift is applied to z by default: the evaluation
-argument is exactly z = omega + i*delta on both the subspace and the
-exact-diagonalization sides, so the two are always comparable. An
-optional shift flag rebases z -> z + E_GS for both parts.
+No ground-energy shift is applied to z: the evaluation argument is
+exactly z = omega + i*delta on both the subspace and the
+exact-diagonalization sides, so the two are always comparable.
 """
 
 from __future__ import annotations
@@ -241,7 +240,6 @@ class GreensEngine:
     gs: QseGroundState
     gs_basis: SubspaceBasis
     config: KrylovBasisConfig
-    shift_energy: bool = False
     _gs_state: StateVector | None = field(default=None, repr=False)
     _evolution: EvolutionOperator | None = field(default=None, repr=False)
     _recursions: dict = field(default_factory=dict, repr=False)
@@ -262,17 +260,11 @@ class GreensEngine:
 
     def _psi_evolution(self) -> EvolutionOperator:
         if self._evolution is None:
-            if (
-                self.config.evolution_mode == self.gs_basis.evolution.mode
-                and self.config.trotter_steps == self.gs_basis.evolution.trotter_steps
-            ):
-                self._evolution = self.gs_basis.evolution  # reuse cached factorization
-            else:
-                self._evolution = EvolutionOperator(
-                    self.hamiltonian,
-                    mode=self.config.evolution_mode,
-                    trotter_steps=self.config.trotter_steps,
-                )
+            self._evolution = EvolutionOperator(
+                self.hamiltonian,
+                mode=self.config.evolution_mode,
+                trotter_steps=self.config.trotter_steps,
+            )
         return self._evolution
 
     def seed_subspace(
@@ -322,8 +314,6 @@ class GreensEngine:
         """Particle plus hole resolvent for one (possibly composite) excitation."""
         coeffs, norm_sq = self.recursion(excitation)
         z = np.asarray(z_grid, dtype=complex)
-        if self.shift_energy:
-            z = z + self.gs.energy
         return norm_sq * (continued_fraction(coeffs, z) + continued_fraction(coeffs.hole(), z))
 
     def diagonal_gf(self, kind: str, site: int, z_grid: np.ndarray) -> np.ndarray:

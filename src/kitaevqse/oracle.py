@@ -4,15 +4,20 @@ Everything else in the package is validated against this module, so it
 stays deliberately naive: dense matrices, full Hermitian eigensolve,
 Lehmann sums. Real-symmetric inputs are factorized in real arithmetic,
 which covers every shipped Kitaev instance.
+
+:func:`diagonalize` factorizes each Hamiltonian once: ``PauliSum`` is a
+frozen value, and the result is kept for as long as the first equal sum is
+alive, so the ED side and exact-mode ``V(t)`` of a stage share it.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliSum, PauliTerm, apply_term, to_matrix
+from .pauli import DEFAULT_DENSE_CAP, PauliSum, PauliTerm, apply_term, to_matrix
 
 DEGENERACY_GAP = 1e-9
 
@@ -21,7 +26,7 @@ class OracleError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectralDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -39,20 +44,29 @@ class SpectralDecomposition:
         return self.eigenvectors[:, 0]
 
 
-def diagonalize(h: PauliSum, cap: int = 14) -> SpectralDecomposition:
-    """Full dense Hermitian eigensolution with degeneracy detection."""
+_DECOMPOSITIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def diagonalize(h: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> SpectralDecomposition:
+    """Full dense Hermitian eigensolution with degeneracy detection, computed
+    once and returned, read-only, for every ``PauliSum`` equal to ``h``."""
     if h.num_sites > cap:
         raise OracleError(f"{h.num_sites} sites exceeds the dense diagonalization cap {cap}")
     if not h.is_hermitian():
         raise OracleError("diagonalize requires a Hermitian sum")
-    mat = to_matrix(h, cap=cap)
-    if np.max(np.abs(mat.imag)) <= 1e-14 * max(1.0, np.max(np.abs(mat.real))):
-        evals, evecs = np.linalg.eigh(mat.real)
-        evecs = evecs.astype(complex)
-    else:
-        evals, evecs = np.linalg.eigh(mat)
-    degeneracy = int(np.sum(evals <= evals[0] + DEGENERACY_GAP))
-    return SpectralDecomposition(evals, evecs, degeneracy)
+    decomp = _DECOMPOSITIONS.get(h)
+    if decomp is None:
+        mat = to_matrix(h, cap=cap)
+        if np.max(np.abs(mat.imag)) <= 1e-14 * max(1.0, np.max(np.abs(mat.real))):
+            evals, evecs = np.linalg.eigh(mat.real)
+            evecs = evecs.astype(complex)
+        else:
+            evals, evecs = np.linalg.eigh(mat)
+        evals.flags.writeable = False
+        evecs.flags.writeable = False
+        degeneracy = int(np.sum(evals <= evals[0] + DEGENERACY_GAP))
+        decomp = _DECOMPOSITIONS[h] = SpectralDecomposition(evals, evecs, degeneracy)
+    return decomp
 
 
 def ground_space_fidelity(amplitudes: np.ndarray, decomp: SpectralDecomposition) -> float:

@@ -296,13 +296,14 @@ def prepare_qse_ground_state(
 ) -> tuple[QseGroundState, SubspaceBasis, SubspaceMatrices]:
     """One-call pipeline: basis, matrices, solve.
 
-    Pass a prebuilt ``evolution`` to reuse its cached factorization
-    across many calls on the same Hamiltonian.
+    V(t) is ``EvolutionOperator(h, evolution_mode, trotter_steps)``; in
+    exact mode it shares the oracle's one factorization of ``h``. An
+    ``evolution`` passed in must equal that operator, or QseError is raised.
     """
     dt = default_time_step(h) if delta_t is None else delta_t
-    op = evolution if evolution is not None else EvolutionOperator(
-        h, mode=evolution_mode, trotter_steps=trotter_steps
-    )
+    op = EvolutionOperator(h, mode=evolution_mode, trotter_steps=trotter_steps)
+    if evolution is not None and evolution != op:
+        raise QseError("evolution does not match h, evolution_mode and trotter_steps")
     basis = build_basis(reference, n_k, n_l, dt, op)
     mats = assemble_matrices(basis, h, mode=assembly_mode, hoa_tau=hoa_tau)
     gs = solve_ground_state(mats, threshold=threshold)
@@ -328,16 +329,14 @@ def qse_energy_curve(
     """
     rows: list[dict] = []
     rs = [0] if evolution_mode == "exact" else list(trotter_steps)
-    operators = {
-        r: EvolutionOperator(h, mode=evolution_mode, trotter_steps=max(r, 1)) for r in rs
-    }
     for n_l, n_k in shape_pairs:
         for r in rs:
             gs, _, _ = prepare_qse_ground_state(
                 reference, h, n_k, n_l,
+                evolution_mode=evolution_mode,
+                trotter_steps=max(r, 1),
                 delta_t=delta_t,
                 threshold=threshold,
-                evolution=operators[r],
             )
             rows.append({
                 "n_l": n_l,

@@ -5,8 +5,8 @@ Rotation convention: ``apply_pauli_rotation(state, term, angle)`` applies
 ``c`` its (real) coefficient. The full exponent prefactor is therefore
 ``angle * c / 2``; Trotter code folds coupling constants through ``c``.
 
-Exact evolution caches the dense eigendecomposition that
-``oracle.diagonalize`` returns for the Hamiltonian, so repeated ``V(t)``
+Exact evolution uses the one dense eigendecomposition per Hamiltonian that
+``oracle.diagonalize`` keeps (the ED side shares it), so repeated ``V(t)``
 applications with many different ``t`` cost two dense matvecs each.
 Rotations and Pauli products use each term's cached basis action
 (``PauliTerm.action``).
@@ -20,7 +20,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .oracle import diagonalize
-from .pauli import DEFAULT_DENSE_CAP, PauliSum, PauliTerm, apply_sum, apply_term
+from .pauli import PauliSum, PauliTerm, apply_sum, apply_term
 
 class SimulationError(ValueError):
     """Raised on contract violations in the statevector engine."""
@@ -144,16 +144,15 @@ class EvolutionOperator:
     """Time evolution V(t) = exp(-i t H), exact or second-order Trotterized.
 
     ``term_ordering`` is the fixed group list used by the symmetrized
-    product; results are bit-reproducible given the same ordering.
+    product, :func:`grouped_by_axis` of the Hamiltonian.
     """
 
     hamiltonian: PauliSum
     mode: Literal["exact", "trotter2"] = "exact"
     trotter_steps: int = 1
-    term_ordering: list[list[PauliTerm]] | None = None
-    dense_cap: int = DEFAULT_DENSE_CAP
-    _eigenvalues: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _eigenvectors: np.ndarray | None = field(default=None, repr=False, compare=False)
+    term_ordering: list[list[PauliTerm]] = field(init=False, repr=False, compare=False)
+    _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _eigenvectors: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("exact", "trotter2"):
@@ -164,17 +163,11 @@ class EvolutionOperator:
             raise SimulationError("evolution requires a Hermitian Hamiltonian")
         if len(self.hamiltonian) == 0:
             raise SimulationError("evolution requires a non-empty Hamiltonian")
-        if self.term_ordering is None:
-            self.term_ordering = grouped_by_axis(self.hamiltonian)
+        self.term_ordering = grouped_by_axis(self.hamiltonian)
 
     def _eigendecomposition(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eigenvalues is None:
-            n = self.hamiltonian.num_sites
-            if n > self.dense_cap:
-                raise SimulationError(
-                    f"exact evolution needs a dense factorization; {n} sites exceeds cap {self.dense_cap}"
-                )
-            decomp = diagonalize(self.hamiltonian, cap=self.dense_cap)
+            decomp = diagonalize(self.hamiltonian)
             self._eigenvalues = decomp.eigenvalues
             self._eigenvectors = decomp.eigenvectors
         return self._eigenvalues, self._eigenvectors

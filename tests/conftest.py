@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from kitaevqse import lattice, oracle, qse, vqe
@@ -43,17 +42,13 @@ def ref8(lat8, h0_8):
 
 
 @pytest.fixture(scope="session")
-def evolution_8(h_8, dec_8):
-    op = EvolutionOperator(h_8, mode="exact")
-    # same dense matrix underneath; share the factorization
-    op._eigenvalues = dec_8.eigenvalues
-    op._eigenvectors = np.ascontiguousarray(dec_8.eigenvectors)
-    return op
+def evolution_8(h_8):
+    return EvolutionOperator(h_8)
 
 
 @pytest.fixture(scope="session")
-def qse8(ref8, h_8, evolution_8):
-    return qse.prepare_qse_ground_state(ref8, h_8, 3, 3, evolution=evolution_8)
+def qse8(ref8, h_8):
+    return qse.prepare_qse_ground_state(ref8, h_8, 3, 3)
 
 
 @pytest.fixture(scope="session")
@@ -88,11 +83,3 @@ def dec_12(h_12):
 def ref12(lat12, h0_12):
     state, _, _ = vqe.prepare_reference_state(lat12, h0_12, layers=2, seed=1)
     return state
-
-
-@pytest.fixture(scope="session")
-def evolution_12(h_12, dec_12):
-    op = EvolutionOperator(h_12, mode="exact")
-    op._eigenvalues = dec_12.eigenvalues
-    op._eigenvectors = np.ascontiguousarray(dec_12.eigenvectors)
-    return op

@@ -52,10 +52,10 @@ def test_criterion_1_vqe_reproduction(rows, cols, layers, j):
 
 # -- 2 -----------------------------------------------------------------------
 
-def test_criterion_2_basis_shape_equivalence(ref8, h_8, evolution_8):
+def test_criterion_2_basis_shape_equivalence(ref8, h_8):
     energies = {}
     for n_l, n_k in [(0, 5), (1, 2), (2, 1), (5, 0)]:
-        gs, basis, _ = qse.prepare_qse_ground_state(ref8, h_8, n_k, n_l, evolution=evolution_8)
+        gs, basis, _ = qse.prepare_qse_ground_state(ref8, h_8, n_k, n_l)
         assert len(basis) == 11
         energies[(n_l, n_k)] = gs.energy
     values = list(energies.values())
@@ -69,8 +69,8 @@ def test_criterion_2_basis_shape_equivalence(ref8, h_8, evolution_8):
 
 # -- 3 -----------------------------------------------------------------------
 
-def test_criterion_3_qse_convergence_n8(ref8, h_8, dec_8, evolution_8):
-    gs, _, _ = qse.prepare_qse_ground_state(ref8, h_8, 3, 3, evolution=evolution_8)
+def test_criterion_3_qse_convergence_n8(ref8, h_8, dec_8):
+    gs, _, _ = qse.prepare_qse_ground_state(ref8, h_8, 3, 3)
     delta_e = abs(gs.energy - dec_8.ground_energy)
     assert delta_e < 1e-10
     _report(
@@ -79,9 +79,9 @@ def test_criterion_3_qse_convergence_n8(ref8, h_8, dec_8, evolution_8):
     )
 
 
-def test_criterion_3_qse_convergence_n12(ref12, h_12, dec_12, evolution_12):
+def test_criterion_3_qse_convergence_n12(ref12, h_12, dec_12):
     n_l, n_k = N12_LARGE_BASIS
-    gs, basis, _ = qse.prepare_qse_ground_state(ref12, h_12, n_k, n_l, evolution=evolution_12)
+    gs, basis, _ = qse.prepare_qse_ground_state(ref12, h_12, n_k, n_l)
     delta_e = abs(gs.energy - dec_12.ground_energy)
     assert delta_e <= 1e-6
     _report(

@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from kitaevqse import vqe
+from kitaevqse import oracle, vqe
 from kitaevqse.cli import main
 from kitaevqse.config import ConfigError, RunConfig, config_from_dict, load_config
 from kitaevqse.greens import GreensEngine
@@ -194,6 +194,29 @@ class TestPipeline:
         config_path.write_text(json.dumps({**FAST_CONFIG, "gf": {**FAST_CONFIG["gf"], "kinds": ["X", "Z"]}}))
         assert main(["greens", "--config", str(config_path), "--out", str(tmp_path)]) == 0
         assert calls == [2, 1, 1] * 2  # per kind: the pair seed, then each single site
+
+    def test_each_stage_factorizes_each_hamiltonian_once(self, tmp_path, monkeypatch):
+        # fields no session fixture builds, so no factorization is cached beforehand
+        config = {
+            **FAST_CONFIG,
+            "field_z": 0.13,
+            "vqe": {**FAST_CONFIG["vqe"], "layer_sweep": [1]},
+            "dsf": {**FAST_CONFIG["dsf"], "h_values": [0.17, 0.19]},
+        }
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(config))
+        built = []
+        original = oracle.to_matrix
+        monkeypatch.setattr(oracle, "to_matrix", lambda h, cap: built.append(h) or original(h, cap))
+        counts = {}
+        for stage in ("vqe", "qse", "greens", "dsf"):
+            built.clear()
+            assert main([stage, "--config", str(config_path), "--out", str(tmp_path)]) == 0
+            counts[stage] = len(built)
+        # qse: ED energy and exact V(t) for one Hamiltonian; dsf: one per field
+        assert counts["qse"] == 1
+        assert counts["dsf"] == 2
+        assert counts["greens"] <= 1  # 0 if the qse stage's Hamiltonian is still alive
 
     def test_dsf_ed_table_follows_q(self, workdir, tmp_path):
         path, _ = workdir

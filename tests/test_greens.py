@@ -294,18 +294,6 @@ class TestRetardedGf:
         with pytest.raises(GreensError):
             engine8.correlator(combo, np.array([0.1j]))
 
-    def test_energy_shift_flag_moves_features(self, h_8, qse8):
-        gs, basis, _ = qse8
-        cfg = KrylovBasisConfig(tilde_n_k=2, tilde_n_l=2)
-        shifted_engine = GreensEngine(h_8, gs, basis, cfg, shift_energy=True)
-        plain_engine = GreensEngine(h_8, gs, basis, cfg, shift_energy=False)
-        omega = np.linspace(-12, 12, 241)
-        shifted = plain = None
-        shifted = shifted_engine.diagonal_gf("Z", 0, omega + 0.1j)
-        plain = plain_engine.diagonal_gf("Z", 0, omega + 0.1j)
-        # shifting by E_GS (= -7.03) relocates the dominant peak
-        assert abs(omega[np.argmin(np.imag(shifted))] - omega[np.argmin(np.imag(plain))]) > 3.0
-
 
 class TestExcitationOperator:
     def test_term_construction(self):

@@ -1,11 +1,14 @@
+import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from kitaevqse import oracle
 from kitaevqse.oracle import OracleError, diagonalize, exact_resolvent_gf
-from kitaevqse.pauli import PauliTerm, pauli_sum, single_site, to_matrix
+from kitaevqse.pauli import PauliTerm, pauli_sum, single_site, to_matrix, two_site
 
 # frozen at the first verified run of this module; the ground energy of
 # the 2x2 torus at zero field is -4*sqrt(3)
@@ -58,6 +61,62 @@ class TestDiagonalize:
 
     def test_topological_degeneracy_n12(self, dec0_12):
         assert dec0_12.ground_degeneracy == 4
+
+
+def _chain(hz):
+    """3-site XY chain in a Z field; no fixture builds it, so nothing is cached."""
+    bonds = [two_site("X", 0, 1, 3, -1.0), two_site("Y", 1, 2, 3, -0.7)]
+    return pauli_sum(bonds + [single_site("Z", i, 3, hz) for i in range(3)], 3)
+
+
+class TestFactorizationCache:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(oracle, "to_matrix", lambda h, cap: calls.append(h) or to_matrix(h, cap))
+        return calls
+
+    def test_equal_hamiltonian_factorized_once(self, built):
+        h = _chain(0.3)
+        first = diagonalize(h)
+        again = diagonalize(_chain(0.3))  # equal value, distinct object
+        assert again is first
+        assert len(built) == 1
+
+    def test_changed_coefficient_refactorizes(self, built):
+        h = _chain(0.3)
+        first = diagonalize(h)
+        shifted = _chain(0.3 + 1e-9)
+        second = diagonalize(shifted)
+        assert len(built) == 2
+        assert np.allclose(second.eigenvalues, np.linalg.eigvalsh(to_matrix(shifted)), atol=1e-12)
+        assert not np.array_equal(first.eigenvalues, second.eigenvalues)
+
+    def test_result_is_read_only(self):
+        h = _chain(0.3)
+        dec = diagonalize(h)
+        with pytest.raises(ValueError):
+            dec.eigenvalues[0] = 0.0
+        with pytest.raises(ValueError):
+            dec.eigenvectors[:, 0] *= -1.0
+        with pytest.raises(ValueError):
+            dec.ground_space()[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dec.eigenvalues = np.zeros(8)
+
+    def test_cap_checked_before_lookup(self):
+        h = _chain(0.3)
+        diagonalize(h)
+        with pytest.raises(OracleError, match="cap 2"):
+            diagonalize(h, cap=2)
+
+    def test_entry_does_not_keep_hamiltonian_alive(self):
+        h = _chain(0.3)
+        diagonalize(h)
+        ref = weakref.ref(h)
+        del h
+        gc.collect()
+        assert ref() is None
 
 
 class TestGroundSpaceFidelity:

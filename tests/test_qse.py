@@ -184,10 +184,14 @@ class TestCanonicalOrthogonalization:
 
 
 class TestSolveGroundState:
-    def test_single_state_rayleigh_quotient(self, ref8, h_8, evolution_8):
-        gs, basis, _ = prepare_qse_ground_state(ref8, h_8, 0, 0, evolution=evolution_8)
+    def test_single_state_rayleigh_quotient(self, ref8, h_8):
+        gs, basis, _ = prepare_qse_ground_state(ref8, h_8, 0, 0)
         assert gs.energy == pytest.approx(expectation(ref8, h_8), abs=1e-12)
         assert gs.coefficients.size == 1
+
+    def test_mismatched_evolution_rejected(self, ref8, h_8, evolution_8):
+        with pytest.raises(QseError, match="evolution does not match"):
+            prepare_qse_ground_state(ref8, h_8, 1, 1, evolution_mode="trotter2", evolution=evolution_8)
 
     def test_coefficients_s_normalized(self, qse8):
         gs, _, mats = qse8
@@ -232,18 +236,18 @@ class TestSolveGroundState:
 
 
 class TestEnergyCurves:
-    def test_basis_shape_equivalence_n_phi_11(self, ref8, h_8, dec_8, evolution_8):
+    def test_basis_shape_equivalence_n_phi_11(self, ref8, h_8, dec_8):
         energies = []
         for n_l, n_k in [(0, 5), (1, 2), (2, 1), (5, 0)]:
-            gs, _, _ = prepare_qse_ground_state(ref8, h_8, n_k, n_l, evolution=evolution_8)
+            gs, _, _ = prepare_qse_ground_state(ref8, h_8, n_k, n_l)
             energies.append(gs.energy)
         assert max(energies) - min(energies) < 1e-9
 
-    def test_monotone_in_nested_bases(self, ref8, h_8, dec_8, evolution_8):
+    def test_monotone_in_nested_bases(self, ref8, h_8, dec_8):
         # growing (n_l, n_k) jointly nests the spanned subspace
         prev = np.inf
         for n in range(4):
-            gs, _, _ = prepare_qse_ground_state(ref8, h_8, n, n, evolution=evolution_8)
+            gs, _, _ = prepare_qse_ground_state(ref8, h_8, n, n)
             assert gs.energy <= prev + 1e-9
             prev = gs.energy
         assert prev - dec_8.ground_energy < 1e-10

@@ -190,13 +190,15 @@ class TestEvolve:
         evolve(evolve(psi, op, 0.4), op, 0.4)
         assert len(calls) == len(h)
 
-    def test_exact_cap(self, lat8):
-        from kitaevqse.lattice import kitaev_hamiltonian
+    def test_exact_cap(self, monkeypatch):
+        from kitaevqse import oracle
 
-        h = kitaev_hamiltonian(lat8, -1.0)
-        op = EvolutionOperator(h, mode="exact", dense_cap=6)
-        with pytest.raises(SimulationError):
-            evolve(StateVector.computational_basis(8), op, 0.1)
+        built = []
+        monkeypatch.setattr(oracle, "to_matrix", lambda *args, **kwargs: built.append(args))
+        op = EvolutionOperator(pauli_sum([single_site("Z", 0, 15)], 15), mode="exact")
+        with pytest.raises(oracle.OracleError, match="cap 14"):
+            evolve(StateVector.computational_basis(15), op, 0.1)
+        assert built == []  # rejected before any dense matrix exists
 
     def test_trotter_needs_positive_steps(self, h_8):
         with pytest.raises(SimulationError):
