@@ -245,6 +245,15 @@ def cmd_qse(config: RunConfig, out_dir: Path) -> None:
           f"(mode={config.qse.evolution_mode})")
 
 
+def _krylov_config(config: RunConfig) -> KrylovBasisConfig:
+    return KrylovBasisConfig(
+        tilde_n_k=config.gf.tilde_n_k,
+        tilde_n_l=config.gf.tilde_n_l,
+        evolution_mode=config.gf.evolution_mode,
+        trotter_steps=config.gf.trotter_steps,
+    )
+
+
 def _rebuild_engine(config: RunConfig, out_dir: Path):
     lat = _build_lattice(config)
     _, h = _hamiltonians(config, lat)
@@ -262,14 +271,7 @@ def _rebuild_engine(config: RunConfig, out_dir: Path):
     coeffs = np.asarray(qse_artifact["coefficients_re"], dtype=complex)
     coeffs = coeffs + 1j * np.asarray(qse_artifact["coefficients_im"], dtype=float)
     gs = qse.QseGroundState(coeffs, qse_artifact["energy"], qse_artifact["regularization"])
-
-    cfg = KrylovBasisConfig(
-        tilde_n_k=config.gf.tilde_n_k,
-        tilde_n_l=config.gf.tilde_n_l,
-        evolution_mode=config.gf.evolution_mode,
-        trotter_steps=config.gf.trotter_steps,
-    )
-    return lat, h, GreensEngine(h, gs, basis, cfg)
+    return lat, h, GreensEngine(h, gs, basis, _krylov_config(config))
 
 
 def cmd_greens(config: RunConfig, out_dir: Path) -> None:
@@ -322,19 +324,15 @@ def cmd_dsf(config: RunConfig, out_dir: Path) -> None:
     q = np.asarray(config.dsf.q, dtype=float)
 
     def one_field(hz: float):
+        # the ground state is always assembled directly, whatever qse.assembly_mode
+        # says (dsf_qse.csv records it): HOA assembly costs ~20x as much per field
         h = lattice_mod.kitaev_hamiltonian(lat, config.coupling, hz)
         gs, basis, _ = qse.prepare_qse_ground_state(
             reference, h, config.qse.n_k, config.qse.n_l,
             evolution_mode=config.qse.evolution_mode,
             trotter_steps=config.qse.trotter_steps,
         )
-        cfg = KrylovBasisConfig(
-            tilde_n_k=config.gf.tilde_n_k,
-            tilde_n_l=config.gf.tilde_n_l,
-            evolution_mode=config.gf.evolution_mode,
-            trotter_steps=config.gf.trotter_steps,
-        )
-        engine = GreensEngine(h, gs, basis, cfg)
+        engine = GreensEngine(h, gs, basis, _krylov_config(config))
         s_qse = greens.dynamical_structure_factor(engine, lat.positions, q, omega, delta)
         s_ed = greens.dynamical_structure_factor_ed(
             oracle.diagonalize(h), lat.num_sites, omega, delta, positions=lat.positions, q=q
@@ -345,14 +343,17 @@ def cmd_dsf(config: RunConfig, out_dir: Path) -> None:
     table_qse = greens.normalize_intensity(np.array([r[0] for r in results]))
     table_ed = greens.normalize_intensity(np.array([r[1] for r in results]))
 
-    for name, table in (("dsf_qse.csv", table_qse), ("dsf_ed.csv", table_ed)):
+    for name, table, extra in (
+        ("dsf_qse.csv", table_qse, {"assembly_mode": "exact"}),
+        ("dsf_ed.csv", table_ed, {}),
+    ):
         rows = []
         for i, hz in enumerate(config.dsf.h_values):
             for j, w in enumerate(omega):
                 rows.append([float(hz), float(w), float(table[i, j])])
         write_csv(
             out_dir / name, config, ["h_z", "omega", "s_normalized"], rows,
-            {"delta": delta, "q": list(config.dsf.q)},
+            {"delta": delta, "q": list(config.dsf.q), **extra},
         )
     print(f"dsf: max |QSE - ED| of normalized tables = {np.max(np.abs(table_qse - table_ed)):.4f}")
 

@@ -68,7 +68,7 @@ class QseConfig:
     evolution_mode: str = "exact"
     trotter_steps: int = 5
     hoa_tau_scale: float = 0.1  # tau = scale / kappa when assembly_mode == "hoa"
-    assembly_mode: str = "exact"
+    assembly_mode: str = "exact"  # the `qse` stage only; `dsf` always assembles directly
     shape_sweep: list[tuple[int, int]] = field(
         default_factory=lambda: [(n_l, n_k) for n_l in range(4) for n_k in range(4)]
     )

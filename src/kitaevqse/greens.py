@@ -3,11 +3,13 @@
 The retarded correlator for an excitation operator A splits into a
 particle-like part <GS| A^dag (z - H)^-1 A |GS> and a hole-like part
 <GS| A^dag (z + H)^-1 A |GS>. Both are evaluated in a multigrid subspace
-built on top of A|GS>: a three-term Lanczos recursion run purely on the
-subspace H/S matrices yields tridiagonal coefficients {a_n}, {b_n}, and
-the correlator is the standard continued fraction in those coefficients,
-scaled by the squared seed norm because A need not be unitary. The
-hole-like part is the same recursion with a -> -a: (z + H)^-1 =
+grown from the normalized A|GS>, which is itself basis state (l, k) =
+(0, 0) of that subspace. The dynamical Lanczos recursion (Gagliano &
+Balseiro, PRL 59, 2999 (1987)) starts at that basis state and runs purely
+on the subspace H/S matrices; it yields tridiagonal coefficients {a_n},
+{b_n}, and the correlator is the standard continued fraction in those
+coefficients, times the squared seed norm because A need not be unitary.
+The hole-like part is the same recursion with a -> -a: (z + H)^-1 =
 (z - (-H))^-1, and the recursion for -H from the same seed is (-a_n, b_n).
 
 Single-site Green's functions take A = sigma_a. Off-diagonal elements
@@ -34,8 +36,9 @@ from pathlib import Path
 import numpy as np
 
 from . import oracle as oracle_mod
-from .pauli import PauliSum, PauliTerm, apply_sum, gershgorin_kappa, pauli_sum, single_site
+from .pauli import PauliSum, apply_sum, gershgorin_kappa, pauli_sum, single_site
 from .qse import (
+    MultigridIndex,
     QseGroundState,
     SubspaceBasis,
     SubspaceMatrices,
@@ -49,29 +52,11 @@ from .simulator import EvolutionOperator, StateVector
 
 LANCZOS_B2_REL_TOL = 1e-8
 LANCZOS_IMAG_TOL = 1e-8
-SEED_S_THRESHOLD = 1e-12  # seed projection: keep as much span as possible
-LANCZOS_S_THRESHOLD = 1e-10  # recursion: favor well-conditioned spectral data
+LANCZOS_S_THRESHOLD = 1e-10  # favor well-conditioned spectral data
 
 
 class GreensError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ExcitationOperator:
-    """Single-site Pauli used as creation/annihilation operator."""
-
-    kind: str
-    site: int
-
-    def __post_init__(self):
-        if self.kind not in "XYZ":
-            raise GreensError(f"excitation kind must be X, Y or Z, got {self.kind!r}")
-        if self.site < 0:
-            raise GreensError("site index must be non-negative")
-
-    def term(self, num_sites: int) -> PauliTerm:
-        return single_site(self.kind, self.site, num_sites)
 
 
 @dataclass(frozen=True)
@@ -80,7 +65,6 @@ class KrylovBasisConfig:
 
     tilde_n_k: int
     tilde_n_l: int
-    tilde_delta_t: float | None = None
     evolution_mode: str = "exact"
     trotter_steps: int = 1
 
@@ -272,9 +256,10 @@ class GreensEngine:
     ) -> tuple[SubspaceBasis, SubspaceMatrices, np.ndarray, float]:
         """(psi basis, matrices, psi0 coefficients, seed norm squared).
 
-        psi0 expresses excitation|GS> in the psi basis through the
-        transition-matrix route; the basis itself is grown from the
-        normalized seed statevector.
+        The basis is grown from the normalized excitation|GS> at the
+        default time step, so that state is basis state (0, 0): exactly
+        in trotter2 mode, to roundoff in exact mode. psi0 is therefore
+        the unit vector at that index, with unit S-norm.
         """
         gs_state = self.ground_state()
         seeded = apply_sum(excitation, gs_state.amplitudes)
@@ -283,23 +268,16 @@ class GreensEngine:
             raise GreensError("excitation annihilates the ground state")
         seed_state = StateVector(seeded / np.sqrt(norm_sq), self.num_sites)
 
-        dt = self.config.tilde_delta_t
-        if dt is None:
-            dt = default_time_step(self.hamiltonian)
         psi_basis = build_basis(
-            seed_state, self.config.tilde_n_k, self.config.tilde_n_l, dt, self._psi_evolution()
+            seed_state,
+            self.config.tilde_n_k,
+            self.config.tilde_n_l,
+            default_time_step(self.hamiltonian),
+            self._psi_evolution(),
         )
         psi_mats = assemble_matrices(psi_basis, self.hamiltonian)
-
-        # transition matrix <psi_a| excitation |phi_b> contracted with the GS coefficients
-        psi_stack = psi_basis.state_matrix()
-        exc_phi = np.stack(
-            [apply_sum(excitation, s.amplitudes) for s in self.gs_basis.states]
-        )
-        transition = psi_stack.conj() @ exc_phi.T
-        rhs = transition @ self.gs.coefficients
-        transform, _ = canonical_orthogonalization(psi_mats.overlap, SEED_S_THRESHOLD)
-        psi0 = transform @ (transform.conj().T @ rhs)  # S^+ rhs on the kept block
+        psi0 = np.zeros(len(psi_basis), dtype=complex)
+        psi0[psi_basis.indices.index(MultigridIndex(0, 0))] = 1.0
         return psi_basis, psi_mats, psi0, norm_sq
 
     def recursion(self, excitation: PauliSum) -> tuple[LanczosCoefficients, float]:
@@ -319,21 +297,15 @@ class GreensEngine:
     def diagonal_gf(self, kind: str, site: int, z_grid: np.ndarray) -> np.ndarray:
         key = (kind, site, _grid_key(z_grid))
         if key not in self._diag_cache:
-            term = ExcitationOperator(kind, site).term(self.num_sites)
-            excitation = pauli_sum([term], self.num_sites)
+            excitation = pauli_sum([single_site(kind, site, self.num_sites)], self.num_sites)
             self._diag_cache[key] = self.correlator(excitation, z_grid)
         return self._diag_cache[key]
 
     def offdiagonal_gf(self, kind: str, site_a: int, site_b: int, z_grid: np.ndarray) -> np.ndarray:
         if site_a == site_b:
             raise GreensError("off-diagonal path requires distinct sites")
-        combined = pauli_sum(
-            [
-                ExcitationOperator(kind, site_a).term(self.num_sites),
-                ExcitationOperator(kind, site_b).term(self.num_sites),
-            ],
-            self.num_sites,
-        )
+        n = self.num_sites
+        combined = pauli_sum([single_site(kind, site_a, n), single_site(kind, site_b, n)], n)
         plus = self.correlator(combined, z_grid)
         g_aa = self.diagonal_gf(kind, site_a, z_grid)
         g_bb = self.diagonal_gf(kind, site_b, z_grid)

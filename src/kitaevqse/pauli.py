@@ -62,9 +62,6 @@ class PauliTerm:
         """Number of non-identity sites."""
         return sum(1 for ch in self.axes if ch != "I")
 
-    def is_identity(self) -> bool:
-        return self.weight == 0
-
     def with_coefficient(self, coefficient: complex) -> "PauliTerm":
         return PauliTerm(coefficient, self.axes)
 
@@ -90,7 +87,7 @@ def identity(num_sites: int, coefficient: complex = 1.0) -> PauliTerm:
 
 def single_site(kind: str, site: int, num_sites: int, coefficient: complex = 1.0) -> PauliTerm:
     """Pauli ``kind`` on ``site`` (0-based), identity elsewhere."""
-    if kind not in "XYZ":
+    if kind not in ("X", "Y", "Z"):
         raise PauliError(f"kind must be one of X, Y, Z, got {kind!r}")
     if not 0 <= site < num_sites:
         raise PauliError(f"site {site} out of range for {num_sites} sites")
@@ -108,7 +105,7 @@ def two_site(kind: str, site_a: int, site_b: int, num_sites: int, coefficient: c
         if not 0 <= s < num_sites:
             raise PauliError(f"site {s} out of range for {num_sites} sites")
         axes[s] = kind
-    if kind not in "XYZ":
+    if kind not in ("X", "Y", "Z"):
         raise PauliError(f"kind must be one of X, Y, Z, got {kind!r}")
     return PauliTerm(coefficient, "".join(axes))
 
@@ -161,9 +158,6 @@ class PauliSum:
     def coefficient_norm(self) -> float:
         """Sum of absolute coefficients."""
         return float(sum(abs(t.coefficient) for t in self.terms))
-
-    def scaled(self, factor: complex) -> "PauliSum":
-        return PauliSum(tuple(t.with_coefficient(t.coefficient * factor) for t in self.terms), self.num_sites)
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         if other.num_sites != self.num_sites:

@@ -20,7 +20,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .oracle import diagonalize
-from .pauli import PauliSum, PauliTerm, apply_sum, apply_term
+from .pauli import PauliSum, PauliTerm, apply_sum
 
 class SimulationError(ValueError):
     """Raised on contract violations in the statevector engine."""
@@ -45,13 +45,6 @@ class StateVector:
         amps = np.zeros(1 << num_sites, dtype=complex)
         amps[index] = 1.0
         return cls(amps, num_sites)
-
-    @classmethod
-    def from_amplitudes(cls, amplitudes: np.ndarray) -> "StateVector":
-        n = int(np.log2(len(amplitudes)))
-        if (1 << n) != len(amplitudes):
-            raise SimulationError("amplitude length is not a power of two")
-        return cls(np.array(amplitudes, dtype=complex), n)
 
     def copy(self) -> "StateVector":
         return StateVector(self.amplitudes.copy(), self.num_sites)
@@ -81,13 +74,6 @@ def expectation(state: StateVector, h: PauliSum, imag_tol: float = 1e-12) -> flo
     if abs(value.imag) > imag_tol * max(1.0, abs(value.real)):
         raise SimulationError(f"expectation has imaginary residue {value.imag:g}")
     return float(value.real)
-
-
-def apply_pauli(state: StateVector, term: PauliTerm) -> StateVector:
-    """term |state> including the term coefficient."""
-    if term.num_sites != state.num_sites:
-        raise SimulationError("size mismatch in Pauli application")
-    return StateVector(apply_term(term, state.amplitudes), state.num_sites)
 
 
 def _rotation_inplace(amplitudes: np.ndarray, term: PauliTerm, angle: float) -> None:

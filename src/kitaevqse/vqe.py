@@ -238,13 +238,12 @@ def train(
     epochs: int = 800,
     learning_rate: float = 0.1,
     seed: int = 0,
-    init_parameters: np.ndarray | None = None,
     oracle_decomp: SpectralDecomposition | None = None,
     tolerance: float | None = None,
 ) -> VqeResult:
     """Minimize <U(theta) psi0|H0|U(theta) psi0> with Adam.
 
-    Initial angles are uniform random in [-pi, pi] unless given. The
+    Initial angles are uniform random in [-pi, pi], drawn from ``seed``. The
     accepted-step energy (running best) is monotone by construction;
     the raw per-epoch energies are kept in the history. When an oracle
     decomposition is supplied the result carries the energy distance and
@@ -253,11 +252,8 @@ def train(
     """
     if not h0.is_hermitian():
         raise VqeError("training requires a Hermitian Hamiltonian")
-    if init_parameters is None:
-        rng = np.random.default_rng(seed)
-        theta0 = rng.uniform(-np.pi, np.pi, ansatz.num_parameters)
-    else:
-        theta0 = np.asarray(init_parameters, dtype=float).copy()
+    rng = np.random.default_rng(seed)
+    theta0 = rng.uniform(-np.pi, np.pi, ansatz.num_parameters)
 
     if ansatz.num_parameters == 0:
         from .simulator import expectation
@@ -289,15 +285,9 @@ def train(
     )
 
 
-def ground_state_fidelity(state: StateVector, oracle_gs) -> float:
+def ground_state_fidelity(state: StateVector, decomp: SpectralDecomposition) -> float:
     """|projection onto the (possibly degenerate) oracle ground space|^2."""
-    if isinstance(oracle_gs, SpectralDecomposition):
-        return ground_space_fidelity(state.amplitudes, oracle_gs)
-    basis = np.asarray(oracle_gs, dtype=complex)
-    if basis.ndim == 1:
-        basis = basis[:, None]
-    coords = basis.conj().T @ state.amplitudes
-    return float(min(max(np.real(np.vdot(coords, coords)), 0.0), 1.0))
+    return ground_space_fidelity(state.amplitudes, decomp)
 
 
 def candidate_sectors(lat: HoneycombLattice) -> list[StabilizerGroup]:

@@ -4,7 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
-from kitaevqse import oracle, vqe
+from kitaevqse import greens, oracle, qse, vqe
 from kitaevqse.cli import main
 from kitaevqse.config import ConfigError, RunConfig, config_from_dict, load_config
 from kitaevqse.greens import GreensEngine
@@ -194,6 +194,31 @@ class TestPipeline:
         config_path.write_text(json.dumps({**FAST_CONFIG, "gf": {**FAST_CONFIG["gf"], "kinds": ["X", "Z"]}}))
         assert main(["greens", "--config", str(config_path), "--out", str(tmp_path)]) == 0
         assert calls == [2, 1, 1] * 2  # per kind: the pair seed, then each single site
+
+    def test_one_s_factorization_per_krylov_seed(self, workdir, tmp_path, monkeypatch):
+        path, _ = workdir
+        for name in ("vqe_result.json", "qse_ground_state.json"):
+            shutil.copy(path / "out" / name, tmp_path / name)
+        calls = []
+        original = qse.canonical_orthogonalization
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        for module in (qse, greens):
+            monkeypatch.setattr(module, "canonical_orthogonalization", counting)
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({**FAST_CONFIG, "gf": {**FAST_CONFIG["gf"], "kinds": ["X", "Z"]}}))
+        counts = {}
+        for stage in ("greens", "dsf"):
+            calls.clear()
+            assert main([stage, "--config", str(config_path), "--out", str(tmp_path)]) == 0
+            counts[stage] = len(calls)
+        # greens: three seeds per kind, one recursion each; dsf, per field: the
+        # ground-state solve plus one collective seed per Pauli kind
+        assert counts["greens"] == 3 * 2
+        assert counts["dsf"] == 4 * len(FAST_CONFIG["dsf"]["h_values"])
 
     def test_each_stage_factorizes_each_hamiltonian_once(self, tmp_path, monkeypatch):
         # fields no session fixture builds, so no factorization is cached beforehand

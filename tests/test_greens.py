@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from kitaevqse import greens, oracle
 from kitaevqse.greens import (
-    ExcitationOperator,
     GreensEngine,
     GreensError,
     KrylovBasisConfig,
@@ -18,7 +17,7 @@ from kitaevqse.greens import (
     retarded_gf,
 )
 from kitaevqse.pauli import pauli_sum, single_site
-from kitaevqse.qse import SubspaceMatrices
+from kitaevqse.qse import MultigridIndex, SubspaceMatrices
 
 
 def tridiagonal_resolvent(coeffs: LanczosCoefficients, z: complex) -> complex:
@@ -190,7 +189,7 @@ class TestKrylovSeed:
         gs, basis, _ = qse8
         cfg = KrylovBasisConfig(tilde_n_k=0, tilde_n_l=0)
         engine = GreensEngine(h_8, gs, basis, cfg)
-        excitation = pauli_sum([ExcitationOperator("Z", 0).term(8)], 8)
+        excitation = pauli_sum([single_site("Z", 0, 8)], 8)
         psi_basis, _, psi0, _ = engine.seed_subspace(excitation)
         assert len(psi_basis) == 1
         assert psi0.shape == (1,)
@@ -201,8 +200,8 @@ class TestKrylovSeed:
         _, psi_mats, psi0, norm_sq = engine8.seed_subspace(excitation)
         assert norm_sq == pytest.approx(1.0, abs=1e-12)
         s_norm = np.real(psi0.conj() @ psi_mats.overlap @ psi0)
-        # spectral truncation at threshold t leaves a representation error
-        # of order sqrt(t * s_max); 1e-6 covers the default t = 1e-12
+        # psi0 picks the normalized seed state out of the basis; its S-norm
+        # is that state's computed norm, one up to a few roundoff units
         assert np.sqrt(s_norm) == pytest.approx(1.0, abs=1e-6)
 
     def test_reconstructed_seed_matches_statevector(self, engine8, qse8):
@@ -213,7 +212,11 @@ class TestKrylovSeed:
 
         direct = apply_term(single_site("Z", 0, 8), engine8.ground_state().amplitudes)
         rebuilt = psi_basis.state_matrix().T @ psi0
-        assert np.linalg.norm(rebuilt - direct) < 1e-6
+        # the seed is basis state (0, 0) itself, not a projection onto the span
+        assert np.linalg.norm(rebuilt - direct) < 1e-12
+        unit = np.zeros(len(psi_basis))
+        unit[psi_basis.indices.index(MultigridIndex(0, 0))] = 1.0
+        assert np.array_equal(psi0, unit)
 
 
 class TestRetardedGf:
@@ -293,17 +296,6 @@ class TestRetardedGf:
         )
         with pytest.raises(GreensError):
             engine8.correlator(combo, np.array([0.1j]))
-
-
-class TestExcitationOperator:
-    def test_term_construction(self):
-        op = ExcitationOperator("Y", 2)
-        term = op.term(4)
-        assert term.axes == "IIYI"
-
-    def test_bad_kind(self):
-        with pytest.raises(GreensError):
-            ExcitationOperator("Q", 0)
 
 
 class TestDsf:

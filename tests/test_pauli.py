@@ -33,6 +33,22 @@ def term_strategy(n):
 
 
 class TestSingleSiteAlgebra:
+    def test_single_site_construction(self):
+        assert single_site("Y", 2, 4).axes == "IIYI"
+
+    def test_single_site_rejects_bad_input(self):
+        with pytest.raises(PauliError):
+            single_site("Q", 0, 1)
+        with pytest.raises(PauliError):
+            single_site("X", -1, 4)
+        # a kind is one letter: "" and "XY" are substrings of "XYZ" but would
+        # build a string of the wrong length
+        for kind in ("", "XY"):
+            with pytest.raises(PauliError):
+                single_site(kind, 0, 3)
+            with pytest.raises(PauliError):
+                two_site(kind, 0, 1, 3)
+
     def test_x_times_y_is_iz(self):
         x1 = single_site("X", 0, 1)
         y1 = single_site("Y", 0, 1)
