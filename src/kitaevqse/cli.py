@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, greens, lattice as lattice_mod, oracle, qse, vqe
-from .config import ConfigError, RunConfig, config_from_dict, load_config
+from .config import ConfigError, RunConfig, load_config
 from .greens import GreensEngine, GreensError, KrylovBasisConfig
 from .lattice import LatticeError
 from .oracle import OracleError
@@ -43,15 +43,19 @@ _EXIT_2_ERRORS = (
 # Output helpers
 # ---------------------------------------------------------------------------
 
-def _metadata_lines(config: RunConfig, extra: dict | None = None) -> list[str]:
+def _recorded_config(config: RunConfig) -> dict:
+    """The configuration every artifact echoes: all of it but where the run
+    writes and how many workers it uses, which change no number."""
     echo = config.to_json_dict()
-    # where the run writes and how many workers it uses are not physics
-    echo.pop("output_dir", None)
-    echo.pop("threads", None)
+    del echo["output_dir"], echo["threads"]
+    return echo
+
+
+def _metadata_lines(config: RunConfig, extra: dict | None = None) -> list[str]:
     lines = [
         f"# kitaevqse_version = {__version__}",
         f"# seed = {config.seed}",
-        f"# config = {json.dumps(echo, sort_keys=True)}",
+        f"# config = {json.dumps(_recorded_config(config), sort_keys=True)}",
     ]
     for key, value in (extra or {}).items():
         lines.append(f"# {key} = {value}")
@@ -84,7 +88,7 @@ def write_json(path: Path, config: RunConfig, payload: dict) -> None:
     payload["_meta"] = {
         "kitaevqse_version": __version__,
         "seed": config.seed,
-        "config": config.to_json_dict(),
+        "config": _recorded_config(config),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     path.write_text(json.dumps(payload, indent=2))
@@ -393,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=[*_COMMANDS, "all"])
     parser.add_argument("--config", type=Path, default=None, help="JSON run configuration")
-    parser.add_argument("--out", type=Path, default=None, help="output directory (overrides config)")
+    parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--threads", type=int, default=None, help="worker cap for parallel stages")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (overrides config)")
     return parser
@@ -402,15 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config) if args.config else config_from_dict({})
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("--threads: must be >= 1")
-            config.threads = args.threads
-        if args.out is not None:
-            config.output_dir = str(args.out)
+        config = load_config(args.config, seed=args.seed, threads=args.threads, output_dir=args.out)
         out_dir = Path(config.output_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "all":

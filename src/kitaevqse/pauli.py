@@ -159,11 +159,6 @@ class PauliSum:
         """Sum of absolute coefficients."""
         return float(sum(abs(t.coefficient) for t in self.terms))
 
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        if other.num_sites != self.num_sites:
-            raise PauliError("size mismatch in sum")
-        return pauli_sum(list(self.terms) + list(other.terms), self.num_sites)
-
     def __str__(self) -> str:
         return " + ".join(term_to_string(t) for t in self.terms) if self.terms else "0"
 

@@ -181,9 +181,9 @@ def assemble_matrices(
         if hoa_tau is None or hoa_tau <= 0.0:
             raise QseError("hoa mode requires a positive tau")
         kappa = gershgorin_kappa(h)
-        if hoa_tau * kappa > 1.0:
+        if hoa_tau * kappa >= 1.0:
             raise QseError(
-                f"tau*kappa = {hoa_tau * kappa:g} > 1: sine-difference approximation invalid"
+                f"tau*kappa = {hoa_tau * kappa:g} >= 1: sine-difference approximation invalid"
             )
         fwd = np.stack([evolve(s, basis.evolution, hoa_tau).amplitudes for s in basis.states])
         bwd = np.stack([evolve(s, basis.evolution, -hoa_tau).amplitudes for s in basis.states])

@@ -42,17 +42,14 @@ class AnsatzCircuit:
     num_sites: int
     layers: int
     generators: tuple[PauliTerm, ...]
-    bond_schedule: tuple[tuple[str, tuple[int, int]], ...]
 
     @classmethod
     def for_lattice(cls, lat: HoneycombLattice, layers: int) -> "AnsatzCircuit":
         if layers < 0:
             raise VqeError("layer count must be non-negative")
-        schedule = []
         gens_one_layer = []
         for kind in "xyz":
             for u, v in lat.bonds(kind):
-                schedule.append((kind, (u, v)))
                 gens_one_layer.append(pauli.two_site(kind.upper(), u, v, lat.num_sites))
         stab = stabilizer_group(lat)
         for gen in gens_one_layer:
@@ -63,7 +60,6 @@ class AnsatzCircuit:
             num_sites=lat.num_sites,
             layers=layers,
             generators=tuple(gens_one_layer) * layers,
-            bond_schedule=tuple(schedule),
         )
 
     @property

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 
 import numpy as np
@@ -110,6 +111,46 @@ class TestConfigValidation:
     def test_single_row_lattice_rejected(self):
         with pytest.raises(ConfigError, match=r"\$\.lattice\.rows"):
             config_from_dict({"lattice": {"rows": 1}})
+
+    @pytest.mark.parametrize("raw, path", [
+        ({"dsf": {"omega_min": 2.0, "omega_max": -2.0}}, "$.dsf.omega_max"),
+        ({"gf": {"omega_min": 2.0, "omega_max": 2.0}}, "$.gf.omega_max"),
+        ({"dsf": {"q": ["a", 0]}}, "$.dsf.q[0]"),
+        ({"dsf": {"q": [0.0]}}, "$.dsf.q"),
+        ({"qse": {"shape_sweep": [3]}}, "$.qse.shape_sweep[0]"),
+        ({"qse": {"shape_sweep": [[1, 2, 3]]}}, "$.qse.shape_sweep[0]"),
+        ({"gf": {"site_pair": 5}}, "$.gf.site_pair"),
+        ({"gf": {"site_pair": [True, 2]}}, "$.gf.site_pair[0]"),
+        ({"field_z": True}, "$.field_z"),
+        ({"dsf": {"h_values": [True]}}, "$.dsf.h_values[0]"),
+        ({"coupling": [-1, -1, True]}, "$.coupling[2]"),
+        ({"vqe": {"layer_sweep": [True]}}, "$.vqe.layer_sweep[0]"),
+        ({"gf": {"omega_max": float("inf")}}, "$.gf.omega_max"),
+        ({"seed": -3}, "$.seed"),
+        ({"threads": 0}, "$.threads"),
+        ({"qse": {"assembly_mode": "hoa", "hoa_tau_scale": 2}}, "$.qse.hoa_tau_scale"),
+        ({"qse": {"assembly_mode": "hoa", "hoa_tau_scale": 1.0}}, "$.qse.hoa_tau_scale"),
+        ({"qse": {"assembly_mode": "hoa", "hoa_tau_scale": 0}}, "$.qse.hoa_tau_scale"),
+    ])
+    def test_malformed_value_path(self, raw, path):
+        with pytest.raises(ConfigError, match="^" + re.escape(path) + ": "):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("qse_cfg", [
+        {"assembly_mode": "exact", "hoa_tau_scale": 0},
+        {"assembly_mode": "exact", "hoa_tau_scale": 2.5},
+        {"assembly_mode": "hoa", "hoa_tau_scale": 0.5},
+    ])
+    def test_tau_scale_range_applies_to_hoa_only(self, qse_cfg):
+        assert config_from_dict({"qse": qse_cfg}).qse.hoa_tau_scale == qse_cfg["hoa_tau_scale"]
+
+    def test_load_config_merges_overrides(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"seed": 4, "threads": 2}))
+        cfg = load_config(path, seed=None, threads=3, output_dir="elsewhere")
+        assert (cfg.seed, cfg.threads, cfg.output_dir) == (4, 3, "elsewhere")
+        with pytest.raises(ConfigError, match=r"^\$\.threads: "):
+            load_config(path, threads=0)
 
 
 class TestPipeline:
@@ -254,15 +295,34 @@ class TestPipeline:
         qse_q = data_rows(tmp_path / "dsf_qse.csv")
         assert np.max(np.abs(qse_q[:, 2] - ed_q[:, 2])) < 0.15
 
+    @staticmethod
+    def _one_error_line(capsys) -> str:
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
     def test_package_error_exits_2_without_traceback(self, tmp_path, capsys):
         # 4x2 cells is N=16, beyond the dense diagonalization cap of 14 sites
         config_path = tmp_path / "big.json"
         config_path.write_text(json.dumps({"lattice": {"rows": 4, "cols": 2}}))
         rc = main(["ed-reference", "--config", str(config_path), "--out", str(tmp_path / "o")])
-        err = capsys.readouterr().err
         assert rc == 2
-        assert "Traceback" not in err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        self._one_error_line(capsys)
+
+    @pytest.mark.parametrize("stage, config, flags, message", [
+        ("ed-reference", FAST_CONFIG, ["--seed", "-3"], r"error: \$\.seed: "),
+        ("ed-reference", None, [], r"error: .*c\.json: cannot read config file"),
+        ("dsf", {**FAST_CONFIG, "dsf": {"omega_min": 1.0, "omega_max": -1.0}}, [], r"error: \$\.dsf\.omega_max: "),
+    ])
+    def test_bad_input_rejected_before_any_stage(self, tmp_path, capsys, stage, config, flags, message):
+        config_path = tmp_path / "c.json"  # not written when config is None
+        if config is not None:
+            config_path.write_text(json.dumps(config))
+        rc = main([stage, "--config", str(config_path), "--out", str(tmp_path / "o"), *flags])
+        assert rc == 2
+        assert re.match(message, self._one_error_line(capsys))
+        assert not (tmp_path / "o").exists()
 
     def test_metadata_header(self, workdir):
         path, _ = workdir
@@ -316,6 +376,18 @@ class TestDeterminism:
         assert len(calls) == expected_calls
         result = json.loads((tmp_path / "o" / "vqe_result.json").read_text())
         assert result["layers"] == vqe_cfg.get("layers", 1)
+
+    def test_json_artifact_independent_of_out_and_threads(self, tmp_path):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(FAST_CONFIG))
+        payloads = []
+        for out, threads in (("a", "1"), ("b", "2")):
+            rc = main(["ed-reference", "--config", str(config_path), "--out", str(tmp_path / out), "--threads", threads])
+            assert rc == 0
+            payload = json.loads((tmp_path / out / "ed_reference.json").read_text())
+            del payload["_meta"]["timestamp"]
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
 
     def test_seed_flag_overrides(self, tmp_path):
         config_path = tmp_path / "c.json"

@@ -121,6 +121,14 @@ class TestAssembleMatrices:
         with pytest.raises(QseError):
             assemble_matrices(basis, h_8, mode="hoa", hoa_tau=1.5 / kappa)
 
+    def test_hoa_rejects_tau_kappa_one(self, ref8, h_8, evolution_8):
+        basis = build_basis(ref8, 1, 1, default_time_step(h_8), evolution_8)
+        kappa = gershgorin_kappa(h_8)
+        tau = 1.0 / kappa
+        assert tau * kappa == 1.0
+        with pytest.raises(QseError, match="tau\\*kappa = 1 >= 1"):
+            assemble_matrices(basis, h_8, mode="hoa", hoa_tau=tau)
+
     def test_hoa_requires_tau(self, ref8, h_8, evolution_8):
         basis = build_basis(ref8, 1, 1, 0.2, evolution_8)
         with pytest.raises(QseError):
