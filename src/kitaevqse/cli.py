@@ -124,22 +124,26 @@ def _config_echo(config: RunConfig) -> dict:
     }
 
 
-def _check_echo(stored: dict, config: RunConfig, artifact: str) -> None:
-    if stored != _config_echo(config):
-        raise PipelineError(
-            f"{artifact} was produced for {stored}, current config wants {_config_echo(config)}"
-        )
-
-
-def _load_artifact(out_dir: Path, name: str) -> dict:
+def _load_artifact(out_dir: Path, name: str, config: RunConfig) -> dict:
+    """An upstream stage's JSON object, checked to be produced for ``config``."""
     path = out_dir / name
     if not path.exists():
         raise PipelineError(f"missing upstream artifact {path}; run the earlier pipeline stage first")
-    return json.loads(path.read_text())
+    try:
+        artifact = json.loads(path.read_text())
+    except ValueError as exc:
+        raise PipelineError(f"{path} is not valid JSON ({exc}); rerun the stage that writes it") from exc
+    if not isinstance(artifact, dict):
+        raise PipelineError(
+            f"{path} holds a JSON {type(artifact).__name__}, not an object; rerun the stage that writes it"
+        )
+    stored = artifact.get("config_echo")
+    if stored != _config_echo(config):
+        raise PipelineError(f"{path} was produced for {stored}, current config wants {_config_echo(config)}")
+    return artifact
 
 
-def _reference_from_artifact(config: RunConfig, lat, artifact: dict) -> StateVector:
-    _check_echo(artifact["config_echo"], config, "vqe_result.json")
+def _reference_from_artifact(lat, artifact: dict) -> StateVector:
     group = lattice_mod.stabilizer_group(
         lat,
         artifact["sector_targets"][: len(lat.plaquettes)],
@@ -147,10 +151,7 @@ def _reference_from_artifact(config: RunConfig, lat, artifact: dict) -> StateVec
     )
     init_state = vqe.prepare_sector_state(group, lat)
     ansatz = vqe.AnsatzCircuit.for_lattice(lat, artifact["layers"])
-    params = np.asarray(artifact["optimal_parameters"], dtype=float)
-    if ansatz.num_parameters == 0:
-        return init_state
-    return ansatz.apply(params, init_state)
+    return ansatz.apply(np.asarray(artifact["optimal_parameters"], dtype=float), init_state)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +190,7 @@ def cmd_vqe(config: RunConfig, out_dir: Path) -> None:
 def cmd_qse(config: RunConfig, out_dir: Path) -> None:
     lat = _build_lattice(config)
     _, h = _hamiltonians(config, lat)
-    artifact = _load_artifact(out_dir, "vqe_result.json")
-    reference = _reference_from_artifact(config, lat, artifact)
+    reference = _reference_from_artifact(lat, _load_artifact(out_dir, "vqe_result.json", config))
 
     exact_energy = oracle.diagonalize(h).ground_energy
     kappa = gershgorin_kappa(h)
@@ -261,11 +261,8 @@ def _krylov_config(config: RunConfig) -> KrylovBasisConfig:
 def _rebuild_engine(config: RunConfig, out_dir: Path):
     lat = _build_lattice(config)
     _, h = _hamiltonians(config, lat)
-    vqe_artifact = _load_artifact(out_dir, "vqe_result.json")
-    qse_artifact = _load_artifact(out_dir, "qse_ground_state.json")
-    _check_echo(qse_artifact["config_echo"], config, "qse_ground_state.json")
-
-    reference = _reference_from_artifact(config, lat, vqe_artifact)
+    reference = _reference_from_artifact(lat, _load_artifact(out_dir, "vqe_result.json", config))
+    qse_artifact = _load_artifact(out_dir, "qse_ground_state.json", config)
     op = EvolutionOperator(
         h, mode=qse_artifact["evolution_mode"], trotter_steps=qse_artifact["trotter_steps"]
     )
@@ -321,8 +318,7 @@ def cmd_greens(config: RunConfig, out_dir: Path) -> None:
 
 def cmd_dsf(config: RunConfig, out_dir: Path) -> None:
     lat = _build_lattice(config)
-    vqe_artifact = _load_artifact(out_dir, "vqe_result.json")
-    reference = _reference_from_artifact(config, lat, vqe_artifact)
+    reference = _reference_from_artifact(lat, _load_artifact(out_dir, "vqe_result.json", config))
     omega = config.dsf.omega_grid()
     delta = config.dsf.delta
     q = np.asarray(config.dsf.q, dtype=float)
@@ -408,7 +404,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config, seed=args.seed, threads=args.threads, output_dir=args.out)
         out_dir = Path(config.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise PipelineError(f"cannot create output directory {out_dir}: {exc.strerror or exc}") from exc
         if args.command == "all":
             cmd_all(config, out_dir)
         else:

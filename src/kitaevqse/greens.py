@@ -6,9 +6,11 @@ particle-like part <GS| A^dag (z - H)^-1 A |GS> and a hole-like part
 grown from the normalized A|GS>, which is itself basis state (l, k) =
 (0, 0) of that subspace. The dynamical Lanczos recursion (Gagliano &
 Balseiro, PRL 59, 2999 (1987)) starts at that basis state and runs purely
-on the subspace H/S matrices; it yields tridiagonal coefficients {a_n},
-{b_n}, and the correlator is the standard continued fraction in those
-coefficients, times the squared seed norm because A need not be unitary.
+on the subspace H/S matrices, through the package's one Hermitian Lanczos,
+:func:`oracle.lanczos`, with b_n the norm of the reorthogonalized
+residual. It yields tridiagonal coefficients {a_n}, {b_n}, and the
+correlator is the standard continued fraction in those coefficients,
+times the squared seed norm because A need not be unitary.
 The hole-like part is the same recursion with a -> -a: (z + H)^-1 =
 (z - (-H))^-1, and the recursion for -H from the same seed is (-a_n, b_n).
 
@@ -51,7 +53,6 @@ from .qse import (
 from .simulator import EvolutionOperator, StateVector
 
 LANCZOS_B2_REL_TOL = 1e-8
-LANCZOS_IMAG_TOL = 1e-8
 LANCZOS_S_THRESHOLD = 1e-10  # favor well-conditioned spectral data
 
 
@@ -133,22 +134,20 @@ def lanczos_iterate(
     kappa: float | None = None,
     keep_vectors: bool = False,
 ) -> LanczosCoefficients:
-    """Three-term recursion a_n = psi_n^dag H psi_n, b_n^2 by the variance
-    difference, psi_n = ((S^-1 H - a) psi_{n-1} - b psi_{n-2}) / b_n.
+    """Dynamical Lanczos recursion from psi0 on the subspace (H, S).
 
-    Run in the S-orthonormalized coordinates of the regularized
-    subspace, where S^-1 is exactly the identity: applying the raw
-    truncated pseudo-inverse instead amplifies roundoff by the inverse
-    of the smallest kept S-eigenvalue and fabricates large negative
-    b^2 after a dozen steps. The transformed recursion is algebraically
-    identical on the kept subspace; one re-orthogonalization pass per
-    step keeps the Krylov states S-orthonormal to machine precision.
+    Runs :func:`oracle.lanczos` in the S-orthonormalized coordinates of
+    the regularized subspace, where S^-1 is exactly the identity: applying
+    the raw truncated pseudo-inverse instead amplifies roundoff by the
+    inverse of the smallest kept S-eigenvalue. There a_n = psi_n^dag H psi_n
+    and b_n is the norm of the fully reorthogonalized residual, so the
+    Krylov states stay S-orthonormal to machine precision.
 
     The starting vector is S-normalized internally. Iteration stops
     when b_n^2 falls below tol = 1e-8 * (kappa/2)^2 (invariant subspace
-    exhausted, "b2_tol") or at the regularized rank of S ("rank");
-    b_n^2 < -tol aborts. The hole part, the recursion for -H, is this
-    run with a -> -a (:meth:`LanczosCoefficients.hole`).
+    exhausted, "b2_tol") or at the regularized rank of S ("rank"). The
+    hole part, the recursion for -H, is this run with a -> -a
+    (:meth:`LanczosCoefficients.hole`).
     """
     transform, s_eigs = canonical_orthogonalization(psi_mats.overlap, LANCZOS_S_THRESHOLD)
     rank = transform.shape[1]
@@ -163,50 +162,12 @@ def lanczos_iterate(
 
     # orthonormal coordinates of psi0: y = X^dag S psi0 = s X^dag psi0 on the kept block
     y = s_eigs[-rank:] * (transform.conj().T @ np.asarray(psi0, dtype=complex))
-    norm0 = float(np.real(np.vdot(y, y)))
-    if norm0 <= 0.0:
-        raise GreensError("starting vector has non-positive S-norm")
-    y = y / np.sqrt(norm0)
-
-    a_list: list[float] = []
-    b_list: list[float] = [0.0]
-    basis = [y]
-    prev = np.zeros_like(y)
-    while True:
-        n = len(a_list)
-        hy = h_ortho @ y
-        a_raw = complex(np.vdot(y, hy))
-        if abs(a_raw.imag) > LANCZOS_IMAG_TOL * max(1.0, abs(a_raw.real)):
-            raise GreensError(f"a_{n} has imaginary residue {a_raw.imag:g}")
-        a_list.append(a_raw.real)
-        if n + 1 == rank:
-            stop_reason = "rank"
-            break
-        b2 = float(np.real(np.vdot(hy, hy))) - a_list[-1] ** 2 - b_list[-1] ** 2
-        if b2 < -b2_tol:
-            raise GreensError(
-                f"b_{n + 1}^2 = {b2:g} is negative beyond tolerance: ill-conditioned subspace"
-            )
-        if b2 <= b2_tol:
-            stop_reason = "b2_tol"
-            break
-        b_n = float(np.sqrt(b2))
-        nxt = (hy - a_list[-1] * y - b_list[-1] * prev) / b_n
-        for column in basis:
-            nxt -= np.vdot(column, nxt) * column
-        nxt /= np.linalg.norm(nxt)
-        prev, y = y, nxt
-        b_list.append(b_n)
-        basis.append(y)
-
-    vectors = None
-    if keep_vectors:
-        vectors = transform @ np.column_stack(basis)  # back to psi-basis coordinates
+    a, b, krylov, stop_reason = oracle_mod.lanczos(h_ortho.__matmul__, y, rank, b2_tol)
     return LanczosCoefficients(
-        a=np.array(a_list),
-        b=np.array(b_list),
-        termination_index=len(a_list),
-        vectors=vectors,
+        a=a,
+        b=b,
+        termination_index=a.size,
+        vectors=transform @ krylov.T if keep_vectors else None,  # psi-basis coordinates
         stop_reason=stop_reason,
     )
 

@@ -8,11 +8,16 @@ which covers every shipped Kitaev instance.
 :func:`diagonalize` factorizes each Hamiltonian once: ``PauliSum`` is a
 frozen value, and the result is kept for as long as the first equal sum is
 alive, so the ED side and exact-mode ``V(t)`` of a stage share it.
+
+:func:`lanczos` is the package's one Hermitian Lanczos recursion: the VQE
+sector ranking runs it on statevectors, and the Green's functions run it
+on the orthonormalized QSE subspace.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +72,50 @@ def diagonalize(h: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> SpectralDecomposit
         degeneracy = int(np.sum(evals <= evals[0] + DEGENERACY_GAP))
         decomp = _DECOMPOSITIONS[h] = SpectralDecomposition(evals, evecs, degeneracy)
     return decomp
+
+
+def lanczos(
+    matvec: Callable[[np.ndarray], np.ndarray], start: np.ndarray, max_steps: int, b2_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """Hermitian Lanczos recursion with full reorthogonalization.
+
+    Normalizes ``start`` and builds Krylov vectors q_n with
+    a_n = <q_n|H q_n> and b_{n+1} q_{n+1} = H q_n - a_n q_n - b_n q_{n-1}.
+    The residual is Gram-Schmidt-orthogonalized twice against every Krylov
+    vector so far, and b_{n+1} is its norm. Stops after ``max_steps`` a_n
+    ("rank") or when b_{n+1}^2 <= ``b2_tol`` ("b2_tol"). Raises when a_n
+    has an imaginary residue, i.e. ``matvec`` is not Hermitian.
+
+    Returns (a, b, krylov_rows, stop_reason) with b[0] = 0, len(a) == len(b)
+    and q_n in row n of ``krylov_rows``.
+    """
+    q = np.asarray(start, dtype=complex)
+    norm = float(np.linalg.norm(q))
+    if norm == 0.0:
+        raise OracleError("Lanczos start vector is zero")
+    krylov = np.empty((max_steps, q.size), dtype=complex)
+    krylov[0] = q / norm
+    a: list[float] = []
+    b: list[float] = [0.0]
+    for n in range(max_steps):
+        w = np.array(matvec(krylov[n]), dtype=complex)  # own copy: reduced in place below
+        a_n = complex(np.vdot(krylov[n], w))
+        if abs(a_n.imag) > 1e-8 * max(1.0, abs(a_n.real)):
+            raise OracleError(f"a_{n} has imaginary residue {a_n.imag:g}: operator is not Hermitian")
+        a.append(a_n.real)
+        if n + 1 == max_steps:
+            stop_reason = "rank"
+            break
+        basis = krylov[: n + 1]
+        for _ in range(2):  # full reorthogonalization, twice is enough
+            w -= (basis @ w.conj()).conj() @ basis
+        b_next = float(np.linalg.norm(w))
+        if b_next**2 <= b2_tol:
+            stop_reason = "b2_tol"
+            break
+        b.append(b_next)
+        krylov[n + 1] = w / b_next
+    return np.array(a), np.array(b), krylov[: len(a)], stop_reason
 
 
 def ground_space_fidelity(amplitudes: np.ndarray, decomp: SpectralDecomposition) -> float:

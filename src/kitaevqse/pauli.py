@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -273,7 +273,7 @@ def gershgorin_kappa(h: PauliSum) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Textual format: "coeff * X1 Y3 Z4" with 1-based site indices.
+# Printed form: "coeff * X1 Y3 Z4" with 1-based site indices.
 # ---------------------------------------------------------------------------
 
 def _format_coefficient(c: complex) -> str:
@@ -285,36 +285,3 @@ def _format_coefficient(c: complex) -> str:
 def term_to_string(term: PauliTerm) -> str:
     ops = " ".join(f"{ch}{q + 1}" for q, ch in enumerate(term.axes) if ch != "I")
     return f"{_format_coefficient(term.coefficient)} * {ops if ops else 'I'}"
-
-
-def term_from_string(text: str, num_sites: int) -> PauliTerm:
-    head, _, tail = text.partition("*")
-    if not tail:
-        raise PauliError(f"expected 'coeff * ops', got {text!r}")
-    try:
-        coeff = complex(head.strip())
-    except ValueError as exc:
-        raise PauliError(f"bad coefficient in {text!r}") from exc
-    axes = ["I"] * num_sites
-    tokens = tail.split()
-    if tokens == ["I"]:
-        return PauliTerm(coeff, "".join(axes))
-    for tok in tokens:
-        kind, idx_text = tok[0], tok[1:]
-        if kind not in "XYZ" or not idx_text.isdigit():
-            raise PauliError(f"bad operator token {tok!r} in {text!r}")
-        site = int(idx_text) - 1
-        if not 0 <= site < num_sites:
-            raise PauliError(f"site {int(idx_text)} out of range in {text!r}")
-        if axes[site] != "I":
-            raise PauliError(f"duplicate site in {text!r}")
-        axes[site] = kind
-    return PauliTerm(coeff, "".join(axes))
-
-
-def sum_to_strings(h: PauliSum) -> list[str]:
-    return [term_to_string(t) for t in h.terms]
-
-
-def sum_from_strings(lines: Sequence[str], num_sites: int) -> PauliSum:
-    return pauli_sum([term_from_string(line, num_sites) for line in lines], num_sites)

@@ -24,11 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import pauli
+from . import oracle, pauli
 from .lattice import HoneycombLattice, StabilizerGroup, stabilizer_group
 from .oracle import SpectralDecomposition, ground_space_fidelity
 from .pauli import PauliSum, PauliTerm, commutes
-from .simulator import StateVector, _rotation_inplace
+from .simulator import StateVector, _rotation_inplace, expectation
 
 
 class VqeError(RuntimeError):
@@ -157,12 +157,12 @@ def sector_ground_energy(h0: PauliSum, group: StabilizerGroup, lat: HoneycombLat
     """Exact ground energy of ``h0`` restricted to one stabilizer sector.
 
     Projects a fixed-seed random vector into the sector with the
-    :func:`prepare_sector_state` cascade and runs Lanczos with full
-    reorthogonalization from it. ``h0`` must commute with every
-    generator, so the Krylov space stays inside the sector, whose
-    dimension is 2^(N/2 - 1); the run stops when beta < 1e-10 or after
-    that many steps, and the lowest Ritz value is the sector's ground
-    energy. Raises when the sign pattern is inconsistent.
+    :func:`prepare_sector_state` cascade and runs :func:`oracle.lanczos`
+    from it. ``h0`` must commute with every generator, so the Krylov space
+    stays inside the sector, whose dimension is 2^(N/2 - 1); the run stops
+    when beta < 1e-10 or after that many steps, and the lowest eigenvalue
+    of the tridiagonal matrix is the sector's ground energy. Raises when
+    the sign pattern is inconsistent.
     """
     dim = 1 << lat.num_sites
     rng = np.random.default_rng(0)
@@ -171,22 +171,8 @@ def sector_ground_energy(h0: PauliSum, group: StabilizerGroup, lat: HoneycombLat
     if q is None:
         raise VqeError("inconsistent sector: projector cascade annihilates a random vector")
     max_steps = 1 << (lat.num_sites // 2 - 1)
-    basis = np.empty((max_steps, dim), dtype=complex)
-    alphas: list[float] = []
-    betas: list[float] = []
-    for k in range(max_steps):
-        basis[k] = q
-        w = pauli.apply_sum(h0, q)
-        alphas.append(float(np.real(np.vdot(q, w))))
-        krylov = basis[: k + 1]
-        for _ in range(2):  # full reorthogonalization, twice is enough
-            w -= krylov.T @ (krylov.conj() @ w)
-        beta = float(np.linalg.norm(w))
-        if beta < 1e-10 or k + 1 == max_steps:
-            break
-        betas.append(beta)
-        q = w / beta
-    tridiagonal = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+    a, b, _, _ = oracle.lanczos(lambda v: pauli.apply_sum(h0, v), q, max_steps, 1e-20)
+    tridiagonal = np.diag(a) + np.diag(b[1:], 1) + np.diag(b[1:], -1)
     return float(np.linalg.eigvalsh(tridiagonal)[0])
 
 
@@ -252,8 +238,6 @@ def train(
     theta0 = rng.uniform(-np.pi, np.pi, ansatz.num_parameters)
 
     if ansatz.num_parameters == 0:
-        from .simulator import expectation
-
         energy = expectation(init_state, h0)
         theta, best_energy, energies, best_curve = theta0, energy, [energy], [energy]
     else:
@@ -265,8 +249,7 @@ def train(
     energy_distance = None
     converged = None
     if oracle_decomp is not None:
-        final_state = ansatz.apply(theta, init_state) if ansatz.num_parameters else init_state
-        infidelity = 1.0 - ground_state_fidelity(final_state, oracle_decomp)
+        infidelity = 1.0 - ground_state_fidelity(ansatz.apply(theta, init_state), oracle_decomp)
         energy_distance = abs(best_energy - oracle_decomp.ground_energy)
         if tolerance is not None:
             converged = energy_distance <= tolerance
@@ -333,5 +316,4 @@ def prepare_reference_state(
     )
     result.sector_targets = group.target_eigenvalues
     result.sector_energies = [(g.target_eigenvalues, energy) for g, energy in ranked]
-    state = ansatz.apply(result.optimal_parameters, init_state) if ansatz.num_parameters else init_state
-    return state, result, group
+    return ansatz.apply(result.optimal_parameters, init_state), result, group

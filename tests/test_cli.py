@@ -1,10 +1,15 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kitaevqse
 from kitaevqse import greens, oracle, qse, vqe
 from kitaevqse.cli import main
 from kitaevqse.config import ConfigError, RunConfig, config_from_dict, load_config
@@ -284,6 +289,30 @@ class TestPipeline:
         assert counts["dsf"] == 2
         assert counts["greens"] <= 1  # 0 if the qse stage's Hamiltonian is still alive
 
+    def test_one_lanczos_run_per_recursion(self, tmp_path, monkeypatch):
+        # oracle.lanczos is the only Lanczos loop: the sector ranking runs it once per
+        # ranked sector and depth, and every lanczos_iterate runs it once
+        runs, iterates = [], []
+        original_run, original_iterate = oracle.lanczos, greens.lanczos_iterate
+        monkeypatch.setattr(oracle, "lanczos", lambda *args: runs.append(args[2]) or original_run(*args))
+        monkeypatch.setattr(
+            greens, "lanczos_iterate", lambda *args, **kw: iterates.append(1) or original_iterate(*args, **kw)
+        )
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(FAST_CONFIG))
+        counts = {}
+        for stage in ("vqe", "qse", "greens", "dsf"):
+            runs.clear(), iterates.clear()
+            assert main([stage, "--config", str(config_path), "--out", str(tmp_path)]) == 0
+            counts[stage] = (len(runs), len(iterates))
+        config = config_from_dict(FAST_CONFIG)
+        depths = set(config.vqe.layer_sweep) | {config.vqe.layers}
+        ranked = json.loads((tmp_path / "vqe_result.json").read_text())["sector_energies"]
+        assert counts["vqe"] == (len(depths) * len(ranked), 0)
+        assert counts["qse"] == (0, 0)
+        assert counts["greens"] == (3 * len(config.gf.kinds),) * 2  # pair seed and both sites
+        assert counts["dsf"] == (3 * len(config.dsf.h_values),) * 2  # one seed per Pauli kind
+
     def test_dsf_ed_table_follows_q(self, workdir, tmp_path):
         path, _ = workdir
         shutil.copy(path / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
@@ -323,6 +352,31 @@ class TestPipeline:
         assert rc == 2
         assert re.match(message, self._one_error_line(capsys))
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"x": 1', "is not valid JSON"),
+        ("{}", "was produced for None"),
+        ("[1]", "holds a JSON list, not an object"),
+    ])
+    @pytest.mark.parametrize("stage, artifact", [
+        ("qse", "vqe_result.json"),
+        ("dsf", "vqe_result.json"),
+        ("greens", "qse_ground_state.json"),
+    ])
+    def test_damaged_artifact_exits_2(self, workdir, tmp_path, capsys, stage, artifact, text, message):
+        path, config_path = workdir
+        shutil.copy(path / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
+        (tmp_path / artifact).write_text(text)
+        rc = main([stage, "--config", str(config_path), "--out", str(tmp_path)])
+        assert rc == 2
+        err = self._one_error_line(capsys)
+        assert artifact in err and message in err
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        rc = main(["ed-reference", "--out", str(tmp_path / "afile")])
+        assert rc == 2
+        assert re.match(r"error: cannot create output directory .*afile: ", self._one_error_line(capsys))
 
     def test_metadata_header(self, workdir):
         path, _ = workdir
@@ -397,3 +451,24 @@ class TestDeterminism:
         assert "# seed = 7" not in (tmp_path / "o" / "lattice_fixture.json").read_text()
         meta = json.loads((tmp_path / "o" / "ed_reference.json").read_text())["_meta"]
         assert meta["seed"] == 7
+
+
+class TestRuntimeDependencies:
+    def test_all_stages_run_with_numpy_only(self, tmp_path):
+        # the declared runtime dependency is numpy alone; block the test-only packages
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(FAST_CONFIG))
+        argv = ["all", "--config", str(config_path), "--out", str(tmp_path / "o")]
+        script = (
+            "import sys\n"
+            "for name in ('scipy', 'pytest', 'hypothesis'):\n"
+            "    sys.modules[name] = None\n"
+            "from kitaevqse.cli import main\n"
+            f"sys.exit(main({argv!r}))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(kitaevqse.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=600
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "o" / "dsf_qse.csv").exists()

@@ -119,6 +119,35 @@ class TestFactorizationCache:
         assert ref() is None
 
 
+class TestLanczos:
+    def test_eigenvector_start_stops_at_depth_one(self):
+        mat = np.diag([0.3, -1.0, 2.0])
+        a, b, krylov, stop_reason = oracle.lanczos(mat.__matmul__, np.array([0, 2.0, 0]), 3, 1e-12)
+        assert (stop_reason, a.size, b.size) == ("b2_tol", 1, 1)
+        assert a[0] == pytest.approx(-1.0) and b[0] == 0.0
+        assert np.allclose(krylov, [[0, 1.0, 0]])
+
+    def test_random_hermitian_runs_to_rank(self):
+        rng = np.random.default_rng(11)
+        mat = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        mat = (mat + mat.conj().T) / 2
+        a, b, krylov, stop_reason = oracle.lanczos(mat.__matmul__, rng.normal(size=6), 6, 1e-12)
+        assert (stop_reason, a.size, b.size, krylov.shape) == ("rank", 6, 6, (6, 6))
+        assert np.max(np.abs(krylov.conj() @ krylov.T - np.eye(6))) < 1e-12
+        tridiagonal = np.diag(a) + np.diag(b[1:], 1) + np.diag(b[1:], -1)
+        assert np.allclose(np.linalg.eigvalsh(tridiagonal), np.linalg.eigvalsh(mat), atol=1e-10)
+
+    def test_non_hermitian_operator_raises(self):
+        rng = np.random.default_rng(12)
+        mat = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        with pytest.raises(OracleError, match="not Hermitian"):
+            oracle.lanczos(mat.__matmul__, rng.normal(size=4), 4, 1e-12)
+
+    def test_zero_start_raises(self):
+        with pytest.raises(OracleError):
+            oracle.lanczos(np.eye(3).__matmul__, np.zeros(3), 3, 1e-12)
+
+
 class TestGroundSpaceFidelity:
     def test_exact_member(self, dec0_8):
         assert oracle.ground_space_fidelity(dec0_8.ground_vector(), dec0_8) == pytest.approx(1.0)
