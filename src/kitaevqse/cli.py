@@ -124,8 +124,9 @@ def _config_echo(config: RunConfig) -> dict:
     }
 
 
-def _load_artifact(out_dir: Path, name: str, config: RunConfig) -> dict:
-    """An upstream stage's JSON object, checked to be produced for ``config``."""
+def _load_artifact(out_dir: Path, name: str, config: RunConfig, keys: tuple[str, ...]) -> dict:
+    """An upstream stage's JSON object, checked to be produced for ``config``
+    and to hold every one of ``keys``, the ones the calling stage reads."""
     path = out_dir / name
     if not path.exists():
         raise PipelineError(f"missing upstream artifact {path}; run the earlier pipeline stage first")
@@ -140,10 +141,17 @@ def _load_artifact(out_dir: Path, name: str, config: RunConfig) -> dict:
     stored = artifact.get("config_echo")
     if stored != _config_echo(config):
         raise PipelineError(f"{path} was produced for {stored}, current config wants {_config_echo(config)}")
+    missing = [key for key in keys if key not in artifact]
+    if missing:
+        raise PipelineError(f"{path} lacks {', '.join(missing)}; rerun the stage that writes it")
     return artifact
 
 
-def _reference_from_artifact(lat, artifact: dict) -> StateVector:
+def _vqe_reference(lat, out_dir: Path, config: RunConfig) -> StateVector:
+    """The trained VQE state that the vqe stage's artifact describes."""
+    artifact = _load_artifact(
+        out_dir, "vqe_result.json", config, ("sector_targets", "layers", "optimal_parameters")
+    )
     group = lattice_mod.stabilizer_group(
         lat,
         artifact["sector_targets"][: len(lat.plaquettes)],
@@ -190,7 +198,7 @@ def cmd_vqe(config: RunConfig, out_dir: Path) -> None:
 def cmd_qse(config: RunConfig, out_dir: Path) -> None:
     lat = _build_lattice(config)
     _, h = _hamiltonians(config, lat)
-    reference = _reference_from_artifact(lat, _load_artifact(out_dir, "vqe_result.json", config))
+    reference = _vqe_reference(lat, out_dir, config)
 
     exact_energy = oracle.diagonalize(h).ground_energy
     kappa = gershgorin_kappa(h)
@@ -261,8 +269,11 @@ def _krylov_config(config: RunConfig) -> KrylovBasisConfig:
 def _rebuild_engine(config: RunConfig, out_dir: Path):
     lat = _build_lattice(config)
     _, h = _hamiltonians(config, lat)
-    reference = _reference_from_artifact(lat, _load_artifact(out_dir, "vqe_result.json", config))
-    qse_artifact = _load_artifact(out_dir, "qse_ground_state.json", config)
+    reference = _vqe_reference(lat, out_dir, config)
+    qse_artifact = _load_artifact(out_dir, "qse_ground_state.json", config, (
+        "evolution_mode", "trotter_steps", "n_k", "n_l", "delta_t",
+        "coefficients_re", "coefficients_im", "energy", "regularization",
+    ))
     op = EvolutionOperator(
         h, mode=qse_artifact["evolution_mode"], trotter_steps=qse_artifact["trotter_steps"]
     )
@@ -306,8 +317,9 @@ def cmd_greens(config: RunConfig, out_dir: Path) -> None:
             [[float(w), float(a), float(b)] for w, a, b in zip(omega, sf_qse, sf_ed)],
             {"site_pair": config.gf.site_pair, "kind": kind, "delta": delta},
         )
-        dev = np.max(np.abs(samples.values.real - gf_ed.real)) / np.max(np.abs(gf_ed.real))
-        print(f"greens[{kind}]: max rel deviation of Re G vs ED = {dev:.4f}")
+        # absolute: G_ab^ED of a kind can vanish by symmetry, so no ratio to it
+        dev = np.max(np.abs(samples.values - gf_ed))
+        print(f"greens[{kind}]: max |G_qse - G_ed| = {dev:.3e}")
 
         # tridiagonal coefficients of the pair seed behind G_ab, for reproducibility
         # audits; the hole part is the same recursion with a -> -a
@@ -318,7 +330,7 @@ def cmd_greens(config: RunConfig, out_dir: Path) -> None:
 
 def cmd_dsf(config: RunConfig, out_dir: Path) -> None:
     lat = _build_lattice(config)
-    reference = _reference_from_artifact(lat, _load_artifact(out_dir, "vqe_result.json", config))
+    reference = _vqe_reference(lat, out_dir, config)
     omega = config.dsf.omega_grid()
     delta = config.dsf.delta
     q = np.asarray(config.dsf.q, dtype=float)

@@ -5,6 +5,12 @@ grid: a coarse stride of (n_k+1) time steps raised to the power l, then
 k fine steps on top. Index order is l ascending, k ascending within
 each l, so matrices are reproducible across runs.
 
+In exact evolution the grid is uniform, t = m dt with m = -M..M ascending
+in index order, so every overlap depends on the lag m_b - m_a alone: S and
+H are Toeplitz and come from 2M+1 autocorrelation entries of the
+reference (Cortes & Gray, PRA 105, 022417 (2022)). Trotterized bases,
+whose V_r(t) is not a group in t, are assembled from statevector overlaps.
+
 The generalized eigenproblem H phi = E S phi is solved by canonical
 orthogonalization: eigendecompose S, drop the near-null directions,
 transform to an ordinary Hermitian problem, solve densely. Spectral
@@ -22,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .pauli import PauliSum, apply_sum, gershgorin_kappa
-from .simulator import EvolutionOperator, StateVector, evolve, evolve_times
+from .simulator import EvolutionOperator, StateVector, autocorrelations, evolve, evolve_times
 
 DEFAULT_S_THRESHOLD = 1e-12
 HERMITICITY_TOL = 1e-10
@@ -62,6 +68,15 @@ def multigrid_indices(n_k: int, n_l: int) -> list[MultigridIndex]:
 
 def basis_size(n_k: int, n_l: int) -> int:
     return 2 * (n_l + 1) * (n_k + 1) - 1
+
+
+def _grid_steps(indices: Sequence[MultigridIndex]) -> np.ndarray:
+    """Step m of each (l, k), t = m dt: the coarse stride is n_k + 1 fine steps.
+
+    In index order this is -M .. M ascending, M = n_l (n_k + 1) + n_k.
+    """
+    stride = 1 + max(abs(idx.k) for idx in indices)
+    return np.array([idx.l * stride + idx.k for idx in indices])
 
 
 def default_time_step(h: PauliSum) -> float:
@@ -107,8 +122,7 @@ def build_basis(
     if evolution.mode == "exact":
         # V(k dt) V(coarse)^l = V(k dt + l coarse) exactly; batch through
         # the cached eigenbasis in one pass.
-        times = [idx.l * coarse_t + idx.k * delta_t for idx in indices]
-        stacked = evolve_times(evolution, ref, times)
+        stacked = evolve_times(evolution, ref, delta_t * _grid_steps(indices))
         states = [StateVector(row.copy(), ref.num_sites) for row in stacked]
         return SubspaceBasis(ref, indices, states, delta_t, evolution)
 
@@ -166,18 +180,16 @@ def assemble_matrices(
     it with a central sine difference of evolution overlaps,
     (<a|V(-tau)|b> - <a|V(tau)|b>) / (2i tau), hermitized; the relative
     error is O((tau*kappa)^2) and tau*kappa >= 1 is rejected outright.
-    """
-    phi = basis.state_matrix()
-    s_mat = phi.conj() @ phi.T
 
-    if mode == "exact":
-        h_phi = np.stack([apply_sum(h, s.amplitudes) for s in basis.states])
-        h_mat = phi.conj() @ h_phi.T
-        residual = np.max(np.abs(h_mat - h_mat.conj().T))
-        if residual > HERMITICITY_TOL * max(1.0, np.max(np.abs(h_mat))):
-            raise QseError(f"assembled H has hermiticity residual {residual:g}")
-        h_mat = 0.5 * (h_mat + h_mat.conj().T)
-    elif mode == "hoa":
+    When the basis evolves exactly under ``h`` itself, both matrices are
+    Toeplitz in the grid step m of each state (t = m dt): S_ab = c(m_b - m_a)
+    and H_ab = h(m_b - m_a), with h built from f(E) = E ("exact") or
+    f(E) = sin(E tau)/tau ("hoa"), negative lags the complex conjugates.
+    The 2M+1 sequence entries come from :func:`simulator.autocorrelations`.
+    Any other basis (trotter2, or evolution under a different Hamiltonian)
+    is assembled from its statevectors.
+    """
+    if mode == "hoa":
         if hoa_tau is None or hoa_tau <= 0.0:
             raise QseError("hoa mode requires a positive tau")
         kappa = gershgorin_kappa(h)
@@ -185,30 +197,50 @@ def assemble_matrices(
             raise QseError(
                 f"tau*kappa = {hoa_tau * kappa:g} >= 1: sine-difference approximation invalid"
             )
-        fwd = np.stack([evolve(s, basis.evolution, hoa_tau).amplitudes for s in basis.states])
-        bwd = np.stack([evolve(s, basis.evolution, -hoa_tau).amplitudes for s in basis.states])
-        raw = (phi.conj() @ bwd.T - phi.conj() @ fwd.T) / (2j * hoa_tau)
-        h_mat = 0.5 * (raw + raw.conj().T)
-    else:
+    elif mode != "exact":
         raise QseError(f"unknown assembly mode {mode!r}")
 
-    s_mat = 0.5 * (s_mat + s_mat.conj().T)
-    return SubspaceMatrices(h_mat, s_mat, mode, hoa_tau if mode == "hoa" else None)
+    tau = hoa_tau if mode == "hoa" else None
+    if basis.evolution.mode == "exact" and h == basis.evolution.hamiltonian:
+        s_mat, h_mat = _toeplitz_matrices(basis, tau)
+    else:
+        s_mat, h_mat = _statevector_matrices(basis, h, tau)
+    return SubspaceMatrices(h_mat, s_mat, mode, tau)
 
 
-def perturb_matrices(
-    mats: SubspaceMatrices, sigma: float, rng: np.random.Generator
-) -> SubspaceMatrices:
-    """Additive complex Gaussian noise on every entry, then re-hermitized.
+def _toeplitz_matrices(basis: SubspaceBasis, hoa_tau: float | None) -> tuple[np.ndarray, np.ndarray]:
+    """(S, H) from the reference's two autocorrelation sequences, indexed by
+    lag: f(E) = E, or sin(E tau)/tau when ``hoa_tau`` is given."""
+    def spectral_filter(energies):
+        return energies if hoa_tau is None else np.sin(energies * hoa_tau) / hoa_tau
 
-    Diagnostic stand-in for finite-shot overlap estimation noise.
-    """
-    def noisy(mat: np.ndarray) -> np.ndarray:
-        noise = sigma * (rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape))
-        out = mat + noise
-        return 0.5 * (out + out.conj().T)
+    steps = _grid_steps(basis.indices)
+    lag = steps[None, :] - steps[:, None]  # m_b - m_a
+    sequences = autocorrelations(
+        basis.evolution, basis.reference, basis.delta_t, int(lag.max()) + 1, spectral_filter
+    )
+    s_mat, h_mat = (np.where(lag >= 0, seq[abs(lag)], seq[abs(lag)].conj()) for seq in sequences)
+    return s_mat, h_mat
 
-    return SubspaceMatrices(noisy(mats.hamiltonian), noisy(mats.overlap), mats.assembly_mode, mats.hoa_tau)
+
+def _statevector_matrices(
+    basis: SubspaceBasis, h: PauliSum, hoa_tau: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(S, H) from overlaps of the basis states: H applied directly, or the
+    HOA sine difference when ``hoa_tau`` is given."""
+    phi = basis.state_matrix()
+    s_mat = phi.conj() @ phi.T
+    if hoa_tau is None:
+        h_phi = np.stack([apply_sum(h, s.amplitudes) for s in basis.states])
+        h_mat = phi.conj() @ h_phi.T
+        residual = np.max(np.abs(h_mat - h_mat.conj().T))
+        if residual > HERMITICITY_TOL * max(1.0, np.max(np.abs(h_mat))):
+            raise QseError(f"assembled H has hermiticity residual {residual:g}")
+    else:
+        fwd = np.stack([evolve(s, basis.evolution, hoa_tau).amplitudes for s in basis.states])
+        bwd = np.stack([evolve(s, basis.evolution, -hoa_tau).amplitudes for s in basis.states])
+        h_mat = (phi.conj() @ bwd.T - phi.conj() @ fwd.T) / (2j * hoa_tau)
+    return 0.5 * (s_mat + s_mat.conj().T), 0.5 * (h_mat + h_mat.conj().T)
 
 
 @dataclass

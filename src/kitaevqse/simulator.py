@@ -1,21 +1,22 @@
-"""Statevector engine: rotations, overlaps, expectations, time evolution.
+"""Statevector engine: rotations, expectations, time evolution.
 
-Rotation convention: ``apply_pauli_rotation(state, term, angle)`` applies
+Rotation convention: ``_rotation_inplace(amplitudes, term, angle)`` applies
 ``exp(-i * angle/2 * c * P)`` where ``P`` is the term's Pauli string and
 ``c`` its (real) coefficient. The full exponent prefactor is therefore
 ``angle * c / 2``; Trotter code folds coupling constants through ``c``.
 
 Exact evolution uses the one dense eigendecomposition per Hamiltonian that
 ``oracle.diagonalize`` keeps (the ED side shares it), so repeated ``V(t)``
-applications with many different ``t`` cost two dense matvecs each.
-Rotations and Pauli products use each term's cached basis action
-(``PauliTerm.action``).
+applications with many different ``t`` cost two dense matvecs each, and
+:func:`autocorrelations` reads whole overlap sequences off the spectral
+weights of one state. Rotations and Pauli products use each term's cached
+basis action (``PauliTerm.action``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
@@ -52,19 +53,6 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def normalized(self) -> "StateVector":
-        nrm = self.norm()
-        if nrm <= 0.0:
-            raise SimulationError("cannot normalize a zero state")
-        return StateVector(self.amplitudes / nrm, self.num_sites)
-
-
-def overlap(a: StateVector, b: StateVector) -> complex:
-    """Exact inner product <a|b>."""
-    if a.num_sites != b.num_sites:
-        raise SimulationError("size mismatch in overlap")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
-
 
 def expectation(state: StateVector, h: PauliSum, imag_tol: float = 1e-12) -> float:
     """<state|H|state> for Hermitian H."""
@@ -84,17 +72,6 @@ def _rotation_inplace(amplitudes: np.ndarray, term: PauliTerm, angle: float) -> 
     rotated = phase * amplitudes[src]
     amplitudes *= np.cos(theta)
     amplitudes -= 1j * np.sin(theta) * rotated
-
-
-def apply_pauli_rotation(state: StateVector, term: PauliTerm, angle: float) -> StateVector:
-    """exp(-i * angle/2 * c * P) |state> for a real-coefficient term."""
-    if term.num_sites != state.num_sites:
-        raise SimulationError("size mismatch in rotation")
-    if abs(term.coefficient.imag) > 1e-12:
-        raise SimulationError("rotation generator must have a real coefficient")
-    out = state.amplitudes.copy()
-    _rotation_inplace(out, term, angle)
-    return StateVector(out, state.num_sites)
 
 
 def grouped_by_axis(h: PauliSum) -> list[list[PauliTerm]]:
@@ -217,6 +194,28 @@ def evolve_times(op: EvolutionOperator, state: StateVector, times: Sequence[floa
     t_arr = np.asarray(times, dtype=float)
     phased = np.exp(-1j * np.outer(t_arr, evals)) * coords[None, :]
     return phased @ evecs.T
+
+
+def autocorrelations(
+    op: EvolutionOperator,
+    state: StateVector,
+    delta_t: float,
+    count: int,
+    spectral_filter: Callable[[np.ndarray], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(c, h) with c_m = <state|V(m dt)|state> and h_m = <state|f(H) V(m dt)|state>
+    for m = 0 .. count-1; exact mode only.
+
+    Both come from the spectral weights w_n = |<n|state>|^2 in the
+    operator's eigenbasis: c_m = sum_n w_n exp(-i E_n m dt) and h_m the
+    same sum with w_n f(E_n), so no state is evolved and H is never applied.
+    """
+    if op.mode != "exact":
+        raise SimulationError("autocorrelations from spectral weights need exact evolution")
+    evals, evecs = op._eigendecomposition()
+    weights = np.abs(state.amplitudes.conj() @ evecs) ** 2
+    phases = np.exp(-1j * delta_t * np.outer(np.arange(count), evals))
+    return phases @ weights, phases @ (weights * spectral_filter(evals))
 
 
 def cnot_depth(op: EvolutionOperator, n_l: int) -> tuple[int, int]:

@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +28,18 @@ FAST_CONFIG = {
 }
 
 
+STAGES = ("ed-reference", "vqe", "qse", "greens", "dsf")
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
+    """FAST_CONFIG with every stage run in order into ``out``, so each test
+    that reads the artifacts also runs alone."""
     path = tmp_path_factory.mktemp("cli")
     config_path = path / "config.json"
     config_path.write_text(json.dumps(FAST_CONFIG))
+    for stage in STAGES:
+        run(stage, (path, config_path))
     return path, config_path
 
 
@@ -166,11 +174,7 @@ class TestPipeline:
         assert rc == 2  # missing vqe artifact
 
     def test_full_chain(self, workdir):
-        out = run("ed-reference", workdir)
-        out = run("vqe", workdir)
-        out = run("qse", workdir)
-        out = run("greens", workdir)
-        out = run("dsf", workdir)
+        out = workdir[0] / "out"  # the fixture ran every stage with exit code 0
         expected = [
             "ed_reference.json", "lattice_fixture.json",
             "vqe_layer_sweep.csv", "vqe_result.json",
@@ -371,6 +375,42 @@ class TestPipeline:
         assert rc == 2
         err = self._one_error_line(capsys)
         assert artifact in err and message in err
+
+    @pytest.mark.parametrize("stage, artifact, key", [
+        ("qse", "vqe_result.json", "sector_targets"),
+        ("dsf", "vqe_result.json", "optimal_parameters"),
+        ("greens", "qse_ground_state.json", "coefficients_im"),
+    ])
+    def test_missing_artifact_key_exits_2(self, workdir, tmp_path, capsys, stage, artifact, key):
+        path, config_path = workdir
+        for name in ("vqe_result.json", "qse_ground_state.json"):
+            shutil.copy(path / "out" / name, tmp_path / name)
+        payload = json.loads((tmp_path / artifact).read_text())
+        del payload[key]
+        (tmp_path / artifact).write_text(json.dumps(payload))
+        rc = main([stage, "--config", str(config_path), "--out", str(tmp_path)])
+        assert rc == 2
+        err = self._one_error_line(capsys)
+        assert artifact in err and f"lacks {key}" in err
+
+    def test_greens_deviation_is_absolute(self, workdir, tmp_path, capsys):
+        # G_12^ED of kinds X and Y vanishes by symmetry on this torus, so the
+        # printed deviation must not be a ratio to it
+        path, _ = workdir
+        for name in ("vqe_result.json", "qse_ground_state.json"):
+            shutil.copy(path / "out" / name, tmp_path / name)
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({**FAST_CONFIG, "gf": {**FAST_CONFIG["gf"], "kinds": ["X", "Z"]}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["greens", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+        printed = dict(re.findall(r"greens\[(\w)\]: max \|G_qse - G_ed\| = (\S+)", capsys.readouterr().out))
+        assert sorted(printed) == ["X", "Z"]
+        for kind, figure in printed.items():
+            data = data_rows(tmp_path / f"gf_curve_{kind.lower()}.csv")
+            deviation = np.max(np.abs(data[:, 1] + 1j * data[:, 2] - data[:, 3] - 1j * data[:, 4]))
+            assert float(figure) == pytest.approx(deviation, rel=1e-3)
+        assert float(printed["X"]) < 1e-6  # the subspace reproduces the symmetry zero
 
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
         (tmp_path / "afile").write_text("")

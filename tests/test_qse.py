@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kitaevqse import qse
-from kitaevqse.pauli import gershgorin_kappa
+from kitaevqse.pauli import gershgorin_kappa, to_matrix
 from kitaevqse.qse import (
     QseError,
     assemble_matrices,
@@ -11,13 +11,22 @@ from kitaevqse.qse import (
     canonical_orthogonalization,
     default_time_step,
     multigrid_indices,
-    perturb_matrices,
     prepare_qse_ground_state,
     qse_energy_curve,
     reconstruct_state,
     solve_ground_state,
 )
-from kitaevqse.simulator import EvolutionOperator, evolve, expectation
+from kitaevqse.simulator import EvolutionOperator, StateVector, evolve, expectation
+
+
+def perturb_matrices(mats, sigma, rng):
+    """Additive complex Gaussian noise on every entry, then re-hermitized:
+    a stand-in for finite-shot overlap estimation noise."""
+    def noisy(mat):
+        out = mat + sigma * (rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape))
+        return 0.5 * (out + out.conj().T)
+
+    return qse.SubspaceMatrices(noisy(mats.hamiltonian), noisy(mats.overlap), mats.assembly_mode, mats.hoa_tau)
 
 
 class TestMultigridIndices:
@@ -138,6 +147,45 @@ class TestAssembleMatrices:
         basis = build_basis(ref8, 1, 1, 0.2, evolution_8)
         with pytest.raises(QseError):
             assemble_matrices(basis, h_8, mode="pauli")
+
+    @pytest.mark.parametrize("mode", ["exact", "hoa"])
+    @pytest.mark.parametrize("n_l, n_k", [(0, 0), (1, 2), (3, 3)])
+    def test_toeplitz_matches_statevector_overlaps(self, h_8, evolution_8, n_l, n_k, mode):
+        # exact evolution: S and H from the two autocorrelation sequences equal
+        # the overlaps of the evolved statevectors, from any reference
+        rng = np.random.default_rng(11)
+        amps = rng.normal(size=256) + 1j * rng.normal(size=256)
+        ref = StateVector(amps / np.linalg.norm(amps), 8)
+        basis = build_basis(ref, n_k, n_l, default_time_step(h_8), evolution_8)
+        tau = 0.1 / gershgorin_kappa(h_8) if mode == "hoa" else None
+        mats = assemble_matrices(basis, h_8, mode=mode, hoa_tau=tau)
+
+        phi = basis.state_matrix()
+        if mode == "exact":
+            h_phi = phi @ to_matrix(h_8).T
+        else:
+            fwd = np.stack([evolve(s, evolution_8, tau).amplitudes for s in basis.states])
+            bwd = np.stack([evolve(s, evolution_8, -tau).amplitudes for s in basis.states])
+            h_phi = (bwd - fwd) / (2j * tau)
+        assert np.max(np.abs(mats.overlap - phi.conj() @ phi.T)) < 1e-12
+        assert np.max(np.abs(mats.hamiltonian - phi.conj() @ h_phi.T)) < 1e-12
+
+    @pytest.mark.parametrize("evolution_mode, applications", [("exact", 0), ("trotter2", 1)])
+    def test_exact_basis_applies_nothing(self, ref8, h_8, monkeypatch, evolution_mode, applications):
+        # exact evolution reads S and H off the spectral weights; a trotter2
+        # basis, whose V_r(t) is no group in t, still applies H once per state
+        basis = build_basis(ref8, 2, 1, default_time_step(h_8), EvolutionOperator(h_8, mode=evolution_mode))
+        calls = {"apply_sum": 0, "evolve": 0}
+        for name in calls:
+            original = getattr(qse, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(qse, name, counting)
+        assemble_matrices(basis, h_8)
+        assert calls == {"apply_sum": applications * len(basis), "evolve": 0}
 
     def test_matrix_export(self, qse8, tmp_path):
         _, _, mats = qse8
