@@ -346,7 +346,10 @@ def dynamical_structure_factor_ed(
     """Exact S(q, omega) from the Lehmann weights |<n| A_q^mu |GS>|^2.
 
     A_q^mu is the same collective operator that seeds the subspace side.
-    ``positions`` may be omitted only at q = 0, where every phase is one.
+    The kinds' weights are summed first, so one particle and one hole
+    Lehmann sum serve the whole table. ``positions`` may be omitted only at
+    q = 0, where every phase is one. A degenerate ground space needs an
+    explicit ``ground_vector`` (:func:`oracle.resolve_ground_vector`).
     """
     if positions is None:
         if np.any(np.asarray(q) != 0.0):
@@ -354,16 +357,15 @@ def dynamical_structure_factor_ed(
         positions = np.zeros((num_sites, 2))
     omega = np.asarray(omega_grid, dtype=float)
     z = omega + 1j * delta
-    gs = decomp.ground_vector() if ground_vector is None else ground_vector
+    gs = oracle_mod.resolve_ground_vector(decomp, ground_vector)
     evecs, evals = decomp.eigenvectors, decomp.eigenvalues
-    total = np.zeros(omega.size)
+    weights = np.zeros(evals.size)
     for kind in kinds:
         collective = apply_sum(_collective_excitation(kind, positions, q), gs)
-        weights = np.abs(evecs.conj().T @ collective) ** 2
-        resolvent = (weights[None, :] / (z[:, None] - evals[None, :])).sum(axis=1)
-        resolvent += (weights[None, :] / (z[:, None] + evals[None, :])).sum(axis=1)
-        total += np.imag(resolvent)
-    return total / num_sites
+        weights += np.abs(collective.conj() @ evecs) ** 2
+    resolvent = (weights[None, :] / (z[:, None] - evals[None, :])).sum(axis=1)
+    resolvent += (weights[None, :] / (z[:, None] + evals[None, :])).sum(axis=1)
+    return np.imag(resolvent) / num_sites
 
 
 def normalize_intensity(table: np.ndarray) -> np.ndarray:

@@ -22,13 +22,20 @@ and in ``greens``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .pauli import PauliSum, apply_sum, gershgorin_kappa
-from .simulator import EvolutionOperator, StateVector, autocorrelations, evolve, evolve_times
+from .simulator import (
+    EvolutionOperator,
+    StateVector,
+    autocorrelations,
+    evolve,
+    evolve_times,
+    evolved_superposition,
+)
 
 DEFAULT_S_THRESHOLD = 1e-12
 HERMITICITY_TOL = 1e-10
@@ -86,14 +93,30 @@ def default_time_step(h: PauliSum) -> float:
 
 @dataclass
 class SubspaceBasis:
+    """The reference, its grid and its V(t); each basis state is V(t_b)|ref>.
+
+    A trotter2 basis holds its states from the start. An exact basis holds
+    none: its matrices and its reconstructed states come from the spectral
+    weights of the reference, and ``states`` evolves them only when read.
+    """
+
     reference: StateVector
     indices: list[MultigridIndex]
-    states: list[StateVector]
     delta_t: float
     evolution: EvolutionOperator
+    _states: list[StateVector] | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.indices)
+
+    @property
+    def states(self) -> list[StateVector]:
+        if self._states is None:
+            # V(k dt) V(coarse)^l = V(k dt + l coarse) exactly; batch through
+            # the cached eigenbasis in one pass
+            stacked = evolve_times(self.evolution, self.reference, self.delta_t * _grid_steps(self.indices))
+            self._states = [StateVector(row, self.reference.num_sites) for row in stacked]
+        return self._states
 
     def state_matrix(self) -> np.ndarray:
         """(n_phi, 2^N) row-stacked amplitudes."""
@@ -112,7 +135,8 @@ def build_basis(
     state(l, k) = V(k dt) (V((n_k+1) dt))^l ref, with negative l using
     the inverse coarse evolution. In trotter2 mode each V application is
     one product-formula evolution over its full time argument, so the
-    step count per basis state stays at r*(|l|+1).
+    step count per basis state stays at r*(|l|+1). In exact mode no state
+    is evolved here (see :class:`SubspaceBasis`).
     """
     if delta_t <= 0.0:
         raise QseError("delta_t must be positive")
@@ -120,11 +144,7 @@ def build_basis(
     coarse_t = (n_k + 1) * delta_t
 
     if evolution.mode == "exact":
-        # V(k dt) V(coarse)^l = V(k dt + l coarse) exactly; batch through
-        # the cached eigenbasis in one pass.
-        stacked = evolve_times(evolution, ref, delta_t * _grid_steps(indices))
-        states = [StateVector(row.copy(), ref.num_sites) for row in stacked]
-        return SubspaceBasis(ref, indices, states, delta_t, evolution)
+        return SubspaceBasis(ref, indices, delta_t, evolution)
 
     anchors: dict[int, StateVector] = {0: ref.copy()}
     for l in range(1, n_l + 1):
@@ -137,7 +157,7 @@ def build_basis(
             states.append(anchors[idx.l].copy())
         else:
             states.append(evolve(anchors[idx.l], evolution, idx.k * delta_t))
-    return SubspaceBasis(ref, indices, states, delta_t, evolution)
+    return SubspaceBasis(ref, indices, delta_t, evolution, states)
 
 
 @dataclass
@@ -307,7 +327,14 @@ def solve_ground_state(
 
 
 def reconstruct_state(gs: QseGroundState, basis: SubspaceBasis) -> StateVector:
-    """Sum the basis states with the solved coefficients (unit norm by S-normalization)."""
+    """Sum the basis states with the solved coefficients (unit norm by S-normalization).
+
+    An exact basis sums sum_b c_b V(t_b)|ref> in one spectral pass, with no
+    basis state formed.
+    """
+    if basis.evolution.mode == "exact":
+        times = basis.delta_t * _grid_steps(basis.indices)
+        return evolved_superposition(basis.evolution, basis.reference, times, gs.coefficients)
     amps = basis.state_matrix().T @ gs.coefficients
     return StateVector(amps, basis.reference.num_sites)
 

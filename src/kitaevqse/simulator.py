@@ -7,10 +7,12 @@ Rotation convention: ``_rotation_inplace(amplitudes, term, angle)`` applies
 
 Exact evolution uses the one dense eigendecomposition per Hamiltonian that
 ``oracle.diagonalize`` keeps (the ED side shares it), so repeated ``V(t)``
-applications with many different ``t`` cost two dense matvecs each, and
+applications with many different ``t`` cost two dense matvecs each,
 :func:`autocorrelations` reads whole overlap sequences off the spectral
-weights of one state. Rotations and Pauli products use each term's cached
-basis action (``PauliTerm.action``).
+weights of one state, and :func:`evolved_superposition` sums evolutions
+of one state at many times in one pass. U^dag v is formed as (v^* U)^*,
+which reads U in place instead of copying its adjoint. Rotations and
+Pauli products use each term's cached basis action (``PauliTerm.action``).
 """
 
 from __future__ import annotations
@@ -138,7 +140,7 @@ class EvolutionOperator:
 
 def _evolve_exact(op: EvolutionOperator, amplitudes: np.ndarray, t: float) -> np.ndarray:
     evals, evecs = op._eigendecomposition()
-    coords = evecs.conj().T @ amplitudes
+    coords = (amplitudes.conj() @ evecs).conj()
     coords *= np.exp(-1j * t * evals)
     return evecs @ coords
 
@@ -190,10 +192,26 @@ def evolve_times(op: EvolutionOperator, state: StateVector, times: Sequence[floa
     if op.mode != "exact":
         raise SimulationError("batched evolution is an exact-mode shortcut")
     evals, evecs = op._eigendecomposition()
-    coords = evecs.conj().T @ state.amplitudes
+    coords = (state.amplitudes.conj() @ evecs).conj()
     t_arr = np.asarray(times, dtype=float)
     phased = np.exp(-1j * np.outer(t_arr, evals)) * coords[None, :]
     return phased @ evecs.T
+
+
+def evolved_superposition(
+    op: EvolutionOperator, state: StateVector, times: Sequence[float], coefficients: np.ndarray
+) -> StateVector:
+    """sum_j coefficients_j V(t_j)|state> in one spectral pass; exact mode only.
+
+    U ((U^dag state) * sum_j coefficients_j exp(-i E t_j)): two dense matvecs
+    however many times are summed, and no evolved state is formed.
+    """
+    if op.mode != "exact":
+        raise SimulationError("a one-pass superposition of evolutions needs exact evolution")
+    evals, evecs = op._eigendecomposition()
+    coords = (state.amplitudes.conj() @ evecs).conj()
+    coords *= np.asarray(coefficients) @ np.exp(-1j * np.outer(np.asarray(times, dtype=float), evals))
+    return StateVector(evecs @ coords, state.num_sites)
 
 
 def autocorrelations(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -11,10 +12,11 @@ import numpy as np
 import pytest
 
 import kitaevqse
-from kitaevqse import greens, oracle, qse, vqe
+from kitaevqse import greens, lattice, oracle, qse, simulator, vqe
 from kitaevqse.cli import main
 from kitaevqse.config import ConfigError, RunConfig, config_from_dict, load_config
 from kitaevqse.greens import GreensEngine
+from kitaevqse.simulator import EvolutionOperator, StateVector
 
 FAST_CONFIG = {
     "lattice": {"rows": 2, "cols": 2},
@@ -327,6 +329,37 @@ class TestPipeline:
         assert np.max(np.abs(ed_q[:, 2] - ed_0[:, 2])) > 0.05
         qse_q = data_rows(tmp_path / "dsf_qse.csv")
         assert np.max(np.abs(qse_q[:, 2] - ed_q[:, 2])) < 0.15
+
+    def test_response_stages_evolve_no_basis_state(self, workdir, tmp_path, monkeypatch):
+        # exact-mode subspaces read S, H and |GS> off spectral weights: neither the
+        # greens nor the dsf stage evolves a statevector basis
+        path, config_path = workdir
+        for name in ("vqe_result.json", "qse_ground_state.json"):
+            shutil.copy(path / "out" / name, tmp_path / name)
+        calls = []
+        original = simulator.evolve_times
+        for module in (simulator, qse):
+            monkeypatch.setattr(module, "evolve_times", lambda *args: calls.append(1) or original(*args))
+        for stage in ("greens", "dsf"):
+            assert main([stage, "--config", str(config_path), "--out", str(tmp_path)]) == 0
+        assert calls == []
+        lat = lattice.build_lattice(2, 2)
+        h = lattice.kitaev_hamiltonian(lat, -1.0, 0.1)
+        basis = qse.build_basis(StateVector.computational_basis(8), 1, 1, 0.2, EvolutionOperator(h))
+        assert len(basis.states) == len(basis) and calls == [1]  # the patched name is the one read
+
+    def test_degenerate_ed_ground_space_exits_2(self, workdir, tmp_path, monkeypatch, capsys):
+        # no ground vector is passed to the ED Green's function, so a degenerate
+        # ground space must stop the stage rather than pick a member
+        path, config_path = workdir
+        for name in ("vqe_result.json", "qse_ground_state.json"):
+            shutil.copy(path / "out" / name, tmp_path / name)
+        original = oracle.diagonalize
+        monkeypatch.setattr(
+            oracle, "diagonalize", lambda h: dataclasses.replace(original(h), ground_degeneracy=2)
+        )
+        assert main(["greens", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+        assert "degenerate" in self._one_error_line(capsys)
 
     @staticmethod
     def _one_error_line(capsys) -> str:

@@ -16,7 +16,7 @@ from kitaevqse.greens import (
     normalize_intensity,
     retarded_gf,
 )
-from kitaevqse.pauli import pauli_sum, single_site
+from kitaevqse.pauli import apply_sum, pauli_sum, single_site
 from kitaevqse.qse import MultigridIndex, SubspaceMatrices
 
 
@@ -332,6 +332,23 @@ class TestDsf:
             pairwise += np.imag(total) / 8
         collective = dynamical_structure_factor_ed(dec_8, 8, omega, 0.1, positions=pos, q=q)
         assert np.max(np.abs(collective - pairwise)) < 1e-10 * np.max(np.abs(pairwise))
+
+    def test_ed_kinds_share_one_lehmann_sum(self, lat8, dec_8):
+        # summing the kinds' weights before the resolvent changes nothing but the
+        # cost: compare with one particle and one hole Lehmann sum per kind
+        omega = np.linspace(-9, 9, 31)
+        z = omega + 0.1j
+        q = np.array([1.0, -0.5])
+        pos = lat8.positions
+        gs, evecs, evals = dec_8.ground_vector(), dec_8.eigenvectors, dec_8.eigenvalues
+        per_kind = np.zeros(omega.size)
+        for kind in "XYZ":
+            seeded = apply_sum(greens._collective_excitation(kind, pos, q), gs)
+            weights = np.abs(evecs.conj().T @ seeded) ** 2
+            resolvent = (weights / (z[:, None] - evals)).sum(axis=1) + (weights / (z[:, None] + evals)).sum(axis=1)
+            per_kind += np.imag(resolvent) / 8
+        together = dynamical_structure_factor_ed(dec_8, 8, omega, 0.1, positions=pos, q=q)
+        assert np.max(np.abs(together - per_kind)) <= 1e-12
 
     def test_ed_nonzero_q_needs_positions(self, dec_8):
         with pytest.raises(GreensError, match="positions"):

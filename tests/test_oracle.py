@@ -63,6 +63,76 @@ class TestDiagonalize:
         assert dec0_12.ground_degeneracy == 4
 
 
+def _chain8(bond_axes: str, extra: tuple[str, ...] = (), seed: int = 0):
+    """Open 8-site chain of ``bond_axes`` bonds in a Z field, random couplings.
+
+    Every bond flips two neighbours, so the flip masks have rank 7 and the
+    global Z parity is the one symmetry; an ``extra`` term with one X on
+    an end site breaks it.
+    """
+    rng = np.random.default_rng(seed)
+    terms = []
+    for i in range(7):
+        axes = ["I"] * 8
+        axes[i], axes[i + 1] = bond_axes
+        terms.append(PauliTerm(rng.normal(), "".join(axes)))
+    terms += [single_site("Z", i, 8, rng.normal()) for i in range(8)]
+    terms += [PauliTerm(rng.normal(), axes) for axes in extra]
+    return pauli_sum(terms, 8)
+
+
+class TestSymmetryBlocks:
+    @pytest.mark.parametrize("case, symmetries", [
+        ("kitaev", 2), ("xx_chain", 1), ("xx_chain_x_end", 0), ("xy_chain_complex", 1),
+    ])
+    def test_blocked_matches_unblocked(self, h_8, case, symmetries):
+        h = {
+            "kitaev": h_8,
+            "xx_chain": _chain8("XX"),
+            "xx_chain_x_end": _chain8("XX", ("XIIIIIII",)),
+            "xy_chain_complex": _chain8("XY"),  # one Y per bond: imaginary matrix elements
+        }[case]
+        assert len(oracle.symmetry_blocks(h)) == 2**symmetries
+        mat = to_matrix(h)
+        if case == "xy_chain_complex":
+            assert np.max(np.abs(mat.imag)) > 0.1
+        ref_evals, ref_evecs = np.linalg.eigh(mat)
+        dec = diagonalize(h)
+        assert np.all(np.abs(dec.eigenvalues - ref_evals) <= 1e-12 * np.maximum(1.0, np.abs(ref_evals)))
+        assert np.max(np.abs(mat @ dec.eigenvectors - dec.eigenvectors * dec.eigenvalues)) < 1e-11
+        g = dec.ground_degeneracy
+        blocked = dec.ground_space() @ dec.ground_space().conj().T
+        unblocked = ref_evecs[:, :g] @ ref_evecs[:, :g].conj().T
+        assert np.max(np.abs(blocked - unblocked)) < 1e-10
+
+    def test_kitaev_block_sizes(self, h_8, h_12):
+        blocks8 = oracle.symmetry_blocks(h_8)
+        assert [b.size for b in blocks8] == [64] * 4
+        assert [b.size for b in oracle.symmetry_blocks(h_12)] == [2048] * 2
+        assert np.array_equal(np.sort(np.concatenate(blocks8)), np.arange(256))
+        mat = to_matrix(h_8)
+        for i, rows in enumerate(blocks8):
+            for j, cols in enumerate(blocks8):
+                if i != j:
+                    assert not np.any(mat[np.ix_(rows, cols)])
+
+    def test_degenerate_ground_space_needs_explicit_vector(self):
+        from kitaevqse import cli, greens
+
+        # ZZ on two sites: |01> and |10> share the ground energy -1
+        dec = diagonalize(pauli_sum([two_site("Z", 0, 1, 2)], 2))
+        assert dec.ground_degeneracy == 2
+        c = single_site("X", 0, 2)
+        z = np.array([0.5 + 0.1j])
+        with pytest.raises(OracleError, match="2-fold degenerate"):
+            exact_resolvent_gf(dec, c, c, z)
+        with pytest.raises(OracleError, match="2-fold degenerate"):
+            greens.dynamical_structure_factor_ed(dec, 2, np.zeros(3), 0.1)
+        chosen = dec.ground_space()[:, 1]
+        assert np.all(np.isfinite(exact_resolvent_gf(dec, c, c, z, ground_vector=chosen)))
+        assert OracleError in cli._EXIT_2_ERRORS
+
+
 def _chain(hz):
     """3-site XY chain in a Z field; no fixture builds it, so nothing is cached."""
     bonds = [two_site("X", 0, 1, 3, -1.0), two_site("Y", 1, 2, 3, -0.7)]

@@ -264,6 +264,22 @@ class TestSolveGroundState:
         assert state.norm() == pytest.approx(1.0, abs=1e-8)
         assert expectation(state, h_8) == pytest.approx(gs.energy, abs=1e-8)
 
+    def test_exact_reconstruction_is_the_evolved_sum(self, qse8, evolution_8):
+        # one spectral pass against sum_b c_b V(t_b)|ref>, each V(t_b) applied on
+        # its own, with t_b = k dt + l (n_k + 1) dt on the (3, 3) grid
+        gs, basis, _ = qse8
+        explicit = np.zeros(256, dtype=complex)
+        for c_b, idx in zip(gs.coefficients, basis.indices):
+            t_b = (idx.k + 4 * idx.l) * basis.delta_t
+            explicit += c_b * evolve(basis.reference, evolution_8, t_b).amplitudes
+        assert np.max(np.abs(reconstruct_state(gs, basis).amplitudes - explicit)) <= 1e-12
+
+    def test_exact_basis_holds_no_states(self, ref8, h_8):
+        gs, basis, _ = prepare_qse_ground_state(ref8, h_8, 2, 1)
+        reconstruct_state(gs, basis)
+        assert basis._states is None and len(basis) == basis_size(2, 1)
+        assert len(basis.states) == len(basis)  # evolved when read
+
     def test_regularization_threshold_stability(self, qse8):
         # well-conditioned instance: moving the discard threshold between
         # 1e-12 and 1e-10 shifts the energy by < 1e-8
