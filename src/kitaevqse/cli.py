@@ -1,8 +1,10 @@
 """Command-line pipeline: vqe -> qse -> greens/dsf, plus the ED fixture.
 
-Every output file starts with '#'-prefixed metadata lines carrying the
-resolved configuration, package version and seed; the timestamp sits on
-its own line so reruns differ in exactly that one line. Plotting is
+Every CSV starts with '#'-prefixed metadata lines carrying the resolved
+configuration, package version and seed; the timestamp sits on its own
+line so reruns differ in exactly that one line. Every JSON artifact is an
+object carrying the same record under ``_meta``, written by
+:func:`write_json`, the only JSON writer in the package. Plotting is
 deliberately out of scope; files are plain CSV/JSON for downstream use.
 """
 
@@ -21,8 +23,8 @@ from . import __version__, greens, lattice as lattice_mod, oracle, qse, vqe
 from .config import ConfigError, RunConfig, load_config
 from .greens import GreensEngine, GreensError, KrylovBasisConfig
 from .lattice import LatticeError
-from .oracle import OracleError
-from .pauli import PauliError, gershgorin_kappa, pauli_sum, single_site
+from .oracle import OracleError, SpectralDecomposition
+from .pauli import PauliError, PauliSum, gershgorin_kappa, pauli_sum, single_site
 from .qse import QseError
 from .simulator import EvolutionOperator, SimulationError, StateVector
 from .vqe import VqeError
@@ -209,23 +211,16 @@ def cmd_qse(config: RunConfig, out_dir: Path) -> None:
         evolution_mode=config.qse.evolution_mode,
         trotter_steps=[config.qse.trotter_steps],
     )
-    write_csv(
-        out_dir / "qse_shape_sweep.csv", config,
-        ["n_l", "n_k", "n_phi", "r", "mode", "energy", "delta_e"],
-        [[r["n_l"], r["n_k"], r["n_phi"], r["r"], r["mode"], r["energy"], r["delta_e"]] for r in shape_rows],
-        {"kappa": kappa, "delta_t": delta_t, "exact_energy": exact_energy},
-    )
-
     trotter_rows = qse.qse_energy_curve(
         reference, h, [(config.qse.n_l, config.qse.n_k)], exact_energy=exact_energy,
         evolution_mode="trotter2", trotter_steps=config.qse.trotter_sweep,
     )
-    write_csv(
-        out_dir / "qse_trotter_sweep.csv", config,
-        ["n_l", "n_k", "n_phi", "r", "mode", "energy", "delta_e"],
-        [[r["n_l"], r["n_k"], r["n_phi"], r["r"], r["mode"], r["energy"], r["delta_e"]] for r in trotter_rows],
-        {"kappa": kappa, "delta_t": delta_t, "exact_energy": exact_energy},
-    )
+    header = ["n_l", "n_k", "n_phi", "r", "mode", "energy", "delta_e"]
+    for name, rows in (("qse_shape_sweep.csv", shape_rows), ("qse_trotter_sweep.csv", trotter_rows)):
+        write_csv(
+            out_dir / name, config, header, [[r[key] for key in header] for r in rows],
+            {"kappa": kappa, "delta_t": delta_t, "exact_energy": exact_energy},
+        )
 
     hoa_tau = config.qse.hoa_tau_scale / kappa if config.qse.assembly_mode == "hoa" else None
     gs, basis, mats = qse.prepare_qse_ground_state(
@@ -235,7 +230,7 @@ def cmd_qse(config: RunConfig, out_dir: Path) -> None:
         assembly_mode=config.qse.assembly_mode,
         hoa_tau=hoa_tau,
     )
-    mats.save_json(out_dir / "qse_matrices.json")
+    write_json(out_dir / "qse_matrices.json", config, mats.to_json_dict())
     payload = {
         "energy": gs.energy,
         "exact_energy": exact_energy,
@@ -295,7 +290,7 @@ def cmd_greens(config: RunConfig, out_dir: Path) -> None:
     decomp = oracle.diagonalize(h)
 
     for kind in config.gf.kinds:
-        samples = greens.retarded_gf(engine, site_a, site_b, kind, omega, delta)
+        gf_qse = greens.retarded_gf(engine, site_a, site_b, kind, omega, delta)
         c_a = single_site(kind, site_a, lat.num_sites)
         c_b = single_site(kind, site_b, lat.num_sites)
         gf_ed = oracle.exact_resolvent_gf(decomp, c_a, c_b, z)
@@ -305,12 +300,11 @@ def cmd_greens(config: RunConfig, out_dir: Path) -> None:
             ["omega", "re_qse", "im_qse", "re_ed", "im_ed"],
             [
                 [float(w), float(v.real), float(v.imag), float(e.real), float(e.imag)]
-                for w, v, e in zip(omega, samples.values, gf_ed)
+                for w, v, e in zip(omega, gf_qse, gf_ed)
             ],
             {"site_pair": config.gf.site_pair, "kind": kind, "delta": delta},
         )
-        sf_qse = samples.spectral_function()
-        sf_ed = -np.imag(gf_ed) / np.pi
+        sf_qse, sf_ed = -np.imag(gf_qse) / np.pi, -np.imag(gf_ed) / np.pi
         write_csv(
             out_dir / f"sf_curve_{suffix}.csv", config,
             ["omega", "sf_qse", "sf_ed"],
@@ -318,14 +312,14 @@ def cmd_greens(config: RunConfig, out_dir: Path) -> None:
             {"site_pair": config.gf.site_pair, "kind": kind, "delta": delta},
         )
         # absolute: G_ab^ED of a kind can vanish by symmetry, so no ratio to it
-        dev = np.max(np.abs(samples.values - gf_ed))
+        dev = np.max(np.abs(gf_qse - gf_ed))
         print(f"greens[{kind}]: max |G_qse - G_ed| = {dev:.3e}")
 
         # tridiagonal coefficients of the pair seed behind G_ab, for reproducibility
         # audits; the hole part is the same recursion with a -> -a
         coeffs, _ = engine.recursion(pauli_sum([c_a, c_b], lat.num_sites))
-        coeffs.save(out_dir / f"lanczos_greater_{suffix}.json")
-        coeffs.hole().save(out_dir / f"lanczos_lesser_{suffix}.json")
+        write_json(out_dir / f"lanczos_greater_{suffix}.json", config, coeffs.to_json_dict())
+        write_json(out_dir / f"lanczos_lesser_{suffix}.json", config, coeffs.hole().to_json_dict())
 
 
 def cmd_dsf(config: RunConfig, out_dir: Path) -> None:
@@ -370,14 +364,25 @@ def cmd_dsf(config: RunConfig, out_dir: Path) -> None:
     print(f"dsf: max |QSE - ED| of normalized tables = {np.max(np.abs(table_qse - table_ed)):.4f}")
 
 
+def fixture_entry(label: str, h: PauliSum, decomp: SpectralDecomposition) -> dict:
+    """One row of ed_reference.json: a Hamiltonian's size and ED ground level."""
+    return {
+        "label": label,
+        "num_sites": h.num_sites,
+        "num_terms": len(h),
+        "ground_energy": decomp.ground_energy,
+        "ground_degeneracy": decomp.ground_degeneracy,
+    }
+
+
 def cmd_ed_reference(config: RunConfig, out_dir: Path) -> None:
     lat = _build_lattice(config)
     h0, h = _hamiltonians(config, lat)
     entries = [
-        oracle.fixture_entry(f"h0_j{config.coupling}", h0, oracle.diagonalize(h0)),
-        oracle.fixture_entry(f"h_j{config.coupling}_hz{config.field_z}", h, oracle.diagonalize(h)),
+        fixture_entry(f"h0_j{config.coupling}", h0, oracle.diagonalize(h0)),
+        fixture_entry(f"h_j{config.coupling}_hz{config.field_z}", h, oracle.diagonalize(h)),
     ]
-    lat.export_fixture(out_dir / "lattice_fixture.json")
+    write_json(out_dir / "lattice_fixture.json", config, lat.to_fixture_dict())
     write_json(out_dir / "ed_reference.json", config, {"entries": entries})
     for e in entries:
         print(f"ed-reference[{e['label']}]: E0={e['ground_energy']:.12f} "

@@ -31,9 +31,7 @@ exact-diagonalization sides, so the two are always comparable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -97,20 +95,6 @@ class LanczosCoefficients:
             "termination_index": self.termination_index,
             "stop_reason": self.stop_reason,
         }
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2))
-
-
-@dataclass
-class GreensFunctionSamples:
-    energies: np.ndarray
-    values: np.ndarray
-    kind: str
-    labels: dict
-
-    def spectral_function(self) -> np.ndarray:
-        return -np.imag(self.values) / np.pi
 
 
 def continued_fraction(coeffs: LanczosCoefficients, z) -> np.ndarray | complex:
@@ -285,22 +269,14 @@ def retarded_gf(
     kind: str,
     omega_grid: np.ndarray,
     delta: float,
-) -> GreensFunctionSamples:
+) -> np.ndarray:
     """Retarded G_ab(omega + i delta); diagonal directly, off-diagonal via G+."""
     if delta <= 0.0:
         raise GreensError("retarded evaluation requires delta > 0")
-    omega = np.asarray(omega_grid, dtype=float)
-    z = omega + 1j * delta
+    z = np.asarray(omega_grid, dtype=float) + 1j * delta
     if site_a == site_b:
-        values = engine.diagonal_gf(kind, site_a, z)
-    else:
-        values = engine.offdiagonal_gf(kind, site_a, site_b, z)
-    return GreensFunctionSamples(
-        energies=z,
-        values=values,
-        kind="retarded",
-        labels={"site_a": site_a, "site_b": site_b, "kind": kind, "delta": delta},
-    )
+        return engine.diagonal_gf(kind, site_a, z)
+    return engine.offdiagonal_gf(kind, site_a, site_b, z)
 
 
 def _collective_excitation(kind: str, positions: np.ndarray, q: np.ndarray) -> PauliSum:

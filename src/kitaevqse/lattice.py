@@ -23,9 +23,7 @@ a2 = (-1/2, sqrt(3)/2) with the B site displaced by (0, 1/sqrt(3)).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -67,9 +65,6 @@ class HoneycombLattice:
             "loop_y_sites": list(self.loop_y_sites),
             "positions": self.positions.tolist(),
         }
-
-    def export_fixture(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_fixture_dict(), indent=2))
 
 
 @dataclass(frozen=True)

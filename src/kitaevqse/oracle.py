@@ -245,13 +245,3 @@ def resolve_ground_vector(decomp: SpectralDecomposition, ground_vector: np.ndarr
 
 def _dagger(term: PauliTerm) -> PauliTerm:
     return term.with_coefficient(np.conj(term.coefficient))
-
-
-def fixture_entry(label: str, h: PauliSum, decomp: SpectralDecomposition) -> dict:
-    return {
-        "label": label,
-        "num_sites": h.num_sites,
-        "num_terms": len(h),
-        "ground_energy": decomp.ground_energy,
-        "ground_degeneracy": decomp.ground_degeneracy,
-    }

@@ -27,13 +27,6 @@ _SINGLE_PRODUCT = {
     ("Y", "X"): (-1j, "Z"), ("Z", "Y"): (-1j, "X"), ("X", "Z"): (-1j, "Y"),
 }
 
-_SINGLE_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 DEFAULT_DENSE_CAP = 14
 
 
@@ -79,10 +72,6 @@ class PauliTerm:
 
     def __str__(self) -> str:
         return term_to_string(self)
-
-
-def identity(num_sites: int, coefficient: complex = 1.0) -> PauliTerm:
-    return PauliTerm(coefficient, "I" * num_sites)
 
 
 def single_site(kind: str, site: int, num_sites: int, coefficient: complex = 1.0) -> PauliTerm:
@@ -231,13 +220,6 @@ def apply_sum(h: PauliSum, amplitudes: np.ndarray) -> np.ndarray:
         src, phase = term.action
         out += term.coefficient * (phase * amplitudes[src])
     return out
-
-
-def term_to_matrix(term: PauliTerm) -> np.ndarray:
-    mat = np.ones((1, 1), dtype=complex)
-    for ch in term.axes:
-        mat = np.kron(mat, _SINGLE_MATRICES[ch])
-    return term.coefficient * mat
 
 
 def to_matrix(h: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> np.ndarray:

@@ -181,12 +181,6 @@ class SubspaceMatrices:
             "overlap_im": self.overlap.imag.tolist(),
         }
 
-    def save_json(self, path) -> None:
-        import json
-        from pathlib import Path
-
-        Path(path).write_text(json.dumps(self.to_json_dict()))
-
 
 def assemble_matrices(
     basis: SubspaceBasis,
@@ -268,10 +262,6 @@ class QseGroundState:
     coefficients: np.ndarray
     energy: float
     regularization_report: dict
-
-    @property
-    def basis_size(self) -> int:
-        return self.coefficients.size
 
 
 def canonical_orthogonalization(

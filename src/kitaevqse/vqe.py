@@ -18,9 +18,7 @@ winner is size-dependent and has to be computed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -119,9 +117,6 @@ class VqeResult:
                 k: [float(x) for x in v] for k, v in self.training_history.items()
             },
         }
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2))
 
 
 def _project_into_sector(amps: np.ndarray, group: StabilizerGroup) -> np.ndarray | None:
@@ -249,7 +244,7 @@ def train(
     energy_distance = None
     converged = None
     if oracle_decomp is not None:
-        infidelity = 1.0 - ground_state_fidelity(ansatz.apply(theta, init_state), oracle_decomp)
+        infidelity = 1.0 - ground_space_fidelity(ansatz.apply(theta, init_state).amplitudes, oracle_decomp)
         energy_distance = abs(best_energy - oracle_decomp.ground_energy)
         if tolerance is not None:
             converged = energy_distance <= tolerance
@@ -262,11 +257,6 @@ def train(
         training_history={"energy": energies, "best_energy": best_curve},
         converged=converged,
     )
-
-
-def ground_state_fidelity(state: StateVector, decomp: SpectralDecomposition) -> float:
-    """|projection onto the (possibly degenerate) oracle ground space|^2."""
-    return ground_space_fidelity(state.amplitudes, decomp)
 
 
 def candidate_sectors(lat: HoneycombLattice) -> list[StabilizerGroup]:

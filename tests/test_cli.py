@@ -13,7 +13,7 @@ import pytest
 
 import kitaevqse
 from kitaevqse import greens, lattice, oracle, qse, simulator, vqe
-from kitaevqse.cli import main
+from kitaevqse.cli import fixture_entry, main
 from kitaevqse.config import ConfigError, RunConfig, config_from_dict, load_config
 from kitaevqse.greens import GreensEngine
 from kitaevqse.simulator import EvolutionOperator, StateVector
@@ -521,9 +521,37 @@ class TestDeterminism:
         config_path.write_text(json.dumps(FAST_CONFIG))
         rc = main(["ed-reference", "--config", str(config_path), "--out", str(tmp_path / "o"), "--seed", "7"])
         assert rc == 0
-        assert "# seed = 7" not in (tmp_path / "o" / "lattice_fixture.json").read_text()
-        meta = json.loads((tmp_path / "o" / "ed_reference.json").read_text())["_meta"]
-        assert meta["seed"] == 7
+        for name in ("lattice_fixture.json", "ed_reference.json"):
+            assert json.loads((tmp_path / "o" / name).read_text())["_meta"]["seed"] == 7
+
+    def test_every_json_artifact_records_provenance(self, tmp_path):
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(FAST_CONFIG))
+        assert main(["all", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
+        recorded = load_config(config_path).to_json_dict()
+        del recorded["output_dir"], recorded["threads"]
+        recorded = json.loads(json.dumps(recorded))  # tuples read back as lists
+        artifacts = sorted((tmp_path / "o").glob("*.json"))
+        assert [p.name for p in artifacts] == [
+            "ed_reference.json", "lanczos_greater_z.json", "lanczos_lesser_z.json",
+            "lattice_fixture.json", "qse_ground_state.json", "qse_matrices.json", "vqe_result.json",
+        ]
+        for path in artifacts:
+            payload = json.loads(path.read_text())
+            assert isinstance(payload, dict), path.name
+            meta = payload["_meta"]
+            assert meta["kitaevqse_version"] == kitaevqse.__version__, path.name
+            assert meta["seed"] == FAST_CONFIG["seed"], path.name
+            assert meta["config"] == recorded, path.name
+
+
+class TestFixtureEmission:
+    def test_round_trip(self, h0_8, dec0_8):
+        entry = fixture_entry("n8_j-1", h0_8, dec0_8)
+        data = json.loads(json.dumps(entry))
+        assert data["label"] == "n8_j-1"
+        assert data["ground_energy"] == pytest.approx(-6.928203230275509)
+        assert data["ground_degeneracy"] == 1
 
 
 class TestRuntimeDependencies:

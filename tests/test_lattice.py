@@ -47,10 +47,8 @@ class TestBuildLattice:
         all_pairs = [frozenset(b) for kind in "xyz" for b in lat8.bonds(kind)]
         assert len(all_pairs) == len(set(all_pairs)) == 12
 
-    def test_fixture_export_round_trip(self, lat8, tmp_path):
-        path = tmp_path / "lattice.json"
-        lat8.export_fixture(path)
-        data = json.loads(path.read_text())
+    def test_fixture_export_round_trip(self, lat8):
+        data = json.loads(json.dumps(lat8.to_fixture_dict()))
         assert data["num_sites"] == 8
         assert sorted(map(sorted, data["bonds_z"])) == sorted(map(sorted, lat8.bonds_z))
         assert len(data["plaquettes"]) == 4

@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import json
 import weakref
 
 import numpy as np
@@ -274,12 +273,3 @@ class TestExactResolventGf:
         z = np.linspace(-10, 10, 41) + 0.1j
         greater = exact_resolvent_gf(dec_8, c, c, z, kind="greater")
         assert np.all(np.imag(greater) <= 1e-14)
-
-
-class TestFixtureEmission:
-    def test_round_trip(self, h0_8, dec0_8):
-        entry = oracle.fixture_entry("n8_j-1", h0_8, dec0_8)
-        data = json.loads(json.dumps(entry))
-        assert data["label"] == "n8_j-1"
-        assert data["ground_energy"] == pytest.approx(E0_N8_J_MINUS1)
-        assert data["ground_degeneracy"] == 1

@@ -17,6 +17,8 @@ from kitaevqse.pauli import (
     two_site,
 )
 
+from helpers import term_to_matrix
+
 
 def axes_strategy(n):
     return st.text(alphabet="IXYZ", min_size=n, max_size=n)
@@ -91,7 +93,7 @@ class TestCommutes:
     @given(axes_strategy(4), axes_strategy(4))
     def test_matches_matrix_commutator(self, ax_a, ax_b):
         a, b = PauliTerm(1.0, ax_a), PauliTerm(1.0, ax_b)
-        ma, mb = pauli.term_to_matrix(a), pauli.term_to_matrix(b)
+        ma, mb = term_to_matrix(a), term_to_matrix(b)
         comm_norm = np.max(np.abs(ma @ mb - mb @ ma))
         assert commutes(a, b) == (comm_norm < 1e-12)
 
@@ -101,8 +103,8 @@ class TestMultiplyAgainstMatrices:
     @given(term_strategy(3), term_strategy(3))
     def test_product_matches_matrix_product(self, a, b):
         out = multiply(a, b)
-        expected = pauli.term_to_matrix(a) @ pauli.term_to_matrix(b)
-        assert np.allclose(pauli.term_to_matrix(out), expected, atol=1e-12)
+        expected = term_to_matrix(a) @ term_to_matrix(b)
+        assert np.allclose(term_to_matrix(out), expected, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(term_strategy(3), term_strategy(3), term_strategy(3))
@@ -166,7 +168,7 @@ class TestToMatrix:
         rng = np.random.default_rng(3)
         vec = rng.normal(size=8) + 1j * rng.normal(size=8)
         # Kronecker-product reference, independent of the basis-action kernel
-        dense = sum((pauli.term_to_matrix(t) for t in s.terms), np.zeros((8, 8), complex))
+        dense = sum((term_to_matrix(t) for t in s.terms), np.zeros((8, 8), complex))
         assert np.allclose(pauli.apply_sum(s, vec), dense @ vec, atol=1e-10)
         assert np.allclose(to_matrix(s), dense, atol=1e-12)
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -187,13 +189,9 @@ class TestAssembleMatrices:
         assemble_matrices(basis, h_8)
         assert calls == {"apply_sum": applications * len(basis), "evolve": 0}
 
-    def test_matrix_export(self, qse8, tmp_path):
+    def test_matrix_export(self, qse8):
         _, _, mats = qse8
-        json_path = tmp_path / "mats.json"
-        mats.save_json(json_path)
-        import json as json_mod
-
-        data = json_mod.loads(json_path.read_text())
+        data = json.loads(json.dumps(mats.to_json_dict()))
         assert np.allclose(np.asarray(data["overlap_re"]), mats.overlap.real)
 
 

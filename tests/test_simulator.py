@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kitaevqse.pauli import PauliTerm, pauli_sum, single_site, term_to_matrix, to_matrix, two_site
+from kitaevqse.pauli import PauliTerm, pauli_sum, single_site, to_matrix, two_site
 from kitaevqse.simulator import (
     EvolutionOperator,
     SimulationError,
@@ -16,6 +16,8 @@ from kitaevqse.simulator import (
     expectation,
     grouped_by_axis,
 )
+
+from helpers import term_to_matrix
 
 
 def random_state(n, seed=0):
