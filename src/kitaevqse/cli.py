@@ -75,14 +75,8 @@ def write_csv(
     out = _metadata_lines(config, extra_metadata)
     out.append(",".join(header))
     for row in rows:
-        out.append(",".join(_format_cell(x) for x in row))
+        out.append(",".join(map(str, row)))  # str(float) is its shortest round-trip repr
     path.write_text("\n".join(out) + "\n")
-
-
-def _format_cell(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 def write_json(path: Path, config: RunConfig, payload: dict) -> None:
@@ -117,18 +111,9 @@ def _hamiltonians(config: RunConfig, lat):
     return h0, h
 
 
-def _config_echo(config: RunConfig) -> dict:
-    return {
-        "rows": config.lattice.rows,
-        "cols": config.lattice.cols,
-        "coupling": config.coupling,
-        "field_z": config.field_z,
-    }
-
-
 def _load_artifact(out_dir: Path, name: str, config: RunConfig, keys: tuple[str, ...]) -> dict:
-    """An upstream stage's JSON object, checked to be produced for ``config``
-    and to hold every one of ``keys``, the ones the calling stage reads."""
+    """An upstream stage's JSON object, checked to be produced for the Hamiltonian
+    of ``config`` and to hold every one of ``keys``, the ones the calling stage reads."""
     path = out_dir / name
     if not path.exists():
         raise PipelineError(f"missing upstream artifact {path}; run the earlier pipeline stage first")
@@ -140,9 +125,13 @@ def _load_artifact(out_dir: Path, name: str, config: RunConfig, keys: tuple[str,
         raise PipelineError(
             f"{path} holds a JSON {type(artifact).__name__}, not an object; rerun the stage that writes it"
         )
-    stored = artifact.get("config_echo")
-    if stored != _config_echo(config):
-        raise PipelineError(f"{path} was produced for {stored}, current config wants {_config_echo(config)}")
+    meta = artifact.get("_meta")
+    recorded = meta.get("config") if isinstance(meta, dict) else None
+    current = _recorded_config(config)
+    wanted = {key: current[key] for key in ("lattice", "coupling", "field_z")}
+    stored = {key: recorded.get(key) for key in wanted} if isinstance(recorded, dict) else None
+    if stored != wanted:
+        raise PipelineError(f"{path} was produced for {stored}, current config wants {wanted}")
     missing = [key for key in keys if key not in artifact]
     if missing:
         raise PipelineError(f"{path} lacks {', '.join(missing)}; rerun the stage that writes it")
@@ -191,7 +180,6 @@ def cmd_vqe(config: RunConfig, out_dir: Path) -> None:
     result = trained[layers] if layers in trained else train(layers)
     payload = result.to_json_dict()
     payload["layers"] = layers
-    payload["config_echo"] = _config_echo(config)
     write_json(out_dir / "vqe_result.json", config, payload)
     print(f"vqe: dE={result.energy_distance:.3e} infidelity={result.infidelity:.3e} "
           f"sector={result.sector_targets}")
@@ -245,7 +233,6 @@ def cmd_qse(config: RunConfig, out_dir: Path) -> None:
         "trotter_steps": config.qse.trotter_steps,
         "assembly_mode": config.qse.assembly_mode,
         "regularization": gs.regularization_report,
-        "config_echo": _config_echo(config),
     }
     write_json(out_dir / "qse_ground_state.json", config, payload)
     print(f"qse: E={gs.energy:.12f} dE={abs(gs.energy - exact_energy):.3e} "
@@ -353,10 +340,8 @@ def cmd_dsf(config: RunConfig, out_dir: Path) -> None:
         ("dsf_qse.csv", table_qse, {"assembly_mode": "exact"}),
         ("dsf_ed.csv", table_ed, {}),
     ):
-        rows = []
-        for i, hz in enumerate(config.dsf.h_values):
-            for j, w in enumerate(omega):
-                rows.append([float(hz), float(w), float(table[i, j])])
+        rows = [[float(hz), w, value] for hz, line in zip(config.dsf.h_values, table.tolist())
+                for w, value in zip(omega.tolist(), line)]
         write_csv(
             out_dir / name, config, ["h_z", "omega", "s_normalized"], rows,
             {"delta": delta, "q": list(config.dsf.q), **extra},

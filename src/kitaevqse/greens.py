@@ -32,6 +32,7 @@ exact-diagonalization sides, so the two are always comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -280,10 +281,16 @@ def retarded_gf(
 
 
 def _collective_excitation(kind: str, positions: np.ndarray, q: np.ndarray) -> PauliSum:
-    """A_q = sum_i exp(i q.r_i) sigma_i^kind as one Pauli sum."""
-    n = len(positions)
-    phases = np.exp(1j * (np.asarray(positions, dtype=float) @ np.asarray(q, dtype=float)))
-    return pauli_sum([single_site(kind, i, n, phase) for i, phase in enumerate(phases)], n)
+    """A_q = sum_i exp(i q.r_i) sigma_i^kind as one Pauli sum, memoized on the exact
+    bytes of ``positions`` and ``q``: all fields and both sides share its terms' actions."""
+    positions, q = np.asarray(positions, dtype=float), np.asarray(q, dtype=float)
+    return _collective_sum(kind, positions.shape, positions.tobytes(), q.tobytes())
+
+
+@lru_cache(maxsize=12)
+def _collective_sum(kind: str, shape: tuple, positions: bytes, q: bytes) -> PauliSum:
+    phases = np.exp(1j * (np.frombuffer(positions).reshape(shape) @ np.frombuffer(q)))
+    return pauli_sum([single_site(kind, i, shape[0], phase) for i, phase in enumerate(phases)], shape[0])
 
 
 def dynamical_structure_factor(
@@ -322,25 +329,21 @@ def dynamical_structure_factor_ed(
     """Exact S(q, omega) from the Lehmann weights |<n| A_q^mu |GS>|^2.
 
     A_q^mu is the same collective operator that seeds the subspace side.
-    The kinds' weights are summed first, so one particle and one hole
-    Lehmann sum serve the whole table. ``positions`` may be omitted only at
-    q = 0, where every phase is one. A degenerate ground space needs an
-    explicit ``ground_vector`` (:func:`oracle.resolve_ground_vector`).
+    The kinds' seeds are projected together and their weights summed, so one
+    particle and one hole Lehmann sum serve the table. ``positions`` may be
+    omitted only at q = 0, where every phase is one. A degenerate ground space
+    needs an explicit ``ground_vector`` (:func:`oracle.resolve_ground_vector`).
     """
     if positions is None:
         if np.any(np.asarray(q) != 0.0):
             raise GreensError("q != 0 needs the site positions")
         positions = np.zeros((num_sites, 2))
-    omega = np.asarray(omega_grid, dtype=float)
-    z = omega + 1j * delta
+    z = np.asarray(omega_grid, dtype=float) + 1j * delta
     gs = oracle_mod.resolve_ground_vector(decomp, ground_vector)
-    evecs, evals = decomp.eigenvectors, decomp.eigenvalues
-    weights = np.zeros(evals.size)
-    for kind in kinds:
-        collective = apply_sum(_collective_excitation(kind, positions, q), gs)
-        weights += np.abs(collective.conj() @ evecs) ** 2
-    resolvent = (weights[None, :] / (z[:, None] - evals[None, :])).sum(axis=1)
-    resolvent += (weights[None, :] / (z[:, None] + evals[None, :])).sum(axis=1)
+    seeded = np.stack([apply_sum(_collective_excitation(kind, positions, q), gs) for kind in kinds])
+    weights = np.sum(np.abs(decomp.project(seeded)) ** 2, axis=0)
+    evals = decomp.eigenvalues
+    resolvent = oracle_mod.lehmann_sum(weights, evals, z) + oracle_mod.lehmann_sum(weights, -evals, z)
     return np.imag(resolvent) / num_sites
 
 

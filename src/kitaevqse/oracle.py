@@ -1,10 +1,10 @@
 """Exact-diagonalization reference: spectra, ground spaces, resolvent GFs.
 
 Everything else in the package is validated against this module, so it
-stays deliberately naive: dense matrices, a Hermitian eigensolve per
-symmetry block, Lehmann sums. The blocks are the sectors of the Z-strings
-that commute with every term (:func:`symmetry_blocks`); real blocks are
-factorized in real arithmetic, which covers every shipped Kitaev instance.
+stays deliberately naive: a Hermitian eigensolve per symmetry block, Lehmann
+sums. The blocks are the sectors of the Z-strings that commute with every
+term (:func:`symmetry_blocks`), stacked and factorized by one ``eigh``, in
+real arithmetic where real, which covers every shipped Kitaev instance.
 
 :func:`diagonalize` factorizes each Hamiltonian once: ``PauliSum`` is a
 frozen value, and the result is kept for as long as the first equal sum is
@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import weakref
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .pauli import DEFAULT_DENSE_CAP, PauliSum, PauliTerm, apply_term, to_matrix
+from .pauli import DEFAULT_DENSE_CAP, PauliSum, PauliTerm, apply_term
 
 DEGENERACY_GAP = 1e-9
 
@@ -34,26 +35,80 @@ class OracleError(ValueError):
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
+    """Eigenpairs kept as equal-size symmetry blocks: no 2^N x 2^N matrix.
+
+    Row i of block b is basis state ``permutation[b * size + i]``; ``order``
+    lists the flat block columns by ascending ``eigenvalues`` (ties in block
+    order), the eigenvector order of :meth:`project` and :meth:`expand`.
+    """
+
+    permutation: np.ndarray
+    block_vectors: np.ndarray  # (blocks, size, size), real when every block is
+    order: np.ndarray
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     ground_degeneracy: int
+    _phase_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def ground_energy(self) -> float:
         return float(self.eigenvalues[0])
 
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """<n|v> for every eigenvector n; ``v`` may stack vectors along leading axes."""
+        return self._through_blocks(v[..., self.permutation], self.block_vectors.conj())[..., self.order]
+
+    def expand(self, coords: np.ndarray) -> np.ndarray:
+        """sum_n coords_n |n>, the inverse of :meth:`project`."""
+        flat = np.empty_like(coords)
+        flat[..., self.order] = coords
+        blocked = self._through_blocks(flat, self.block_vectors.transpose(0, 2, 1))
+        out = np.empty_like(blocked)
+        out[..., self.permutation] = blocked
+        return out
+
+    def _through_blocks(self, rows: np.ndarray, mats: np.ndarray) -> np.ndarray:
+        """Rows in block layout times their blocks' matrices; real and imaginary parts in one matmul."""
+        blocks, size, _ = mats.shape
+        stacked = rows.reshape(-1, blocks, size).transpose(1, 0, 2)
+        count = stacked.shape[1]
+        parts = np.concatenate([stacked.real, stacked.imag], axis=1) @ mats
+        out = parts[:, :count] + 1j * parts[:, count:]
+        return out.transpose(1, 0, 2).reshape(*rows.shape[:-1], blocks * size)
+
+    def phases(self, delta_t: float, count: int) -> np.ndarray:
+        """Read-only table exp(-i E_n m dt), m = 0 .. count-1, built once per (dt, count)."""
+        key = (delta_t, count)
+        if key not in self._phase_tables:
+            table = np.exp(-1j * delta_t * np.outer(np.arange(count), self.eigenvalues))
+            self._phase_tables[key] = _read_only(table)
+        return self._phase_tables[key]
+
     def ground_space(self) -> np.ndarray:
         """Orthonormal columns spanning the (near-)degenerate ground space."""
-        return self.eigenvectors[:, : self.ground_degeneracy]
+        return _read_only(self.expand(np.eye(self.ground_degeneracy, self.eigenvalues.size)).T)
 
     def ground_vector(self) -> np.ndarray:
-        return self.eigenvectors[:, 0]
+        return self.ground_space()[:, 0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """Dense read-only view, columns ascending, built on each read: for tests and probes."""
+        blocks, size, _ = self.block_vectors.shape
+        column = np.argsort(self.order)
+        dense = np.zeros((self.order.size,) * 2, dtype=self.block_vectors.dtype)
+        dense[self.permutation.reshape(blocks, size, 1), column.reshape(blocks, 1, size)] = self.block_vectors
+        return _read_only(dense)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 _DECOMPOSITIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def symmetry_blocks(h: PauliSum) -> list[np.ndarray]:
+def symmetry_blocks(h: PauliSum) -> tuple[np.ndarray, ...]:
     """Basis indices of each block of ``h``'s Z-type symmetry sectors.
 
     A Z-string commutes with a term iff it shares an even number of sites
@@ -63,9 +118,14 @@ def symmetry_blocks(h: PauliSum) -> list[np.ndarray]:
     A basis state's parities under a basis of that space, its syndrome, are
     conserved by every term and label its block. Blocks come in ascending
     syndrome, indices ascending within each; with no symmetry there is one.
+    Memoized on the Pauli strings, which every field of a model shares.
     """
-    n = h.num_sites
-    rows = np.array([[ch in "XY" for ch in t.axes] for t in h.terms], dtype=bool).reshape(-1, n)
+    return _syndrome_blocks(h.num_sites, tuple(t.axes for t in h.terms))
+
+
+@lru_cache(maxsize=16)
+def _syndrome_blocks(n: int, strings: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+    rows = np.array([[ch in "XY" for ch in axes] for axes in strings], dtype=bool).reshape(-1, n)
     pivots: list[int] = []
     for col in range(n):  # reduced row echelon form over GF(2)
         rank = len(pivots)
@@ -85,49 +145,41 @@ def symmetry_blocks(h: PauliSum) -> list[np.ndarray]:
         z_mask = int(bit_of_site[sites].sum())
         labels |= (np.bitwise_count(index & z_mask) & 1).astype(np.int64) << j
     order = np.argsort(labels, kind="stable")
-    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
+    return tuple(map(_read_only, np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)))
 
 
 def diagonalize(h: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> SpectralDecomposition:
     """Dense Hermitian eigensolution with degeneracy detection, computed once
-    and returned, read-only, for every ``PauliSum`` equal to ``h``.
-
-    Each :func:`symmetry_blocks` block is factorized on its own, in real
-    arithmetic where its entries are real, and its eigenvectors are
-    scattered into the full 2^N x 2^N matrix; columns are in ascending
-    eigenvalue order, ties kept in block order by a stable sort.
-    """
+    and returned, read-only, for every ``PauliSum`` equal to ``h``."""
     if h.num_sites > cap:
         raise OracleError(f"{h.num_sites} sites exceeds the dense diagonalization cap {cap}")
     if not h.is_hermitian():
         raise OracleError("diagonalize requires a Hermitian sum")
     decomp = _DECOMPOSITIONS.get(h)
     if decomp is None:
-        blocks = symmetry_blocks(h)
-        mat = to_matrix(h, cap=cap)
-        pieces = [np.linalg.eigh(_real_if_real(mat[np.ix_(idx, idx)])) for idx in blocks]
-        del mat
-        evals = np.concatenate([block_evals for block_evals, _ in pieces])
-        order = np.argsort(evals, kind="stable")
-        column = np.empty_like(order)
-        column[order] = np.arange(order.size)
-        evecs = np.zeros((order.size, order.size), dtype=complex)
-        start = 0
-        for idx, (_, block_evecs) in zip(blocks, pieces):
-            evecs[np.ix_(idx, column[start : start + idx.size])] = block_evecs
-            start += idx.size
-        evals = evals[order]
-        evals.flags.writeable = False
-        evecs.flags.writeable = False
-        degeneracy = int(np.sum(evals <= evals[0] + DEGENERACY_GAP))
-        decomp = _DECOMPOSITIONS[h] = SpectralDecomposition(evals, evecs, degeneracy)
+        decomp = _DECOMPOSITIONS[h] = _factorize_blocks(h)
     return decomp
 
 
-def _real_if_real(block: np.ndarray) -> np.ndarray:
-    if np.max(np.abs(block.imag)) <= 1e-14 * max(1.0, np.max(np.abs(block.real))):
-        return block.real
-    return block
+def _factorize_blocks(h: PauliSum) -> SpectralDecomposition:
+    """One batched ``eigh`` of the :func:`symmetry_blocks` of ``h``, which are
+    syndrome cosets of one size, each filled from the terms' basis actions."""
+    blocks = symmetry_blocks(h)
+    permutation = np.concatenate(blocks)
+    size = blocks[0].size
+    position = np.argsort(permutation)
+    block, row = np.divmod(np.arange(permutation.size), size)
+    stack = np.zeros((len(blocks), size, size), dtype=complex)
+    for term in h.terms:
+        src, phase = term.action
+        stack[block, row, position[src[permutation]] % size] += term.coefficient * phase[permutation]
+    if np.max(np.abs(stack.imag)) <= 1e-14 * max(1.0, np.max(np.abs(stack.real))):
+        stack = np.ascontiguousarray(stack.real)  # frees the complex stack before eigh
+    block_evals, block_vectors = np.linalg.eigh(stack)
+    order = np.argsort(block_evals.ravel(), kind="stable")
+    evals = block_evals.ravel()[order]
+    degeneracy = int(np.sum(evals <= evals[0] + DEGENERACY_GAP))
+    return SpectralDecomposition(*map(_read_only, (permutation, block_vectors, order, evals)), degeneracy)
 
 
 def lanczos(
@@ -176,9 +228,20 @@ def lanczos(
 
 def ground_space_fidelity(amplitudes: np.ndarray, decomp: SpectralDecomposition) -> float:
     """Squared norm of the projection onto the degenerate ground space."""
-    coords = decomp.ground_space().conj().T @ amplitudes
+    coords = decomp.project(amplitudes)[: decomp.ground_degeneracy]
     val = float(np.real(np.vdot(coords, coords)))
     return min(max(val, 0.0), 1.0)
+
+
+def lehmann_sum(weights: np.ndarray, poles: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """sum_n weights_n / (z - poles_n) on a grid of z in real arithmetic, 1/(x + iy) =
+    (x - iy)/(x^2 + y^2) with x = Re z - pole_n, y = Im z; exact zero weights are skipped."""
+    weights, poles = weights[weights != 0], poles[weights != 0]
+    x, y = z.real[:, None] - poles, z.imag[:, None]
+    inverse = 1.0 / (x * x + y * y)
+    parts = np.stack([np.real(weights), np.imag(weights)], axis=1)
+    along_x, plain = (x * inverse) @ parts, y * (inverse @ parts)
+    return along_x[:, 0] + plain[:, 1] + 1j * (along_x[:, 1] - plain[:, 0])
 
 
 def exact_resolvent_gf(
@@ -204,27 +267,19 @@ def exact_resolvent_gf(
     if np.any(z.imag == 0.0):
         raise OracleError("resolvent evaluation requires Im z != 0")
     gs = resolve_ground_vector(decomp, ground_vector)
-    evecs = decomp.eigenvectors
-    evals = decomp.eigenvalues
 
-    def _project(term: PauliTerm) -> np.ndarray:
-        return (apply_term(term, gs).conj() @ evecs).conj()  # <n|term|GS>
+    def _sum(left: PauliTerm, right: PauliTerm, poles: np.ndarray) -> np.ndarray:
+        # weights <GS|left^dag|n><n|right|GS>
+        bra, ket = decomp.project(np.stack([apply_term(left, gs), apply_term(right, gs)]))
+        return lehmann_sum(np.conj(bra) * ket, poles, z)
 
-    def _greater() -> np.ndarray:
-        weights = np.conj(_project(_dagger(c_a))) * _project(_dagger(c_b))
-        return (weights[None, :] / (z[:, None] - evals[None, :])).sum(axis=1)
-
-    def _lesser() -> np.ndarray:
-        weights = np.conj(_project(c_a)) * _project(c_b)
-        return (weights[None, :] / (z[:, None] + evals[None, :])).sum(axis=1)
-
-    if kind == "greater":
-        return _greater()
-    if kind == "lesser":
-        return _lesser()
+    parts = {"greater": (_dagger(c_a), _dagger(c_b), decomp.eigenvalues),
+             "lesser": (c_a, c_b, -decomp.eigenvalues)}
     if kind == "retarded":
-        return _greater() + _lesser()
-    raise OracleError(f"unknown GF kind {kind!r}")
+        return _sum(*parts["greater"]) + _sum(*parts["lesser"])
+    if kind not in parts:
+        raise OracleError(f"unknown GF kind {kind!r}")
+    return _sum(*parts[kind])
 
 
 def resolve_ground_vector(decomp: SpectralDecomposition, ground_vector: np.ndarray | None) -> np.ndarray:

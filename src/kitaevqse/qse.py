@@ -323,8 +323,8 @@ def reconstruct_state(gs: QseGroundState, basis: SubspaceBasis) -> StateVector:
     basis state formed.
     """
     if basis.evolution.mode == "exact":
-        times = basis.delta_t * _grid_steps(basis.indices)
-        return evolved_superposition(basis.evolution, basis.reference, times, gs.coefficients)
+        steps = _grid_steps(basis.indices)
+        return evolved_superposition(basis.evolution, basis.reference, basis.delta_t, steps, gs.coefficients)
     amps = basis.state_matrix().T @ gs.coefficients
     return StateVector(amps, basis.reference.num_sites)
 

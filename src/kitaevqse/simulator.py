@@ -5,13 +5,13 @@ Rotation convention: ``_rotation_inplace(amplitudes, term, angle)`` applies
 ``c`` its (real) coefficient. The full exponent prefactor is therefore
 ``angle * c / 2``; Trotter code folds coupling constants through ``c``.
 
-Exact evolution uses the one dense eigendecomposition per Hamiltonian that
+Exact evolution uses the one eigendecomposition per Hamiltonian that
 ``oracle.diagonalize`` keeps (the ED side shares it), so repeated ``V(t)``
-applications with many different ``t`` cost two dense matvecs each,
-:func:`autocorrelations` reads whole overlap sequences off the spectral
-weights of one state, and :func:`evolved_superposition` sums evolutions
-of one state at many times in one pass. U^dag v is formed as (v^* U)^*,
-which reads U in place instead of copying its adjoint. Rotations and
+applications with many different ``t`` cost one projection onto its
+symmetry blocks and one expansion back each, :func:`autocorrelations`
+reads whole overlap sequences off the spectral weights of one state with
+the decomposition's shared phase table, and :func:`evolved_superposition`
+sums evolutions of one state at many times in one pass. Rotations and
 Pauli products use each term's cached basis action (``PauliTerm.action``).
 """
 
@@ -22,7 +22,7 @@ from typing import Callable, Literal, Sequence
 
 import numpy as np
 
-from .oracle import diagonalize
+from .oracle import SpectralDecomposition, diagonalize
 from .pauli import PauliSum, PauliTerm, apply_sum
 
 class SimulationError(ValueError):
@@ -117,7 +117,7 @@ class EvolutionOperator:
     trotter_steps: int = 1
     term_ordering: list[list[PauliTerm]] = field(init=False, repr=False, compare=False)
     _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _eigenvectors: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _spectrum: SpectralDecomposition | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("exact", "trotter2"):
@@ -130,19 +130,16 @@ class EvolutionOperator:
             raise SimulationError("evolution requires a non-empty Hamiltonian")
         self.term_ordering = grouped_by_axis(self.hamiltonian)
 
-    def _eigendecomposition(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._eigenvalues is None:
-            decomp = diagonalize(self.hamiltonian)
-            self._eigenvalues = decomp.eigenvalues
-            self._eigenvectors = decomp.eigenvectors
-        return self._eigenvalues, self._eigenvectors
+    def _eigendecomposition(self) -> SpectralDecomposition:
+        if self._spectrum is None:
+            self._spectrum = diagonalize(self.hamiltonian)
+            self._eigenvalues = self._spectrum.eigenvalues
+        return self._spectrum
 
 
 def _evolve_exact(op: EvolutionOperator, amplitudes: np.ndarray, t: float) -> np.ndarray:
-    evals, evecs = op._eigendecomposition()
-    coords = (amplitudes.conj() @ evecs).conj()
-    coords *= np.exp(-1j * t * evals)
-    return evecs @ coords
+    spectrum = op._eigendecomposition()
+    return spectrum.expand(spectrum.project(amplitudes) * np.exp(-1j * t * spectrum.eigenvalues))
 
 
 def trotter_schedule(op: EvolutionOperator, t: float) -> list[tuple[PauliTerm, float]]:
@@ -186,32 +183,32 @@ def evolve(state: StateVector, op: EvolutionOperator, t: float) -> StateVector:
 def evolve_times(op: EvolutionOperator, state: StateVector, times: Sequence[float]) -> np.ndarray:
     """V(t_j)|state> for many times at once; exact mode only.
 
-    Returns a (len(times), 2^N) array. One basis change each way, so the
-    cost is two dense matmuls regardless of how many times are requested.
+    Returns a (len(times), 2^N) array: one projection and one batched
+    expansion, however many times are requested.
     """
     if op.mode != "exact":
         raise SimulationError("batched evolution is an exact-mode shortcut")
-    evals, evecs = op._eigendecomposition()
-    coords = (state.amplitudes.conj() @ evecs).conj()
-    t_arr = np.asarray(times, dtype=float)
-    phased = np.exp(-1j * np.outer(t_arr, evals)) * coords[None, :]
-    return phased @ evecs.T
+    spectrum = op._eigendecomposition()
+    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), spectrum.eigenvalues))
+    return spectrum.expand(phases * spectrum.project(state.amplitudes))
 
 
 def evolved_superposition(
-    op: EvolutionOperator, state: StateVector, times: Sequence[float], coefficients: np.ndarray
+    op: EvolutionOperator, state: StateVector, delta_t: float, steps: np.ndarray, coefficients: np.ndarray
 ) -> StateVector:
-    """sum_j coefficients_j V(t_j)|state> in one spectral pass; exact mode only.
+    """sum_j coefficients_j V(m_j dt)|state> in one spectral pass; exact mode only.
 
-    U ((U^dag state) * sum_j coefficients_j exp(-i E t_j)): two dense matvecs
-    however many times are summed, and no evolved state is formed.
+    U ((U^dag state) * sum_j coefficients_j exp(-i E m_j dt)): one projection and
+    one expansion however many times are summed, and no evolved state is formed.
+    Its phases are rows of the Toeplitz assembly's table, conjugated for m_j < 0.
     """
     if op.mode != "exact":
         raise SimulationError("a one-pass superposition of evolutions needs exact evolution")
-    evals, evecs = op._eigendecomposition()
-    coords = (state.amplitudes.conj() @ evecs).conj()
-    coords *= np.asarray(coefficients) @ np.exp(-1j * np.outer(np.asarray(times, dtype=float), evals))
-    return StateVector(evecs @ coords, state.num_sites)
+    spectrum = op._eigendecomposition()
+    table = spectrum.phases(delta_t, 2 * int(np.max(np.abs(steps))) + 1)[np.abs(steps)]
+    phases = np.where(np.asarray(steps)[:, None] < 0, table.conj(), table)
+    coords = spectrum.project(state.amplitudes) * (np.asarray(coefficients) @ phases)
+    return StateVector(spectrum.expand(coords), state.num_sites)
 
 
 def autocorrelations(
@@ -230,10 +227,10 @@ def autocorrelations(
     """
     if op.mode != "exact":
         raise SimulationError("autocorrelations from spectral weights need exact evolution")
-    evals, evecs = op._eigendecomposition()
-    weights = np.abs(state.amplitudes.conj() @ evecs) ** 2
-    phases = np.exp(-1j * delta_t * np.outer(np.arange(count), evals))
-    return phases @ weights, phases @ (weights * spectral_filter(evals))
+    spectrum = op._eigendecomposition()
+    weights = np.abs(spectrum.project(state.amplitudes)) ** 2
+    phases = spectrum.phases(delta_t, count)
+    return phases @ weights, phases @ (weights * spectral_filter(spectrum.eigenvalues))
 
 
 def cnot_depth(op: EvolutionOperator, n_l: int) -> tuple[int, int]:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import kitaevqse
-from kitaevqse import greens, lattice, oracle, qse, simulator, vqe
+from kitaevqse import cli, greens, lattice, oracle, qse, simulator, vqe
 from kitaevqse.cli import fixture_entry, main
 from kitaevqse.config import ConfigError, RunConfig, config_from_dict, load_config
 from kitaevqse.greens import GreensEngine
@@ -283,8 +283,8 @@ class TestPipeline:
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps(config))
         built = []
-        original = oracle.to_matrix
-        monkeypatch.setattr(oracle, "to_matrix", lambda h, cap: built.append(h) or original(h, cap))
+        original = oracle._factorize_blocks
+        monkeypatch.setattr(oracle, "_factorize_blocks", lambda h: built.append(h) or original(h))
         counts = {}
         for stage in ("vqe", "qse", "greens", "dsf"):
             built.clear()
@@ -294,6 +294,36 @@ class TestPipeline:
         assert counts["qse"] == 1
         assert counts["dsf"] == 2
         assert counts["greens"] <= 1  # 0 if the qse stage's Hamiltonian is still alive
+
+    def test_all_runs_without_a_dense_eigenbasis(self, tmp_path, monkeypatch):
+        # exact mode and ED change basis through the symmetry blocks alone: no
+        # 2^N x 2^N matrix is built and no stage reads the dense eigenvector view
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dense 2^N x 2^N matrix was requested")
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("kitaevqse")]:
+            if getattr(module, "to_matrix", None) is not None:
+                monkeypatch.setattr(module, "to_matrix", refuse)
+        monkeypatch.setattr(oracle.SpectralDecomposition, "eigenvectors", property(refuse))
+        config = {**FAST_CONFIG, "field_z": 0.07, "dsf": {**FAST_CONFIG["dsf"], "h_values": [0.07, 0.11]}}
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["all", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
+
+    def test_dsf_tables_independent_of_threads(self, workdir, tmp_path):
+        # the fields share memoized collective operators, read from pool threads
+        path, config_path = workdir
+        texts = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            out.mkdir()
+            shutil.copy(path / "out" / "vqe_result.json", out / "vqe_result.json")
+            assert main(["dsf", "--config", str(config_path), "--out", str(out), "--threads", threads]) == 0
+            texts.append([
+                [line for line in (out / name).read_text().splitlines() if not line.startswith("# timestamp")]
+                for name in ("dsf_qse.csv", "dsf_ed.csv")
+            ])
+        assert texts[0] == texts[1]
 
     def test_one_lanczos_run_per_recursion(self, tmp_path, monkeypatch):
         # oracle.lanczos is the only Lanczos loop: the sector ranking runs it once per
@@ -408,6 +438,8 @@ class TestPipeline:
         assert rc == 2
         err = self._one_error_line(capsys)
         assert artifact in err and message in err
+        if text == "{}":  # no _meta record: the Hamiltonian part of the config is what is wanted
+            assert "current config wants {'lattice': {'rows': 2, 'cols': 2}, 'coupling': -1.0, 'field_z': 0.1}" in err
 
     @pytest.mark.parametrize("stage, artifact, key", [
         ("qse", "vqe_result.json", "sector_targets"),
@@ -543,6 +575,13 @@ class TestDeterminism:
             assert meta["kitaevqse_version"] == kitaevqse.__version__, path.name
             assert meta["seed"] == FAST_CONFIG["seed"], path.name
             assert meta["config"] == recorded, path.name
+
+
+class TestWriteCsv:
+    def test_cells_are_plain_numbers(self, tmp_path):
+        # a numpy scalar is written as its number, never as np.float64(...)
+        cli.write_csv(tmp_path / "t.csv", RunConfig(), ["a", "b", "c"], [[np.float64(0.1), 1 / 3, 2]])
+        assert (tmp_path / "t.csv").read_text().splitlines()[-1] == "0.1,0.3333333333333333,2"
 
 
 class TestFixtureEmission:

@@ -7,7 +7,7 @@ import pytest
 
 from kitaevqse import oracle
 from kitaevqse.oracle import OracleError, diagonalize, exact_resolvent_gf
-from kitaevqse.pauli import PauliTerm, pauli_sum, single_site, to_matrix, two_site
+from kitaevqse.pauli import PauliTerm, apply_sum, pauli_sum, single_site, to_matrix, two_site
 
 # frozen at the first verified run of this module; the ground energy of
 # the 2x2 torus at zero field is -4*sqrt(3)
@@ -132,6 +132,53 @@ class TestSymmetryBlocks:
         assert OracleError in cli._EXIT_2_ERRORS
 
 
+class TestProjectExpand:
+    """project/expand against a dense eigh reference, in gauge-free form: the
+    eigenvectors of a degenerate level are defined only up to a unitary."""
+
+    @pytest.fixture(params=["kitaev_8", "kitaev_12", "xy_chain_complex", "xx_chain_x_end"])
+    def case(self, request):
+        if request.param.startswith("kitaev"):
+            h = request.getfixturevalue(request.param.replace("kitaev", "h"))  # h_8 or h_12
+        elif request.param == "xy_chain_complex":
+            h = _chain8("XY")  # a complex stack
+        else:
+            h = _chain8("XX", ("XIIIIIII",))  # one block
+        return request.param, h, diagonalize(h)
+
+    def test_round_trips_and_eigen_relation(self, case):
+        name, h, dec = case
+        rng = np.random.default_rng(3)
+        dim = 1 << h.num_sites
+        v = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+        coords = dec.project(v)
+        assert coords.shape == v.shape
+        assert np.max(np.abs(dec.expand(coords) - v)) < 1e-12 * np.sqrt(dim)
+        assert np.max(np.abs(dec.project(dec.expand(coords)) - coords)) < 1e-12 * np.sqrt(dim)
+        h_v = np.stack([apply_sum(h, row) for row in v])  # the matrix-free H, no factorization
+        scale = np.max(np.abs(dec.eigenvalues)) * np.sqrt(dim)
+        assert np.max(np.abs(dec.project(h_v) - dec.eigenvalues * coords)) < 1e-12 * scale
+        assert np.allclose(dec.project(v[0]), coords[0], rtol=0, atol=1e-15 * np.sqrt(dim))
+        if name == "kitaev_12":
+            return  # a dense 4096 x 4096 eigh: about 19 s and 0.9 GB at one BLAS thread, 2-core host
+        ref_evals, ref_evecs = np.linalg.eigh(to_matrix(h))
+        assert np.max(np.abs(dec.eigenvalues - ref_evals)) < 1e-12 * max(1.0, np.max(np.abs(ref_evals)))
+        for t in (0.0, 0.7):
+            evolved = dec.expand(np.exp(-1j * t * dec.eigenvalues) * coords)
+            reference = (np.exp(-1j * t * ref_evals) * (v.conj() @ ref_evecs).conj()) @ ref_evecs.T
+            assert np.max(np.abs(evolved - reference)) < 1e-12 * np.sqrt(dim)
+        g = dec.ground_degeneracy
+        projector = ref_evecs[:, :g] @ ref_evecs[:, :g].conj().T
+        assert np.max(np.abs(dec.ground_space() @ dec.ground_space().conj().T - projector)) < 1e-12
+        assert np.max(np.abs(dec.eigenvectors - dec.expand(np.eye(dim)).T)) < 1e-15
+
+    def test_n12_decomposition_holds_two_real_blocks(self, dec_12):
+        arrays = [value for value in vars(dec_12).values() if isinstance(value, np.ndarray)]
+        assert dec_12.block_vectors.shape == (2, 2048, 2048)
+        assert dec_12.block_vectors.dtype == np.float64
+        assert sum(a.nbytes for a in arrays) <= 70e6  # the dense complex matrix was 268 MB
+
+
 def _chain(hz):
     """3-site XY chain in a Z field; no fixture builds it, so nothing is cached."""
     bonds = [two_site("X", 0, 1, 3, -1.0), two_site("Y", 1, 2, 3, -0.7)]
@@ -142,7 +189,8 @@ class TestFactorizationCache:
     @pytest.fixture
     def built(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(oracle, "to_matrix", lambda h, cap: calls.append(h) or to_matrix(h, cap))
+        factorize = oracle._factorize_blocks
+        monkeypatch.setattr(oracle, "_factorize_blocks", lambda h: calls.append(h) or factorize(h))
         return calls
 
     def test_equal_hamiltonian_factorized_once(self, built):
@@ -233,7 +281,8 @@ class TestExactResolventGf:
         # construction: use two opposite terms that cancel to the zero matrix.
         h = pauli_sum([single_site("Z", 0, 2, 1.0), single_site("Z", 0, 2, -1.0)], 2)
         assert len(h) == 0
-        dec = oracle.SpectralDecomposition(np.zeros(4), np.eye(4, dtype=complex), 4)
+        # one block holding the whole register, eigenvectors the basis states
+        dec = oracle.SpectralDecomposition(np.arange(4), np.eye(4)[None], np.arange(4), np.zeros(4), 4)
         c = single_site("Z", 0, 2)
         z = np.array([0.3 + 0.1j, -1.2 + 0.4j])
         greater = exact_resolvent_gf(dec, c, c, z, ground_vector=np.eye(4)[0], kind="greater")

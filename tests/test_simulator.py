@@ -191,11 +191,11 @@ class TestEvolve:
         from kitaevqse import oracle
 
         built = []
-        monkeypatch.setattr(oracle, "to_matrix", lambda *args, **kwargs: built.append(args))
+        monkeypatch.setattr(oracle, "_factorize_blocks", lambda *args, **kwargs: built.append(args))
         op = EvolutionOperator(pauli_sum([single_site("Z", 0, 15)], 15), mode="exact")
         with pytest.raises(oracle.OracleError, match="cap 14"):
             evolve(StateVector.computational_basis(15), op, 0.1)
-        assert built == []  # rejected before any dense matrix exists
+        assert built == []  # rejected before any block is assembled
 
     def test_trotter_needs_positive_steps(self, h_8):
         with pytest.raises(SimulationError):

@@ -154,13 +154,6 @@ class TestTrain:
 
 
 class TestFidelity:
-    def test_exact_member(self, dec0_8):
-        assert oracle.ground_space_fidelity(dec0_8.ground_vector(), dec0_8) == pytest.approx(1.0)
-
-    def test_orthogonal_state(self, dec0_8):
-        top = dec0_8.eigenvectors[:, -1]
-        assert oracle.ground_space_fidelity(top, dec0_8) == pytest.approx(0.0, abs=1e-12)
-
     def test_degenerate_projection(self, dec0_12):
         space = dec0_12.ground_space()
         mix = (space[:, 0] + space[:, 2]) / np.sqrt(2)
