@@ -161,6 +161,7 @@ def cmd_vqe(config: RunConfig, out_dir: Path) -> None:
     lat = _build_lattice(config)
     h0, _ = _hamiltonians(config, lat)
     decomp = oracle.diagonalize(h0)
+    ranked = vqe.rank_sectors(lat, h0)  # depth-independent: one ranking serves every depth
 
     def train(layers: int) -> vqe.VqeResult:
         # training is deterministic in (layers, seed); tolerance only sets `converged`
@@ -168,7 +169,7 @@ def cmd_vqe(config: RunConfig, out_dir: Path) -> None:
             lat, h0, layers=layers,
             epochs=config.vqe.epochs, learning_rate=config.vqe.learning_rate,
             seed=config.seed,
-            oracle_decomp=decomp, tolerance=1e-8,
+            oracle_decomp=decomp, tolerance=1e-8, ranked=ranked,
         )
         return result
 

@@ -66,12 +66,16 @@ def expectation(state: StateVector, h: PauliSum, imag_tol: float = 1e-12) -> flo
     return float(value.real)
 
 
-def _rotation_inplace(amplitudes: np.ndarray, term: PauliTerm, angle: float) -> None:
+def _rotation_inplace(
+    amplitudes: np.ndarray, term: PauliTerm, angle: float, rotated: np.ndarray | None = None
+) -> None:
+    """``rotated``, when given, is the caller's coefficient-free P|amplitudes>."""
     theta = 0.5 * angle * term.coefficient.real
     if theta == 0.0:
         return
-    src, phase = term.action
-    rotated = phase * amplitudes[src]
+    if rotated is None:
+        src, phase = term.action
+        rotated = phase * amplitudes[src]
     amplitudes *= np.cos(theta)
     amplitudes -= 1j * np.sin(theta) * rotated
 

@@ -29,6 +29,11 @@ from .pauli import PauliSum, PauliTerm, commutes
 from .simulator import StateVector, _rotation_inplace, expectation
 
 
+# Training stops at the first epoch whose running best is at most this
+# fraction of max(1, |target|) above the target.
+TARGET_TOLERANCE = 1e-12
+
+
 class VqeError(RuntimeError):
     pass
 
@@ -84,8 +89,12 @@ class AnsatzCircuit:
         grads = np.zeros(self.num_parameters)
         for k in range(self.num_parameters - 1, -1, -1):
             gen, theta = self.generators[k], parameters[k]
-            grads[k] = 2.0 * np.real(np.vdot(lam, -0.5j * pauli.apply_term(gen, psi)))
-            _rotation_inplace(psi, gen, -theta)
+            # one gather of G|psi> (coefficient excluded) serves the gradient
+            # and the un-rotation of psi
+            src, phase = gen.action
+            rotated = phase * psi[src]
+            grads[k] = 2.0 * np.real(np.vdot(lam, -0.5j * (gen.coefficient * rotated)))
+            _rotation_inplace(psi, gen, -theta, rotated)
             _rotation_inplace(lam, gen, -theta)
         return energy, grads
 
@@ -98,6 +107,10 @@ class VqeResult:
     energy_distance: float | None
     training_history: dict
     converged: bool | None
+    # epochs trained (the length of training_history) and why training ended:
+    # "target" once the running best reached the target, "epochs" otherwise
+    stop_epoch: int
+    stop_reason: str
     sector_targets: tuple[int, ...] | None = None
     # (targets, exact in-sector ground energy) per consistent candidate sector
     sector_energies: list[tuple[tuple[int, ...], float]] | None = None
@@ -109,6 +122,8 @@ class VqeResult:
             "infidelity": self.infidelity,
             "energy_distance": self.energy_distance,
             "converged": self.converged,
+            "stop_epoch": self.stop_epoch,
+            "stop_reason": self.stop_reason,
             "sector_targets": list(self.sector_targets) if self.sector_targets else None,
             "sector_energies": None if self.sector_energies is None else [
                 {"targets": list(targets), "energy": energy} for targets, energy in self.sector_energies
@@ -171,6 +186,10 @@ def sector_ground_energy(h0: PauliSum, group: StabilizerGroup, lat: HoneycombLat
     return float(np.linalg.eigvalsh(tridiagonal)[0])
 
 
+def _reached(energy: float, target: float | None) -> bool:
+    return target is not None and energy - target <= TARGET_TOLERANCE * max(1.0, abs(target))
+
+
 def _adam_minimize(
     ansatz: AnsatzCircuit,
     h: PauliSum,
@@ -178,7 +197,13 @@ def _adam_minimize(
     theta0: np.ndarray,
     epochs: int,
     learning_rate: float,
-) -> tuple[np.ndarray, float, list[float], list[float]]:
+    target: float | None = None,
+) -> tuple[np.ndarray, float, list[float], list[float], str]:
+    """Adam from ``theta0``: (best angles, best energy, energies, running best, stop reason).
+
+    Returns at the first epoch whose running best reaches ``target``;
+    otherwise runs all ``epochs`` and evaluates the last update once more.
+    """
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     theta = theta0.copy()
     m = np.zeros_like(theta)
@@ -196,6 +221,8 @@ def _adam_minimize(
             best_energy = energy
             best_theta = theta.copy()
         best_curve.append(best_energy)
+        if _reached(best_energy, target):
+            return best_theta, best_energy, energies, best_curve, "target"
         m = beta1 * m + (1 - beta1) * grad
         v = beta2 * v + (1 - beta2) * grad * grad
         m_hat = m / (1 - beta1**epoch)
@@ -205,7 +232,7 @@ def _adam_minimize(
     if final_energy < best_energy:
         best_energy = final_energy
         best_theta = theta.copy()
-    return best_theta, best_energy, energies, best_curve
+    return best_theta, best_energy, energies, best_curve, "epochs"
 
 
 def train(
@@ -217,15 +244,19 @@ def train(
     seed: int = 0,
     oracle_decomp: SpectralDecomposition | None = None,
     tolerance: float | None = None,
+    target: float | None = None,
 ) -> VqeResult:
     """Minimize <U(theta) psi0|H0|U(theta) psi0> with Adam.
 
     Initial angles are uniform random in [-pi, pi], drawn from ``seed``. The
     accepted-step energy (running best) is monotone by construction;
-    the raw per-epoch energies are kept in the history. When an oracle
-    decomposition is supplied the result carries the energy distance and
-    infidelity against it, and ``converged`` reports whether the energy
-    distance met ``tolerance`` (best-so-far is returned either way).
+    the raw per-epoch energies are kept in the history. Given a ``target``,
+    training stops at the first epoch whose running best is at most
+    ``TARGET_TOLERANCE * max(1, |target|)`` above it; ``epochs`` is the
+    cap either way. When an oracle decomposition is supplied the result
+    carries the energy distance and infidelity against it, and
+    ``converged`` reports whether the energy distance met ``tolerance``
+    (best-so-far is returned either way).
     """
     if not h0.is_hermitian():
         raise VqeError("training requires a Hermitian Hamiltonian")
@@ -235,9 +266,10 @@ def train(
     if ansatz.num_parameters == 0:
         energy = expectation(init_state, h0)
         theta, best_energy, energies, best_curve = theta0, energy, [energy], [energy]
+        stop_reason = "target" if _reached(energy, target) else "epochs"
     else:
-        theta, best_energy, energies, best_curve = _adam_minimize(
-            ansatz, h0, init_state, theta0, epochs, learning_rate
+        theta, best_energy, energies, best_curve, stop_reason = _adam_minimize(
+            ansatz, h0, init_state, theta0, epochs, learning_rate, target
         )
 
     infidelity = None
@@ -256,6 +288,8 @@ def train(
         energy_distance=energy_distance,
         training_history={"energy": energies, "best_energy": best_curve},
         converged=converged,
+        stop_epoch=len(energies),
+        stop_reason=stop_reason,
     )
 
 
@@ -269,6 +303,20 @@ def candidate_sectors(lat: HoneycombLattice) -> list[StabilizerGroup]:
     return out
 
 
+def rank_sectors(lat: HoneycombLattice, h0: PauliSum) -> list[tuple[StabilizerGroup, float]]:
+    """(sector, :func:`sector_ground_energy`) for every consistent candidate
+    sector, in :func:`candidate_sectors` order."""
+    ranked: list[tuple[StabilizerGroup, float]] = []
+    for group in candidate_sectors(lat):
+        try:
+            ranked.append((group, sector_ground_energy(h0, group, lat)))
+        except VqeError:
+            continue  # inconsistent sign pattern on this torus
+    if not ranked:
+        raise VqeError("no consistent stabilizer sector found")
+    return ranked
+
+
 def prepare_reference_state(
     lat: HoneycombLattice,
     h0: PauliSum,
@@ -278,31 +326,27 @@ def prepare_reference_state(
     seed: int = 0,
     oracle_decomp: SpectralDecomposition | None = None,
     tolerance: float | None = None,
+    ranked: list[tuple[StabilizerGroup, float]] | None = None,
 ) -> tuple[StateVector, VqeResult, StabilizerGroup]:
     """Symmetry-guided VQE ground-state preparation for the zero-field model.
 
-    Ranks the consistent candidate sectors by :func:`sector_ground_energy`,
-    breaking ties within 1e-9 by :func:`candidate_sectors` order, and
-    trains only the winner. The result records every ranked sector's
-    energy in ``sector_energies``.
+    Takes the lowest-energy sector of ``ranked`` (by default
+    :func:`rank_sectors` of ``h0``; a caller training several depths
+    passes one ranking to all of them), breaking ties within 1e-9 by
+    ranking order, and trains only the winner, stopping at its exact
+    energy. The result records every ranked sector's energy in
+    ``sector_energies``.
     """
     ansatz = AnsatzCircuit.for_lattice(lat, layers)
-    ranked: list[tuple[StabilizerGroup, float]] = []
-    for group in candidate_sectors(lat):
-        try:
-            ranked.append((group, sector_ground_energy(h0, group, lat)))
-        except VqeError:
-            continue  # inconsistent sign pattern on this torus
-    if not ranked:
-        raise VqeError("no consistent stabilizer sector found")
-
+    if ranked is None:
+        ranked = rank_sectors(lat, h0)
     lowest = min(energy for _, energy in ranked)
-    group = next(g for g, energy in ranked if energy <= lowest + 1e-9)
+    group, sector_energy = next((g, energy) for g, energy in ranked if energy <= lowest + 1e-9)
     init_state = prepare_sector_state(group, lat)
     result = train(
         h0, ansatz, init_state,
         epochs=epochs, learning_rate=learning_rate, seed=seed,
-        oracle_decomp=oracle_decomp, tolerance=tolerance,
+        oracle_decomp=oracle_decomp, tolerance=tolerance, target=sector_energy,
     )
     result.sector_targets = group.target_eigenvalues
     result.sector_energies = [(g.target_eigenvalues, energy) for g, energy in ranked]

@@ -80,6 +80,12 @@ def dec_12(h_12):
 
 
 @pytest.fixture(scope="session")
-def ref12(lat12, h0_12):
-    state, _, _ = vqe.prepare_reference_state(lat12, h0_12, layers=2, seed=1)
+def vqe12(lat12, h0_12, dec0_12):
+    """Criterion 1's N=12, J=-1, d=2 training at seed 1, which ``ref12`` also reads."""
+    return vqe.prepare_reference_state(lat12, h0_12, layers=2, seed=1, oracle_decomp=dec0_12)
+
+
+@pytest.fixture(scope="session")
+def ref12(vqe12):
+    state, _, _ = vqe12
     return state

@@ -36,13 +36,16 @@ def _report(criterion: str, detail: str) -> None:
     (3, 2, 2, -1.0),
     (3, 2, 2, 1.0),
 ])
-def test_criterion_1_vqe_reproduction(rows, cols, layers, j):
+def test_criterion_1_vqe_reproduction(rows, cols, layers, j, request):
     lat = lattice.build_lattice(rows, cols)
-    h0 = lattice.kitaev_hamiltonian(lat, j)
-    decomp = oracle.diagonalize(h0)
-    _, result, _ = vqe.prepare_reference_state(
-        lat, h0, layers=layers, seed=1, oracle_decomp=decomp
-    )
+    if (rows, cols, layers, j) == (3, 2, 2, -1.0):
+        _, result, _ = request.getfixturevalue("vqe12")  # the training behind ref12
+    else:
+        h0 = lattice.kitaev_hamiltonian(lat, j)
+        decomp = oracle.diagonalize(h0)
+        _, result, _ = vqe.prepare_reference_state(
+            lat, h0, layers=layers, seed=1, oracle_decomp=decomp
+        )
     assert result.energy_distance <= 1e-8
     assert result.infidelity <= 1e-8
     _report(

@@ -326,8 +326,9 @@ class TestPipeline:
         assert texts[0] == texts[1]
 
     def test_one_lanczos_run_per_recursion(self, tmp_path, monkeypatch):
-        # oracle.lanczos is the only Lanczos loop: the sector ranking runs it once per
-        # ranked sector and depth, and every lanczos_iterate runs it once
+        # oracle.lanczos is the only Lanczos loop: the vqe stage ranks the sectors once
+        # for all depths, running it once per ranked sector, and every lanczos_iterate
+        # runs it once
         runs, iterates = [], []
         original_run, original_iterate = oracle.lanczos, greens.lanczos_iterate
         monkeypatch.setattr(oracle, "lanczos", lambda *args: runs.append(args[2]) or original_run(*args))
@@ -342,9 +343,8 @@ class TestPipeline:
             assert main([stage, "--config", str(config_path), "--out", str(tmp_path)]) == 0
             counts[stage] = (len(runs), len(iterates))
         config = config_from_dict(FAST_CONFIG)
-        depths = set(config.vqe.layer_sweep) | {config.vqe.layers}
         ranked = json.loads((tmp_path / "vqe_result.json").read_text())["sector_energies"]
-        assert counts["vqe"] == (len(depths) * len(ranked), 0)
+        assert counts["vqe"] == (len(ranked), 0)
         assert counts["qse"] == (0, 0)
         assert counts["greens"] == (3 * len(config.gf.kinds),) * 2  # pair seed and both sites
         assert counts["dsf"] == (3 * len(config.dsf.h_values),) * 2  # one seed per Pauli kind

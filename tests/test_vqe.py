@@ -7,11 +7,13 @@ from kitaevqse import oracle, pauli, vqe
 from kitaevqse.lattice import kitaev_hamiltonian, stabilizer_group
 from kitaevqse.simulator import expectation
 from kitaevqse.vqe import (
+    TARGET_TOLERANCE,
     AnsatzCircuit,
     VqeError,
     candidate_sectors,
     prepare_reference_state,
     prepare_sector_state,
+    rank_sectors,
     sector_ground_energy,
     train,
 )
@@ -56,19 +58,19 @@ class TestAnsatz:
         with pytest.raises(VqeError):
             ansatz8.apply(np.zeros(5), init8)
 
-    def test_gradient_matches_finite_differences(self, ansatz8, init8, h0_8):
-        rng = np.random.default_rng(42)
-        theta = rng.uniform(-np.pi, np.pi, ansatz8.num_parameters)
-        _, grad = ansatz8.energy_and_gradient(theta, h0_8, init8)
+    def test_gradient_matches_finite_differences(self, lat8, init8, h0_8):
         step = 1e-5
-        for k in range(0, ansatz8.num_parameters, 3):
-            plus, minus = theta.copy(), theta.copy()
-            plus[k] += step
-            minus[k] -= step
-            e_plus = expectation(ansatz8.apply(plus, init8), h0_8)
-            e_minus = expectation(ansatz8.apply(minus, init8), h0_8)
-            fd = (e_plus - e_minus) / (2 * step)
-            assert grad[k] == pytest.approx(fd, rel=1e-6, abs=1e-7)
+        for layers in (1, 2):
+            ansatz = AnsatzCircuit.for_lattice(lat8, layers)
+            theta = np.random.default_rng(42).uniform(-np.pi, np.pi, ansatz.num_parameters)
+            _, grad = ansatz.energy_and_gradient(theta, h0_8, init8)
+            for k in range(ansatz.num_parameters):
+                plus, minus = theta.copy(), theta.copy()
+                plus[k] += step
+                minus[k] -= step
+                e_plus = expectation(ansatz.apply(plus, init8), h0_8)
+                e_minus = expectation(ansatz.apply(minus, init8), h0_8)
+                assert abs(grad[k] - (e_plus - e_minus) / (2 * step)) <= 1e-7
 
     def test_gradient_reuses_term_actions(self, lat8, init8, monkeypatch):
         calls = []
@@ -142,6 +144,8 @@ class TestTrain:
     def test_convergence_flag(self, h0_8, ansatz8, init8, dec0_8):
         good = train(h0_8, ansatz8, init8, epochs=800, seed=1, oracle_decomp=dec0_8, tolerance=1e-8)
         assert good.converged is True
+        # without a target every epoch runs; with one, seed 1 stops near epoch 260
+        assert (good.stop_epoch, good.stop_reason) == (800, "epochs")
         short = train(h0_8, ansatz8, init8, epochs=3, seed=1, oracle_decomp=dec0_8, tolerance=1e-8)
         assert short.converged is False
         assert short.final_energy >= good.final_energy
@@ -204,6 +208,19 @@ class TestSectorScan:
         prepare_reference_state(lat8, h0_8, layers=1, epochs=20, seed=1)
         assert len(calls) == 21  # 20 Adam epochs plus the final evaluation
 
+    def test_target_stop_evaluates_once_per_epoch(self, lat8, h0_8, monkeypatch):
+        calls = []
+        original = AnsatzCircuit.energy_and_gradient
+
+        def counting(self, *args):
+            calls.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(AnsatzCircuit, "energy_and_gradient", counting)
+        _, result, _ = prepare_reference_state(lat8, h0_8, layers=1, seed=1)
+        assert result.stop_reason == "target"
+        assert len(calls) == result.stop_epoch < 800  # no final evaluation after the stop
+
     def test_result_records_sector_energies(self, lat8, h0_8, dec0_8):
         _, result, _ = prepare_reference_state(lat8, h0_8, layers=0)
         recorded = result.to_json_dict()["sector_energies"]
@@ -213,6 +230,32 @@ class TestSectorScan:
         winner = min(recorded, key=lambda r: r["energy"])
         assert tuple(winner["targets"]) == result.sector_targets
         assert winner["energy"] == pytest.approx(dec0_8.ground_energy, abs=1e-10)
+
+
+class TestTargetStop:
+    @pytest.fixture(scope="class")
+    def ranked8(self, lat8, h0_8):
+        return rank_sectors(lat8, h0_8)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 29, 36])
+    def test_stopped_training_meets_criterion_1(self, lat8, h0_8, dec0_8, ranked8, seed, layers):
+        _, result, _ = prepare_reference_state(
+            lat8, h0_8, layers=layers, seed=seed, oracle_decomp=dec0_8, ranked=ranked8
+        )
+        assert result.energy_distance <= 1e-8
+        assert result.infidelity <= 1e-8
+        assert len(result.training_history["energy"]) == result.stop_epoch
+        target = dict(result.sector_energies)[result.sector_targets]
+        tol = TARGET_TOLERANCE * max(1.0, abs(target))
+        reached = [best - target <= tol for best in result.training_history["best_energy"]]
+        if result.stop_reason == "target":
+            assert reached[-1] and not any(reached[:-1])
+        else:
+            assert result.stop_reason == "epochs"
+            assert result.stop_epoch == 800 and not any(reached)
+        recorded = json.loads(json.dumps(result.to_json_dict()))
+        assert (recorded["stop_epoch"], recorded["stop_reason"]) == (result.stop_epoch, result.stop_reason)
 
 
 class TestSectorGroundEnergy:
