@@ -216,7 +216,6 @@ def cmd_qse(config: RunConfig, out_dir: Path) -> None:
         reference, h, config.qse.n_k, config.qse.n_l,
         evolution_mode=config.qse.evolution_mode,
         trotter_steps=config.qse.trotter_steps,
-        assembly_mode=config.qse.assembly_mode,
         hoa_tau=hoa_tau,
     )
     write_json(out_dir / "qse_matrices.json", config, mats.to_json_dict())
@@ -232,7 +231,7 @@ def cmd_qse(config: RunConfig, out_dir: Path) -> None:
         "kappa": kappa,
         "evolution_mode": config.qse.evolution_mode,
         "trotter_steps": config.qse.trotter_steps,
-        "assembly_mode": config.qse.assembly_mode,
+        "assembly_mode": mats.assembly_mode,
         "regularization": gs.regularization_report,
     }
     write_json(out_dir / "qse_ground_state.json", config, payload)

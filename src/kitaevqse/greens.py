@@ -82,7 +82,7 @@ class LanczosCoefficients:
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
-        if self.a.size != self.b.size or self.a.size == 0:
+        if self.a.size != self.b.size or self.a.size == 0 or self.b[0] != 0.0:
             raise GreensError("need equal-length, non-empty a and b with b[0] = 0")
 
     def hole(self) -> "LanczosCoefficients":
@@ -116,7 +116,7 @@ def lanczos_iterate(
     psi_mats: SubspaceMatrices,
     psi0: np.ndarray,
     *,
-    kappa: float | None = None,
+    kappa: float,
     keep_vectors: bool = False,
 ) -> LanczosCoefficients:
     """Dynamical Lanczos recursion from psi0 on the subspace (H, S).
@@ -129,7 +129,7 @@ def lanczos_iterate(
     Krylov states stay S-orthonormal to machine precision.
 
     The starting vector is S-normalized internally. Iteration stops
-    when b_n^2 falls below tol = 1e-8 * (kappa/2)^2 (invariant subspace
+    when b_n^2 falls below 1e-8 * max(kappa/2, 1)^2 (invariant subspace
     exhausted, "b2_tol") or at the regularized rank of S ("rank"). The
     hole part, the recursion for -H, is this run with a -> -a
     (:meth:`LanczosCoefficients.hole`).
@@ -139,11 +139,7 @@ def lanczos_iterate(
     h_ortho = transform.conj().T @ psi_mats.hamiltonian @ transform
     h_ortho = 0.5 * (h_ortho + h_ortho.conj().T)
 
-    if kappa is None:
-        scale = float(np.max(np.abs(h_ortho))) if h_ortho.size else 1.0
-    else:
-        scale = kappa / 2.0
-    b2_tol = LANCZOS_B2_REL_TOL * max(scale, 1.0) ** 2
+    b2_tol = LANCZOS_B2_REL_TOL * max(kappa / 2.0, 1.0) ** 2
 
     # orthonormal coordinates of psi0: y = X^dag S psi0 = s X^dag psi0 on the kept block
     y = s_eigs[-rank:] * (transform.conj().T @ np.asarray(psi0, dtype=complex))
@@ -161,9 +157,12 @@ def lanczos_iterate(
 class GreensEngine:
     """Shared context for GF runs on one (Hamiltonian, QSE ground state).
 
-    Caches the ground statevector, the excitation-subspace evolution
-    operator, each seed's Lanczos recursion and finished diagonal curves,
-    which every off-diagonal element through the polarization identity reuses.
+    Caches the ground statevector, each seed's Lanczos recursion and
+    finished diagonal curves, which every off-diagonal element through the
+    polarization identity reuses. Each seed subspace evolves under
+    ``EvolutionOperator(hamiltonian, config.evolution_mode,
+    config.trotter_steps)``; in exact mode every such operator shares the
+    oracle's one factorization of the Hamiltonian.
     """
 
     hamiltonian: PauliSum
@@ -171,7 +170,6 @@ class GreensEngine:
     gs_basis: SubspaceBasis
     config: KrylovBasisConfig
     _gs_state: StateVector | None = field(default=None, repr=False)
-    _evolution: EvolutionOperator | None = field(default=None, repr=False)
     _recursions: dict = field(default_factory=dict, repr=False)
     _diag_cache: dict = field(default_factory=dict, repr=False)
 
@@ -187,15 +185,6 @@ class GreensEngine:
         if self._gs_state is None:
             self._gs_state = reconstruct_state(self.gs, self.gs_basis)
         return self._gs_state
-
-    def _psi_evolution(self) -> EvolutionOperator:
-        if self._evolution is None:
-            self._evolution = EvolutionOperator(
-                self.hamiltonian,
-                mode=self.config.evolution_mode,
-                trotter_steps=self.config.trotter_steps,
-            )
-        return self._evolution
 
     def seed_subspace(
         self, excitation: PauliSum
@@ -219,9 +208,9 @@ class GreensEngine:
             self.config.tilde_n_k,
             self.config.tilde_n_l,
             default_time_step(self.hamiltonian),
-            self._psi_evolution(),
+            EvolutionOperator(self.hamiltonian, self.config.evolution_mode, self.config.trotter_steps),
         )
-        psi_mats = assemble_matrices(psi_basis, self.hamiltonian)
+        psi_mats = assemble_matrices(psi_basis)
         psi0 = np.zeros(len(psi_basis), dtype=complex)
         psi0[psi_basis.indices.index(MultigridIndex(0, 0))] = 1.0
         return psi_basis, psi_mats, psi0, norm_sq

@@ -5,11 +5,15 @@ grid: a coarse stride of (n_k+1) time steps raised to the power l, then
 k fine steps on top. Index order is l ascending, k ascending within
 each l, so matrices are reproducible across runs.
 
-In exact evolution the grid is uniform, t = m dt with m = -M..M ascending
-in index order, so every overlap depends on the lag m_b - m_a alone: S and
-H are Toeplitz and come from 2M+1 autocorrelation entries of the
-reference (Cortes & Gray, PRA 105, 022417 (2022)). Trotterized bases,
-whose V_r(t) is not a group in t, are assembled from statevector overlaps.
+A basis is always assembled under the Hamiltonian it evolves under, either
+applying H directly or through the Hamiltonian operator approximation
+(HOA), a sine difference of evolution overlaps; the HOA step tau alone
+selects the second. In exact evolution the grid is uniform, t = m dt with
+m = -M..M ascending in index order, so every overlap depends on the lag
+m_b - m_a alone: S and H are Toeplitz and come from 2M+1 autocorrelation
+entries of the reference (Cortes & Gray, PRA 105, 022417 (2022)).
+Trotterized bases, whose V_r(t) is not a group in t, are assembled from
+statevector overlaps.
 
 The generalized eigenproblem H phi = E S phi is solved by canonical
 orthogonalization: eigendecompose S, drop the near-null directions,
@@ -164,12 +168,11 @@ def build_basis(
 class SubspaceMatrices:
     hamiltonian: np.ndarray
     overlap: np.ndarray
-    assembly_mode: str
     hoa_tau: float | None = None
 
     @property
-    def size(self) -> int:
-        return self.overlap.shape[0]
+    def assembly_mode(self) -> str:
+        return "exact" if self.hoa_tau is None else "hoa"
 
     def to_json_dict(self) -> dict:
         return {
@@ -182,44 +185,31 @@ class SubspaceMatrices:
         }
 
 
-def assemble_matrices(
-    basis: SubspaceBasis,
-    h: PauliSum,
-    mode: str = "exact",
-    hoa_tau: float | None = None,
-) -> SubspaceMatrices:
-    """Fill H_ab = <a|H|b> and S_ab = <a|b> over the basis.
+def assemble_matrices(basis: SubspaceBasis, hoa_tau: float | None = None) -> SubspaceMatrices:
+    """Fill H_ab = <a|H|b> and S_ab = <a|b> over the basis, H the Hamiltonian
+    the basis evolves under.
 
-    mode "exact" applies the Hamiltonian directly. Mode "hoa" replaces
-    it with a central sine difference of evolution overlaps,
-    (<a|V(-tau)|b> - <a|V(tau)|b>) / (2i tau), hermitized; the relative
-    error is O((tau*kappa)^2) and tau*kappa >= 1 is rejected outright.
+    Without ``hoa_tau`` H is applied directly. With it, H is replaced by the
+    Hamiltonian operator approximation, a central sine difference of evolution
+    overlaps, (<a|V(-tau)|b> - <a|V(tau)|b>) / (2i tau), hermitized; the
+    relative error is O((tau*kappa)^2), and tau*kappa outside (0, 1) is rejected.
 
-    When the basis evolves exactly under ``h`` itself, both matrices are
-    Toeplitz in the grid step m of each state (t = m dt): S_ab = c(m_b - m_a)
-    and H_ab = h(m_b - m_a), with h built from f(E) = E ("exact") or
-    f(E) = sin(E tau)/tau ("hoa"), negative lags the complex conjugates.
-    The 2M+1 sequence entries come from :func:`simulator.autocorrelations`.
-    Any other basis (trotter2, or evolution under a different Hamiltonian)
-    is assembled from its statevectors.
+    An exact basis fills both matrices as Toeplitz sequences in the grid step
+    m of each state (t = m dt): S_ab = c(m_b - m_a) and H_ab = h(m_b - m_a),
+    with h built from f(E) = E, or f(E) = sin(E tau)/tau under HOA, negative
+    lags the complex conjugates. The 2M+1 sequence entries come from
+    :func:`simulator.autocorrelations`. A trotter2 basis is assembled from its
+    statevectors.
     """
-    if mode == "hoa":
-        if hoa_tau is None or hoa_tau <= 0.0:
-            raise QseError("hoa mode requires a positive tau")
-        kappa = gershgorin_kappa(h)
-        if hoa_tau * kappa >= 1.0:
-            raise QseError(
-                f"tau*kappa = {hoa_tau * kappa:g} >= 1: sine-difference approximation invalid"
-            )
-    elif mode != "exact":
-        raise QseError(f"unknown assembly mode {mode!r}")
-
-    tau = hoa_tau if mode == "hoa" else None
-    if basis.evolution.mode == "exact" and h == basis.evolution.hamiltonian:
-        s_mat, h_mat = _toeplitz_matrices(basis, tau)
+    if hoa_tau is not None:
+        tau_kappa = hoa_tau * gershgorin_kappa(basis.evolution.hamiltonian)
+        if not 0.0 < tau_kappa < 1.0:
+            raise QseError(f"tau*kappa = {tau_kappa:g} outside (0, 1): sine-difference approximation invalid")
+    if basis.evolution.mode == "exact":
+        s_mat, h_mat = _toeplitz_matrices(basis, hoa_tau)
     else:
-        s_mat, h_mat = _statevector_matrices(basis, h, tau)
-    return SubspaceMatrices(h_mat, s_mat, mode, tau)
+        s_mat, h_mat = _statevector_matrices(basis, hoa_tau)
+    return SubspaceMatrices(h_mat, s_mat, hoa_tau)
 
 
 def _toeplitz_matrices(basis: SubspaceBasis, hoa_tau: float | None) -> tuple[np.ndarray, np.ndarray]:
@@ -237,15 +227,13 @@ def _toeplitz_matrices(basis: SubspaceBasis, hoa_tau: float | None) -> tuple[np.
     return s_mat, h_mat
 
 
-def _statevector_matrices(
-    basis: SubspaceBasis, h: PauliSum, hoa_tau: float | None
-) -> tuple[np.ndarray, np.ndarray]:
+def _statevector_matrices(basis: SubspaceBasis, hoa_tau: float | None) -> tuple[np.ndarray, np.ndarray]:
     """(S, H) from overlaps of the basis states: H applied directly, or the
     HOA sine difference when ``hoa_tau`` is given."""
     phi = basis.state_matrix()
     s_mat = phi.conj() @ phi.T
     if hoa_tau is None:
-        h_phi = np.stack([apply_sum(h, s.amplitudes) for s in basis.states])
+        h_phi = np.stack([apply_sum(basis.evolution.hamiltonian, s.amplitudes) for s in basis.states])
         h_mat = phi.conj() @ h_phi.T
         residual = np.max(np.abs(h_mat - h_mat.conj().T))
         if residual > HERMITICITY_TOL * max(1.0, np.max(np.abs(h_mat))):
@@ -337,25 +325,22 @@ def prepare_qse_ground_state(
     *,
     evolution_mode: str = "exact",
     trotter_steps: int = 1,
-    delta_t: float | None = None,
-    assembly_mode: str = "exact",
     hoa_tau: float | None = None,
-    threshold: float = DEFAULT_S_THRESHOLD,
     evolution: EvolutionOperator | None = None,
 ) -> tuple[QseGroundState, SubspaceBasis, SubspaceMatrices]:
-    """One-call pipeline: basis, matrices, solve.
+    """One-call pipeline: basis at the default time step, matrices, solve.
 
     V(t) is ``EvolutionOperator(h, evolution_mode, trotter_steps)``; in
     exact mode it shares the oracle's one factorization of ``h``. An
     ``evolution`` passed in must equal that operator, or QseError is raised.
+    ``hoa_tau`` selects HOA assembly (:func:`assemble_matrices`).
     """
-    dt = default_time_step(h) if delta_t is None else delta_t
     op = EvolutionOperator(h, mode=evolution_mode, trotter_steps=trotter_steps)
     if evolution is not None and evolution != op:
         raise QseError("evolution does not match h, evolution_mode and trotter_steps")
-    basis = build_basis(reference, n_k, n_l, dt, op)
-    mats = assemble_matrices(basis, h, mode=assembly_mode, hoa_tau=hoa_tau)
-    gs = solve_ground_state(mats, threshold=threshold)
+    basis = build_basis(reference, n_k, n_l, default_time_step(h), op)
+    mats = assemble_matrices(basis, hoa_tau)
+    gs = solve_ground_state(mats)
     return gs, basis, mats
 
 
@@ -367,8 +352,6 @@ def qse_energy_curve(
     exact_energy: float,
     evolution_mode: str = "exact",
     trotter_steps: Sequence[int] = (1,),
-    delta_t: float | None = None,
-    threshold: float = DEFAULT_S_THRESHOLD,
 ) -> list[dict]:
     """Energy-distance sweep over basis shapes and, when Trotterized, step counts.
 
@@ -384,8 +367,6 @@ def qse_energy_curve(
                 reference, h, n_k, n_l,
                 evolution_mode=evolution_mode,
                 trotter_steps=max(r, 1),
-                delta_t=delta_t,
-                threshold=threshold,
             )
             rows.append({
                 "n_l": n_l,

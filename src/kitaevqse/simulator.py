@@ -25,6 +25,9 @@ import numpy as np
 from .oracle import SpectralDecomposition, diagonalize
 from .pauli import PauliSum, PauliTerm, apply_sum
 
+EXPECTATION_IMAG_TOL = 1e-12  # relative imaginary residue <psi|H|psi> may carry
+
+
 class SimulationError(ValueError):
     """Raised on contract violations in the statevector engine."""
 
@@ -56,12 +59,12 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def expectation(state: StateVector, h: PauliSum, imag_tol: float = 1e-12) -> float:
+def expectation(state: StateVector, h: PauliSum) -> float:
     """<state|H|state> for Hermitian H."""
     if not h.is_hermitian():
         raise SimulationError("expectation requires a Hermitian sum")
     value = complex(np.vdot(state.amplitudes, apply_sum(h, state.amplitudes)))
-    if abs(value.imag) > imag_tol * max(1.0, abs(value.real)):
+    if abs(value.imag) > EXPECTATION_IMAG_TOL * max(1.0, abs(value.real)):
         raise SimulationError(f"expectation has imaginary residue {value.imag:g}")
     return float(value.real)
 

@@ -276,9 +276,9 @@ def test_criterion_8_property_suite(lat8, h0_8, h_8, dec_8, ref8, evolution_8, e
 
     # HOA quadratic tau-convergence
     kappa = gershgorin_kappa(h_8)
-    exact_h = qse.assemble_matrices(basis, h_8).hamiltonian
+    exact_h = qse.assemble_matrices(basis).hamiltonian
     errs = [
-        np.max(np.abs(qse.assemble_matrices(basis, h_8, mode="hoa", hoa_tau=tk / kappa).hamiltonian - exact_h))
+        np.max(np.abs(qse.assemble_matrices(basis, hoa_tau=tk / kappa).hamiltonian - exact_h))
         for tk in (0.2, 0.1, 0.05)
     ]
     for hi, lo in zip(errs, errs[1:]):

@@ -11,11 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import artifact_diff
 import kitaevqse
 from kitaevqse import cli, greens, lattice, oracle, qse, simulator, vqe
 from kitaevqse.cli import fixture_entry, main
 from kitaevqse.config import ConfigError, RunConfig, config_from_dict, load_config
 from kitaevqse.greens import GreensEngine
+from kitaevqse.pauli import gershgorin_kappa
 from kitaevqse.simulator import EvolutionOperator, StateVector
 
 FAST_CONFIG = {
@@ -360,6 +362,24 @@ class TestPipeline:
         qse_q = data_rows(tmp_path / "dsf_qse.csv")
         assert np.max(np.abs(qse_q[:, 2] - ed_q[:, 2])) < 0.15
 
+    def test_qse_stage_hoa_assembly(self, workdir, tmp_path):
+        # the configured tau reaches the assembly, and the energy is E0 up to the
+        # sine-difference bias of the ground level, sin(tau E0)/tau - E0
+        path, _ = workdir
+        shutil.copy(path / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
+        config_path = tmp_path / "hoa.json"
+        config_path.write_text(json.dumps({**FAST_CONFIG, "qse": {**FAST_CONFIG["qse"], "assembly_mode": "hoa"}}))
+        assert main(["qse", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+        config = load_config(config_path)
+        h = lattice.kitaev_hamiltonian(lattice.build_lattice(2, 2), config.coupling, config.field_z)
+        tau = config.qse.hoa_tau_scale / gershgorin_kappa(h)
+        mats = json.loads((tmp_path / "qse_matrices.json").read_text())
+        assert (mats["assembly_mode"], mats["hoa_tau"]) == ("hoa", tau)
+        gs = json.loads((tmp_path / "qse_ground_state.json").read_text())
+        assert gs["assembly_mode"] == "hoa"
+        e0 = oracle.diagonalize(h).ground_energy
+        assert abs(gs["energy"] - e0) <= 2 * abs(e0 - np.sin(tau * e0) / tau)
+
     def test_response_stages_evolve_no_basis_state(self, workdir, tmp_path, monkeypatch):
         # exact-mode subspaces read S, H and |GS> off spectral weights: neither the
         # greens nor the dsf stage evolves a statevector basis
@@ -575,6 +595,25 @@ class TestDeterminism:
             assert meta["kitaevqse_version"] == kitaevqse.__version__, path.name
             assert meta["seed"] == FAST_CONFIG["seed"], path.name
             assert meta["config"] == recorded, path.name
+
+
+class TestArtifactDiff:
+    def test_flags_a_changed_qse_energy_only(self, workdir, tmp_path, capsys):
+        out, copy = workdir[0] / "out", tmp_path / "copy"
+        shutil.copytree(out, copy)
+        # when an artifact was written is no difference
+        for name in ("vqe_result.json", "dsf_qse.csv"):
+            text = (copy / name).read_text()
+            (copy / name).write_text(re.sub(r"(timestamp\W+)20", r"\g<1>19", text))
+            assert (copy / name).read_text() != text
+        assert artifact_diff.main([str(out), str(copy)]) == 0
+        artifact = copy / "qse_ground_state.json"
+        payload = json.loads(artifact.read_text())
+        payload["energy"] += 1e-8
+        artifact.write_text(json.dumps(payload, indent=2))
+        capsys.readouterr()
+        assert artifact_diff.main([str(out), str(copy)]) == 1
+        assert capsys.readouterr().out == "qse_ground_state.json: differs\n"
 
 
 class TestWriteCsv:

@@ -81,7 +81,7 @@ class TestContinuedFraction:
 
 def _toy_matrices(h_dense: np.ndarray) -> SubspaceMatrices:
     dim = h_dense.shape[0]
-    return SubspaceMatrices(h_dense.astype(complex), np.eye(dim, dtype=complex), "exact")
+    return SubspaceMatrices(h_dense.astype(complex), np.eye(dim, dtype=complex))
 
 
 class TestLanczosIterate:
@@ -103,7 +103,7 @@ class TestLanczosIterate:
         mat = (mat + mat.T) / 2
         mats = _toy_matrices(mat)
         v0 = rng.normal(size=6)
-        coeffs = lanczos_iterate(mats, v0, kappa=None)
+        coeffs = lanczos_iterate(mats, v0, kappa=4.0)
         z = 0.9 + 0.35j
         evals, evecs = np.linalg.eigh(mat)
         weights = np.abs(evecs.T @ (v0 / np.linalg.norm(v0))) ** 2
@@ -117,8 +117,8 @@ class TestLanczosIterate:
         mat = (mat + mat.T) / 2
         mats = _toy_matrices(mat)
         v0 = rng.normal(size=5)
-        plus = lanczos_iterate(mats, v0, kappa=None)
-        minus = lanczos_iterate(SubspaceMatrices(-mats.hamiltonian, mats.overlap, "exact"), v0, kappa=None)
+        plus = lanczos_iterate(mats, v0, kappa=4.0)
+        minus = lanczos_iterate(SubspaceMatrices(-mats.hamiltonian, mats.overlap), v0, kappa=4.0)
         assert np.allclose(plus.a, -minus.a, atol=1e-10)
         assert np.allclose(plus.b, minus.b, atol=1e-10)
         assert np.allclose(plus.hole().a, minus.a, atol=1e-10)
@@ -132,8 +132,8 @@ class TestLanczosIterate:
         mats = _toy_matrices(mat)
         v0 = rng.normal(size=5)
         v0 /= np.linalg.norm(v0)
-        negated = lanczos_iterate(SubspaceMatrices(-mats.hamiltonian, mats.overlap, "exact"), v0, kappa=None)
-        hole = lanczos_iterate(mats, v0, kappa=None).hole()
+        negated = lanczos_iterate(SubspaceMatrices(-mats.hamiltonian, mats.overlap), v0, kappa=4.0)
+        hole = lanczos_iterate(mats, v0, kappa=4.0).hole()
         z = 0.4 + 0.7j
         exact = v0 @ np.linalg.inv(z * np.eye(5) + mat) @ v0
         assert continued_fraction(negated, z) == pytest.approx(exact, abs=1e-10)
@@ -144,7 +144,7 @@ class TestLanczosIterate:
         eigen = lanczos_iterate(_toy_matrices(np.diag([0.3, -1.0, 2.0])), np.array([0, 1.0, 0]), kappa=4.0)
         rng = np.random.default_rng(6)
         mat = rng.normal(size=(6, 6))
-        full = lanczos_iterate(_toy_matrices((mat + mat.T) / 2), rng.normal(size=6), kappa=None)
+        full = lanczos_iterate(_toy_matrices((mat + mat.T) / 2), rng.normal(size=6), kappa=4.0)
         assert eigen.stop_reason == "b2_tol"
         assert (full.stop_reason, full.termination_index) == ("rank", 6)
         assert full.to_json_dict()["stop_reason"] == "rank"
@@ -180,6 +180,10 @@ class TestLanczosIterate:
         data = json.loads(json.dumps(coeffs.to_json_dict()))
         assert data["a"] == [0.1, 0.2]
         assert data["termination_index"] == 2
+
+    def test_nonzero_b0_rejected(self):
+        with pytest.raises(GreensError, match="b\\[0\\] = 0"):
+            LanczosCoefficients(a=[0.1], b=[0.3], termination_index=1)
 
 
 class TestKrylovSeed:

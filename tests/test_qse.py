@@ -28,7 +28,7 @@ def perturb_matrices(mats, sigma, rng):
         out = mat + sigma * (rng.normal(size=mat.shape) + 1j * rng.normal(size=mat.shape))
         return 0.5 * (out + out.conj().T)
 
-    return qse.SubspaceMatrices(noisy(mats.hamiltonian), noisy(mats.overlap), mats.assembly_mode, mats.hoa_tau)
+    return qse.SubspaceMatrices(noisy(mats.hamiltonian), noisy(mats.overlap), mats.hoa_tau)
 
 
 class TestMultigridIndices:
@@ -117,11 +117,11 @@ class TestAssembleMatrices:
 
     def test_hoa_quadratic_convergence(self, ref8, h_8, evolution_8):
         basis = build_basis(ref8, 2, 2, default_time_step(h_8), evolution_8)
-        exact = assemble_matrices(basis, h_8).hamiltonian
+        exact = assemble_matrices(basis).hamiltonian
         kappa = gershgorin_kappa(h_8)
         errors = []
         for tau_kappa in (0.4, 0.2, 0.1):
-            mats = assemble_matrices(basis, h_8, mode="hoa", hoa_tau=tau_kappa / kappa)
+            mats = assemble_matrices(basis, hoa_tau=tau_kappa / kappa)
             errors.append(np.max(np.abs(mats.hamiltonian - exact)))
         for lo, hi in zip(errors[1:], errors[:-1]):
             assert 3.5 < hi / lo < 4.5
@@ -130,25 +130,20 @@ class TestAssembleMatrices:
         basis = build_basis(ref8, 1, 1, default_time_step(h_8), evolution_8)
         kappa = gershgorin_kappa(h_8)
         with pytest.raises(QseError):
-            assemble_matrices(basis, h_8, mode="hoa", hoa_tau=1.5 / kappa)
+            assemble_matrices(basis, hoa_tau=1.5 / kappa)
 
     def test_hoa_rejects_tau_kappa_one(self, ref8, h_8, evolution_8):
         basis = build_basis(ref8, 1, 1, default_time_step(h_8), evolution_8)
         kappa = gershgorin_kappa(h_8)
         tau = 1.0 / kappa
         assert tau * kappa == 1.0
-        with pytest.raises(QseError, match="tau\\*kappa = 1 >= 1"):
-            assemble_matrices(basis, h_8, mode="hoa", hoa_tau=tau)
+        with pytest.raises(QseError, match="tau\\*kappa = 1 outside"):
+            assemble_matrices(basis, hoa_tau=tau)
 
-    def test_hoa_requires_tau(self, ref8, h_8, evolution_8):
+    def test_hoa_requires_tau(self, ref8, evolution_8):
         basis = build_basis(ref8, 1, 1, 0.2, evolution_8)
-        with pytest.raises(QseError):
-            assemble_matrices(basis, h_8, mode="hoa")
-
-    def test_unknown_mode(self, ref8, h_8, evolution_8):
-        basis = build_basis(ref8, 1, 1, 0.2, evolution_8)
-        with pytest.raises(QseError):
-            assemble_matrices(basis, h_8, mode="pauli")
+        with pytest.raises(QseError, match="tau\\*kappa = 0 outside"):
+            assemble_matrices(basis, hoa_tau=0.0)
 
     @pytest.mark.parametrize("mode", ["exact", "hoa"])
     @pytest.mark.parametrize("n_l, n_k", [(0, 0), (1, 2), (3, 3)])
@@ -160,7 +155,7 @@ class TestAssembleMatrices:
         ref = StateVector(amps / np.linalg.norm(amps), 8)
         basis = build_basis(ref, n_k, n_l, default_time_step(h_8), evolution_8)
         tau = 0.1 / gershgorin_kappa(h_8) if mode == "hoa" else None
-        mats = assemble_matrices(basis, h_8, mode=mode, hoa_tau=tau)
+        mats = assemble_matrices(basis, tau)
 
         phi = basis.state_matrix()
         if mode == "exact":
@@ -186,7 +181,7 @@ class TestAssembleMatrices:
                 return _original(*args)
 
             monkeypatch.setattr(qse, name, counting)
-        assemble_matrices(basis, h_8)
+        assemble_matrices(basis)
         assert calls == {"apply_sum": applications * len(basis), "evolve": 0}
 
     def test_matrix_export(self, qse8):
@@ -232,7 +227,7 @@ class TestCanonicalOrthogonalization:
         s_eigs = np.asarray(report["s_eigenvalues"])
         kept = s_eigs > report["threshold"] * s_eigs[-1]
         assert (report["kept"], report["discarded"]) == (kept.sum(), (~kept).sum())
-        assert report["kept"] + report["discarded"] == mats.size
+        assert report["kept"] + report["discarded"] == len(mats.overlap)
         assert report["condition_number"] == pytest.approx(s_eigs[-1] / s_eigs[kept].min())
         assert 1.0 <= report["condition_number"] < 1.0 / report["threshold"]
 
@@ -288,12 +283,12 @@ class TestSolveGroundState:
 
     def test_non_hermitian_rejected(self, qse8):
         _, _, mats = qse8
-        bad = qse.SubspaceMatrices(mats.hamiltonian + 1j * np.eye(mats.size), mats.overlap, "exact")
+        bad = qse.SubspaceMatrices(mats.hamiltonian + 1j * np.eye(len(mats.overlap)), mats.overlap)
         with pytest.raises(QseError):
             solve_ground_state(bad)
 
     def test_rank_zero_rejected(self):
-        zero = qse.SubspaceMatrices(np.zeros((2, 2), complex), np.zeros((2, 2), complex), "exact")
+        zero = qse.SubspaceMatrices(np.zeros((2, 2), complex), np.zeros((2, 2), complex))
         with pytest.raises(QseError):
             solve_ground_state(zero)
 
