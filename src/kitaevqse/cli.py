@@ -195,15 +195,15 @@ def cmd_qse(config: RunConfig, out_dir: Path) -> None:
     kappa = gershgorin_kappa(h)
     delta_t = qse.default_time_step(h)
 
-    shape_rows = qse.qse_energy_curve(
-        reference, h, config.qse.shape_sweep, exact_energy=exact_energy,
-        evolution_mode=config.qse.evolution_mode,
-        trotter_steps=[config.qse.trotter_steps],
-    )
-    trotter_rows = qse.qse_energy_curve(
-        reference, h, [(config.qse.n_l, config.qse.n_k)], exact_energy=exact_energy,
-        evolution_mode="trotter2", trotter_steps=config.qse.trotter_sweep,
-    )
+    # one basis per (mode, r, n_k), at the largest n_l of both sweeps and the final
+    # solve, serves all three; each smaller n_l is a nested block of it
+    mode, steps, pair = config.qse.evolution_mode, config.qse.trotter_steps, (config.qse.n_l, config.qse.n_k)
+    shape_sweep = qse.sweep_shapes(config.qse.shape_sweep, mode, [steps])
+    trotter_sweep = qse.sweep_shapes([pair], "trotter2", config.qse.trotter_sweep)
+    (final,) = qse.sweep_shapes([pair], mode, [steps])
+    subspaces = qse.deepest_subspaces(reference, h, [*shape_sweep, *trotter_sweep, final])
+    shape_rows = qse.qse_energy_curve(subspaces, shape_sweep, exact_energy)
+    trotter_rows = qse.qse_energy_curve(subspaces, trotter_sweep, exact_energy)
     header = ["n_l", "n_k", "n_phi", "r", "mode", "energy", "delta_e"]
     for name, rows in (("qse_shape_sweep.csv", shape_rows), ("qse_trotter_sweep.csv", trotter_rows)):
         write_csv(
@@ -211,13 +211,10 @@ def cmd_qse(config: RunConfig, out_dir: Path) -> None:
             {"kappa": kappa, "delta_t": delta_t, "exact_energy": exact_energy},
         )
 
-    hoa_tau = config.qse.hoa_tau_scale / kappa if config.qse.assembly_mode == "hoa" else None
-    gs, basis, mats = qse.prepare_qse_ground_state(
-        reference, h, config.qse.n_k, config.qse.n_l,
-        evolution_mode=config.qse.evolution_mode,
-        trotter_steps=config.qse.trotter_steps,
-        hoa_tau=hoa_tau,
-    )
+    basis, mats = qse.nested_subspace(*subspaces[final[:3]], final[3])
+    if config.qse.assembly_mode == "hoa":
+        mats = qse.assemble_matrices(basis, config.qse.hoa_tau_scale / kappa)
+    gs = qse.solve_ground_state(mats)
     write_json(out_dir / "qse_matrices.json", config, mats.to_json_dict())
     payload = {
         "energy": gs.energy,

@@ -10,7 +10,7 @@ same axes and coefficients below ``MERGE_TOL`` are pruned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -65,10 +65,11 @@ class PauliTerm:
     def action(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only (src, phase): P|psi>[i] = phase[i] * psi[src[i]], coefficient excluded.
 
-        Built by :func:`term_phases` on first use and kept on this term;
-        field-based equality and hashing are unaffected.
+        Read from the memo keyed on the Pauli string on first use and kept on
+        this term, so every term with these axes shares one pair; field-based
+        equality and hashing are unaffected.
         """
-        return term_phases(self)
+        return _action_of(self.axes)
 
     def __str__(self) -> str:
         return term_to_string(self)
@@ -177,19 +178,27 @@ def pauli_sum(terms: Iterable[PauliTerm], num_sites: int) -> PauliSum:
 # ---------------------------------------------------------------------------
 # Basis action: P|psi>[i] = phase[i] * psi[src[i]] with src[i] = i ^ flip_mask
 # and site 0 on the most significant bit (the symplectic flip/sign-mask form
-# of Aaronson & Gottesman, PRA 70, 052328 (2004)). Each term builds this
-# coefficient-free action once, on first use of PauliTerm.action, and keeps it
-# read-only; apply, rotation, Trotter, VQE and to_matrix all go through it
-# and apply the coefficient as a scalar.
+# of Aaronson & Gottesman, PRA 70, 052328 (2004)). The coefficient-free action
+# depends on the Pauli string alone, so it is built once per string and shared,
+# read-only, by every term with that string (each field's Hamiltonian repeats
+# the bond strings); apply, rotation, Trotter, VQE and to_matrix all go through
+# PauliTerm.action and apply the coefficient as a scalar.
 # ---------------------------------------------------------------------------
+
+# A model at N sites uses about 6N strings; the memo keeps the 256 used most
+# recently, at most about 400 MB at N=16.
+@lru_cache(maxsize=256)
+def _action_of(axes: str) -> tuple[np.ndarray, np.ndarray]:
+    return term_phases(PauliTerm(1.0, axes))
+
 
 def term_phases(term: PauliTerm) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient-free basis action (src, phase) of the term's Pauli string.
 
     X and Y sites set the flip mask, Z and Y sites the sign mask, and each
     Y contributes a factor i, so ``phase[i] = i^y (-1)^popcount(src[i] & sign)``.
-    Both arrays are read-only. Use the cached ``PauliTerm.action`` rather
-    than calling this directly.
+    Both arrays are read-only. Use ``PauliTerm.action``, memoized on the
+    string, rather than calling this directly.
     """
     n = term.num_sites
     flip = sign = 0

@@ -3,7 +3,14 @@
 Basis states are time evolutions of a reference state on a two-level
 grid: a coarse stride of (n_k+1) time steps raised to the power l, then
 k fine steps on top. Index order is l ascending, k ascending within
-each l, so matrices are reproducible across runs.
+each l, so matrices are reproducible across runs. At fixed n_k the grids
+nest: the |l| <= n_l states of a deeper basis are a contiguous block of
+it, and they are the states of the n_l basis itself, bit for bit, so a
+sweep over n_l builds one basis per n_k and reads each smaller n_l off
+its principal submatrices (:func:`nested_subspace`). For a trotter2
+basis that block's S and H equal a separate assembly to roundoff (about
+1e-10 in the swept energies); an exact block reads its own Toeplitz
+sequences, as cheap as slicing.
 
 A basis is always assembled under the Hamiltonian it evolves under, either
 applying H directly or through the Hamiltonian operator approximation
@@ -13,7 +20,8 @@ m = -M..M ascending in index order, so every overlap depends on the lag
 m_b - m_a alone: S and H are Toeplitz and come from 2M+1 autocorrelation
 entries of the reference (Cortes & Gray, PRA 105, 022417 (2022)).
 Trotterized bases, whose V_r(t) is not a group in t, are assembled from
-statevector overlaps.
+statevector overlaps; their symmetric product formula is time-reversible,
+V_r(-tau) = V_r(tau)^dag, so HOA evolves each state in one direction only.
 
 The generalized eigenproblem H phi = E S phi is solved by canonical
 orthogonalization: eigendecompose S, drop the near-null directions,
@@ -27,7 +35,7 @@ and in ``greens``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -229,7 +237,7 @@ def _toeplitz_matrices(basis: SubspaceBasis, hoa_tau: float | None) -> tuple[np.
 
 def _statevector_matrices(basis: SubspaceBasis, hoa_tau: float | None) -> tuple[np.ndarray, np.ndarray]:
     """(S, H) from overlaps of the basis states: H applied directly, or the
-    HOA sine difference when ``hoa_tau`` is given."""
+    HOA sine difference when ``hoa_tau`` is given, from V(tau) alone."""
     phi = basis.state_matrix()
     s_mat = phi.conj() @ phi.T
     if hoa_tau is None:
@@ -239,10 +247,40 @@ def _statevector_matrices(basis: SubspaceBasis, hoa_tau: float | None) -> tuple[
         if residual > HERMITICITY_TOL * max(1.0, np.max(np.abs(h_mat))):
             raise QseError(f"assembled H has hermiticity residual {residual:g}")
     else:
+        # M_ab = <a|V(tau)|b>, and <a|V(-tau)|b> = conj(M_ba) since V_r(-tau) = V_r(tau)^dag
+        # (see trotter_schedule): one evolution per state, and (M^dag - M)/(2i tau) is Hermitian
         fwd = np.stack([evolve(s, basis.evolution, hoa_tau).amplitudes for s in basis.states])
-        bwd = np.stack([evolve(s, basis.evolution, -hoa_tau).amplitudes for s in basis.states])
-        h_mat = (phi.conj() @ bwd.T - phi.conj() @ fwd.T) / (2j * hoa_tau)
+        m_mat = phi.conj() @ fwd.T
+        h_mat = (m_mat.conj().T - m_mat) / (2j * hoa_tau)
     return 0.5 * (s_mat + s_mat.conj().T), 0.5 * (h_mat + h_mat.conj().T)
+
+
+def nested_subspace(
+    basis: SubspaceBasis, mats: SubspaceMatrices, n_l: int
+) -> tuple[SubspaceBasis, SubspaceMatrices]:
+    """The |l| <= n_l block of an assembled basis, and its S and H.
+
+    The block holds the states that ``build_basis`` gives at n_l, bit for
+    bit: the anchor chain and the fine evolutions are the same calls. A
+    trotter2 block reads S and H off the principal submatrices; an exact
+    block reads its own Toeplitz sequences, which match a basis assembled
+    alone exactly.
+    """
+    n_k = max(abs(idx.k) for idx in basis.indices)
+    depth = max(abs(idx.l) for idx in basis.indices)
+    if not 0 <= n_l <= depth:
+        raise QseError(f"n_l = {n_l} is not nested in a basis of depth {depth}")
+    if n_l == depth:
+        return basis, mats
+    start = (depth - n_l) * (n_k + 1)  # the n_k + 1 states of each deeper |l| come before
+    block = slice(start, start + basis_size(n_k, n_l))
+    if basis.evolution.mode == "exact":
+        sub = SubspaceBasis(basis.reference, basis.indices[block], basis.delta_t, basis.evolution)
+        return sub, assemble_matrices(sub, mats.hoa_tau)
+    sub = SubspaceBasis(
+        basis.reference, basis.indices[block], basis.delta_t, basis.evolution, basis.states[block]
+    )
+    return sub, SubspaceMatrices(mats.hamiltonian[block, block], mats.overlap[block, block], mats.hoa_tau)
 
 
 @dataclass
@@ -344,37 +382,55 @@ def prepare_qse_ground_state(
     return gs, basis, mats
 
 
-def qse_energy_curve(
-    reference: StateVector,
-    h: PauliSum,
-    shape_pairs: Sequence[tuple[int, int]],
-    *,
-    exact_energy: float,
-    evolution_mode: str = "exact",
-    trotter_steps: Sequence[int] = (1,),
-) -> list[dict]:
-    """Energy-distance sweep over basis shapes and, when Trotterized, step counts.
+SubspaceShape = tuple[str, int, int, int]  # (evolution mode, r, n_k, n_l); r = 0 in exact mode
 
-    Returns one row dict per (n_l, n_k, r) with keys
-    (n_l, n_k, n_phi, r, mode, energy, delta_e). Exact evolution records
-    r = 0 since no step count applies.
-    """
-    rows: list[dict] = []
+
+def sweep_shapes(
+    shape_pairs: Sequence[tuple[int, int]], evolution_mode: str, trotter_steps: Sequence[int]
+) -> list[SubspaceShape]:
+    """One shape per (n_l, n_k) and, when Trotterized, per step count r, in
+    sweep order; exact evolution records r = 0 since no step count applies."""
     rs = [0] if evolution_mode == "exact" else list(trotter_steps)
-    for n_l, n_k in shape_pairs:
-        for r in rs:
-            gs, _, _ = prepare_qse_ground_state(
-                reference, h, n_k, n_l,
-                evolution_mode=evolution_mode,
-                trotter_steps=max(r, 1),
-            )
-            rows.append({
-                "n_l": n_l,
-                "n_k": n_k,
-                "n_phi": basis_size(n_k, n_l),
-                "r": r,
-                "mode": evolution_mode,
-                "energy": gs.energy,
-                "delta_e": abs(gs.energy - exact_energy),
-            })
+    return [(evolution_mode, r, n_k, n_l) for n_l, n_k in shape_pairs for r in rs]
+
+
+def deepest_subspaces(
+    reference: StateVector, h: PauliSum, shapes: Iterable[SubspaceShape]
+) -> dict[tuple[str, int, int], tuple[SubspaceBasis, SubspaceMatrices]]:
+    """One directly assembled basis per (mode, r, n_k) of ``shapes``, at the
+    largest n_l any of them asks for and the default time step; a shape is
+    then the :func:`nested_subspace` of the entry at ``shape[:3]``."""
+    depth: dict[tuple[str, int, int], int] = {}
+    for shape in shapes:
+        depth[shape[:3]] = max(depth.get(shape[:3], 0), shape[3])
+    delta_t = default_time_step(h)
+    out = {}
+    for (mode, r, n_k), n_l in depth.items():
+        basis = build_basis(reference, n_k, n_l, delta_t, EvolutionOperator(h, mode, max(r, 1)))
+        out[mode, r, n_k] = basis, assemble_matrices(basis)
+    return out
+
+
+def qse_energy_curve(
+    subspaces: dict[tuple[str, int, int], tuple[SubspaceBasis, SubspaceMatrices]],
+    shapes: Sequence[SubspaceShape],
+    exact_energy: float,
+) -> list[dict]:
+    """Energy-distance sweep: one row dict per shape, in order, with keys
+    (n_l, n_k, n_phi, r, mode, energy, delta_e), each solved on the
+    :func:`nested_subspace` of its entry in ``subspaces``
+    (:func:`deepest_subspaces` of these shapes or of more)."""
+    rows: list[dict] = []
+    for mode, r, n_k, n_l in shapes:
+        _, mats = nested_subspace(*subspaces[mode, r, n_k], n_l)
+        gs = solve_ground_state(mats)
+        rows.append({
+            "n_l": n_l,
+            "n_k": n_k,
+            "n_phi": basis_size(n_k, n_l),
+            "r": r,
+            "mode": mode,
+            "energy": gs.energy,
+            "delta_e": abs(gs.energy - exact_energy),
+        })
     return rows

@@ -155,6 +155,11 @@ def trotter_schedule(op: EvolutionOperator, t: float) -> list[tuple[PauliTerm, f
     Per step: head groups, the last group at a doubled angle (the merged
     symmetrized middle pair), head groups reversed. One commuting group is
     exact at any r and runs once.
+
+    The schedule is a palindrome of rotations, and the terms within a group
+    commute, so reversing it equals negating every angle:
+    V_r(-t) = V_r(t)^dag, hence <a|V(-t)|b> = conj(<b|V(t)|a>). HOA assembly
+    (``qse.assemble_matrices``) evolves in one direction on that identity.
     """
     groups = op.term_ordering
     if len(groups) == 1:

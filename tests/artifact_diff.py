@@ -1,12 +1,15 @@
 """List the artifacts that differ between two ``kitaevqse all`` output directories.
 
-    python tests/artifact_diff.py OLD NEW
+    python tests/artifact_diff.py [--report] OLD NEW
 
 Every ``.csv`` and ``.json`` file of either directory is compared exactly,
 with no tolerance, apart from when it was written: CSV lines starting with
 ``# timestamp`` and the JSON ``_meta.timestamp`` entry are ignored. Prints
 one line per artifact that differs or exists on one side only, and exits 1
-if there is any, 0 otherwise.
+if there is any, 0 otherwise. With ``--report`` each differing artifact's
+line also gives the largest absolute difference over its numeric CSV cells
+and JSON leaves, and says when anything else differs too (text, metadata,
+or the number of rows or entries).
 """
 
 from __future__ import annotations
@@ -31,7 +34,55 @@ def _content(path: Path) -> str:
     return "\n".join(line for line in text.splitlines() if not line.startswith("# timestamp"))
 
 
-def differing_artifacts(old: Path, new: Path) -> list[str]:
+def _leaves(path: Path) -> list:
+    """The artifact's values in document order: JSON leaves keyed by their
+    path, CSV cells by (line, column); numbers as floats, all else as is."""
+    text = _content(path)
+    if path.suffix == ".json":
+        try:
+            payload = json.loads(text)
+        except ValueError:
+            return [((), text)]
+        out: list = []
+
+        def walk(node, key):
+            if isinstance(node, dict):
+                for name in sorted(node):
+                    walk(node[name], (*key, name))
+            elif isinstance(node, list):
+                for i, item in enumerate(node):
+                    walk(item, (*key, i))
+            else:
+                number = isinstance(node, (int, float)) and not isinstance(node, bool)
+                out.append((key, float(node) if number else node))
+
+        walk(payload, ())
+        return out
+    out = []
+    for i, line in enumerate(text.splitlines()):
+        for j, cell in enumerate([line] if line.startswith("#") else line.split(",")):
+            try:
+                out.append(((i, j), float(cell)))
+            except ValueError:
+                out.append(((i, j), cell))
+    return out
+
+
+def numeric_report(old: Path, new: Path) -> str:
+    """'max |diff| = X' over the numbers both artifacts hold at the same place,
+    plus a note when anything else differs."""
+    a, b = dict(_leaves(old)), dict(_leaves(new))
+    largest, other = 0.0, a.keys() != b.keys()
+    for key in a.keys() & b.keys():
+        x, y = a[key], b[key]
+        if isinstance(x, float) and isinstance(y, float):
+            largest = max(largest, abs(x - y))
+        elif x != y:
+            other = True
+    return f"max |diff| = {largest:.3g}" + ("; non-numeric content differs" if other else "")
+
+
+def differing_artifacts(old: Path, new: Path, report: bool = False) -> list[str]:
     """One line per artifact name that differs between ``old`` and ``new``."""
     names = sorted({p.name for d in (old, new) for p in d.iterdir() if p.suffix in ARTIFACT_SUFFIXES})
     out = []
@@ -39,12 +90,15 @@ def differing_artifacts(old: Path, new: Path) -> list[str]:
         if not (old / name).exists() or not (new / name).exists():
             out.append(f"{name}: only in {new if (new / name).exists() else old}")
         elif _content(old / name) != _content(new / name):
-            out.append(f"{name}: differs")
+            out.append(f"{name}: differs" + (f", {numeric_report(old / name, new / name)}" if report else ""))
     return out
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = sys.argv[1:] if argv is None else argv
+    args = sys.argv[1:] if argv is None else list(argv)
+    report = "--report" in args
+    if report:
+        args.remove("--report")
     if len(args) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
@@ -53,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
         if not path.is_dir():
             print(f"error: {path} is not a directory", file=sys.stderr)
             return 2
-    differences = differing_artifacts(old, new)
+    differences = differing_artifacts(old, new, report)
     for line in differences:
         print(line)
     return 1 if differences else 0

@@ -380,6 +380,42 @@ class TestPipeline:
         e0 = oracle.diagonalize(h).ground_energy
         assert abs(gs["energy"] - e0) <= 2 * abs(e0 - np.sin(tau * e0) / tau)
 
+    @staticmethod
+    def count_qse_stage(workdir, tmp_path, monkeypatch, qse_config):
+        """(trotter2 bases built as (n_k, n_l, r), trotter2 evolutions) of one qse stage."""
+        shutil.copy(workdir[0] / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({**FAST_CONFIG, "qse": {**FAST_CONFIG["qse"], **qse_config}}))
+        bases, evolutions = [], []
+        build, evolve = qse.build_basis, simulator._evolve_trotter2
+
+        def counted_build(ref, n_k, n_l, delta_t, evolution):
+            if evolution.mode == "trotter2":
+                bases.append((n_k, n_l, evolution.trotter_steps))
+            return build(ref, n_k, n_l, delta_t, evolution)
+
+        monkeypatch.setattr(qse, "build_basis", counted_build)
+        monkeypatch.setattr(simulator, "_evolve_trotter2", lambda *args: evolutions.append(1) or evolve(*args))
+        assert main(["qse", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+        return bases, len(evolutions)
+
+    def test_qse_stage_builds_each_trotter_subspace_once(self, workdir, tmp_path, monkeypatch):
+        # both sweeps and the final solve share one basis per (n_k, r), at the deepest
+        # n_l asked of it; HOA then evolves the final basis's states forward only
+        bases, evolutions = self.count_qse_stage(workdir, tmp_path, monkeypatch, {
+            "evolution_mode": "trotter2", "trotter_steps": 2, "assembly_mode": "hoa",
+            "shape_sweep": [[0, 0], [1, 1], [2, 2], [1, 2]], "trotter_sweep": [1, 2],
+        })
+        assert sorted(bases) == [(0, 0, 2), (1, 1, 2), (2, 2, 1), (2, 2, 2)]
+        per_basis = sum(2 * n_l + 2 * n_k * (n_l + 1) for n_k, n_l, _ in bases)
+        assert evolutions == per_basis + qse.basis_size(2, 2)
+
+    def test_exact_qse_stage_trotter_sweep_unchanged(self, workdir, tmp_path, monkeypatch):
+        # exact shapes share nothing with the trotter2 sweep: one basis per swept r
+        bases, evolutions = self.count_qse_stage(workdir, tmp_path, monkeypatch, {})
+        assert sorted(bases) == [(2, 2, 1), (2, 2, 2)]
+        assert evolutions == 2 * (2 * 2 + 2 * 2 * 3)
+
     def test_response_stages_evolve_no_basis_state(self, workdir, tmp_path, monkeypatch):
         # exact-mode subspaces read S, H and |GS> off spectral weights: neither the
         # greens nor the dsf stage evolves a statevector basis
@@ -614,6 +650,27 @@ class TestArtifactDiff:
         capsys.readouterr()
         assert artifact_diff.main([str(out), str(copy)]) == 1
         assert capsys.readouterr().out == "qse_ground_state.json: differs\n"
+        assert artifact_diff.main(["--report", str(out), str(copy)]) == 1
+        assert capsys.readouterr().out == "qse_ground_state.json: differs, max |diff| = 1e-08\n"
+
+    def test_report_names_the_largest_numeric_difference(self, workdir, tmp_path, capsys):
+        out, copy = workdir[0] / "out", tmp_path / "copy"
+        shutil.copytree(out, copy)
+        assert artifact_diff.main(["--report", str(out), str(copy)]) == 0
+        lines = (copy / "qse_shape_sweep.csv").read_text().splitlines()
+        cells = lines[-1].split(",")
+        cells[-1] = str(float(cells[-1]) + 3e-11)  # delta_e of the last row
+        cells[-2] = str(float(cells[-2]) - 2e-12)  # its energy
+        (copy / "qse_shape_sweep.csv").write_text("\n".join([*lines[:-1], ",".join(cells)]) + "\n")
+        payload = json.loads((copy / "qse_matrices.json").read_text())
+        payload["assembly_mode"] = "other"
+        (copy / "qse_matrices.json").write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert artifact_diff.main(["--report", str(out), str(copy)]) == 1
+        qse_matrices, shape_sweep = capsys.readouterr().out.splitlines()
+        assert qse_matrices == "qse_matrices.json: differs, max |diff| = 0; non-numeric content differs"
+        name, largest = shape_sweep.split(", max |diff| = ")
+        assert name == "qse_shape_sweep.csv: differs" and float(largest) == pytest.approx(3e-11, rel=1e-3)
 
 
 class TestWriteCsv:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kitaevqse import pauli
+from kitaevqse.lattice import kitaev_hamiltonian
 from kitaevqse.pauli import (
     PauliError,
     PauliTerm,
@@ -182,6 +183,19 @@ class TestBasisAction:
         for arr in (src, phase):
             with pytest.raises(ValueError):
                 arr[0] = arr[1]
+
+    def test_shared_by_every_term_with_the_string(self, lat8):
+        # keyed on the whole string: the coefficient plays no part
+        term, scaled = PauliTerm(0.5, "XYZI"), PauliTerm(-2.0, "XYZI")
+        assert term != scaled
+        assert all(a is b for a, b in zip(term.action, scaled.action))
+        assert not any(arr.flags.writeable for arr in scaled.action)
+        # every field's Hamiltonian reuses the bond actions of the others
+        fields = [kitaev_hamiltonian(lat8, -1.0, hz) for hz in (0.0, 0.3)]
+        bonds = [{t.axes: t for t in h.terms if t.weight == 2} for h in fields]
+        assert bonds[0].keys() == bonds[1].keys()
+        for axes, bond in bonds[0].items():
+            assert bond.action[0] is bonds[1][axes].action[0]
 
 
 class TestGershgorinKappa:

@@ -11,12 +11,15 @@ from kitaevqse.qse import (
     basis_size,
     build_basis,
     canonical_orthogonalization,
+    deepest_subspaces,
     default_time_step,
     multigrid_indices,
+    nested_subspace,
     prepare_qse_ground_state,
     qse_energy_curve,
     reconstruct_state,
     solve_ground_state,
+    sweep_shapes,
 )
 from kitaevqse.simulator import EvolutionOperator, StateVector, evolve, expectation
 
@@ -125,6 +128,20 @@ class TestAssembleMatrices:
             errors.append(np.max(np.abs(mats.hamiltonian - exact)))
         for lo, hi in zip(errors[1:], errors[:-1]):
             assert 3.5 < hi / lo < 4.5
+
+    def test_trotter_hoa_matches_two_direction_formula(self, ref8, h_8):
+        # V(tau) alone, with <a|V(-tau)|b> = conj<b|V(tau)|a>, against both directions evolved
+        op = EvolutionOperator(h_8, mode="trotter2", trotter_steps=5)
+        basis = build_basis(ref8, 2, 2, default_time_step(h_8), op)
+        tau = 0.1 / gershgorin_kappa(h_8)
+        phi = basis.state_matrix()
+        fwd = np.stack([evolve(s, op, tau).amplitudes for s in basis.states])
+        bwd = np.stack([evolve(s, op, -tau).amplitudes for s in basis.states])
+        two_way = (phi.conj() @ bwd.T - phi.conj() @ fwd.T) / (2j * tau)
+        two_way = 0.5 * (two_way + two_way.conj().T)
+        mats = assemble_matrices(basis, hoa_tau=tau)
+        assert np.max(np.abs(mats.hamiltonian - mats.hamiltonian.conj().T)) == 0.0
+        assert np.max(np.abs(mats.hamiltonian - two_way)) <= 1e-12
 
     def test_hoa_rejects_large_tau(self, ref8, h_8, evolution_8):
         basis = build_basis(ref8, 1, 1, default_time_step(h_8), evolution_8)
@@ -318,17 +335,71 @@ class TestEnergyCurves:
         assert prev - dec_8.ground_energy < 1e-10
 
     def test_curve_rows(self, ref8, h_8, dec_8, evolution_8):
-        rows = qse_energy_curve(
-            ref8, h_8, [(0, 0), (1, 1)], exact_energy=dec_8.ground_energy
-        )
+        shapes = sweep_shapes([(0, 0), (1, 1)], "exact", [1])
+        rows = qse_energy_curve(deepest_subspaces(ref8, h_8, shapes), shapes, dec_8.ground_energy)
         assert [r["n_phi"] for r in rows] == [1, 7]
         assert all(r["mode"] == "exact" and r["r"] == 0 for r in rows)
         assert rows[1]["delta_e"] < rows[0]["delta_e"]
 
     def test_trotter_curve_improves_with_r(self, ref12, h_12, dec_12):
-        rows = qse_energy_curve(
-            ref12, h_12, [(3, 3)], exact_energy=dec_12.ground_energy,
-            evolution_mode="trotter2", trotter_steps=(1, 4),
-        )
+        shapes = sweep_shapes([(3, 3)], "trotter2", (1, 4))
+        rows = qse_energy_curve(deepest_subspaces(ref12, h_12, shapes), shapes, dec_12.ground_energy)
         assert rows[0]["r"] == 1 and rows[1]["r"] == 4
         assert rows[1]["delta_e"] < rows[0]["delta_e"]
+
+
+class TestNestedSubspaces:
+    @pytest.mark.parametrize("mode,steps", [("exact", 1), ("trotter2", 1), ("trotter2", 5)])
+    @pytest.mark.parametrize("n_k", range(4))
+    def test_block_equals_separate_basis(self, ref8, h_8, mode, steps, n_k):
+        op = EvolutionOperator(h_8, mode=mode, trotter_steps=steps)
+        dt = default_time_step(h_8)
+        deep = build_basis(ref8, n_k, 3, dt, op)
+        deep_mats = assemble_matrices(deep)
+        for n_l in range(4):
+            sub, sub_mats = nested_subspace(deep, deep_mats, n_l)
+            alone = build_basis(ref8, n_k, n_l, dt, op)
+            alone_mats = assemble_matrices(alone)
+            start = (3 - n_l) * (n_k + 1)
+            block = slice(start, start + len(alone))
+            assert sub.indices == alone.indices == deep.indices[block]
+            assert np.array_equal(sub.state_matrix(), alone.state_matrix())
+            assert np.allclose(deep.state_matrix()[block], alone.state_matrix(), rtol=0, atol=1e-13)
+            for name in ("overlap", "hamiltonian"):
+                assert np.max(np.abs(getattr(sub_mats, name) - getattr(alone_mats, name))) <= 1e-13
+            energy = solve_ground_state(sub_mats).energy
+            assert abs(energy - solve_ground_state(alone_mats).energy) <= 1e-10
+
+    def test_trotter_block_is_a_slice(self, ref8, h_8):
+        op = EvolutionOperator(h_8, mode="trotter2", trotter_steps=2)
+        deep = build_basis(ref8, 2, 3, default_time_step(h_8), op)
+        deep_mats = assemble_matrices(deep)
+        sub, sub_mats = nested_subspace(deep, deep_mats, 1)  # 11 states after the 2 * 3 of |l| = 2, 3
+        assert len(sub) == 11
+        assert all(a is b for a, b in zip(sub.states, deep.states[6:17]))
+        assert np.array_equal(sub_mats.overlap, deep_mats.overlap[6:17, 6:17])
+        assert nested_subspace(deep, deep_mats, 3) == (deep, deep_mats)
+
+    def test_deeper_than_basis_rejected(self, qse8):
+        _, basis, mats = qse8
+        with pytest.raises(QseError, match="not nested"):
+            nested_subspace(basis, mats, 4)
+
+    def test_curve_keeps_row_order_and_energies(self, ref8, h_8, dec_8):
+        # one basis per (r, n_k) serves every n_l, rows still in shape order
+        pairs = [(1, 1), (0, 0), (2, 1), (0, 2)]
+        shapes = sweep_shapes(pairs, "trotter2", (1, 3))
+        subspaces = deepest_subspaces(ref8, h_8, shapes)
+        depth = {0: 0, 1: 2, 2: 0}  # the largest n_l asked at each n_k
+        assert sorted(subspaces) == [("trotter2", r, n_k) for r in (1, 3) for n_k in depth]
+        for (_, _, n_k), (basis, _) in subspaces.items():
+            assert len(basis) == basis_size(n_k, depth[n_k])
+        rows = qse_energy_curve(subspaces, shapes, dec_8.ground_energy)
+        assert [(r["n_l"], r["n_k"], r["r"]) for r in rows] == [
+            (n_l, n_k, r) for n_l, n_k in pairs for r in (1, 3)
+        ]
+        for row in rows:
+            gs, _, _ = prepare_qse_ground_state(
+                ref8, h_8, row["n_k"], row["n_l"], evolution_mode="trotter2", trotter_steps=row["r"]
+            )
+            assert abs(row["energy"] - gs.energy) <= 1e-10

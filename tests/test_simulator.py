@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kitaevqse import simulator
 from kitaevqse.pauli import PauliTerm, pauli_sum, single_site, to_matrix, two_site
 from kitaevqse.simulator import (
     EvolutionOperator,
@@ -167,6 +168,34 @@ class TestEvolve:
         back = evolve(evolve(psi, trot, 0.4), trot, -0.4)
         assert np.linalg.norm(back.amplitudes - psi.amplitudes) < 1e-12
 
+    @staticmethod
+    def reversal_error(op, tau):
+        # |<a|V(-tau)|b> - conj<b|V(tau)|a>|, which HOA assembly relies on being roundoff
+        a, b = random_state(8, 11), random_state(8, 12)
+        backward = np.vdot(a.amplitudes, evolve(b, op, -tau).amplitudes)
+        forward = np.vdot(b.amplitudes, evolve(a, op, tau).amplitudes)
+        return abs(backward - forward.conjugate())
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    @pytest.mark.parametrize("field", [False, True])
+    def test_trotter_time_reversal(self, h0_8, h_8, steps, field):
+        op = EvolutionOperator(h_8 if field else h0_8, mode="trotter2", trotter_steps=steps)
+        assert self.reversal_error(op, 0.37) <= 1e-13
+
+    def test_unreversed_schedule_breaks_time_reversal(self, h_8, monkeypatch):
+        # the same gates with the trailing head groups in forward order: not a palindrome
+        def unreversed(op, t):
+            tau = t / op.trotter_steps
+            head, middle = op.term_ordering[:-1], op.term_ordering[-1]
+            step = [(term, tau) for group in head for term in group]
+            step += [(term, 2.0 * tau) for term in middle]
+            step += [(term, tau) for group in head for term in group]
+            return step * op.trotter_steps
+
+        op = EvolutionOperator(h_8, mode="trotter2", trotter_steps=5)
+        monkeypatch.setattr(simulator, "trotter_schedule", unreversed)
+        assert self.reversal_error(op, 0.37) > 1e-6
+
     def test_norm_preserved_through_long_product(self, h_8):
         trot = EvolutionOperator(h_8, mode="trotter2", trotter_steps=2)
         psi = random_state(8, 9)
@@ -181,6 +210,7 @@ class TestEvolve:
         calls = []
         build = pauli.term_phases
         monkeypatch.setattr(pauli, "term_phases", lambda term: calls.append(term) or build(term))
+        pauli._action_of.cache_clear()  # earlier tests memoized these strings
         h = kitaev_hamiltonian(lat8, -1.0, 0.1)
         op = EvolutionOperator(h, mode="trotter2", trotter_steps=3)
         psi = random_state(8, 2)
