@@ -6,7 +6,15 @@ symmetry sector. One independent angle per bond per layer; within a
 layer the sweep order is X-bonds, Y-bonds, Z-bonds in lattice bond
 order.
 
-Choosing the sector is therefore a spectral question, not an
+Training therefore runs on span{Q|psi0>}, the span of the initial state
+closed under the ansatz's distinct bond strings, which is the whole
+2^(N/2-1)-dimensional sector for a sector state: :class:`SectorSpan`
+restricts each string and H0 to d x d matrices on that span, built from
+the strings' basis actions, and Adam runs a dense adjoint sweep on them.
+:meth:`AnsatzCircuit.apply` and :meth:`AnsatzCircuit.energy_and_gradient`
+stay full-space; the trained state and its infidelity come from ``apply``.
+
+Choosing the sector is a spectral question, not an
 optimization one. H0 commutes with every plaquette and loop (Kitaev,
 Ann. Phys. 321, 2 (2006)), so each candidate sector (both uniform
 plaquette signs crossed with the four loop-sign pairs) has an exact
@@ -19,6 +27,7 @@ winner is size-dependent and has to be computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -32,6 +41,12 @@ from .simulator import StateVector, _rotation_inplace, expectation
 # Training stops at the first epoch whose running best is at most this
 # fraction of max(1, |target|) above the target.
 TARGET_TOLERANCE = 1e-12
+
+# A mapped unit vector with at most this weight (squared norm) off the span
+# is taken to lie in it; the invariance check catches any weight left out.
+SPAN_TOLERANCE = 1e-10
+# Each restricted string must square to the identity this closely.
+INVARIANCE_TOLERANCE = 1e-12
 
 
 class VqeError(RuntimeError):
@@ -69,6 +84,11 @@ class AnsatzCircuit:
     def num_parameters(self) -> int:
         return len(self.generators)
 
+    @property
+    def distinct_generators(self) -> list[PauliTerm]:
+        """The first generator with each Pauli string, in circuit order."""
+        return list({gen.axes: gen for gen in self.generators}.values())
+
     def apply(self, parameters: np.ndarray, state: StateVector) -> StateVector:
         parameters = np.asarray(parameters, dtype=float)
         if parameters.shape != (self.num_parameters,):
@@ -81,7 +101,11 @@ class AnsatzCircuit:
     def energy_and_gradient(
         self, parameters: np.ndarray, h: PauliSum, state: StateVector
     ) -> tuple[float, np.ndarray]:
-        """Adjoint-mode energy gradient: one forward pass, one reverse sweep."""
+        """Adjoint-mode energy gradient in the full space: one forward pass, one reverse sweep.
+
+        Training runs :meth:`SectorSpan.energy_and_gradient`, the same sweep on
+        the d x d restriction.
+        """
         parameters = np.asarray(parameters, dtype=float)
         psi = self.apply(parameters, state).amplitudes
         lam = pauli.apply_sum(h, psi)
@@ -99,6 +123,120 @@ class AnsatzCircuit:
         return energy, grads
 
 
+def closure_basis(amplitudes: np.ndarray, terms: Sequence[PauliTerm]) -> np.ndarray:
+    """Orthonormal rows spanning ``amplitudes`` closed under the strings of ``terms``.
+
+    Breadth first: each row, in order, is mapped through every string in
+    one stacked gather. A string is unitary, so a mapped row lies in the
+    span found so far iff its overlaps with the rows carry all of its unit
+    norm; each one whose weight off the span exceeds ``SPAN_TOLERANCE`` is
+    projected twice off the rows and joins them. Row 0 is the normalized
+    input.
+    """
+    src = np.stack([t.action[0] for t in terms])
+    phase = np.stack([t.action[1] for t in terms])
+    rows = np.zeros((4, amplitudes.size), dtype=complex)
+    rows[0] = amplitudes / np.linalg.norm(amplitudes)
+    size, done = 1, 0
+    while done < size:
+        mapped = phase * rows[done][src]
+        done += 1
+        off = 1.0 - np.sum(np.abs(mapped.conj() @ rows[:size].T) ** 2, axis=1)
+        for i in np.flatnonzero(off > SPAN_TOLERANCE):
+            if off[i] <= SPAN_TOLERANCE:  # a row this batch added took it in
+                continue
+            w = mapped[i]
+            for _ in range(2):
+                w -= (rows[:size].conj() @ w) @ rows[:size]
+            norm = np.linalg.norm(w)
+            if norm**2 <= SPAN_TOLERANCE:
+                continue
+            if size == len(rows):
+                rows = np.concatenate([rows, np.zeros_like(rows)])
+            rows[size] = w / norm
+            off -= np.abs(mapped @ rows[size].conj()) ** 2
+            size += 1
+    return rows[:size]
+
+
+def restrict(basis: np.ndarray, terms: Sequence[PauliTerm]) -> dict[str, np.ndarray]:
+    """Pauli string -> g = B*·(P Bᵀ), its d x d matrix on the span of the rows of ``basis``.
+
+    A Pauli string squares to the identity, and so does its restriction iff
+    the span is invariant under it; raises :class:`VqeError` when some g²
+    misses I by more than ``INVARIANCE_TOLERANCE``.
+    """
+    eye = np.eye(len(basis))
+    conj = basis.conj()
+    restricted = {}
+    for term in terms:
+        src, phase = term.action
+        g = conj @ (phase * basis[:, src]).T
+        miss = float(np.max(np.abs(g @ g - eye)))
+        if miss > INVARIANCE_TOLERANCE:
+            raise VqeError(f"the span is not invariant under {term}: |g^2 - I| = {miss:.3e}")
+        restricted[term.axes] = g
+    return restricted
+
+
+@dataclass(frozen=True)
+class SectorSpan:
+    """The training problem on span{Q|psi0>}, Q over products of the ansatz's bond strings.
+
+    ``start`` is psi0 and ``hamiltonian`` is H0 in the span's orthonormal
+    coordinates; ``generators[k]`` is the restricted string of parameter k,
+    which rotates by half-angle ``half_angles[k] * theta_k``.
+    """
+
+    start: np.ndarray
+    generators: np.ndarray
+    half_angles: np.ndarray
+    hamiltonian: np.ndarray
+
+    @classmethod
+    def build(cls, ansatz: AnsatzCircuit, h: PauliSum, state: StateVector) -> "SectorSpan":
+        """Raises :class:`VqeError` unless every term of ``h`` is one of the ansatz's strings."""
+        terms = ansatz.distinct_generators
+        basis = closure_basis(state.amplitudes, terms)
+        g = restrict(basis, terms)
+        for term in h.terms:
+            if term.axes not in g:
+                raise VqeError(f"term {term} of the Hamiltonian is not one of the ansatz's bond strings")
+        return cls(
+            start=basis.conj() @ state.amplitudes,
+            generators=np.stack([g[gen.axes] for gen in ansatz.generators]),
+            half_angles=np.array([0.5 * gen.coefficient.real for gen in ansatz.generators]),
+            hamiltonian=sum(t.coefficient * g[t.axes] for t in h.terms),
+        )
+
+    @property
+    def dimension(self) -> int:
+        return len(self.start)
+
+    def energy_and_gradient(self, parameters: np.ndarray) -> tuple[float, np.ndarray]:
+        """:meth:`AnsatzCircuit.energy_and_gradient` of the restricted problem.
+
+        R_k = cos(a_k) I - i sin(a_k) g_k for every k at once; the forward loop
+        keeps each psi_k, the backward loop carries mu_k = lambda_k^†, and
+        dE/dtheta_k = 2 Re <lambda_k+1| -i (a_k/theta_k) g_k |psi_k+1>.
+        """
+        angles = self.half_angles * parameters
+        rotations = (np.cos(angles)[:, None, None] * np.eye(self.dimension)
+                     - 1j * np.sin(angles)[:, None, None] * self.generators)
+        count = len(rotations)
+        psi = np.empty((count + 1, self.dimension), dtype=complex)
+        psi[0] = self.start
+        for k in range(count):
+            psi[k + 1] = rotations[k] @ psi[k]
+        mu = np.empty_like(psi)
+        mu[count] = psi[count].conj() @ self.hamiltonian
+        for k in range(count - 1, 0, -1):
+            mu[k] = mu[k + 1] @ rotations[k]
+        energy = float(np.real(mu[count] @ psi[count]))
+        overlaps = np.einsum("ka,kab,kb->k", mu[1:], self.generators, psi[1:])
+        return energy, 2.0 * self.half_angles * np.imag(overlaps)
+
+
 @dataclass
 class VqeResult:
     optimal_parameters: np.ndarray
@@ -114,6 +252,8 @@ class VqeResult:
     sector_targets: tuple[int, ...] | None = None
     # (targets, exact in-sector ground energy) per consistent candidate sector
     sector_energies: list[tuple[tuple[int, ...], float]] | None = None
+    # d of the span training ran on; None when there was nothing to train
+    sector_dimension: int | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -124,6 +264,7 @@ class VqeResult:
             "converged": self.converged,
             "stop_epoch": self.stop_epoch,
             "stop_reason": self.stop_reason,
+            "sector_dimension": self.sector_dimension,
             "sector_targets": list(self.sector_targets) if self.sector_targets else None,
             "sector_energies": None if self.sector_energies is None else [
                 {"targets": list(targets), "energy": energy} for targets, energy in self.sector_energies
@@ -191,9 +332,7 @@ def _reached(energy: float, target: float | None) -> bool:
 
 
 def _adam_minimize(
-    ansatz: AnsatzCircuit,
-    h: PauliSum,
-    state: StateVector,
+    energy_and_gradient: Callable[[np.ndarray], tuple[float, np.ndarray]],
     theta0: np.ndarray,
     epochs: int,
     learning_rate: float,
@@ -213,7 +352,7 @@ def _adam_minimize(
     best_energy = np.inf
     best_theta = theta.copy()
     for epoch in range(1, epochs + 1):
-        energy, grad = ansatz.energy_and_gradient(theta, h, state)
+        energy, grad = energy_and_gradient(theta)
         if not np.isfinite(energy) or not np.all(np.isfinite(grad)):
             raise VqeError(f"non-finite loss at epoch {epoch}")
         energies.append(energy)
@@ -228,7 +367,7 @@ def _adam_minimize(
         m_hat = m / (1 - beta1**epoch)
         v_hat = v / (1 - beta2**epoch)
         theta = theta - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-    final_energy, _ = ansatz.energy_and_gradient(theta, h, state)
+    final_energy, _ = energy_and_gradient(theta)
     if final_energy < best_energy:
         best_energy = final_energy
         best_theta = theta.copy()
@@ -246,7 +385,7 @@ def train(
     tolerance: float | None = None,
     target: float | None = None,
 ) -> VqeResult:
-    """Minimize <U(theta) psi0|H0|U(theta) psi0> with Adam.
+    """Minimize <U(theta) psi0|H0|U(theta) psi0> with Adam on the :class:`SectorSpan`.
 
     Initial angles are uniform random in [-pi, pi], drawn from ``seed``. The
     accepted-step energy (running best) is monotone by construction;
@@ -256,7 +395,9 @@ def train(
     cap either way. When an oracle decomposition is supplied the result
     carries the energy distance and infidelity against it, and
     ``converged`` reports whether the energy distance met ``tolerance``
-    (best-so-far is returned either way).
+    (best-so-far is returned either way). Raises :class:`VqeError` when a
+    term of ``h0`` is not one of the ansatz's bond strings or the span is
+    not invariant under them.
     """
     if not h0.is_hermitian():
         raise VqeError("training requires a Hermitian Hamiltonian")
@@ -267,10 +408,13 @@ def train(
         energy = expectation(init_state, h0)
         theta, best_energy, energies, best_curve = theta0, energy, [energy], [energy]
         stop_reason = "target" if _reached(energy, target) else "epochs"
+        dimension = None
     else:
+        span = SectorSpan.build(ansatz, h0, init_state)
         theta, best_energy, energies, best_curve, stop_reason = _adam_minimize(
-            ansatz, h0, init_state, theta0, epochs, learning_rate, target
+            span.energy_and_gradient, theta0, epochs, learning_rate, target
         )
+        dimension = span.dimension
 
     infidelity = None
     energy_distance = None
@@ -290,6 +434,7 @@ def train(
         converged=converged,
         stop_epoch=len(energies),
         stop_reason=stop_reason,
+        sector_dimension=dimension,
     )
 
 

@@ -476,6 +476,15 @@ class TestPipeline:
         assert re.match(message, self._one_error_line(capsys))
         assert not (tmp_path / "o").exists()
 
+    def test_zero_learning_rate_rejected(self, tmp_path, capsys):
+        # Adam would take no step in any epoch and hand QSE an untrained reference
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({**FAST_CONFIG, "vqe": {**FAST_CONFIG["vqe"], "learning_rate": 0}}))
+        rc = main(["vqe", "--config", str(config_path), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert self._one_error_line(capsys) == "error: $.vqe.learning_rate: must be > 0.0\n"
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("text, message", [
         ('{"x": 1', "is not valid JSON"),
         ("{}", "was produced for None"),

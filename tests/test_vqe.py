@@ -9,11 +9,14 @@ from kitaevqse.simulator import expectation
 from kitaevqse.vqe import (
     TARGET_TOLERANCE,
     AnsatzCircuit,
+    SectorSpan,
     VqeError,
     candidate_sectors,
+    closure_basis,
     prepare_reference_state,
     prepare_sector_state,
     rank_sectors,
+    restrict,
     sector_ground_energy,
     train,
 )
@@ -159,6 +162,51 @@ class TestTrain:
         assert len(data["training_history"]["energy"]) == 5
 
 
+class TestSectorSpan:
+    @pytest.fixture(scope="class")
+    def sectors(self, lat8, h0_8, init8, lat12, h0_12, vqe12):
+        # each size's winning sector: the all-minus one at N=8, the trained one at N=12
+        return {8: (lat8, h0_8, init8), 12: (lat12, h0_12, prepare_sector_state(vqe12[2], lat12))}
+
+    @pytest.mark.parametrize("layers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("sites", [8, 12])
+    def test_matches_full_space_sweep(self, sectors, sites, layers):
+        lat, h0, state = sectors[sites]
+        ansatz = AnsatzCircuit.for_lattice(lat, layers)
+        span = SectorSpan.build(ansatz, h0, state)
+        theta = np.random.default_rng(layers).uniform(-np.pi, np.pi, ansatz.num_parameters)
+        energy, grad = span.energy_and_gradient(theta)
+        full_energy, full_grad = ansatz.energy_and_gradient(theta, h0, state)
+        assert abs(energy - full_energy) <= 1e-12
+        assert np.max(np.abs(grad - full_grad)) <= 1e-12
+
+    @pytest.mark.parametrize("sites", [8, 12])
+    def test_span_is_the_whole_sector(self, sectors, sites):
+        lat, _, state = sectors[sites]
+        basis = closure_basis(state.amplitudes, AnsatzCircuit.for_lattice(lat, 1).distinct_generators)
+        assert len(basis) == 2 ** (sites // 2 - 1)
+        assert np.max(np.abs(basis.conj() @ basis.T - np.eye(len(basis)))) <= 1e-12
+        assert np.allclose(basis[0], state.amplitudes / np.linalg.norm(state.amplitudes), atol=1e-14)
+
+    def test_training_records_the_span_dimension(self, vqe12, h0_8, ansatz8, init8, lat8):
+        assert vqe12[1].sector_dimension == 32
+        assert train(h0_8, ansatz8, init8, epochs=2).to_json_dict()["sector_dimension"] == 8
+        untrained = train(h0_8, AnsatzCircuit.for_lattice(lat8, 0), init8, epochs=2)
+        assert untrained.to_json_dict()["sector_dimension"] is None
+
+    def test_field_term_rejected(self, h_8, ansatz8, init8):
+        with pytest.raises(VqeError, match="is not one of the ansatz's bond strings"):
+            train(h_8, ansatz8, init8, epochs=2)
+
+    @pytest.mark.parametrize("dropped", range(8))
+    def test_span_missing_a_vector_fails_the_invariance_check(self, ansatz8, init8, dropped):
+        strings = ansatz8.distinct_generators
+        basis = closure_basis(init8.amplitudes, strings)
+        restrict(basis, strings)  # the closed span passes
+        with pytest.raises(VqeError, match="not invariant"):
+            restrict(np.delete(basis, dropped, axis=0), strings)
+
+
 class TestFidelity:
     def test_degenerate_projection(self, dec0_12):
         space = dec0_12.ground_space()
@@ -193,25 +241,25 @@ class TestSectorScan:
 
     def test_trains_only_the_winning_sector(self, lat8, h0_8, monkeypatch):
         calls = []
-        original = AnsatzCircuit.energy_and_gradient
+        original = SectorSpan.energy_and_gradient
 
         def counting(self, *args):
             calls.append(args)
             return original(self, *args)
 
-        monkeypatch.setattr(AnsatzCircuit, "energy_and_gradient", counting)
+        monkeypatch.setattr(SectorSpan, "energy_and_gradient", counting)
         prepare_reference_state(lat8, h0_8, layers=1, epochs=20, seed=1)
         assert len(calls) == 21  # 20 Adam epochs plus the final evaluation
 
     def test_target_stop_evaluates_once_per_epoch(self, lat8, h0_8, monkeypatch):
         calls = []
-        original = AnsatzCircuit.energy_and_gradient
+        original = SectorSpan.energy_and_gradient
 
         def counting(self, *args):
             calls.append(args)
             return original(self, *args)
 
-        monkeypatch.setattr(AnsatzCircuit, "energy_and_gradient", counting)
+        monkeypatch.setattr(SectorSpan, "energy_and_gradient", counting)
         _, result, _ = prepare_reference_state(lat8, h0_8, layers=1, seed=1)
         assert result.stop_reason == "target"
         assert len(calls) == result.stop_epoch < 800  # no final evaluation after the stop
