@@ -220,6 +220,8 @@ def cmd_qse(config: RunConfig, out_dir: Path) -> None:
         "energy": gs.energy,
         "exact_energy": exact_energy,
         "delta_e": abs(gs.energy - exact_energy),
+        # signed: below 0 the QSE energy undercuts E0, against the variational bound
+        "energy_minus_exact": gs.energy - exact_energy,
         "coefficients_re": [float(c.real) for c in gs.coefficients],
         "coefficients_im": [float(c.imag) for c in gs.coefficients],
         "n_k": config.qse.n_k,

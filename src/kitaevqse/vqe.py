@@ -10,7 +10,8 @@ Training therefore runs on span{Q|psi0>}, the span of the initial state
 closed under the ansatz's distinct bond strings, which is the whole
 2^(N/2-1)-dimensional sector for a sector state: :class:`SectorSpan`
 restricts each string and H0 to d x d matrices on that span, built from
-the strings' basis actions, and Adam runs a dense adjoint sweep on them.
+the strings' basis actions, and Adam runs the adjoint sweep on them one
+run of commuting strings at a time, in each run's joint eigenbasis.
 :meth:`AnsatzCircuit.apply` and :meth:`AnsatzCircuit.energy_and_gradient`
 stay full-space; the trained state and its infidelity come from ``apply``.
 
@@ -45,7 +46,8 @@ TARGET_TOLERANCE = 1e-12
 # A mapped unit vector with at most this weight (squared norm) off the span
 # is taken to lie in it; the invariance check catches any weight left out.
 SPAN_TOLERANCE = 1e-10
-# Each restricted string must square to the identity this closely.
+# Each restricted string must square to the identity this closely, and be
+# this close to a diagonal of +-1 in its commuting run's joint eigenbasis.
 INVARIANCE_TOLERANCE = 1e-12
 
 
@@ -103,8 +105,10 @@ class AnsatzCircuit:
     ) -> tuple[float, np.ndarray]:
         """Adjoint-mode energy gradient in the full space: one forward pass, one reverse sweep.
 
-        Training runs :meth:`SectorSpan.energy_and_gradient`, the same sweep on
-        the d x d restriction.
+        The reference for the sweep that training runs,
+        :meth:`SectorSpan.energy_and_gradient`, which takes the rotations a
+        commuting run at a time on the d x d restriction; tests and the
+        benchmark's tracer and layer probe call this one.
         """
         parameters = np.asarray(parameters, dtype=float)
         psi = self.apply(parameters, state).amplitudes
@@ -179,34 +183,82 @@ def restrict(basis: np.ndarray, terms: Sequence[PauliTerm]) -> dict[str, np.ndar
     return restricted
 
 
+def commuting_runs(terms: Sequence[PauliTerm]) -> list[int]:
+    """Start index of each maximal run of consecutive, pairwise commuting strings, left to right."""
+    starts = [0]
+    for k in range(1, len(terms)):
+        if not all(commutes(terms[k], t) for t in terms[starts[-1]:k]):
+            starts.append(k)
+    return starts
+
+
+def joint_eigenbasis(strings: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(W, signs) with W^† g_j W = diag(signs[j]) for commuting restricted strings g_j.
+
+    W comes from ``eigh`` of sum_j 2^j g_j: each sign pattern of the g_j gives
+    that sum its own eigenvalue, so every eigenspace is a joint one. Raises
+    :class:`VqeError` when some W^† g_j W misses a diagonal of +-1 by more than
+    ``INVARIANCE_TOLERANCE``, which would mean the strings do not commute on
+    the span or do not square to I.
+    """
+    stack = np.stack(strings)
+    _, w = np.linalg.eigh(np.tensordot(2.0 ** np.arange(len(stack)), stack, axes=1))
+    rotated = w.conj().T @ stack @ w
+    signs = np.sign(np.real(np.diagonal(rotated, axis1=1, axis2=2)))
+    miss = float(np.max(np.abs(rotated - signs[:, :, None] * np.eye(len(w)))))
+    if miss > INVARIANCE_TOLERANCE:
+        raise VqeError(f"a commuting run of bond strings has no joint +-1 eigenbasis: miss {miss:.3e}")
+    return w, signs
+
+
 @dataclass(frozen=True)
 class SectorSpan:
     """The training problem on span{Q|psi0>}, Q over products of the ansatz's bond strings.
 
-    ``start`` is psi0 and ``hamiltonian`` is H0 in the span's orthonormal
-    coordinates; ``generators[k]`` is the restricted string of parameter k,
-    which rotates by half-angle ``half_angles[k] * theta_k``.
+    The circuit splits into runs of consecutive, pairwise commuting strings
+    (:func:`commuting_runs`; the honeycomb ansatz has an x, a y and a z run per
+    layer). Run r is written in its strings' joint eigenbasis W_r, where the
+    restricted string of parameter k is ``diag(signs[k])`` and rotates by
+    half-angle ``half_angles[k] * theta_k``. ``run_starts[r]`` is run r's
+    first parameter and ``runs[k]`` is parameter k's run; ``links[r]`` is
+    W_{r+1}^† W_r, ``start`` is psi0 in W_0 and ``hamiltonian`` is H0 in the
+    last run's basis.
     """
 
     start: np.ndarray
-    generators: np.ndarray
+    signs: np.ndarray
     half_angles: np.ndarray
+    run_starts: np.ndarray
+    runs: np.ndarray
+    links: np.ndarray
     hamiltonian: np.ndarray
 
     @classmethod
     def build(cls, ansatz: AnsatzCircuit, h: PauliSum, state: StateVector) -> "SectorSpan":
-        """Raises :class:`VqeError` unless every term of ``h`` is one of the ansatz's strings."""
+        """Raises :class:`VqeError` unless every term of ``h`` is one of the ansatz's strings
+        and every run has a joint eigenbasis (:func:`joint_eigenbasis`)."""
         terms = ansatz.distinct_generators
         basis = closure_basis(state.amplitudes, terms)
         g = restrict(basis, terms)
         for term in h.terms:
             if term.axes not in g:
                 raise VqeError(f"term {term} of the Hamiltonian is not one of the ansatz's bond strings")
+        gens = ansatz.generators
+        starts = commuting_runs(gens)
+        runs = [tuple(gen.axes for gen in gens[lo:hi]) for lo, hi in zip(starts, [*starts[1:], len(gens)])]
+        eigenbases = {run: joint_eigenbasis([g[axes] for axes in run]) for run in dict.fromkeys(runs)}
+        frames = [eigenbases[run][0] for run in runs]
+        dim = len(basis)
+        hamiltonian = sum(t.coefficient * g[t.axes] for t in h.terms)
         return cls(
-            start=basis.conj() @ state.amplitudes,
-            generators=np.stack([g[gen.axes] for gen in ansatz.generators]),
-            half_angles=np.array([0.5 * gen.coefficient.real for gen in ansatz.generators]),
-            hamiltonian=sum(t.coefficient * g[t.axes] for t in h.terms),
+            start=frames[0].conj().T @ (basis.conj() @ state.amplitudes),
+            signs=np.concatenate([eigenbases[run][1] for run in runs]),
+            half_angles=np.array([0.5 * gen.coefficient.real for gen in gens]),
+            run_starts=np.array(starts),
+            runs=np.repeat(np.arange(len(starts)), np.diff([*starts, len(gens)])),
+            links=np.array([b.conj().T @ a for a, b in zip(frames, frames[1:])],
+                           dtype=complex).reshape(len(frames) - 1, dim, dim),
+            hamiltonian=frames[-1].conj().T @ hamiltonian @ frames[-1],
         )
 
     @property
@@ -214,26 +266,27 @@ class SectorSpan:
         return len(self.start)
 
     def energy_and_gradient(self, parameters: np.ndarray) -> tuple[float, np.ndarray]:
-        """:meth:`AnsatzCircuit.energy_and_gradient` of the restricted problem.
+        """:meth:`AnsatzCircuit.energy_and_gradient` of the restricted problem, one run at a time.
 
-        R_k = cos(a_k) I - i sin(a_k) g_k for every k at once; the forward loop
-        keeps each psi_k, the backward loop carries mu_k = lambda_k^†, and
-        dE/dtheta_k = 2 Re <lambda_k+1| -i (a_k/theta_k) g_k |psi_k+1>.
+        Inside run r every rotation is diagonal, so the run is the phase vector
+        phi_r = prod_k (cos a_k - i sin a_k signs[k]). The forward loop keeps
+        each run's end state psi_r = phi_r * (links[r-1] @ psi_r-1), the backward
+        loop carries mu_r-1 = (mu_r * phi_r) @ links[r-1] from mu = psi^† H0, and
+        dE/dtheta_k = 2 (a_k/theta_k) Im sum(signs[k] * mu_r * psi_r) for k in run r.
         """
         angles = self.half_angles * parameters
-        rotations = (np.cos(angles)[:, None, None] * np.eye(self.dimension)
-                     - 1j * np.sin(angles)[:, None, None] * self.generators)
-        count = len(rotations)
-        psi = np.empty((count + 1, self.dimension), dtype=complex)
-        psi[0] = self.start
-        for k in range(count):
-            psi[k + 1] = rotations[k] @ psi[k]
+        factors = np.cos(angles)[:, None] - 1j * np.sin(angles)[:, None] * self.signs
+        phases = np.multiply.reduceat(factors, self.run_starts, axis=0)
+        psi = np.empty_like(phases)
+        psi[0] = phases[0] * self.start
+        for r in range(1, len(phases)):
+            psi[r] = phases[r] * (self.links[r - 1] @ psi[r - 1])
         mu = np.empty_like(psi)
-        mu[count] = psi[count].conj() @ self.hamiltonian
-        for k in range(count - 1, 0, -1):
-            mu[k] = mu[k + 1] @ rotations[k]
-        energy = float(np.real(mu[count] @ psi[count]))
-        overlaps = np.einsum("ka,kab,kb->k", mu[1:], self.generators, psi[1:])
+        mu[-1] = psi[-1].conj() @ self.hamiltonian
+        for r in range(len(phases) - 1, 0, -1):
+            mu[r - 1] = (mu[r] * phases[r]) @ self.links[r - 1]
+        energy = float(np.real(mu[-1] @ psi[-1]))
+        overlaps = np.einsum("kb,kb->k", self.signs, (mu * psi)[self.runs])
         return energy, 2.0 * self.half_angles * np.imag(overlaps)
 
 

@@ -191,6 +191,13 @@ class TestPipeline:
         for name in expected:
             assert (out / name).exists(), name
 
+    def test_qse_energy_deviation_keeps_its_sign(self, workdir):
+        gs = json.loads((workdir[0] / "out" / "qse_ground_state.json").read_text())
+        assert gs["energy_minus_exact"] == gs["energy"] - gs["exact_energy"]
+        assert gs["delta_e"] == abs(gs["energy_minus_exact"])
+        # statevector assembly is Rayleigh-Ritz: nothing below E0 beyond roundoff
+        assert gs["energy_minus_exact"] >= -1e-10
+
     def test_layer_sweep_contents(self, workdir):
         path, _ = workdir
         lines = [

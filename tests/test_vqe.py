@@ -180,6 +180,30 @@ class TestSectorSpan:
         assert abs(energy - full_energy) <= 1e-12
         assert np.max(np.abs(grad - full_grad)) <= 1e-12
 
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("sites", [8, 12])
+    def test_runs_are_each_layers_bond_kinds(self, sectors, sites, layers):
+        lat, h0, state = sectors[sites]
+        span = SectorSpan.build(AnsatzCircuit.for_lattice(lat, layers), h0, state)
+        blocks = [len(lat.bonds(kind)) for kind in "xyz"] * layers
+        assert list(span.run_starts) == list(np.cumsum([0] + blocks[:-1]))
+        assert list(span.runs) == [r for r, size in enumerate(blocks) for _ in range(size)]
+        assert len(span.links) == 3 * layers - 1
+
+    @pytest.mark.parametrize("string", range(12))
+    def test_string_off_the_run_eigenbasis_raises(self, h0_8, ansatz8, init8, monkeypatch, string):
+        axes = ansatz8.distinct_generators[string].axes
+        original = vqe.restrict
+
+        def perturbed(basis, terms):
+            g = original(basis, terms)
+            g[axes] = g[axes] + 1e-9 * (np.eye(len(basis), k=1) + np.eye(len(basis), k=-1))
+            return g
+
+        monkeypatch.setattr(vqe, "restrict", perturbed)
+        with pytest.raises(VqeError, match="no joint"):
+            SectorSpan.build(ansatz8, h0_8, init8)
+
     @pytest.mark.parametrize("sites", [8, 12])
     def test_span_is_the_whole_sector(self, sectors, sites):
         lat, _, state = sectors[sites]
