@@ -174,8 +174,12 @@ def cmd_vqe(config: RunConfig, out_dir: Path) -> None:
         return result
 
     trained = {d: train(d) for d in dict.fromkeys(config.vqe.layer_sweep)}
-    sweep_rows = [[d, trained[d].infidelity, trained[d].energy_distance] for d in config.vqe.layer_sweep]
-    write_csv(out_dir / "vqe_layer_sweep.csv", config, ["d", "infidelity", "delta_e"], sweep_rows)
+    sweep_rows = [
+        [d, trained[d].infidelity, trained[d].energy_distance, trained[d].stop_epoch, trained[d].stop_reason]
+        for d in config.vqe.layer_sweep
+    ]
+    header = ["d", "infidelity", "delta_e", "stop_epoch", "stop_reason"]
+    write_csv(out_dir / "vqe_layer_sweep.csv", config, header, sweep_rows)
 
     layers = config.vqe.layers
     result = trained[layers] if layers in trained else train(layers)
@@ -349,13 +353,23 @@ def cmd_dsf(config: RunConfig, out_dir: Path) -> None:
 
 
 def fixture_entry(label: str, h: PauliSum, decomp: SpectralDecomposition) -> dict:
-    """One row of ed_reference.json: a Hamiltonian's size and ED ground level."""
+    """One row of ed_reference.json: a Hamiltonian's size, ED ground level, the symmetry
+    layout of its factorization and the factorization's completeness certificate."""
+    blocks, size, _ = decomp.block_vectors.shape
+    tapered = len(decomp.frame.generators)
     return {
         "label": label,
         "num_sites": h.num_sites,
         "num_terms": len(h),
         "ground_energy": decomp.ground_energy,
         "ground_degeneracy": decomp.ground_degeneracy,
+        "symmetry": {
+            "tapered_generators": tapered,
+            "z_syndrome_generators": (blocks >> tapered).bit_length() - 1,
+            "blocks": blocks,
+            "block_size": size,
+        },
+        "completeness": oracle.completeness_certificate(h, decomp),
     }
 
 
@@ -368,6 +382,9 @@ def cmd_ed_reference(config: RunConfig, out_dir: Path) -> None:
     ]
     write_json(out_dir / "lattice_fixture.json", config, lat.to_fixture_dict())
     write_json(out_dir / "ed_reference.json", config, {"entries": entries})
+    failed = [e["label"] for e in entries if not e["completeness"]["holds"]]
+    if failed:
+        raise PipelineError(f"the factorization of {', '.join(failed)} fails its completeness certificate")
     for e in entries:
         print(f"ed-reference[{e['label']}]: E0={e['ground_energy']:.12f} "
               f"degeneracy={e['ground_degeneracy']}")

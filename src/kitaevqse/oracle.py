@@ -2,44 +2,322 @@
 
 Everything else in the package is validated against this module, so it
 stays deliberately naive: a Hermitian eigensolve per symmetry block, Lehmann
-sums. The blocks are the sectors of the Z-strings that commute with every
-term (:func:`symmetry_blocks`), stacked and factorized by one ``eigh``, in
-real arithmetic where real, which covers every shipped Kitaev instance.
+sums. The symmetries of a Pauli sum are the Pauli strings that commute with
+every term, the symplectic GF(2) null space of the terms. When that group is
+abelian and not Z-type only (every zero-field Kitaev Hamiltonian: the
+plaquettes and loops), :func:`taper` maps its k generators onto single-qubit
+Zs with the Clifford frame of Bravyi, Gambetta, Mezzacapo & Temme
+(arXiv:1701.08213), built sequentially and verified term by term, and the
+sum splits into 2^k sector sums on N - k qubits. Otherwise the frame is the
+identity. The blocks are the sectors crossed with the Z-syndromes of their
+sums (:func:`symmetry_blocks`, the Z-type part of a sum's group), stacked and
+factorized by one ``eigh``, in real arithmetic where real, which covers every
+shipped Kitaev instance.
 
-:func:`diagonalize` factorizes each Hamiltonian once: ``PauliSum`` is a
-frozen value, and the result is kept for as long as the first equal sum is
-alive, so the ED side and exact-mode ``V(t)`` of a stage share it.
+:func:`diagonalize` factorizes each Hamiltonian once and :func:`taper` builds
+each frame once: ``PauliSum`` is a frozen value, and both results are kept for
+as long as the first equal sum is alive, so the ED side, exact-mode ``V(t)``
+and the VQE sector ranking of a stage share them.
 
-:func:`lanczos` is the package's one Hermitian Lanczos recursion: the VQE
-sector ranking runs it on statevectors, and the Green's functions run it
-on the orthonormalized QSE subspace.
+:func:`lanczos` is the package's one Hermitian Lanczos recursion; the
+Green's functions run it on the orthonormalized QSE subspace.
 """
 
 from __future__ import annotations
 
 import weakref
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from .pauli import DEFAULT_DENSE_CAP, PauliSum, PauliTerm, apply_term
 
 DEGENERACY_GAP = 1e-9
+# relative deviation of tr H and tr H^2 that completeness_certificate allows
+CERTIFICATE_TOLERANCE = 1e-10
 
 
 class OracleError(ValueError):
     pass
 
 
+# ---------------------------------------------------------------------------
+# Pauli strings as (coefficient, x, z): x marks the X/Y sites and z the Z/Y
+# sites, site 0 on the top bit, as in the flip and sign masks of
+# PauliTerm.action. Products keep their phase exactly (powers of i). The
+# frame conjugates every term through every rotation, and this form does it
+# on integers without building a string per product, which pauli.multiply
+# and pauli.commutes do; the tests hold the two against each other.
+# ---------------------------------------------------------------------------
+
+_X_BITS, _Z_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
+_I_POWERS = (1, 1j, -1, -1j)
+
+
+def _symplectic(term: PauliTerm) -> tuple[complex, int, int]:
+    return term.coefficient, int(term.axes.translate(_X_BITS), 2), int(term.axes.translate(_Z_BITS), 2)
+
+
+def _term(string: tuple[complex, int, int], n: int) -> PauliTerm:
+    coefficient, x, z = string
+    return PauliTerm(coefficient, "".join("IZXY"[2 * (x >> b & 1) + (z >> b & 1)] for b in range(n - 1, -1, -1)))
+
+
+def _anticommutes(a: tuple[complex, int, int], b: tuple[complex, int, int]) -> bool:
+    return bool(((a[1] & b[2]) ^ (a[2] & b[1])).bit_count() & 1)
+
+
+def _times(a: tuple[complex, int, int], b: tuple[complex, int, int]) -> tuple[complex, int, int]:
+    """The operator product a·b: each site contributes i for X·Y, Y·Z and Z·X, -i for the reverse."""
+    (ca, xa, za), (cb, xb, zb) = a, b
+    ya, yb = xa & za, xb & zb
+    only_xa, only_za, only_xb, only_zb = xa ^ ya, za ^ ya, xb ^ yb, zb ^ yb
+    up = (only_xa & yb | ya & only_zb | only_za & only_xb).bit_count()
+    down = (only_xa & only_zb | ya & only_xb | only_za & yb).bit_count()
+    return ca * cb * _I_POWERS[(up - down) % 4], xa ^ xb, za ^ zb
+
+
+def _conjugated(t: tuple[complex, int, int], p: tuple[complex, int, int],
+                q: tuple[complex, int, int]) -> tuple[complex, int, int]:
+    """R T R for R = (P + Q)/sqrt(2), P and Q anticommuting Hermitian strings: T, T Q P, T P Q
+    or -T as T anticommutes with neither of them, with P only, with Q only or with both."""
+    off_p, off_q = _anticommutes(t, p), _anticommutes(t, q)
+    if off_p and off_q:
+        return -t[0], t[1], t[2]
+    if off_p:
+        return _times(_times(t, q), p)
+    if off_q:
+        return _times(_times(t, p), q)
+    return t
+
+
+def _null_space(rows: Iterable[int], width: int) -> list[int]:
+    """Basis of {v : popcount(row & v) even for every row} over GF(2), bit width-1-c holding
+    column c: one vector per free column of the reduced row echelon form, in column order."""
+    echelon: dict[int, int] = {}  # pivot bit -> its row, with no other pivot bit set
+    for row in rows:
+        for bit, pivot_row in echelon.items():
+            if row & bit:
+                row ^= pivot_row
+        if row:
+            lead = 1 << (row.bit_length() - 1)
+            for bit, pivot_row in echelon.items():
+                if pivot_row & lead:
+                    echelon[bit] = pivot_row ^ row
+            echelon[lead] = row
+    free = (1 << (width - 1 - c) for c in range(width))
+    return [bit | sum(p for p, r in echelon.items() if r & bit) for bit in free if bit not in echelon]
+
+
+@dataclass(frozen=True)
+class TaperingFrame:
+    """A Clifford F = R_m ... R_1 that takes each generator to +Z on its site.
+
+    R_j = (P_j + Q_j)/sqrt(2) for the pair ``rotations[j]`` of anticommuting
+    Hermitian strings, and F maps the commuting symmetry ``generators[i]`` to
+    +Z on site ``sites[i]``. :func:`tapering_frame` builds one rotation
+    (sigma_i + tau_i)/sqrt(2) per generator, then a Hadamard (X + Z)/sqrt(2)
+    on each site whose sigma_i is X; :meth:`TaperedSum.build` verifies it.
+    The default is the identity frame, with no generators.
+    """
+
+    generators: tuple[PauliTerm, ...] = ()
+    sites: tuple[int, ...] = ()
+    rotations: tuple[tuple[PauliTerm, PauliTerm], ...] = ()
+
+    def to_frame(self, v: np.ndarray) -> np.ndarray:
+        """F v along the last axis of ``v``; ``v`` itself for the identity frame."""
+        for pair in self.rotations:
+            v = _rotated(v, *pair)
+        return v
+
+    def from_frame(self, v: np.ndarray) -> np.ndarray:
+        """F^dagger v, the inverse of :meth:`to_frame` (each R_j is its own inverse)."""
+        for pair in reversed(self.rotations):
+            v = _rotated(v, *pair)
+        return v
+
+    @cached_property
+    def _rotation_strings(self) -> list[tuple[tuple[complex, int, int], ...]]:
+        return [(_symplectic(p), _symplectic(q)) for p, q in self.rotations]
+
+    def reduce(self, term: PauliTerm) -> tuple[PauliTerm, int]:
+        """(F T F^dagger off the frame's sites, mask): the mask has bit k-1-i set where the
+        transformed term holds Z on ``sites[i]``. Raises :class:`OracleError` when it holds X or Y
+        on one of them, so that T does not commute with that generator."""
+        string = _symplectic(term)
+        for p, q in self._rotation_strings:
+            string = _conjugated(string, p, q)
+        coefficient, x, z = string
+        n, k = term.num_sites, len(self.sites)
+        site_bits = [1 << (n - 1 - q) for q in self.sites]
+        if any(x & bit for bit in site_bits):
+            raise OracleError(f"the frame leaves {term} with X or Y on a tapered site")
+        mask = sum(1 << (k - 1 - i) for i, bit in enumerate(site_bits) if z & bit)
+        kept = [1 << (n - 1 - q) for q in range(n) if q not in self.sites]
+        return PauliTerm(coefficient, "".join("IZXY"[2 * bool(x & b) + bool(z & b)] for b in kept)), mask
+
+
+def _rotated(v: np.ndarray, p: PauliTerm, q: PauliTerm) -> np.ndarray:
+    (src_p, phase_p), (src_q, phase_q) = p.action, q.action
+    return (p.coefficient * phase_p * v[..., src_p] + q.coefficient * phase_q * v[..., src_q]) * np.sqrt(0.5)
+
+
+def tapering_frame(h: PauliSum) -> TaperingFrame:
+    """The frame of the Pauli strings that commute with every term of ``h``, built sequentially.
+
+    The strings are the symplectic GF(2) null space of the terms. When they
+    are Z-type only, some two of them anticommute, or they would taper every
+    site, the frame is the identity. Otherwise generator tau_i in turn gets a
+    site q_i where it acts and that no earlier generator took, preferring one
+    where it has X or Y, and sigma_i = Z there (X where it has Z), which
+    anticommutes with it; every later generator that anticommutes with
+    sigma_i is multiplied by tau_i, so it commutes with sigma_i and tau_i and
+    the rotation (sigma_i + tau_i)/sqrt(2) leaves it as it is.
+    """
+    n = h.num_sites
+    rows = [(z << n) | x for _, x, z in map(_symplectic, h.terms)]
+    taus = [(1.0, v >> n, v & ((1 << n) - 1)) for v in _null_space(rows, 2 * n)]
+    if (not any(x for _, x, _ in taus) or len(taus) >= n
+            or any(_anticommutes(a, b) for a, b in combinations(taus, 2))):
+        return TaperingFrame()
+    sites, sigmas = [], []
+    for i, (_, x, z) in enumerate(taus):
+        acting = [q for q in range(n) if (x | z) >> (n - 1 - q) & 1 and q not in sites]
+        if not acting:
+            raise OracleError("a symmetry generator acts only on sites earlier generators took")
+        site = next((q for q in acting if x >> (n - 1 - q) & 1), acting[0])
+        bit = 1 << (n - 1 - site)
+        sigma = (1.0, 0, bit) if x & bit else (1.0, bit, 0)
+        for j in range(i + 1, len(taus)):
+            if _anticommutes(taus[j], sigma):
+                taus[j] = _times(taus[j], taus[i])
+        sites.append(site)
+        sigmas.append(sigma)
+    hadamards = [((1.0, s[1], 0), (1.0, 0, s[1])) for s in sigmas if s[1]]
+    return TaperingFrame(
+        generators=tuple(_term(t, n) for t in taus),
+        sites=tuple(sites),
+        rotations=tuple((_term(p, n), _term(q, n)) for p, q in [*zip(sigmas, taus), *hadamards]),
+    )
+
+
+def _spread(sites: Iterable[int], n: int) -> np.ndarray:
+    """Basis index on n sites of each number, its bit j (from the top) moved onto site ``sites[j]``."""
+    sites = tuple(sites)
+    local = np.arange(1 << len(sites), dtype=np.int64)
+    out = np.zeros_like(local)
+    for j, q in enumerate(sites):
+        out |= ((local >> (len(sites) - 1 - j)) & 1) << (n - 1 - q)
+    return out
+
+
+@dataclass(frozen=True)
+class TaperedSum:
+    """A Pauli sum in its verified frame: F h F^dagger = sum_s |s><s| (x) h_s.
+
+    Sector s (0 .. 2^k - 1) is where generator i has eigenvalue
+    (-1)^(bit k-1-i of s). ``terms[j]`` is term j on the N - k untapered
+    sites with its frame coefficient, and carries the sign
+    (-1)^popcount(s & masks[j]) in sector s; terms are not merged.
+    """
+
+    frame: TaperingFrame
+    num_sites: int
+    terms: tuple[PauliTerm, ...]
+    masks: tuple[int, ...]
+
+    @classmethod
+    def build(cls, h: PauliSum, frame: TaperingFrame) -> "TaperedSum":
+        """Reduce every term of ``h`` through ``frame``. Raises :class:`OracleError` unless the
+        frame takes every generator to +Z on its site and every term to I or Z on each of them."""
+        n, k = h.num_sites, len(frame.sites)
+        if frame == TaperingFrame():
+            return cls(frame, n, h.terms, (0,) * len(h))
+        for i, generator in enumerate(frame.generators):
+            image, mask = frame.reduce(generator)
+            if (image.coefficient, set(image.axes), mask) != (1, {"I"}, 1 << (k - 1 - i)):
+                raise OracleError(f"the frame takes generator {generator} to {image} with mask {mask:b}, "
+                                  f"not to +Z on site {frame.sites[i] + 1}")
+        reduced = [frame.reduce(term) for term in h.terms]
+        return cls(frame, n, tuple(term for term, _ in reduced), tuple(mask for _, mask in reduced))
+
+    @property
+    def num_sectors(self) -> int:
+        return 1 << len(self.frame.sites)
+
+    @cached_property
+    def sector_signs(self) -> np.ndarray:
+        """(sectors, terms) table of each term's sign in each sector."""
+        return _read_only(self._signs(self.masks))
+
+    def _signs(self, masks: Sequence[int]) -> np.ndarray:
+        sectors = np.arange(self.num_sectors, dtype=np.int64)
+        return 1 - 2 * (np.bitwise_count(sectors[:, None] & np.array(masks, dtype=np.int64)) & 1).astype(np.int64)
+
+    def sector_eigenvalues(self, symmetries: Sequence[PauliTerm]) -> np.ndarray:
+        """(sectors, symmetries) table of each symmetry's eigenvalue in each sector.
+
+        A string of the frame's group reduces to c I with a mask, so its
+        eigenvalue in sector s is c (-1)^popcount(s & mask). Raises
+        :class:`OracleError` for a string outside the group.
+        """
+        images = [self.frame.reduce(term) for term in symmetries]
+        for term, (image, _) in zip(symmetries, images):
+            if set(image.axes) != {"I"}:
+                raise OracleError(f"{term} is not in the symmetry group of the frame")
+        coefficients = np.array([image.coefficient.real for image, _ in images])
+        return coefficients * self._signs([mask for _, mask in images])
+
+    @cached_property
+    def frame_index(self) -> np.ndarray:
+        """(sectors, 2^(N-k)) frame basis index of each sector's reduced basis states."""
+        kept = [q for q in range(self.num_sites) if q not in self.frame.sites]
+        return _read_only(_spread(self.frame.sites, self.num_sites)[:, None] | _spread(kept, self.num_sites))
+
+    def block_stack(self) -> tuple[np.ndarray, np.ndarray]:
+        """(permutation, stack): every sector sum's :func:`symmetry_blocks`, sector by sector, as
+        one (blocks, size, size) stack, real when its entries are; row i of block b is frame basis
+        state ``permutation[b * size + i]``. The sector sums share their strings, so their blocks."""
+        blocks = symmetry_blocks(PauliSum(self.terms, self.num_sites - len(self.frame.sites)))
+        local = np.concatenate(blocks)
+        size = blocks[0].size
+        position = np.argsort(local)
+        row_start = np.arange(local.size) * size  # entry (b, r, c) of a sector's blocks is (b*size + r)*size + c
+        flat = np.zeros((self.num_sectors, local.size * size), dtype=complex)
+        for signs, term in zip(self.sector_signs.T, self.terms):
+            src, phase = term.action
+            flat[:, row_start + position[src[local]] % size] += signs[:, None] * (term.coefficient * phase[local])
+        stack = flat.reshape(-1, size, size)
+        if np.max(np.abs(stack.imag)) <= 1e-14 * max(1.0, np.max(np.abs(stack.real))):
+            stack = np.ascontiguousarray(stack.real)  # frees the complex stack before eigh
+        return self.frame_index[:, local].ravel(), stack
+
+
+_TAPERINGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def taper(h: PauliSum) -> TaperedSum:
+    """``h`` reduced through its :func:`tapering_frame`, verified, built once and returned for
+    every ``PauliSum`` equal to ``h``."""
+    tapered = _TAPERINGS.get(h)
+    if tapered is None:
+        tapered = _TAPERINGS[h] = TaperedSum.build(h, tapering_frame(h))
+    return tapered
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenpairs kept as equal-size symmetry blocks: no 2^N x 2^N matrix.
 
-    Row i of block b is basis state ``permutation[b * size + i]``; ``order``
-    lists the flat block columns by ascending ``eigenvalues`` (ties in block
-    order), the eigenvector order of :meth:`project` and :meth:`expand`.
+    Row i of block b is basis state ``permutation[b * size + i]`` of the
+    ``frame`` (the computational basis when the frame is the identity);
+    ``order`` lists the flat block columns by ascending ``eigenvalues`` (ties
+    in block order), the eigenvector order of :meth:`project` and
+    :meth:`expand`.
     """
 
     permutation: np.ndarray
@@ -47,6 +325,7 @@ class SpectralDecomposition:
     order: np.ndarray
     eigenvalues: np.ndarray
     ground_degeneracy: int
+    frame: TaperingFrame = TaperingFrame()
     _phase_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -55,7 +334,8 @@ class SpectralDecomposition:
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """<n|v> for every eigenvector n; ``v`` may stack vectors along leading axes."""
-        return self._through_blocks(v[..., self.permutation], self.block_vectors.conj())[..., self.order]
+        rows = self.frame.to_frame(v)[..., self.permutation]
+        return self._through_blocks(rows, self.block_vectors.conj())[..., self.order]
 
     def expand(self, coords: np.ndarray) -> np.ndarray:
         """sum_n coords_n |n>, the inverse of :meth:`project`."""
@@ -64,7 +344,7 @@ class SpectralDecomposition:
         blocked = self._through_blocks(flat, self.block_vectors.transpose(0, 2, 1))
         out = np.empty_like(blocked)
         out[..., self.permutation] = blocked
-        return out
+        return self.frame.from_frame(out)
 
     def _through_blocks(self, rows: np.ndarray, mats: np.ndarray) -> np.ndarray:
         """Rows in block layout times their blocks' matrices; real and imaginary parts in one matmul."""
@@ -97,7 +377,7 @@ class SpectralDecomposition:
         column = np.argsort(self.order)
         dense = np.zeros((self.order.size,) * 2, dtype=self.block_vectors.dtype)
         dense[self.permutation.reshape(blocks, size, 1), column.reshape(blocks, 1, size)] = self.block_vectors
-        return _read_only(dense)
+        return _read_only(self.frame.from_frame(dense.T).T)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -109,40 +389,24 @@ _DECOMPOSITIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def symmetry_blocks(h: PauliSum) -> tuple[np.ndarray, ...]:
-    """Basis indices of each block of ``h``'s Z-type symmetry sectors.
+    """Basis indices of each block of ``h``'s Z-type symmetry sectors, the Z-type part of its group.
 
     A Z-string commutes with a term iff it shares an even number of sites
     with the term's X/Y flip mask, so the Z-strings commuting with all of
-    ``h`` are the GF(2) null space of the flip masks (the qubit-tapering
-    construction of Bravyi, Gambetta, Mezzacapo & Temme, arXiv:1701.08213).
-    A basis state's parities under a basis of that space, its syndrome, are
-    conserved by every term and label its block. Blocks come in ascending
-    syndrome, indices ascending within each; with no symmetry there is one.
-    Memoized on the Pauli strings, which every field of a model shares.
+    ``h`` are the GF(2) null space of the flip masks. A basis state's
+    parities under a basis of that space, its syndrome, are conserved by
+    every term and label its block. Blocks come in ascending syndrome,
+    indices ascending within each; with no symmetry there is one. Memoized
+    on the Pauli strings, which every field of a model shares.
     """
     return _syndrome_blocks(h.num_sites, tuple(t.axes for t in h.terms))
 
 
 @lru_cache(maxsize=16)
 def _syndrome_blocks(n: int, strings: tuple[str, ...]) -> tuple[np.ndarray, ...]:
-    rows = np.array([[ch in "XY" for ch in axes] for axes in strings], dtype=bool).reshape(-1, n)
-    pivots: list[int] = []
-    for col in range(n):  # reduced row echelon form over GF(2)
-        rank = len(pivots)
-        hits = np.flatnonzero(rows[rank:, col])
-        if hits.size == 0:
-            continue
-        rows[[rank, rank + hits[0]]] = rows[[rank + hits[0], rank]]
-        clear = rows[:, col].copy()
-        clear[rank] = False
-        rows[clear] ^= rows[rank]
-        pivots.append(col)
     index = np.arange(1 << n, dtype=np.int64)
     labels = np.zeros(1 << n, dtype=np.int64)
-    bit_of_site = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)  # site 0 on the top bit
-    for j, free in enumerate(c for c in range(n) if c not in pivots):
-        sites = [free] + [p for i, p in enumerate(pivots) if rows[i, free]]
-        z_mask = int(bit_of_site[sites].sum())
+    for j, z_mask in enumerate(_null_space((int(axes.translate(_X_BITS), 2) for axes in strings), n)):
         labels |= (np.bitwise_count(index & z_mask) & 1).astype(np.int64) << j
     order = np.argsort(labels, kind="stable")
     return tuple(map(_read_only, np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)))
@@ -162,24 +426,39 @@ def diagonalize(h: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> SpectralDecomposit
 
 
 def _factorize_blocks(h: PauliSum) -> SpectralDecomposition:
-    """One batched ``eigh`` of the :func:`symmetry_blocks` of ``h``, which are
-    syndrome cosets of one size, each filled from the terms' basis actions."""
-    blocks = symmetry_blocks(h)
-    permutation = np.concatenate(blocks)
-    size = blocks[0].size
-    position = np.argsort(permutation)
-    block, row = np.divmod(np.arange(permutation.size), size)
-    stack = np.zeros((len(blocks), size, size), dtype=complex)
-    for term in h.terms:
-        src, phase = term.action
-        stack[block, row, position[src[permutation]] % size] += term.coefficient * phase[permutation]
-    if np.max(np.abs(stack.imag)) <= 1e-14 * max(1.0, np.max(np.abs(stack.real))):
-        stack = np.ascontiguousarray(stack.real)  # frees the complex stack before eigh
+    """One batched ``eigh`` of the blocks of every sector sum of ``h`` (:meth:`TaperedSum.block_stack`)."""
+    tapered = taper(h)
+    permutation, stack = tapered.block_stack()
     block_evals, block_vectors = np.linalg.eigh(stack)
     order = np.argsort(block_evals.ravel(), kind="stable")
     evals = block_evals.ravel()[order]
     degeneracy = int(np.sum(evals <= evals[0] + DEGENERACY_GAP))
-    return SpectralDecomposition(*map(_read_only, (permutation, block_vectors, order, evals)), degeneracy)
+    arrays = map(_read_only, (permutation, block_vectors, order, evals))
+    return SpectralDecomposition(*arrays, degeneracy, tapered.frame)
+
+
+def completeness_certificate(h: PauliSum, decomp: SpectralDecomposition) -> dict:
+    """Whether ``decomp`` holds the whole spectrum of ``h``, from the Pauli algebra alone.
+
+    The blocks must fill all 2^N states, and the eigenvalues must give
+    tr H = 2^N c_I and tr H^2 = 2^N sum_j |c_j|^2 (only the identity string
+    has a trace, and distinct strings are trace-orthogonal), each to
+    ``CERTIFICATE_TOLERANCE`` relative to 2^N sqrt(sum_j |c_j|^2) and
+    2^N sum_j |c_j|^2 respectively.
+    """
+    dim = 1 << h.num_sites
+    blocks, size, _ = decomp.block_vectors.shape
+    identity = sum(t.coefficient.real for t in h.terms if set(t.axes) == {"I"})
+    square = dim * sum(abs(t.coefficient) ** 2 for t in h.terms) or 1.0
+    trace_deviation = abs(float(np.sum(decomp.eigenvalues)) - dim * identity) / np.sqrt(dim * square)
+    square_deviation = abs(float(np.sum(decomp.eigenvalues**2)) - square) / square
+    return {
+        "dimension": dim,
+        "block_dimension_sum": blocks * size,
+        "trace_deviation": trace_deviation,
+        "trace_square_deviation": square_deviation,
+        "holds": blocks * size == dim and max(trace_deviation, square_deviation) <= CERTIFICATE_TOLERANCE,
+    }
 
 
 def lanczos(

@@ -6,23 +6,29 @@ symmetry sector. One independent angle per bond per layer; within a
 layer the sweep order is X-bonds, Y-bonds, Z-bonds in lattice bond
 order.
 
-Training therefore runs on span{Q|psi0>}, the span of the initial state
-closed under the ansatz's distinct bond strings, which is the whole
-2^(N/2-1)-dimensional sector for a sector state: :class:`SectorSpan`
-restricts each string and H0 to d x d matrices on that span, built from
-the strings' basis actions, and Adam runs the adjoint sweep on them one
-run of commuting strings at a time, in each run's joint eigenbasis.
-:meth:`AnsatzCircuit.apply` and :meth:`AnsatzCircuit.energy_and_gradient`
-stay full-space; the trained state and its infidelity come from ``apply``.
+Training runs in one symmetry sector of H0's tapered frame
+(:func:`oracle.taper`): the Clifford that takes each plaquette/loop
+generator to a single-qubit Z. Every bond string commutes with those
+generators, so in the frame it is a signed Pauli string on the N - k
+untapered qubits, and the sector of the initial state is a
+2^(N-k) = 2^(N/2-1)-dimensional space that the bond strings keep.
+:class:`SectorSpan` takes each string and H0 there as d x d matrices, and
+Adam runs the adjoint sweep on them one run of commuting strings at a time,
+in each run's joint eigenbasis. Only mapping the initial state into the
+frame touches 2^N amplitudes. :meth:`AnsatzCircuit.apply` and
+:meth:`AnsatzCircuit.energy_and_gradient` stay full-space; the trained state
+and its infidelity come from ``apply``.
 
-Choosing the sector is a spectral question, not an
-optimization one. H0 commutes with every plaquette and loop (Kitaev,
-Ann. Phys. 321, 2 (2006)), so each candidate sector (both uniform
-plaquette signs crossed with the four loop-sign pairs) has an exact
-ground energy, which a short Lanczos run inside the sector finds. The
-lowest-energy sector is the only one trained. Lieb's theorem fixes the
-flux sector only in the thermodynamic limit; on the shipped tori the
-winner is size-dependent and has to be computed.
+Choosing the sector is a spectral question, not an optimization one. H0
+commutes with every plaquette and loop (Kitaev, Ann. Phys. 321, 2 (2006)),
+so every sector of the frame has an exact ground energy, and one batched
+``eigvalsh`` of the tapered sector sums gives all 2^k of them. Each
+candidate sector (both uniform plaquette signs crossed with the four
+loop-sign pairs) is mapped to its frame sector, the lowest-energy candidate
+is the only one trained, and the ranking raises when no candidate reaches
+the lowest energy of all sectors, which would leave the ground state out of
+reach. Lieb's theorem fixes the flux sector only in the thermodynamic limit;
+on the shipped tori the winner is size-dependent and has to be computed.
 """
 
 from __future__ import annotations
@@ -43,11 +49,9 @@ from .simulator import StateVector, _rotation_inplace, expectation
 # fraction of max(1, |target|) above the target.
 TARGET_TOLERANCE = 1e-12
 
-# A mapped unit vector with at most this weight (squared norm) off the span
-# is taken to lie in it; the invariance check catches any weight left out.
-SPAN_TOLERANCE = 1e-10
-# Each restricted string must square to the identity this closely, and be
-# this close to a diagonal of +-1 in its commuting run's joint eigenbasis.
+# Each restricted string must be this close to a diagonal of +-1 in its
+# commuting run's joint eigenbasis, and the initial state may have at most
+# this weight (relative squared norm) outside its sector of the frame.
 INVARIANCE_TOLERANCE = 1e-12
 
 
@@ -107,7 +111,7 @@ class AnsatzCircuit:
 
         The reference for the sweep that training runs,
         :meth:`SectorSpan.energy_and_gradient`, which takes the rotations a
-        commuting run at a time on the d x d restriction; tests and the
+        commuting run at a time on the d x d sector of the frame; tests and the
         benchmark's tracer and layer probe call this one.
         """
         parameters = np.asarray(parameters, dtype=float)
@@ -127,58 +131,21 @@ class AnsatzCircuit:
         return energy, grads
 
 
-def closure_basis(amplitudes: np.ndarray, terms: Sequence[PauliTerm]) -> np.ndarray:
-    """Orthonormal rows spanning ``amplitudes`` closed under the strings of ``terms``.
+def sector_strings(tapered: oracle.TaperedSum, sector: int, terms: Sequence[PauliTerm]) -> dict[str, np.ndarray]:
+    """Pauli string -> its d x d matrix in ``sector`` of ``tapered``'s frame.
 
-    Breadth first: each row, in order, is mapped through every string in
-    one stacked gather. A string is unitary, so a mapped row lies in the
-    span found so far iff its overlaps with the rows carry all of its unit
-    norm; each one whose weight off the span exceeds ``SPAN_TOLERANCE`` is
-    projected twice off the rows and joins them. Row 0 is the normalized
-    input.
+    That is the string reduced through the frame (:meth:`TaperingFrame.reduce`,
+    which raises unless it commutes with every generator) times its sign in
+    the sector, d = 2^(N-k).
     """
-    src = np.stack([t.action[0] for t in terms])
-    phase = np.stack([t.action[1] for t in terms])
-    rows = np.zeros((4, amplitudes.size), dtype=complex)
-    rows[0] = amplitudes / np.linalg.norm(amplitudes)
-    size, done = 1, 0
-    while done < size:
-        mapped = phase * rows[done][src]
-        done += 1
-        off = 1.0 - np.sum(np.abs(mapped.conj() @ rows[:size].T) ** 2, axis=1)
-        for i in np.flatnonzero(off > SPAN_TOLERANCE):
-            if off[i] <= SPAN_TOLERANCE:  # a row this batch added took it in
-                continue
-            w = mapped[i]
-            for _ in range(2):
-                w -= (rows[:size].conj() @ w) @ rows[:size]
-            norm = np.linalg.norm(w)
-            if norm**2 <= SPAN_TOLERANCE:
-                continue
-            if size == len(rows):
-                rows = np.concatenate([rows, np.zeros_like(rows)])
-            rows[size] = w / norm
-            off -= np.abs(mapped @ rows[size].conj()) ** 2
-            size += 1
-    return rows[:size]
-
-
-def restrict(basis: np.ndarray, terms: Sequence[PauliTerm]) -> dict[str, np.ndarray]:
-    """Pauli string -> g = B*·(P Bᵀ), its d x d matrix on the span of the rows of ``basis``.
-
-    A Pauli string squares to the identity, and so does its restriction iff
-    the span is invariant under it; raises :class:`VqeError` when some g²
-    misses I by more than ``INVARIANCE_TOLERANCE``.
-    """
-    eye = np.eye(len(basis))
-    conj = basis.conj()
+    dim = tapered.frame_index.shape[1]
+    rows = np.arange(dim)
     restricted = {}
     for term in terms:
-        src, phase = term.action
-        g = conj @ (phase * basis[:, src]).T
-        miss = float(np.max(np.abs(g @ g - eye)))
-        if miss > INVARIANCE_TOLERANCE:
-            raise VqeError(f"the span is not invariant under {term}: |g^2 - I| = {miss:.3e}")
+        reduced, mask = tapered.frame.reduce(term)
+        src, phase = reduced.action
+        g = np.zeros((dim, dim), dtype=complex)
+        g[rows, src] = (-1) ** (sector & mask).bit_count() * reduced.coefficient * phase
         restricted[term.axes] = g
     return restricted
 
@@ -198,8 +165,8 @@ def joint_eigenbasis(strings: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndar
     W comes from ``eigh`` of sum_j 2^j g_j: each sign pattern of the g_j gives
     that sum its own eigenvalue, so every eigenspace is a joint one. Raises
     :class:`VqeError` when some W^† g_j W misses a diagonal of +-1 by more than
-    ``INVARIANCE_TOLERANCE``, which would mean the strings do not commute on
-    the span or do not square to I.
+    ``INVARIANCE_TOLERANCE``, which would mean the strings do not commute in
+    the sector or do not square to I.
     """
     stack = np.stack(strings)
     _, w = np.linalg.eigh(np.tensordot(2.0 ** np.arange(len(stack)), stack, axes=1))
@@ -213,7 +180,7 @@ def joint_eigenbasis(strings: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class SectorSpan:
-    """The training problem on span{Q|psi0>}, Q over products of the ansatz's bond strings.
+    """The training problem in the sector of H0's tapered frame that holds psi0.
 
     The circuit splits into runs of consecutive, pairwise commuting strings
     (:func:`commuting_runs`; the honeycomb ansatz has an x, a y and a z run per
@@ -235,23 +202,30 @@ class SectorSpan:
 
     @classmethod
     def build(cls, ansatz: AnsatzCircuit, h: PauliSum, state: StateVector) -> "SectorSpan":
-        """Raises :class:`VqeError` unless every term of ``h`` is one of the ansatz's strings
-        and every run has a joint eigenbasis (:func:`joint_eigenbasis`)."""
+        """Raises :class:`VqeError` unless every term of ``h`` is one of the ansatz's strings,
+        ``state`` lies in one sector of ``h``'s frame (:func:`oracle.taper`) and every run has
+        a joint eigenbasis (:func:`joint_eigenbasis`)."""
         terms = ansatz.distinct_generators
-        basis = closure_basis(state.amplitudes, terms)
-        g = restrict(basis, terms)
+        strings = {t.axes for t in terms}
         for term in h.terms:
-            if term.axes not in g:
+            if term.axes not in strings:
                 raise VqeError(f"term {term} of the Hamiltonian is not one of the ansatz's bond strings")
+        tapered = oracle.taper(h)
+        coords = tapered.frame.to_frame(state.amplitudes)[tapered.frame_index]
+        weights = np.sum(np.abs(coords) ** 2, axis=1)
+        sector = int(np.argmax(weights))
+        if np.sum(weights) - weights[sector] > INVARIANCE_TOLERANCE * np.sum(weights):
+            raise VqeError("the initial state is not in one symmetry sector of the Hamiltonian's frame")
+        g = sector_strings(tapered, sector, terms)
         gens = ansatz.generators
         starts = commuting_runs(gens)
         runs = [tuple(gen.axes for gen in gens[lo:hi]) for lo, hi in zip(starts, [*starts[1:], len(gens)])]
         eigenbases = {run: joint_eigenbasis([g[axes] for axes in run]) for run in dict.fromkeys(runs)}
         frames = [eigenbases[run][0] for run in runs]
-        dim = len(basis)
+        dim = coords.shape[1]
         hamiltonian = sum(t.coefficient * g[t.axes] for t in h.terms)
         return cls(
-            start=frames[0].conj().T @ (basis.conj() @ state.amplitudes),
+            start=frames[0].conj().T @ coords[sector],
             signs=np.concatenate([eigenbases[run][1] for run in runs]),
             half_angles=np.array([0.5 * gen.coefficient.real for gen in gens]),
             run_starts=np.array(starts),
@@ -305,8 +279,10 @@ class VqeResult:
     sector_targets: tuple[int, ...] | None = None
     # (targets, exact in-sector ground energy) per consistent candidate sector
     sector_energies: list[tuple[tuple[int, ...], float]] | None = None
-    # d of the span training ran on; None when there was nothing to train
+    # d of the sector training ran in; None when there was nothing to train
     sector_dimension: int | None = None
+    # lowest ground energy over every sector of H0's tapered frame
+    global_sector_minimum: float | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -318,6 +294,7 @@ class VqeResult:
             "stop_epoch": self.stop_epoch,
             "stop_reason": self.stop_reason,
             "sector_dimension": self.sector_dimension,
+            "global_sector_minimum": self.global_sector_minimum,
             "sector_targets": list(self.sector_targets) if self.sector_targets else None,
             "sector_energies": None if self.sector_energies is None else [
                 {"targets": list(targets), "energy": energy} for targets, energy in self.sector_energies
@@ -328,56 +305,28 @@ class VqeResult:
         }
 
 
-def _project_into_sector(amps: np.ndarray, group: StabilizerGroup) -> np.ndarray | None:
-    """(1 + t*g)/2 for every generator, renormalizing after each; None once it annihilates."""
-    for gen, target in zip(group.generators, group.target_eigenvalues):
-        amps = 0.5 * (amps + target * pauli.apply_term(gen, amps))
-        nrm = np.linalg.norm(amps)
-        if nrm < 1e-8:
-            return None
-        amps /= nrm
-    return amps
-
-
 def prepare_sector_state(group: StabilizerGroup, lat: HoneycombLattice) -> StateVector:
     """Projector-cascade eigenstate of the stabilizer group.
 
     Projects a computational basis state through (1 + t*g)/2 for every
-    generator, restarting from the next basis state whenever the cascade
-    annihilates. Raises when no basis state survives, i.e. the requested
-    eigenvalue pattern violates a product relation among the generators.
+    generator, renormalizing after each, and restarts from the next basis
+    state whenever the cascade annihilates. Raises when no basis state
+    survives, i.e. the requested eigenvalue pattern violates a product
+    relation among the generators.
     """
     dim = 1 << lat.num_sites
     for start in range(dim):
         amps = np.zeros(dim, dtype=complex)
         amps[start] = 1.0
-        amps = _project_into_sector(amps, group)
-        if amps is not None:
+        for gen, target in zip(group.generators, group.target_eigenvalues):
+            amps = 0.5 * (amps + target * pauli.apply_term(gen, amps))
+            nrm = np.linalg.norm(amps)
+            if nrm < 1e-8:
+                break
+            amps /= nrm
+        else:
             return StateVector(amps, lat.num_sites)
     raise VqeError("inconsistent sector: projector cascade annihilates every basis state")
-
-
-def sector_ground_energy(h0: PauliSum, group: StabilizerGroup, lat: HoneycombLattice) -> float:
-    """Exact ground energy of ``h0`` restricted to one stabilizer sector.
-
-    Projects a fixed-seed random vector into the sector with the
-    :func:`prepare_sector_state` cascade and runs :func:`oracle.lanczos`
-    from it. ``h0`` must commute with every generator, so the Krylov space
-    stays inside the sector, whose dimension is 2^(N/2 - 1); the run stops
-    when beta < 1e-10 or after that many steps, and the lowest eigenvalue
-    of the tridiagonal matrix is the sector's ground energy. Raises when
-    the sign pattern is inconsistent.
-    """
-    dim = 1 << lat.num_sites
-    rng = np.random.default_rng(0)
-    start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    q = _project_into_sector(start / np.linalg.norm(start), group)
-    if q is None:
-        raise VqeError("inconsistent sector: projector cascade annihilates a random vector")
-    max_steps = 1 << (lat.num_sites // 2 - 1)
-    a, b, _, _ = oracle.lanczos(lambda v: pauli.apply_sum(h0, v), q, max_steps, 1e-20)
-    tridiagonal = np.diag(a) + np.diag(b[1:], 1) + np.diag(b[1:], -1)
-    return float(np.linalg.eigvalsh(tridiagonal)[0])
 
 
 def _reached(energy: float, target: float | None) -> bool:
@@ -449,8 +398,8 @@ def train(
     carries the energy distance and infidelity against it, and
     ``converged`` reports whether the energy distance met ``tolerance``
     (best-so-far is returned either way). Raises :class:`VqeError` when a
-    term of ``h0`` is not one of the ansatz's bond strings or the span is
-    not invariant under them.
+    term of ``h0`` is not one of the ansatz's bond strings or ``init_state``
+    is not in one sector of ``h0``'s frame (:meth:`SectorSpan.build`).
     """
     if not h0.is_hermitian():
         raise VqeError("training requires a Hermitian Hamiltonian")
@@ -492,27 +441,63 @@ def train(
 
 
 def candidate_sectors(lat: HoneycombLattice) -> list[StabilizerGroup]:
-    """Uniform plaquette-sign sectors crossed with the four loop-sign pairs."""
-    out = []
-    for plaq_sign in (1, -1):
-        for loop_x in (1, -1):
-            for loop_y in (1, -1):
-                out.append(stabilizer_group(lat, plaq_sign, (loop_x, loop_y)))
-    return out
+    """Uniform plaquette-sign sectors crossed with the four loop-sign pairs, all on one
+    :func:`stabilizer_group` generator set."""
+    generators = stabilizer_group(lat).generators
+    plaquettes = len(lat.plaquettes)
+    return [
+        StabilizerGroup(generators, (plaq_sign,) * plaquettes + (loop_x, loop_y))
+        for plaq_sign in (1, -1) for loop_x in (1, -1) for loop_y in (1, -1)
+    ]
 
 
-def rank_sectors(lat: HoneycombLattice, h0: PauliSum) -> list[tuple[StabilizerGroup, float]]:
-    """(sector, :func:`sector_ground_energy`) for every consistent candidate
-    sector, in :func:`candidate_sectors` order."""
+def frame_sector(table: np.ndarray, group: StabilizerGroup) -> int:
+    """The frame sector where every generator has ``group``'s target eigenvalue, given their
+    :meth:`TaperedSum.sector_eigenvalues` table: a GF(2) system for the sector's bits, solved by
+    checking every sector. Raises :class:`VqeError` when none fits, i.e. the pattern is inconsistent."""
+    match = np.flatnonzero(np.all(table == np.array(group.target_eigenvalues), axis=1))
+    if match.size == 0:
+        raise VqeError(f"inconsistent sector {group.target_eigenvalues}: no sector of the frame has it")
+    return int(match[0])
+
+
+@dataclass(frozen=True)
+class SectorRanking:
+    """(sector, exact ground energy) for every consistent candidate sector, in
+    :func:`candidate_sectors` order, and the lowest ground energy of all sectors."""
+
+    sectors: list[tuple[StabilizerGroup, float]]
+    global_minimum: float
+
+
+def rank_sectors(lat: HoneycombLattice, h0: PauliSum) -> SectorRanking:
+    """Every sector's ground energy from one batched ``eigvalsh`` of ``h0``'s tapered sector sums.
+
+    Each candidate sector takes its frame sector's energy (:func:`frame_sector`
+    over one eigenvalue table of the lattice's stabilizer generators);
+    inconsistent candidates are skipped. Raises :class:`VqeError` when the
+    generators do not fix one frame sector, or no candidate is within 1e-9
+    of the lowest energy of all 2^k sectors.
+    """
+    tapered = oracle.taper(h0)
+    _, stack = tapered.block_stack()
+    minima = np.linalg.eigvalsh(stack)[:, 0].reshape(tapered.num_sectors, -1).min(axis=1)
+    candidates = candidate_sectors(lat)
+    table = tapered.sector_eigenvalues(candidates[0].generators)
+    if len(set(map(tuple, table.tolist()))) < len(table):
+        raise VqeError("the stabilizer generators do not fix one sector of the Hamiltonian's frame")
     ranked: list[tuple[StabilizerGroup, float]] = []
-    for group in candidate_sectors(lat):
+    for group in candidates:
         try:
-            ranked.append((group, sector_ground_energy(h0, group, lat)))
+            ranked.append((group, float(minima[frame_sector(table, group)])))
         except VqeError:
             continue  # inconsistent sign pattern on this torus
     if not ranked:
         raise VqeError("no consistent stabilizer sector found")
-    return ranked
+    lowest = float(np.min(minima))
+    if min(energy for _, energy in ranked) > lowest + 1e-9:
+        raise VqeError(f"no candidate sector reaches the lowest sector energy {lowest:.12f}")
+    return SectorRanking(ranked, lowest)
 
 
 def prepare_reference_state(
@@ -524,7 +509,7 @@ def prepare_reference_state(
     seed: int = 0,
     oracle_decomp: SpectralDecomposition | None = None,
     tolerance: float | None = None,
-    ranked: list[tuple[StabilizerGroup, float]] | None = None,
+    ranked: SectorRanking | None = None,
 ) -> tuple[StateVector, VqeResult, StabilizerGroup]:
     """Symmetry-guided VQE ground-state preparation for the zero-field model.
 
@@ -533,13 +518,14 @@ def prepare_reference_state(
     passes one ranking to all of them), breaking ties within 1e-9 by
     ranking order, and trains only the winner, stopping at its exact
     energy. The result records every ranked sector's energy in
-    ``sector_energies``.
+    ``sector_energies`` and the lowest of all sectors in
+    ``global_sector_minimum``.
     """
     ansatz = AnsatzCircuit.for_lattice(lat, layers)
     if ranked is None:
         ranked = rank_sectors(lat, h0)
-    lowest = min(energy for _, energy in ranked)
-    group, sector_energy = next((g, energy) for g, energy in ranked if energy <= lowest + 1e-9)
+    lowest = min(energy for _, energy in ranked.sectors)
+    group, sector_energy = next((g, energy) for g, energy in ranked.sectors if energy <= lowest + 1e-9)
     init_state = prepare_sector_state(group, lat)
     result = train(
         h0, ansatz, init_state,
@@ -547,5 +533,6 @@ def prepare_reference_state(
         oracle_decomp=oracle_decomp, tolerance=tolerance, target=sector_energy,
     )
     result.sector_targets = group.target_eigenvalues
-    result.sector_energies = [(g.target_eigenvalues, energy) for g, energy in ranked]
+    result.sector_energies = [(g.target_eigenvalues, energy) for g, energy in ranked.sectors]
+    result.global_sector_minimum = ranked.global_minimum
     return ansatz.apply(result.optimal_parameters, init_state), result, group

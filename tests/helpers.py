@@ -17,3 +17,47 @@ def term_to_matrix(term) -> np.ndarray:
     for ch in term.axes:
         mat = np.kron(mat, _SINGLE_MATRICES[ch])
     return term.coefficient * mat
+
+
+def dense_matrix(h) -> np.ndarray:
+    """Dense matrix of a Pauli sum from :func:`term_to_matrix`."""
+    return sum(term_to_matrix(term) for term in h.terms)
+
+
+def z_blocked_factorization(h) -> tuple[np.ndarray, ...]:
+    """(permutation, block_vectors, order, eigenvalues) of the factorization on Z-syndrome
+    blocks alone, written out independently of the package: the numpy reduced row echelon
+    form of the flip masks, blocks filled from the basis actions and one batched eigh."""
+    n = h.num_sites
+    rows = np.array([[ch in "XY" for ch in t.axes] for t in h.terms], dtype=bool).reshape(-1, n)
+    pivots = []
+    for col in range(n):
+        rank = len(pivots)
+        hits = np.flatnonzero(rows[rank:, col])
+        if hits.size == 0:
+            continue
+        rows[[rank, rank + hits[0]]] = rows[[rank + hits[0], rank]]
+        clear = rows[:, col].copy()
+        clear[rank] = False
+        rows[clear] ^= rows[rank]
+        pivots.append(col)
+    index = np.arange(1 << n, dtype=np.int64)
+    labels = np.zeros(1 << n, dtype=np.int64)
+    bit_of_site = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)
+    for j, free in enumerate(c for c in range(n) if c not in pivots):
+        sites = [free] + [p for i, p in enumerate(pivots) if rows[i, free]]
+        labels |= (np.bitwise_count(index & int(bit_of_site[sites].sum())) & 1).astype(np.int64) << j
+    permutation = np.argsort(labels, kind="stable")
+    count = len(np.unique(labels))
+    size = permutation.size // count
+    position = np.argsort(permutation)
+    block, row = np.divmod(np.arange(permutation.size), size)
+    stack = np.zeros((count, size, size), dtype=complex)
+    for term in h.terms:
+        src, phase = term.action
+        stack[block, row, position[src[permutation]] % size] += term.coefficient * phase[permutation]
+    if np.max(np.abs(stack.imag)) <= 1e-14 * max(1.0, np.max(np.abs(stack.real))):
+        stack = np.ascontiguousarray(stack.real)
+    block_evals, block_vectors = np.linalg.eigh(stack)
+    order = np.argsort(block_evals.ravel(), kind="stable")
+    return permutation, block_vectors, order, block_evals.ravel()[order]

@@ -204,10 +204,32 @@ class TestPipeline:
             line for line in (path / "out" / "vqe_layer_sweep.csv").read_text().splitlines()
             if not line.startswith("#")
         ]
-        assert lines[0] == "d,infidelity,delta_e"
+        assert lines[0] == "d,infidelity,delta_e,stop_epoch,stop_reason"
         rows = [line.split(",") for line in lines[1:]]
         assert [int(r[0]) for r in rows] == [0, 1]
         assert float(rows[1][2]) < 1e-8  # d=1 converges
+        # depth 0 has one evaluation and nothing to train; d=1 stops at the sector energy
+        assert rows[0][3:] == ["1", "epochs"]
+        result = json.loads((path / "out" / "vqe_result.json").read_text())
+        assert rows[1][3:] == [str(result["stop_epoch"]), "target"]
+
+    def test_ed_reference_records_layout_and_certificate(self, workdir):
+        entries = json.loads((workdir[0] / "out" / "ed_reference.json").read_text())["entries"]
+        # h0 is tapered by its 5 plaquette/loop generators; h keeps its two Z-syndromes
+        assert [e["symmetry"] for e in entries] == [
+            {"tapered_generators": 5, "z_syndrome_generators": 0, "blocks": 32, "block_size": 8},
+            {"tapered_generators": 0, "z_syndrome_generators": 2, "blocks": 4, "block_size": 64},
+        ]
+        for entry in entries:
+            certificate = entry["completeness"]
+            assert certificate["holds"] is True
+            assert certificate["block_dimension_sum"] == certificate["dimension"] == 256
+            assert max(certificate["trace_deviation"], certificate["trace_square_deviation"]) <= 1e-10
+
+    def test_vqe_records_the_global_sector_minimum(self, workdir):
+        result = json.loads((workdir[0] / "out" / "vqe_result.json").read_text())
+        winner = next(s for s in result["sector_energies"] if s["targets"] == result["sector_targets"])
+        assert abs(result["global_sector_minimum"] - winner["energy"]) <= 1e-9
 
     def test_gf_curve_has_ed_reference_column(self, workdir):
         path, _ = workdir
@@ -335,9 +357,9 @@ class TestPipeline:
         assert texts[0] == texts[1]
 
     def test_one_lanczos_run_per_recursion(self, tmp_path, monkeypatch):
-        # oracle.lanczos is the only Lanczos loop: the vqe stage ranks the sectors once
-        # for all depths, running it once per ranked sector, and every lanczos_iterate
-        # runs it once
+        # oracle.lanczos is the only Lanczos loop and serves the Green's functions alone:
+        # the vqe stage ranks the sectors by one eigvalsh of h0's tapered sector sums, and
+        # every lanczos_iterate runs it once
         runs, iterates = [], []
         original_run, original_iterate = oracle.lanczos, greens.lanczos_iterate
         monkeypatch.setattr(oracle, "lanczos", lambda *args: runs.append(args[2]) or original_run(*args))
@@ -352,8 +374,7 @@ class TestPipeline:
             assert main([stage, "--config", str(config_path), "--out", str(tmp_path)]) == 0
             counts[stage] = (len(runs), len(iterates))
         config = config_from_dict(FAST_CONFIG)
-        ranked = json.loads((tmp_path / "vqe_result.json").read_text())["sector_energies"]
-        assert counts["vqe"] == (len(ranked), 0)
+        assert counts["vqe"] == (0, 0)
         assert counts["qse"] == (0, 0)
         assert counts["greens"] == (3 * len(config.gf.kinds),) * 2  # pair seed and both sites
         assert counts["dsf"] == (3 * len(config.dsf.h_values),) * 2  # one seed per Pauli kind

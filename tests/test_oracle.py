@@ -7,7 +7,9 @@ import pytest
 
 from kitaevqse import oracle
 from kitaevqse.oracle import OracleError, diagonalize, exact_resolvent_gf
-from kitaevqse.pauli import PauliTerm, apply_sum, pauli_sum, single_site, to_matrix, two_site
+from kitaevqse.pauli import PauliTerm, apply_sum, commutes, multiply, pauli_sum, single_site, to_matrix, two_site
+
+from helpers import dense_matrix, z_blocked_factorization
 
 # frozen at the first verified run of this module; the ground energy of
 # the 2x2 torus at zero field is -4*sqrt(3)
@@ -136,10 +138,10 @@ class TestProjectExpand:
     """project/expand against a dense eigh reference, in gauge-free form: the
     eigenvectors of a degenerate level are defined only up to a unitary."""
 
-    @pytest.fixture(params=["kitaev_8", "kitaev_12", "xy_chain_complex", "xx_chain_x_end"])
+    @pytest.fixture(params=["kitaev_8", "kitaev_12", "kitaev0_8", "xy_chain_complex", "xx_chain_x_end"])
     def case(self, request):
         if request.param.startswith("kitaev"):
-            h = request.getfixturevalue(request.param.replace("kitaev", "h"))  # h_8 or h_12
+            h = request.getfixturevalue(request.param.replace("kitaev", "h"))  # h_8, h_12 or h0_8
         elif request.param == "xy_chain_complex":
             h = _chain8("XY")  # a complex stack
         else:
@@ -177,6 +179,104 @@ class TestProjectExpand:
         assert dec_12.block_vectors.shape == (2, 2048, 2048)
         assert dec_12.block_vectors.dtype == np.float64
         assert sum(a.nbytes for a in arrays) <= 70e6  # the dense complex matrix was 268 MB
+
+
+class TestTapering:
+    """The zero-field Kitaev model tapered by its full plaquette/loop group."""
+
+    @pytest.mark.parametrize("j", [-1.0, 1.0])
+    def test_every_eigenpair_against_dense_eigh_n8(self, lat8, j):
+        from kitaevqse.lattice import kitaev_hamiltonian
+
+        h0 = kitaev_hamiltonian(lat8, j)
+        dec = diagonalize(h0)
+        assert len(dec.frame.generators) == 5 and dec.block_vectors.shape == (32, 8, 8)
+        mat = dense_matrix(h0)
+        ref_evals, ref_evecs = np.linalg.eigh(mat)
+        assert np.max(np.abs(dec.eigenvalues - ref_evals)) <= 1e-12 * np.max(np.abs(ref_evals))
+        vectors = dec.eigenvectors
+        assert np.max(np.abs(mat @ vectors - vectors * dec.eigenvalues)) <= 1e-12 * np.max(np.abs(ref_evals))
+        assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(256))) <= 1e-12
+        # each level's eigenspace, the gauge-free content of its eigenpairs
+        levels = np.split(np.arange(256), np.flatnonzero(np.diff(ref_evals) > oracle.DEGENERACY_GAP) + 1)
+        for level in levels:
+            ours, ref = vectors[:, level], ref_evecs[:, level]
+            assert np.max(np.abs(ours @ ours.conj().T - ref @ ref.conj().T)) <= 1e-11
+
+    def test_n12_spectrum_against_the_pauli_algebra(self, h0_12, dec0_12):
+        assert dec0_12.block_vectors.shape == (128, 32, 32)
+        assert dec0_12.ground_degeneracy == 4
+        # E0 from a full-space Lanczos through the matrix-free H
+        start = np.random.default_rng(5).normal(size=4096)
+        a, b, _, _ = oracle.lanczos(lambda v: apply_sum(h0_12, v), start, 160, 1e-20)
+        tridiagonal = np.diag(a) + np.diag(b[1:], 1) + np.diag(b[1:], -1)
+        assert dec0_12.ground_energy == pytest.approx(np.linalg.eigvalsh(tridiagonal)[0], abs=1e-10)
+        # tr H^k = 2^N (H^k)_I: H^2 from the products of its terms, then
+        # tr H^3 = 2^N sum_s (H^2)_s c_s and tr H^4 = 2^N sum_s |(H^2)_s|^2
+        square = pauli_sum([multiply(s, t) for s in h0_12.terms for t in h0_12.terms], 12)
+        coefficient = {t.axes: t.coefficient for t in square.terms}
+        moments = [
+            0.0,
+            sum(abs(t.coefficient) ** 2 for t in h0_12.terms),
+            sum(coefficient.get(t.axes, 0.0) * t.coefficient for t in h0_12.terms).real,
+            sum(abs(c) ** 2 for c in coefficient.values()),
+        ]
+        for k, expected in enumerate(moments, start=1):
+            traced = np.sum(dec0_12.eigenvalues**k) / 4096
+            assert abs(traced - expected) <= 1e-10 * max(1.0, abs(expected)), k
+
+    def test_field_hamiltonian_keeps_the_z_syndrome_factorization(self, h_8):
+        # the identity frame runs the Z-syndrome path bit for bit
+        for h in (h_8, _chain8("XY"), _chain8("XX", ("XIIIIIII",))):
+            dec = diagonalize(h)
+            assert dec.frame == oracle.TaperingFrame()
+            reference = z_blocked_factorization(h)
+            arrays = (dec.permutation, dec.block_vectors, dec.order, dec.eigenvalues)
+            assert all(np.array_equal(ours, ref) for ours, ref in zip(arrays, reference))
+
+    def test_non_abelian_or_z_only_groups_keep_the_identity_frame(self):
+        # ZZ commutes with Z0, Z1 and XX, which do not all commute; Z0 + Z1 has Z-strings only
+        assert oracle.tapering_frame(pauli_sum([two_site("Z", 0, 1, 2)], 2)) == oracle.TaperingFrame()
+        h = pauli_sum([single_site("Z", 0, 2), single_site("Z", 1, 2)], 2)
+        assert oracle.tapering_frame(h) == oracle.TaperingFrame()
+
+    def test_frame_maps_generators_to_z(self, h0_8):
+        frame = oracle.tapering_frame(h0_8)
+        tapered = oracle.TaperedSum.build(h0_8, frame)
+        assert len(tapered.terms) == len(h0_8) and tapered.num_sectors == 32
+        for i, generator in enumerate(frame.generators):
+            assert all(commutes(generator, t) for t in h0_8.terms)
+            assert frame.reduce(generator) == (PauliTerm(1.0, "III"), 1 << (4 - i))
+
+    @pytest.mark.parametrize("generator", range(5))
+    def test_flipped_sigma_raises(self, h0_8, generator):
+        frame = oracle.tapering_frame(h0_8)
+        rotations = list(frame.rotations)
+        sigma, tau = rotations[generator]
+        rotations[generator] = (sigma.with_coefficient(-1.0), tau)
+        with pytest.raises(OracleError, match="not to \\+Z"):
+            oracle.TaperedSum.build(h0_8, dataclasses.replace(frame, rotations=tuple(rotations)))
+
+    def test_dropped_clifford_raises(self, h0_8):
+        frame = oracle.tapering_frame(h0_8)
+        for dropped in range(len(frame.rotations)):  # each (sigma + tau)/sqrt(2), then each Hadamard
+            rotations = frame.rotations[:dropped] + frame.rotations[dropped + 1:]
+            with pytest.raises(OracleError):
+                oracle.TaperedSum.build(h0_8, dataclasses.replace(frame, rotations=rotations))
+
+    def test_bit_form_products_match_pauli_multiply(self):
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            a, b = (PauliTerm(rng.choice([1.0, -1j, 0.5]), "".join(rng.choice(list("IXYZ"), 5))) for _ in range(2))
+            product = oracle._times(oracle._symplectic(a), oracle._symplectic(b))
+            assert oracle._term(product, 5) == multiply(a, b)
+            assert oracle._anticommutes(oracle._symplectic(a), oracle._symplectic(b)) != commutes(a, b)
+
+    def test_term_off_the_frame_raises(self, h0_8):
+        # a Z field term anticommutes with the plaquettes, so it keeps X or Y on a tapered site
+        frame = oracle.tapering_frame(h0_8)
+        with pytest.raises(OracleError, match="X or Y on a tapered site"):
+            frame.reduce(single_site("Z", 0, 8))
 
 
 def _chain(hz):

@@ -5,23 +5,21 @@ import pytest
 
 from kitaevqse import oracle, pauli, vqe
 from kitaevqse.lattice import kitaev_hamiltonian, stabilizer_group
-from kitaevqse.simulator import expectation
+from kitaevqse.simulator import StateVector, expectation
 from kitaevqse.vqe import (
     TARGET_TOLERANCE,
     AnsatzCircuit,
     SectorSpan,
     VqeError,
     candidate_sectors,
-    closure_basis,
+    frame_sector,
     prepare_reference_state,
     prepare_sector_state,
     rank_sectors,
-    restrict,
-    sector_ground_energy,
     train,
 )
 
-from helpers import term_to_matrix
+from helpers import dense_matrix, term_to_matrix
 
 
 @pytest.fixture(scope="module")
@@ -193,24 +191,34 @@ class TestSectorSpan:
     @pytest.mark.parametrize("string", range(12))
     def test_string_off_the_run_eigenbasis_raises(self, h0_8, ansatz8, init8, monkeypatch, string):
         axes = ansatz8.distinct_generators[string].axes
-        original = vqe.restrict
+        original = vqe.sector_strings
 
-        def perturbed(basis, terms):
-            g = original(basis, terms)
-            g[axes] = g[axes] + 1e-9 * (np.eye(len(basis), k=1) + np.eye(len(basis), k=-1))
+        def perturbed(tapered, sector, terms):
+            g = original(tapered, sector, terms)
+            dim = len(g[axes])
+            g[axes] = g[axes] + 1e-9 * (np.eye(dim, k=1) + np.eye(dim, k=-1))
             return g
 
-        monkeypatch.setattr(vqe, "restrict", perturbed)
+        monkeypatch.setattr(vqe, "sector_strings", perturbed)
         with pytest.raises(VqeError, match="no joint"):
             SectorSpan.build(ansatz8, h0_8, init8)
 
     @pytest.mark.parametrize("sites", [8, 12])
     def test_span_is_the_whole_sector(self, sectors, sites):
-        lat, _, state = sectors[sites]
-        basis = closure_basis(state.amplitudes, AnsatzCircuit.for_lattice(lat, 1).distinct_generators)
-        assert len(basis) == 2 ** (sites // 2 - 1)
-        assert np.max(np.abs(basis.conj() @ basis.T - np.eye(len(basis)))) <= 1e-12
-        assert np.allclose(basis[0], state.amplitudes / np.linalg.norm(state.amplitudes), atol=1e-14)
+        # the sector state lies whole in one 2^(N/2-1)-state sector of h0's frame, and
+        # the frame maps it there and back
+        lat, h0, state = sectors[sites]
+        tapered = oracle.taper(h0)
+        assert tapered.frame_index.shape == (2 ** (sites // 2 + 1), 2 ** (sites // 2 - 1))
+        in_frame = tapered.frame.to_frame(state.amplitudes)
+        weights = np.linalg.norm(in_frame[tapered.frame_index], axis=1) ** 2
+        home = int(np.argmax(weights))
+        assert weights[home] == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(weights) - weights[home] <= 1e-24
+        assert np.max(np.abs(tapered.frame.from_frame(in_frame) - state.amplitudes)) <= 1e-14
+        span = SectorSpan.build(AnsatzCircuit.for_lattice(lat, 1), h0, state)
+        assert span.dimension == 2 ** (sites // 2 - 1)
+        assert np.linalg.norm(span.start) == pytest.approx(1.0, abs=1e-12)
 
     def test_training_records_the_span_dimension(self, vqe12, h0_8, ansatz8, init8, lat8):
         assert vqe12[1].sector_dimension == 32
@@ -223,12 +231,18 @@ class TestSectorSpan:
             train(h_8, ansatz8, init8, epochs=2)
 
     @pytest.mark.parametrize("dropped", range(8))
-    def test_span_missing_a_vector_fails_the_invariance_check(self, ansatz8, init8, dropped):
-        strings = ansatz8.distinct_generators
-        basis = closure_basis(init8.amplitudes, strings)
-        restrict(basis, strings)  # the closed span passes
-        with pytest.raises(VqeError, match="not invariant"):
-            restrict(np.delete(basis, dropped, axis=0), strings)
+    def test_span_missing_a_vector_fails_the_invariance_check(self, h0_8, ansatz8, init8, dropped):
+        # the sector of psi0 is invariant under every bond string, and only it is trained:
+        # a start with weight 1e-10 on state `dropped` of the next sector is rejected
+        SectorSpan.build(ansatz8, h0_8, init8)  # the sector state passes
+        tapered = oracle.taper(h0_8)
+        weights = np.linalg.norm(tapered.frame.to_frame(init8.amplitudes)[tapered.frame_index], axis=1)
+        other = (int(np.argmax(weights)) + 1) % tapered.num_sectors
+        leak = np.zeros(256, dtype=complex)
+        leak[tapered.frame_index[other, dropped]] = 1e-5
+        leaked = StateVector(init8.amplitudes + tapered.frame.from_frame(leak), 8)
+        with pytest.raises(VqeError, match="not in one symmetry sector"):
+            SectorSpan.build(ansatz8, h0_8, leaked)
 
 
 class TestFidelity:
@@ -290,13 +304,22 @@ class TestSectorScan:
 
     def test_result_records_sector_energies(self, lat8, h0_8, dec0_8):
         _, result, _ = prepare_reference_state(lat8, h0_8, layers=0)
-        recorded = result.to_json_dict()["sector_energies"]
+        payload = result.to_json_dict()
+        recorded = payload["sector_energies"]
         assert [tuple(r["targets"]) for r in recorded] == [
             g.target_eigenvalues for g in candidate_sectors(lat8)
         ]
         winner = min(recorded, key=lambda r: r["energy"])
         assert tuple(winner["targets"]) == result.sector_targets
         assert winner["energy"] == pytest.approx(dec0_8.ground_energy, abs=1e-10)
+        assert abs(payload["global_sector_minimum"] - winner["energy"]) <= 1e-9
+
+    def test_candidates_missing_the_global_minimum_raise(self, lat8, h0_8, monkeypatch):
+        # only the all-plus sectors, whose lowest energy is -4 against E0 = -6.93
+        everything = candidate_sectors(lat8)
+        monkeypatch.setattr(vqe, "candidate_sectors", lambda lat: everything[:4])
+        with pytest.raises(VqeError, match="no candidate sector reaches the lowest"):
+            rank_sectors(lat8, h0_8)
 
 
 class TestTargetStop:
@@ -326,23 +349,43 @@ class TestTargetStop:
 
 
 class TestSectorGroundEnergy:
+    """The ranking's sector energies against a dense eigh, independent of the oracle's frame."""
+
     @pytest.mark.parametrize("j", [-1.0, 1.0])
     def test_matches_lowest_ed_eigenvalue_in_sector(self, lat8, j):
         h0 = kitaev_hamiltonian(lat8, j)
-        dec = oracle.diagonalize(h0)
-        for group in candidate_sectors(lat8):
-            # sector component of every ED eigenvector, through dense projectors;
-            # an eigenvalue lies in the sector's spectrum iff some eigenvector of
-            # it keeps weight, whatever basis eigh picked in a degenerate space
-            projected = dec.eigenvectors.astype(complex)
+        evals, evecs = np.linalg.eigh(dense_matrix(h0))
+        ranking = rank_sectors(lat8, h0)
+        assert len(ranking.sectors) == 8
+        for group, energy in ranking.sectors:
+            # sector component of every eigenvector, through dense projectors; an
+            # eigenvalue lies in the sector's spectrum iff some eigenvector of it keeps
+            # weight, whatever basis eigh picked in a degenerate space
+            projected = evecs
             for gen, target in zip(group.generators, group.target_eigenvalues):
                 projected = 0.5 * (projected + target * (term_to_matrix(gen) @ projected))
             in_sector = np.linalg.norm(projected, axis=0) > 1e-6
             assert in_sector.any()
-            expected = dec.eigenvalues[in_sector].min()
-            assert sector_ground_energy(h0, group, lat8) == pytest.approx(expected, abs=1e-10)
+            assert energy == pytest.approx(evals[in_sector].min(), abs=1e-10)
+        assert ranking.global_minimum == pytest.approx(evals[0], abs=1e-10)
 
     def test_inconsistent_sector_raises(self, lat8, h0_8):
+        table = oracle.taper(h0_8).sector_eigenvalues(stabilizer_group(lat8).generators)
         group = stabilizer_group(lat8, [-1, -1, -1, 1], (-1, -1))
-        with pytest.raises(VqeError):
-            sector_ground_energy(h0_8, group, lat8)
+        with pytest.raises(VqeError, match="inconsistent"):
+            frame_sector(table, group)
+
+    @pytest.mark.parametrize("sites", [8, 12])
+    def test_frame_sector_holds_the_sector_state(self, lat8, lat12, sites):
+        # the GF(2) map from (plaquette, loop) targets to frame signs, against where the
+        # projector-cascade state of each candidate actually lies
+        lat = {8: lat8, 12: lat12}[sites]
+        tapered = oracle.taper(kitaev_hamiltonian(lat, -1.0))
+        table = tapered.sector_eigenvalues(stabilizer_group(lat).generators)
+        found = set()
+        for group in candidate_sectors(lat):
+            sector = frame_sector(table, group)
+            in_frame = tapered.frame.to_frame(prepare_sector_state(group, lat).amplitudes)
+            assert np.linalg.norm(in_frame[tapered.frame_index[sector]]) == pytest.approx(1.0, abs=1e-12)
+            found.add(sector)
+        assert len(found) == 8
