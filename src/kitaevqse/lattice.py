@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliSum, PauliTerm, multiply, pauli_sum, single_site, two_site
+from .pauli import PauliSum, PauliTerm, from_symplectic, pauli_sum, single_site, times, two_site
 
 _BOND_KINDS = ("x", "y", "z")
 
@@ -202,14 +202,14 @@ def _bond_kind_of(lat: HoneycombLattice, u: int, v: int) -> str:
 
 
 def _loop_product(lat: HoneycombLattice, sites: tuple[int, ...]) -> PauliTerm:
-    """Ordered product of unit bond operators along a closed site walk."""
+    """Ordered product of unit bond operators along a closed site walk, taken on the masks."""
     n = lat.num_sites
-    product = PauliTerm(1.0, "I" * n)
+    product = (1 + 0j, 0, 0)  # the identity string
     for i, u in enumerate(sites):
         v = sites[(i + 1) % len(sites)]
         kind = _bond_kind_of(lat, u, v)
-        product = multiply(product, two_site(kind.upper(), u, v, n))
-    return product
+        product = times(product, two_site(kind.upper(), u, v, n).symplectic)
+    return from_symplectic(product, n)
 
 
 def plaquette_operators(lat: HoneycombLattice) -> list[PauliTerm]:

@@ -9,8 +9,10 @@ plaquettes and loops), :func:`taper` maps its k generators onto single-qubit
 Zs with the Clifford frame of Bravyi, Gambetta, Mezzacapo & Temme
 (arXiv:1701.08213), built sequentially and verified term by term, and the
 sum splits into 2^k sector sums on N - k qubits. Otherwise the frame is the
-identity. The blocks are the sectors crossed with the Z-syndromes of their
-sums (:func:`symmetry_blocks`, the Z-type part of a sum's group), stacked and
+identity. The frame conjugates the terms in their symplectic (coefficient,
+x, z) form, with the product and commutation rules of :mod:`pauli`. The
+blocks are the sectors crossed with the Z-syndromes of their sums
+(:func:`symmetry_blocks`, the Z-type part of a sum's group), stacked and
 factorized by one ``eigh``, in real arithmetic where real, which covers every
 shipped Kitaev instance.
 
@@ -33,7 +35,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .pauli import DEFAULT_DENSE_CAP, PauliSum, PauliTerm, apply_term
+from .pauli import (DEFAULT_DENSE_CAP, PauliSum, PauliTerm, Symplectic, anticommutes, apply_term, from_symplectic,
+                    single_site, times)
 
 DEGENERACY_GAP = 1e-9
 # relative deviation of tr H and tr H^2 that completeness_certificate allows
@@ -44,53 +47,16 @@ class OracleError(ValueError):
     pass
 
 
-# ---------------------------------------------------------------------------
-# Pauli strings as (coefficient, x, z): x marks the X/Y sites and z the Z/Y
-# sites, site 0 on the top bit, as in the flip and sign masks of
-# PauliTerm.action. Products keep their phase exactly (powers of i). The
-# frame conjugates every term through every rotation, and this form does it
-# on integers without building a string per product, which pauli.multiply
-# and pauli.commutes do; the tests hold the two against each other.
-# ---------------------------------------------------------------------------
-
-_X_BITS, _Z_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
-_I_POWERS = (1, 1j, -1, -1j)
-
-
-def _symplectic(term: PauliTerm) -> tuple[complex, int, int]:
-    return term.coefficient, int(term.axes.translate(_X_BITS), 2), int(term.axes.translate(_Z_BITS), 2)
-
-
-def _term(string: tuple[complex, int, int], n: int) -> PauliTerm:
-    coefficient, x, z = string
-    return PauliTerm(coefficient, "".join("IZXY"[2 * (x >> b & 1) + (z >> b & 1)] for b in range(n - 1, -1, -1)))
-
-
-def _anticommutes(a: tuple[complex, int, int], b: tuple[complex, int, int]) -> bool:
-    return bool(((a[1] & b[2]) ^ (a[2] & b[1])).bit_count() & 1)
-
-
-def _times(a: tuple[complex, int, int], b: tuple[complex, int, int]) -> tuple[complex, int, int]:
-    """The operator product a·b: each site contributes i for X·Y, Y·Z and Z·X, -i for the reverse."""
-    (ca, xa, za), (cb, xb, zb) = a, b
-    ya, yb = xa & za, xb & zb
-    only_xa, only_za, only_xb, only_zb = xa ^ ya, za ^ ya, xb ^ yb, zb ^ yb
-    up = (only_xa & yb | ya & only_zb | only_za & only_xb).bit_count()
-    down = (only_xa & only_zb | ya & only_xb | only_za & yb).bit_count()
-    return ca * cb * _I_POWERS[(up - down) % 4], xa ^ xb, za ^ zb
-
-
-def _conjugated(t: tuple[complex, int, int], p: tuple[complex, int, int],
-                q: tuple[complex, int, int]) -> tuple[complex, int, int]:
+def _conjugated(t: Symplectic, p: Symplectic, q: Symplectic) -> Symplectic:
     """R T R for R = (P + Q)/sqrt(2), P and Q anticommuting Hermitian strings: T, T Q P, T P Q
     or -T as T anticommutes with neither of them, with P only, with Q only or with both."""
-    off_p, off_q = _anticommutes(t, p), _anticommutes(t, q)
+    off_p, off_q = anticommutes(t, p), anticommutes(t, q)
     if off_p and off_q:
         return -t[0], t[1], t[2]
     if off_p:
-        return _times(_times(t, q), p)
+        return times(times(t, q), p)
     if off_q:
-        return _times(_times(t, p), q)
+        return times(times(t, p), q)
     return t
 
 
@@ -141,14 +107,14 @@ class TaperingFrame:
         return v
 
     @cached_property
-    def _rotation_strings(self) -> list[tuple[tuple[complex, int, int], ...]]:
-        return [(_symplectic(p), _symplectic(q)) for p, q in self.rotations]
+    def _rotation_strings(self) -> list[tuple[Symplectic, Symplectic]]:
+        return [(p.symplectic, q.symplectic) for p, q in self.rotations]
 
     def reduce(self, term: PauliTerm) -> tuple[PauliTerm, int]:
         """(F T F^dagger off the frame's sites, mask): the mask has bit k-1-i set where the
         transformed term holds Z on ``sites[i]``. Raises :class:`OracleError` when it holds X or Y
         on one of them, so that T does not commute with that generator."""
-        string = _symplectic(term)
+        string = term.symplectic
         for p, q in self._rotation_strings:
             string = _conjugated(string, p, q)
         coefficient, x, z = string
@@ -157,8 +123,8 @@ class TaperingFrame:
         if any(x & bit for bit in site_bits):
             raise OracleError(f"the frame leaves {term} with X or Y on a tapered site")
         mask = sum(1 << (k - 1 - i) for i, bit in enumerate(site_bits) if z & bit)
-        kept = [1 << (n - 1 - q) for q in range(n) if q not in self.sites]
-        return PauliTerm(coefficient, "".join("IZXY"[2 * bool(x & b) + bool(z & b)] for b in kept)), mask
+        axes = from_symplectic(string, n).axes
+        return PauliTerm(coefficient, "".join(ch for q, ch in enumerate(axes) if q not in self.sites)), mask
 
 
 def _rotated(v: np.ndarray, p: PauliTerm, q: PauliTerm) -> np.ndarray:
@@ -179,10 +145,10 @@ def tapering_frame(h: PauliSum) -> TaperingFrame:
     the rotation (sigma_i + tau_i)/sqrt(2) leaves it as it is.
     """
     n = h.num_sites
-    rows = [(z << n) | x for _, x, z in map(_symplectic, h.terms)]
+    rows = [(z << n) | x for x, z in (t.masks for t in h.terms)]
     taus = [(1.0, v >> n, v & ((1 << n) - 1)) for v in _null_space(rows, 2 * n)]
     if (not any(x for _, x, _ in taus) or len(taus) >= n
-            or any(_anticommutes(a, b) for a, b in combinations(taus, 2))):
+            or any(anticommutes(a, b) for a, b in combinations(taus, 2))):
         return TaperingFrame()
     sites, sigmas = [], []
     for i, (_, x, z) in enumerate(taus):
@@ -190,19 +156,15 @@ def tapering_frame(h: PauliSum) -> TaperingFrame:
         if not acting:
             raise OracleError("a symmetry generator acts only on sites earlier generators took")
         site = next((q for q in acting if x >> (n - 1 - q) & 1), acting[0])
-        bit = 1 << (n - 1 - site)
-        sigma = (1.0, 0, bit) if x & bit else (1.0, bit, 0)
+        sigma = single_site("Z" if x >> (n - 1 - site) & 1 else "X", site, n)
         for j in range(i + 1, len(taus)):
-            if _anticommutes(taus[j], sigma):
-                taus[j] = _times(taus[j], taus[i])
+            if anticommutes(taus[j], sigma.symplectic):
+                taus[j] = times(taus[j], taus[i])
         sites.append(site)
         sigmas.append(sigma)
-    hadamards = [((1.0, s[1], 0), (1.0, 0, s[1])) for s in sigmas if s[1]]
-    return TaperingFrame(
-        generators=tuple(_term(t, n) for t in taus),
-        sites=tuple(sites),
-        rotations=tuple((_term(p, n), _term(q, n)) for p, q in [*zip(sigmas, taus), *hadamards]),
-    )
+    generators = tuple(from_symplectic(t, n) for t in taus)
+    hadamards = [(sigma, single_site("Z", q, n)) for q, sigma in zip(sites, sigmas) if sigma.axes[q] == "X"]
+    return TaperingFrame(generators, tuple(sites), (*zip(sigmas, generators), *hadamards))
 
 
 def _spread(sites: Iterable[int], n: int) -> np.ndarray:
@@ -397,16 +359,16 @@ def symmetry_blocks(h: PauliSum) -> tuple[np.ndarray, ...]:
     parities under a basis of that space, its syndrome, are conserved by
     every term and label its block. Blocks come in ascending syndrome,
     indices ascending within each; with no symmetry there is one. Memoized
-    on the Pauli strings, which every field of a model shares.
+    on the terms' flip masks, which every field of a model shares.
     """
-    return _syndrome_blocks(h.num_sites, tuple(t.axes for t in h.terms))
+    return _syndrome_blocks(h.num_sites, tuple(t.masks[0] for t in h.terms))
 
 
 @lru_cache(maxsize=16)
-def _syndrome_blocks(n: int, strings: tuple[str, ...]) -> tuple[np.ndarray, ...]:
+def _syndrome_blocks(n: int, flips: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     index = np.arange(1 << n, dtype=np.int64)
     labels = np.zeros(1 << n, dtype=np.int64)
-    for j, z_mask in enumerate(_null_space((int(axes.translate(_X_BITS), 2) for axes in strings), n)):
+    for j, z_mask in enumerate(_null_space(flips, n)):
         labels |= (np.bitwise_count(index & z_mask) & 1).astype(np.int64) << j
     order = np.argsort(labels, kind="stable")
     return tuple(map(_read_only, np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)))
@@ -444,13 +406,13 @@ def completeness_certificate(h: PauliSum, decomp: SpectralDecomposition) -> dict
     tr H = 2^N c_I and tr H^2 = 2^N sum_j |c_j|^2 (only the identity string
     has a trace, and distinct strings are trace-orthogonal), each to
     ``CERTIFICATE_TOLERANCE`` relative to 2^N sqrt(sum_j |c_j|^2) and
-    2^N sum_j |c_j|^2 respectively.
+    2^N sum_j |c_j|^2 respectively. Every value is a plain Python number or bool.
     """
     dim = 1 << h.num_sites
     blocks, size, _ = decomp.block_vectors.shape
     identity = sum(t.coefficient.real for t in h.terms if set(t.axes) == {"I"})
     square = dim * sum(abs(t.coefficient) ** 2 for t in h.terms) or 1.0
-    trace_deviation = abs(float(np.sum(decomp.eigenvalues)) - dim * identity) / np.sqrt(dim * square)
+    trace_deviation = abs(float(np.sum(decomp.eigenvalues)) - dim * identity) / float(np.sqrt(dim * square))
     square_deviation = abs(float(np.sum(decomp.eigenvalues**2)) - square) / square
     return {
         "dimension": dim,

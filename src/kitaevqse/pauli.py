@@ -5,6 +5,13 @@ Paulis, stored as a string over ``IXYZ`` with one character per site
 (site 0 leftmost, acting on the most significant bit of the basis
 index). Sums are kept in canonical merged form: no two terms share the
 same axes and coefficients below ``MERGE_TOL`` are pruned.
+
+The algebra runs on one bit form, the symplectic masks (x, z) of
+:attr:`PauliTerm.masks`: x marks the X/Y sites and z the Z/Y sites, site 0
+on the top bit, the flip and sign masks of the basis action. Products
+(:func:`times`), commutation (:func:`anticommutes`), the basis action and
+the tapering frame of :mod:`oracle` all read them, and :func:`from_symplectic`
+is their one inverse.
 """
 
 from __future__ import annotations
@@ -18,14 +25,10 @@ import numpy as np
 AXES_CHARS = "IXYZ"
 MERGE_TOL = 1e-14
 
-# (a, b) -> (phase, axis) for the single-site product a*b
-_SINGLE_PRODUCT = {
-    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
-    ("X", "I"): (1, "X"), ("Y", "I"): (1, "Y"), ("Z", "I"): (1, "Z"),
-    ("X", "X"): (1, "I"), ("Y", "Y"): (1, "I"), ("Z", "Z"): (1, "I"),
-    ("X", "Y"): (1j, "Z"), ("Y", "Z"): (1j, "X"), ("Z", "X"): (1j, "Y"),
-    ("Y", "X"): (-1j, "Z"), ("Z", "Y"): (-1j, "X"), ("X", "Z"): (-1j, "Y"),
-}
+# a Pauli string as (coefficient, x, z), x and z its PauliTerm.masks
+Symplectic = tuple[complex, int, int]
+_X_BITS, _Z_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")
+_I_POWERS = (1, 1j, -1, -1j)
 
 DEFAULT_DENSE_CAP = 14
 
@@ -60,6 +63,18 @@ class PauliTerm:
 
     def support(self) -> tuple[int, ...]:
         return tuple(q for q, ch in enumerate(self.axes) if ch != "I")
+
+    @cached_property
+    def masks(self) -> tuple[int, int]:
+        """(x, z): site q sets bit N-1-q of x when it holds X or Y and of z when it holds Z or Y.
+
+        The one place a string is read as bits; :func:`from_symplectic` is the inverse.
+        """
+        return int(self.axes.translate(_X_BITS), 2), int(self.axes.translate(_Z_BITS), 2)
+
+    @property
+    def symplectic(self) -> Symplectic:
+        return (self.coefficient, *self.masks)
 
     @cached_property
     def action(self) -> tuple[np.ndarray, np.ndarray]:
@@ -100,28 +115,42 @@ def two_site(kind: str, site_a: int, site_b: int, num_sites: int, coefficient: c
     return PauliTerm(coefficient, "".join(axes))
 
 
+def from_symplectic(string: Symplectic, num_sites: int) -> PauliTerm:
+    """The term (coefficient, x, z) on ``num_sites`` sites, the inverse of :attr:`PauliTerm.symplectic`."""
+    coefficient, x, z = string
+    return PauliTerm(coefficient, "".join(
+        "IZXY"[2 * (x >> b & 1) + (z >> b & 1)] for b in range(num_sites - 1, -1, -1)
+    ))
+
+
+def times(a: Symplectic, b: Symplectic) -> Symplectic:
+    """The operator product a·b, its phase kept exactly: each site contributes i for X·Y, Y·Z
+    and Z·X, -i for the reverse."""
+    (ca, xa, za), (cb, xb, zb) = a, b
+    ya, yb = xa & za, xb & zb
+    only_xa, only_za, only_xb, only_zb = xa ^ ya, za ^ ya, xb ^ yb, zb ^ yb
+    up = (only_xa & yb | ya & only_zb | only_za & only_xb).bit_count()
+    down = (only_xa & only_zb | ya & only_xb | only_za & yb).bit_count()
+    return ca * cb * _I_POWERS[(up - down) % 4], xa ^ xb, za ^ zb
+
+
+def anticommutes(a: Symplectic, b: Symplectic) -> bool:
+    """True iff the strings anticommute: they clash on an odd number of sites."""
+    return bool(((a[1] & b[2]) ^ (a[2] & b[1])).bit_count() & 1)
+
+
 def multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
     """Exact operator product a·b with accumulated phase."""
     if a.num_sites != b.num_sites:
         raise PauliError(f"size mismatch: {a.num_sites} vs {b.num_sites}")
-    phase = a.coefficient * b.coefficient
-    out = []
-    for ca, cb in zip(a.axes, b.axes):
-        ph, ax = _SINGLE_PRODUCT[(ca, cb)]
-        phase *= ph
-        out.append(ax)
-    return PauliTerm(phase, "".join(out))
+    return from_symplectic(times(a.symplectic, b.symplectic), a.num_sites)
 
 
 def commutes(a: PauliTerm, b: PauliTerm) -> bool:
     """True iff the strings commute (even number of anticommuting sites)."""
     if a.num_sites != b.num_sites:
         raise PauliError(f"size mismatch: {a.num_sites} vs {b.num_sites}")
-    clashes = sum(
-        1 for ca, cb in zip(a.axes, b.axes)
-        if ca != "I" and cb != "I" and ca != cb
-    )
-    return clashes % 2 == 0
+    return not anticommutes(a.symplectic, b.symplectic)
 
 
 @dataclass(frozen=True)
@@ -195,22 +224,16 @@ def _action_of(axes: str) -> tuple[np.ndarray, np.ndarray]:
 def term_phases(term: PauliTerm) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient-free basis action (src, phase) of the term's Pauli string.
 
-    X and Y sites set the flip mask, Z and Y sites the sign mask, and each
-    Y contributes a factor i, so ``phase[i] = i^y (-1)^popcount(src[i] & sign)``.
-    Both arrays are read-only. Use ``PauliTerm.action``, memoized on the
-    string, rather than calling this directly.
+    The flip mask is the term's x mask and the sign mask its z mask
+    (:attr:`PauliTerm.masks`), and each Y site, set in both, contributes a
+    factor i, so ``phase[i] = i^y (-1)^popcount(src[i] & sign)``. Both
+    arrays are read-only. Use ``PauliTerm.action``, memoized on the string,
+    rather than calling this directly.
     """
-    n = term.num_sites
-    flip = sign = 0
-    for q, ch in enumerate(term.axes):
-        bit = 1 << (n - 1 - q)
-        if ch in "XY":
-            flip |= bit
-        if ch in "ZY":
-            sign |= bit
-    src = np.bitwise_xor(np.arange(1 << n, dtype=np.int64), flip)
+    flip, sign = term.masks
+    src = np.bitwise_xor(np.arange(1 << term.num_sites, dtype=np.int64), flip)
     parity = np.bitwise_count(np.bitwise_and(src, sign)) & 1
-    phase = np.where(parity, -1.0, 1.0) * (1j) ** term.axes.count("Y")
+    phase = np.where(parity, -1.0, 1.0) * (1j) ** (flip & sign).bit_count()
     src.flags.writeable = False
     phase.flags.writeable = False
     return src, phase

@@ -268,14 +268,15 @@ class SectorSpan:
 class VqeResult:
     optimal_parameters: np.ndarray
     final_energy: float
-    infidelity: float | None
-    energy_distance: float | None
     training_history: dict
-    converged: bool | None
     # epochs trained (the length of training_history) and why training ended:
     # "target" once the running best reached the target, "epochs" otherwise
     stop_epoch: int
     stop_reason: str
+    # against an ED decomposition, when one is given (_score)
+    infidelity: float | None = None
+    energy_distance: float | None = None
+    converged: bool | None = None
     sector_targets: tuple[int, ...] | None = None
     # (targets, exact in-sector ground energy) per consistent candidate sector
     sector_energies: list[tuple[tuple[int, ...], float]] | None = None
@@ -418,26 +419,26 @@ def train(
         )
         dimension = span.dimension
 
-    infidelity = None
-    energy_distance = None
-    converged = None
-    if oracle_decomp is not None:
-        infidelity = 1.0 - ground_space_fidelity(ansatz.apply(theta, init_state).amplitudes, oracle_decomp)
-        energy_distance = abs(best_energy - oracle_decomp.ground_energy)
-        if tolerance is not None:
-            converged = energy_distance <= tolerance
-
-    return VqeResult(
+    result = VqeResult(
         optimal_parameters=theta,
         final_energy=best_energy,
-        infidelity=infidelity,
-        energy_distance=energy_distance,
         training_history={"energy": energies, "best_energy": best_curve},
-        converged=converged,
         stop_epoch=len(energies),
         stop_reason=stop_reason,
         sector_dimension=dimension,
     )
+    if oracle_decomp is not None:
+        _score(result, ansatz.apply(theta, init_state), oracle_decomp, tolerance)
+    return result
+
+
+def _score(result: VqeResult, state: StateVector, decomp: SpectralDecomposition, tolerance: float | None) -> None:
+    """Fill in ``result``'s infidelity and energy distance against ``decomp``, ``state`` being its
+    trained state, and ``converged`` when a ``tolerance`` is given."""
+    result.infidelity = 1.0 - ground_space_fidelity(state.amplitudes, decomp)
+    result.energy_distance = abs(result.final_energy - decomp.ground_energy)
+    if tolerance is not None:
+        result.converged = result.energy_distance <= tolerance
 
 
 def candidate_sectors(lat: HoneycombLattice) -> list[StabilizerGroup]:
@@ -519,7 +520,8 @@ def prepare_reference_state(
     ranking order, and trains only the winner, stopping at its exact
     energy. The result records every ranked sector's energy in
     ``sector_energies`` and the lowest of all sectors in
-    ``global_sector_minimum``.
+    ``global_sector_minimum``. The circuit runs once on the full space: the
+    state it returns is the one the infidelity is taken of.
     """
     ansatz = AnsatzCircuit.for_lattice(lat, layers)
     if ranked is None:
@@ -527,12 +529,11 @@ def prepare_reference_state(
     lowest = min(energy for _, energy in ranked.sectors)
     group, sector_energy = next((g, energy) for g, energy in ranked.sectors if energy <= lowest + 1e-9)
     init_state = prepare_sector_state(group, lat)
-    result = train(
-        h0, ansatz, init_state,
-        epochs=epochs, learning_rate=learning_rate, seed=seed,
-        oracle_decomp=oracle_decomp, tolerance=tolerance, target=sector_energy,
-    )
+    result = train(h0, ansatz, init_state, epochs=epochs, learning_rate=learning_rate, seed=seed, target=sector_energy)
+    state = ansatz.apply(result.optimal_parameters, init_state)  # the one circuit application
+    if oracle_decomp is not None:
+        _score(result, state, oracle_decomp, tolerance)
     result.sector_targets = group.target_eigenvalues
     result.sector_energies = [(g.target_eigenvalues, energy) for g, energy in ranked.sectors]
     result.global_sector_minimum = ranked.global_minimum
-    return ansatz.apply(result.optimal_parameters, init_state), result, group
+    return state, result, group

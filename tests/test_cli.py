@@ -629,6 +629,29 @@ class TestDeterminism:
         result = json.loads((tmp_path / "o" / "vqe_result.json").read_text())
         assert result["layers"] == vqe_cfg.get("layers", 1)
 
+    def test_vqe_applies_the_circuit_once_per_depth(self, tmp_path, monkeypatch):
+        calls = []
+        original = vqe.AnsatzCircuit.apply
+
+        def counting(self, *args):
+            calls.append(self.layers)
+            return original(self, *args)
+
+        monkeypatch.setattr(vqe.AnsatzCircuit, "apply", counting)
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({"vqe": {"epochs": 20}}))
+        assert main(["vqe", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
+        # the default sweep [0..4] holds layers = 1: one application per trained depth
+        assert sorted(calls) == [0, 1, 2, 3, 4]
+
+    def test_ed_reference_certificate_with_a_field(self, tmp_path):
+        # at h_z = 0.3 tr H misses by no less than tr H^2, which once made `holds` a NumPy bool
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({"lattice": {"rows": 2, "cols": 2}, "field_z": 0.3}))
+        assert main(["ed-reference", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
+        entries = json.loads((tmp_path / "o" / "ed_reference.json").read_text())["entries"]
+        assert [entry["completeness"]["holds"] for entry in entries] == [True, True]
+
     def test_json_artifact_independent_of_out_and_threads(self, tmp_path):
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps(FAST_CONFIG))

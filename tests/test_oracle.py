@@ -264,13 +264,17 @@ class TestTapering:
             with pytest.raises(OracleError):
                 oracle.TaperedSum.build(h0_8, dataclasses.replace(frame, rotations=rotations))
 
-    def test_bit_form_products_match_pauli_multiply(self):
-        rng = np.random.default_rng(9)
-        for _ in range(300):
-            a, b = (PauliTerm(rng.choice([1.0, -1j, 0.5]), "".join(rng.choice(list("IXYZ"), 5))) for _ in range(2))
-            product = oracle._times(oracle._symplectic(a), oracle._symplectic(b))
-            assert oracle._term(product, 5) == multiply(a, b)
-            assert oracle._anticommutes(oracle._symplectic(a), oracle._symplectic(b)) != commutes(a, b)
+    @pytest.mark.parametrize("larger", ["trace_deviation", "trace_square_deviation"])
+    def test_certificate_holds_plain_python_values(self, h0_8, dec0_8, larger):
+        # shifting the spectrum moves tr H of the traceless h0, scaling it moves tr H^2
+        eigenvalues = dec0_8.eigenvalues + 1e-3 if larger == "trace_deviation" else dec0_8.eigenvalues * (1 + 1e-3)
+        perturbed = dataclasses.replace(dec0_8, eigenvalues=eigenvalues)
+        for decomp, holds in ((dec0_8, True), (perturbed, False)):
+            certificate = oracle.completeness_certificate(h0_8, decomp)
+            assert [type(v) for v in certificate.values()] == [int, int, float, float, bool]
+            assert certificate["holds"] is holds
+        smaller = ({"trace_deviation", "trace_square_deviation"} - {larger}).pop()
+        assert certificate[larger] > certificate[smaller]
 
     def test_term_off_the_frame_raises(self, h0_8):
         # a Z field term anticommutes with the plaquettes, so it keeps X or Y on a tapered site

@@ -9,6 +9,7 @@ from kitaevqse.pauli import (
     PauliError,
     PauliTerm,
     commutes,
+    from_symplectic,
     gershgorin_kappa,
     multiply,
     pauli_sum,
@@ -30,6 +31,11 @@ def term_strategy(n):
         st.floats(-2, 2, allow_nan=False), st.floats(-2, 2, allow_nan=False)
     ).map(lambda ab: complex(*ab))
     return st.builds(PauliTerm, coeff, axes_strategy(n))
+
+
+def unit_term_strategy(n):
+    # the phases a product picks up, plus one real scale
+    return st.builds(PauliTerm, st.sampled_from([1.0, -1j, 0.5]), axes_strategy(n))
 
 
 class TestSingleSiteAlgebra:
@@ -98,6 +104,12 @@ class TestCommutes:
         comm_norm = np.max(np.abs(ma @ mb - mb @ ma))
         assert commutes(a, b) == (comm_norm < 1e-12)
 
+    @settings(max_examples=150, deadline=None)
+    @given(unit_term_strategy(5), unit_term_strategy(5))
+    def test_five_sites_match_matrix_commutator(self, a, b):
+        ma, mb = term_to_matrix(a), term_to_matrix(b)
+        assert commutes(a, b) == (np.max(np.abs(ma @ mb - mb @ ma)) < 1e-12)
+
 
 class TestMultiplyAgainstMatrices:
     @settings(max_examples=100, deadline=None)
@@ -107,6 +119,13 @@ class TestMultiplyAgainstMatrices:
         expected = term_to_matrix(a) @ term_to_matrix(b)
         assert np.allclose(term_to_matrix(out), expected, atol=1e-12)
 
+    @settings(max_examples=150, deadline=None)
+    @given(unit_term_strategy(5), unit_term_strategy(5))
+    def test_five_site_product_matches_matrix_product(self, a, b):
+        out = multiply(a, b)
+        assert out.masks == (a.masks[0] ^ b.masks[0], a.masks[1] ^ b.masks[1])
+        assert np.allclose(term_to_matrix(out), term_to_matrix(a) @ term_to_matrix(b), atol=1e-12)
+
     @settings(max_examples=60, deadline=None)
     @given(term_strategy(3), term_strategy(3), term_strategy(3))
     def test_associativity(self, a, b, c):
@@ -114,6 +133,30 @@ class TestMultiplyAgainstMatrices:
         right = multiply(a, multiply(b, c))
         assert left.axes == right.axes
         assert left.coefficient == pytest.approx(right.coefficient, abs=1e-12)
+
+
+class TestSymplecticMasks:
+    def test_site_zero_on_the_top_bit(self):
+        # x marks X and Y, z marks Z and Y
+        assert PauliTerm(1.0, "XYZI").masks == (0b1100, 0b0110)
+        assert PauliTerm(1.0, "IIIX").masks == (0b0001, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(term_strategy(6))
+    def test_string_to_masks_and_back(self, term):
+        assert from_symplectic(term.symplectic, term.num_sites) == term
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 63), st.integers(0, 63))
+    def test_masks_to_string_and_back(self, x, z):
+        term = from_symplectic((0.5, x, z), 6)
+        assert term.masks == (x, z)
+        assert term.coefficient == 0.5
+
+    def test_masks_are_the_basis_action_flip(self):
+        term = PauliTerm(1.0, "XYZIY")
+        src, _ = term.action
+        assert np.array_equal(src, np.arange(32) ^ term.masks[0])
 
 
 class TestPauliSum:
