@@ -32,7 +32,6 @@ exact-diagonalization sides, so the two are always comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -270,16 +269,9 @@ def retarded_gf(
 
 
 def _collective_excitation(kind: str, positions: np.ndarray, q: np.ndarray) -> PauliSum:
-    """A_q = sum_i exp(i q.r_i) sigma_i^kind as one Pauli sum, memoized on the exact
-    bytes of ``positions`` and ``q``: all fields and both sides share its terms' actions."""
-    positions, q = np.asarray(positions, dtype=float), np.asarray(q, dtype=float)
-    return _collective_sum(kind, positions.shape, positions.tobytes(), q.tobytes())
-
-
-@lru_cache(maxsize=12)
-def _collective_sum(kind: str, shape: tuple, positions: bytes, q: bytes) -> PauliSum:
-    phases = np.exp(1j * (np.frombuffer(positions).reshape(shape) @ np.frombuffer(q)))
-    return pauli_sum([single_site(kind, i, shape[0], phase) for i, phase in enumerate(phases)], shape[0])
+    """A_q = sum_i exp(i q.r_i) sigma_i^kind as one Pauli sum."""
+    phases = np.exp(1j * (np.asarray(positions, dtype=float) @ np.asarray(q, dtype=float)))
+    return pauli_sum([single_site(kind, i, len(phases), phase) for i, phase in enumerate(phases)], len(phases))
 
 
 def dynamical_structure_factor(

@@ -14,7 +14,9 @@ x, z) form, with the product and commutation rules of :mod:`pauli`. The
 blocks are the sectors crossed with the Z-syndromes of their sums
 (:func:`symmetry_blocks`, the Z-type part of a sum's group), stacked and
 factorized by one ``eigh``, in real arithmetic where real, which covers every
-shipped Kitaev instance.
+shipped Kitaev instance. Every dense eigensolve of a Hamiltonian in the
+package runs here, the VQE sector ranking's too, under one bound counted
+before anything is allocated (:meth:`TaperedSum.block_stack`).
 
 :func:`diagonalize` factorizes each Hamiltonian once and :func:`taper` builds
 each frame once: ``PauliSum`` is a frozen value, and both results are kept for
@@ -35,12 +37,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .pauli import (DEFAULT_DENSE_CAP, PauliSum, PauliTerm, Symplectic, anticommutes, apply_term, from_symplectic,
-                    single_site, times)
+from .pauli import PauliSum, PauliTerm, Symplectic, anticommutes, apply_term, from_symplectic, single_site, times
 
 DEGENERACY_GAP = 1e-9
 # relative deviation of tr H and tr H^2 that completeness_certificate allows
 CERTIFICATE_TOLERANCE = 1e-10
+DENSE_STACK_CAP = 1 << 28  # stacked entries: one dense 2^14-state matrix, so any sum of <= 14 sites passes
 
 
 class OracleError(ValueError):
@@ -240,11 +242,27 @@ class TaperedSum:
         kept = [q for q in range(self.num_sites) if q not in self.frame.sites]
         return _read_only(_spread(self.frame.sites, self.num_sites)[:, None] | _spread(kept, self.num_sites))
 
+    def sector_matrix(self, term: PauliTerm, sector: int) -> np.ndarray:
+        """The 2^(N-k)-square matrix of ``term`` in ``sector``: its :meth:`TaperingFrame.reduce`
+        (which raises unless it commutes with every generator) times its sign there."""
+        reduced, mask = self.frame.reduce(term)
+        src, phase = reduced.action
+        matrix = np.zeros((src.size, src.size), dtype=complex)
+        matrix[np.arange(src.size), src] = self._signs([mask])[sector, 0] * reduced.coefficient * phase
+        return matrix
+
     def block_stack(self) -> tuple[np.ndarray, np.ndarray]:
         """(permutation, stack): every sector sum's :func:`symmetry_blocks`, sector by sector, as
         one (blocks, size, size) stack, real when its entries are; row i of block b is frame basis
-        state ``permutation[b * size + i]``. The sector sums share their strings, so their blocks."""
-        blocks = symmetry_blocks(PauliSum(self.terms, self.num_sites - len(self.frame.sites)))
+        state ``permutation[b * size + i]``. The sector sums share their strings, so their blocks.
+        2^k sectors of 2^z Z-syndrome blocks of 2^(N-k-z) states hold 2^(2N-k-z) entries; above
+        ``DENSE_STACK_CAP`` raises :class:`OracleError` before building anything 2^N wide."""
+        n = self.num_sites - len(self.frame.sites)
+        entries = 1 << (self.num_sites + n - len(_null_space([t.masks[0] for t in self.terms], n)))
+        if entries > DENSE_STACK_CAP:
+            raise OracleError(f"{self.num_sites} sites: {entries} stacked entries exceed the dense cap "
+                              f"{DENSE_STACK_CAP}")
+        blocks = symmetry_blocks(PauliSum(self.terms, n))
         local = np.concatenate(blocks)
         size = blocks[0].size
         position = np.argsort(local)
@@ -257,6 +275,11 @@ class TaperedSum:
         if np.max(np.abs(stack.imag)) <= 1e-14 * max(1.0, np.max(np.abs(stack.real))):
             stack = np.ascontiguousarray(stack.real)  # frees the complex stack before eigh
         return self.frame_index[:, local].ravel(), stack
+
+    def sector_ground_energies(self) -> np.ndarray:
+        """The lowest eigenvalue of each sector sum: one batched ``eigvalsh`` of :meth:`block_stack`."""
+        _, stack = self.block_stack()
+        return np.linalg.eigvalsh(stack)[:, 0].reshape(self.num_sectors, -1).min(axis=1)
 
 
 _TAPERINGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -374,11 +397,10 @@ def _syndrome_blocks(n: int, flips: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return tuple(map(_read_only, np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)))
 
 
-def diagonalize(h: PauliSum, cap: int = DEFAULT_DENSE_CAP) -> SpectralDecomposition:
+def diagonalize(h: PauliSum) -> SpectralDecomposition:
     """Dense Hermitian eigensolution with degeneracy detection, computed once
-    and returned, read-only, for every ``PauliSum`` equal to ``h``."""
-    if h.num_sites > cap:
-        raise OracleError(f"{h.num_sites} sites exceeds the dense diagonalization cap {cap}")
+    and returned, read-only, for every ``PauliSum`` equal to ``h``. Raises
+    :class:`OracleError` above ``DENSE_STACK_CAP`` (:meth:`TaperedSum.block_stack`)."""
     if not h.is_hermitian():
         raise OracleError("diagonalize requires a Hermitian sum")
     decomp = _DECOMPOSITIONS.get(h)

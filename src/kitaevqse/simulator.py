@@ -84,31 +84,22 @@ def _rotation_inplace(
 
 
 def grouped_by_axis(h: PauliSum) -> list[list[PauliTerm]]:
-    """Trotter grouping: [single-site terms, XX bonds, YY bonds, ZZ bonds].
+    """Trotter grouping: [X, Y and Z single-site terms, XX, YY and ZZ bonds], empty groups dropped.
 
-    Terms within each group act on disjoint sites or share an axis, so
-    each group exponentiates exactly as a product of rotations. Falls
-    back to one group per term for strings outside this shape.
+    Every term of a group holds the same Pauli letter on each site it acts
+    on, so the group's terms commute and it exponentiates exactly as a
+    product of rotations. Falls back to one group per term for strings
+    outside this shape.
     """
-    singles: list[PauliTerm] = []
-    bonds: dict[str, list[PauliTerm]] = {"X": [], "Y": [], "Z": []}
+    groups: dict[tuple[int, str], list[PauliTerm]] = {(w, ch): [] for w in (1, 2) for ch in "XYZ"}
     leftovers: list[PauliTerm] = []
     for t in h.terms:
         kinds = {ch for ch in t.axes if ch != "I"}
-        if t.weight == 1:
-            singles.append(t)
-        elif t.weight == 2 and len(kinds) == 1:
-            bonds[kinds.pop()].append(t)
+        if t.weight in (1, 2) and len(kinds) == 1:
+            groups[t.weight, kinds.pop()].append(t)
         else:
             leftovers.append(t)
-    groups: list[list[PauliTerm]] = []
-    if singles:
-        groups.append(singles)
-    for kind in "XYZ":
-        if bonds[kind]:
-            groups.append(bonds[kind])
-    groups.extend([t] for t in leftovers)
-    return groups
+    return [group for group in groups.values() if group] + [[t] for t in leftovers]
 
 
 @dataclass

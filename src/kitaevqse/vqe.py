@@ -21,8 +21,8 @@ and its infidelity come from ``apply``.
 
 Choosing the sector is a spectral question, not an optimization one. H0
 commutes with every plaquette and loop (Kitaev, Ann. Phys. 321, 2 (2006)),
-so every sector of the frame has an exact ground energy, and one batched
-``eigvalsh`` of the tapered sector sums gives all 2^k of them. Each
+so every sector of the frame has an exact ground energy, and the oracle
+gives all 2^k of them (:meth:`oracle.TaperedSum.sector_ground_energies`). Each
 candidate sector (both uniform plaquette signs crossed with the four
 loop-sign pairs) is mapped to its frame sector, the lowest-energy candidate
 is the only one trained, and the ranking raises when no candidate reaches
@@ -131,25 +131,6 @@ class AnsatzCircuit:
         return energy, grads
 
 
-def sector_strings(tapered: oracle.TaperedSum, sector: int, terms: Sequence[PauliTerm]) -> dict[str, np.ndarray]:
-    """Pauli string -> its d x d matrix in ``sector`` of ``tapered``'s frame.
-
-    That is the string reduced through the frame (:meth:`TaperingFrame.reduce`,
-    which raises unless it commutes with every generator) times its sign in
-    the sector, d = 2^(N-k).
-    """
-    dim = tapered.frame_index.shape[1]
-    rows = np.arange(dim)
-    restricted = {}
-    for term in terms:
-        reduced, mask = tapered.frame.reduce(term)
-        src, phase = reduced.action
-        g = np.zeros((dim, dim), dtype=complex)
-        g[rows, src] = (-1) ** (sector & mask).bit_count() * reduced.coefficient * phase
-        restricted[term.axes] = g
-    return restricted
-
-
 def commuting_runs(terms: Sequence[PauliTerm]) -> list[int]:
     """Start index of each maximal run of consecutive, pairwise commuting strings, left to right."""
     starts = [0]
@@ -216,7 +197,7 @@ class SectorSpan:
         sector = int(np.argmax(weights))
         if np.sum(weights) - weights[sector] > INVARIANCE_TOLERANCE * np.sum(weights):
             raise VqeError("the initial state is not in one symmetry sector of the Hamiltonian's frame")
-        g = sector_strings(tapered, sector, terms)
+        g = {term.axes: tapered.sector_matrix(term, sector) for term in terms}
         gens = ansatz.generators
         starts = commuting_runs(gens)
         runs = [tuple(gen.axes for gen in gens[lo:hi]) for lo, hi in zip(starts, [*starts[1:], len(gens)])]
@@ -384,8 +365,6 @@ def train(
     epochs: int = 800,
     learning_rate: float = 0.1,
     seed: int = 0,
-    oracle_decomp: SpectralDecomposition | None = None,
-    tolerance: float | None = None,
     target: float | None = None,
 ) -> VqeResult:
     """Minimize <U(theta) psi0|H0|U(theta) psi0> with Adam on the :class:`SectorSpan`.
@@ -395,12 +374,10 @@ def train(
     the raw per-epoch energies are kept in the history. Given a ``target``,
     training stops at the first epoch whose running best is at most
     ``TARGET_TOLERANCE * max(1, |target|)`` above it; ``epochs`` is the
-    cap either way. When an oracle decomposition is supplied the result
-    carries the energy distance and infidelity against it, and
-    ``converged`` reports whether the energy distance met ``tolerance``
-    (best-so-far is returned either way). Raises :class:`VqeError` when a
-    term of ``h0`` is not one of the ansatz's bond strings or ``init_state``
-    is not in one sector of ``h0``'s frame (:meth:`SectorSpan.build`).
+    cap either way, and the best-so-far angles are returned. Raises
+    :class:`VqeError` when a term of ``h0`` is not one of the ansatz's bond
+    strings or ``init_state`` is not in one sector of ``h0``'s frame
+    (:meth:`SectorSpan.build`).
     """
     if not h0.is_hermitian():
         raise VqeError("training requires a Hermitian Hamiltonian")
@@ -419,7 +396,7 @@ def train(
         )
         dimension = span.dimension
 
-    result = VqeResult(
+    return VqeResult(
         optimal_parameters=theta,
         final_energy=best_energy,
         training_history={"energy": energies, "best_energy": best_curve},
@@ -427,9 +404,6 @@ def train(
         stop_reason=stop_reason,
         sector_dimension=dimension,
     )
-    if oracle_decomp is not None:
-        _score(result, ansatz.apply(theta, init_state), oracle_decomp, tolerance)
-    return result
 
 
 def _score(result: VqeResult, state: StateVector, decomp: SpectralDecomposition, tolerance: float | None) -> None:
@@ -472,7 +446,8 @@ class SectorRanking:
 
 
 def rank_sectors(lat: HoneycombLattice, h0: PauliSum) -> SectorRanking:
-    """Every sector's ground energy from one batched ``eigvalsh`` of ``h0``'s tapered sector sums.
+    """Every sector's ground energy from ``h0``'s tapered sector sums
+    (:meth:`oracle.TaperedSum.sector_ground_energies`).
 
     Each candidate sector takes its frame sector's energy (:func:`frame_sector`
     over one eigenvalue table of the lattice's stabilizer generators);
@@ -481,8 +456,7 @@ def rank_sectors(lat: HoneycombLattice, h0: PauliSum) -> SectorRanking:
     of the lowest energy of all 2^k sectors.
     """
     tapered = oracle.taper(h0)
-    _, stack = tapered.block_stack()
-    minima = np.linalg.eigvalsh(stack)[:, 0].reshape(tapered.num_sectors, -1).min(axis=1)
+    minima = tapered.sector_ground_energies()
     candidates = candidate_sectors(lat)
     table = tapered.sector_eigenvalues(candidates[0].generators)
     if len(set(map(tuple, table.tolist()))) < len(table):

@@ -25,6 +25,20 @@ def h_8(lat8):
     return lattice.kitaev_hamiltonian(lat8, -1.0, 0.1)
 
 
+@pytest.fixture
+def no_blocks(monkeypatch):
+    """Calls that reached :func:`oracle.symmetry_blocks`, which raises instead of building
+    anything, so a dense-cap test never allocates a refused stack."""
+    calls = []
+
+    def refuse(h):
+        calls.append(h)
+        raise AssertionError("symmetry_blocks reached")
+
+    monkeypatch.setattr(oracle, "symmetry_blocks", refuse)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def dec0_8(h0_8):
     return oracle.diagonalize(h0_8)

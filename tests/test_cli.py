@@ -483,12 +483,12 @@ class TestPipeline:
         return err
 
     def test_package_error_exits_2_without_traceback(self, tmp_path, capsys):
-        # 4x2 cells is N=16, beyond the dense diagonalization cap of 14 sites
+        # 5x2 cells is N=20: even tapered, h0 stacks 2^29 entries, beyond the oracle's dense cap
         config_path = tmp_path / "big.json"
-        config_path.write_text(json.dumps({"lattice": {"rows": 4, "cols": 2}}))
+        config_path.write_text(json.dumps({"lattice": {"rows": 5, "cols": 2}}))
         rc = main(["ed-reference", "--config", str(config_path), "--out", str(tmp_path / "o")])
         assert rc == 2
-        self._one_error_line(capsys)
+        assert "20 sites: 536870912 stacked entries exceed the dense cap" in self._one_error_line(capsys)
 
     @pytest.mark.parametrize("stage, config, flags, message", [
         ("ed-reference", FAST_CONFIG, ["--seed", "-3"], r"error: \$\.seed: "),

@@ -52,9 +52,19 @@ class TestDiagonalize:
         assert dec.ground_degeneracy == 1
         assert np.sum(np.abs(dec.eigenvalues) < 1e-12) == 2
 
-    def test_cap(self):
-        with pytest.raises(OracleError):
-            diagonalize(pauli_sum([single_site("Z", 0, 15)], 15), cap=14)
+    def test_cap(self, no_blocks):
+        # a 15-site XX chain in a Z field keeps only the parity: one identity-frame sector
+        # of 2 blocks of 2^14 states, 2^29 entries
+        with pytest.raises(OracleError, match="15 sites: 536870912 stacked entries exceed the dense cap 268435456"):
+            diagonalize(_xx_chain(15))
+        assert no_blocks == []
+
+    def test_cap_admits_every_14_site_sum(self, no_blocks):
+        # X and Z on every site leave no symmetry: one 2^14 block, exactly the cap, is admitted
+        h = pauli_sum([single_site(axis, i, 14) for i in range(14) for axis in "XZ"], 14)
+        with pytest.raises(AssertionError, match="symmetry_blocks reached"):
+            diagonalize(h)
+        assert len(no_blocks) == 1
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(OracleError):
@@ -276,11 +286,37 @@ class TestTapering:
         smaller = ({"trace_deviation", "trace_square_deviation"} - {larger}).pop()
         assert certificate[larger] > certificate[smaller]
 
+    def test_sector_matrix_is_the_frame_conjugate_on_its_sector(self, lat8, h0_8):
+        # rows frame_index[s] of F T F^dagger, built column by column through the frame, hold
+        # the sector's d x d matrix on columns frame_index[s] and nothing elsewhere; the bond
+        # products include non-symmetric strings (one Y), so a transposed matrix fails
+        from kitaevqse.lattice import stabilizer_group
+
+        tapered = oracle.taper(h0_8)
+        products = [multiply(h0_8.terms[0], t) for t in h0_8.terms]
+        for term in (*h0_8.terms, *products, *stabilizer_group(lat8).generators):
+            src, phase = term.action
+            columns = term.coefficient * phase * tapered.frame.from_frame(np.eye(256))[:, src]
+            conjugate = tapered.frame.to_frame(columns).T  # column j is F T F^dagger e_j
+            for s in range(tapered.num_sectors):
+                index = tapered.frame_index[s]
+                expected = np.zeros((index.size, 256), dtype=complex)
+                expected[:, index] = tapered.sector_matrix(term, s)
+                assert np.max(np.abs(conjugate[index] - expected)) <= 1e-12, (term, s)
+        with pytest.raises(OracleError, match="X or Y on a tapered site"):
+            tapered.sector_matrix(single_site("Z", 0, 8), 0)
+
     def test_term_off_the_frame_raises(self, h0_8):
         # a Z field term anticommutes with the plaquettes, so it keeps X or Y on a tapered site
         frame = oracle.tapering_frame(h0_8)
         with pytest.raises(OracleError, match="X or Y on a tapered site"):
             frame.reduce(single_site("Z", 0, 8))
+
+
+def _xx_chain(n):
+    """Open n-site XX chain in a Z field: its group is the parity alone."""
+    bonds = [two_site("X", i, i + 1, n) for i in range(n - 1)]
+    return pauli_sum(bonds + [single_site("Z", i, n, 0.5) for i in range(n)], n)
 
 
 def _chain(hz):
@@ -325,11 +361,17 @@ class TestFactorizationCache:
         with pytest.raises(dataclasses.FrozenInstanceError):
             dec.eigenvalues = np.zeros(8)
 
-    def test_cap_checked_before_lookup(self):
-        h = _chain(0.3)
-        diagonalize(h)
-        with pytest.raises(OracleError, match="cap 2"):
-            diagonalize(h, cap=2)
+    def test_cap_checked_before_lookup(self, built, no_blocks):
+        # the 16-site field model keeps its two Z-syndromes only: 2^(32-2) entries, refused on
+        # every call, and nothing is kept for it
+        from kitaevqse.lattice import build_lattice, kitaev_hamiltonian
+
+        h = kitaev_hamiltonian(build_lattice(4, 2), -1.0, 0.1)
+        for _ in range(2):
+            with pytest.raises(OracleError, match="16 sites: 1073741824 stacked entries exceed"):
+                diagonalize(h)
+        assert len(built) == 2 and h not in oracle._DECOMPOSITIONS
+        assert no_blocks == []
 
     def test_entry_does_not_keep_hamiltonian_alive(self):
         h = _chain(0.3)

@@ -111,6 +111,14 @@ class TestGrouping:
         kinds = [{ch for t in g for ch in t.axes if ch != "I"} for g in groups]
         assert kinds == [{"Z"}, {"X"}, {"Y"}, {"Z"}]
 
+    def test_tilted_field_singles_grouped_by_axis(self, lat8):
+        from kitaevqse.lattice import kitaev_hamiltonian
+
+        groups = grouped_by_axis(kitaev_hamiltonian(lat8, -1.0, [0.3, 0.0, 0.3]))
+        assert [len(g) for g in groups] == [8, 8, 4, 4, 4]  # X singles, Z singles, XX, YY, ZZ
+        kinds = [{ch for t in g for ch in t.axes if ch != "I"} for g in groups]
+        assert kinds == [{"X"}, {"Z"}, {"X"}, {"Y"}, {"Z"}]
+
     def test_leftover_strings_get_own_group(self):
         mixed = pauli_sum([PauliTerm(1.0, "XZY"), single_site("Z", 0, 3, 0.5)], 3)
         groups = grouped_by_axis(mixed)
@@ -161,6 +169,30 @@ class TestEvolve:
         ratios = [errors[i] / errors[i + 1] for i in range(3)]
         for ratio in ratios:
             assert 3.0 < ratio < 5.0  # ~4x per doubling of r
+
+    @pytest.mark.parametrize("field", [[0.3, 0.0, 0.3], [0.2, -0.4, 0.3]])
+    def test_tilted_field_trotter_second_order(self, lat8, field):
+        # X, Y and Z field terms do not commute, so each axis is its own Trotter group
+        from kitaevqse.lattice import kitaev_hamiltonian
+
+        h = kitaev_hamiltonian(lat8, -1.0, field)
+        psi = random_state(8, 13)
+        t = 0.7
+        exact = scipy.linalg.expm(-1j * t * to_matrix(h)) @ psi.amplitudes
+        errors = [np.linalg.norm(evolve(psi, EvolutionOperator(h, mode="trotter2", trotter_steps=r), t).amplitudes
+                                 - exact) for r in (16, 64)]
+        assert 12.0 < errors[0] / errors[1] < 20.0  # ~16x for 4x the steps
+        trot = EvolutionOperator(h, mode="trotter2", trotter_steps=4)
+        back = evolve(evolve(psi, trot, t), trot, -t)
+        assert np.linalg.norm(back.amplitudes - psi.amplitudes) <= 1e-13
+
+    def test_one_site_x_plus_z_is_trotterized(self):
+        h = pauli_sum([single_site("X", 0, 1), single_site("Z", 0, 1)], 1)
+        psi = random_state(1, 14)
+        exact = scipy.linalg.expm(-1j * 0.7 * to_matrix(h)) @ psi.amplitudes
+        errors = [np.linalg.norm(evolve(psi, EvolutionOperator(h, mode="trotter2", trotter_steps=r), 0.7).amplitudes
+                                 - exact) for r in (4, 8, 16)]
+        assert all(3.0 < errors[i] / errors[i + 1] < 5.0 for i in range(2))
 
     def test_trotter_inverse_is_negative_time(self, h_8):
         trot = EvolutionOperator(h_8, mode="trotter2", trotter_steps=2)
@@ -217,15 +249,15 @@ class TestEvolve:
         evolve(evolve(psi, op, 0.4), op, 0.4)
         assert len(calls) == len(h)
 
-    def test_exact_cap(self, monkeypatch):
+    def test_exact_cap(self, no_blocks):
         from kitaevqse import oracle
 
-        built = []
-        monkeypatch.setattr(oracle, "_factorize_blocks", lambda *args, **kwargs: built.append(args))
-        op = EvolutionOperator(pauli_sum([single_site("Z", 0, 15)], 15), mode="exact")
-        with pytest.raises(oracle.OracleError, match="cap 14"):
+        # a 15-site XX chain in a Z field keeps only the parity: 2^29 stacked entries
+        chain = [two_site("X", i, i + 1, 15) for i in range(14)] + [single_site("Z", i, 15, 0.5) for i in range(15)]
+        op = EvolutionOperator(pauli_sum(chain, 15), mode="exact")
+        with pytest.raises(oracle.OracleError, match="536870912 stacked entries exceed the dense cap"):
             evolve(StateVector.computational_basis(15), op, 0.1)
-        assert built == []  # rejected before any block is assembled
+        assert no_blocks == []  # rejected before any block is assembled
 
     def test_trotter_needs_positive_steps(self, h_8):
         with pytest.raises(SimulationError):

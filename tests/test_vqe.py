@@ -145,11 +145,16 @@ class TestTrain:
             assert value == pytest.approx(target, abs=1e-8)
 
     def test_convergence_flag(self, h0_8, ansatz8, init8, dec0_8):
-        good = train(h0_8, ansatz8, init8, epochs=800, seed=1, oracle_decomp=dec0_8, tolerance=1e-8)
+        def scored(epochs):
+            result = train(h0_8, ansatz8, init8, epochs=epochs, seed=1)
+            vqe._score(result, ansatz8.apply(result.optimal_parameters, init8), dec0_8, 1e-8)
+            return result
+
+        good = scored(800)
         assert good.converged is True
         # without a target every epoch runs; with one, seed 1 stops near epoch 260
         assert (good.stop_epoch, good.stop_reason) == (800, "epochs")
-        short = train(h0_8, ansatz8, init8, epochs=3, seed=1, oracle_decomp=dec0_8, tolerance=1e-8)
+        short = scored(3)
         assert short.converged is False
         assert short.final_energy >= good.final_energy
 
@@ -191,15 +196,15 @@ class TestSectorSpan:
     @pytest.mark.parametrize("string", range(12))
     def test_string_off_the_run_eigenbasis_raises(self, h0_8, ansatz8, init8, monkeypatch, string):
         axes = ansatz8.distinct_generators[string].axes
-        original = vqe.sector_strings
+        original = oracle.TaperedSum.sector_matrix
 
-        def perturbed(tapered, sector, terms):
-            g = original(tapered, sector, terms)
-            dim = len(g[axes])
-            g[axes] = g[axes] + 1e-9 * (np.eye(dim, k=1) + np.eye(dim, k=-1))
+        def perturbed(tapered, term, sector):
+            g = original(tapered, term, sector)
+            if term.axes == axes:
+                g = g + 1e-9 * (np.eye(len(g), k=1) + np.eye(len(g), k=-1))
             return g
 
-        monkeypatch.setattr(vqe, "sector_strings", perturbed)
+        monkeypatch.setattr(oracle.TaperedSum, "sector_matrix", perturbed)
         with pytest.raises(VqeError, match="no joint"):
             SectorSpan.build(ansatz8, h0_8, init8)
 
