@@ -167,8 +167,7 @@ def cmd_vqe(config: RunConfig, out_dir: Path) -> None:
         # training is deterministic in (layers, seed); tolerance only sets `converged`
         _, result, _ = vqe.prepare_reference_state(
             lat, h0, layers=layers,
-            epochs=config.vqe.epochs, learning_rate=config.vqe.learning_rate,
-            seed=config.seed,
+            epochs=config.vqe.epochs, seed=config.seed,
             oracle_decomp=decomp, tolerance=1e-8, ranked=ranked,
         )
         return result
@@ -376,9 +375,10 @@ def fixture_entry(label: str, h: PauliSum, decomp: SpectralDecomposition) -> dic
 def cmd_ed_reference(config: RunConfig, out_dir: Path) -> None:
     lat = _build_lattice(config)
     h0, h = _hamiltonians(config, lat)
+    decomp = oracle.diagonalize(h)  # first: with a field, h is the one the dense cap refuses
     entries = [
         fixture_entry(f"h0_j{config.coupling}", h0, oracle.diagonalize(h0)),
-        fixture_entry(f"h_j{config.coupling}_hz{config.field_z}", h, oracle.diagonalize(h)),
+        fixture_entry(f"h_j{config.coupling}_hz{config.field_z}", h, decomp),
     ]
     write_json(out_dir / "lattice_fixture.json", config, lat.to_fixture_dict())
     write_json(out_dir / "ed_reference.json", config, {"entries": entries})

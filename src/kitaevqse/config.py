@@ -127,7 +127,6 @@ class LatticeConfig:
 class VqeConfig:
     layers: int = _field(1, _integer(0))
     epochs: int = _field(800, _integer(1))
-    learning_rate: float = _field(0.1, _number(0.0, exclusive=True))
     layer_sweep: list[int] = _field([0, 1, 2, 3, 4], _list_of(_integer(0)))
 
 

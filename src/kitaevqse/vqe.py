@@ -12,10 +12,11 @@ generator to a single-qubit Z. Every bond string commutes with those
 generators, so in the frame it is a signed Pauli string on the N - k
 untapered qubits, and the sector of the initial state is a
 2^(N-k) = 2^(N/2-1)-dimensional space that the bond strings keep.
-:class:`SectorSpan` takes each string and H0 there as d x d matrices, and
-Adam runs the adjoint sweep on them one run of commuting strings at a time,
-in each run's joint eigenbasis. Only mapping the initial state into the
-frame touches 2^N amplitudes. :meth:`AnsatzCircuit.apply` and
+:class:`SectorSpan` takes each string and H0 there as d x d matrices and runs
+the adjoint sweep on them one run of commuting strings at a time, in each
+run's joint eigenbasis; BFGS (:func:`_bfgs_minimize`) trains on that sweep
+with no step size to tune. Only mapping the initial state into the frame
+touches 2^N amplitudes. :meth:`AnsatzCircuit.apply` and
 :meth:`AnsatzCircuit.energy_and_gradient` stay full-space; the trained state
 and its infidelity come from ``apply``.
 
@@ -45,8 +46,8 @@ from .pauli import PauliSum, PauliTerm, commutes
 from .simulator import StateVector, _rotation_inplace, expectation
 
 
-# Training stops at the first epoch whose running best is at most this
-# fraction of max(1, |target|) above the target.
+# Training stops at the first energy-and-gradient evaluation whose running
+# best is at most this fraction of max(1, |target|) above the target.
 TARGET_TOLERANCE = 1e-12
 
 # Each restricted string must be this close to a diagonal of +-1 in its
@@ -250,8 +251,8 @@ class VqeResult:
     optimal_parameters: np.ndarray
     final_energy: float
     training_history: dict
-    # epochs trained (the length of training_history) and why training ended:
-    # "target" once the running best reached the target, "epochs" otherwise
+    # energy-and-gradient evaluations (the length of training_history) and why training
+    # ended: "target" once the running best reached the target, "epochs" otherwise
     stop_epoch: int
     stop_reason: str
     # against an ED decomposition, when one is given (_score)
@@ -315,47 +316,47 @@ def _reached(energy: float, target: float | None) -> bool:
     return target is not None and energy - target <= TARGET_TOLERANCE * max(1.0, abs(target))
 
 
-def _adam_minimize(
+def _bfgs_minimize(
     energy_and_gradient: Callable[[np.ndarray], tuple[float, np.ndarray]],
     theta0: np.ndarray,
-    epochs: int,
-    learning_rate: float,
+    evaluations: int,
     target: float | None = None,
-) -> tuple[np.ndarray, float, list[float], list[float], str]:
-    """Adam from ``theta0``: (best angles, best energy, energies, running best, stop reason).
+) -> tuple[np.ndarray, list[float], str]:
+    """BFGS from ``theta0``: (best angles, the energy of every evaluation, stop reason).
 
-    Returns at the first epoch whose running best reaches ``target``;
-    otherwise runs all ``epochs`` and evaluates the last update once more.
+    Dense inverse-Hessian updates, skipped unless s.y > 0, with an Armijo line search that
+    halves a unit step until the energy falls by 1e-4 of the predicted decrease (Nocedal &
+    Wright, *Numerical Optimization*, 2nd ed., Alg. 6.1 and Sec. 3.1). Every evaluation,
+    line-search trials included, is recorded and counts against ``evaluations``; returns at
+    the first one whose running best reaches ``target``.
     """
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
-    theta = theta0.copy()
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
     energies: list[float] = []
-    best_curve: list[float] = []
-    best_energy = np.inf
-    best_theta = theta.copy()
-    for epoch in range(1, epochs + 1):
-        energy, grad = energy_and_gradient(theta)
-        if not np.isfinite(energy) or not np.all(np.isfinite(grad)):
-            raise VqeError(f"non-finite loss at epoch {epoch}")
-        energies.append(energy)
-        if energy < best_energy:
-            best_energy = energy
-            best_theta = theta.copy()
-        best_curve.append(best_energy)
-        if _reached(best_energy, target):
-            return best_theta, best_energy, energies, best_curve, "target"
-        m = beta1 * m + (1 - beta1) * grad
-        v = beta2 * v + (1 - beta2) * grad * grad
-        m_hat = m / (1 - beta1**epoch)
-        v_hat = v / (1 - beta2**epoch)
-        theta = theta - learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-    final_energy, _ = energy_and_gradient(theta)
-    if final_energy < best_energy:
-        best_energy = final_energy
-        best_theta = theta.copy()
-    return best_theta, best_energy, energies, best_curve, "epochs"
+    best_energy, best_theta = np.inf, theta0
+    inverse_hessian = identity = np.eye(len(theta0))
+    # theta0 is a first trial that passes the Armijo test against an infinite energy, with s = 0
+    theta, energy, grad, trial, step, slope = theta0, np.inf, np.zeros_like(theta0), theta0, 0.0, 0.0
+    while True:
+        trial_energy, trial_grad = energy_and_gradient(trial)
+        if not np.isfinite(trial_energy) or not np.all(np.isfinite(trial_grad)):
+            raise VqeError(f"non-finite loss at evaluation {len(energies) + 1}")
+        energies.append(trial_energy)
+        if trial_energy < best_energy:
+            best_energy, best_theta = trial_energy, trial
+        if _reached(best_energy, target) or len(energies) >= evaluations:
+            return best_theta, energies, "target" if _reached(best_energy, target) else "epochs"
+        if trial_energy > energy + 1e-4 * step * slope:
+            step *= 0.5
+        else:
+            s, y = trial - theta, trial_grad - grad
+            if s @ y > 0:
+                v = identity - np.outer(s, y) / (s @ y)
+                inverse_hessian = v @ inverse_hessian @ v.T + np.outer(s, s) / (s @ y)
+            theta, energy, grad, step = trial, trial_energy, trial_grad, 1.0
+            direction = -inverse_hessian @ grad
+            slope = grad @ direction
+            if slope >= 0:  # not a descent direction: restart from steepest descent
+                inverse_hessian, direction, slope = identity, -grad, -(grad @ grad)
+        trial = theta + step * direction
 
 
 def train(
@@ -363,21 +364,20 @@ def train(
     ansatz: AnsatzCircuit,
     init_state: StateVector,
     epochs: int = 800,
-    learning_rate: float = 0.1,
     seed: int = 0,
     target: float | None = None,
 ) -> VqeResult:
-    """Minimize <U(theta) psi0|H0|U(theta) psi0> with Adam on the :class:`SectorSpan`.
+    """Minimize <U(theta) psi0|H0|U(theta) psi0> on the :class:`SectorSpan` by :func:`_bfgs_minimize`.
 
     Initial angles are uniform random in [-pi, pi], drawn from ``seed``. The
-    accepted-step energy (running best) is monotone by construction;
-    the raw per-epoch energies are kept in the history. Given a ``target``,
-    training stops at the first epoch whose running best is at most
-    ``TARGET_TOLERANCE * max(1, |target|)`` above it; ``epochs`` is the
-    cap either way, and the best-so-far angles are returned. Raises
-    :class:`VqeError` when a term of ``h0`` is not one of the ansatz's bond
-    strings or ``init_state`` is not in one sector of ``h0``'s frame
-    (:meth:`SectorSpan.build`).
+    history keeps every energy-and-gradient evaluation, line-search trials
+    included, and its running best, which is monotone by construction.
+    Given a ``target``, training stops at the first evaluation whose running
+    best is at most ``TARGET_TOLERANCE * max(1, |target|)`` above it;
+    ``epochs`` caps the evaluations either way, and the best-so-far angles
+    are returned. Raises :class:`VqeError` when a term of ``h0`` is not one of
+    the ansatz's bond strings or ``init_state`` is not in one sector of
+    ``h0``'s frame (:meth:`SectorSpan.build`).
     """
     if not h0.is_hermitian():
         raise VqeError("training requires a Hermitian Hamiltonian")
@@ -385,20 +385,18 @@ def train(
     theta0 = rng.uniform(-np.pi, np.pi, ansatz.num_parameters)
 
     if ansatz.num_parameters == 0:
-        energy = expectation(init_state, h0)
-        theta, best_energy, energies, best_curve = theta0, energy, [energy], [energy]
-        stop_reason = "target" if _reached(energy, target) else "epochs"
+        theta, energies = theta0, [expectation(init_state, h0)]
+        stop_reason = "target" if _reached(energies[0], target) else "epochs"
         dimension = None
     else:
         span = SectorSpan.build(ansatz, h0, init_state)
-        theta, best_energy, energies, best_curve, stop_reason = _adam_minimize(
-            span.energy_and_gradient, theta0, epochs, learning_rate, target
-        )
+        theta, energies, stop_reason = _bfgs_minimize(span.energy_and_gradient, theta0, epochs, target)
         dimension = span.dimension
 
+    best_curve = np.minimum.accumulate(energies).tolist()
     return VqeResult(
         optimal_parameters=theta,
-        final_energy=best_energy,
+        final_energy=best_curve[-1],
         training_history={"energy": energies, "best_energy": best_curve},
         stop_epoch=len(energies),
         stop_reason=stop_reason,
@@ -480,7 +478,6 @@ def prepare_reference_state(
     h0: PauliSum,
     layers: int,
     epochs: int = 800,
-    learning_rate: float = 0.1,
     seed: int = 0,
     oracle_decomp: SpectralDecomposition | None = None,
     tolerance: float | None = None,
@@ -503,7 +500,7 @@ def prepare_reference_state(
     lowest = min(energy for _, energy in ranked.sectors)
     group, sector_energy = next((g, energy) for g, energy in ranked.sectors if energy <= lowest + 1e-9)
     init_state = prepare_sector_state(group, lat)
-    result = train(h0, ansatz, init_state, epochs=epochs, learning_rate=learning_rate, seed=seed, target=sector_energy)
+    result = train(h0, ansatz, init_state, epochs=epochs, seed=seed, target=sector_energy)
     state = ansatz.apply(result.optimal_parameters, init_state)  # the one circuit application
     if oracle_decomp is not None:
         _score(result, state, oracle_decomp, tolerance)

@@ -152,7 +152,7 @@ class TestTrain:
 
         good = scored(800)
         assert good.converged is True
-        # without a target every epoch runs; with one, seed 1 stops near epoch 260
+        # without a target every evaluation runs; with one, seed 1 stops after 28
         assert (good.stop_epoch, good.stop_reason) == (800, "epochs")
         short = scored(3)
         assert short.converged is False
@@ -291,8 +291,9 @@ class TestSectorScan:
             return original(self, *args)
 
         monkeypatch.setattr(SectorSpan, "energy_and_gradient", counting)
-        prepare_reference_state(lat8, h0_8, layers=1, epochs=20, seed=1)
-        assert len(calls) == 21  # 20 Adam epochs plus the final evaluation
+        _, result, _ = prepare_reference_state(lat8, h0_8, layers=1, epochs=20, seed=1)
+        # the cap counts every evaluation, line-search trials included
+        assert len(calls) == result.stop_epoch == 20 and result.stop_reason == "epochs"
 
     def test_target_stop_evaluates_once_per_epoch(self, lat8, h0_8, monkeypatch):
         calls = []
@@ -329,14 +330,23 @@ class TestSectorScan:
 
 class TestTargetStop:
     @pytest.fixture(scope="class")
-    def ranked8(self, lat8, h0_8):
-        return rank_sectors(lat8, h0_8)
+    def problems(self, lat8, h0_8, dec0_8, lat12, h0_12, dec0_12):
+        """(lattice, h0, ED, sector ranking) per size, each ranking shared by all its cases."""
+        return {
+            8: (lat8, h0_8, dec0_8, rank_sectors(lat8, h0_8)),
+            12: (lat12, h0_12, dec0_12, rank_sectors(lat12, h0_12)),
+        }
 
-    @pytest.mark.parametrize("layers", [1, 2])
-    @pytest.mark.parametrize("seed", [0, 1, 2, 29, 36])
-    def test_stopped_training_meets_criterion_1(self, lat8, h0_8, dec0_8, ranked8, seed, layers):
+    @pytest.mark.parametrize("sites, seed, layers", [
+        *(pytest.param(8, seed, layers, id=f"{seed}-{layers}")
+          for layers in (1, 2, 3, 4) for seed in (0, 1, 2, 29, 36)),
+        *(pytest.param(12, seed, layers, id=f"n12-{seed}-{layers}")
+          for layers in (2, 3) for seed in (1, 2, 3, 4, 5)),
+    ])
+    def test_stopped_training_meets_criterion_1(self, problems, sites, seed, layers):
+        lat, h0, dec0, ranked = problems[sites]
         _, result, _ = prepare_reference_state(
-            lat8, h0_8, layers=layers, seed=seed, oracle_decomp=dec0_8, ranked=ranked8
+            lat, h0, layers=layers, seed=seed, oracle_decomp=dec0, ranked=ranked
         )
         assert result.energy_distance <= 1e-8
         assert result.infidelity <= 1e-8
@@ -344,11 +354,8 @@ class TestTargetStop:
         target = dict(result.sector_energies)[result.sector_targets]
         tol = TARGET_TOLERANCE * max(1.0, abs(target))
         reached = [best - target <= tol for best in result.training_history["best_energy"]]
-        if result.stop_reason == "target":
-            assert reached[-1] and not any(reached[:-1])
-        else:
-            assert result.stop_reason == "epochs"
-            assert result.stop_epoch == 800 and not any(reached)
+        assert result.stop_reason == "target"
+        assert reached[-1] and not any(reached[:-1])
         recorded = json.loads(json.dumps(result.to_json_dict()))
         assert (recorded["stop_epoch"], recorded["stop_reason"]) == (result.stop_epoch, result.stop_reason)
 
