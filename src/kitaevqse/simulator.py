@@ -11,13 +11,23 @@ applications with many different ``t`` cost one projection onto its
 symmetry blocks and one expansion back each, :func:`autocorrelations`
 reads whole overlap sequences off the spectral weights of one state with
 the decomposition's shared phase table, and :func:`evolved_superposition`
-sums evolutions of one state at many times in one pass. Rotations and
-Pauli products use each term's cached basis action (``PauliTerm.action``).
+sums evolutions of one state at many times in one pass. Rotations use
+each term's cached basis action (``PauliTerm.action``), and ``H|psi>`` the
+sum's diagonal and flip-mask groups compiled from those actions
+(``PauliSum.grouped_action``).
+
+Trotter evolution runs :func:`trotter_schedule`, the logical gate list that
+:func:`cnot_depth` counts, in a compiled form: each operator compiles it
+once, on its first trotter2 evolve, and fuses every maximal run of
+consecutive Z-only rotations (the Z singles and the ZZ bonds, diagonal in
+the computational basis) into one real exponent per unit time, applied as
+one elementwise phase. The off-diagonal rotations run one by one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Callable, Literal, Sequence
 
 import numpy as np
@@ -26,6 +36,9 @@ from .oracle import SpectralDecomposition, diagonalize
 from .pauli import PauliSum, PauliTerm, apply_sum
 
 EXPECTATION_IMAG_TOL = 1e-12  # relative imaginary residue <psi|H|psi> may carry
+
+# (gates, exponents) of fuse_diagonal_runs
+FusedSchedule = tuple[list[tuple[PauliTerm, float] | int], list[np.ndarray]]
 
 
 class SimulationError(ValueError):
@@ -116,6 +129,7 @@ class EvolutionOperator:
     term_ordering: list[list[PauliTerm]] = field(init=False, repr=False, compare=False)
     _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _spectrum: SpectralDecomposition | None = field(default=None, init=False, repr=False, compare=False)
+    _fused: FusedSchedule | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("exact", "trotter2"):
@@ -134,6 +148,12 @@ class EvolutionOperator:
             self._eigenvalues = self._spectrum.eigenvalues
         return self._spectrum
 
+    def _fused_schedule(self) -> FusedSchedule:
+        """:func:`fuse_diagonal_runs` of the unit-time schedule, compiled on first use."""
+        if self._fused is None:
+            self._fused = fuse_diagonal_runs(trotter_schedule(self, 1.0))
+        return self._fused
+
 
 def _evolve_exact(op: EvolutionOperator, amplitudes: np.ndarray, t: float) -> np.ndarray:
     spectrum = op._eigendecomposition()
@@ -151,6 +171,10 @@ def trotter_schedule(op: EvolutionOperator, t: float) -> list[tuple[PauliTerm, f
     commute, so reversing it equals negating every angle:
     V_r(-t) = V_r(t)^dag, hence <a|V(-t)|b> = conj(<b|V(t)|a>). HOA assembly
     (``qse.assemble_matrices``) evolves in one direction on that identity.
+
+    Every angle is a fixed multiple of t (of tau = t/r), so the schedule at
+    t is the schedule at t = 1 with its angles scaled by t; the fused form
+    that :func:`_evolve_trotter2` runs is compiled once at t = 1 on that rule.
     """
     groups = op.term_ordering
     if len(groups) == 1:
@@ -163,12 +187,38 @@ def trotter_schedule(op: EvolutionOperator, t: float) -> list[tuple[PauliTerm, f
     return step * op.trotter_steps
 
 
+def fuse_diagonal_runs(schedule: list[tuple[PauliTerm, float]]) -> FusedSchedule:
+    """(gates, exponents) of a unit-time rotation schedule.
+
+    A rotation whose flip mask is nonzero stays a (term, angle) gate. Each
+    maximal run of consecutive Z-only rotations, which are diagonal and
+    commute, becomes an int gate: the index of its real exponent
+    d = sum_k (a_k c_k / 2) phase_k in ``exponents``, so the run at time t
+    is exp(-i t d) elementwise. Runs of the same rotations share one exponent.
+    """
+    gates: list[tuple[PauliTerm, float] | int] = []
+    runs: dict[tuple[tuple[PauliTerm, float], ...], int] = {}
+    for diagonal, run in groupby(schedule, key=lambda gate: gate[0].masks[0] == 0):
+        if diagonal:
+            gates.append(runs.setdefault(tuple(run), len(runs)))
+        else:
+            gates.extend(run)
+    exponents = [sum(0.5 * angle * term.coefficient.real * term.action[1].real for term, angle in run) for run in runs]
+    return gates, exponents
+
+
 def _evolve_trotter2(op: EvolutionOperator, amplitudes: np.ndarray, t: float) -> np.ndarray:
     out = amplitudes.copy()
     if t == 0.0:
         return out
-    for term, angle in trotter_schedule(op, t):
-        _rotation_inplace(out, term, angle)
+    gates, exponents = op._fused_schedule()
+    diagonals = [np.exp(-1j * t * d) for d in exponents]
+    for gate in gates:
+        if isinstance(gate, int):
+            out *= diagonals[gate]
+        else:
+            term, angle = gate
+            _rotation_inplace(out, term, angle * t)
     return out
 
 

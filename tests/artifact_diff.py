@@ -8,8 +8,10 @@ with no tolerance, apart from when it was written: CSV lines starting with
 one line per artifact that differs or exists on one side only, and exits 1
 if there is any, 0 otherwise. With ``--report`` each differing artifact's
 line also gives the largest absolute difference over its numeric CSV cells
-and JSON leaves, and says when anything else differs too (text, metadata,
-or the number of rows or entries).
+and JSON leaves, says "recorded config differs" when the run configuration
+the artifact records (the JSON ``_meta.config`` entry, the CSV ``# config =``
+line) differs, and says when anything else differs too (text, other
+metadata, or the number of rows or entries).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import sys
 from pathlib import Path
 
 ARTIFACT_SUFFIXES = (".csv", ".json")
+CONFIG_KEY = ("config",)  # the recorded run configuration, one leaf per artifact
 
 
 def _content(path: Path) -> str:
@@ -36,7 +39,8 @@ def _content(path: Path) -> str:
 
 def _leaves(path: Path) -> list:
     """The artifact's values in document order: JSON leaves keyed by their
-    path, CSV cells by (line, column); numbers as floats, all else as is."""
+    path, CSV cells by (line, column); numbers as floats, all else as is.
+    The recorded config is one text leaf under ``CONFIG_KEY``."""
     text = _content(path)
     if path.suffix == ".json":
         try:
@@ -44,6 +48,8 @@ def _leaves(path: Path) -> list:
         except ValueError:
             return [((), text)]
         out: list = []
+        if isinstance(payload, dict) and isinstance(payload.get("_meta"), dict) and "config" in payload["_meta"]:
+            out.append((CONFIG_KEY, json.dumps(payload["_meta"].pop("config"), sort_keys=True)))
 
         def walk(node, key):
             if isinstance(node, dict):
@@ -60,6 +66,9 @@ def _leaves(path: Path) -> list:
         return out
     out = []
     for i, line in enumerate(text.splitlines()):
+        if line.startswith("# config ="):
+            out.append((CONFIG_KEY, line))
+            continue
         for j, cell in enumerate([line] if line.startswith("#") else line.split(",")):
             try:
                 out.append(((i, j), float(cell)))
@@ -70,8 +79,9 @@ def _leaves(path: Path) -> list:
 
 def numeric_report(old: Path, new: Path) -> str:
     """'max |diff| = X' over the numbers both artifacts hold at the same place,
-    plus a note when anything else differs."""
+    plus a note when the recorded config differs and one when anything else does."""
     a, b = dict(_leaves(old)), dict(_leaves(new))
+    config = a.pop(CONFIG_KEY, None) != b.pop(CONFIG_KEY, None)
     largest, other = 0.0, a.keys() != b.keys()
     for key in a.keys() & b.keys():
         x, y = a[key], b[key]
@@ -79,7 +89,8 @@ def numeric_report(old: Path, new: Path) -> str:
             largest = max(largest, abs(x - y))
         elif x != y:
             other = True
-    return f"max |diff| = {largest:.3g}" + ("; non-numeric content differs" if other else "")
+    notes = ["recorded config differs"] * config + ["non-numeric content differs"] * other
+    return "; ".join([f"max |diff| = {largest:.3g}", *notes])
 
 
 def differing_artifacts(old: Path, new: Path, report: bool = False) -> list[str]:

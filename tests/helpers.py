@@ -1,6 +1,8 @@
-"""Dense reference constructions shared by the tests."""
+"""Dense and unfused reference constructions shared by the tests."""
 
 import numpy as np
+
+from kitaevqse.simulator import _rotation_inplace, trotter_schedule
 
 _SINGLE_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -61,3 +63,12 @@ def z_blocked_factorization(h) -> tuple[np.ndarray, ...]:
     block_evals, block_vectors = np.linalg.eigh(stack)
     order = np.argsort(block_evals.ravel(), kind="stable")
     return permutation, block_vectors, order, block_evals.ravel()[order]
+
+
+def trotter_rotation_by_rotation(op, amplitudes: np.ndarray, t: float) -> np.ndarray:
+    """trotter2 V(t)|amplitudes> from :func:`simulator.trotter_schedule` at time t, one
+    rotation per scheduled gate: the unfused reference for the compiled schedule."""
+    out = np.array(amplitudes, dtype=complex)
+    for term, angle in trotter_schedule(op, t):
+        _rotation_inplace(out, term, angle)
+    return out

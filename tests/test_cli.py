@@ -739,6 +739,24 @@ class TestArtifactDiff:
         name, largest = shape_sweep.split(", max |diff| = ")
         assert name == "qse_shape_sweep.csv: differs" and float(largest) == pytest.approx(3e-11, rel=1e-3)
 
+    def test_report_names_a_changed_config_record_apart(self, workdir, tmp_path, capsys):
+        out, copy = workdir[0] / "out", tmp_path / "copy"
+        shutil.copytree(out, copy)
+        # a config-schema change rewrites every artifact's record and no number
+        payload = json.loads((copy / "ed_reference.json").read_text())
+        payload["_meta"]["config"]["vqe"]["learning_rate"] = 0.05
+        (copy / "ed_reference.json").write_text(json.dumps(payload, indent=2))
+        text = (copy / "dsf_ed.csv").read_text()
+        (copy / "dsf_ed.csv").write_text(text.replace('"vqe": {', '"vqe": {"learning_rate": 0.05, ', 1))
+        capsys.readouterr()
+        assert artifact_diff.main([str(out), str(copy)]) == 1
+        assert capsys.readouterr().out == "dsf_ed.csv: differs\ned_reference.json: differs\n"
+        assert artifact_diff.main(["--report", str(out), str(copy)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "dsf_ed.csv: differs, max |diff| = 0; recorded config differs",
+            "ed_reference.json: differs, max |diff| = 0; recorded config differs",
+        ]
+
 
 class TestWriteCsv:
     def test_cells_are_plain_numbers(self, tmp_path):

@@ -241,6 +241,56 @@ class TestBasisAction:
             assert bond.action[0] is bonds[1][axes].action[0]
 
 
+class TestGroupedAction:
+    @staticmethod
+    def per_term(h, vec):
+        return sum((pauli.apply_term(t, vec) for t in h.terms), np.zeros_like(vec))
+
+    def sums(self, lat8):
+        from kitaevqse.greens import _collective_excitation
+
+        h = kitaev_hamiltonian(lat8, -1.0, 0.1)
+        return {
+            "field kitaev": h,
+            # non-Hermitian: exp(i q.r_j) Z_j, a complex diagonal
+            "collective z, q != 0": _collective_excitation("Z", lat8.positions, np.array([np.pi, 0.5])),
+            "collective y, q != 0": _collective_excitation("Y", lat8.positions, np.array([0.3, -1.2])),
+            "no diagonal term": pauli_sum([t for t in h.terms if t.masks[0] != 0], 8),
+            "only diagonal terms": pauli_sum([t for t in h.terms if t.masks[0] == 0], 8),
+        }
+
+    def test_matches_the_per_term_sum(self, lat8):
+        rng = np.random.default_rng(5)
+        vec = rng.normal(size=256) + 1j * rng.normal(size=256)
+        for name, h in self.sums(lat8).items():
+            assert np.max(np.abs(pauli.apply_sum(h, vec) - self.per_term(h, vec))) <= 1e-13, name
+
+    def test_one_pass_per_flip_mask(self, lat8):
+        sums = self.sums(lat8)
+        # 12 bonds and 8 Z fields: the fields and the ZZ bonds make the diagonal,
+        # and each XX or YY bond flips its own pair of sites
+        diagonal, flips = sums["field kitaev"].grouped_action
+        assert len(sums["field kitaev"]) == 20 and diagonal is not None and len(flips) == 8
+        assert sums["no diagonal term"].grouped_action[0] is None
+        assert sums["only diagonal terms"].grouped_action[1] == ()
+        assert not np.any(pauli.apply_sum(pauli_sum([], 3), np.ones(8, complex)))
+
+    def test_built_once_per_sum(self, lat8, monkeypatch):
+        calls = []
+        build = pauli.group_by_flip
+        monkeypatch.setattr(pauli, "group_by_flip", lambda terms: calls.append(terms) or build(terms))
+        h = kitaev_hamiltonian(lat8, -1.0, 0.2)
+        vec = np.ones(256, complex)
+        first = pauli.apply_sum(h, vec)
+        assert np.array_equal(pauli.apply_sum(h, 1.0 * vec), first)
+        assert len(calls) == 1
+        # cached on the object; equality and hashing still follow the terms alone
+        twin = kitaev_hamiltonian(lat8, -1.0, 0.2)
+        assert twin == h and hash(twin) == hash(h)
+        diagonal, flips = h.grouped_action
+        assert not diagonal.flags.writeable and not any(phase.flags.writeable for _, phase in flips)
+
+
 class TestGershgorinKappa:
     def test_single_term(self):
         h = pauli_sum([single_site("Z", 0, 1, 0.1)], 1)

@@ -18,7 +18,7 @@ from kitaevqse.simulator import (
     grouped_by_axis,
 )
 
-from helpers import term_to_matrix
+from helpers import term_to_matrix, trotter_rotation_by_rotation
 
 
 def random_state(n, seed=0):
@@ -270,6 +270,67 @@ class TestEvolve:
         for row, t in zip(batch, times):
             single = evolve(psi, evolution_8, t)
             assert np.linalg.norm(row - single.amplitudes) < 1e-12
+
+
+FUSED_SHAPES = {"n8": (2, 2), "n12": (3, 2)}
+FUSED_FIELDS = {"z": 0.1, "zero": 0.0, "tilted": [0.3, 0.0, 0.3]}
+
+
+class TestFusedSchedule:
+    @pytest.mark.parametrize("case", [f"{n}-{f}" for n in FUSED_SHAPES for f in FUSED_FIELDS] + ["x0+z0"])
+    def test_matches_the_schedule_rotation_by_rotation(self, case):
+        from kitaevqse.lattice import build_lattice, kitaev_hamiltonian
+
+        if case == "x0+z0":
+            h = pauli_sum([single_site("X", 0, 1), single_site("Z", 0, 1)], 1)
+        else:
+            shape, field = case.split("-")
+            h = kitaev_hamiltonian(build_lattice(*FUSED_SHAPES[shape]), -1.0, FUSED_FIELDS[field])
+        psi = random_state(h.num_sites, 21)
+        for steps in (1, 3, 5):
+            op = EvolutionOperator(h, mode="trotter2", trotter_steps=steps)
+            for t in (0.37, -0.37, 2.1):
+                reference = trotter_rotation_by_rotation(op, psi.amplitudes, t)
+                assert np.linalg.norm(evolve(psi, op, t).amplitudes - reference) <= 1e-13
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_z_field_step_runs_sixteen_rotations(self, h_8, steps, monkeypatch):
+        # per step the schedule holds 36 rotations: 8 Z singles twice, 4 ZZ bonds,
+        # and the 4 XX and 4 YY bonds twice; only the 16 bond rotations off the diagonal run
+        calls = []
+        rotate_inplace = simulator._rotation_inplace
+        monkeypatch.setattr(simulator, "_rotation_inplace",
+                            lambda *args: calls.append(args[1]) or rotate_inplace(*args))
+        op = EvolutionOperator(h_8, mode="trotter2", trotter_steps=steps)
+        assert len(simulator.trotter_schedule(op, 0.4)) == 36 * steps
+        evolve(random_state(8, 23), op, 0.4)
+        assert len(calls) == 16 * steps
+        assert all(term.masks[0] != 0 for term in calls)
+        # the Z singles, the ZZ bonds, then the trailing and leading Z singles of adjacent
+        # steps as one run: 2r + 1 diagonal runs, of 2 distinct exponents at r=1 and 3 after
+        gates, exponents = op._fused_schedule()
+        assert sum(isinstance(gate, int) for gate in gates) == 2 * steps + 1
+        assert len(exponents) == min(steps, 2) + 1
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_schedule_angles_are_linear_in_time(self, h_8, steps):
+        # the compiled form scales the t = 1 schedule by t, which holds only for linear angles
+        op = EvolutionOperator(h_8, mode="trotter2", trotter_steps=steps)
+        unit = simulator.trotter_schedule(op, 1.0)
+        for t in (0.37, -2.1):
+            scaled = simulator.trotter_schedule(op, t)
+            assert [term for term, _ in scaled] == [term for term, _ in unit]
+            assert [angle for _, angle in scaled] == pytest.approx([t * angle for _, angle in unit], rel=1e-15)
+
+    def test_compiled_once_on_first_evolve(self, h_8, monkeypatch):
+        calls = []
+        schedule = simulator.trotter_schedule
+        monkeypatch.setattr(simulator, "trotter_schedule", lambda op, t: calls.append(t) or schedule(op, t))
+        op = EvolutionOperator(h_8, mode="trotter2", trotter_steps=3)
+        assert calls == []
+        psi = random_state(8, 24)
+        evolve(evolve(psi, op, 0.4), op, -0.7)
+        assert calls == [1.0]
 
 
 class TestCnotDepth:
