@@ -32,6 +32,7 @@ exact-diagonalization sides, so the two are always comparable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -269,8 +270,22 @@ def retarded_gf(
 
 
 def _collective_excitation(kind: str, positions: np.ndarray, q: np.ndarray) -> PauliSum:
-    """A_q = sum_i exp(i q.r_i) sigma_i^kind as one Pauli sum."""
-    phases = np.exp(1j * (np.asarray(positions, dtype=float) @ np.asarray(q, dtype=float)))
+    """A_q = sum_i exp(i q.r_i) sigma_i^kind as one Pauli sum.
+
+    Built once per (kind, positions, q), so every field's QSE and ED sides
+    share one sum and its compiled grouped action. The key is the whole
+    input, shapes and bytes, and the sum is built from the key alone.
+    """
+    positions, q = np.asarray(positions, dtype=float), np.asarray(q, dtype=float)
+    return _collective_sum(kind, positions.shape, positions.tobytes(), q.shape, q.tobytes())
+
+
+@lru_cache(maxsize=32)
+def _collective_sum(
+    kind: str, positions_shape: tuple[int, ...], positions_bytes: bytes, q_shape: tuple[int, ...], q_bytes: bytes
+) -> PauliSum:
+    positions = np.frombuffer(positions_bytes).reshape(positions_shape)
+    phases = np.exp(1j * (positions @ np.frombuffer(q_bytes).reshape(q_shape)))
     return pauli_sum([single_site(kind, i, len(phases), phase) for i, phase in enumerate(phases)], len(phases))
 
 

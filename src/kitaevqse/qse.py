@@ -44,7 +44,7 @@ from .simulator import (
     EvolutionOperator,
     StateVector,
     autocorrelations,
-    evolve,
+    evolve_stack,
     evolve_times,
     evolved_superposition,
 )
@@ -147,8 +147,12 @@ def build_basis(
     state(l, k) = V(k dt) (V((n_k+1) dt))^l ref, with negative l using
     the inverse coarse evolution. In trotter2 mode each V application is
     one product-formula evolution over its full time argument, so the
-    step count per basis state stays at r*(|l|+1). In exact mode no state
-    is evolved here (see :class:`SubspaceBasis`).
+    step count per basis state stays at r*(|l|+1). The circuits are shared
+    through :func:`simulator.evolve_stack`: the +l and -l anchors advance as
+    one 2-row stack per level, then every k != 0 state is evolved from its
+    anchor in one stack, each row at its own k dt. A stacked row is the
+    one-state evolution bit for bit, which :func:`nested_subspace` relies on.
+    In exact mode no state is evolved here (see :class:`SubspaceBasis`).
     """
     if delta_t <= 0.0:
         raise QseError("delta_t must be positive")
@@ -158,17 +162,20 @@ def build_basis(
     if evolution.mode == "exact":
         return SubspaceBasis(ref, indices, delta_t, evolution)
 
-    anchors: dict[int, StateVector] = {0: ref.copy()}
+    anchors = {0: ref.amplitudes}
     for l in range(1, n_l + 1):
-        anchors[l] = evolve(anchors[l - 1], evolution, coarse_t)
-        anchors[-l] = evolve(anchors[-(l - 1)], evolution, -coarse_t)
-
-    states = []
-    for idx in indices:
-        if idx.k == 0:
-            states.append(anchors[idx.l].copy())
-        else:
-            states.append(evolve(anchors[idx.l], evolution, idx.k * delta_t))
+        anchors[l], anchors[-l] = evolve_stack(
+            evolution, np.stack([anchors[l - 1], anchors[-(l - 1)]]), [coarse_t, -coarse_t]
+        )
+    # there are no k != 0 states when n_k = 0
+    fine = [idx for idx in indices if idx.k != 0]
+    evolved = iter(())
+    if fine:
+        stack = np.stack([anchors[idx.l] for idx in fine])
+        evolved = iter(evolve_stack(evolution, stack, [idx.k * delta_t for idx in fine]))
+    states = [
+        StateVector(anchors[idx.l].copy() if idx.k == 0 else next(evolved), ref.num_sites) for idx in indices
+    ]
     return SubspaceBasis(ref, indices, delta_t, evolution, states)
 
 
@@ -237,7 +244,8 @@ def _toeplitz_matrices(basis: SubspaceBasis, hoa_tau: float | None) -> tuple[np.
 
 def _statevector_matrices(basis: SubspaceBasis, hoa_tau: float | None) -> tuple[np.ndarray, np.ndarray]:
     """(S, H) from overlaps of the basis states: H applied directly, or the
-    HOA sine difference when ``hoa_tau`` is given, from V(tau) alone."""
+    HOA sine difference when ``hoa_tau`` is given, from V(tau) alone, which
+    evolves all basis states as one stack (:func:`simulator.evolve_stack`)."""
     phi = basis.state_matrix()
     s_mat = phi.conj() @ phi.T
     if hoa_tau is None:
@@ -248,8 +256,8 @@ def _statevector_matrices(basis: SubspaceBasis, hoa_tau: float | None) -> tuple[
             raise QseError(f"assembled H has hermiticity residual {residual:g}")
     else:
         # M_ab = <a|V(tau)|b>, and <a|V(-tau)|b> = conj(M_ba) since V_r(-tau) = V_r(tau)^dag
-        # (see trotter_schedule): one evolution per state, and (M^dag - M)/(2i tau) is Hermitian
-        fwd = np.stack([evolve(s, basis.evolution, hoa_tau).amplitudes for s in basis.states])
+        # (see trotter_schedule): one stacked evolution, and (M^dag - M)/(2i tau) is Hermitian
+        fwd = evolve_stack(basis.evolution, phi, np.full(len(phi), hoa_tau))
         m_mat = phi.conj() @ fwd.T
         h_mat = (m_mat.conj().T - m_mat) / (2j * hoa_tau)
     return 0.5 * (s_mat + s_mat.conj().T), 0.5 * (h_mat + h_mat.conj().T)

@@ -412,7 +412,7 @@ class TestPipeline:
 
     @staticmethod
     def count_qse_stage(workdir, tmp_path, monkeypatch, qse_config):
-        """(trotter2 bases built as (n_k, n_l, r), trotter2 evolutions) of one qse stage."""
+        """(trotter2 bases built as (n_k, n_l, r), states evolved by trotter2) of one qse stage."""
         shutil.copy(workdir[0] / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps({**FAST_CONFIG, "qse": {**FAST_CONFIG["qse"], **qse_config}}))
@@ -425,9 +425,10 @@ class TestPipeline:
             return build(ref, n_k, n_l, delta_t, evolution)
 
         monkeypatch.setattr(qse, "build_basis", counted_build)
-        monkeypatch.setattr(simulator, "_evolve_trotter2", lambda *args: evolutions.append(1) or evolve(*args))
+        monkeypatch.setattr(simulator, "_evolve_trotter2",
+                            lambda op, stack, times: evolutions.append(len(times)) or evolve(op, stack, times))
         assert main(["qse", "--config", str(config_path), "--out", str(tmp_path)]) == 0
-        return bases, len(evolutions)
+        return bases, sum(evolutions)
 
     def test_qse_stage_builds_each_trotter_subspace_once(self, workdir, tmp_path, monkeypatch):
         # both sweeps and the final solve share one basis per (n_k, r), at the deepest

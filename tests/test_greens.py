@@ -371,6 +371,27 @@ class TestDsf:
             dynamical_structure_factor(engine8, lat8.positions, np.zeros(2), omega, 0.1, kinds=kinds)
             assert calls == [8] * len(kinds)  # one collective seed over all 8 sites per kind
 
+    def test_collective_excitation_built_once_per_input(self, engine8, lat8, dec_8, monkeypatch):
+        # A_q, and with it its compiled grouped action, is built once per (kind, positions, q):
+        # the QSE and ED sides and every later call read the same sum
+        builds = []
+        build = greens.pauli_sum
+        monkeypatch.setattr(greens, "pauli_sum", lambda terms, n: builds.append(n) or build(terms, n))
+        pos, q = lat8.positions + 0.125, np.array([0.5, 0.25])  # inputs no other test uses
+        omega = np.linspace(-5, 5, 11)
+        for _ in range(2):
+            dynamical_structure_factor(engine8, pos, q, omega, 0.1)
+            dynamical_structure_factor_ed(dec_8, 8, omega, 0.1, positions=pos, q=q)
+        assert builds == [8, 8, 8]
+        first = greens._collective_excitation("Z", pos, q)
+        assert greens._collective_excitation("Z", pos.copy(), q.tolist()) is first
+        # keyed on the whole input: a change in any entry builds anew
+        moved = pos.copy()
+        moved[-1, -1] = np.nextafter(moved[-1, -1], 1.0)
+        assert greens._collective_excitation("Z", moved, q) != first
+        assert greens._collective_excitation("Z", pos, np.nextafter(q, 1.0)) != first
+        assert len(builds) == 5
+
     def test_ed_dsf_sign(self, dec_8):
         omega = np.linspace(-9, 9, 41)
         s_ed = dynamical_structure_factor_ed(dec_8, 8, omega, 0.1)

@@ -100,6 +100,21 @@ class TestBuildBasis:
         assert np.linalg.norm(by_index[(0, 1)].amplitudes - direct.amplitudes) < 1e-12
         assert np.linalg.norm(direct.amplitudes - chained.amplitudes) > 1e-8
 
+    @pytest.mark.parametrize("n_k, n_l", [(3, 3), (0, 2), (2, 0)])
+    def test_stacked_trotter_basis_equals_anchor_then_fine_recipe(self, ref8, h_8, n_k, n_l):
+        # nested_subspace relies on these states being the one-state recipe's bit for bit:
+        # the anchor chain V(+-coarse)^l ref, then V(k dt) of each anchor
+        op = EvolutionOperator(h_8, mode="trotter2", trotter_steps=2)
+        dt = 0.21
+        anchors = {0: ref8}
+        for l in range(1, n_l + 1):
+            anchors[l] = evolve(anchors[l - 1], op, (n_k + 1) * dt)
+            anchors[-l] = evolve(anchors[-(l - 1)], op, -(n_k + 1) * dt)
+        basis = build_basis(ref8, n_k, n_l, dt, op)
+        for idx, state in zip(basis.indices, basis.states):
+            expected = anchors[idx.l] if idx.k == 0 else evolve(anchors[idx.l], op, idx.k * dt)
+            assert np.array_equal(state.amplitudes, expected.amplitudes)
+
     def test_bad_delta_t(self, ref8, evolution_8):
         with pytest.raises(QseError):
             build_basis(ref8, 1, 1, 0.0, evolution_8)
@@ -189,7 +204,7 @@ class TestAssembleMatrices:
         # exact evolution reads S and H off the spectral weights; a trotter2
         # basis, whose V_r(t) is no group in t, still applies H once per state
         basis = build_basis(ref8, 2, 1, default_time_step(h_8), EvolutionOperator(h_8, mode=evolution_mode))
-        calls = {"apply_sum": 0, "evolve": 0}
+        calls = {"apply_sum": 0, "evolve_stack": 0}
         for name in calls:
             original = getattr(qse, name)
 
@@ -199,7 +214,7 @@ class TestAssembleMatrices:
 
             monkeypatch.setattr(qse, name, counting)
         assemble_matrices(basis)
-        assert calls == {"apply_sum": applications * len(basis), "evolve": 0}
+        assert calls == {"apply_sum": applications * len(basis), "evolve_stack": 0}
 
     def test_matrix_export(self, qse8):
         _, _, mats = qse8

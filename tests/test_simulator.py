@@ -13,6 +13,7 @@ from kitaevqse.simulator import (
     _rotation_inplace,
     cnot_depth,
     evolve,
+    evolve_stack,
     evolve_times,
     expectation,
     grouped_by_axis,
@@ -296,21 +297,27 @@ class TestFusedSchedule:
     @pytest.mark.parametrize("steps", [1, 3])
     def test_z_field_step_runs_sixteen_rotations(self, h_8, steps, monkeypatch):
         # per step the schedule holds 36 rotations: 8 Z singles twice, 4 ZZ bonds,
-        # and the 4 XX and 4 YY bonds twice; only the 16 bond rotations off the diagonal run
-        calls = []
-        rotate_inplace = simulator._rotation_inplace
-        monkeypatch.setattr(simulator, "_rotation_inplace",
-                            lambda *args: calls.append(args[1]) or rotate_inplace(*args))
+        # and the 4 XX and 4 YY bonds twice; only the 16 bond rotations off the diagonal run,
+        # each as one pass over the stack (here one row)
+        passes = []
+        rotate_rows = simulator._rotate_rows
+
+        def counted(block, flat, src, *rest):
+            passes.append((len(block), src[0, 0]))
+            rotate_rows(block, flat, src, *rest)
+
+        monkeypatch.setattr(simulator, "_rotate_rows", counted)
         op = EvolutionOperator(h_8, mode="trotter2", trotter_steps=steps)
         assert len(simulator.trotter_schedule(op, 0.4)) == 36 * steps
         evolve(random_state(8, 23), op, 0.4)
-        assert len(calls) == 16 * steps
-        assert all(term.masks[0] != 0 for term in calls)
+        assert len(passes) == 16 * steps
+        # row 0 of a padded action reads src[0] = the flip mask, nonzero off the diagonal
+        assert all(rows == 1 and flip != 0 for rows, flip in passes)
         # the Z singles, the ZZ bonds, then the trailing and leading Z singles of adjacent
         # steps as one run: 2r + 1 diagonal runs, of 2 distinct exponents at r=1 and 3 after
-        gates, exponents = op._fused_schedule()
-        assert sum(isinstance(gate, int) for gate in gates) == 2 * steps + 1
-        assert len(exponents) == min(steps, 2) + 1
+        compiled = op._fused_schedule()
+        assert sum(isinstance(gate, int) for gate in compiled.gates) == 2 * steps + 1
+        assert len(compiled.exponents) == min(steps, 2) + 1
 
     @pytest.mark.parametrize("steps", [1, 5])
     def test_schedule_angles_are_linear_in_time(self, h_8, steps):
@@ -331,6 +338,78 @@ class TestFusedSchedule:
         psi = random_state(8, 24)
         evolve(evolve(psi, op, 0.4), op, -0.7)
         assert calls == [1.0]
+
+
+class TestStackedEvolution:
+    TIMES = np.array([0.37, 0.0, -0.37, 2.1, -1.3, 0.05, 0.0, -2.1])
+
+    @staticmethod
+    def stack_and_times(n, k, seed):
+        rng = np.random.default_rng(seed)
+        stack = rng.normal(size=(k, 1 << n)) + 1j * rng.normal(size=(k, 1 << n))
+        return stack / np.linalg.norm(stack, axis=1, keepdims=True), np.resize(TestStackedEvolution.TIMES, k)
+
+    @pytest.mark.parametrize("case", [f"{n}-{f}" for n in FUSED_SHAPES for f in FUSED_FIELDS])
+    def test_rows_match_rotation_by_rotation(self, case):
+        # 1 and 3 rows fill part of one chunk at N=8, 17 and 40 spill into a second and
+        # third; at N=12 every row is its own chunk
+        from kitaevqse.lattice import build_lattice, kitaev_hamiltonian
+
+        shape, field = case.split("-")
+        h = kitaev_hamiltonian(build_lattice(*FUSED_SHAPES[shape]), -1.0, FUSED_FIELDS[field])
+        stack, times = self.stack_and_times(h.num_sites, 40, 31)
+        for steps in (1, 5):
+            op = EvolutionOperator(h, mode="trotter2", trotter_steps=steps)
+            reference = np.stack([trotter_rotation_by_rotation(op, row, t) for row, t in zip(stack, times)])
+            for k in (1, 3, 17, 40):
+                rows = evolve_stack(op, stack[:k], times[:k])
+                assert rows.shape == (k, 1 << h.num_sites)
+                assert np.max(np.linalg.norm(rows - reference[:k], axis=1)) <= 1e-13
+
+    def test_rows_equal_one_state_evolutions_bit_for_bit(self, h_8):
+        op = EvolutionOperator(h_8, mode="trotter2", trotter_steps=3)
+        stack, times = self.stack_and_times(8, 19, 32)
+        rows = evolve_stack(op, stack, times)
+        for row, amplitudes, t in zip(rows, stack, times):
+            assert np.array_equal(row, evolve(StateVector(amplitudes, 8), op, t).amplitudes)
+
+    def test_chunk_rows(self):
+        # the largest power of two of rows with rows * 2^N <= 4096 amplitudes, at least one
+        assert simulator.STACK_AMPLITUDES == 4096
+        assert [simulator.stack_rows(n) for n in (1, 8, 10, 12, 13, 16)] == [2048, 16, 4, 1, 1, 1]
+
+    def test_one_pass_per_gate_per_chunk(self, h_8, monkeypatch):
+        passes = []
+        rotate_rows = simulator._rotate_rows
+        monkeypatch.setattr(simulator, "_rotate_rows",
+                            lambda block, *rest: passes.append(len(block)) or rotate_rows(block, *rest))
+        op = EvolutionOperator(h_8, mode="trotter2", trotter_steps=2)
+        evolve_stack(op, *self.stack_and_times(8, 3, 33))
+        assert passes == [3] * 32
+        passes.clear()
+        evolve_stack(op, *self.stack_and_times(8, 17, 34))
+        assert passes == [16] * 32 + [1] * 32
+
+    def test_padded_actions(self):
+        # row j of the flattened chunk reads row j; an X string's all-+1 phase is dropped
+        xx, yz = PauliTerm(0.5, "XXI"), PauliTerm(0.5, "YIZ")
+        src, phase = simulator.padded_action(xx, 4)
+        assert phase is None
+        assert np.array_equal(src, [(j << 3) | xx.action[0] for j in range(4)])
+        src, phase = simulator.padded_action(yz, 4)
+        assert np.array_equal(phase, [yz.action[1]] * 4)
+        src, phase = simulator.padded_action(yz, 1)
+        assert src.base is yz.action[0] and phase.base is yz.action[1]  # one row shares the action
+
+    def test_rejects_exact_mode_and_bad_shapes(self, h_8, evolution_8):
+        stack, times = self.stack_and_times(8, 2, 35)
+        with pytest.raises(SimulationError, match="trotter2"):
+            evolve_stack(evolution_8, stack, times)
+        op = EvolutionOperator(h_8, mode="trotter2")
+        with pytest.raises(SimulationError, match="shape"):
+            evolve_stack(op, stack[0], times[:1])
+        with pytest.raises(SimulationError, match="times"):
+            evolve_stack(op, stack, times[:1])
 
 
 class TestCnotDepth:
