@@ -153,6 +153,24 @@ def _vqe_reference(lat, out_dir: Path, config: RunConfig) -> StateVector:
     return ansatz.apply(np.asarray(artifact["optimal_parameters"], dtype=float), init_state)
 
 
+def _ed_ground_vector(decomp: SpectralDecomposition, qse_state: StateVector, hz: float) -> np.ndarray | None:
+    """The ground state ED compares with: its own (None) when it is the only one, else the normalized
+    projection of the QSE ground state onto the degenerate ED ground space, the member in its sector.
+    The stage stops when that keeps less than 1 - 1e-8 of the weight: the state lies outside the space."""
+    if decomp.ground_degeneracy == 1:
+        return None
+    space = decomp.ground_space()
+    coords = space.conj().T @ qse_state.amplitudes
+    norm = np.linalg.norm(coords)
+    weight = float((norm / np.linalg.norm(qse_state.amplitudes)) ** 2)
+    if weight < 1.0 - 1e-8:
+        raise PipelineError(
+            f"at h_z = {hz} the QSE ground state keeps {weight:.10f} of its weight in the "
+            f"{decomp.ground_degeneracy}-fold degenerate ED ground space, below 1 - 1e-8"
+        )
+    return space @ (coords / norm)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -277,12 +295,13 @@ def cmd_greens(config: RunConfig, out_dir: Path) -> None:
     delta = config.gf.delta
     z = omega + 1j * delta
     decomp = oracle.diagonalize(h)
+    ground_vector = _ed_ground_vector(decomp, engine.ground_state(), config.field_z)
 
     for kind in config.gf.kinds:
         gf_qse = greens.retarded_gf(engine, site_a, site_b, kind, omega, delta)
         c_a = single_site(kind, site_a, lat.num_sites)
         c_b = single_site(kind, site_b, lat.num_sites)
-        gf_ed = oracle.exact_resolvent_gf(decomp, c_a, c_b, z)
+        gf_ed = oracle.exact_resolvent_gf(decomp, c_a, c_b, z, ground_vector)
         suffix = kind.lower()
         write_csv(
             out_dir / f"gf_curve_{suffix}.csv", config,
@@ -317,20 +336,22 @@ def cmd_dsf(config: RunConfig, out_dir: Path) -> None:
     omega = config.dsf.omega_grid()
     delta = config.dsf.delta
     q = np.asarray(config.dsf.q, dtype=float)
+    hoa_scale = config.qse.hoa_tau_scale if config.qse.assembly_mode == "hoa" else None
 
     def one_field(hz: float):
-        # the ground state is always assembled directly, whatever qse.assembly_mode
-        # says (dsf_qse.csv records it): HOA assembly costs ~20x as much per field
         h = lattice_mod.kitaev_hamiltonian(lat, config.coupling, hz)
         gs, basis, _ = qse.prepare_qse_ground_state(
             reference, h, config.qse.n_k, config.qse.n_l,
             evolution_mode=config.qse.evolution_mode,
             trotter_steps=config.qse.trotter_steps,
+            hoa_tau=hoa_scale / gershgorin_kappa(h) if hoa_scale is not None else None,
         )
         engine = GreensEngine(h, gs, basis, _krylov_config(config))
         s_qse = greens.dynamical_structure_factor(engine, lat.positions, q, omega, delta)
+        decomp = oracle.diagonalize(h)
         s_ed = greens.dynamical_structure_factor_ed(
-            oracle.diagonalize(h), lat.num_sites, omega, delta, positions=lat.positions, q=q
+            decomp, lat.num_sites, omega, delta, positions=lat.positions, q=q,
+            ground_vector=_ed_ground_vector(decomp, engine.ground_state(), hz),
         )
         return s_qse, s_ed
 
@@ -338,15 +359,12 @@ def cmd_dsf(config: RunConfig, out_dir: Path) -> None:
     table_qse = greens.normalize_intensity(np.array([r[0] for r in results]))
     table_ed = greens.normalize_intensity(np.array([r[1] for r in results]))
 
-    for name, table, extra in (
-        ("dsf_qse.csv", table_qse, {"assembly_mode": "exact"}),
-        ("dsf_ed.csv", table_ed, {}),
-    ):
+    for name, table in (("dsf_qse.csv", table_qse), ("dsf_ed.csv", table_ed)):
         rows = [[float(hz), w, value] for hz, line in zip(config.dsf.h_values, table.tolist())
                 for w, value in zip(omega.tolist(), line)]
         write_csv(
             out_dir / name, config, ["h_z", "omega", "s_normalized"], rows,
-            {"delta": delta, "q": list(config.dsf.q), **extra},
+            {"delta": delta, "q": list(config.dsf.q)},
         )
     print(f"dsf: max |QSE - ED| of normalized tables = {np.max(np.abs(table_qse - table_ed)):.4f}")
 

@@ -137,7 +137,6 @@ class QseConfig:
     evolution_mode: str = _field("exact", _one_of(*_EVOLUTION_MODES))
     trotter_steps: int = _field(5, _integer(1))
     hoa_tau_scale: float = _field(0.1, _number(0.0))  # tau = scale / kappa when assembly_mode == "hoa"
-    # the `qse` stage only; `dsf` always assembles directly
     assembly_mode: str = _field("exact", _one_of("exact", "hoa"))
     shape_sweep: list[tuple[int, int]] = _field(
         [(n_l, n_k) for n_l in range(4) for n_k in range(4)],

@@ -159,10 +159,10 @@ class GreensEngine:
 
     Caches the ground statevector, each seed's Lanczos recursion and
     finished diagonal curves, which every off-diagonal element through the
-    polarization identity reuses. Each seed subspace evolves under
-    ``EvolutionOperator(hamiltonian, config.evolution_mode,
-    config.trotter_steps)``; in exact mode every such operator shares the
-    oracle's one factorization of the Hamiltonian.
+    polarization identity reuses. Every seed subspace evolves under the
+    engine's one ``EvolutionOperator(hamiltonian, config.evolution_mode,
+    config.trotter_steps)``, which compiles a trotter2 schedule once and in
+    exact mode shares the oracle's one factorization of the Hamiltonian.
     """
 
     hamiltonian: PauliSum
@@ -172,6 +172,10 @@ class GreensEngine:
     _gs_state: StateVector | None = field(default=None, repr=False)
     _recursions: dict = field(default_factory=dict, repr=False)
     _diag_cache: dict = field(default_factory=dict, repr=False)
+    _evolution: EvolutionOperator = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._evolution = EvolutionOperator(self.hamiltonian, self.config.evolution_mode, self.config.trotter_steps)
 
     @property
     def num_sites(self) -> int:
@@ -208,7 +212,7 @@ class GreensEngine:
             self.config.tilde_n_k,
             self.config.tilde_n_l,
             default_time_step(self.hamiltonian),
-            EvolutionOperator(self.hamiltonian, self.config.evolution_mode, self.config.trotter_steps),
+            self._evolution,
         )
         psi_mats = assemble_matrices(psi_basis)
         psi0 = np.zeros(len(psi_basis), dtype=complex)

@@ -19,9 +19,10 @@ selects the second. In exact evolution the grid is uniform, t = m dt with
 m = -M..M ascending in index order, so every overlap depends on the lag
 m_b - m_a alone: S and H are Toeplitz and come from 2M+1 autocorrelation
 entries of the reference (Cortes & Gray, PRA 105, 022417 (2022)).
-Trotterized bases, whose V_r(t) is not a group in t, are assembled from
-statevector overlaps; their symmetric product formula is time-reversible,
-V_r(-tau) = V_r(tau)^dag, so HOA evolves each state in one direction only.
+So an exact basis holds no state. Trotterized bases, whose V_r(t) is not a
+group in t, hold one amplitude stack and are assembled from its overlaps;
+their symmetric product formula is time-reversible, V_r(-tau) =
+V_r(tau)^dag, so HOA evolves the stack in one direction only.
 
 The generalized eigenproblem H phi = E S phi is solved by canonical
 orthogonalization: eigendecompose S, drop the near-null directions,
@@ -45,7 +46,6 @@ from .simulator import (
     StateVector,
     autocorrelations,
     evolve_stack,
-    evolve_times,
     evolved_superposition,
 )
 
@@ -107,32 +107,20 @@ def default_time_step(h: PauliSum) -> float:
 class SubspaceBasis:
     """The reference, its grid and its V(t); each basis state is V(t_b)|ref>.
 
-    A trotter2 basis holds its states from the start. An exact basis holds
-    none: its matrices and its reconstructed states come from the spectral
-    weights of the reference, and ``states`` evolves them only when read.
+    A trotter2 basis holds its states as one (n_phi, 2^N) ``amplitudes``
+    stack, one row per basis state in index order. An exact basis holds
+    none (``amplitudes`` is None): its matrices and its reconstructed state
+    come from the spectral weights of the reference.
     """
 
     reference: StateVector
     indices: list[MultigridIndex]
     delta_t: float
     evolution: EvolutionOperator
-    _states: list[StateVector] | None = field(default=None, repr=False)
+    amplitudes: np.ndarray | None = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    @property
-    def states(self) -> list[StateVector]:
-        if self._states is None:
-            # V(k dt) V(coarse)^l = V(k dt + l coarse) exactly; batch through
-            # the cached eigenbasis in one pass
-            stacked = evolve_times(self.evolution, self.reference, self.delta_t * _grid_steps(self.indices))
-            self._states = [StateVector(row, self.reference.num_sites) for row in stacked]
-        return self._states
-
-    def state_matrix(self) -> np.ndarray:
-        """(n_phi, 2^N) row-stacked amplitudes."""
-        return np.stack([s.amplitudes for s in self.states])
 
 
 def build_basis(
@@ -149,10 +137,11 @@ def build_basis(
     one product-formula evolution over its full time argument, so the
     step count per basis state stays at r*(|l|+1). The circuits are shared
     through :func:`simulator.evolve_stack`: the +l and -l anchors advance as
-    one 2-row stack per level, then every k != 0 state is evolved from its
-    anchor in one stack, each row at its own k dt. A stacked row is the
-    one-state evolution bit for bit, which :func:`nested_subspace` relies on.
-    In exact mode no state is evolved here (see :class:`SubspaceBasis`).
+    one 2-row stack per level, the anchors fill the basis stack in index
+    order, and its k != 0 rows are evolved in one stack, each row at its own
+    k dt. A stacked row is the one-state evolution bit for bit, which
+    :func:`nested_subspace` relies on. In exact mode no state is formed (see
+    :class:`SubspaceBasis`).
     """
     if delta_t <= 0.0:
         raise QseError("delta_t must be positive")
@@ -167,16 +156,11 @@ def build_basis(
         anchors[l], anchors[-l] = evolve_stack(
             evolution, np.stack([anchors[l - 1], anchors[-(l - 1)]]), [coarse_t, -coarse_t]
         )
-    # there are no k != 0 states when n_k = 0
-    fine = [idx for idx in indices if idx.k != 0]
-    evolved = iter(())
-    if fine:
-        stack = np.stack([anchors[idx.l] for idx in fine])
-        evolved = iter(evolve_stack(evolution, stack, [idx.k * delta_t for idx in fine]))
-    states = [
-        StateVector(anchors[idx.l].copy() if idx.k == 0 else next(evolved), ref.num_sites) for idx in indices
-    ]
-    return SubspaceBasis(ref, indices, delta_t, evolution, states)
+    amplitudes = np.stack([anchors[idx.l] for idx in indices])
+    fine = [b for b, idx in enumerate(indices) if idx.k != 0]
+    if fine:  # there are no k != 0 states when n_k = 0
+        amplitudes[fine] = evolve_stack(evolution, amplitudes[fine], [indices[b].k * delta_t for b in fine])
+    return SubspaceBasis(ref, indices, delta_t, evolution, amplitudes)
 
 
 @dataclass
@@ -246,10 +230,10 @@ def _statevector_matrices(basis: SubspaceBasis, hoa_tau: float | None) -> tuple[
     """(S, H) from overlaps of the basis states: H applied directly, or the
     HOA sine difference when ``hoa_tau`` is given, from V(tau) alone, which
     evolves all basis states as one stack (:func:`simulator.evolve_stack`)."""
-    phi = basis.state_matrix()
+    phi = basis.amplitudes
     s_mat = phi.conj() @ phi.T
     if hoa_tau is None:
-        h_phi = np.stack([apply_sum(basis.evolution.hamiltonian, s.amplitudes) for s in basis.states])
+        h_phi = np.stack([apply_sum(basis.evolution.hamiltonian, row) for row in phi])
         h_mat = phi.conj() @ h_phi.T
         residual = np.max(np.abs(h_mat - h_mat.conj().T))
         if residual > HERMITICITY_TOL * max(1.0, np.max(np.abs(h_mat))):
@@ -270,9 +254,9 @@ def nested_subspace(
 
     The block holds the states that ``build_basis`` gives at n_l, bit for
     bit: the anchor chain and the fine evolutions are the same calls. A
-    trotter2 block reads S and H off the principal submatrices; an exact
-    block reads its own Toeplitz sequences, which match a basis assembled
-    alone exactly.
+    trotter2 block is a slice of the amplitude stack and reads S and H off
+    the principal submatrices; an exact block holds no states and reads its
+    own Toeplitz sequences, which match a basis assembled alone exactly.
     """
     n_k = max(abs(idx.k) for idx in basis.indices)
     depth = max(abs(idx.l) for idx in basis.indices)
@@ -282,12 +266,10 @@ def nested_subspace(
         return basis, mats
     start = (depth - n_l) * (n_k + 1)  # the n_k + 1 states of each deeper |l| come before
     block = slice(start, start + basis_size(n_k, n_l))
-    if basis.evolution.mode == "exact":
-        sub = SubspaceBasis(basis.reference, basis.indices[block], basis.delta_t, basis.evolution)
+    rows = None if basis.amplitudes is None else basis.amplitudes[block]
+    sub = SubspaceBasis(basis.reference, basis.indices[block], basis.delta_t, basis.evolution, rows)
+    if rows is None:
         return sub, assemble_matrices(sub, mats.hoa_tau)
-    sub = SubspaceBasis(
-        basis.reference, basis.indices[block], basis.delta_t, basis.evolution, basis.states[block]
-    )
     return sub, SubspaceMatrices(mats.hamiltonian[block, block], mats.overlap[block, block], mats.hoa_tau)
 
 
@@ -359,8 +341,7 @@ def reconstruct_state(gs: QseGroundState, basis: SubspaceBasis) -> StateVector:
     if basis.evolution.mode == "exact":
         steps = _grid_steps(basis.indices)
         return evolved_superposition(basis.evolution, basis.reference, basis.delta_t, steps, gs.coefficients)
-    amps = basis.state_matrix().T @ gs.coefficients
-    return StateVector(amps, basis.reference.num_sites)
+    return StateVector(basis.amplitudes.T @ gs.coefficients, basis.reference.num_sites)
 
 
 def prepare_qse_ground_state(

@@ -71,9 +71,6 @@ class StateVector:
         amps[index] = 1.0
         return cls(amps, num_sites)
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.amplitudes.copy(), self.num_sites)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 

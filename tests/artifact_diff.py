@@ -39,8 +39,10 @@ def _content(path: Path) -> str:
 
 def _leaves(path: Path) -> list:
     """The artifact's values in document order: JSON leaves keyed by their
-    path, CSV cells by (line, column); numbers as floats, all else as is.
-    The recorded config is one text leaf under ``CONFIG_KEY``."""
+    path, CSV metadata lines by their key and CSV cells by (row, column)
+    among the lines that are not metadata, so that a metadata line added or
+    removed shifts no cell; numbers as floats, all else as is. The recorded
+    config is one text leaf under ``CONFIG_KEY``."""
     text = _content(path)
     if path.suffix == ".json":
         try:
@@ -65,11 +67,15 @@ def _leaves(path: Path) -> list:
         walk(payload, ())
         return out
     out = []
-    for i, line in enumerate(text.splitlines()):
+    rows = (line for line in text.splitlines() if not line.startswith("#"))
+    for line in text.splitlines():
         if line.startswith("# config ="):
             out.append((CONFIG_KEY, line))
-            continue
-        for j, cell in enumerate([line] if line.startswith("#") else line.split(",")):
+        elif line.startswith("#"):
+            name, _, value = line.partition(" = ")
+            out.append(((name,), value))
+    for i, line in enumerate(rows):
+        for j, cell in enumerate(line.split(",")):
             try:
                 out.append(((i, j), float(cell)))
             except ValueError:

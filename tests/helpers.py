@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from kitaevqse.simulator import _rotation_inplace, trotter_schedule
+from kitaevqse.qse import _grid_steps
+from kitaevqse.simulator import _rotation_inplace, evolve_times, trotter_schedule
 
 _SINGLE_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -72,3 +73,11 @@ def trotter_rotation_by_rotation(op, amplitudes: np.ndarray, t: float) -> np.nda
     for term, angle in trotter_schedule(op, t):
         _rotation_inplace(out, term, angle)
     return out
+
+
+def basis_states(basis) -> np.ndarray:
+    """(n_phi, 2^N) basis states V(t_b)|ref> in index order: a trotter2 basis's own stack, or,
+    for an exact basis, which holds none, one batched exact evolution at the grid times."""
+    if basis.amplitudes is not None:
+        return basis.amplitudes
+    return evolve_times(basis.evolution, basis.reference, basis.delta_t * _grid_steps(basis.indices))

@@ -17,7 +17,7 @@ from kitaevqse import cli, greens, lattice, oracle, qse, simulator, vqe
 from kitaevqse.cli import fixture_entry, main
 from kitaevqse.config import ConfigError, RunConfig, config_from_dict, load_config
 from kitaevqse.greens import GreensEngine
-from kitaevqse.pauli import gershgorin_kappa
+from kitaevqse.pauli import apply_sum, apply_term, gershgorin_kappa, single_site
 from kitaevqse.simulator import EvolutionOperator, StateVector
 
 FAST_CONFIG = {
@@ -410,6 +410,47 @@ class TestPipeline:
         e0 = oracle.diagonalize(h).ground_energy
         assert abs(gs["energy"] - e0) <= 2 * abs(e0 - np.sin(tau * e0) / tau)
 
+    def test_dsf_stage_hoa_assembly(self, workdir, tmp_path, monkeypatch):
+        # each field's ground state is assembled under HOA with tau = hoa_tau_scale / kappa(h),
+        # and dsf_qse.csv carries no assembly record of its own
+        shutil.copy(workdir[0] / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
+        config_path = tmp_path / "hoa.json"
+        config_path.write_text(json.dumps({**FAST_CONFIG, "qse": {**FAST_CONFIG["qse"], "assembly_mode": "hoa"}}))
+        taus = []
+        solve = qse.prepare_qse_ground_state
+
+        def recording(reference, h, *args, **kwargs):
+            taus.append(kwargs["hoa_tau"] * gershgorin_kappa(h))
+            return solve(reference, h, *args, **kwargs)
+
+        monkeypatch.setattr(qse, "prepare_qse_ground_state", recording)
+        assert main(["dsf", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+        scale = load_config(config_path).qse.hoa_tau_scale
+        assert taus == pytest.approx([scale] * len(FAST_CONFIG["dsf"]["h_values"]), rel=1e-15)
+        assert not any(line.startswith("# assembly_mode") for line in (tmp_path / "dsf_qse.csv").open())
+
+    def test_trotter_schedule_compiled_once_per_operator(self, workdir, tmp_path, monkeypatch):
+        # greens: the rebuilt QSE basis's V(t), then one for every Krylov seed of the engine;
+        # dsf: the same two per field
+        shutil.copy(workdir[0] / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
+        trotter = {"evolution_mode": "trotter2", "trotter_steps": 2}
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({
+            **FAST_CONFIG,
+            "qse": {**FAST_CONFIG["qse"], **trotter, "assembly_mode": "hoa"},
+            "gf": {**FAST_CONFIG["gf"], **trotter},
+        }))
+        assert main(["qse", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+        compiled = []
+        original = simulator.fuse_diagonal_runs
+        monkeypatch.setattr(simulator, "fuse_diagonal_runs", lambda *args: compiled.append(1) or original(*args))
+        counts = {}
+        for stage in ("greens", "dsf"):
+            compiled.clear()
+            assert main([stage, "--config", str(config_path), "--out", str(tmp_path)]) == 0
+            counts[stage] = len(compiled)
+        assert counts == {"greens": 2, "dsf": 2 * len(FAST_CONFIG["dsf"]["h_values"])}
+
     @staticmethod
     def count_qse_stage(workdir, tmp_path, monkeypatch, qse_config):
         """(trotter2 bases built as (n_k, n_l, r), states evolved by trotter2) of one qse stage."""
@@ -455,19 +496,18 @@ class TestPipeline:
             shutil.copy(path / "out" / name, tmp_path / name)
         calls = []
         original = simulator.evolve_times
-        for module in (simulator, qse):
-            monkeypatch.setattr(module, "evolve_times", lambda *args: calls.append(1) or original(*args))
+        monkeypatch.setattr(simulator, "evolve_times", lambda *args: calls.append(1) or original(*args))
         for stage in ("greens", "dsf"):
             assert main([stage, "--config", str(config_path), "--out", str(tmp_path)]) == 0
         assert calls == []
         lat = lattice.build_lattice(2, 2)
         h = lattice.kitaev_hamiltonian(lat, -1.0, 0.1)
         basis = qse.build_basis(StateVector.computational_basis(8), 1, 1, 0.2, EvolutionOperator(h))
-        assert len(basis.states) == len(basis) and calls == [1]  # the patched name is the one read
+        assert basis.amplitudes is None and calls == []  # an exact basis never forms its states
 
     def test_degenerate_ed_ground_space_exits_2(self, workdir, tmp_path, monkeypatch, capsys):
-        # no ground vector is passed to the ED Green's function, so a degenerate
-        # ground space must stop the stage rather than pick a member
+        # at a degenerate field ED takes the QSE ground state's projection onto its ground space;
+        # a QSE state outside that space (here the bare reference, c = e_(0,0)) stops the stage
         path, config_path = workdir
         for name in ("vqe_result.json", "qse_ground_state.json"):
             shutil.copy(path / "out" / name, tmp_path / name)
@@ -475,8 +515,27 @@ class TestPipeline:
         monkeypatch.setattr(
             oracle, "diagonalize", lambda h: dataclasses.replace(original(h), ground_degeneracy=2)
         )
-        assert main(["greens", "--config", str(config_path), "--out", str(tmp_path)]) == 2
-        assert "degenerate" in self._one_error_line(capsys)
+        for stage in ("greens", "dsf"):
+            assert main([stage, "--config", str(config_path), "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+
+        solve = qse.prepare_qse_ground_state
+
+        def reference_only(*args, **kwargs):
+            gs, basis, mats = solve(*args, **kwargs)
+            unit = np.zeros_like(gs.coefficients)
+            unit[basis.indices.index(qse.MultigridIndex(0, 0))] = 1.0
+            return dataclasses.replace(gs, coefficients=unit), basis, mats
+
+        monkeypatch.setattr(qse, "prepare_qse_ground_state", reference_only)
+        artifact = json.loads((tmp_path / "qse_ground_state.json").read_text())
+        unit = [0.0] * len(artifact["coefficients_re"])
+        unit[qse.multigrid_indices(artifact["n_k"], artifact["n_l"]).index(qse.MultigridIndex(0, 0))] = 1.0
+        artifact["coefficients_re"], artifact["coefficients_im"] = unit, [0.0] * len(unit)
+        (tmp_path / "qse_ground_state.json").write_text(json.dumps(artifact))
+        for stage in ("greens", "dsf"):
+            assert main([stage, "--config", str(config_path), "--out", str(tmp_path)]) == 2
+            assert "2-fold degenerate ED ground space" in self._one_error_line(capsys)
 
     @staticmethod
     def _one_error_line(capsys) -> str:
@@ -484,6 +543,30 @@ class TestPipeline:
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
         return err
+
+    def test_zero_field_n12_ed_uses_the_qse_sector_member(self, lat12, h0_12, dec0_12, vqe12):
+        # at h_z = 0 the N=12 ground space is 4-fold degenerate: ED takes the member in the
+        # sector of the QSE ground state, and a QSE state from an excited sector raises
+        assert dec0_12.ground_degeneracy == 4
+        ref, _, _ = vqe12
+
+        def qse_state(reference):
+            gs, basis, _ = qse.prepare_qse_ground_state(reference, h0_12, 1, 1)
+            return qse.reconstruct_state(gs, basis)
+
+        state = qse_state(ref)
+        vector = cli._ed_ground_vector(dec0_12, state, 0.0)
+        assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-12)
+        assert np.real(np.vdot(vector, apply_sum(h0_12, vector))) == pytest.approx(dec0_12.ground_energy, abs=1e-10)
+        assert abs(np.vdot(vector, state.amplitudes)) ** 2 >= 1.0 - 1e-8
+        for op in [*lattice.plaquette_operators(lat12), *lattice.loop_operators(lat12)]:
+            sign = np.real(np.vdot(ref.amplitudes, apply_term(op, ref.amplitudes)))
+            assert abs(sign) == pytest.approx(1.0, abs=1e-8)
+            assert np.real(np.vdot(vector, apply_term(op, vector))) == pytest.approx(sign, abs=1e-8)
+
+        flipped = StateVector(apply_term(single_site("Z", 0, 12), ref.amplitudes), 12)  # two visons
+        with pytest.raises(cli.PipelineError, match="4-fold degenerate ED ground space"):
+            cli._ed_ground_vector(dec0_12, qse_state(flipped), 0.0)
 
     def test_package_error_exits_2_without_traceback(self, tmp_path, capsys):
         # 5x2 cells is N=20: h with its field stacks 2^39 entries, beyond the oracle's dense cap,

@@ -21,6 +21,8 @@ from kitaevqse.greens import (
 from kitaevqse.pauli import apply_sum, pauli_sum, single_site
 from kitaevqse.qse import MultigridIndex, SubspaceMatrices
 
+from helpers import basis_states
+
 
 def tridiagonal_resolvent(coeffs: LanczosCoefficients, z: complex) -> complex:
     """e0-element of (z - T)^-1 for the tridiagonal T; brute-force oracle."""
@@ -213,7 +215,7 @@ class TestKrylovSeed:
         from kitaevqse.pauli import apply_term
 
         direct = apply_term(single_site("Z", 0, 8), engine8.ground_state().amplitudes)
-        rebuilt = psi_basis.state_matrix().T @ psi0
+        rebuilt = basis_states(psi_basis).T @ psi0
         # the seed is basis state (0, 0) itself, not a projection onto the span
         assert np.linalg.norm(rebuilt - direct) < 1e-12
         unit = np.zeros(len(psi_basis))

@@ -23,6 +23,8 @@ from kitaevqse.qse import (
 )
 from kitaevqse.simulator import EvolutionOperator, StateVector, evolve, expectation
 
+from helpers import basis_states
+
 
 def perturb_matrices(mats, sigma, rng):
     """Additive complex Gaussian noise on every entry, then re-hermitized:
@@ -71,33 +73,33 @@ class TestBuildBasis:
     def test_single_state_basis_is_reference(self, ref8, h_8, evolution_8):
         basis = build_basis(ref8, 0, 0, 0.2, evolution_8)
         assert len(basis) == 1
-        assert np.allclose(basis.states[0].amplitudes, ref8.amplitudes)
+        assert np.allclose(basis_states(basis)[0], ref8.amplitudes)
 
     def test_states_normalized(self, ref8, evolution_8):
         basis = build_basis(ref8, 2, 2, 0.21, evolution_8)
-        for s in basis.states:
-            assert s.norm() == pytest.approx(1.0, abs=1e-12)
+        for row in basis_states(basis):
+            assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_fast_path_matches_sequential_law(self, ref8, h_8, evolution_8):
         dt = 0.19
         n_k, n_l = 2, 1
         basis = build_basis(ref8, n_k, n_l, dt, evolution_8)
         coarse = (n_k + 1) * dt
-        for idx, state in zip(basis.indices, basis.states):
+        for idx, state in zip(basis.indices, basis_states(basis)):
             anchor = ref8
             for _ in range(abs(idx.l)):
                 anchor = evolve(anchor, evolution_8, np.sign(idx.l) * coarse)
             expected = evolve(anchor, evolution_8, idx.k * dt)
-            assert np.linalg.norm(state.amplitudes - expected.amplitudes) < 1e-12
+            assert np.linalg.norm(state - expected.amplitudes) < 1e-12
 
     def test_trotter_basis_uses_whole_time_arguments(self, ref8, h_8):
         # one product-formula evolution over k*dt, not k short ones
         op = EvolutionOperator(h_8, mode="trotter2", trotter_steps=1)
         basis = build_basis(ref8, 1, 0, 0.3, op)
-        by_index = {(i.l, i.k): s for i, s in zip(basis.indices, basis.states)}
+        by_index = {(i.l, i.k): row for i, row in zip(basis.indices, basis.amplitudes)}
         direct = evolve(ref8, op, 0.3)
         chained = evolve(evolve(ref8, op, 0.15), op, 0.15)
-        assert np.linalg.norm(by_index[(0, 1)].amplitudes - direct.amplitudes) < 1e-12
+        assert np.linalg.norm(by_index[(0, 1)] - direct.amplitudes) < 1e-12
         assert np.linalg.norm(direct.amplitudes - chained.amplitudes) > 1e-8
 
     @pytest.mark.parametrize("n_k, n_l", [(3, 3), (0, 2), (2, 0)])
@@ -111,9 +113,9 @@ class TestBuildBasis:
             anchors[l] = evolve(anchors[l - 1], op, (n_k + 1) * dt)
             anchors[-l] = evolve(anchors[-(l - 1)], op, -(n_k + 1) * dt)
         basis = build_basis(ref8, n_k, n_l, dt, op)
-        for idx, state in zip(basis.indices, basis.states):
+        for idx, row in zip(basis.indices, basis.amplitudes, strict=True):
             expected = anchors[idx.l] if idx.k == 0 else evolve(anchors[idx.l], op, idx.k * dt)
-            assert np.array_equal(state.amplitudes, expected.amplitudes)
+            assert np.array_equal(row, expected.amplitudes)
 
     def test_bad_delta_t(self, ref8, evolution_8):
         with pytest.raises(QseError):
@@ -149,9 +151,9 @@ class TestAssembleMatrices:
         op = EvolutionOperator(h_8, mode="trotter2", trotter_steps=5)
         basis = build_basis(ref8, 2, 2, default_time_step(h_8), op)
         tau = 0.1 / gershgorin_kappa(h_8)
-        phi = basis.state_matrix()
-        fwd = np.stack([evolve(s, op, tau).amplitudes for s in basis.states])
-        bwd = np.stack([evolve(s, op, -tau).amplitudes for s in basis.states])
+        phi = basis.amplitudes
+        fwd = np.stack([evolve(StateVector(row, 8), op, tau).amplitudes for row in phi])
+        bwd = np.stack([evolve(StateVector(row, 8), op, -tau).amplitudes for row in phi])
         two_way = (phi.conj() @ bwd.T - phi.conj() @ fwd.T) / (2j * tau)
         two_way = 0.5 * (two_way + two_way.conj().T)
         mats = assemble_matrices(basis, hoa_tau=tau)
@@ -189,12 +191,12 @@ class TestAssembleMatrices:
         tau = 0.1 / gershgorin_kappa(h_8) if mode == "hoa" else None
         mats = assemble_matrices(basis, tau)
 
-        phi = basis.state_matrix()
+        phi = basis_states(basis)
         if mode == "exact":
             h_phi = phi @ to_matrix(h_8).T
         else:
-            fwd = np.stack([evolve(s, evolution_8, tau).amplitudes for s in basis.states])
-            bwd = np.stack([evolve(s, evolution_8, -tau).amplitudes for s in basis.states])
+            fwd = np.stack([evolve(StateVector(row, 8), evolution_8, tau).amplitudes for row in phi])
+            bwd = np.stack([evolve(StateVector(row, 8), evolution_8, -tau).amplitudes for row in phi])
             h_phi = (bwd - fwd) / (2j * tau)
         assert np.max(np.abs(mats.overlap - phi.conj() @ phi.T)) < 1e-12
         assert np.max(np.abs(mats.hamiltonian - phi.conj() @ h_phi.T)) < 1e-12
@@ -302,8 +304,7 @@ class TestSolveGroundState:
     def test_exact_basis_holds_no_states(self, ref8, h_8):
         gs, basis, _ = prepare_qse_ground_state(ref8, h_8, 2, 1)
         reconstruct_state(gs, basis)
-        assert basis._states is None and len(basis) == basis_size(2, 1)
-        assert len(basis.states) == len(basis)  # evolved when read
+        assert basis.amplitudes is None and len(basis) == basis_size(2, 1)
 
     def test_regularization_threshold_stability(self, qse8):
         # well-conditioned instance: moving the discard threshold between
@@ -378,8 +379,9 @@ class TestNestedSubspaces:
             start = (3 - n_l) * (n_k + 1)
             block = slice(start, start + len(alone))
             assert sub.indices == alone.indices == deep.indices[block]
-            assert np.array_equal(sub.state_matrix(), alone.state_matrix())
-            assert np.allclose(deep.state_matrix()[block], alone.state_matrix(), rtol=0, atol=1e-13)
+            assert (sub.amplitudes is None) == (alone.amplitudes is None) == (mode == "exact")
+            assert np.array_equal(basis_states(sub), basis_states(alone))
+            assert np.allclose(basis_states(deep)[block], basis_states(alone), rtol=0, atol=1e-13)
             for name in ("overlap", "hamiltonian"):
                 assert np.max(np.abs(getattr(sub_mats, name) - getattr(alone_mats, name))) <= 1e-13
             energy = solve_ground_state(sub_mats).energy
@@ -391,7 +393,8 @@ class TestNestedSubspaces:
         deep_mats = assemble_matrices(deep)
         sub, sub_mats = nested_subspace(deep, deep_mats, 1)  # 11 states after the 2 * 3 of |l| = 2, 3
         assert len(sub) == 11
-        assert all(a is b for a, b in zip(sub.states, deep.states[6:17]))
+        assert np.shares_memory(sub.amplitudes, deep.amplitudes)
+        assert np.array_equal(sub.amplitudes, deep.amplitudes[6:17])
         assert np.array_equal(sub_mats.overlap, deep_mats.overlap[6:17, 6:17])
         assert nested_subspace(deep, deep_mats, 3) == (deep, deep_mats)
 
