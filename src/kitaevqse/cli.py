@@ -171,6 +171,29 @@ def _ed_ground_vector(decomp: SpectralDecomposition, qse_state: StateVector, hz:
     return space @ (coords / norm)
 
 
+def _hoa_tau(config: RunConfig, h: PauliSum) -> float | None:
+    """The HOA step of a ground-state assembly under h, hoa_tau_scale / kappa(h), or None
+    when ``qse.assembly_mode`` applies H directly."""
+    return config.qse.hoa_tau_scale / gershgorin_kappa(h) if config.qse.assembly_mode == "hoa" else None
+
+
+def _field_engine(config: RunConfig, reference: StateVector, h: PauliSum) -> GreensEngine:
+    """The QSE ground state under h, solved as the qse stage configures it, and the Green's-function
+    engine on it. One V(t) serves the ground-state basis and, when gf shares qse's mode and step
+    count, every Krylov seed."""
+    evolution = EvolutionOperator(h, config.qse.evolution_mode, config.qse.trotter_steps)
+    gs, basis, _ = qse.prepare_qse_ground_state(
+        reference, h, config.qse.n_k, config.qse.n_l, evolution=evolution, hoa_tau=_hoa_tau(config, h)
+    )
+    krylov = KrylovBasisConfig(
+        tilde_n_k=config.gf.tilde_n_k,
+        tilde_n_l=config.gf.tilde_n_l,
+        evolution_mode=config.gf.evolution_mode,
+        trotter_steps=config.gf.trotter_steps,
+    )
+    return GreensEngine(h, gs, basis, krylov)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -200,6 +223,13 @@ def cmd_vqe(config: RunConfig, out_dir: Path) -> None:
 
     layers = config.vqe.layers
     result = trained[layers] if layers in trained else train(layers)
+    if not result.converged:  # a reference short of the ground state would reach QSE silently
+        reached = [d for d in sorted(trained) if trained[d].converged]
+        raise PipelineError(
+            f"vqe depth {layers} stops at dE = {result.energy_distance:.3e}, above 1e-8; "
+            + (f"the shallowest swept depth that reaches it is {reached[0]}" if reached
+               else "no swept depth reaches it")
+        )
     payload = result.to_json_dict()
     payload["layers"] = layers
     write_json(out_dir / "vqe_result.json", config, payload)
@@ -233,8 +263,9 @@ def cmd_qse(config: RunConfig, out_dir: Path) -> None:
         )
 
     basis, mats = qse.nested_subspace(*subspaces[final[:3]], final[3])
-    if config.qse.assembly_mode == "hoa":
-        mats = qse.assemble_matrices(basis, config.qse.hoa_tau_scale / kappa)
+    tau = _hoa_tau(config, h)
+    if tau is not None:
+        mats = qse.assemble_matrices(basis, tau)
     gs = qse.solve_ground_state(mats)
     write_json(out_dir / "qse_matrices.json", config, mats.to_json_dict())
     payload = {
@@ -259,37 +290,10 @@ def cmd_qse(config: RunConfig, out_dir: Path) -> None:
           f"(mode={config.qse.evolution_mode})")
 
 
-def _krylov_config(config: RunConfig) -> KrylovBasisConfig:
-    return KrylovBasisConfig(
-        tilde_n_k=config.gf.tilde_n_k,
-        tilde_n_l=config.gf.tilde_n_l,
-        evolution_mode=config.gf.evolution_mode,
-        trotter_steps=config.gf.trotter_steps,
-    )
-
-
-def _rebuild_engine(config: RunConfig, out_dir: Path):
+def cmd_greens(config: RunConfig, out_dir: Path) -> None:
     lat = _build_lattice(config)
     _, h = _hamiltonians(config, lat)
-    reference = _vqe_reference(lat, out_dir, config)
-    qse_artifact = _load_artifact(out_dir, "qse_ground_state.json", config, (
-        "evolution_mode", "trotter_steps", "n_k", "n_l", "delta_t",
-        "coefficients_re", "coefficients_im", "energy", "regularization",
-    ))
-    op = EvolutionOperator(
-        h, mode=qse_artifact["evolution_mode"], trotter_steps=qse_artifact["trotter_steps"]
-    )
-    basis = qse.build_basis(
-        reference, qse_artifact["n_k"], qse_artifact["n_l"], qse_artifact["delta_t"], op
-    )
-    coeffs = np.asarray(qse_artifact["coefficients_re"], dtype=complex)
-    coeffs = coeffs + 1j * np.asarray(qse_artifact["coefficients_im"], dtype=float)
-    gs = qse.QseGroundState(coeffs, qse_artifact["energy"], qse_artifact["regularization"])
-    return lat, h, GreensEngine(h, gs, basis, _krylov_config(config))
-
-
-def cmd_greens(config: RunConfig, out_dir: Path) -> None:
-    lat, h, engine = _rebuild_engine(config, out_dir)
+    engine = _field_engine(config, _vqe_reference(lat, out_dir, config), h)
     site_a, site_b = (s - 1 for s in config.gf.site_pair)
     omega = config.gf.omega_grid()
     delta = config.gf.delta
@@ -336,17 +340,10 @@ def cmd_dsf(config: RunConfig, out_dir: Path) -> None:
     omega = config.dsf.omega_grid()
     delta = config.dsf.delta
     q = np.asarray(config.dsf.q, dtype=float)
-    hoa_scale = config.qse.hoa_tau_scale if config.qse.assembly_mode == "hoa" else None
 
     def one_field(hz: float):
         h = lattice_mod.kitaev_hamiltonian(lat, config.coupling, hz)
-        gs, basis, _ = qse.prepare_qse_ground_state(
-            reference, h, config.qse.n_k, config.qse.n_l,
-            evolution_mode=config.qse.evolution_mode,
-            trotter_steps=config.qse.trotter_steps,
-            hoa_tau=hoa_scale / gershgorin_kappa(h) if hoa_scale is not None else None,
-        )
-        engine = GreensEngine(h, gs, basis, _krylov_config(config))
+        engine = _field_engine(config, reference, h)
         s_qse = greens.dynamical_structure_factor(engine, lat.positions, q, omega, delta)
         decomp = oracle.diagonalize(h)
         s_ed = greens.dynamical_structure_factor_ed(

@@ -163,6 +163,8 @@ class GreensEngine:
     engine's one ``EvolutionOperator(hamiltonian, config.evolution_mode,
     config.trotter_steps)``, which compiles a trotter2 schedule once and in
     exact mode shares the oracle's one factorization of the Hamiltonian.
+    When the ground-state basis evolves under an equal operator, the engine
+    takes that one, so the schedule is compiled once for both subspaces.
     """
 
     hamiltonian: PauliSum
@@ -175,7 +177,8 @@ class GreensEngine:
     _evolution: EvolutionOperator = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._evolution = EvolutionOperator(self.hamiltonian, self.config.evolution_mode, self.config.trotter_steps)
+        wanted = EvolutionOperator(self.hamiltonian, self.config.evolution_mode, self.config.trotter_steps)
+        self._evolution = self.gs_basis.evolution if self.gs_basis.evolution == wanted else wanted
 
     @property
     def num_sites(self) -> int:

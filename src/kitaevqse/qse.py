@@ -350,22 +350,21 @@ def prepare_qse_ground_state(
     n_k: int,
     n_l: int,
     *,
-    evolution_mode: str = "exact",
-    trotter_steps: int = 1,
-    hoa_tau: float | None = None,
     evolution: EvolutionOperator | None = None,
+    hoa_tau: float | None = None,
 ) -> tuple[QseGroundState, SubspaceBasis, SubspaceMatrices]:
     """One-call pipeline: basis at the default time step, matrices, solve.
 
-    V(t) is ``EvolutionOperator(h, evolution_mode, trotter_steps)``; in
-    exact mode it shares the oracle's one factorization of ``h``. An
-    ``evolution`` passed in must equal that operator, or QseError is raised.
-    ``hoa_tau`` selects HOA assembly (:func:`assemble_matrices`).
+    V(t) is ``evolution``, by default the exact ``EvolutionOperator(h)``, which
+    shares the oracle's one factorization of ``h``; an ``evolution`` under
+    another Hamiltonian raises QseError. ``hoa_tau`` selects HOA assembly
+    (:func:`assemble_matrices`).
     """
-    op = EvolutionOperator(h, mode=evolution_mode, trotter_steps=trotter_steps)
-    if evolution is not None and evolution != op:
-        raise QseError("evolution does not match h, evolution_mode and trotter_steps")
-    basis = build_basis(reference, n_k, n_l, default_time_step(h), op)
+    if evolution is None:
+        evolution = EvolutionOperator(h)
+    elif evolution.hamiltonian != h:
+        raise QseError("evolution runs under a Hamiltonian other than h")
+    basis = build_basis(reference, n_k, n_l, default_time_step(h), evolution)
     mats = assemble_matrices(basis, hoa_tau)
     gs = solve_ground_state(mats)
     return gs, basis, mats

@@ -103,7 +103,7 @@ def test_criterion_4_trotter_monotonicity(ref12, h_12, dec_12):
     deltas = []
     for r in range(1, 11):
         gs, _, _ = qse.prepare_qse_ground_state(
-            ref12, h_12, 3, 3, evolution_mode="trotter2", trotter_steps=r
+            ref12, h_12, 3, 3, evolution=EvolutionOperator(h_12, "trotter2", r)
         )
         deltas.append(abs(gs.energy - dec_12.ground_energy))
     noise_floor = 1e-12
@@ -180,7 +180,7 @@ def test_criterion_6_gf_equivalence_exact(engine8, dec_8):
 
 def test_criterion_6_gf_equivalence_trotter(ref8, h_8, dec_8):
     gs, basis, _ = qse.prepare_qse_ground_state(
-        ref8, h_8, 3, 3, evolution_mode="trotter2", trotter_steps=5
+        ref8, h_8, 3, 3, evolution=EvolutionOperator(h_8, "trotter2", 5)
     )
     cfg = KrylovBasisConfig(tilde_n_k=3, tilde_n_l=3, evolution_mode="trotter2", trotter_steps=5)
     engine = GreensEngine(h_8, gs, basis, cfg)

@@ -263,10 +263,30 @@ class TestPipeline:
         assert lesser["termination_index"] == greater["termination_index"] == len(greater["a"])
         assert lesser["stop_reason"] == greater["stop_reason"] in ("b2_tol", "rank")
 
+    @pytest.mark.parametrize("qse_config", [
+        {},
+        {"evolution_mode": "trotter2", "trotter_steps": 2, "assembly_mode": "hoa"},
+    ])
+    def test_greens_solves_the_recorded_qse_ground_state(self, workdir, tmp_path, monkeypatch, qse_config):
+        # greens needs the VQE reference alone: it solves its field as dsf does, and reaches
+        # the ground state that the qse stage records, bit for bit
+        shutil.copy(workdir[0] / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({**FAST_CONFIG, "qse": {**FAST_CONFIG["qse"], **qse_config}}))
+        engines = []
+        build = cli._field_engine
+        monkeypatch.setattr(cli, "_field_engine", lambda *args: engines.append(build(*args)) or engines[-1])
+        for stage in ("greens", "qse"):
+            assert main([stage, "--config", str(config_path), "--out", str(tmp_path)]) == 0
+        (engine,) = engines
+        recorded = json.loads((tmp_path / "qse_ground_state.json").read_text())
+        assert engine.gs.energy == recorded["energy"]
+        assert engine.gs.coefficients.real.tolist() == recorded["coefficients_re"]
+        assert engine.gs.coefficients.imag.tolist() == recorded["coefficients_im"]
+
     def test_greens_builds_three_seed_subspaces_per_kind(self, workdir, tmp_path, monkeypatch):
         path, _ = workdir
-        for name in ("vqe_result.json", "qse_ground_state.json"):
-            shutil.copy(path / "out" / name, tmp_path / name)
+        shutil.copy(path / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
         calls = []
         original = GreensEngine.seed_subspace
 
@@ -282,8 +302,7 @@ class TestPipeline:
 
     def test_one_s_factorization_per_krylov_seed(self, workdir, tmp_path, monkeypatch):
         path, _ = workdir
-        for name in ("vqe_result.json", "qse_ground_state.json"):
-            shutil.copy(path / "out" / name, tmp_path / name)
+        shutil.copy(path / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
         calls = []
         original = qse.canonical_orthogonalization
 
@@ -300,9 +319,9 @@ class TestPipeline:
             calls.clear()
             assert main([stage, "--config", str(config_path), "--out", str(tmp_path)]) == 0
             counts[stage] = len(calls)
-        # greens: three seeds per kind, one recursion each; dsf, per field: the
-        # ground-state solve plus one collective seed per Pauli kind
-        assert counts["greens"] == 3 * 2
+        # greens: the ground-state solve plus three seeds per kind, one recursion each;
+        # dsf, per field: the ground-state solve plus one collective seed per Pauli kind
+        assert counts["greens"] == 3 * 2 + 1
         assert counts["dsf"] == 4 * len(FAST_CONFIG["dsf"]["h_values"])
 
     def test_each_stage_factorizes_each_hamiltonian_once(self, tmp_path, monkeypatch):
@@ -430,8 +449,8 @@ class TestPipeline:
         assert not any(line.startswith("# assembly_mode") for line in (tmp_path / "dsf_qse.csv").open())
 
     def test_trotter_schedule_compiled_once_per_operator(self, workdir, tmp_path, monkeypatch):
-        # greens: the rebuilt QSE basis's V(t), then one for every Krylov seed of the engine;
-        # dsf: the same two per field
+        # qse and gf share mode and step count: per field, the ground-state basis and every
+        # Krylov seed of the engine evolve under one V(t), compiled once
         shutil.copy(workdir[0] / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
         trotter = {"evolution_mode": "trotter2", "trotter_steps": 2}
         config_path = tmp_path / "c.json"
@@ -440,7 +459,6 @@ class TestPipeline:
             "qse": {**FAST_CONFIG["qse"], **trotter, "assembly_mode": "hoa"},
             "gf": {**FAST_CONFIG["gf"], **trotter},
         }))
-        assert main(["qse", "--config", str(config_path), "--out", str(tmp_path)]) == 0
         compiled = []
         original = simulator.fuse_diagonal_runs
         monkeypatch.setattr(simulator, "fuse_diagonal_runs", lambda *args: compiled.append(1) or original(*args))
@@ -449,7 +467,7 @@ class TestPipeline:
             compiled.clear()
             assert main([stage, "--config", str(config_path), "--out", str(tmp_path)]) == 0
             counts[stage] = len(compiled)
-        assert counts == {"greens": 2, "dsf": 2 * len(FAST_CONFIG["dsf"]["h_values"])}
+        assert counts == {"greens": 1, "dsf": len(FAST_CONFIG["dsf"]["h_values"])}
 
     @staticmethod
     def count_qse_stage(workdir, tmp_path, monkeypatch, qse_config):
@@ -492,8 +510,7 @@ class TestPipeline:
         # exact-mode subspaces read S, H and |GS> off spectral weights: neither the
         # greens nor the dsf stage evolves a statevector basis
         path, config_path = workdir
-        for name in ("vqe_result.json", "qse_ground_state.json"):
-            shutil.copy(path / "out" / name, tmp_path / name)
+        shutil.copy(path / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
         calls = []
         original = simulator.evolve_times
         monkeypatch.setattr(simulator, "evolve_times", lambda *args: calls.append(1) or original(*args))
@@ -509,8 +526,7 @@ class TestPipeline:
         # at a degenerate field ED takes the QSE ground state's projection onto its ground space;
         # a QSE state outside that space (here the bare reference, c = e_(0,0)) stops the stage
         path, config_path = workdir
-        for name in ("vqe_result.json", "qse_ground_state.json"):
-            shutil.copy(path / "out" / name, tmp_path / name)
+        shutil.copy(path / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
         original = oracle.diagonalize
         monkeypatch.setattr(
             oracle, "diagonalize", lambda h: dataclasses.replace(original(h), ground_degeneracy=2)
@@ -528,11 +544,6 @@ class TestPipeline:
             return dataclasses.replace(gs, coefficients=unit), basis, mats
 
         monkeypatch.setattr(qse, "prepare_qse_ground_state", reference_only)
-        artifact = json.loads((tmp_path / "qse_ground_state.json").read_text())
-        unit = [0.0] * len(artifact["coefficients_re"])
-        unit[qse.multigrid_indices(artifact["n_k"], artifact["n_l"]).index(qse.MultigridIndex(0, 0))] = 1.0
-        artifact["coefficients_re"], artifact["coefficients_im"] = unit, [0.0] * len(unit)
-        (tmp_path / "qse_ground_state.json").write_text(json.dumps(artifact))
         for stage in ("greens", "dsf"):
             assert main([stage, "--config", str(config_path), "--out", str(tmp_path)]) == 2
             assert "2-fold degenerate ED ground space" in self._one_error_line(capsys)
@@ -567,6 +578,20 @@ class TestPipeline:
         flipped = StateVector(apply_term(single_site("Z", 0, 12), ref.amplitudes), 12)  # two visons
         with pytest.raises(cli.PipelineError, match="4-fold degenerate ED ground space"):
             cli._ed_ground_vector(dec0_12, qse_state(flipped), 0.0)
+
+    @pytest.mark.parametrize("sweep, named", [
+        ([0, 1], "the shallowest swept depth that reaches it is 1"),
+        ([0], "no swept depth reaches it"),
+    ])
+    def test_unconverged_vqe_depth_exits_2(self, tmp_path, capsys, sweep, named):
+        # a reference short of the ground state stops the pipeline at the vqe stage, after
+        # the layer sweep that shows which depth would reach it is written
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({**FAST_CONFIG, "vqe": {"layers": 0, "layer_sweep": sweep}}))
+        assert main(["vqe", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+        err = self._one_error_line(capsys)
+        assert err.startswith("error: vqe depth 0 stops at dE = ") and named in err
+        assert (tmp_path / "vqe_layer_sweep.csv").exists() and not (tmp_path / "vqe_result.json").exists()
 
     def test_package_error_exits_2_without_traceback(self, tmp_path, capsys):
         # 5x2 cells is N=20: h with its field stacks 2^39 entries, beyond the oracle's dense cap,
@@ -612,7 +637,7 @@ class TestPipeline:
     @pytest.mark.parametrize("stage, artifact", [
         ("qse", "vqe_result.json"),
         ("dsf", "vqe_result.json"),
-        ("greens", "qse_ground_state.json"),
+        ("greens", "vqe_result.json"),
     ])
     def test_damaged_artifact_exits_2(self, workdir, tmp_path, capsys, stage, artifact, text, message):
         path, config_path = workdir
@@ -628,12 +653,11 @@ class TestPipeline:
     @pytest.mark.parametrize("stage, artifact, key", [
         ("qse", "vqe_result.json", "sector_targets"),
         ("dsf", "vqe_result.json", "optimal_parameters"),
-        ("greens", "qse_ground_state.json", "coefficients_im"),
+        ("greens", "vqe_result.json", "layers"),
     ])
     def test_missing_artifact_key_exits_2(self, workdir, tmp_path, capsys, stage, artifact, key):
         path, config_path = workdir
-        for name in ("vqe_result.json", "qse_ground_state.json"):
-            shutil.copy(path / "out" / name, tmp_path / name)
+        shutil.copy(path / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
         payload = json.loads((tmp_path / artifact).read_text())
         del payload[key]
         (tmp_path / artifact).write_text(json.dumps(payload))
@@ -646,8 +670,7 @@ class TestPipeline:
         # G_12^ED of kinds X and Y vanishes by symmetry on this torus, so the
         # printed deviation must not be a ratio to it
         path, _ = workdir
-        for name in ("vqe_result.json", "qse_ground_state.json"):
-            shutil.copy(path / "out" / name, tmp_path / name)
+        shutil.copy(path / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps({**FAST_CONFIG, "gf": {**FAST_CONFIG["gf"], "kinds": ["X", "Z"]}}))
         with warnings.catch_warnings():
@@ -714,7 +737,7 @@ class TestDeterminism:
 
         monkeypatch.setattr(vqe, "prepare_reference_state", counting)
         config_path = tmp_path / "c.json"
-        config_path.write_text(json.dumps({"vqe": {"epochs": 20, **vqe_cfg}}))
+        config_path.write_text(json.dumps({"vqe": vqe_cfg}))
         assert main(["vqe", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
         assert len(calls) == expected_calls
         result = json.loads((tmp_path / "o" / "vqe_result.json").read_text())
@@ -729,9 +752,7 @@ class TestDeterminism:
             return original(self, *args)
 
         monkeypatch.setattr(vqe.AnsatzCircuit, "apply", counting)
-        config_path = tmp_path / "c.json"
-        config_path.write_text(json.dumps({"vqe": {"epochs": 20}}))
-        assert main(["vqe", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
+        assert main(["vqe", "--out", str(tmp_path / "o")]) == 0
         # the default sweep [0..4] holds layers = 1: one application per trained depth
         assert sorted(calls) == [0, 1, 2, 3, 4]
 

@@ -272,9 +272,9 @@ class TestSolveGroundState:
         assert gs.energy == pytest.approx(expectation(ref8, h_8), abs=1e-12)
         assert gs.coefficients.size == 1
 
-    def test_mismatched_evolution_rejected(self, ref8, h_8, evolution_8):
-        with pytest.raises(QseError, match="evolution does not match"):
-            prepare_qse_ground_state(ref8, h_8, 1, 1, evolution_mode="trotter2", evolution=evolution_8)
+    def test_mismatched_evolution_rejected(self, ref8, h0_8, h_8):
+        with pytest.raises(QseError, match="evolution runs under a Hamiltonian other than h"):
+            prepare_qse_ground_state(ref8, h_8, 1, 1, evolution=EvolutionOperator(h0_8))
 
     def test_coefficients_s_normalized(self, qse8):
         gs, _, mats = qse8
@@ -418,6 +418,6 @@ class TestNestedSubspaces:
         ]
         for row in rows:
             gs, _, _ = prepare_qse_ground_state(
-                ref8, h_8, row["n_k"], row["n_l"], evolution_mode="trotter2", trotter_steps=row["r"]
+                ref8, h_8, row["n_k"], row["n_l"], evolution=EvolutionOperator(h_8, "trotter2", row["r"])
             )
             assert abs(row["energy"] - gs.energy) <= 1e-10
