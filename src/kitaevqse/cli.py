@@ -201,15 +201,12 @@ def _field_engine(config: RunConfig, reference: StateVector, h: PauliSum) -> Gre
 def cmd_vqe(config: RunConfig, out_dir: Path) -> None:
     lat = _build_lattice(config)
     h0, _ = _hamiltonians(config, lat)
-    decomp = oracle.diagonalize(h0)
     ranked = vqe.rank_sectors(lat, h0)  # depth-independent: one ranking serves every depth
 
     def train(layers: int) -> vqe.VqeResult:
-        # training is deterministic in (layers, seed); tolerance only sets `converged`
+        # training is deterministic in (layers, seed)
         _, result, _ = vqe.prepare_reference_state(
-            lat, h0, layers=layers,
-            epochs=config.vqe.epochs, seed=config.seed,
-            oracle_decomp=decomp, tolerance=1e-8, ranked=ranked,
+            lat, h0, layers=layers, epochs=config.vqe.epochs, seed=config.seed, ranked=ranked,
         )
         return result
 

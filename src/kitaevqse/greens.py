@@ -177,6 +177,8 @@ class GreensEngine:
     _evolution: EvolutionOperator = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.gs_basis.evolution.hamiltonian != self.hamiltonian:
+            raise GreensError("the ground state was prepared under a Hamiltonian other than the engine's")
         wanted = EvolutionOperator(self.hamiltonian, self.config.evolution_mode, self.config.trotter_steps)
         self._evolution = self.gs_basis.evolution if self.gs_basis.evolution == wanted else wanted
 

@@ -253,10 +253,11 @@ class TaperedSum:
 
     def block_stack(self) -> tuple[np.ndarray, np.ndarray]:
         """(permutation, stack): every sector sum's :func:`symmetry_blocks`, sector by sector, as
-        one (blocks, size, size) stack, real when its entries are; row i of block b is frame basis
-        state ``permutation[b * size + i]``. The sector sums share their strings, so their blocks.
-        2^k sectors of 2^z Z-syndrome blocks of 2^(N-k-z) states hold 2^(2N-k-z) entries; above
-        ``DENSE_STACK_CAP`` raises :class:`OracleError` before building anything 2^N wide."""
+        one (blocks, size, size) stack, real when every term's c i^popcount(x & z) is, its entries
+        being that times +-1; row i of block b is frame basis state ``permutation[b * size + i]``.
+        The sector sums share their strings, so their blocks. 2^k sectors of 2^z Z-syndrome blocks
+        of 2^(N-k-z) states hold 2^(2N-k-z) entries; above ``DENSE_STACK_CAP`` raises
+        :class:`OracleError` before building anything 2^N wide."""
         n = self.num_sites - len(self.frame.sites)
         entries = 1 << (self.num_sites + n - len(_null_space([t.masks[0] for t in self.terms], n)))
         if entries > DENSE_STACK_CAP:
@@ -267,19 +268,13 @@ class TaperedSum:
         size = blocks[0].size
         position = np.argsort(local)
         row_start = np.arange(local.size) * size  # entry (b, r, c) of a sector's blocks is (b*size + r)*size + c
-        flat = np.zeros((self.num_sectors, local.size * size), dtype=complex)
+        real = all((t.coefficient * 1j ** (t.masks[0] & t.masks[1]).bit_count()).imag == 0 for t in self.terms)
+        flat = np.zeros((self.num_sectors, local.size * size), dtype=float if real else complex)
         for signs, term in zip(self.sector_signs.T, self.terms):
             src, phase = term.action
-            flat[:, row_start + position[src[local]] % size] += signs[:, None] * (term.coefficient * phase[local])
-        stack = flat.reshape(-1, size, size)
-        if np.max(np.abs(stack.imag)) <= 1e-14 * max(1.0, np.max(np.abs(stack.real))):
-            stack = np.ascontiguousarray(stack.real)  # frees the complex stack before eigh
-        return self.frame_index[:, local].ravel(), stack
-
-    def sector_ground_energies(self) -> np.ndarray:
-        """The lowest eigenvalue of each sector sum: one batched ``eigvalsh`` of :meth:`block_stack`."""
-        _, stack = self.block_stack()
-        return np.linalg.eigvalsh(stack)[:, 0].reshape(self.num_sectors, -1).min(axis=1)
+            entries = term.coefficient * phase[local]
+            flat[:, row_start + position[src[local]] % size] += signs[:, None] * (entries.real if real else entries)
+        return self.frame_index[:, local].ravel(), flat.reshape(-1, size, size)
 
 
 _TAPERINGS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -347,6 +342,14 @@ class SpectralDecomposition:
             table = np.exp(-1j * delta_t * np.outer(np.arange(count), self.eigenvalues))
             self._phase_tables[key] = _read_only(table)
         return self._phase_tables[key]
+
+    def sector_ground_energies(self) -> np.ndarray:
+        """The lowest eigenvalue of each of the frame's 2^k sector sums: :meth:`TaperedSum.block_stack`
+        stacks the blocks sector by sector, so flat column j is in sector j // (2^N >> k)."""
+        k = len(self.frame.sites)
+        minima = np.full(1 << k, np.inf)
+        np.minimum.at(minima, self.order // (self.order.size >> k), self.eigenvalues)
+        return minima
 
     def ground_space(self) -> np.ndarray:
         """Orthonormal columns spanning the (near-)degenerate ground space."""

@@ -22,9 +22,9 @@ and its infidelity come from ``apply``.
 
 Choosing the sector is a spectral question, not an optimization one. H0
 commutes with every plaquette and loop (Kitaev, Ann. Phys. 321, 2 (2006)),
-so every sector of the frame has an exact ground energy, and the oracle
-gives all 2^k of them (:meth:`oracle.TaperedSum.sector_ground_energies`). Each
-candidate sector (both uniform plaquette signs crossed with the four
+so every sector of the frame has an exact ground energy, read off the
+oracle's factorization of H0 (:meth:`oracle.SpectralDecomposition.sector_ground_energies`).
+Each candidate sector (both uniform plaquette signs crossed with the four
 loop-sign pairs) is mapped to its frame sector, the lowest-energy candidate
 is the only one trained, and the ranking raises when no candidate reaches
 the lowest energy of all sectors, which would leave the ground state out of
@@ -54,6 +54,9 @@ TARGET_TOLERANCE = 1e-12
 # commuting run's joint eigenbasis, and the initial state may have at most
 # this weight (relative squared norm) outside its sector of the frame.
 INVARIANCE_TOLERANCE = 1e-12
+
+# A scored reference is converged when its energy is this close to the exact ground energy.
+CONVERGENCE_TOLERANCE = 1e-8
 
 
 class VqeError(RuntimeError):
@@ -255,7 +258,7 @@ class VqeResult:
     # ended: "target" once the running best reached the target, "epochs" otherwise
     stop_epoch: int
     stop_reason: str
-    # against an ED decomposition, when one is given (_score)
+    # against oracle.diagonalize(h0), filled in by prepare_reference_state (_score)
     infidelity: float | None = None
     energy_distance: float | None = None
     converged: bool | None = None
@@ -404,13 +407,11 @@ def train(
     )
 
 
-def _score(result: VqeResult, state: StateVector, decomp: SpectralDecomposition, tolerance: float | None) -> None:
-    """Fill in ``result``'s infidelity and energy distance against ``decomp``, ``state`` being its
-    trained state, and ``converged`` when a ``tolerance`` is given."""
+def _score(result: VqeResult, state: StateVector, decomp: SpectralDecomposition) -> None:
+    """Fill in the infidelity, energy distance and ``converged`` of ``result``, trained to ``state``."""
     result.infidelity = 1.0 - ground_space_fidelity(state.amplitudes, decomp)
     result.energy_distance = abs(result.final_energy - decomp.ground_energy)
-    if tolerance is not None:
-        result.converged = result.energy_distance <= tolerance
+    result.converged = result.energy_distance <= CONVERGENCE_TOLERANCE
 
 
 def candidate_sectors(lat: HoneycombLattice) -> list[StabilizerGroup]:
@@ -444,8 +445,8 @@ class SectorRanking:
 
 
 def rank_sectors(lat: HoneycombLattice, h0: PauliSum) -> SectorRanking:
-    """Every sector's ground energy from ``h0``'s tapered sector sums
-    (:meth:`oracle.TaperedSum.sector_ground_energies`).
+    """Every sector's ground energy from the factorization of ``h0``
+    (:meth:`oracle.SpectralDecomposition.sector_ground_energies`).
 
     Each candidate sector takes its frame sector's energy (:func:`frame_sector`
     over one eigenvalue table of the lattice's stabilizer generators);
@@ -453,10 +454,9 @@ def rank_sectors(lat: HoneycombLattice, h0: PauliSum) -> SectorRanking:
     generators do not fix one frame sector, or no candidate is within 1e-9
     of the lowest energy of all 2^k sectors.
     """
-    tapered = oracle.taper(h0)
-    minima = tapered.sector_ground_energies()
+    minima = oracle.diagonalize(h0).sector_ground_energies()
     candidates = candidate_sectors(lat)
-    table = tapered.sector_eigenvalues(candidates[0].generators)
+    table = oracle.taper(h0).sector_eigenvalues(candidates[0].generators)
     if len(set(map(tuple, table.tolist()))) < len(table):
         raise VqeError("the stabilizer generators do not fix one sector of the Hamiltonian's frame")
     ranked: list[tuple[StabilizerGroup, float]] = []
@@ -479,8 +479,6 @@ def prepare_reference_state(
     layers: int,
     epochs: int = 800,
     seed: int = 0,
-    oracle_decomp: SpectralDecomposition | None = None,
-    tolerance: float | None = None,
     ranked: SectorRanking | None = None,
 ) -> tuple[StateVector, VqeResult, StabilizerGroup]:
     """Symmetry-guided VQE ground-state preparation for the zero-field model.
@@ -492,7 +490,7 @@ def prepare_reference_state(
     energy. The result records every ranked sector's energy in
     ``sector_energies`` and the lowest of all sectors in
     ``global_sector_minimum``. The circuit runs once on the full space: the
-    state it returns is the one the infidelity is taken of.
+    state it returns is scored against ``oracle.diagonalize(h0)`` (:func:`_score`).
     """
     ansatz = AnsatzCircuit.for_lattice(lat, layers)
     if ranked is None:
@@ -502,8 +500,7 @@ def prepare_reference_state(
     init_state = prepare_sector_state(group, lat)
     result = train(h0, ansatz, init_state, epochs=epochs, seed=seed, target=sector_energy)
     state = ansatz.apply(result.optimal_parameters, init_state)  # the one circuit application
-    if oracle_decomp is not None:
-        _score(result, state, oracle_decomp, tolerance)
+    _score(result, state, oracle.diagonalize(h0))
     result.sector_targets = group.target_eigenvalues
     result.sector_energies = [(g.target_eigenvalues, energy) for g, energy in ranked.sectors]
     result.global_sector_minimum = ranked.global_minimum

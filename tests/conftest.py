@@ -94,9 +94,9 @@ def dec_12(h_12):
 
 
 @pytest.fixture(scope="session")
-def vqe12(lat12, h0_12, dec0_12):
+def vqe12(lat12, h0_12):
     """Criterion 1's N=12, J=-1, d=2 training at seed 1, which ``ref12`` also reads."""
-    return vqe.prepare_reference_state(lat12, h0_12, layers=2, seed=1, oracle_decomp=dec0_12)
+    return vqe.prepare_reference_state(lat12, h0_12, layers=2, seed=1)
 
 
 @pytest.fixture(scope="session")

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from kitaevqse.oracle import taper
 from kitaevqse.qse import _grid_steps
 from kitaevqse.simulator import _rotation_inplace, evolve_times, trotter_schedule
 
@@ -64,6 +65,15 @@ def z_blocked_factorization(h) -> tuple[np.ndarray, ...]:
     block_evals, block_vectors = np.linalg.eigh(stack)
     order = np.argsort(block_evals.ravel(), kind="stable")
     return permutation, block_vectors, order, block_evals.ravel()[order]
+
+
+def batched_sector_minima(h0) -> np.ndarray:
+    """The lowest eigenvalue of each sector sum of ``h0``'s tapered frame from one batched
+    ``eigvalsh`` of its block stack, apart from any eigenvector solve: the sector ranking's
+    reference."""
+    tapered = taper(h0)
+    _, stack = tapered.block_stack()
+    return np.linalg.eigvalsh(stack)[:, 0].reshape(tapered.num_sectors, -1).min(axis=1)
 
 
 def trotter_rotation_by_rotation(op, amplitudes: np.ndarray, t: float) -> np.ndarray:

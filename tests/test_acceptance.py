@@ -42,10 +42,7 @@ def test_criterion_1_vqe_reproduction(rows, cols, layers, j, request):
         _, result, _ = request.getfixturevalue("vqe12")  # the training behind ref12
     else:
         h0 = lattice.kitaev_hamiltonian(lat, j)
-        decomp = oracle.diagonalize(h0)
-        _, result, _ = vqe.prepare_reference_state(
-            lat, h0, layers=layers, seed=1, oracle_decomp=decomp
-        )
+        _, result, _ = vqe.prepare_reference_state(lat, h0, layers=layers, seed=1)
     assert result.energy_distance <= 1e-8
     assert result.infidelity <= 1e-8
     _report(

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -379,7 +380,7 @@ class TestPipeline:
 
     def test_one_lanczos_run_per_recursion(self, tmp_path, monkeypatch):
         # oracle.lanczos is the only Lanczos loop and serves the Green's functions alone:
-        # the vqe stage ranks the sectors by one eigvalsh of h0's tapered sector sums, and
+        # the vqe stage ranks the sectors off the oracle's one eigh of h0's tapered sector sums, and
         # every lanczos_iterate runs it once
         runs, iterates = [], []
         original_run, original_iterate = oracle.lanczos, greens.lanczos_iterate
@@ -742,6 +743,18 @@ class TestDeterminism:
         assert len(calls) == expected_calls
         result = json.loads((tmp_path / "o" / "vqe_result.json").read_text())
         assert result["layers"] == vqe_cfg.get("layers", 1)
+
+    def test_vqe_solves_h0_once(self, tmp_path, monkeypatch):
+        # the ranking reads its sector minima off the one factorization that also scores every depth
+        stacks, eigvalsh_calls = [], []
+        original_stack, original_eigvalsh = oracle.TaperedSum.block_stack, np.linalg.eigvalsh
+        monkeypatch.setattr(oracle, "_DECOMPOSITIONS", weakref.WeakKeyDictionary())  # no equal h0 cached
+        monkeypatch.setattr(oracle.TaperedSum, "block_stack", lambda self: stacks.append(1) or original_stack(self))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args: eigvalsh_calls.append(1) or original_eigvalsh(*args))
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(FAST_CONFIG))
+        assert main(["vqe", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
+        assert (len(stacks), len(eigvalsh_calls)) == (1, 0)
 
     def test_vqe_applies_the_circuit_once_per_depth(self, tmp_path, monkeypatch):
         calls = []

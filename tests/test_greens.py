@@ -189,6 +189,14 @@ class TestLanczosIterate:
 
 
 class TestKrylovSeed:
+    def test_foreign_ground_state_rejected(self, qse8, h_8, h0_8):
+        # qse8's basis evolves under h_8: seeds grown under h0_8 from it would mix two Hamiltonians
+        gs, basis, _ = qse8
+        cfg = KrylovBasisConfig(tilde_n_k=1, tilde_n_l=1)
+        with pytest.raises(GreensError, match="Hamiltonian other than the engine's"):
+            GreensEngine(h0_8, gs, basis, cfg)
+        assert GreensEngine(h_8, gs, basis, cfg).num_sites == 8
+
     def test_trivial_single_state_basis(self, qse8, h_8):
         gs, basis, _ = qse8
         cfg = KrylovBasisConfig(tilde_n_k=0, tilde_n_l=0)

@@ -9,7 +9,7 @@ from kitaevqse import oracle
 from kitaevqse.oracle import OracleError, diagonalize, exact_resolvent_gf
 from kitaevqse.pauli import PauliTerm, apply_sum, commutes, multiply, pauli_sum, single_site, to_matrix, two_site
 
-from helpers import dense_matrix, z_blocked_factorization
+from helpers import batched_sector_minima, dense_matrix, z_blocked_factorization
 
 # frozen at the first verified run of this module; the ground energy of
 # the 2x2 torus at zero field is -4*sqrt(3)
@@ -234,6 +234,24 @@ class TestTapering:
         for k, expected in enumerate(moments, start=1):
             traced = np.sum(dec0_12.eigenvalues**k) / 4096
             assert abs(traced - expected) <= 1e-10 * max(1.0, abs(expected)), k
+
+    @pytest.mark.parametrize("sites, j", [(8, -1.0), (8, 1.0), (12, -1.0)])
+    def test_sector_ground_energies_match_batched_eigvalsh(self, lat8, h0_12, sites, j):
+        from kitaevqse.lattice import kitaev_hamiltonian
+
+        h0 = h0_12 if sites == 12 else kitaev_hamiltonian(lat8, j)
+        minima = diagonalize(h0).sector_ground_energies()
+        assert minima.shape == (oracle.taper(h0).num_sectors,)
+        assert np.max(np.abs(minima - batched_sector_minima(h0))) <= 1e-12
+
+    def test_identity_frame_has_one_sector_minimum(self, dec_8):
+        assert dec_8.frame == oracle.TaperingFrame()
+        assert dec_8.sector_ground_energies().tolist() == [dec_8.ground_energy]
+
+    def test_block_stack_is_filled_real_exactly_when_every_term_is(self, h0_8):
+        # every h0 term in the frame is real; one Y per XY bond makes i^popcount(x & z) imaginary
+        assert oracle.taper(h0_8).block_stack()[1].dtype == np.float64
+        assert oracle.taper(_chain8("XY")).block_stack()[1].dtype == np.complex128
 
     def test_field_hamiltonian_keeps_the_z_syndrome_factorization(self, h_8):
         # the identity frame runs the Z-syndrome path bit for bit

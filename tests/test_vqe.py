@@ -147,7 +147,7 @@ class TestTrain:
     def test_convergence_flag(self, h0_8, ansatz8, init8, dec0_8):
         def scored(epochs):
             result = train(h0_8, ansatz8, init8, epochs=epochs, seed=1)
-            vqe._score(result, ansatz8.apply(result.optimal_parameters, init8), dec0_8, 1e-8)
+            vqe._score(result, ansatz8.apply(result.optimal_parameters, init8), dec0_8)
             return result
 
         good = scored(800)
@@ -264,10 +264,8 @@ class TestSectorScan:
     def test_trainability_transition_n8(self, lat8, h0_8, dec0_8, gs_sector8):
         # one layer trains to the exact GS; zero layers cannot leave the
         # sector-state energy, so the drop at d=1 is sharp
-        _, res0, _ = prepare_reference_state(lat8, h0_8, layers=0, oracle_decomp=dec0_8)
-        _, res1, _ = prepare_reference_state(
-            lat8, h0_8, layers=1, seed=1, oracle_decomp=dec0_8
-        )
+        _, res0, _ = prepare_reference_state(lat8, h0_8, layers=0)
+        _, res1, _ = prepare_reference_state(lat8, h0_8, layers=1, seed=1)
         assert res1.energy_distance <= 1e-8
         assert res0.energy_distance > 1.0
         assert res1.infidelity <= 1e-8
@@ -330,11 +328,11 @@ class TestSectorScan:
 
 class TestTargetStop:
     @pytest.fixture(scope="class")
-    def problems(self, lat8, h0_8, dec0_8, lat12, h0_12, dec0_12):
-        """(lattice, h0, ED, sector ranking) per size, each ranking shared by all its cases."""
+    def problems(self, lat8, h0_8, lat12, h0_12):
+        """(lattice, h0, sector ranking) per size, each ranking shared by all its cases."""
         return {
-            8: (lat8, h0_8, dec0_8, rank_sectors(lat8, h0_8)),
-            12: (lat12, h0_12, dec0_12, rank_sectors(lat12, h0_12)),
+            8: (lat8, h0_8, rank_sectors(lat8, h0_8)),
+            12: (lat12, h0_12, rank_sectors(lat12, h0_12)),
         }
 
     @pytest.mark.parametrize("sites, seed, layers", [
@@ -344,10 +342,8 @@ class TestTargetStop:
           for layers in (2, 3) for seed in (1, 2, 3, 4, 5)),
     ])
     def test_stopped_training_meets_criterion_1(self, problems, sites, seed, layers):
-        lat, h0, dec0, ranked = problems[sites]
-        _, result, _ = prepare_reference_state(
-            lat, h0, layers=layers, seed=seed, oracle_decomp=dec0, ranked=ranked
-        )
+        lat, h0, ranked = problems[sites]
+        _, result, _ = prepare_reference_state(lat, h0, layers=layers, seed=seed, ranked=ranked)
         assert result.energy_distance <= 1e-8
         assert result.infidelity <= 1e-8
         assert len(result.training_history["energy"]) == result.stop_epoch
