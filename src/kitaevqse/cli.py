@@ -15,6 +15,7 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import __version__, greens, lattice as lattice_mod, oracle, qse, vqe
 from .config import ConfigError, RunConfig, load_config
 from .greens import GreensEngine, GreensError, KrylovBasisConfig
-from .lattice import LatticeError
+from .lattice import HoneycombLattice, LatticeError
 from .oracle import OracleError, SpectralDecomposition
 from .pauli import PauliError, PauliSum, gershgorin_kappa, pauli_sum, single_site
 from .qse import QseError
@@ -101,14 +102,16 @@ def _map_tasks(fn, items, threads: int):
 # Shared pipeline pieces
 # ---------------------------------------------------------------------------
 
-def _build_lattice(config: RunConfig):
-    return lattice_mod.build_lattice(config.lattice.rows, config.lattice.cols)
+def _model(config: RunConfig) -> tuple[HoneycombLattice, PauliSum, PauliSum]:
+    """The run's lattice, h0 and h(field_z), one of each per process: the oracle's keys for every stage."""
+    coupling = tuple(config.coupling) if isinstance(config.coupling, list) else config.coupling
+    return _model_of(config.lattice.rows, config.lattice.cols, coupling, config.field_z)
 
 
-def _hamiltonians(config: RunConfig, lat):
-    h0 = lattice_mod.kitaev_hamiltonian(lat, config.coupling)
-    h = lattice_mod.kitaev_hamiltonian(lat, config.coupling, config.field_z)
-    return h0, h
+@lru_cache(maxsize=1)  # keyed on every input of the three; one model stays alive at most
+def _model_of(rows: int, cols: int, coupling, field_z: float) -> tuple[HoneycombLattice, PauliSum, PauliSum]:
+    lat = lattice_mod.build_lattice(rows, cols)
+    return lat, lattice_mod.kitaev_hamiltonian(lat, coupling), lattice_mod.kitaev_hamiltonian(lat, coupling, field_z)
 
 
 def _load_artifact(out_dir: Path, name: str, config: RunConfig, keys: tuple[str, ...]) -> dict:
@@ -199,8 +202,7 @@ def _field_engine(config: RunConfig, reference: StateVector, h: PauliSum) -> Gre
 # ---------------------------------------------------------------------------
 
 def cmd_vqe(config: RunConfig, out_dir: Path) -> None:
-    lat = _build_lattice(config)
-    h0, _ = _hamiltonians(config, lat)
+    lat, h0, _ = _model(config)
     ranked = vqe.rank_sectors(lat, h0)  # depth-independent: one ranking serves every depth
 
     def train(layers: int) -> vqe.VqeResult:
@@ -235,8 +237,7 @@ def cmd_vqe(config: RunConfig, out_dir: Path) -> None:
 
 
 def cmd_qse(config: RunConfig, out_dir: Path) -> None:
-    lat = _build_lattice(config)
-    _, h = _hamiltonians(config, lat)
+    lat, _, h = _model(config)
     reference = _vqe_reference(lat, out_dir, config)
 
     exact_energy = oracle.diagonalize(h).ground_energy
@@ -288,8 +289,7 @@ def cmd_qse(config: RunConfig, out_dir: Path) -> None:
 
 
 def cmd_greens(config: RunConfig, out_dir: Path) -> None:
-    lat = _build_lattice(config)
-    _, h = _hamiltonians(config, lat)
+    lat, _, h = _model(config)
     engine = _field_engine(config, _vqe_reference(lat, out_dir, config), h)
     site_a, site_b = (s - 1 for s in config.gf.site_pair)
     omega = config.gf.omega_grid()
@@ -332,7 +332,7 @@ def cmd_greens(config: RunConfig, out_dir: Path) -> None:
 
 
 def cmd_dsf(config: RunConfig, out_dir: Path) -> None:
-    lat = _build_lattice(config)
+    lat, _, _ = _model(config)
     reference = _vqe_reference(lat, out_dir, config)
     omega = config.dsf.omega_grid()
     delta = config.dsf.delta
@@ -385,8 +385,7 @@ def fixture_entry(label: str, h: PauliSum, decomp: SpectralDecomposition) -> dic
 
 
 def cmd_ed_reference(config: RunConfig, out_dir: Path) -> None:
-    lat = _build_lattice(config)
-    h0, h = _hamiltonians(config, lat)
+    lat, h0, h = _model(config)
     decomp = oracle.diagonalize(h)  # first: with a field, h is the one the dense cap refuses
     entries = [
         fixture_entry(f"h0_j{config.coupling}", h0, oracle.diagonalize(h0)),

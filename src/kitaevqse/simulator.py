@@ -35,6 +35,7 @@ alone, so a stacked row equals :func:`evolve` of it bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby
 from typing import Callable, Literal, NamedTuple, Sequence
 
@@ -123,16 +124,14 @@ class EvolutionOperator:
     """Time evolution V(t) = exp(-i t H), exact or second-order Trotterized.
 
     ``term_ordering`` is the fixed group list used by the symmetrized
-    product, :func:`grouped_by_axis` of the Hamiltonian.
+    product, :func:`grouped_by_axis` of the Hamiltonian, built on first read.
     """
 
     hamiltonian: PauliSum
     mode: Literal["exact", "trotter2"] = "exact"
     trotter_steps: int = 1
-    term_ordering: list[list[PauliTerm]] = field(init=False, repr=False, compare=False)
     _eigenvalues: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _spectrum: SpectralDecomposition | None = field(default=None, init=False, repr=False, compare=False)
-    _fused: FusedSchedule | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in ("exact", "trotter2"):
@@ -143,7 +142,10 @@ class EvolutionOperator:
             raise SimulationError("evolution requires a Hermitian Hamiltonian")
         if len(self.hamiltonian) == 0:
             raise SimulationError("evolution requires a non-empty Hamiltonian")
-        self.term_ordering = grouped_by_axis(self.hamiltonian)
+
+    @cached_property
+    def term_ordering(self) -> list[list[PauliTerm]]:
+        return grouped_by_axis(self.hamiltonian)
 
     def _eigendecomposition(self) -> SpectralDecomposition:
         if self._spectrum is None:
@@ -151,11 +153,10 @@ class EvolutionOperator:
             self._eigenvalues = self._spectrum.eigenvalues
         return self._spectrum
 
+    @cached_property
     def _fused_schedule(self) -> FusedSchedule:
         """:func:`fuse_diagonal_runs` of the unit-time schedule, compiled on first use."""
-        if self._fused is None:
-            self._fused = fuse_diagonal_runs(trotter_schedule(self, 1.0), self.hamiltonian.num_sites)
-        return self._fused
+        return fuse_diagonal_runs(trotter_schedule(self, 1.0), self.hamiltonian.num_sites)
 
 
 def _evolve_exact(op: EvolutionOperator, amplitudes: np.ndarray, t: float) -> np.ndarray:
@@ -270,7 +271,7 @@ def _evolve_trotter2(op: EvolutionOperator, amplitudes: np.ndarray, times: Seque
     """
     out = np.array(amplitudes, dtype=complex, order="C")
     times = np.asarray(times, dtype=float)
-    schedule = op._fused_schedule()
+    schedule = op._fused_schedule
     rows = stack_rows(op.hamiltonian.num_sites)
     for start in range(0, len(out), rows):
         block, t = out[start:start + rows], times[start:start + rows, None]

@@ -335,6 +335,7 @@ class TestPipeline:
         }
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps(config))
+        cli._model_of.cache_clear()
         built = []
         original = oracle._factorize_blocks
         monkeypatch.setattr(oracle, "_factorize_blocks", lambda h: built.append(h) or original(h))
@@ -346,7 +347,46 @@ class TestPipeline:
         # qse: ED energy and exact V(t) for one Hamiltonian; dsf: one per field
         assert counts["qse"] == 1
         assert counts["dsf"] == 2
-        assert counts["greens"] <= 1  # 0 if the qse stage's Hamiltonian is still alive
+        assert counts["greens"] == 0  # the process's model keeps the qse stage's Hamiltonian alive
+
+    def test_all_factorizes_each_distinct_hamiltonian_once(self, tmp_path, monkeypatch):
+        # the DSF fields include 0, which is h0, and field_z, which is h
+        config = {
+            **FAST_CONFIG,
+            "field_z": 0.23,
+            "vqe": {**FAST_CONFIG["vqe"], "layer_sweep": [1]},
+            "dsf": {**FAST_CONFIG["dsf"], "h_values": [0.0, 0.23, 0.29]},
+        }
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(config))
+        cli._model_of.cache_clear()
+        monkeypatch.setattr(oracle, "_DECOMPOSITIONS", weakref.WeakKeyDictionary())  # no equal h0 cached
+        built = []  # the terms only: holding a sum would keep its factorization cached
+        original = oracle._factorize_blocks
+        monkeypatch.setattr(oracle, "_factorize_blocks", lambda h: built.append(h.terms) or original(h))
+        assert main(["all", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
+        lat = lattice.build_lattice(2, 2)
+        distinct = [lattice.kitaev_hamiltonian(lat, -1.0, hz).terms for hz in (None, 0.23, 0.29)]
+        # one call per distinct sum, whichever stage asks first
+        assert sorted(map(distinct.index, built)) == [0, 1, 2]
+
+    @pytest.mark.parametrize("changes", [
+        {"field_z": 0.31},
+        {"coupling": [-1.0, -1.0, -1.0]},
+        {"coupling": [-1.0, -0.5, 0.7]},
+        {"lattice": {"rows": 3, "cols": 2}},
+    ])
+    def test_model_is_built_for_its_own_config(self, changes):
+        # the memo keeps one model: the next config's is built afresh, never handed the last one
+        cli._model_of.cache_clear()
+        cli._model(config_from_dict(FAST_CONFIG))
+        config = config_from_dict({**FAST_CONFIG, **changes})
+        lat, h0, h = cli._model(config)
+        fresh = lattice.build_lattice(config.lattice.rows, config.lattice.cols)
+        assert lat.to_fixture_dict() == fresh.to_fixture_dict()
+        assert h0 == lattice.kitaev_hamiltonian(fresh, config.coupling)
+        assert h == lattice.kitaev_hamiltonian(fresh, config.coupling, config.field_z)
+        assert all(a is b for a, b in zip(cli._model(config), (lat, h0, h)))
 
     def test_all_runs_without_a_dense_eigenbasis(self, tmp_path, monkeypatch):
         # exact mode and ED change basis through the symmetry blocks alone: no

@@ -125,6 +125,16 @@ class TestGrouping:
         groups = grouped_by_axis(mixed)
         assert [len(g) for g in groups] == [1, 1]
 
+    def test_grouped_only_when_read(self, h_8, monkeypatch):
+        # exact V(t) never reads the Trotter grouping, so building one groups nothing
+        calls = []
+        monkeypatch.setattr(simulator, "grouped_by_axis", lambda h: calls.append(h) or grouped_by_axis(h))
+        op = EvolutionOperator(h_8)
+        evolve(random_state(8, 3), op, 0.4)
+        assert calls == []
+        assert op.term_ordering == grouped_by_axis(h_8) and calls == [h_8]
+        assert op.term_ordering is op.term_ordering and len(calls) == 1
+
 
 class TestEvolve:
     def test_exact_matches_expm(self, h_8, evolution_8):
@@ -315,7 +325,7 @@ class TestFusedSchedule:
         assert all(rows == 1 and flip != 0 for rows, flip in passes)
         # the Z singles, the ZZ bonds, then the trailing and leading Z singles of adjacent
         # steps as one run: 2r + 1 diagonal runs, of 2 distinct exponents at r=1 and 3 after
-        compiled = op._fused_schedule()
+        compiled = op._fused_schedule
         assert sum(isinstance(gate, int) for gate in compiled.gates) == 2 * steps + 1
         assert len(compiled.exponents) == min(steps, 2) + 1
 
