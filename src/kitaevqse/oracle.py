@@ -336,12 +336,13 @@ class SpectralDecomposition:
         return out.transpose(1, 0, 2).reshape(*rows.shape[:-1], blocks * size)
 
     def phases(self, delta_t: float, count: int) -> np.ndarray:
-        """Read-only table exp(-i E_n m dt), m = 0 .. count-1, built once per (dt, count)."""
-        key = (delta_t, count)
-        if key not in self._phase_tables:
+        """Read-only table exp(-i E_n m dt), m = 0 .. count-1: the leading rows of one table per dt,
+        rebuilt to ``count`` rows when a longer one is asked. Row m is the same whatever the count."""
+        table = self._phase_tables.get(delta_t)
+        if table is None or len(table) < count:
             table = np.exp(-1j * delta_t * np.outer(np.arange(count), self.eigenvalues))
-            self._phase_tables[key] = _read_only(table)
-        return self._phase_tables[key]
+            self._phase_tables[delta_t] = _read_only(table)
+        return table[:count]
 
     def sector_ground_energies(self) -> np.ndarray:
         """The lowest eigenvalue of each of the frame's 2^k sector sums: :meth:`TaperedSum.block_stack`

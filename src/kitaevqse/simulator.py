@@ -21,15 +21,22 @@ Trotter evolution runs :func:`trotter_schedule`, the logical gate list that
 once, on its first trotter2 evolve, and fuses every maximal run of
 consecutive Z-only rotations (the Z singles and the ZZ bonds, diagonal in
 the computational basis) into one real exponent per unit time, applied as
-one elementwise phase. The kernel, :func:`_evolve_trotter2`, evolves a stack
-of states, each at its own time: every gate makes one pass over a chunk of
-rows, an off-diagonal rotation one gather on the flattened chunk through its
-term's action padded with the row bits. A chunk holds the largest power of
-two of rows within ``STACK_AMPLITUDES`` = 4096 amplitudes: 16 rows at N=8,
-where per-gate numpy overhead dominates, and one row from N=12 on, where a
-gather over a two-row chunk already ran slower than two one-row passes
-(0.8x at N=12). Each row gets exactly the arithmetic of rotating that state
-alone, so a stacked row equals :func:`evolve` of it bit for bit.
+one elementwise phase. It then lays the fused form out on the Hamiltonian's
+Z-syndrome blocks (``oracle.symmetry_blocks``; one block when it has no Z
+symmetry): every term maps each block onto itself, and every flip permutes
+the local positions of all blocks alike (:class:`BlockSchedule`). The
+kernel, :func:`_evolve_trotter2`, evolves a stack of states, each at its own
+time, only on the blocks where each has weight: a state is one block-local
+row per block it occupies, and every gate makes one pass over a chunk of
+block-local rows, an off-diagonal rotation one gather on the flattened chunk
+through its term's local action padded with the row bits. A chunk holds
+``STACK_AMPLITUDES`` = 4096 amplitudes' worth of rows, at least one: 64 rows
+of 64 at N=8 (4 blocks), 2 of 2048 at N=12 (2 blocks), 1 of 16384 at N=16
+(4 blocks). A state in one block, as every QSE ground-state basis state is,
+so costs a quarter of the register's gate work at N=8 and N=16. Each
+amplitude gets exactly the arithmetic of rotating that state alone on the
+full register, and amplitudes off its blocks stay +0.0, so a stacked row
+equals :func:`evolve` of it bit for bit.
 """
 
 from __future__ import annotations
@@ -41,11 +48,11 @@ from typing import Callable, Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .oracle import SpectralDecomposition, diagonalize
+from .oracle import SpectralDecomposition, _read_only, diagonalize, symmetry_blocks
 from .pauli import PauliSum, PauliTerm, apply_sum
 
 EXPECTATION_IMAG_TOL = 1e-12  # relative imaginary residue <psi|H|psi> may carry
-STACK_AMPLITUDES = 1 << 12  # amplitudes per stacked trotter2 gate pass; N >= 12 runs one row at a time
+STACK_AMPLITUDES = 1 << 12  # amplitudes per trotter2 gate pass, in whole block-local rows (chunk_rows)
 
 
 class SimulationError(ValueError):
@@ -156,7 +163,12 @@ class EvolutionOperator:
     @cached_property
     def _fused_schedule(self) -> FusedSchedule:
         """:func:`fuse_diagonal_runs` of the unit-time schedule, compiled on first use."""
-        return fuse_diagonal_runs(trotter_schedule(self, 1.0), self.hamiltonian.num_sites)
+        return fuse_diagonal_runs(trotter_schedule(self, 1.0))
+
+    @cached_property
+    def _block_schedule(self) -> BlockSchedule:
+        """The fused schedule on the Hamiltonian's symmetry blocks (:func:`restrict_to_blocks`), on first use."""
+        return restrict_to_blocks(self._fused_schedule, symmetry_blocks(self.hamiltonian))
 
 
 def _evolve_exact(op: EvolutionOperator, amplitudes: np.ndarray, t: float) -> np.ndarray:
@@ -192,125 +204,168 @@ def trotter_schedule(op: EvolutionOperator, t: float) -> list[tuple[PauliTerm, f
 
 
 class FusedSchedule(NamedTuple):
-    """A unit-time rotation schedule in the form :func:`_evolve_trotter2` runs.
+    """A unit-time rotation schedule with its diagonal runs fused, on the full register.
 
     ``gates`` holds, in order, an int per diagonal run (its index in
-    ``exponents``) and, per off-diagonal rotation, its term's action padded
-    to one chunk of rows (:func:`padded_action`). ``angles`` and
-    ``coefficients`` hold each off-diagonal rotation's unit-time angle and
-    real coefficient, in gate order.
+    ``exponents``) and the term of each off-diagonal rotation. ``angles``
+    and ``coefficients`` hold each off-diagonal rotation's unit-time angle
+    and real coefficient, in gate order. :func:`restrict_to_blocks` turns it
+    into the :class:`BlockSchedule` that :func:`_evolve_trotter2` runs.
     """
 
-    gates: list[int | tuple[np.ndarray, np.ndarray | None]]
+    gates: list[int | PauliTerm]
     exponents: list[np.ndarray]
     angles: np.ndarray
     coefficients: np.ndarray
 
 
-def fuse_diagonal_runs(schedule: list[tuple[PauliTerm, float]], num_sites: int) -> FusedSchedule:
+def fuse_diagonal_runs(schedule: list[tuple[PauliTerm, float]]) -> FusedSchedule:
     """The :class:`FusedSchedule` of a unit-time rotation schedule.
 
     Each maximal run of consecutive Z-only rotations, which are diagonal and
     commute, becomes an int gate: the index of its real exponent
     d = sum_k (a_k c_k / 2) phase_k in ``exponents``, so the run at time t
     is exp(-i t d) elementwise. Runs of the same rotations share one exponent.
-    A rotation whose flip mask is nonzero stays a gate of its own, and each
-    distinct Pauli string is padded once.
+    A rotation whose flip mask is nonzero stays a gate of its own.
     """
-    rows = stack_rows(num_sites)
-    gates: list[int | tuple[np.ndarray, np.ndarray | None]] = []
+    gates: list[int | PauliTerm] = []
     runs: dict[tuple[tuple[PauliTerm, float], ...], int] = {}
-    actions: dict[str, tuple[np.ndarray, np.ndarray | None]] = {}
     angles, coefficients = [], []
     for diagonal, run in groupby(schedule, key=lambda gate: gate[0].masks[0] == 0):
         if diagonal:
             gates.append(runs.setdefault(tuple(run), len(runs)))
             continue
         for term, angle in run:
-            if term.axes not in actions:
-                actions[term.axes] = padded_action(term, rows)
-            gates.append(actions[term.axes])
+            gates.append(term)
             angles.append(angle)
             coefficients.append(term.coefficient.real)
     exponents = [sum(0.5 * angle * term.coefficient.real * term.action[1].real for term, angle in run) for run in runs]
     return FusedSchedule(gates, exponents, np.array(angles, dtype=float), np.array(coefficients, dtype=float))
 
 
-def stack_rows(num_sites: int) -> int:
-    """Rows per stacked gate pass: the largest power of two with rows * 2^N <= STACK_AMPLITUDES, at least one."""
-    return max(1, STACK_AMPLITUDES >> num_sites)
+class BlockSchedule(NamedTuple):
+    """A :class:`FusedSchedule` on the Z-syndrome blocks of its Hamiltonian.
 
-
-def padded_action(term: PauliTerm, rows: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """``term.action`` as (rows, 2^N) arrays over a flattened chunk of rows.
-
-    Row j reads row j of the chunk: src_pad[j] = (j << N) | src, and the
-    phase is tiled per row. The phase is None for a string without Z or Y
-    sites (sign mask 0), where it is +1 everywhere.
+    Row b of ``members`` lists block b's states in ascending order. Block b
+    is the coset m_b ^ K of the syndrome-0 block K, m_b its smallest state,
+    and XOR with m_b keeps K's order (the top bit of any k ^ k' in K is clear
+    in m_b), so local position i holds m_b ^ K[i]. Every term's flip lies in
+    K and so permutes the local positions of every block alike, and rows of
+    different blocks share a gate pass. ``gates`` holds, in order, an int per
+    diagonal run (its index in ``exponents``) and, per off-diagonal
+    rotation, (src, phase): src the local gather padded to a chunk of
+    :func:`chunk_rows` rows, row j of the flattened chunk reading row j, and
+    phase the index in ``phases`` of the term's phase, None for a string
+    without Z or Y sites (sign mask 0), where it is +1 everywhere. The
+    phases and ``exponents`` are full-register arrays, read at each chunk's
+    basis states.
     """
-    src, phase = term.action
-    phase = None if term.masks[1] == 0 else phase[None, :]
-    if rows == 1:
-        return src[None, :], phase
-    src = (np.arange(rows, dtype=np.int64)[:, None] << term.num_sites) | src
-    src.flags.writeable = False
-    if phase is not None:
-        phase = np.tile(phase, (rows, 1))
-        phase.flags.writeable = False
-    return src, phase
+
+    members: np.ndarray
+    gates: list[int | tuple[np.ndarray, int | None]]
+    phases: list[np.ndarray]
+    exponents: list[np.ndarray]
+    angles: np.ndarray
+    coefficients: np.ndarray
+
+
+def chunk_rows(block_size: int) -> int:
+    """Block-local rows per gate pass: rows * block_size <= STACK_AMPLITUDES, at least one."""
+    return max(1, STACK_AMPLITUDES // block_size)
+
+
+def restrict_to_blocks(schedule: FusedSchedule, blocks: Sequence[np.ndarray]) -> BlockSchedule:
+    """The :class:`BlockSchedule` of ``schedule`` on ``blocks``, :func:`oracle.symmetry_blocks` of its
+    Hamiltonian: a term's local gather is its flip read on K through K's inverse position map, once per
+    distinct Pauli string."""
+    kernel = blocks[0]
+    size = kernel.size
+    position = np.empty(kernel[-1] + 1, dtype=np.int64)
+    position[kernel] = np.arange(size)
+    padding = np.arange(chunk_rows(size), dtype=np.int64)[:, None] * size
+    actions: dict[str, tuple[np.ndarray, int | None]] = {}
+    phases: list[np.ndarray] = []
+    for term in schedule.gates:
+        if isinstance(term, PauliTerm) and term.axes not in actions:
+            src, phase = term.action
+            local = _read_only(padding + position[src[kernel]])
+            if term.masks[1] == 0:
+                actions[term.axes] = local, None
+            else:
+                actions[term.axes] = local, len(phases)
+                phases.append(phase)
+    gates = [gate if isinstance(gate, int) else actions[gate.axes] for gate in schedule.gates]
+    members = _read_only(np.stack(blocks))
+    return BlockSchedule(members, gates, phases, schedule.exponents, schedule.angles, schedule.coefficients)
 
 
 def _evolve_trotter2(op: EvolutionOperator, amplitudes: np.ndarray, times: Sequence[float]) -> np.ndarray:
     """V(times[j]) applied to row j of a (k, 2^N) stack, as a new stack.
 
-    Each gate of the compiled schedule makes one pass over a chunk of
-    :func:`stack_rows` rows. Per row this is the arithmetic of
-    :func:`_rotation_inplace`, theta = (0.5 * angle * t) * c and
-    psi <- cos(theta) psi - i sin(theta) phase * psi[src], with the fused
-    diagonal runs as exp(-i t d).
+    Each row is split into block-local rows, one per symmetry block where it
+    has a nonzero amplitude; it stays zero on every other block. Every gate
+    of the operator's :class:`BlockSchedule` makes one pass over a chunk of
+    :func:`chunk_rows` block-local rows. Per amplitude this is the
+    arithmetic of :func:`_rotation_inplace`, theta = (0.5 * angle * t) * c
+    and psi <- cos(theta) psi - i sin(theta) phase * psi[src], with the
+    fused diagonal runs as exp(-i t d).
     """
-    out = np.array(amplitudes, dtype=complex, order="C")
-    times = np.asarray(times, dtype=float)
-    schedule = op._fused_schedule
-    rows = stack_rows(op.hamiltonian.num_sites)
-    for start in range(0, len(out), rows):
-        block, t = out[start:start + rows], times[start:start + rows, None]
-        flat = block.reshape(-1)  # a view: the block is a run of C-ordered rows
-        diagonals = [np.exp(-1j * t * d) for d in schedule.exponents]
-        theta = 0.5 * (schedule.angles[:, None, None] * t) * schedule.coefficients[:, None, None]
-        cos, minus_i_sin = np.cos(theta), -1j * np.sin(theta)
-        if len(block) == 1:  # one row takes plain scalars, cheaper than a (1, 1) view per gate
-            cos, minus_i_sin = cos.ravel().tolist(), minus_i_sin.ravel().tolist()
-        rotations = zip(cos, minus_i_sin)  # one (cos, -i sin) per off-diagonal gate, in order
-        for gate in schedule.gates:
-            if isinstance(gate, int):
-                block *= diagonals[gate]
-            else:
-                _rotate_rows(block, flat, *gate, *next(rotations))
+    schedule = op._block_schedule
+    amplitudes, times = np.asarray(amplitudes, dtype=complex), np.asarray(times, dtype=float)
+    rows, labels = np.nonzero((amplitudes != 0).take(schedule.members, axis=1).any(axis=2))
+    index = schedule.members[labels]
+    local = amplitudes[rows[:, None], index]  # C-ordered (m, size): each chunk below is a run of whole rows
+    step = chunk_rows(schedule.members.shape[1])
+    for start in range(0, len(local), step):
+        part = slice(start, start + step)
+        t = times[rows[part], None]  # one row's blocks share its time
+        _run_chunk(schedule, local[part], t[:1] if rows[part][-1] == rows[start] else t, index[part])
+    out = np.zeros(amplitudes.shape, dtype=complex)
+    out[rows[:, None], index] = local
     return out
 
 
+def _run_chunk(schedule: BlockSchedule, chunk: np.ndarray, t: np.ndarray, index: np.ndarray) -> None:
+    """Every gate of ``schedule`` on a C-ordered chunk of block-local rows, in place: row j holds
+    basis states index[j] at time t[j, 0], or all rows are at t[0, 0] when t has one row."""
+    flat = chunk.reshape(-1)  # a view: the chunk is a run of C-ordered rows
+    diagonals = [np.exp(-1j * t * d[index]) for d in schedule.exponents]
+    phases = [phase[index] for phase in schedule.phases]
+    theta = 0.5 * (schedule.angles[:, None, None] * t) * schedule.coefficients[:, None, None]
+    cos, minus_i_sin = np.cos(theta), -1j * np.sin(theta)
+    if len(t) == 1:  # one time takes plain scalars, cheaper than a (k, 1) column per gate
+        cos, minus_i_sin = cos.ravel().tolist(), minus_i_sin.ravel().tolist()
+    rotations = zip(cos, minus_i_sin)  # one (cos, -i sin) per off-diagonal gate, in order
+    for gate in schedule.gates:
+        if isinstance(gate, int):
+            chunk *= diagonals[gate]
+        else:
+            src, phase = gate
+            _rotate_rows(chunk, flat, src, None if phase is None else phases[phase], *next(rotations))
+
+
 def _rotate_rows(
-    block: np.ndarray,
+    chunk: np.ndarray,
     flat: np.ndarray,
     src: np.ndarray,
     phase: np.ndarray | None,
     cos: np.ndarray,
     minus_i_sin: np.ndarray,
 ) -> None:
-    """One off-diagonal rotation of every row of a (k, 2^N) block, in place.
+    """One off-diagonal rotation of every row of a (k, size) chunk of block-local rows, in place.
 
-    ``flat`` is the block's flattened view, which the padded action
-    (:func:`padded_action`, at least k rows) gathers from; ``cos`` and
-    ``minus_i_sin`` are (k, 1) columns, or scalars when k = 1.
+    ``flat`` is the chunk's flattened view, which the padded local gather
+    (:class:`BlockSchedule`, at least k rows) reads from; ``phase`` is
+    (k, size); ``cos`` and ``minus_i_sin`` are (k, 1) columns, or scalars
+    when the rows share one time.
     """
-    k = len(block)
+    k = len(chunk)
     rotated = flat[src[:k]]
     if phase is not None:
-        rotated *= phase[:k]
-    block *= cos
+        rotated *= phase
+    chunk *= cos
     rotated *= minus_i_sin
-    block += rotated
+    chunk += rotated
 
 
 def evolve(state: StateVector, op: EvolutionOperator, t: float) -> StateVector:

@@ -85,6 +85,45 @@ def trotter_rotation_by_rotation(op, amplitudes: np.ndarray, t: float) -> np.nda
     return out
 
 
+def full_register_trotter2(op, amplitudes: np.ndarray, times) -> np.ndarray:
+    """trotter2 V(times[j]) on row j of a (k, 2^N) stack by the full-register chunk loop, the
+    bit-for-bit reference for the block-local kernel: every gate of the operator's fused schedule
+    makes one pass over chunks of the largest power of two of rows within 4096 amplitudes, each
+    off-diagonal rotation one gather through its term's action padded with the row bits."""
+    n, schedule = op.hamiltonian.num_sites, op._fused_schedule
+    rows = max(1, 4096 >> n)
+    padded = {}
+    for term in schedule.gates:
+        if not isinstance(term, int) and term.axes not in padded:
+            src, phase = term.action
+            padded[term.axes] = ((np.arange(rows, dtype=np.int64)[:, None] << n) | src,
+                                 None if term.masks[1] == 0 else np.tile(phase, (rows, 1)))
+    out = np.array(amplitudes, dtype=complex, order="C")
+    times = np.asarray(times, dtype=float)
+    for start in range(0, len(out), rows):
+        block, t = out[start:start + rows], times[start:start + rows, None]
+        flat, k = block.reshape(-1), len(block)
+        diagonals = [np.exp(-1j * t * d) for d in schedule.exponents]
+        theta = 0.5 * (schedule.angles[:, None, None] * t) * schedule.coefficients[:, None, None]
+        cos, minus_i_sin = np.cos(theta), -1j * np.sin(theta)
+        if k == 1:
+            cos, minus_i_sin = cos.ravel().tolist(), minus_i_sin.ravel().tolist()
+        rotations = zip(cos, minus_i_sin)
+        for gate in schedule.gates:
+            if isinstance(gate, int):
+                block *= diagonals[gate]
+                continue
+            c, minus_i_s = next(rotations)
+            src, phase = padded[gate.axes]
+            rotated = flat[src[:k]]
+            if phase is not None:
+                rotated *= phase[:k]
+            block *= c
+            rotated *= minus_i_s
+            block += rotated
+    return out
+
+
 def basis_states(basis) -> np.ndarray:
     """(n_phi, 2^N) basis states V(t_b)|ref> in index order: a trotter2 basis's own stack, or,
     for an exact basis, which holds none, one batched exact evolution at the grid times."""

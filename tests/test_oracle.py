@@ -127,6 +127,21 @@ class TestSymmetryBlocks:
                 if i != j:
                     assert not np.any(mat[np.ix_(rows, cols)])
 
+    @pytest.mark.parametrize("cells", [(2, 2), (3, 2), (4, 2)])
+    @pytest.mark.parametrize("field", [0.0, 0.1, [0.3, 0.0, 0.3]], ids=["h0", "field_z", "tilted"])
+    def test_every_flip_maps_each_block_onto_itself(self, cells, field):
+        # trotter2 V(t) runs every block in the local order of block 0: block b is the coset
+        # block_b[0] ^ block 0, in that order, and every term's flip permutes each block
+        from kitaevqse.lattice import build_lattice, kitaev_hamiltonian
+
+        h = kitaev_hamiltonian(build_lattice(*cells), -1.0, field)
+        blocks = oracle.symmetry_blocks(h)
+        assert len(blocks) == (1 if isinstance(field, list) else {8: 4, 12: 2, 16: 4}[h.num_sites])
+        for block in blocks:
+            assert np.array_equal(block[0] ^ blocks[0], block)
+            for term in h.terms:
+                assert np.array_equal(np.sort(term.action[0][block]), block)
+
     def test_degenerate_ground_space_needs_explicit_vector(self):
         from kitaevqse import cli, greens
 
@@ -378,6 +393,18 @@ class TestFactorizationCache:
             dec.ground_space()[0, 0] = 1.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             dec.eigenvalues = np.zeros(8)
+
+    def test_one_phase_table_per_step_grown_to_the_longest_count(self):
+        h = _chain(0.41)
+        dec = diagonalize(h)
+        shorter = dec.phases(0.25, 3)
+        dec.phases(0.25, 31)
+        seven = dec.phases(0.25, 7)
+        assert list(dec._phase_tables) == [0.25] and len(dec._phase_tables[0.25]) == 31
+        assert np.array_equal(seven, np.exp(-1j * 0.25 * np.outer(np.arange(7), dec.eigenvalues)))
+        assert np.array_equal(shorter, seven[:3])
+        with pytest.raises(ValueError):
+            seven[0, 0] = 0.0
 
     def test_cap_checked_before_lookup(self, built, no_blocks):
         # the 16-site field model keeps its two Z-syndromes only: 2^(32-2) entries, refused on

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kitaevqse import simulator
+from kitaevqse import oracle, simulator
 from kitaevqse.pauli import PauliTerm, pauli_sum, single_site, to_matrix, two_site
 from kitaevqse.simulator import (
     EvolutionOperator,
@@ -19,13 +19,22 @@ from kitaevqse.simulator import (
     grouped_by_axis,
 )
 
-from helpers import term_to_matrix, trotter_rotation_by_rotation
+from helpers import full_register_trotter2, term_to_matrix, trotter_rotation_by_rotation
 
 
 def random_state(n, seed=0):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     return StateVector(amps / np.linalg.norm(amps), n)
+
+
+def one_block_state(h, seed=0, block=0):
+    """A normalized random state on one of ``h``'s symmetry blocks, zero on the others."""
+    rng = np.random.default_rng(seed)
+    index = oracle.symmetry_blocks(h)[block]
+    amps = np.zeros(1 << h.num_sites, dtype=complex)
+    amps[index] = rng.normal(size=index.size) + 1j * rng.normal(size=index.size)
+    return StateVector(amps / np.linalg.norm(amps), h.num_sites)
 
 
 def rotate(state, term, angle):
@@ -308,21 +317,21 @@ class TestFusedSchedule:
     def test_z_field_step_runs_sixteen_rotations(self, h_8, steps, monkeypatch):
         # per step the schedule holds 36 rotations: 8 Z singles twice, 4 ZZ bonds,
         # and the 4 XX and 4 YY bonds twice; only the 16 bond rotations off the diagonal run,
-        # each as one pass over the stack (here one row)
+        # each as one pass over the state's one block of 64 amplitudes
         passes = []
         rotate_rows = simulator._rotate_rows
 
         def counted(block, flat, src, *rest):
-            passes.append((len(block), src[0, 0]))
+            passes.append((block.shape, src[0, 0]))
             rotate_rows(block, flat, src, *rest)
 
         monkeypatch.setattr(simulator, "_rotate_rows", counted)
         op = EvolutionOperator(h_8, mode="trotter2", trotter_steps=steps)
         assert len(simulator.trotter_schedule(op, 0.4)) == 36 * steps
-        evolve(random_state(8, 23), op, 0.4)
+        evolve(one_block_state(h_8, 23), op, 0.4)
         assert len(passes) == 16 * steps
-        # row 0 of a padded action reads src[0] = the flip mask, nonzero off the diagonal
-        assert all(rows == 1 and flip != 0 for rows, flip in passes)
+        # local position 0 reads the position of its state ^ flip, never itself off the diagonal
+        assert all(shape == (1, 64) and src != 0 for shape, src in passes)
         # the Z singles, the ZZ bonds, then the trailing and leading Z singles of adjacent
         # steps as one run: 2r + 1 diagonal runs, of 2 distinct exponents at r=1 and 3 after
         compiled = op._fused_schedule
@@ -383,33 +392,74 @@ class TestStackedEvolution:
         for row, amplitudes, t in zip(rows, stack, times):
             assert np.array_equal(row, evolve(StateVector(amplitudes, 8), op, t).amplitudes)
 
+    @pytest.mark.parametrize("case", [f"{n}-{f}" for n in FUSED_SHAPES for f in FUSED_FIELDS])
+    def test_rows_equal_the_full_register_loop_bit_for_bit(self, case):
+        # rows in one block, in two (an X seed), on every block and all zero; the tilted
+        # field has no Z symmetry, so its one block is the whole register
+        from kitaevqse.lattice import build_lattice, kitaev_hamiltonian
+        from kitaevqse.pauli import apply_term
+
+        shape, field = case.split("-")
+        h = kitaev_hamiltonian(build_lattice(*FUSED_SHAPES[shape]), -1.0, FUSED_FIELDS[field])
+        n = h.num_sites
+        one = [one_block_state(h, seed).amplitudes for seed in (36, 37)]
+        seeds = [row + apply_term(single_site("X", 0, n), row) for row in one]
+        full, _ = self.stack_and_times(n, 2, 38)
+        stack = np.stack([*one, *seeds, *full, np.zeros(1 << n)])
+        times = np.resize(self.TIMES, len(stack))
+        for steps in (1, 5):
+            op = EvolutionOperator(h, mode="trotter2", trotter_steps=steps)
+            for rows in ([0], [0, 1], [2, 3], [4, 5], [6], list(range(7))):
+                out = evolve_stack(op, stack[rows], times[rows])
+                assert np.array_equal(out, full_register_trotter2(op, stack[rows], times[rows]))
+            assert not np.any(out[6]) and not np.signbit(out[6].view(float)).any()
+
     def test_chunk_rows(self):
-        # the largest power of two of rows with rows * 2^N <= 4096 amplitudes, at least one
+        # block-local rows within 4096 amplitudes, at least one: 64 rows of the 4 blocks of 64
+        # at N=8, 2 of the 2 of 2048 at N=12, 1 of the 4 of 16384 at N=16
+        from kitaevqse.lattice import build_lattice, kitaev_hamiltonian
+
         assert simulator.STACK_AMPLITUDES == 4096
-        assert [simulator.stack_rows(n) for n in (1, 8, 10, 12, 13, 16)] == [2048, 16, 4, 1, 1, 1]
+        sizes = [oracle.symmetry_blocks(kitaev_hamiltonian(build_lattice(*cells), -1.0, 0.1))[0].size
+                 for cells in ((2, 2), (3, 2), (4, 2))]
+        assert sizes == [64, 2048, 16384]
+        assert [simulator.chunk_rows(size) for size in (*sizes, 1, 256)] == [64, 2, 1, 4096, 16]
 
     def test_one_pass_per_gate_per_chunk(self, h_8, monkeypatch):
+        # a row is one block-local row per block it occupies, and rows of every block share chunks
         passes = []
         rotate_rows = simulator._rotate_rows
         monkeypatch.setattr(simulator, "_rotate_rows",
                             lambda block, *rest: passes.append(len(block)) or rotate_rows(block, *rest))
         op = EvolutionOperator(h_8, mode="trotter2", trotter_steps=2)
-        evolve_stack(op, *self.stack_and_times(8, 3, 33))
-        assert passes == [3] * 32
-        passes.clear()
-        evolve_stack(op, *self.stack_and_times(8, 17, 34))
-        assert passes == [16] * 32 + [1] * 32
+        one_block = np.stack([one_block_state(h_8, seed).amplitudes for seed in range(3)])
+        for stack, expected in [
+            (one_block, [3] * 32),
+            (self.stack_and_times(8, 1, 33)[0], [4] * 32),
+            (self.stack_and_times(8, 3, 33)[0], [12] * 32),
+            (self.stack_and_times(8, 17, 34)[0], [64] * 32 + [4] * 32),
+        ]:
+            passes.clear()
+            evolve_stack(op, stack, np.resize(self.TIMES, len(stack)))
+            assert passes == expected
 
     def test_padded_actions(self):
-        # row j of the flattened chunk reads row j; an X string's all-+1 phase is dropped
-        xx, yz = PauliTerm(0.5, "XXI"), PauliTerm(0.5, "YIZ")
-        src, phase = simulator.padded_action(xx, 4)
-        assert phase is None
-        assert np.array_equal(src, [(j << 3) | xx.action[0] for j in range(4)])
-        src, phase = simulator.padded_action(yz, 4)
-        assert np.array_equal(phase, [yz.action[1]] * 4)
-        src, phase = simulator.padded_action(yz, 1)
-        assert src.base is yz.action[0] and phase.base is yz.action[1]  # one row shares the action
+        # XXI and YIY flip 110 and 101, so Z on every site is the one Z symmetry: blocks
+        # {0, 3, 5, 6} and {1, 2, 4, 7} = 1 ^ {0, 3, 5, 6}
+        h = pauli_sum([PauliTerm(0.5, "XXI"), PauliTerm(0.5, "YIY"), PauliTerm(0.3, "ZII")], 3)
+        op = EvolutionOperator(h, mode="trotter2")
+        schedule = op._block_schedule
+        assert np.array_equal(schedule.members, [[0, 3, 5, 6], [1, 2, 4, 7]])
+        (xx_src, xx_phase), (yy_src, yy_phase) = [gate for gate in schedule.gates if not isinstance(gate, int)][:2]
+        assert xx_phase is None  # an X string's all-+1 phase is dropped
+        for src, term in ((xx_src, h.terms[0]), (yy_src, h.terms[1])):
+            # row j of a flattened chunk reads row j; local position i reads the position of
+            # members[b, i] ^ flip, the same in every block b
+            assert src.shape == (simulator.chunk_rows(4), 4)
+            assert np.array_equal(src, np.arange(len(src))[:, None] * 4 + src[0])
+            for row in schedule.members:
+                assert np.array_equal(row[src[0]], term.action[0][row])
+        assert schedule.phases[yy_phase] is h.terms[1].action[1]  # read at each chunk's states
 
     def test_rejects_exact_mode_and_bad_shapes(self, h_8, evolution_8):
         stack, times = self.stack_and_times(8, 2, 35)
