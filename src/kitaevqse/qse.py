@@ -387,14 +387,19 @@ def deepest_subspaces(
 ) -> dict[tuple[str, int, int], tuple[SubspaceBasis, SubspaceMatrices]]:
     """One directly assembled basis per (mode, r, n_k) of ``shapes``, at the
     largest n_l any of them asks for and the default time step; a shape is
-    then the :func:`nested_subspace` of the entry at ``shape[:3]``."""
+    then the :func:`nested_subspace` of the entry at ``shape[:3]``. The
+    entries of one (mode, r) share one V(t), so a trotter2 schedule is
+    compiled once per step count."""
     depth: dict[tuple[str, int, int], int] = {}
     for shape in shapes:
         depth[shape[:3]] = max(depth.get(shape[:3], 0), shape[3])
     delta_t = default_time_step(h)
+    evolutions: dict[tuple[str, int], EvolutionOperator] = {}
     out = {}
     for (mode, r, n_k), n_l in depth.items():
-        basis = build_basis(reference, n_k, n_l, delta_t, EvolutionOperator(h, mode, max(r, 1)))
+        if (mode, r) not in evolutions:
+            evolutions[mode, r] = EvolutionOperator(h, mode, max(r, 1))
+        basis = build_basis(reference, n_k, n_l, delta_t, evolutions[mode, r])
         out[mode, r, n_k] = basis, assemble_matrices(basis)
     return out
 

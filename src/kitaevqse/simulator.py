@@ -17,26 +17,27 @@ sum's diagonal and flip-mask groups compiled from those actions
 (``PauliSum.grouped_action``).
 
 Trotter evolution runs :func:`trotter_schedule`, the logical gate list that
-:func:`cnot_depth` counts, in a compiled form: each operator compiles it
-once, on its first trotter2 evolve, and fuses every maximal run of
-consecutive Z-only rotations (the Z singles and the ZZ bonds, diagonal in
-the computational basis) into one real exponent per unit time, applied as
-one elementwise phase. It then lays the fused form out on the Hamiltonian's
-Z-syndrome blocks (``oracle.symmetry_blocks``; one block when it has no Z
-symmetry): every term maps each block onto itself, and every flip permutes
-the local positions of all blocks alike (:class:`BlockSchedule`). The
-kernel, :func:`_evolve_trotter2`, evolves a stack of states, each at its own
-time, only on the blocks where each has weight: a state is one block-local
-row per block it occupies, and every gate makes one pass over a chunk of
-block-local rows, an off-diagonal rotation one gather on the flattened chunk
-through its term's local action padded with the row bits. A chunk holds
-``STACK_AMPLITUDES`` = 4096 amplitudes' worth of rows, at least one: 64 rows
-of 64 at N=8 (4 blocks), 2 of 2048 at N=12 (2 blocks), 1 of 16384 at N=16
-(4 blocks). A state in one block, as every QSE ground-state basis state is,
-so costs a quarter of the register's gate work at N=8 and N=16. Each
-amplitude gets exactly the arithmetic of rotating that state alone on the
-full register, and amplitudes off its blocks stay +0.0, so a stacked row
-equals :func:`evolve` of it bit for bit.
+:func:`cnot_depth` counts, in a compiled form. Each operator compiles it in
+one step, on its first trotter2 evolve (:func:`compile_trotter2`), straight
+onto the Hamiltonian's Z-syndrome blocks (``oracle.symmetry_blocks``; one
+block when it has no Z symmetry): every maximal run of consecutive Z-only
+rotations (the Z singles and the ZZ bonds, diagonal in the computational
+basis) becomes one real exponent per unit time, applied as one elementwise
+phase, and every other rotation a block-local gather. Every term maps each
+block onto itself, and every flip permutes the local positions of all
+blocks alike (:class:`BlockSchedule`). The kernel, :func:`_evolve_trotter2`,
+evolves a stack of states, each at its own time, only on the blocks where
+each has weight: a state is one block-local row per block it occupies, and
+every gate makes one pass over a chunk of block-local rows, an off-diagonal
+rotation one gather on the flattened chunk through its term's local action
+padded with the row bits. A chunk holds ``STACK_AMPLITUDES`` = 4096
+amplitudes' worth of rows, at least one: 64 rows of 64 at N=8 (4 blocks), 2
+of 2048 at N=12 (2 blocks), 1 of 16384 at N=16 (4 blocks). A state in one
+block, as every QSE ground-state basis state is, so costs a quarter of the
+register's gate work at N=8 and N=16. Each amplitude gets exactly the
+arithmetic of rotating that state alone on the full register, and
+amplitudes off its blocks stay +0.0, so a stacked row equals
+:func:`evolve` of it bit for bit.
 """
 
 from __future__ import annotations
@@ -130,8 +131,8 @@ def grouped_by_axis(h: PauliSum) -> list[list[PauliTerm]]:
 class EvolutionOperator:
     """Time evolution V(t) = exp(-i t H), exact or second-order Trotterized.
 
-    ``term_ordering`` is the fixed group list used by the symmetrized
-    product, :func:`grouped_by_axis` of the Hamiltonian, built on first read.
+    Exact mode reads the Hamiltonian's eigendecomposition, trotter2 mode its
+    :class:`BlockSchedule`; each is built on first use and kept.
     """
 
     hamiltonian: PauliSum
@@ -150,10 +151,6 @@ class EvolutionOperator:
         if len(self.hamiltonian) == 0:
             raise SimulationError("evolution requires a non-empty Hamiltonian")
 
-    @cached_property
-    def term_ordering(self) -> list[list[PauliTerm]]:
-        return grouped_by_axis(self.hamiltonian)
-
     def _eigendecomposition(self) -> SpectralDecomposition:
         if self._spectrum is None:
             self._spectrum = diagonalize(self.hamiltonian)
@@ -161,14 +158,9 @@ class EvolutionOperator:
         return self._spectrum
 
     @cached_property
-    def _fused_schedule(self) -> FusedSchedule:
-        """:func:`fuse_diagonal_runs` of the unit-time schedule, compiled on first use."""
-        return fuse_diagonal_runs(trotter_schedule(self, 1.0))
-
-    @cached_property
     def _block_schedule(self) -> BlockSchedule:
-        """The fused schedule on the Hamiltonian's symmetry blocks (:func:`restrict_to_blocks`), on first use."""
-        return restrict_to_blocks(self._fused_schedule, symmetry_blocks(self.hamiltonian))
+        """The unit-time schedule compiled onto the Hamiltonian's symmetry blocks, on first use."""
+        return compile_trotter2(trotter_schedule(self, 1.0), symmetry_blocks(self.hamiltonian))
 
 
 def _evolve_exact(op: EvolutionOperator, amplitudes: np.ndarray, t: float) -> np.ndarray:
@@ -179,9 +171,10 @@ def _evolve_exact(op: EvolutionOperator, amplitudes: np.ndarray, t: float) -> np
 def trotter_schedule(op: EvolutionOperator, t: float) -> list[tuple[PauliTerm, float]]:
     """(term, angle) rotations of one trotter2 V(t), in the order they run.
 
-    Per step: head groups, the last group at a doubled angle (the merged
-    symmetrized middle pair), head groups reversed. One commuting group is
-    exact at any r and runs once.
+    The groups are :func:`grouped_by_axis` of the Hamiltonian. Per step:
+    head groups, the last group at a doubled angle (the merged symmetrized
+    middle pair), head groups reversed. One commuting group is exact at any
+    r and runs once.
 
     The schedule is a palindrome of rotations, and the terms within a group
     commute, so reversing it equals negating every angle:
@@ -189,10 +182,11 @@ def trotter_schedule(op: EvolutionOperator, t: float) -> list[tuple[PauliTerm, f
     (``qse.assemble_matrices``) evolves in one direction on that identity.
 
     Every angle is a fixed multiple of t (of tau = t/r), so the schedule at
-    t is the schedule at t = 1 with its angles scaled by t; the fused form
-    that :func:`_evolve_trotter2` runs is compiled once at t = 1 on that rule.
+    t is the schedule at t = 1 with its angles scaled by t; the
+    :class:`BlockSchedule` that :func:`_evolve_trotter2` runs is compiled
+    once at t = 1 on that rule.
     """
-    groups = op.term_ordering
+    groups = grouped_by_axis(op.hamiltonian)
     if len(groups) == 1:
         return [(term, 2.0 * t) for term in groups[0]]
     tau = t / op.trotter_steps
@@ -203,48 +197,8 @@ def trotter_schedule(op: EvolutionOperator, t: float) -> list[tuple[PauliTerm, f
     return step * op.trotter_steps
 
 
-class FusedSchedule(NamedTuple):
-    """A unit-time rotation schedule with its diagonal runs fused, on the full register.
-
-    ``gates`` holds, in order, an int per diagonal run (its index in
-    ``exponents``) and the term of each off-diagonal rotation. ``angles``
-    and ``coefficients`` hold each off-diagonal rotation's unit-time angle
-    and real coefficient, in gate order. :func:`restrict_to_blocks` turns it
-    into the :class:`BlockSchedule` that :func:`_evolve_trotter2` runs.
-    """
-
-    gates: list[int | PauliTerm]
-    exponents: list[np.ndarray]
-    angles: np.ndarray
-    coefficients: np.ndarray
-
-
-def fuse_diagonal_runs(schedule: list[tuple[PauliTerm, float]]) -> FusedSchedule:
-    """The :class:`FusedSchedule` of a unit-time rotation schedule.
-
-    Each maximal run of consecutive Z-only rotations, which are diagonal and
-    commute, becomes an int gate: the index of its real exponent
-    d = sum_k (a_k c_k / 2) phase_k in ``exponents``, so the run at time t
-    is exp(-i t d) elementwise. Runs of the same rotations share one exponent.
-    A rotation whose flip mask is nonzero stays a gate of its own.
-    """
-    gates: list[int | PauliTerm] = []
-    runs: dict[tuple[tuple[PauliTerm, float], ...], int] = {}
-    angles, coefficients = [], []
-    for diagonal, run in groupby(schedule, key=lambda gate: gate[0].masks[0] == 0):
-        if diagonal:
-            gates.append(runs.setdefault(tuple(run), len(runs)))
-            continue
-        for term, angle in run:
-            gates.append(term)
-            angles.append(angle)
-            coefficients.append(term.coefficient.real)
-    exponents = [sum(0.5 * angle * term.coefficient.real * term.action[1].real for term, angle in run) for run in runs]
-    return FusedSchedule(gates, exponents, np.array(angles, dtype=float), np.array(coefficients, dtype=float))
-
-
 class BlockSchedule(NamedTuple):
-    """A :class:`FusedSchedule` on the Z-syndrome blocks of its Hamiltonian.
+    """A unit-time trotter2 schedule compiled onto the Z-syndrome blocks of its Hamiltonian.
 
     Row b of ``members`` lists block b's states in ascending order. Block b
     is the coset m_b ^ K of the syndrome-0 block K, m_b its smallest state,
@@ -258,7 +212,8 @@ class BlockSchedule(NamedTuple):
     phase the index in ``phases`` of the term's phase, None for a string
     without Z or Y sites (sign mask 0), where it is +1 everywhere. The
     phases and ``exponents`` are full-register arrays, read at each chunk's
-    basis states.
+    basis states. ``angles`` and ``coefficients`` hold each off-diagonal
+    rotation's unit-time angle and real coefficient, in gate order.
     """
 
     members: np.ndarray
@@ -274,29 +229,49 @@ def chunk_rows(block_size: int) -> int:
     return max(1, STACK_AMPLITUDES // block_size)
 
 
-def restrict_to_blocks(schedule: FusedSchedule, blocks: Sequence[np.ndarray]) -> BlockSchedule:
-    """The :class:`BlockSchedule` of ``schedule`` on ``blocks``, :func:`oracle.symmetry_blocks` of its
-    Hamiltonian: a term's local gather is its flip read on K through K's inverse position map, once per
-    distinct Pauli string."""
+def compile_trotter2(schedule: list[tuple[PauliTerm, float]], blocks: Sequence[np.ndarray]) -> BlockSchedule:
+    """The :class:`BlockSchedule` of a unit-time rotation schedule on ``blocks``,
+    :func:`oracle.symmetry_blocks` of its Hamiltonian.
+
+    Each maximal run of consecutive Z-only rotations, which are diagonal and
+    commute, becomes an int gate: the index of its real exponent
+    d = sum_k (a_k c_k / 2) phase_k in ``exponents``, so the run at time t
+    is exp(-i t d) elementwise. Runs of the same rotations share one exponent.
+    A rotation whose flip mask is nonzero stays a gate of its own, whose local
+    gather is its flip read on K through K's inverse position map, built once
+    per distinct Pauli string.
+    """
     kernel = blocks[0]
     size = kernel.size
     position = np.empty(kernel[-1] + 1, dtype=np.int64)
     position[kernel] = np.arange(size)
     padding = np.arange(chunk_rows(size), dtype=np.int64)[:, None] * size
+    gates: list[int | tuple[np.ndarray, int | None]] = []
+    runs: dict[tuple[tuple[PauliTerm, float], ...], int] = {}
     actions: dict[str, tuple[np.ndarray, int | None]] = {}
     phases: list[np.ndarray] = []
-    for term in schedule.gates:
-        if isinstance(term, PauliTerm) and term.axes not in actions:
-            src, phase = term.action
-            local = _read_only(padding + position[src[kernel]])
-            if term.masks[1] == 0:
-                actions[term.axes] = local, None
-            else:
-                actions[term.axes] = local, len(phases)
-                phases.append(phase)
-    gates = [gate if isinstance(gate, int) else actions[gate.axes] for gate in schedule.gates]
+    angles, coefficients = [], []
+    for diagonal, run in groupby(schedule, key=lambda gate: gate[0].masks[0] == 0):
+        if diagonal:
+            gates.append(runs.setdefault(tuple(run), len(runs)))
+            continue
+        for term, angle in run:
+            if term.axes not in actions:
+                src, phase = term.action
+                local = _read_only(padding + position[src[kernel]])
+                if term.masks[1] == 0:
+                    actions[term.axes] = local, None
+                else:
+                    actions[term.axes] = local, len(phases)
+                    phases.append(phase)
+            gates.append(actions[term.axes])
+            angles.append(angle)
+            coefficients.append(term.coefficient.real)
+    exponents = [sum(0.5 * angle * term.coefficient.real * term.action[1].real for term, angle in run) for run in runs]
     members = _read_only(np.stack(blocks))
-    return BlockSchedule(members, gates, phases, schedule.exponents, schedule.angles, schedule.coefficients)
+    return BlockSchedule(
+        members, gates, phases, exponents, np.array(angles, dtype=float), np.array(coefficients, dtype=float)
+    )
 
 
 def _evolve_trotter2(op: EvolutionOperator, amplitudes: np.ndarray, times: Sequence[float]) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 
 from kitaevqse.oracle import taper
 from kitaevqse.qse import _grid_steps
-from kitaevqse.simulator import _rotation_inplace, evolve_times, trotter_schedule
+from kitaevqse.simulator import _rotation_inplace, compile_trotter2, evolve_times, trotter_schedule
 
 _SINGLE_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -87,17 +87,13 @@ def trotter_rotation_by_rotation(op, amplitudes: np.ndarray, t: float) -> np.nda
 
 def full_register_trotter2(op, amplitudes: np.ndarray, times) -> np.ndarray:
     """trotter2 V(times[j]) on row j of a (k, 2^N) stack by the full-register chunk loop, the
-    bit-for-bit reference for the block-local kernel: every gate of the operator's fused schedule
-    makes one pass over chunks of the largest power of two of rows within 4096 amplitudes, each
-    off-diagonal rotation one gather through its term's action padded with the row bits."""
-    n, schedule = op.hamiltonian.num_sites, op._fused_schedule
+    bit-for-bit reference for the block-local kernel: the operator's schedule, compiled with the
+    whole register as its one block, runs every gate as one pass over chunks of the largest power
+    of two of rows within 4096 amplitudes, each off-diagonal rotation one gather through its
+    term's action padded with the row bits."""
+    n = op.hamiltonian.num_sites
+    schedule = compile_trotter2(trotter_schedule(op, 1.0), (np.arange(1 << n),))
     rows = max(1, 4096 >> n)
-    padded = {}
-    for term in schedule.gates:
-        if not isinstance(term, int) and term.axes not in padded:
-            src, phase = term.action
-            padded[term.axes] = ((np.arange(rows, dtype=np.int64)[:, None] << n) | src,
-                                 None if term.masks[1] == 0 else np.tile(phase, (rows, 1)))
     out = np.array(amplitudes, dtype=complex, order="C")
     times = np.asarray(times, dtype=float)
     for start in range(0, len(out), rows):
@@ -114,10 +110,10 @@ def full_register_trotter2(op, amplitudes: np.ndarray, times) -> np.ndarray:
                 block *= diagonals[gate]
                 continue
             c, minus_i_s = next(rotations)
-            src, phase = padded[gate.axes]
+            src, phase = gate
             rotated = flat[src[:k]]
             if phase is not None:
-                rotated *= phase[:k]
+                rotated *= schedule.phases[phase]
             block *= c
             rotated *= minus_i_s
             block += rotated

@@ -501,8 +501,8 @@ class TestPipeline:
             "gf": {**FAST_CONFIG["gf"], **trotter},
         }))
         compiled = []
-        original = simulator.fuse_diagonal_runs
-        monkeypatch.setattr(simulator, "fuse_diagonal_runs", lambda *args: compiled.append(1) or original(*args))
+        original = simulator.compile_trotter2
+        monkeypatch.setattr(simulator, "compile_trotter2", lambda *args: compiled.append(1) or original(*args))
         counts = {}
         for stage in ("greens", "dsf"):
             compiled.clear()
@@ -541,6 +541,22 @@ class TestPipeline:
         per_basis = sum(2 * n_l + 2 * n_k * (n_l + 1) for n_k, n_l, _ in bases)
         assert evolutions == per_basis + qse.basis_size(2, 2)
 
+    def test_qse_stage_compiles_each_trotter_operator_once(self, workdir, tmp_path, monkeypatch):
+        # the bases of one (mode, r) share one V(t): four trotter2 bases at two step counts
+        # compile two schedules, of 2 and 1 steps
+        compiled = []
+        original = simulator.compile_trotter2
+        monkeypatch.setattr(simulator, "compile_trotter2",
+                            lambda schedule, blocks: compiled.append(len(schedule)) or original(schedule, blocks))
+        bases, _ = self.count_qse_stage(workdir, tmp_path, monkeypatch, {
+            "evolution_mode": "trotter2", "trotter_steps": 2, "assembly_mode": "hoa",
+            "shape_sweep": [[0, 0], [1, 1], [2, 2], [1, 2]], "trotter_sweep": [1, 2],
+        })
+        assert sorted(bases) == [(0, 0, 2), (1, 1, 2), (2, 2, 1), (2, 2, 2)]
+        assert len(compiled) == len({r for *_, r in bases}) == 2
+        one_step, two_steps = sorted(compiled)  # schedule lengths grow with r
+        assert two_steps == 2 * one_step
+
     def test_exact_qse_stage_trotter_sweep_unchanged(self, workdir, tmp_path, monkeypatch):
         # exact shapes share nothing with the trotter2 sweep: one basis per swept r
         bases, evolutions = self.count_qse_stage(workdir, tmp_path, monkeypatch, {})
@@ -548,16 +564,22 @@ class TestPipeline:
         assert evolutions == 2 * (2 * 2 + 2 * 2 * 3)
 
     def test_response_stages_evolve_no_basis_state(self, workdir, tmp_path, monkeypatch):
-        # exact-mode subspaces read S, H and |GS> off spectral weights: neither the
-        # greens nor the dsf stage evolves a statevector basis
+        # exact-mode subspaces read S, H and |GS> off spectral weights: neither the greens
+        # nor the dsf stage runs an evolution kernel, and both read autocorrelations
         path, config_path = workdir
         shutil.copy(path / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
         calls = []
-        original = simulator.evolve_times
-        monkeypatch.setattr(simulator, "evolve_times", lambda *args: calls.append(1) or original(*args))
+        for module, name in ((simulator, "_evolve_exact"), (simulator, "_evolve_trotter2"),
+                             (qse, "autocorrelations")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, name=name, original=original: calls.append(name) or original(*args))
         for stage in ("greens", "dsf"):
+            calls.clear()
             assert main([stage, "--config", str(config_path), "--out", str(tmp_path)]) == 0
-        assert calls == []
+            assert "_evolve_exact" not in calls and "_evolve_trotter2" not in calls
+            assert calls.count("autocorrelations") > 0
+        calls.clear()
         lat = lattice.build_lattice(2, 2)
         h = lattice.kitaev_hamiltonian(lat, -1.0, 0.1)
         basis = qse.build_basis(StateVector.computational_basis(8), 1, 1, 0.2, EvolutionOperator(h))

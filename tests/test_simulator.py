@@ -135,14 +135,18 @@ class TestGrouping:
         assert [len(g) for g in groups] == [1, 1]
 
     def test_grouped_only_when_read(self, h_8, monkeypatch):
-        # exact V(t) never reads the Trotter grouping, so building one groups nothing
+        # exact V(t) never reads the Trotter grouping; a trotter2 operator groups its
+        # Hamiltonian once, when its first evolve compiles the schedule
         calls = []
         monkeypatch.setattr(simulator, "grouped_by_axis", lambda h: calls.append(h) or grouped_by_axis(h))
-        op = EvolutionOperator(h_8)
-        evolve(random_state(8, 3), op, 0.4)
+        psi = random_state(8, 3)
+        exact = EvolutionOperator(h_8)
+        evolve(evolve(psi, exact, 0.4), exact, -0.7)
         assert calls == []
-        assert op.term_ordering == grouped_by_axis(h_8) and calls == [h_8]
-        assert op.term_ordering is op.term_ordering and len(calls) == 1
+        trotter = EvolutionOperator(h_8, mode="trotter2", trotter_steps=3)
+        assert calls == []
+        evolve(evolve(psi, trotter, 0.4), trotter, -0.7)
+        assert calls == [h_8]
 
 
 class TestEvolve:
@@ -238,7 +242,8 @@ class TestEvolve:
         # the same gates with the trailing head groups in forward order: not a palindrome
         def unreversed(op, t):
             tau = t / op.trotter_steps
-            head, middle = op.term_ordering[:-1], op.term_ordering[-1]
+            groups = grouped_by_axis(op.hamiltonian)
+            head, middle = groups[:-1], groups[-1]
             step = [(term, tau) for group in head for term in group]
             step += [(term, 2.0 * tau) for term in middle]
             step += [(term, tau) for group in head for term in group]
@@ -334,7 +339,7 @@ class TestFusedSchedule:
         assert all(shape == (1, 64) and src != 0 for shape, src in passes)
         # the Z singles, the ZZ bonds, then the trailing and leading Z singles of adjacent
         # steps as one run: 2r + 1 diagonal runs, of 2 distinct exponents at r=1 and 3 after
-        compiled = op._fused_schedule
+        compiled = op._block_schedule
         assert sum(isinstance(gate, int) for gate in compiled.gates) == 2 * steps + 1
         assert len(compiled.exponents) == min(steps, 2) + 1
 
@@ -490,7 +495,7 @@ class TestCnotDepth:
         # and the XYZ term is a 4-CNOT ladder that the bonds on sites 0-2 wait for
         leftover = PauliTerm(0.5, "XYZIIIII")
         op = EvolutionOperator(pauli_sum([*h_8.terms, leftover], 8), mode="trotter2", trotter_steps=3)
-        assert op.term_ordering[-1] == [leftover]
+        assert grouped_by_axis(op.hamiltonian)[-1] == [leftover]
         assert cnot_depth(op, n_l=1) == ((6 * 2 + 4) * 3 * 2, (24 * 2 + 4) * 3)
         # one commuting group runs once at any r: one layer of parallel ZZ rotations
         zz = pauli_sum([two_site("Z", 0, 1, 8), two_site("Z", 2, 3, 8)], 8)
