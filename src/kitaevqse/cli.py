@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from functools import lru_cache
 from pathlib import Path
@@ -94,6 +93,9 @@ def write_json(path: Path, config: RunConfig, payload: dict) -> None:
 def _map_tasks(fn, items, threads: int):
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # imported here: only --threads > 1 needs the pool, and the import costs every process's set-up
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 

@@ -21,6 +21,9 @@ G+ seeded by (sigma_a + sigma_b)|GS>.
 The dynamical structure factor is seeded once per Pauli kind mu by the
 collective operator A_q^mu = sum_i exp(i q.r_i) sigma_i^mu, whose
 correlator is the whole double site sum sum_ij exp(-i q.(r_i - r_j)) G_ij.
+The seeds that one call needs, the kinds of a structure factor or the three
+seeds of a pair, are grown together (:meth:`GreensEngine.seed_subspaces`),
+so in trotter2 mode they share every evolution stack.
 The exact-diagonalization side builds its Lehmann weights from the same
 operator, so both sides always measure the same quantity.
 
@@ -44,7 +47,7 @@ from .qse import (
     SubspaceBasis,
     SubspaceMatrices,
     assemble_matrices,
-    build_basis,
+    build_bases,
     canonical_orthogonalization,
     default_time_step,
     reconstruct_state,
@@ -195,42 +198,57 @@ class GreensEngine:
             self._gs_state = reconstruct_state(self.gs, self.gs_basis)
         return self._gs_state
 
+    def seed_subspaces(
+        self, excitations: list[PauliSum]
+    ) -> list[tuple[SubspaceBasis, SubspaceMatrices, np.ndarray, float]]:
+        """(psi basis, matrices, psi0 coefficients, seed norm squared) per excitation, in order.
+
+        Each basis is grown from its normalized excitation|GS> at the
+        default time step, so that state is basis state (0, 0): exactly
+        in trotter2 mode, to roundoff in exact mode. psi0 is therefore
+        the unit vector at that index, with unit S-norm. The seeds share
+        the engine's V(t) and are built together (:func:`qse.build_bases`),
+        so in trotter2 mode they share every evolution stack.
+        """
+        gs_state = self.ground_state()
+        seeds, norms = [], []
+        for excitation in excitations:
+            seeded = apply_sum(excitation, gs_state.amplitudes)
+            norm_sq = float(np.real(np.vdot(seeded, seeded)))
+            if norm_sq <= 1e-24:
+                raise GreensError("excitation annihilates the ground state")
+            seeds.append((StateVector(seeded / np.sqrt(norm_sq), self.num_sites),
+                          self.config.tilde_n_k, self.config.tilde_n_l))
+            norms.append(norm_sq)
+        bases = build_bases(seeds, default_time_step(self.hamiltonian), self._evolution)
+        out = []
+        for psi_basis, norm_sq in zip(bases, norms):
+            psi0 = np.zeros(len(psi_basis), dtype=complex)
+            psi0[psi_basis.indices.index(MultigridIndex(0, 0))] = 1.0
+            out.append((psi_basis, assemble_matrices(psi_basis), psi0, norm_sq))
+        return out
+
     def seed_subspace(
         self, excitation: PauliSum
     ) -> tuple[SubspaceBasis, SubspaceMatrices, np.ndarray, float]:
-        """(psi basis, matrices, psi0 coefficients, seed norm squared).
+        """The one-seed :meth:`seed_subspaces`."""
+        (subspace,) = self.seed_subspaces([excitation])
+        return subspace
 
-        The basis is grown from the normalized excitation|GS> at the
-        default time step, so that state is basis state (0, 0): exactly
-        in trotter2 mode, to roundoff in exact mode. psi0 is therefore
-        the unit vector at that index, with unit S-norm.
-        """
-        gs_state = self.ground_state()
-        seeded = apply_sum(excitation, gs_state.amplitudes)
-        norm_sq = float(np.real(np.vdot(seeded, seeded)))
-        if norm_sq <= 1e-24:
-            raise GreensError("excitation annihilates the ground state")
-        seed_state = StateVector(seeded / np.sqrt(norm_sq), self.num_sites)
-
-        psi_basis = build_basis(
-            seed_state,
-            self.config.tilde_n_k,
-            self.config.tilde_n_l,
-            default_time_step(self.hamiltonian),
-            self._evolution,
-        )
-        psi_mats = assemble_matrices(psi_basis)
-        psi0 = np.zeros(len(psi_basis), dtype=complex)
-        psi0[psi_basis.indices.index(MultigridIndex(0, 0))] = 1.0
-        return psi_basis, psi_mats, psi0, norm_sq
+    def recursions(self, excitations: list[PauliSum]) -> list[tuple[LanczosCoefficients, float]]:
+        """(particle-part Lanczos coefficients, seed norm squared) per excitation, one run per
+        seed; the seeds not run yet are built together (:meth:`seed_subspaces`)."""
+        missing = list(dict.fromkeys(e for e in excitations if e not in self._recursions))
+        if missing:
+            for excitation, (_, psi_mats, psi0, norm_sq) in zip(missing, self.seed_subspaces(missing)):
+                coeffs = lanczos_iterate(psi_mats, psi0, kappa=self.kappa)
+                self._recursions[excitation] = (coeffs, norm_sq)
+        return [self._recursions[e] for e in excitations]
 
     def recursion(self, excitation: PauliSum) -> tuple[LanczosCoefficients, float]:
         """(particle-part Lanczos coefficients, seed norm squared), one run per seed."""
-        if excitation not in self._recursions:
-            _, psi_mats, psi0, norm_sq = self.seed_subspace(excitation)
-            coeffs = lanczos_iterate(psi_mats, psi0, kappa=self.kappa)
-            self._recursions[excitation] = (coeffs, norm_sq)
-        return self._recursions[excitation]
+        (out,) = self.recursions([excitation])
+        return out
 
     def correlator(self, excitation: PauliSum, z_grid: np.ndarray) -> np.ndarray:
         """Particle plus hole resolvent for one (possibly composite) excitation."""
@@ -249,7 +267,10 @@ class GreensEngine:
         if site_a == site_b:
             raise GreensError("off-diagonal path requires distinct sites")
         n = self.num_sites
-        combined = pauli_sum([single_site(kind, site_a, n), single_site(kind, site_b, n)], n)
+        single_a, single_b = single_site(kind, site_a, n), single_site(kind, site_b, n)
+        combined = pauli_sum([single_a, single_b], n)
+        # the three seeds of the polarization identity share their evolution stacks
+        self.recursions([combined, *(pauli_sum([term], n) for term in (single_a, single_b))])
         plus = self.correlator(combined, z_grid)
         g_aa = self.diagonal_gf(kind, site_a, z_grid)
         g_bb = self.diagonal_gf(kind, site_b, z_grid)
@@ -310,13 +331,16 @@ def dynamical_structure_factor(
 
     One Krylov subspace per Pauli kind, seeded by the collective
     excitation A_q^mu; its correlator equals the double site sum
-    sum_ij exp(-i q.(r_i - r_j)) G^mumu_ij, so the result is real.
+    sum_ij exp(-i q.(r_i - r_j)) G^mumu_ij, so the result is real. The
+    kinds' subspaces are built together (:meth:`GreensEngine.recursions`).
     """
     omega = np.asarray(omega_grid, dtype=float)
     z = omega + 1j * delta
+    excitations = [_collective_excitation(kind, positions, q) for kind in kinds]
+    engine.recursions(excitations)
     total = np.zeros(omega.size)
-    for kind in kinds:
-        total += np.imag(engine.correlator(_collective_excitation(kind, positions, q), z))
+    for excitation in excitations:
+        total += np.imag(engine.correlator(excitation, z))
     return total / engine.num_sites
 
 

@@ -20,9 +20,12 @@ m = -M..M ascending in index order, so every overlap depends on the lag
 m_b - m_a alone: S and H are Toeplitz and come from 2M+1 autocorrelation
 entries of the reference (Cortes & Gray, PRA 105, 022417 (2022)).
 So an exact basis holds no state. Trotterized bases, whose V_r(t) is not a
-group in t, hold one amplitude stack and are assembled from its overlaps;
-their symmetric product formula is time-reversible, V_r(-tau) =
-V_r(tau)^dag, so HOA evolves the stack in one direction only.
+group in t, hold one amplitude stack and are assembled from its overlaps,
+H applied to the whole stack at once; their symmetric product formula is
+time-reversible, V_r(-tau) = V_r(tau)^dag, so HOA evolves the stack in one
+direction only. Bases under one V(t) grow together (:func:`build_bases`):
+every coarse level of every reference is one stack, and so are all their
+fine steps.
 
 The generalized eigenproblem H phi = E S phi is solved by canonical
 orthogonalization: eigendecompose S, drop the near-null directions,
@@ -123,6 +126,58 @@ class SubspaceBasis:
         return len(self.indices)
 
 
+BasisRequest = tuple[StateVector, int, int]  # (reference, n_k, n_l)
+
+
+def build_bases(
+    requests: Sequence[BasisRequest],
+    delta_t: float,
+    evolution: EvolutionOperator,
+) -> list[SubspaceBasis]:
+    """Evolve each request's reference onto its two-level multigrid, one
+    :class:`SubspaceBasis` per request, in order.
+
+    state(l, k) = V(k dt) (V((n_k+1) dt))^l ref, with negative l using
+    the inverse coarse evolution. In trotter2 mode each V application is
+    one product-formula evolution over its full time argument, so the
+    step count per basis state stays at r*(|l|+1). The circuits of all
+    requests are shared through :func:`simulator.evolve_stack`: level l
+    advances the +l and -l anchors of every request with n_l >= l as one
+    stack; the anchors fill one stack in request and index order, each basis
+    a run of its rows, and all k != 0 rows are evolved in one final stack,
+    each at its own k dt. A stacked row is the one-state evolution bit for
+    bit, so each basis equals a :func:`build_basis` of its request alone,
+    which :func:`nested_subspace` relies on. In exact mode no state is
+    formed (see :class:`SubspaceBasis`).
+    """
+    if delta_t <= 0.0:
+        raise QseError("delta_t must be positive")
+    grids = [multigrid_indices(n_k, n_l) for _, n_k, n_l in requests]
+    if evolution.mode == "exact":
+        return [SubspaceBasis(ref, indices, delta_t, evolution) for (ref, _, _), indices in zip(requests, grids)]
+
+    anchors = [{0: ref.amplitudes} for ref, _, _ in requests]
+    for l in range(1, max(n_l for *_, n_l in requests) + 1):
+        deep = [j for j, (_, _, n_l) in enumerate(requests) if n_l >= l]
+        evolved = evolve_stack(
+            evolution,
+            np.stack([anchors[j][sign * (l - 1)] for j in deep for sign in (1, -1)]),
+            [sign * (requests[j][1] + 1) * delta_t for j in deep for sign in (1, -1)],  # +-(n_k+1) dt
+        )
+        for j, plus, minus in zip(deep, evolved[::2], evolved[1::2]):
+            anchors[j][l], anchors[j][-l] = plus, minus
+    amplitudes = np.stack([chain[idx.l] for chain, indices in zip(anchors, grids) for idx in indices])
+    steps = [idx.k for indices in grids for idx in indices]
+    fine = [b for b, k in enumerate(steps) if k != 0]
+    if fine:  # there are no k != 0 states when every n_k = 0
+        amplitudes[fine] = evolve_stack(evolution, amplitudes[fine], [steps[b] * delta_t for b in fine])
+    ends = np.cumsum([len(indices) for indices in grids])
+    return [
+        SubspaceBasis(ref, indices, delta_t, evolution, amplitudes[end - len(indices):end])
+        for (ref, _, _), indices, end in zip(requests, grids, ends)
+    ]
+
+
 def build_basis(
     ref: StateVector,
     n_k: int,
@@ -130,37 +185,9 @@ def build_basis(
     delta_t: float,
     evolution: EvolutionOperator,
 ) -> SubspaceBasis:
-    """Evolve the reference onto the two-level multigrid.
-
-    state(l, k) = V(k dt) (V((n_k+1) dt))^l ref, with negative l using
-    the inverse coarse evolution. In trotter2 mode each V application is
-    one product-formula evolution over its full time argument, so the
-    step count per basis state stays at r*(|l|+1). The circuits are shared
-    through :func:`simulator.evolve_stack`: the +l and -l anchors advance as
-    one 2-row stack per level, the anchors fill the basis stack in index
-    order, and its k != 0 rows are evolved in one stack, each row at its own
-    k dt. A stacked row is the one-state evolution bit for bit, which
-    :func:`nested_subspace` relies on. In exact mode no state is formed (see
-    :class:`SubspaceBasis`).
-    """
-    if delta_t <= 0.0:
-        raise QseError("delta_t must be positive")
-    indices = multigrid_indices(n_k, n_l)
-    coarse_t = (n_k + 1) * delta_t
-
-    if evolution.mode == "exact":
-        return SubspaceBasis(ref, indices, delta_t, evolution)
-
-    anchors = {0: ref.amplitudes}
-    for l in range(1, n_l + 1):
-        anchors[l], anchors[-l] = evolve_stack(
-            evolution, np.stack([anchors[l - 1], anchors[-(l - 1)]]), [coarse_t, -coarse_t]
-        )
-    amplitudes = np.stack([anchors[idx.l] for idx in indices])
-    fine = [b for b, idx in enumerate(indices) if idx.k != 0]
-    if fine:  # there are no k != 0 states when n_k = 0
-        amplitudes[fine] = evolve_stack(evolution, amplitudes[fine], [indices[b].k * delta_t for b in fine])
-    return SubspaceBasis(ref, indices, delta_t, evolution, amplitudes)
+    """The one-request :func:`build_bases`: ``ref`` evolved onto the (n_k, n_l) multigrid."""
+    (basis,) = build_bases([(ref, n_k, n_l)], delta_t, evolution)
+    return basis
 
 
 @dataclass
@@ -227,14 +254,14 @@ def _toeplitz_matrices(basis: SubspaceBasis, hoa_tau: float | None) -> tuple[np.
 
 
 def _statevector_matrices(basis: SubspaceBasis, hoa_tau: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """(S, H) from overlaps of the basis states: H applied directly, or the
-    HOA sine difference when ``hoa_tau`` is given, from V(tau) alone, which
-    evolves all basis states as one stack (:func:`simulator.evolve_stack`)."""
+    """(S, H) from overlaps of the basis states: H applied directly to the
+    whole stack in one :func:`pauli.apply_sum`, or the HOA sine difference
+    when ``hoa_tau`` is given, from V(tau) alone, which evolves all basis
+    states as one stack (:func:`simulator.evolve_stack`)."""
     phi = basis.amplitudes
     s_mat = phi.conj() @ phi.T
     if hoa_tau is None:
-        h_phi = np.stack([apply_sum(basis.evolution.hamiltonian, row) for row in phi])
-        h_mat = phi.conj() @ h_phi.T
+        h_mat = phi.conj() @ apply_sum(basis.evolution.hamiltonian, phi).T
         residual = np.max(np.abs(h_mat - h_mat.conj().T))
         if residual > HERMITICITY_TOL * max(1.0, np.max(np.abs(h_mat))):
             raise QseError(f"assembled H has hermiticity residual {residual:g}")
@@ -388,19 +415,20 @@ def deepest_subspaces(
     """One directly assembled basis per (mode, r, n_k) of ``shapes``, at the
     largest n_l any of them asks for and the default time step; a shape is
     then the :func:`nested_subspace` of the entry at ``shape[:3]``. The
-    entries of one (mode, r) share one V(t), so a trotter2 schedule is
-    compiled once per step count."""
-    depth: dict[tuple[str, int, int], int] = {}
-    for shape in shapes:
-        depth[shape[:3]] = max(depth.get(shape[:3], 0), shape[3])
+    entries of one (mode, r) share one V(t) and are built together
+    (:func:`build_bases`), so a trotter2 schedule is compiled once per step
+    count and its entries share every stack."""
+    depth: dict[tuple[str, int], dict[int, int]] = {}
+    for mode, r, n_k, n_l in shapes:
+        entries = depth.setdefault((mode, r), {})
+        entries[n_k] = max(entries.get(n_k, 0), n_l)
     delta_t = default_time_step(h)
-    evolutions: dict[tuple[str, int], EvolutionOperator] = {}
     out = {}
-    for (mode, r, n_k), n_l in depth.items():
-        if (mode, r) not in evolutions:
-            evolutions[mode, r] = EvolutionOperator(h, mode, max(r, 1))
-        basis = build_basis(reference, n_k, n_l, delta_t, evolutions[mode, r])
-        out[mode, r, n_k] = basis, assemble_matrices(basis)
+    for (mode, r), entries in depth.items():
+        requests = [(reference, n_k, n_l) for n_k, n_l in entries.items()]
+        bases = build_bases(requests, delta_t, EvolutionOperator(h, mode, max(r, 1)))
+        for n_k, basis in zip(entries, bases):
+            out[mode, r, n_k] = basis, assemble_matrices(basis)
     return out
 
 

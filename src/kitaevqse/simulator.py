@@ -25,7 +25,8 @@ rotations (the Z singles and the ZZ bonds, diagonal in the computational
 basis) becomes one real exponent per unit time, applied as one elementwise
 phase, and every other rotation a block-local gather. Every term maps each
 block onto itself, and every flip permutes the local positions of all
-blocks alike (:class:`BlockSchedule`). The kernel, :func:`_evolve_trotter2`,
+blocks alike (:class:`BlockSchedule`), and the compile step reads the
+phases and exponents into one row per block. The kernel, :func:`_evolve_trotter2`,
 evolves a stack of states, each at its own time, only on the blocks where
 each has weight: a state is one block-local row per block it occupies, and
 every gate makes one pass over a chunk of block-local rows, an off-diagonal
@@ -37,7 +38,9 @@ block, as every QSE ground-state basis state is, so costs a quarter of the
 register's gate work at N=8 and N=16. Each amplitude gets exactly the
 arithmetic of rotating that state alone on the full register, and
 amplitudes off its blocks stay +0.0, so a stacked row equals
-:func:`evolve` of it bit for bit.
+:func:`evolve` of it bit for bit. Callers stack every state that shares a
+V(t): ``qse.build_bases`` grows the subspaces of several references, such
+as the Krylov seeds of one field, through shared stacks.
 """
 
 from __future__ import annotations
@@ -211,9 +214,11 @@ class BlockSchedule(NamedTuple):
     :func:`chunk_rows` rows, row j of the flattened chunk reading row j, and
     phase the index in ``phases`` of the term's phase, None for a string
     without Z or Y sites (sign mask 0), where it is +1 everywhere. The
-    phases and ``exponents`` are full-register arrays, read at each chunk's
-    basis states. ``angles`` and ``coefficients`` hold each off-diagonal
-    rotation's unit-time angle and real coefficient, in gate order.
+    phases and ``exponents`` are ``(blocks, size)`` tables laid out as
+    ``members``, row b holding block b's values in local order, so a chunk
+    reads them as whole rows by block label. ``angles`` and ``coefficients``
+    hold each off-diagonal rotation's unit-time angle and real coefficient,
+    in gate order.
     """
 
     members: np.ndarray
@@ -239,10 +244,12 @@ def compile_trotter2(schedule: list[tuple[PauliTerm, float]], blocks: Sequence[n
     is exp(-i t d) elementwise. Runs of the same rotations share one exponent.
     A rotation whose flip mask is nonzero stays a gate of its own, whose local
     gather is its flip read on K through K's inverse position map, built once
-    per distinct Pauli string.
+    per distinct Pauli string. Exponents and phases are read at the blocks'
+    states once, here, into per-block tables.
     """
     kernel = blocks[0]
     size = kernel.size
+    members = _read_only(np.stack(blocks))
     position = np.empty(kernel[-1] + 1, dtype=np.int64)
     position[kernel] = np.arange(size)
     padding = np.arange(chunk_rows(size), dtype=np.int64)[:, None] * size
@@ -263,12 +270,14 @@ def compile_trotter2(schedule: list[tuple[PauliTerm, float]], blocks: Sequence[n
                     actions[term.axes] = local, None
                 else:
                     actions[term.axes] = local, len(phases)
-                    phases.append(phase)
+                    phases.append(_read_only(phase[members]))
             gates.append(actions[term.axes])
             angles.append(angle)
             coefficients.append(term.coefficient.real)
-    exponents = [sum(0.5 * angle * term.coefficient.real * term.action[1].real for term, angle in run) for run in runs]
-    members = _read_only(np.stack(blocks))
+    exponents = [
+        _read_only(sum(0.5 * angle * term.coefficient.real * term.action[1].real for term, angle in run)[members])
+        for run in runs
+    ]
     return BlockSchedule(
         members, gates, phases, exponents, np.array(angles, dtype=float), np.array(coefficients, dtype=float)
     )
@@ -294,18 +303,19 @@ def _evolve_trotter2(op: EvolutionOperator, amplitudes: np.ndarray, times: Seque
     for start in range(0, len(local), step):
         part = slice(start, start + step)
         t = times[rows[part], None]  # one row's blocks share its time
-        _run_chunk(schedule, local[part], t[:1] if rows[part][-1] == rows[start] else t, index[part])
+        _run_chunk(schedule, local[part], t[:1] if rows[part][-1] == rows[start] else t, labels[part])
     out = np.zeros(amplitudes.shape, dtype=complex)
     out[rows[:, None], index] = local
     return out
 
 
-def _run_chunk(schedule: BlockSchedule, chunk: np.ndarray, t: np.ndarray, index: np.ndarray) -> None:
+def _run_chunk(schedule: BlockSchedule, chunk: np.ndarray, t: np.ndarray, labels: np.ndarray) -> None:
     """Every gate of ``schedule`` on a C-ordered chunk of block-local rows, in place: row j holds
-    basis states index[j] at time t[j, 0], or all rows are at t[0, 0] when t has one row."""
+    block labels[j] at time t[j, 0], or all rows are at t[0, 0] when t has one row. Each row reads
+    its block's row of the phase and exponent tables."""
     flat = chunk.reshape(-1)  # a view: the chunk is a run of C-ordered rows
-    diagonals = [np.exp(-1j * t * d[index]) for d in schedule.exponents]
-    phases = [phase[index] for phase in schedule.phases]
+    diagonals = [np.exp(-1j * t * d[labels]) for d in schedule.exponents]
+    phases = [phase[labels] for phase in schedule.phases]
     theta = 0.5 * (schedule.angles[:, None, None] * t) * schedule.coefficients[:, None, None]
     cos, minus_i_sin = np.cos(theta), -1j * np.sin(theta)
     if len(t) == 1:  # one time takes plain scalars, cheaper than a (k, 1) column per gate

@@ -289,17 +289,18 @@ class TestPipeline:
         path, _ = workdir
         shutil.copy(path / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
         calls = []
-        original = GreensEngine.seed_subspace
+        original = GreensEngine.seed_subspaces
 
-        def counting(self, excitation):
-            calls.append(len(excitation))
-            return original(self, excitation)
+        def counting(self, excitations):
+            calls.append([len(excitation) for excitation in excitations])
+            return original(self, excitations)
 
-        monkeypatch.setattr(GreensEngine, "seed_subspace", counting)
+        monkeypatch.setattr(GreensEngine, "seed_subspaces", counting)
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps({**FAST_CONFIG, "gf": {**FAST_CONFIG["gf"], "kinds": ["X", "Z"]}}))
         assert main(["greens", "--config", str(config_path), "--out", str(tmp_path)]) == 0
-        assert calls == [2, 1, 1] * 2  # per kind: the pair seed, then each single site
+        # per kind, one shared build: the pair seed, then each single site
+        assert calls == [[2, 1, 1]] * 2
 
     def test_one_s_factorization_per_krylov_seed(self, workdir, tmp_path, monkeypatch):
         path, _ = workdir
@@ -517,14 +518,14 @@ class TestPipeline:
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps({**FAST_CONFIG, "qse": {**FAST_CONFIG["qse"], **qse_config}}))
         bases, evolutions = [], []
-        build, evolve = qse.build_basis, simulator._evolve_trotter2
+        build, evolve = qse.build_bases, simulator._evolve_trotter2
 
-        def counted_build(ref, n_k, n_l, delta_t, evolution):
+        def counted_build(requests, delta_t, evolution):
             if evolution.mode == "trotter2":
-                bases.append((n_k, n_l, evolution.trotter_steps))
-            return build(ref, n_k, n_l, delta_t, evolution)
+                bases.extend((n_k, n_l, evolution.trotter_steps) for _, n_k, n_l in requests)
+            return build(requests, delta_t, evolution)
 
-        monkeypatch.setattr(qse, "build_basis", counted_build)
+        monkeypatch.setattr(qse, "build_bases", counted_build)
         monkeypatch.setattr(simulator, "_evolve_trotter2",
                             lambda op, stack, times: evolutions.append(len(times)) or evolve(op, stack, times))
         assert main(["qse", "--config", str(config_path), "--out", str(tmp_path)]) == 0
@@ -540,6 +541,29 @@ class TestPipeline:
         assert sorted(bases) == [(0, 0, 2), (1, 1, 2), (2, 2, 1), (2, 2, 2)]
         per_basis = sum(2 * n_l + 2 * n_k * (n_l + 1) for n_k, n_l, _ in bases)
         assert evolutions == per_basis + qse.basis_size(2, 2)
+
+    def test_qse_stage_shares_stacks_per_trotter_operator(self, workdir, tmp_path, monkeypatch):
+        # the entries of one (mode, r) grow in one build_bases call: one stack per coarse
+        # level of the deepest entry, one of every entry's k != 0 rows, and HOA one more
+        shutil.copy(workdir[0] / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({**FAST_CONFIG, "qse": {
+            **FAST_CONFIG["qse"], "evolution_mode": "trotter2", "trotter_steps": 2, "assembly_mode": "hoa",
+            "shape_sweep": [[0, 0], [1, 1], [2, 2], [1, 2]], "trotter_sweep": [1, 2],
+        }}))
+        builds, stacks = [], []
+        build, evolve = qse.build_bases, simulator._evolve_trotter2
+        monkeypatch.setattr(qse, "build_bases", lambda requests, delta_t, op: builds.append(
+            (op.trotter_steps, sorted((n_k, n_l) for _, n_k, n_l in requests))) or build(requests, delta_t, op))
+        monkeypatch.setattr(simulator, "_evolve_trotter2",
+                            lambda op, stack, times: stacks.append(len(times)) or evolve(op, stack, times))
+        assert main(["qse", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+        assert sorted(builds) == [(1, [(2, 2)]), (2, [(0, 0), (1, 1), (2, 2)])]
+        # r=2: levels 1 and 2 stack the anchors of the n_l >= l entries, two rows each, and the
+        # fine stack holds 2 n_k (n_l + 1) rows per entry; r=1: the lone (2, 2) entry. A separate
+        # build per entry made 2 + 3 stacks at r=2
+        fine = [2 * n_k * (n_l + 1) for n_k, n_l in ((1, 1), (2, 2))]
+        assert sorted(stacks) == sorted([4, 2, sum(fine), 2, 2, fine[1], qse.basis_size(2, 2)])
 
     def test_qse_stage_compiles_each_trotter_operator_once(self, workdir, tmp_path, monkeypatch):
         # the bases of one (mode, r) share one V(t): four trotter2 bases at two step counts

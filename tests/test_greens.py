@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kitaevqse import greens, oracle
+from kitaevqse import qse as qse_mod
 from kitaevqse.greens import (
     GreensEngine,
     GreensError,
@@ -429,3 +430,47 @@ class TestDsf:
     def test_normalize_constant_table(self):
         table = np.full((3, 4), 2.5)
         assert np.all(normalize_intensity(table) == 0.0)
+
+
+class TestSharedSeedStacks:
+    """The seeds of one Green's-function call grow through shared trotter2 stacks: tilde_n_l
+    coarse levels and one fine stack in all, where one seed at a time took that per seed."""
+
+    @staticmethod
+    def engine(h_8, qse8):
+        gs, basis, _ = qse8
+        return GreensEngine(h_8, gs, basis, KrylovBasisConfig(3, 3, "trotter2", 2))
+
+    @staticmethod
+    def counted_stacks(monkeypatch):
+        stacks = []
+        original = qse_mod.evolve_stack
+        monkeypatch.setattr(qse_mod, "evolve_stack", lambda op, stack, times: stacks.append(len(times)) or original(
+            op, stack, times))
+        return stacks
+
+    def test_dsf_field(self, h_8, qse8, lat8, monkeypatch):
+        omega = np.linspace(-6.0, 6.0, 25)
+        alone = self.engine(h_8, qse8)
+        total = np.zeros(omega.size)
+        for kind in "XYZ":
+            total += np.imag(alone.correlator(greens._collective_excitation(kind, lat8.positions, np.zeros(2)),
+                                              omega + 0.1j))
+        stacks = self.counted_stacks(monkeypatch)
+        shared = dynamical_structure_factor(self.engine(h_8, qse8), lat8.positions, np.zeros(2), omega, 0.1)
+        assert len(stacks) == 3 + 1  # tilde_n_l + 1; one seed at a time made 3 (3 + 1)
+        assert stacks[:3] == [6, 6, 6]  # three seeds' +-l anchors per level
+        assert np.array_equal(shared, total / 8)
+
+    def test_pair_gf(self, h_8, qse8, monkeypatch):
+        z = np.linspace(-6.0, 6.0, 25) + 0.1j
+        alone = self.engine(h_8, qse8)
+        for sites in ([0, 1], [0], [1]):
+            alone.recursion(pauli_sum([single_site("Z", s, 8) for s in sites], 8))  # one seed at a time
+        stacks = self.counted_stacks(monkeypatch)
+        engine = self.engine(h_8, qse8)
+        shared = engine.offdiagonal_gf("Z", 0, 1, z)
+        assert len(stacks) == 3 + 1
+        assert np.array_equal(shared, alone.offdiagonal_gf("Z", 0, 1, z))
+        engine.offdiagonal_gf("Z", 0, 1, z + 0.5)
+        assert len(stacks) == 3 + 1  # the engine reuses every seed's recursion on any grid

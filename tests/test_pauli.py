@@ -275,6 +275,40 @@ class TestGroupedAction:
         assert sums["only diagonal terms"].grouped_action[1] == ()
         assert not np.any(pauli.apply_sum(pauli_sum([], 3), np.ones(8, complex)))
 
+    @staticmethod
+    def flip_loop(h, vec):
+        """H|vec> one flip group at a time over the whole state: each amplitude's sum, in
+        the order apply_sum takes it, with no chunking."""
+        diagonal, flips = h.grouped_action
+        out = np.zeros(vec.shape, complex) if diagonal is None else diagonal * vec
+        for src, phase in flips:
+            out += vec[src] * phase
+        return out
+
+    @pytest.mark.parametrize("rows", [1, pauli._CHUNK // 512, pauli._CHUNK // 512 + 1, 2 * pauli._CHUNK // 512 + 3])
+    def test_stack_equals_row_loop(self, lat8, rows):
+        # N=8 stacks run in row groups of _CHUNK // 2 amplitudes (16 states): one state,
+        # exactly one group, one state past it, and two groups and a remainder
+        rng = np.random.default_rng(rows)
+        stack = rng.normal(size=(rows, 256)) + 1j * rng.normal(size=(rows, 256))
+        for name, h in self.sums(lat8).items():
+            looped = np.stack([self.flip_loop(h, row) for row in stack])
+            assert np.array_equal(pauli.apply_sum(h, stack), looped), name
+            assert np.array_equal(pauli.apply_sum(h, stack.reshape(1, rows, 256))[0], looped), name
+        assert np.array_equal(pauli.apply_sum(h, stack[0]), looped[0])
+
+    @pytest.mark.parametrize("n", [12, 14])
+    def test_stack_equals_row_loop_on_large_registers(self, lat12, n):
+        # from N=12 each state runs alone, and beyond _CHUNK amplitudes (N=14) in column slices
+        h = kitaev_hamiltonian(lat12, -1.0, 0.1) if n == 12 else pauli_sum(
+            [PauliTerm(0.5, "XY" + "I" * 11 + "Z"), PauliTerm(-0.3, "Z" * 14), PauliTerm(0.2, "I" * 13 + "Y")], 14)
+        rng = np.random.default_rng(n)
+        stack = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
+        looped = np.stack([self.flip_loop(h, row) for row in stack])
+        assert np.array_equal(pauli.apply_sum(h, stack), looped)
+        assert np.array_equal(pauli.apply_sum(h, stack[1]), looped[1])
+        assert np.max(np.abs(looped[0] - sum(pauli.apply_term(t, stack[0]) for t in h.terms))) <= 1e-12
+
     def test_built_once_per_sum(self, lat8, monkeypatch):
         calls = []
         build = pauli.group_by_flip

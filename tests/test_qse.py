@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from kitaevqse import qse
-from kitaevqse.pauli import gershgorin_kappa, to_matrix
+from kitaevqse import oracle, qse
+from kitaevqse.greens import _collective_excitation
+from kitaevqse.pauli import apply_sum, gershgorin_kappa, to_matrix
 from kitaevqse.qse import (
     QseError,
     assemble_matrices,
     basis_size,
+    build_bases,
     build_basis,
     canonical_orthogonalization,
     deepest_subspaces,
@@ -204,7 +206,7 @@ class TestAssembleMatrices:
     @pytest.mark.parametrize("evolution_mode, applications", [("exact", 0), ("trotter2", 1)])
     def test_exact_basis_applies_nothing(self, ref8, h_8, monkeypatch, evolution_mode, applications):
         # exact evolution reads S and H off the spectral weights; a trotter2
-        # basis, whose V_r(t) is no group in t, still applies H once per state
+        # basis, whose V_r(t) is no group in t, still applies H, to its whole stack at once
         basis = build_basis(ref8, 2, 1, default_time_step(h_8), EvolutionOperator(h_8, mode=evolution_mode))
         calls = {"apply_sum": 0, "evolve_stack": 0}
         for name in calls:
@@ -216,7 +218,7 @@ class TestAssembleMatrices:
 
             monkeypatch.setattr(qse, name, counting)
         assemble_matrices(basis)
-        assert calls == {"apply_sum": applications * len(basis), "evolve_stack": 0}
+        assert calls == {"apply_sum": applications, "evolve_stack": 0}
 
     def test_matrix_export(self, qse8):
         _, _, mats = qse8
@@ -421,3 +423,65 @@ class TestNestedSubspaces:
                 ref8, h_8, row["n_k"], row["n_l"], evolution=EvolutionOperator(h_8, "trotter2", row["r"])
             )
             assert abs(row["energy"] - gs.energy) <= 1e-10
+
+
+class TestBuildBases:
+    @staticmethod
+    def requests(ref, h, lat):
+        """References on one block (ref) and on two (the q=0 X and Y collective seeds; at N=12,
+        whose two blocks the seeds swap, plus ref), at different n_k and n_l, n_k = 0 and
+        n_l = 0 included."""
+        def blocks_of(amplitudes):
+            return sum(bool(np.any(amplitudes[block] != 0)) for block in oracle.symmetry_blocks(h))
+
+        seeds = {}
+        for kind in "XY":
+            seeded = apply_sum(_collective_excitation(kind, lat.positions, np.zeros(2)), ref.amplitudes)
+            if blocks_of(seeded) == 1:
+                seeded += ref.amplitudes
+            assert blocks_of(seeded) == 2
+            seeds[kind] = StateVector(seeded / np.linalg.norm(seeded), ref.num_sites)
+        return [(ref, 2, 3), (seeds["X"], 3, 1), (seeds["Y"], 0, 2), (ref, 1, 0)]
+
+    @staticmethod
+    def counted_stacks(monkeypatch):
+        stacks = []
+        original = qse.evolve_stack
+        monkeypatch.setattr(qse, "evolve_stack", lambda op, stack, times: stacks.append(len(times)) or original(
+            op, stack, times))
+        return stacks
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_shared_build_equals_separate_builds(self, request, monkeypatch, n):
+        ref, h = request.getfixturevalue(f"ref{n}"), request.getfixturevalue(f"h_{n}")
+        requests = self.requests(ref, h, request.getfixturevalue(f"lat{n}"))
+        op, dt = EvolutionOperator(h, mode="trotter2", trotter_steps=2), default_time_step(h)
+        alone = [build_basis(*req, dt, op) for req in requests]
+        stacks = self.counted_stacks(monkeypatch)
+        shared = build_bases(requests, dt, op)
+        # one stack per coarse level of the deepest request, then one of every k != 0 row
+        assert stacks == [2 * 3, 2 * 2, 2 * 1, sum(2 * n_k * (n_l + 1) for _, n_k, n_l in requests)]
+        for basis, single, (reference, n_k, n_l) in zip(shared, alone, requests):
+            assert basis.reference is reference and basis.delta_t == dt and basis.evolution is op
+            assert basis.indices == single.indices and len(basis) == basis_size(n_k, n_l)
+            assert np.array_equal(basis.amplitudes, single.amplitudes)
+
+    def test_exact_bases_stay_stateless(self, ref8, h_8, lat8, evolution_8, monkeypatch):
+        requests = self.requests(ref8, h_8, lat8)
+        stacks = self.counted_stacks(monkeypatch)
+        shared = build_bases(requests, default_time_step(h_8), evolution_8)
+        assert stacks == []
+        for basis, (reference, n_k, n_l) in zip(shared, requests):
+            assert basis.amplitudes is None and basis.reference is reference
+            assert basis.indices == multigrid_indices(n_k, n_l)
+
+    def test_one_build_per_operator(self, ref8, h_8, monkeypatch):
+        # deepest_subspaces grows the n_k entries of one (mode, r) in one shared build
+        calls = []
+        original = qse.build_bases
+        monkeypatch.setattr(qse, "build_bases", lambda requests, dt, op: calls.append(
+            (op.mode, op.trotter_steps, [(n_k, n_l) for _, n_k, n_l in requests])) or original(requests, dt, op))
+        shapes = sweep_shapes([(1, 1), (0, 0), (2, 1), (0, 2)], "trotter2", (1, 3))
+        deepest_subspaces(ref8, h_8, shapes + sweep_shapes([(1, 1)], "exact", (1,)))
+        assert calls == [("trotter2", 1, [(1, 2), (0, 0), (2, 0)]), ("trotter2", 3, [(1, 2), (0, 0), (2, 0)]),
+                         ("exact", 1, [(1, 1)])]

@@ -464,7 +464,8 @@ class TestStackedEvolution:
             assert np.array_equal(src, np.arange(len(src))[:, None] * 4 + src[0])
             for row in schedule.members:
                 assert np.array_equal(row[src[0]], term.action[0][row])
-        assert schedule.phases[yy_phase] is h.terms[1].action[1]  # read at each chunk's states
+        # a (blocks, size) table laid out as members, read by block label
+        assert np.array_equal(schedule.phases[yy_phase], h.terms[1].action[1][schedule.members])
 
     def test_rejects_exact_mode_and_bad_shapes(self, h_8, evolution_8):
         stack, times = self.stack_and_times(8, 2, 35)
