@@ -24,7 +24,7 @@ from .config import ConfigError, RunConfig, load_config
 from .greens import GreensEngine, GreensError, KrylovBasisConfig
 from .lattice import HoneycombLattice, LatticeError
 from .oracle import OracleError, SpectralDecomposition
-from .pauli import PauliError, PauliSum, gershgorin_kappa, pauli_sum, single_site
+from .pauli import PauliError, PauliSum, gershgorin_kappa, single_site
 from .qse import QseError
 from .simulator import EvolutionOperator, SimulationError, StateVector
 from .vqe import VqeError
@@ -326,9 +326,9 @@ def cmd_greens(config: RunConfig, out_dir: Path) -> None:
         dev = np.max(np.abs(gf_qse - gf_ed))
         print(f"greens[{kind}]: max |G_qse - G_ed| = {dev:.3e}")
 
-        # tridiagonal coefficients of the pair seed behind G_ab, for reproducibility
-        # audits; the hole part is the same recursion with a -> -a
-        coeffs, _ = engine.recursion(pauli_sum([c_a, c_b], lat.num_sites))
+        # tridiagonal coefficients of the pair seed behind G_ab, with the S rank that bounds
+        # their depth, for reproducibility audits; the hole part is the same recursion with a -> -a
+        coeffs, _ = engine.recursion(greens.pair_excitation(kind, site_a, site_b, lat.num_sites))
         write_json(out_dir / f"lanczos_greater_{suffix}.json", config, coeffs.to_json_dict())
         write_json(out_dir / f"lanczos_lesser_{suffix}.json", config, coeffs.hole().to_json_dict())
 

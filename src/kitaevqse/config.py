@@ -111,6 +111,9 @@ def _parse(cls, raw, path: str):
 # ---------------------------------------------------------------------------
 
 _EVOLUTION_MODES = ("exact", "trotter2")
+# Each omega point is one row of the (points, 2^N) Lehmann tables on the ED side: at N=12,
+# 10^4 points make 0.33 GB per table. The default grid has 201 points.
+MAX_OMEGA_POINTS = 10_000
 
 
 @dataclass
@@ -201,6 +204,9 @@ def config_from_dict(raw: dict) -> RunConfig:
     for name in ("gf", "dsf"):
         grid = getattr(config, name)
         _require(grid.omega_max > grid.omega_min, f"$.{name}.omega_max", "must exceed omega_min")
+        points = (grid.omega_max - grid.omega_min) / grid.omega_step + 1
+        _require(points <= MAX_OMEGA_POINTS, f"$.{name}.omega_step",
+                 f"makes {points:.6g} omega points, more than {MAX_OMEGA_POINTS}")
     if config.qse.assembly_mode == "hoa":
         _require(
             0.0 < config.qse.hoa_tau_scale < 1.0, "$.qse.hoa_tau_scale",

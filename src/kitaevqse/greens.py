@@ -3,20 +3,21 @@
 The retarded correlator for an excitation operator A splits into a
 particle-like part <GS| A^dag (z - H)^-1 A |GS> and a hole-like part
 <GS| A^dag (z + H)^-1 A |GS>. Both are evaluated in a multigrid subspace
-grown from the normalized A|GS>, which is itself basis state (l, k) =
-(0, 0) of that subspace. The dynamical Lanczos recursion (Gagliano &
-Balseiro, PRL 59, 2999 (1987)) starts at that basis state and runs purely
-on the subspace H/S matrices, through the package's one Hermitian Lanczos,
-:func:`oracle.lanczos`, with b_n the norm of the reorthogonalized
-residual. It yields tridiagonal coefficients {a_n}, {b_n}, and the
-correlator is the standard continued fraction in those coefficients,
-times the squared seed norm because A need not be unitary.
+grown from the normalized A|GS>, which is itself the step-0 row of that
+subspace (:attr:`qse.SubspaceBasis.reference_row`). The dynamical Lanczos
+recursion (Gagliano & Balseiro, PRL 59, 2999 (1987)) starts at that basis
+state and runs purely on the subspace H/S matrices, through the package's
+one Hermitian Lanczos, :func:`oracle.lanczos`, with b_n the norm of the
+reorthogonalized residual. It yields tridiagonal coefficients {a_n},
+{b_n}, and the correlator is the standard continued fraction in those
+coefficients, times the squared seed norm because A need not be unitary.
 The hole-like part is the same recursion with a -> -a: (z + H)^-1 =
 (z - (-H))^-1, and the recursion for -H from the same seed is (-a_n, b_n).
 
 Single-site Green's functions take A = sigma_a. Off-diagonal elements
 come from the polarization identity G_ab = (G+_ab - G_aa - G_bb) / 2 with
-G+ seeded by (sigma_a + sigma_b)|GS>.
+G+ seeded by (sigma_a + sigma_b)|GS>, its terms in ascending site order
+(:func:`pair_excitation`), so G_ab and G_ba run one seed.
 
 The dynamical structure factor is seeded once per Pauli kind mu by the
 collective operator A_q^mu = sum_i exp(i q.r_i) sigma_i^mu, whose
@@ -34,7 +35,7 @@ exact-diagonalization sides, so the two are always comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -42,7 +43,6 @@ import numpy as np
 from . import oracle as oracle_mod
 from .pauli import PauliSum, apply_sum, gershgorin_kappa, pauli_sum, single_site
 from .qse import (
-    MultigridIndex,
     QseGroundState,
     SubspaceBasis,
     SubspaceMatrices,
@@ -81,6 +81,7 @@ class LanczosCoefficients:
     termination_index: int
     vectors: np.ndarray | None = None  # subspace coordinates of the Krylov states
     stop_reason: str | None = None  # "b2_tol" (Krylov space exhausted) or "rank" (of S)
+    s_rank: int | None = None  # kept S directions, the depth at which "rank" stops
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=float)
@@ -90,7 +91,7 @@ class LanczosCoefficients:
 
     def hole(self) -> "LanczosCoefficients":
         """The same recursion for -H: a -> -a, b unchanged."""
-        return LanczosCoefficients(-self.a, self.b, self.termination_index, stop_reason=self.stop_reason)
+        return replace(self, a=-self.a, vectors=None)
 
     def to_json_dict(self) -> dict:
         return {
@@ -98,6 +99,7 @@ class LanczosCoefficients:
             "b": self.b.tolist(),
             "termination_index": self.termination_index,
             "stop_reason": self.stop_reason,
+            "s_rank": self.s_rank,
         }
 
 
@@ -153,6 +155,7 @@ def lanczos_iterate(
         termination_index=a.size,
         vectors=transform @ krylov.T if keep_vectors else None,  # psi-basis coordinates
         stop_reason=stop_reason,
+        s_rank=rank,
     )
 
 
@@ -204,9 +207,9 @@ class GreensEngine:
         """(psi basis, matrices, psi0 coefficients, seed norm squared) per excitation, in order.
 
         Each basis is grown from its normalized excitation|GS> at the
-        default time step, so that state is basis state (0, 0): exactly
+        default time step, so that state is the basis's step-0 row: exactly
         in trotter2 mode, to roundoff in exact mode. psi0 is therefore
-        the unit vector at that index, with unit S-norm. The seeds share
+        the unit vector at that row, with unit S-norm. The seeds share
         the engine's V(t) and are built together (:func:`qse.build_bases`),
         so in trotter2 mode they share every evolution stack.
         """
@@ -224,7 +227,7 @@ class GreensEngine:
         out = []
         for psi_basis, norm_sq in zip(bases, norms):
             psi0 = np.zeros(len(psi_basis), dtype=complex)
-            psi0[psi_basis.indices.index(MultigridIndex(0, 0))] = 1.0
+            psi0[psi_basis.reference_row] = 1.0
             out.append((psi_basis, assemble_matrices(psi_basis), psi0, norm_sq))
         return out
 
@@ -266,15 +269,19 @@ class GreensEngine:
     def offdiagonal_gf(self, kind: str, site_a: int, site_b: int, z_grid: np.ndarray) -> np.ndarray:
         if site_a == site_b:
             raise GreensError("off-diagonal path requires distinct sites")
-        n = self.num_sites
-        single_a, single_b = single_site(kind, site_a, n), single_site(kind, site_b, n)
-        combined = pauli_sum([single_a, single_b], n)
+        combined = pair_excitation(kind, site_a, site_b, self.num_sites)
         # the three seeds of the polarization identity share their evolution stacks
-        self.recursions([combined, *(pauli_sum([term], n) for term in (single_a, single_b))])
+        self.recursions([combined, *(pauli_sum([term], self.num_sites) for term in combined.terms)])
         plus = self.correlator(combined, z_grid)
         g_aa = self.diagonal_gf(kind, site_a, z_grid)
         g_bb = self.diagonal_gf(kind, site_b, z_grid)
         return 0.5 * (plus - g_aa - g_bb)
+
+
+def pair_excitation(kind: str, site_a: int, site_b: int, num_sites: int) -> PauliSum:
+    """sigma_a + sigma_b with its terms in ascending site order: one seed, and one
+    cached recursion, for (a, b) and (b, a)."""
+    return pauli_sum([single_site(kind, site, num_sites) for site in sorted((site_a, site_b))], num_sites)
 
 
 def _grid_key(z_grid: np.ndarray) -> tuple:

@@ -1,22 +1,23 @@
 """Quantum subspace expansion: multigrid basis, H/S assembly, eigensolve.
 
-Basis states are time evolutions of a reference state on a two-level
-grid: a coarse stride of (n_k+1) time steps raised to the power l, then
-k fine steps on top. Index order is l ascending, k ascending within
-each l, so matrices are reproducible across runs. At fixed n_k the grids
-nest: the |l| <= n_l states of a deeper basis are a contiguous block of
-it, and they are the states of the n_l basis itself, bit for bit, so a
-sweep over n_l builds one basis per n_k and reads each smaller n_l off
-its principal submatrices (:func:`nested_subspace`). For a trotter2
-basis that block's S and H equal a separate assembly to roundoff (about
-1e-10 in the swept energies); an exact block reads its own Toeplitz
-sequences, as cheap as slicing.
+Basis state (l, k) is V(k dt) V((n_k+1) dt)^l |ref>: a coarse stride of
+(n_k+1) time steps raised to the power l, then k fine steps on top. In
+index order (l ascending, k ascending within each l) its step
+m = l (n_k+1) + k runs over the uniform grid -M..M, M = n_l (n_k+1) + n_k,
+so a :class:`SubspaceBasis` is its two integers: the steps, the
+reference's row M and each row's (l, k) (:func:`split_steps`) follow from
+(n_k, n_l). At fixed n_k the grids nest: the steps of the n_l grid are the
+middle block of a deeper one's, and its states are those of the n_l basis
+itself, bit for bit, so a sweep over n_l builds one basis per n_k and
+reads each smaller n_l off its principal submatrices
+(:func:`nested_subspace`). For a trotter2 basis that block's S and H equal
+a separate assembly to roundoff (about 1e-10 in the swept energies); an
+exact block reads its own Toeplitz sequences, as cheap as slicing.
 
 A basis is always assembled under the Hamiltonian it evolves under, either
 applying H directly or through the Hamiltonian operator approximation
 (HOA), a sine difference of evolution overlaps; the HOA step tau alone
-selects the second. In exact evolution the grid is uniform, t = m dt with
-m = -M..M ascending in index order, so every overlap depends on the lag
+selects the second. In exact evolution every overlap depends on the lag
 m_b - m_a alone: S and H are Toeplitz and come from 2M+1 autocorrelation
 entries of the reference (Cortes & Gray, PRA 105, 022417 (2022)).
 So an exact basis holds no state. Trotterized bases, whose V_r(t) is not a
@@ -60,45 +61,11 @@ class QseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class MultigridIndex:
-    """(l, k) position on the two-level time grid."""
-
-    l: int
-    k: int
-
-
-def multigrid_indices(n_k: int, n_l: int) -> list[MultigridIndex]:
-    """All (l, k) pairs, l ascending then k ascending.
-
-    k spans (0, n_k) for l > 0, (-n_k, 0) for l < 0 and (-n_k, n_k) for
-    l = 0, which makes the total count 2(n_l+1)(n_k+1) - 1.
-    """
-    if n_k < 0 or n_l < 0:
-        raise QseError("n_k and n_l must be non-negative")
-    out: list[MultigridIndex] = []
-    for l in range(-n_l, n_l + 1):
-        if l > 0:
-            ks = range(0, n_k + 1)
-        elif l < 0:
-            ks = range(-n_k, 1)
-        else:
-            ks = range(-n_k, n_k + 1)
-        out.extend(MultigridIndex(l, k) for k in ks)
-    return out
-
-
-def basis_size(n_k: int, n_l: int) -> int:
-    return 2 * (n_l + 1) * (n_k + 1) - 1
-
-
-def _grid_steps(indices: Sequence[MultigridIndex]) -> np.ndarray:
-    """Step m of each (l, k), t = m dt: the coarse stride is n_k + 1 fine steps.
-
-    In index order this is -M .. M ascending, M = n_l (n_k + 1) + n_k.
-    """
-    stride = 1 + max(abs(idx.k) for idx in indices)
-    return np.array([idx.l * stride + idx.k for idx in indices])
+def split_steps(steps: np.ndarray, n_k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(l, k) of each grid step m = l (n_k + 1) + k, with |k| <= n_k and k of
+    the sign of m: the index order read backwards, so m = 0 is (0, 0)."""
+    l = np.sign(steps) * (np.abs(steps) // (n_k + 1))
+    return l, steps - l * (n_k + 1)
 
 
 def default_time_step(h: PauliSum) -> float:
@@ -108,22 +75,37 @@ def default_time_step(h: PauliSum) -> float:
 
 @dataclass
 class SubspaceBasis:
-    """The reference, its grid and its V(t); each basis state is V(t_b)|ref>.
+    """The reference, its (n_k, n_l) grid and its V(t); basis state b is V(m_b dt)|ref>.
 
     A trotter2 basis holds its states as one (n_phi, 2^N) ``amplitudes``
-    stack, one row per basis state in index order. An exact basis holds
+    stack, one row per grid step in index order. An exact basis holds
     none (``amplitudes`` is None): its matrices and its reconstructed state
     come from the spectral weights of the reference.
     """
 
     reference: StateVector
-    indices: list[MultigridIndex]
+    n_k: int
+    n_l: int
     delta_t: float
     evolution: EvolutionOperator
     amplitudes: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        if self.n_k < 0 or self.n_l < 0:
+            raise QseError("n_k and n_l must be non-negative")
+
+    @property
+    def reference_row(self) -> int:
+        """M = n_l (n_k + 1) + n_k: the row of step 0, the reference itself."""
+        return self.n_l * (self.n_k + 1) + self.n_k
+
+    @property
+    def steps(self) -> np.ndarray:
+        """The step m of each row, t = m dt: -M .. M ascending."""
+        return np.arange(-self.reference_row, self.reference_row + 1)
+
     def __len__(self) -> int:
-        return len(self.indices)
+        return 2 * self.reference_row + 1
 
 
 BasisRequest = tuple[StateVector, int, int]  # (reference, n_k, n_l)
@@ -137,8 +119,9 @@ def build_bases(
     """Evolve each request's reference onto its two-level multigrid, one
     :class:`SubspaceBasis` per request, in order.
 
-    state(l, k) = V(k dt) (V((n_k+1) dt))^l ref, with negative l using
-    the inverse coarse evolution. In trotter2 mode each V application is
+    state(l, k) = V(k dt) (V((n_k+1) dt))^l ref, with (l, k) the
+    :func:`split_steps` of the row's step and negative l using the inverse
+    coarse evolution. In trotter2 mode each V application is
     one product-formula evolution over its full time argument, so the
     step count per basis state stays at r*(|l|+1). The circuits of all
     requests are shared through :func:`simulator.evolve_stack`: level l
@@ -152,30 +135,30 @@ def build_bases(
     """
     if delta_t <= 0.0:
         raise QseError("delta_t must be positive")
-    grids = [multigrid_indices(n_k, n_l) for _, n_k, n_l in requests]
+    bases = [SubspaceBasis(ref, n_k, n_l, delta_t, evolution) for ref, n_k, n_l in requests]
     if evolution.mode == "exact":
-        return [SubspaceBasis(ref, indices, delta_t, evolution) for (ref, _, _), indices in zip(requests, grids)]
+        return bases
 
-    anchors = [{0: ref.amplitudes} for ref, _, _ in requests]
-    for l in range(1, max(n_l for *_, n_l in requests) + 1):
-        deep = [j for j, (_, _, n_l) in enumerate(requests) if n_l >= l]
+    anchors = [{0: basis.reference.amplitudes} for basis in bases]
+    for l in range(1, max(basis.n_l for basis in bases) + 1):
+        deep = [j for j, basis in enumerate(bases) if basis.n_l >= l]
         evolved = evolve_stack(
             evolution,
             np.stack([anchors[j][sign * (l - 1)] for j in deep for sign in (1, -1)]),
-            [sign * (requests[j][1] + 1) * delta_t for j in deep for sign in (1, -1)],  # +-(n_k+1) dt
+            [sign * (bases[j].n_k + 1) * delta_t for j in deep for sign in (1, -1)],  # +-(n_k+1) dt
         )
         for j, plus, minus in zip(deep, evolved[::2], evolved[1::2]):
             anchors[j][l], anchors[j][-l] = plus, minus
-    amplitudes = np.stack([chain[idx.l] for chain, indices in zip(anchors, grids) for idx in indices])
-    steps = [idx.k for indices in grids for idx in indices]
-    fine = [b for b, k in enumerate(steps) if k != 0]
-    if fine:  # there are no k != 0 states when every n_k = 0
-        amplitudes[fine] = evolve_stack(evolution, amplitudes[fine], [steps[b] * delta_t for b in fine])
-    ends = np.cumsum([len(indices) for indices in grids])
-    return [
-        SubspaceBasis(ref, indices, delta_t, evolution, amplitudes[end - len(indices):end])
-        for (ref, _, _), indices, end in zip(requests, grids, ends)
-    ]
+    splits = [split_steps(basis.steps, basis.n_k) for basis in bases]
+    amplitudes = np.stack([chain[l] for chain, (ls, _) in zip(anchors, splits) for l in ls.tolist()])
+    k = np.concatenate([ks for _, ks in splits])  # the fine step of each row
+    fine = np.flatnonzero(k)
+    if fine.size:  # there are no k != 0 states when every n_k = 0
+        amplitudes[fine] = evolve_stack(evolution, amplitudes[fine], k[fine] * delta_t)
+    ends = np.cumsum([len(basis) for basis in bases])
+    for basis, end in zip(bases, ends):
+        basis.amplitudes = amplitudes[end - len(basis):end]
+    return bases
 
 
 def build_basis(
@@ -244,11 +227,9 @@ def _toeplitz_matrices(basis: SubspaceBasis, hoa_tau: float | None) -> tuple[np.
     def spectral_filter(energies):
         return energies if hoa_tau is None else np.sin(energies * hoa_tau) / hoa_tau
 
-    steps = _grid_steps(basis.indices)
-    lag = steps[None, :] - steps[:, None]  # m_b - m_a
-    sequences = autocorrelations(
-        basis.evolution, basis.reference, basis.delta_t, int(lag.max()) + 1, spectral_filter
-    )
+    steps = basis.steps
+    lag = steps[None, :] - steps[:, None]  # m_b - m_a, at most 2M
+    sequences = autocorrelations(basis.evolution, basis.reference, basis.delta_t, len(basis), spectral_filter)
     s_mat, h_mat = (np.where(lag >= 0, seq[abs(lag)], seq[abs(lag)].conj()) for seq in sequences)
     return s_mat, h_mat
 
@@ -285,16 +266,14 @@ def nested_subspace(
     the principal submatrices; an exact block holds no states and reads its
     own Toeplitz sequences, which match a basis assembled alone exactly.
     """
-    n_k = max(abs(idx.k) for idx in basis.indices)
-    depth = max(abs(idx.l) for idx in basis.indices)
-    if not 0 <= n_l <= depth:
-        raise QseError(f"n_l = {n_l} is not nested in a basis of depth {depth}")
-    if n_l == depth:
+    if not 0 <= n_l <= basis.n_l:
+        raise QseError(f"n_l = {n_l} is not nested in a basis of depth {basis.n_l}")
+    if n_l == basis.n_l:
         return basis, mats
-    start = (depth - n_l) * (n_k + 1)  # the n_k + 1 states of each deeper |l| come before
-    block = slice(start, start + basis_size(n_k, n_l))
+    start = (basis.n_l - n_l) * (basis.n_k + 1)  # the n_k + 1 steps of each deeper |l| on either side
+    block = slice(start, len(basis) - start)
     rows = None if basis.amplitudes is None else basis.amplitudes[block]
-    sub = SubspaceBasis(basis.reference, basis.indices[block], basis.delta_t, basis.evolution, rows)
+    sub = SubspaceBasis(basis.reference, basis.n_k, n_l, basis.delta_t, basis.evolution, rows)
     if rows is None:
         return sub, assemble_matrices(sub, mats.hoa_tau)
     return sub, SubspaceMatrices(mats.hamiltonian[block, block], mats.overlap[block, block], mats.hoa_tau)
@@ -366,8 +345,7 @@ def reconstruct_state(gs: QseGroundState, basis: SubspaceBasis) -> StateVector:
     basis state formed.
     """
     if basis.evolution.mode == "exact":
-        steps = _grid_steps(basis.indices)
-        return evolved_superposition(basis.evolution, basis.reference, basis.delta_t, steps, gs.coefficients)
+        return evolved_superposition(basis.evolution, basis.reference, basis.delta_t, basis.steps, gs.coefficients)
     return StateVector(basis.amplitudes.T @ gs.coefficients, basis.reference.num_sites)
 
 
@@ -443,12 +421,12 @@ def qse_energy_curve(
     (:func:`deepest_subspaces` of these shapes or of more)."""
     rows: list[dict] = []
     for mode, r, n_k, n_l in shapes:
-        _, mats = nested_subspace(*subspaces[mode, r, n_k], n_l)
+        sub, mats = nested_subspace(*subspaces[mode, r, n_k], n_l)
         gs = solve_ground_state(mats)
         rows.append({
             "n_l": n_l,
             "n_k": n_k,
-            "n_phi": basis_size(n_k, n_l),
+            "n_phi": len(sub),
             "r": r,
             "mode": mode,
             "energy": gs.energy,

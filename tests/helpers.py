@@ -3,7 +3,6 @@
 import numpy as np
 
 from kitaevqse.oracle import taper
-from kitaevqse.qse import _grid_steps
 from kitaevqse.simulator import _rotation_inplace, compile_trotter2, evolve_times, trotter_schedule
 
 _SINGLE_MATRICES = {
@@ -120,9 +119,14 @@ def full_register_trotter2(op, amplitudes: np.ndarray, times) -> np.ndarray:
     return out
 
 
+def basis_size(n_k: int, n_l: int) -> int:
+    """The multigrid's state count, 2(n_l+1)(n_k+1) - 1: n_k + 1 per l != 0, 2 n_k + 1 at l = 0."""
+    return 2 * (n_l + 1) * (n_k + 1) - 1
+
+
 def basis_states(basis) -> np.ndarray:
     """(n_phi, 2^N) basis states V(t_b)|ref> in index order: a trotter2 basis's own stack, or,
     for an exact basis, which holds none, one batched exact evolution at the grid times."""
     if basis.amplitudes is not None:
         return basis.amplitudes
-    return evolve_times(basis.evolution, basis.reference, basis.delta_t * _grid_steps(basis.indices))
+    return evolve_times(basis.evolution, basis.reference, basis.delta_t * basis.steps)

@@ -21,6 +21,8 @@ from kitaevqse.greens import GreensEngine
 from kitaevqse.pauli import apply_sum, apply_term, gershgorin_kappa, single_site
 from kitaevqse.simulator import EvolutionOperator, StateVector
 
+from helpers import basis_size
+
 FAST_CONFIG = {
     "lattice": {"rows": 2, "cols": 2},
     "coupling": -1.0,
@@ -151,6 +153,7 @@ class TestConfigValidation:
         ({"qse": {"assembly_mode": "hoa", "hoa_tau_scale": 2}}, "$.qse.hoa_tau_scale"),
         ({"qse": {"assembly_mode": "hoa", "hoa_tau_scale": 1.0}}, "$.qse.hoa_tau_scale"),
         ({"qse": {"assembly_mode": "hoa", "hoa_tau_scale": 0}}, "$.qse.hoa_tau_scale"),
+        ({"dsf": {"omega_step": 0.002}}, "$.dsf.omega_step"),  # 10001 points, one over the cap
     ])
     def test_malformed_value_path(self, raw, path):
         with pytest.raises(ConfigError, match="^" + re.escape(path) + ": "):
@@ -263,6 +266,8 @@ class TestPipeline:
         assert lesser["b"] == greater["b"]
         assert lesser["termination_index"] == greater["termination_index"] == len(greater["a"])
         assert lesser["stop_reason"] == greater["stop_reason"] in ("b2_tol", "rank")
+        assert lesser["s_rank"] == greater["s_rank"] >= greater["termination_index"]
+        assert (greater["stop_reason"] == "rank") == (greater["termination_index"] == greater["s_rank"])
 
     @pytest.mark.parametrize("qse_config", [
         {},
@@ -540,7 +545,7 @@ class TestPipeline:
         })
         assert sorted(bases) == [(0, 0, 2), (1, 1, 2), (2, 2, 1), (2, 2, 2)]
         per_basis = sum(2 * n_l + 2 * n_k * (n_l + 1) for n_k, n_l, _ in bases)
-        assert evolutions == per_basis + qse.basis_size(2, 2)
+        assert evolutions == per_basis + basis_size(2, 2)
 
     def test_qse_stage_shares_stacks_per_trotter_operator(self, workdir, tmp_path, monkeypatch):
         # the entries of one (mode, r) grow in one build_bases call: one stack per coarse
@@ -563,7 +568,7 @@ class TestPipeline:
         # fine stack holds 2 n_k (n_l + 1) rows per entry; r=1: the lone (2, 2) entry. A separate
         # build per entry made 2 + 3 stacks at r=2
         fine = [2 * n_k * (n_l + 1) for n_k, n_l in ((1, 1), (2, 2))]
-        assert sorted(stacks) == sorted([4, 2, sum(fine), 2, 2, fine[1], qse.basis_size(2, 2)])
+        assert sorted(stacks) == sorted([4, 2, sum(fine), 2, 2, fine[1], basis_size(2, 2)])
 
     def test_qse_stage_compiles_each_trotter_operator_once(self, workdir, tmp_path, monkeypatch):
         # the bases of one (mode, r) share one V(t): four trotter2 bases at two step counts
@@ -627,7 +632,7 @@ class TestPipeline:
         def reference_only(*args, **kwargs):
             gs, basis, mats = solve(*args, **kwargs)
             unit = np.zeros_like(gs.coefficients)
-            unit[basis.indices.index(qse.MultigridIndex(0, 0))] = 1.0
+            unit[basis.reference_row] = 1.0
             return dataclasses.replace(gs, coefficients=unit), basis, mats
 
         monkeypatch.setattr(qse, "prepare_qse_ground_state", reference_only)
@@ -706,6 +711,9 @@ class TestPipeline:
         ("ed-reference", FAST_CONFIG, ["--seed", "-3"], r"error: \$\.seed: "),
         ("ed-reference", None, [], r"error: .*c\.json: cannot read config file"),
         ("dsf", {**FAST_CONFIG, "dsf": {"omega_min": 1.0, "omega_max": -1.0}}, [], r"error: \$\.dsf\.omega_max: "),
+        # an omega grid too fine to allocate stops before the first stage, not in its Lehmann tables
+        ("greens", {**FAST_CONFIG, "gf": {"omega_step": 1e-12}}, [],
+         r"error: \$\.gf\.omega_step: makes 2e\+13 omega points, more than 10000$"),
     ])
     def test_bad_input_rejected_before_any_stage(self, tmp_path, capsys, stage, config, flags, message):
         config_path = tmp_path / "c.json"  # not written when config is None

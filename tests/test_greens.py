@@ -20,7 +20,7 @@ from kitaevqse.greens import (
     retarded_gf,
 )
 from kitaevqse.pauli import apply_sum, pauli_sum, single_site
-from kitaevqse.qse import MultigridIndex, SubspaceMatrices
+from kitaevqse.qse import SubspaceMatrices
 
 from helpers import basis_states
 
@@ -153,6 +153,20 @@ class TestLanczosIterate:
         assert full.to_json_dict()["stop_reason"] == "rank"
         assert full.hole().stop_reason == "rank"
 
+    @pytest.mark.parametrize("kind, site", [("Z", 0), ("X", 3), ("Y", 6)])
+    def test_s_rank_bounds_the_depth(self, engine8, kind, site):
+        # the recursion stops at "rank" exactly when its depth reaches the kept S directions,
+        # and the hole part and the dump carry the same rank
+        runs = [
+            lanczos_iterate(_toy_matrices(np.diag([0.3, -1.0, 2.0])), np.array([0, 1.0, 0]), kappa=4.0),
+            engine8.recursion(pauli_sum([single_site(kind, site, 8)], 8))[0],
+        ]
+        for coeffs in (*runs, *(run.hole() for run in runs)):
+            assert 1 <= coeffs.termination_index <= coeffs.s_rank
+            assert (coeffs.stop_reason == "rank") == (coeffs.termination_index == coeffs.s_rank)
+            assert coeffs.to_json_dict()["s_rank"] == coeffs.s_rank
+        assert runs[0].s_rank == 3 and runs[0].stop_reason == "b2_tol"
+
     def test_spectrum_within_hamiltonian_bounds(self, engine8, dec_8):
         excitation = pauli_sum([single_site("Z", 0, 8)], 8)
         _, psi_mats, psi0, _ = engine8.seed_subspace(excitation)
@@ -183,6 +197,7 @@ class TestLanczosIterate:
         data = json.loads(json.dumps(coeffs.to_json_dict()))
         assert data["a"] == [0.1, 0.2]
         assert data["termination_index"] == 2
+        assert data["s_rank"] is None  # set by lanczos_iterate, absent from hand-built coefficients
 
     def test_nonzero_b0_rejected(self):
         with pytest.raises(GreensError, match="b\\[0\\] = 0"):
@@ -228,7 +243,7 @@ class TestKrylovSeed:
         # the seed is basis state (0, 0) itself, not a projection onto the span
         assert np.linalg.norm(rebuilt - direct) < 1e-12
         unit = np.zeros(len(psi_basis))
-        unit[psi_basis.indices.index(MultigridIndex(0, 0))] = 1.0
+        unit[psi_basis.reference_row] = 1.0
         assert np.array_equal(psi0, unit)
 
 
@@ -288,6 +303,24 @@ class TestRetardedGf:
         engine.correlator(excitation, z + 0.5)
         assert len(calls) == 1  # the same seed reuses its recursion on any grid
         assert np.array_equal(first, again)
+
+    def test_swapped_pair_runs_no_new_seed(self, h_8, qse8, monkeypatch):
+        # sigma_a + sigma_b is seeded in ascending site order: G_ba after G_ab requests no seed,
+        # and reads the same recursion as an engine that ran G_ba first
+        gs, basis, _ = qse8
+        config = KrylovBasisConfig(tilde_n_k=2, tilde_n_l=2)
+        requests = []
+        original = GreensEngine.seed_subspaces
+        monkeypatch.setattr(GreensEngine, "seed_subspaces",
+                            lambda self, excitations: requests.append(len(excitations)) or original(self, excitations))
+        z = np.linspace(-5, 5, 11) + 0.1j
+        engine = GreensEngine(h_8, gs, basis, config)
+        engine.offdiagonal_gf("Z", 1, 4, z)
+        assert requests == [3]
+        swapped = engine.offdiagonal_gf("Z", 4, 1, z)
+        assert requests == [3]
+        assert np.array_equal(swapped, GreensEngine(h_8, gs, basis, config).offdiagonal_gf("Z", 4, 1, z))
+        assert greens.pair_excitation("Z", 4, 1, 8) == greens.pair_excitation("Z", 1, 4, 8)
 
     def test_offdiagonal_requires_distinct_sites(self, engine8):
         with pytest.raises(GreensError):

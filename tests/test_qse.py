@@ -9,23 +9,22 @@ from kitaevqse.pauli import apply_sum, gershgorin_kappa, to_matrix
 from kitaevqse.qse import (
     QseError,
     assemble_matrices,
-    basis_size,
     build_bases,
     build_basis,
     canonical_orthogonalization,
     deepest_subspaces,
     default_time_step,
-    multigrid_indices,
     nested_subspace,
     prepare_qse_ground_state,
     qse_energy_curve,
     reconstruct_state,
     solve_ground_state,
+    split_steps,
     sweep_shapes,
 )
 from kitaevqse.simulator import EvolutionOperator, StateVector, evolve, expectation
 
-from helpers import basis_states
+from helpers import basis_size, basis_states
 
 
 def perturb_matrices(mats, sigma, rng):
@@ -39,36 +38,65 @@ def perturb_matrices(mats, sigma, rng):
 
 
 class TestMultigridIndices:
-    def test_single_state(self):
-        idx = multigrid_indices(0, 0)
-        assert len(idx) == 1
-        assert (idx[0].l, idx[0].k) == (0, 0)
+    """The (l, k) of each row, derived from its step m = l (n_k + 1) + k."""
+
+    def test_single_state(self, ref8, evolution_8):
+        basis = build_basis(ref8, 0, 0, 0.2, evolution_8)
+        assert len(basis) == 1 and basis.reference_row == 0
+        assert [pair.tolist() for pair in split_steps(basis.steps, 0)] == [[0], [0]]
 
     @pytest.mark.parametrize("n_l,n_k", [(0, 5), (1, 2), (2, 1), (5, 0)])
-    def test_figure_shapes_all_eleven(self, n_l, n_k):
-        assert len(multigrid_indices(n_k, n_l)) == 11 == basis_size(n_k, n_l)
+    def test_figure_shapes_all_eleven(self, ref8, evolution_8, n_l, n_k):
+        assert len(build_basis(ref8, n_k, n_l, 0.2, evolution_8)) == 11 == basis_size(n_k, n_l)
 
-    def test_three_three_gives_31(self):
-        assert basis_size(3, 3) == 31
+    def test_three_three_gives_31(self, ref8, evolution_8):
+        assert len(build_basis(ref8, 3, 3, 0.2, evolution_8)) == 31 == basis_size(3, 3)
 
     def test_k_ranges_by_sign_of_l(self):
-        for idx in multigrid_indices(2, 2):
-            if idx.l > 0:
-                assert 0 <= idx.k <= 2
-            elif idx.l < 0:
-                assert -2 <= idx.k <= 0
-            else:
-                assert -2 <= idx.k <= 2
+        l, k = split_steps(np.arange(-8, 9), 2)  # the (2, 2) grid, M = 8
+        assert np.all((0 <= k[l > 0]) & (k[l > 0] <= 2))
+        assert np.all((-2 <= k[l < 0]) & (k[l < 0] <= 0))
+        assert np.all(np.abs(k[l == 0]) <= 2)
 
     def test_ordering_l_then_k(self):
-        idx = multigrid_indices(1, 1)
-        assert [(i.l, i.k) for i in idx] == [
+        l, k = split_steps(np.arange(-3, 4), 1)  # the (1, 1) grid, M = 3
+        assert list(zip(l.tolist(), k.tolist())) == [
             (-1, -1), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (1, 1),
         ]
 
-    def test_negative_rejected(self):
-        with pytest.raises(QseError):
-            multigrid_indices(-1, 0)
+    def test_negative_rejected(self, ref8, evolution_8):
+        for n_k, n_l in [(-1, 0), (0, -1)]:
+            with pytest.raises(QseError, match="non-negative"):
+                build_basis(ref8, n_k, n_l, 0.2, evolution_8)
+
+
+GRID_SHAPES = [(0, 0), (0, 2), (2, 0), (1, 2), (3, 3)]  # (n_k, n_l)
+
+
+class TestGridContract:
+    """What ``greens`` relies on: row M is the reference, and the steps are -M..M."""
+
+    @pytest.mark.parametrize("mode", ["exact", "trotter2"])
+    @pytest.mark.parametrize("n_k, n_l", GRID_SHAPES)
+    def test_reference_row_is_the_reference(self, ref8, h_8, mode, n_k, n_l):
+        (basis,) = build_bases([(ref8, n_k, n_l)], 0.21, EvolutionOperator(h_8, mode, 2))
+        assert basis.reference_row == n_l * (n_k + 1) + n_k
+        row = basis_states(basis)[basis.reference_row]
+        if mode == "trotter2":
+            assert np.array_equal(row, ref8.amplitudes)
+        else:
+            assert np.max(np.abs(row - ref8.amplitudes)) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["exact", "trotter2"])
+    @pytest.mark.parametrize("n_k, n_l", GRID_SHAPES)
+    def test_steps_span_the_uniform_grid(self, ref8, h_8, mode, n_k, n_l):
+        (basis,) = build_bases([(ref8, n_k, n_l)], 0.21, EvolutionOperator(h_8, mode, 2))
+        big_m = n_l * (n_k + 1) + n_k
+        assert np.array_equal(basis.steps, np.arange(-big_m, big_m + 1))
+        assert len(basis) == len(basis_states(basis)) == basis_size(n_k, n_l)
+        l, k = split_steps(basis.steps, n_k)
+        assert np.array_equal(l * (n_k + 1) + k, basis.steps)
+        assert np.all(np.abs(l) <= n_l) and np.all(np.abs(k) <= n_k)
 
 
 class TestBuildBasis:
@@ -83,28 +111,29 @@ class TestBuildBasis:
             assert np.linalg.norm(row) == pytest.approx(1.0, abs=1e-12)
 
     def test_exact_fast_path_matches_sequential_law(self, ref8, h_8, evolution_8):
+        # each row is V(k dt) V((n_k + 1) dt)^l |ref>, (l, k) split off its step
         dt = 0.19
-        n_k, n_l = 2, 1
-        basis = build_basis(ref8, n_k, n_l, dt, evolution_8)
-        coarse = (n_k + 1) * dt
-        for idx, state in zip(basis.indices, basis_states(basis)):
-            anchor = ref8
-            for _ in range(abs(idx.l)):
-                anchor = evolve(anchor, evolution_8, np.sign(idx.l) * coarse)
-            expected = evolve(anchor, evolution_8, idx.k * dt)
-            assert np.linalg.norm(state - expected.amplitudes) < 1e-12
+        for n_k, n_l in GRID_SHAPES:
+            basis = build_basis(ref8, n_k, n_l, dt, evolution_8)
+            coarse = (n_k + 1) * dt
+            for l, k, state in zip(*split_steps(basis.steps, n_k), basis_states(basis), strict=True):
+                anchor = ref8
+                for _ in range(abs(l)):
+                    anchor = evolve(anchor, evolution_8, np.sign(l) * coarse)
+                expected = evolve(anchor, evolution_8, k * dt)
+                assert np.linalg.norm(state - expected.amplitudes) < 1e-12
 
     def test_trotter_basis_uses_whole_time_arguments(self, ref8, h_8):
         # one product-formula evolution over k*dt, not k short ones
         op = EvolutionOperator(h_8, mode="trotter2", trotter_steps=1)
         basis = build_basis(ref8, 1, 0, 0.3, op)
-        by_index = {(i.l, i.k): row for i, row in zip(basis.indices, basis.amplitudes)}
+        by_index = dict(zip(zip(*(part.tolist() for part in split_steps(basis.steps, 1))), basis.amplitudes))
         direct = evolve(ref8, op, 0.3)
         chained = evolve(evolve(ref8, op, 0.15), op, 0.15)
         assert np.linalg.norm(by_index[(0, 1)] - direct.amplitudes) < 1e-12
         assert np.linalg.norm(direct.amplitudes - chained.amplitudes) > 1e-8
 
-    @pytest.mark.parametrize("n_k, n_l", [(3, 3), (0, 2), (2, 0)])
+    @pytest.mark.parametrize("n_k, n_l", [(3, 3), (0, 2), (2, 0), (0, 0), (1, 2)])
     def test_stacked_trotter_basis_equals_anchor_then_fine_recipe(self, ref8, h_8, n_k, n_l):
         # nested_subspace relies on these states being the one-state recipe's bit for bit:
         # the anchor chain V(+-coarse)^l ref, then V(k dt) of each anchor
@@ -115,8 +144,8 @@ class TestBuildBasis:
             anchors[l] = evolve(anchors[l - 1], op, (n_k + 1) * dt)
             anchors[-l] = evolve(anchors[-(l - 1)], op, -(n_k + 1) * dt)
         basis = build_basis(ref8, n_k, n_l, dt, op)
-        for idx, row in zip(basis.indices, basis.amplitudes, strict=True):
-            expected = anchors[idx.l] if idx.k == 0 else evolve(anchors[idx.l], op, idx.k * dt)
+        for l, k, row in zip(*split_steps(basis.steps, n_k), basis.amplitudes, strict=True):
+            expected = anchors[l] if k == 0 else evolve(anchors[l], op, k * dt)
             assert np.array_equal(row, expected.amplitudes)
 
     def test_bad_delta_t(self, ref8, evolution_8):
@@ -298,8 +327,8 @@ class TestSolveGroundState:
         # its own, with t_b = k dt + l (n_k + 1) dt on the (3, 3) grid
         gs, basis, _ = qse8
         explicit = np.zeros(256, dtype=complex)
-        for c_b, idx in zip(gs.coefficients, basis.indices):
-            t_b = (idx.k + 4 * idx.l) * basis.delta_t
+        for c_b, (l, k) in zip(gs.coefficients, zip(*split_steps(basis.steps, 3)), strict=True):
+            t_b = (k + 4 * l) * basis.delta_t
             explicit += c_b * evolve(basis.reference, evolution_8, t_b).amplitudes
         assert np.max(np.abs(reconstruct_state(gs, basis).amplitudes - explicit)) <= 1e-12
 
@@ -380,7 +409,8 @@ class TestNestedSubspaces:
             alone_mats = assemble_matrices(alone)
             start = (3 - n_l) * (n_k + 1)
             block = slice(start, start + len(alone))
-            assert sub.indices == alone.indices == deep.indices[block]
+            assert (sub.n_k, sub.n_l) == (alone.n_k, alone.n_l) == (n_k, n_l)
+            assert np.array_equal(sub.steps, deep.steps[block])
             assert (sub.amplitudes is None) == (alone.amplitudes is None) == (mode == "exact")
             assert np.array_equal(basis_states(sub), basis_states(alone))
             assert np.allclose(basis_states(deep)[block], basis_states(alone), rtol=0, atol=1e-13)
@@ -463,7 +493,8 @@ class TestBuildBases:
         assert stacks == [2 * 3, 2 * 2, 2 * 1, sum(2 * n_k * (n_l + 1) for _, n_k, n_l in requests)]
         for basis, single, (reference, n_k, n_l) in zip(shared, alone, requests):
             assert basis.reference is reference and basis.delta_t == dt and basis.evolution is op
-            assert basis.indices == single.indices and len(basis) == basis_size(n_k, n_l)
+            assert (basis.n_k, basis.n_l) == (single.n_k, single.n_l) == (n_k, n_l)
+            assert len(basis) == basis_size(n_k, n_l)
             assert np.array_equal(basis.amplitudes, single.amplitudes)
 
     def test_exact_bases_stay_stateless(self, ref8, h_8, lat8, evolution_8, monkeypatch):
@@ -473,7 +504,7 @@ class TestBuildBases:
         assert stacks == []
         for basis, (reference, n_k, n_l) in zip(shared, requests):
             assert basis.amplitudes is None and basis.reference is reference
-            assert basis.indices == multigrid_indices(n_k, n_l)
+            assert (basis.n_k, basis.n_l, len(basis)) == (n_k, n_l, basis_size(n_k, n_l))
 
     def test_one_build_per_operator(self, ref8, h_8, monkeypatch):
         # deepest_subspaces grows the n_k entries of one (mode, r) in one shared build
