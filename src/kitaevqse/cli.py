@@ -355,9 +355,10 @@ def cmd_dsf(config: RunConfig, out_dir: Path) -> None:
     table_qse = greens.normalize_intensity(np.array([r[0] for r in results]))
     table_ed = greens.normalize_intensity(np.array([r[1] for r in results]))
 
+    # each field and frequency is rendered once, as write_csv's str(float) would render it
+    fields, frequencies = [str(float(hz)) for hz in config.dsf.h_values], [str(w) for w in omega.tolist()]
     for name, table in (("dsf_qse.csv", table_qse), ("dsf_ed.csv", table_ed)):
-        rows = [[float(hz), w, value] for hz, line in zip(config.dsf.h_values, table.tolist())
-                for w, value in zip(omega.tolist(), line)]
+        rows = [[hz, w, value] for hz, line in zip(fields, table.tolist()) for w, value in zip(frequencies, line)]
         write_csv(
             out_dir / name, config, ["h_z", "omega", "s_normalized"], rows,
             {"delta": delta, "q": list(config.dsf.q)},

@@ -24,9 +24,9 @@ So an exact basis holds no state. Trotterized bases, whose V_r(t) is not a
 group in t, hold one amplitude stack and are assembled from its overlaps,
 H applied to the whole stack at once; their symmetric product formula is
 time-reversible, V_r(-tau) = V_r(tau)^dag, so HOA evolves the stack in one
-direction only. Bases under one V(t) grow together (:func:`build_bases`):
-every coarse level of every reference is one stack, and so are all their
-fine steps.
+direction only. Bases under one Hamiltonian grow together, at any Trotter
+step counts (:func:`build_bases`): every coarse level of every reference is
+one stack, and so are all their fine steps.
 
 The generalized eigenproblem H phi = E S phi is solved by canonical
 orthogonalization: eigendecompose S, drop the near-null directions,
@@ -114,49 +114,56 @@ BasisRequest = tuple[StateVector, int, int]  # (reference, n_k, n_l)
 def build_bases(
     requests: Sequence[BasisRequest],
     delta_t: float,
-    evolution: EvolutionOperator,
+    evolution: EvolutionOperator | Sequence[EvolutionOperator],
 ) -> list[SubspaceBasis]:
     """Evolve each request's reference onto its two-level multigrid, one
-    :class:`SubspaceBasis` per request, in order.
+    :class:`SubspaceBasis` per request, in order, under ``evolution``: one
+    operator for every request, or one per request.
 
     state(l, k) = V(k dt) (V((n_k+1) dt))^l ref, with (l, k) the
     :func:`split_steps` of the row's step and negative l using the inverse
     coarse evolution. In trotter2 mode each V application is
     one product-formula evolution over its full time argument, so the
     step count per basis state stays at r*(|l|+1). The circuits of all
-    requests are shared through :func:`simulator.evolve_stack`: level l
-    advances the +l and -l anchors of every request with n_l >= l as one
-    stack; the anchors fill one stack in request and index order, each basis
-    a run of its rows, and all k != 0 rows are evolved in one final stack,
-    each at its own k dt. A stacked row is the one-state evolution bit for
-    bit, so each basis equals a :func:`build_basis` of its request alone,
-    which :func:`nested_subspace` relies on. In exact mode no state is
-    formed (see :class:`SubspaceBasis`).
+    trotter2 requests, under one Hamiltonian at any step counts, are shared
+    through :func:`simulator.evolve_stack`: level l advances the +l and -l
+    anchors of every request with n_l >= l as one stack; the anchors fill
+    one stack in request and index order, each basis a run of its rows, and
+    all k != 0 rows are evolved in one final stack, each at its own k dt. A
+    stacked row is the one-state evolution bit for bit, so each basis
+    equals a :func:`build_basis` of its request alone, which
+    :func:`nested_subspace` relies on. An exact request forms no state (see
+    :class:`SubspaceBasis`).
     """
     if delta_t <= 0.0:
         raise QseError("delta_t must be positive")
-    bases = [SubspaceBasis(ref, n_k, n_l, delta_t, evolution) for ref, n_k, n_l in requests]
-    if evolution.mode == "exact":
+    operators = [evolution] * len(requests) if isinstance(evolution, EvolutionOperator) else evolution
+    if len(operators) != len(requests):
+        raise QseError(f"{len(operators)} evolution operators for {len(requests)} requests")
+    bases = [SubspaceBasis(ref, n_k, n_l, delta_t, op) for (ref, n_k, n_l), op in zip(requests, operators)]
+    grown = [basis for basis in bases if basis.evolution.mode == "trotter2"]
+    if not grown:
         return bases
 
-    anchors = [{0: basis.reference.amplitudes} for basis in bases]
-    for l in range(1, max(basis.n_l for basis in bases) + 1):
-        deep = [j for j, basis in enumerate(bases) if basis.n_l >= l]
+    anchors = [{0: basis.reference.amplitudes} for basis in grown]
+    for l in range(1, max(basis.n_l for basis in grown) + 1):
+        deep = [j for j, basis in enumerate(grown) if basis.n_l >= l]
         evolved = evolve_stack(
-            evolution,
+            [grown[j].evolution for j in deep for _ in (1, -1)],
             np.stack([anchors[j][sign * (l - 1)] for j in deep for sign in (1, -1)]),
-            [sign * (bases[j].n_k + 1) * delta_t for j in deep for sign in (1, -1)],  # +-(n_k+1) dt
+            [sign * (grown[j].n_k + 1) * delta_t for j in deep for sign in (1, -1)],  # +-(n_k+1) dt
         )
         for j, plus, minus in zip(deep, evolved[::2], evolved[1::2]):
             anchors[j][l], anchors[j][-l] = plus, minus
-    splits = [split_steps(basis.steps, basis.n_k) for basis in bases]
+    splits = [split_steps(basis.steps, basis.n_k) for basis in grown]
     amplitudes = np.stack([chain[l] for chain, (ls, _) in zip(anchors, splits) for l in ls.tolist()])
     k = np.concatenate([ks for _, ks in splits])  # the fine step of each row
     fine = np.flatnonzero(k)
     if fine.size:  # there are no k != 0 states when every n_k = 0
-        amplitudes[fine] = evolve_stack(evolution, amplitudes[fine], k[fine] * delta_t)
-    ends = np.cumsum([len(basis) for basis in bases])
-    for basis, end in zip(bases, ends):
+        row_evolution = [basis.evolution for basis in grown for _ in range(len(basis))]
+        amplitudes[fine] = evolve_stack([row_evolution[i] for i in fine], amplitudes[fine], k[fine] * delta_t)
+    ends = np.cumsum([len(basis) for basis in grown])
+    for basis, end in zip(grown, ends):
         basis.amplitudes = amplitudes[end - len(basis):end]
     return bases
 
@@ -392,22 +399,20 @@ def deepest_subspaces(
 ) -> dict[tuple[str, int, int], tuple[SubspaceBasis, SubspaceMatrices]]:
     """One directly assembled basis per (mode, r, n_k) of ``shapes``, at the
     largest n_l any of them asks for and the default time step; a shape is
-    then the :func:`nested_subspace` of the entry at ``shape[:3]``. The
-    entries of one (mode, r) share one V(t) and are built together
-    (:func:`build_bases`), so a trotter2 schedule is compiled once per step
-    count and its entries share every stack."""
-    depth: dict[tuple[str, int], dict[int, int]] = {}
+    then the :func:`nested_subspace` of the entry at ``shape[:3]``. All
+    entries grow in one :func:`build_bases` call, each under the V(t) of its
+    (mode, r): the trotter2 entries of every step count share one compiled
+    schedule and every stack, each row running its own r."""
+    depth: dict[tuple[str, int, int], int] = {}
     for mode, r, n_k, n_l in shapes:
-        entries = depth.setdefault((mode, r), {})
-        entries[n_k] = max(entries.get(n_k, 0), n_l)
-    delta_t = default_time_step(h)
-    out = {}
-    for (mode, r), entries in depth.items():
-        requests = [(reference, n_k, n_l) for n_k, n_l in entries.items()]
-        bases = build_bases(requests, delta_t, EvolutionOperator(h, mode, max(r, 1)))
-        for n_k, basis in zip(entries, bases):
-            out[mode, r, n_k] = basis, assemble_matrices(basis)
-    return out
+        depth[mode, r, n_k] = max(depth.get((mode, r, n_k), 0), n_l)
+    evolution = {(mode, r): EvolutionOperator(h, mode, max(r, 1)) for mode, r, _ in depth}
+    bases = build_bases(
+        [(reference, n_k, n_l) for (_, _, n_k), n_l in depth.items()],
+        default_time_step(h),
+        [evolution[mode, r] for mode, r, _ in depth],
+    )
+    return {key: (basis, assemble_matrices(basis)) for key, basis in zip(depth, bases)}
 
 
 def qse_energy_curve(

@@ -1,9 +1,11 @@
 """Dense and unfused reference constructions shared by the tests."""
 
+from itertools import groupby
+
 import numpy as np
 
 from kitaevqse.oracle import taper
-from kitaevqse.simulator import _rotation_inplace, compile_trotter2, evolve_times, trotter_schedule
+from kitaevqse.simulator import EvolutionOperator, _rotation_inplace, evolve_times, trotter_schedule
 
 _SINGLE_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -85,37 +87,30 @@ def trotter_rotation_by_rotation(op, amplitudes: np.ndarray, t: float) -> np.nda
 
 
 def full_register_trotter2(op, amplitudes: np.ndarray, times) -> np.ndarray:
-    """trotter2 V(times[j]) on row j of a (k, 2^N) stack by the full-register chunk loop, the
-    bit-for-bit reference for the block-local kernel: the operator's schedule, compiled with the
-    whole register as its one block, runs every gate as one pass over chunks of the largest power
-    of two of rows within 4096 amplitudes, each off-diagonal rotation one gather through its
-    term's action padded with the row bits."""
-    n = op.hamiltonian.num_sites
-    schedule = compile_trotter2(trotter_schedule(op, 1.0), (np.arange(1 << n),))
-    rows = max(1, 4096 >> n)
-    out = np.array(amplitudes, dtype=complex, order="C")
-    times = np.asarray(times, dtype=float)
-    for start in range(0, len(out), rows):
-        block, t = out[start:start + rows], times[start:start + rows, None]
-        flat, k = block.reshape(-1), len(block)
-        diagonals = [np.exp(-1j * t * d) for d in schedule.exponents]
-        theta = 0.5 * (schedule.angles[:, None, None] * t) * schedule.coefficients[:, None, None]
-        cos, minus_i_sin = np.cos(theta), -1j * np.sin(theta)
-        if k == 1:
-            cos, minus_i_sin = cos.ravel().tolist(), minus_i_sin.ravel().tolist()
-        rotations = zip(cos, minus_i_sin)
-        for gate in schedule.gates:
-            if isinstance(gate, int):
-                block *= diagonals[gate]
+    """trotter2 V(times[j]) on row j of a (k, 2^N) stack under ``op``, or under op[j] when it holds
+    one operator per row: the bit-for-bit reference for the block-local kernel, read off
+    :func:`simulator.trotter_schedule` alone. Each row runs its operator's t = 1 schedule on the
+    full register, scaled by its time: every maximal run of consecutive Z-only rotations as one
+    phase exp(-i t d) with d = sum_k (a_k c_k / 2) phase_k, and every other rotation as one
+    gather through its term's action, theta = (0.5 * a * t) * c."""
+    operators = [op] * len(amplitudes) if isinstance(op, EvolutionOperator) else op
+    out = np.array(amplitudes, dtype=complex)
+    for row, operator, t in zip(out[:, None], operators, times):
+        t = np.array([[t]], dtype=float)
+        for diagonal, run in groupby(trotter_schedule(operator, 1.0), key=lambda gate: gate[0].masks[0] == 0):
+            run = list(run)
+            if diagonal:
+                row *= np.exp(-1j * t * sum(0.5 * a * term.coefficient.real * term.action[1].real for term, a in run))
                 continue
-            c, minus_i_s = next(rotations)
-            src, phase = gate
-            rotated = flat[src[:k]]
-            if phase is not None:
-                rotated *= schedule.phases[phase]
-            block *= c
-            rotated *= minus_i_s
-            block += rotated
+            angles, coefficients = (np.array(column, dtype=float) for column in zip(*((a, term.coefficient.real)
+                                                                                        for term, a in run)))
+            theta = 0.5 * (angles * t) * coefficients
+            for (term, _), c, minus_i_s in zip(run, np.cos(theta).ravel().tolist(), (-1j * np.sin(theta)).ravel().tolist()):
+                src, phase = term.action
+                rotated = row[:, src] * phase
+                row *= c
+                rotated *= minus_i_s
+                row += rotated
     return out
 
 

@@ -497,7 +497,8 @@ class TestPipeline:
 
     def test_trotter_schedule_compiled_once_per_operator(self, workdir, tmp_path, monkeypatch):
         # qse and gf share mode and step count: per field, the ground-state basis and every
-        # Krylov seed of the engine evolve under one V(t), compiled once
+        # Krylov seed of the engine evolve under one V(t), compiled once; each stage starts
+        # from an empty compile cache, which keeps a compile per Hamiltonian
         shutil.copy(workdir[0] / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
         trotter = {"evolution_mode": "trotter2", "trotter_steps": 2}
         config_path = tmp_path / "c.json"
@@ -512,85 +513,87 @@ class TestPipeline:
         counts = {}
         for stage in ("greens", "dsf"):
             compiled.clear()
+            monkeypatch.setattr(simulator, "_COMPILED", weakref.WeakKeyDictionary())
             assert main([stage, "--config", str(config_path), "--out", str(tmp_path)]) == 0
             counts[stage] = len(compiled)
         assert counts == {"greens": 1, "dsf": len(FAST_CONFIG["dsf"]["h_values"])}
 
     @staticmethod
     def count_qse_stage(workdir, tmp_path, monkeypatch, qse_config):
-        """(trotter2 bases built as (n_k, n_l, r), states evolved by trotter2) of one qse stage."""
+        """What one qse stage ran, from an empty compile cache: the (n_k, n_l, r) of each trotter2
+        basis it built, the stack size of each trotter2 evolution, the rows of each gate pass and
+        the number of trotter2 steps compiled."""
         shutil.copy(workdir[0] / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps({**FAST_CONFIG, "qse": {**FAST_CONFIG["qse"], **qse_config}}))
-        bases, evolutions = [], []
+        ran = {"bases": [], "stacks": [], "passes": [], "compiles": 0}
         build, evolve = qse.build_bases, simulator._evolve_trotter2
+        rotate_rows, compile_step = simulator._rotate_rows, simulator.compile_trotter2
 
         def counted_build(requests, delta_t, evolution):
-            if evolution.mode == "trotter2":
-                bases.extend((n_k, n_l, evolution.trotter_steps) for _, n_k, n_l in requests)
+            operators = [evolution] * len(requests) if isinstance(evolution, EvolutionOperator) else evolution
+            ran["bases"].extend((n_k, n_l, op.trotter_steps)
+                                for (_, n_k, n_l), op in zip(requests, operators) if op.mode == "trotter2")
             return build(requests, delta_t, evolution)
+
+        def counted_compile(*args):
+            ran["compiles"] += 1
+            return compile_step(*args)
 
         monkeypatch.setattr(qse, "build_bases", counted_build)
         monkeypatch.setattr(simulator, "_evolve_trotter2",
-                            lambda op, stack, times: evolutions.append(len(times)) or evolve(op, stack, times))
+                            lambda op, stack, times: ran["stacks"].append(len(times)) or evolve(op, stack, times))
+        monkeypatch.setattr(simulator, "_rotate_rows",
+                            lambda chunk, *rest: ran["passes"].append(len(chunk)) or rotate_rows(chunk, *rest))
+        monkeypatch.setattr(simulator, "compile_trotter2", counted_compile)
+        monkeypatch.setattr(simulator, "_COMPILED", weakref.WeakKeyDictionary())
         assert main(["qse", "--config", str(config_path), "--out", str(tmp_path)]) == 0
-        return bases, sum(evolutions)
+        return ran
+
+    SWEPT_HOA = {
+        "evolution_mode": "trotter2", "trotter_steps": 2, "assembly_mode": "hoa",
+        "shape_sweep": [[0, 0], [1, 1], [2, 2], [1, 2]], "trotter_sweep": [1, 2],
+    }
 
     def test_qse_stage_builds_each_trotter_subspace_once(self, workdir, tmp_path, monkeypatch):
         # both sweeps and the final solve share one basis per (n_k, r), at the deepest
         # n_l asked of it; HOA then evolves the final basis's states forward only
-        bases, evolutions = self.count_qse_stage(workdir, tmp_path, monkeypatch, {
-            "evolution_mode": "trotter2", "trotter_steps": 2, "assembly_mode": "hoa",
-            "shape_sweep": [[0, 0], [1, 1], [2, 2], [1, 2]], "trotter_sweep": [1, 2],
-        })
-        assert sorted(bases) == [(0, 0, 2), (1, 1, 2), (2, 2, 1), (2, 2, 2)]
-        per_basis = sum(2 * n_l + 2 * n_k * (n_l + 1) for n_k, n_l, _ in bases)
-        assert evolutions == per_basis + basis_size(2, 2)
+        ran = self.count_qse_stage(workdir, tmp_path, monkeypatch, self.SWEPT_HOA)
+        assert sorted(ran["bases"]) == [(0, 0, 2), (1, 1, 2), (2, 2, 1), (2, 2, 2)]
+        per_basis = sum(2 * n_l + 2 * n_k * (n_l + 1) for n_k, n_l, _ in ran["bases"])
+        assert sum(ran["stacks"]) == per_basis + basis_size(2, 2)
 
-    def test_qse_stage_shares_stacks_per_trotter_operator(self, workdir, tmp_path, monkeypatch):
-        # the entries of one (mode, r) grow in one build_bases call: one stack per coarse
-        # level of the deepest entry, one of every entry's k != 0 rows, and HOA one more
-        shutil.copy(workdir[0] / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
-        config_path = tmp_path / "c.json"
-        config_path.write_text(json.dumps({**FAST_CONFIG, "qse": {
-            **FAST_CONFIG["qse"], "evolution_mode": "trotter2", "trotter_steps": 2, "assembly_mode": "hoa",
-            "shape_sweep": [[0, 0], [1, 1], [2, 2], [1, 2]], "trotter_sweep": [1, 2],
-        }}))
-        builds, stacks = [], []
-        build, evolve = qse.build_bases, simulator._evolve_trotter2
-        monkeypatch.setattr(qse, "build_bases", lambda requests, delta_t, op: builds.append(
-            (op.trotter_steps, sorted((n_k, n_l) for _, n_k, n_l in requests))) or build(requests, delta_t, op))
-        monkeypatch.setattr(simulator, "_evolve_trotter2",
-                            lambda op, stack, times: stacks.append(len(times)) or evolve(op, stack, times))
-        assert main(["qse", "--config", str(config_path), "--out", str(tmp_path)]) == 0
-        assert sorted(builds) == [(1, [(2, 2)]), (2, [(0, 0), (1, 1), (2, 2)])]
-        # r=2: levels 1 and 2 stack the anchors of the n_l >= l entries, two rows each, and the
-        # fine stack holds 2 n_k (n_l + 1) rows per entry; r=1: the lone (2, 2) entry. A separate
-        # build per entry made 2 + 3 stacks at r=2
-        fine = [2 * n_k * (n_l + 1) for n_k, n_l in ((1, 1), (2, 2))]
-        assert sorted(stacks) == sorted([4, 2, sum(fine), 2, 2, fine[1], basis_size(2, 2)])
+    def test_qse_stage_shares_stacks_across_trotter_operators(self, workdir, tmp_path, monkeypatch):
+        # every entry grows in one build_bases call, whatever its r: one stack per coarse level
+        # of the deepest entry, one of every entry's k != 0 rows, and HOA one more
+        ran = self.count_qse_stage(workdir, tmp_path, monkeypatch, self.SWEPT_HOA)
+        # level 1 advances the +-1 anchors of (1, 1) and (2, 2) at r=2 and (2, 2) at r=1, level 2
+        # those of both (2, 2) entries; the fine stack holds 2 n_k (n_l + 1) rows per entry. A build
+        # per step count made 3 + 4 stacks
+        fine = [2 * n_k * (n_l + 1) for n_k, n_l in ((1, 1), (2, 2), (2, 2))]
+        assert ran["stacks"] == [6, 4, sum(fine), basis_size(2, 2)]
 
     def test_qse_stage_compiles_each_trotter_operator_once(self, workdir, tmp_path, monkeypatch):
-        # the bases of one (mode, r) share one V(t): four trotter2 bases at two step counts
-        # compile two schedules, of 2 and 1 steps
-        compiled = []
-        original = simulator.compile_trotter2
-        monkeypatch.setattr(simulator, "compile_trotter2",
-                            lambda schedule, blocks: compiled.append(len(schedule)) or original(schedule, blocks))
-        bases, _ = self.count_qse_stage(workdir, tmp_path, monkeypatch, {
-            "evolution_mode": "trotter2", "trotter_steps": 2, "assembly_mode": "hoa",
-            "shape_sweep": [[0, 0], [1, 1], [2, 2], [1, 2]], "trotter_sweep": [1, 2],
-        })
-        assert sorted(bases) == [(0, 0, 2), (1, 1, 2), (2, 2, 1), (2, 2, 2)]
-        assert len(compiled) == len({r for *_, r in bases}) == 2
-        one_step, two_steps = sorted(compiled)  # schedule lengths grow with r
-        assert two_steps == 2 * one_step
+        # four trotter2 bases at two step counts: one compiled step serves both counts
+        ran = self.count_qse_stage(workdir, tmp_path, monkeypatch, self.SWEPT_HOA)
+        assert len({r for *_, r in ran["bases"]}) == 2
+        assert ran["compiles"] == 1
+
+    def test_default_qse_stage_passes_and_compiles(self, workdir, tmp_path, monkeypatch):
+        # the default sweep builds a (3, 3) basis at each of r = 1..10 on the one-block VQE state:
+        # 3 coarse levels of 20 rows in one chunk, 10 steps of 16 passes each, then 240 fine
+        # rows in 4 chunks of 64 rows, most steps first, that run 10, 8, 5 and 2 steps. A
+        # separate build per r made 10 compiles and 16 * 4 * (1 + ... + 10) = 3520 passes
+        ran = self.count_qse_stage(workdir, tmp_path, monkeypatch, dataclasses.asdict(config_from_dict({}).qse))
+        assert sorted(ran["bases"]) == [(3, 3, r) for r in range(1, 11)]
+        assert ran["compiles"] == 1
+        assert len(ran["passes"]) == 16 * (3 * 10 + 10 + 8 + 5 + 2) == 880 <= 900
 
     def test_exact_qse_stage_trotter_sweep_unchanged(self, workdir, tmp_path, monkeypatch):
         # exact shapes share nothing with the trotter2 sweep: one basis per swept r
-        bases, evolutions = self.count_qse_stage(workdir, tmp_path, monkeypatch, {})
-        assert sorted(bases) == [(2, 2, 1), (2, 2, 2)]
-        assert evolutions == 2 * (2 * 2 + 2 * 2 * 3)
+        ran = self.count_qse_stage(workdir, tmp_path, monkeypatch, {})
+        assert sorted(ran["bases"]) == [(2, 2, 1), (2, 2, 2)]
+        assert sum(ran["stacks"]) == 2 * (2 * 2 + 2 * 2 * 3)
 
     def test_response_stages_evolve_no_basis_state(self, workdir, tmp_path, monkeypatch):
         # exact-mode subspaces read S, H and |GS> off spectral weights: neither the greens

@@ -506,13 +506,21 @@ class TestBuildBases:
             assert basis.amplitudes is None and basis.reference is reference
             assert (basis.n_k, basis.n_l, len(basis)) == (n_k, n_l, basis_size(n_k, n_l))
 
-    def test_one_build_per_operator(self, ref8, h_8, monkeypatch):
-        # deepest_subspaces grows the n_k entries of one (mode, r) in one shared build
+    def test_one_build_for_every_operator(self, ref8, h_8, monkeypatch):
+        # deepest_subspaces grows every entry in one build, each under the one operator of its
+        # (mode, r); a trotter2 entry equals its request built alone under that operator
         calls = []
         original = qse.build_bases
-        monkeypatch.setattr(qse, "build_bases", lambda requests, dt, op: calls.append(
-            (op.mode, op.trotter_steps, [(n_k, n_l) for _, n_k, n_l in requests])) or original(requests, dt, op))
+        monkeypatch.setattr(qse, "build_bases", lambda requests, dt, ops: calls.append(
+            (requests, ops)) or original(requests, dt, ops))
         shapes = sweep_shapes([(1, 1), (0, 0), (2, 1), (0, 2)], "trotter2", (1, 3))
-        deepest_subspaces(ref8, h_8, shapes + sweep_shapes([(1, 1)], "exact", (1,)))
-        assert calls == [("trotter2", 1, [(1, 2), (0, 0), (2, 0)]), ("trotter2", 3, [(1, 2), (0, 0), (2, 0)]),
-                         ("exact", 1, [(1, 1)])]
+        subspaces = deepest_subspaces(ref8, h_8, shapes + sweep_shapes([(1, 1)], "exact", (1,)))
+        ((requests, ops),) = calls
+        assert [(op.mode, op.trotter_steps, n_k, n_l) for (_, n_k, n_l), op in zip(requests, ops)] == [
+            ("trotter2", 1, 1, 2), ("trotter2", 3, 1, 2), ("trotter2", 1, 0, 0), ("trotter2", 3, 0, 0),
+            ("trotter2", 1, 2, 0), ("trotter2", 3, 2, 0), ("exact", 1, 1, 1)]
+        assert ops[0] is ops[2] is ops[4] and ops[1] is ops[3] is ops[5]
+        for (mode, r, n_k), (basis, _) in subspaces.items():
+            if mode == "trotter2":
+                alone = build_basis(ref8, n_k, basis.n_l, basis.delta_t, EvolutionOperator(h_8, mode, r))
+                assert np.array_equal(basis.amplitudes, alone.amplitudes)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -268,6 +270,7 @@ class TestEvolve:
         build = pauli.term_phases
         monkeypatch.setattr(pauli, "term_phases", lambda term: calls.append(term) or build(term))
         pauli._action_of.cache_clear()  # earlier tests memoized these strings
+        monkeypatch.setattr(simulator, "_COMPILED", weakref.WeakKeyDictionary())  # and compiled h's step
         h = kitaev_hamiltonian(lat8, -1.0, 0.1)
         op = EvolutionOperator(h, mode="trotter2", trotter_steps=3)
         psi = random_state(8, 2)
@@ -337,11 +340,16 @@ class TestFusedSchedule:
         assert len(passes) == 16 * steps
         # local position 0 reads the position of its state ^ flip, never itself off the diagonal
         assert all(shape == (1, 64) and src != 0 for shape, src in passes)
-        # the Z singles, the ZZ bonds, then the trailing and leading Z singles of adjacent
-        # steps as one run: 2r + 1 diagonal runs, of 2 distinct exponents at r=1 and 3 after
-        compiled = op._block_schedule
-        assert sum(isinstance(gate, int) for gate in compiled.gates) == 2 * steps + 1
-        assert len(compiled.exponents) == min(steps, 2) + 1
+        # a step's diagonal runs are its leading Z singles, the ZZ bonds and its trailing Z singles;
+        # the trailing and next leading Z singles fuse into one run at a step boundary, so the
+        # leading run runs before step 0 alone: 2r + 1 diagonal passes. The leading and trailing
+        # runs share one exponent table
+        tables = op._step_tables
+        compiled = tables.schedule
+        diagonal = [gate for gate in compiled.gates if isinstance(gate, int)]
+        assert compiled.boundary and diagonal == [0, 1, 2] and diagonal == [compiled.gates[i] for i in (0, 9, -1)]
+        assert compiled.runs[3] == compiled.runs[2] + compiled.runs[0] and len(compiled.runs[0]) == 8
+        assert tables.runs == [0, 1, 0, 2] and tables.steps.tolist() == [steps]
 
     @pytest.mark.parametrize("steps", [1, 5])
     def test_schedule_angles_are_linear_in_time(self, h_8, steps):
@@ -419,6 +427,43 @@ class TestStackedEvolution:
                 assert np.array_equal(out, full_register_trotter2(op, stack[rows], times[rows]))
             assert not np.any(out[6]) and not np.signbit(out[6].view(float)).any()
 
+    @pytest.mark.parametrize("case", [f"{n}-{f}" for n in FUSED_SHAPES for f in FUSED_FIELDS])
+    def test_mixed_step_counts_equal_their_own_operators_bit_for_bit(self, case):
+        # one stack, one operator per row at r = 1, 2, 3, 5 and 10, each r twice at two times: rows
+        # in one block, in two (an X seed), on every block and all zero share gate passes while
+        # they have steps left. Each row is its own operator's evolution, and the full-register
+        # reference's, which fuses a step's trailing Z singles with the next step's leading ones
+        from kitaevqse.lattice import build_lattice, kitaev_hamiltonian
+        from kitaevqse.pauli import apply_term
+
+        shape, field = case.split("-")
+        h = kitaev_hamiltonian(build_lattice(*FUSED_SHAPES[shape]), -1.0, FUSED_FIELDS[field])
+        n = h.num_sites
+        one = [one_block_state(h, 39, block).amplitudes for block in (0, len(oracle.symmetry_blocks(h)) - 1)]
+        seeds = [row + apply_term(single_site("X", 0, n), row) for row in one]
+        full, _ = self.stack_and_times(n, 2, 40)
+        states = [*one, *seeds, *full, np.zeros(1 << n)]
+        stack = np.stack([states[j % len(states)] for j in range(10)])
+        times = np.linspace(-2.1, 2.1, 10)
+        operators = {r: EvolutionOperator(h, mode="trotter2", trotter_steps=r) for r in (1, 2, 3, 5, 10)}
+        rows = [operators[r] for r in (1, 2, 3, 5, 10) * 2]
+        out = evolve_stack(rows, stack, times)
+        assert np.array_equal(out, full_register_trotter2(rows, stack, times))
+        for j, op in enumerate(rows):
+            assert np.array_equal(out[j], evolve_stack(op, stack[j:j + 1], times[j:j + 1])[0])
+        assert not np.any(out[6]) and not np.signbit(out[6].view(float)).any()
+
+    def test_operators_of_one_hamiltonian_share_one_compiled_step(self, h_8, h0_8):
+        # every step count reads the one compiled step of its Hamiltonian; a stack mixing two
+        # Hamiltonians is refused
+        operators = [EvolutionOperator(h_8, mode="trotter2", trotter_steps=r) for r in (1, 4)]
+        assert operators[0]._step_tables.schedule is operators[1]._step_tables.schedule
+        stack, times = self.stack_and_times(8, 2, 41)
+        with pytest.raises(SimulationError, match="operators"):
+            evolve_stack(operators, stack[:1], times[:1])
+        with pytest.raises(SimulationError, match="one Hamiltonian"):
+            evolve_stack([operators[0], EvolutionOperator(h0_8, mode="trotter2")], stack, times)
+
     def test_chunk_rows(self):
         # block-local rows within 4096 amplitudes, at least one: 64 rows of the 4 blocks of 64
         # at N=8, 2 of the 2 of 2048 at N=12, 1 of the 4 of 16384 at N=16
@@ -453,7 +498,7 @@ class TestStackedEvolution:
         # {0, 3, 5, 6} and {1, 2, 4, 7} = 1 ^ {0, 3, 5, 6}
         h = pauli_sum([PauliTerm(0.5, "XXI"), PauliTerm(0.5, "YIY"), PauliTerm(0.3, "ZII")], 3)
         op = EvolutionOperator(h, mode="trotter2")
-        schedule = op._block_schedule
+        schedule = op._step_tables.schedule
         assert np.array_equal(schedule.members, [[0, 3, 5, 6], [1, 2, 4, 7]])
         (xx_src, xx_phase), (yy_src, yy_phase) = [gate for gate in schedule.gates if not isinstance(gate, int)][:2]
         assert xx_phase is None  # an X string's all-+1 phase is dropped
