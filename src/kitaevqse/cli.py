@@ -87,7 +87,7 @@ def write_json(path: Path, config: RunConfig, payload: dict) -> None:
         "config": _recorded_config(config),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    path.write_text(json.dumps(payload, indent=2))
+    path.write_text(json.dumps(payload, separators=(",", ":")))  # an indent would take the pure-Python encoder
 
 
 def _map_tasks(fn, items, threads: int):

@@ -167,11 +167,11 @@ class GreensEngine:
     finished diagonal curves, which every off-diagonal element through the
     polarization identity reuses. Every seed subspace evolves under the
     engine's one ``EvolutionOperator(hamiltonian, config.evolution_mode,
-    config.trotter_steps)``, which in trotter2 mode shares the Hamiltonian's
-    one compiled step with the ground-state basis, at any step count, and in
-    exact mode the oracle's one factorization of the Hamiltonian. When the
-    ground-state basis evolves under an equal operator, the engine takes
-    that one, with the step tables or the spectrum it has read.
+    config.trotter_steps)``, which in trotter2 mode runs the Hamiltonian's
+    one compiled step, as the ground-state basis does at any step count, and
+    in exact mode reads the oracle's one factorization of the Hamiltonian.
+    When the ground-state basis evolves under an equal operator, the engine
+    takes that one, with the spectrum it has read.
     """
 
     hamiltonian: PauliSum

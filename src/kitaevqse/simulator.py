@@ -17,32 +17,27 @@ sum's diagonal and flip-mask groups compiled from those actions
 (``PauliSum.grouped_action``).
 
 Trotter evolution runs :func:`trotter_schedule`, the logical gate list that
-:func:`cnot_depth` counts, in a compiled form. V_r(t) runs one step r times,
-so the step is compiled once per Hamiltonian for every r
+:func:`cnot_depth` counts: V_r(t) is one step (:func:`trotter_step`) run r
+times at tau = t/r. The step is compiled once per Hamiltonian at unit tau
 (:func:`compile_trotter2`, on the first trotter2 evolve of any operator of
 an equal Hamiltonian), straight onto the Hamiltonian's Z-syndrome blocks
 (``oracle.symmetry_blocks``; one block when it has no Z symmetry): every
-maximal run of consecutive Z-only rotations (the Z singles and the ZZ
-bonds, diagonal in the computational basis) becomes one elementwise phase,
-and every other rotation a block-local gather. Every term maps each block
-onto itself, and every flip permutes the local positions of all blocks
-alike (:class:`BlockSchedule`), and the compile step reads the phases into
-one row per block. Each step count adds only its angles and its runs'
-exponents (:class:`StepTables`); the Z singles that end one step and begin
-the next fuse into one run. The kernel, :func:`_evolve_trotter2`, evolves a
-stack of states, each at its own time and under its own step count, only on
-the blocks where each has weight: a state is one block-local row per block
-it occupies. Rows are ordered by step count, most first, and cut into
-chunks; step s makes one pass per gate over the rows of a chunk that still
-run it, an off-diagonal rotation one gather on the flattened chunk through
-its term's local action padded with the row bits. A chunk holds
+maximal run of consecutive Z-only rotations (the Z singles and the ZZ bonds,
+diagonal in the computational basis) becomes one elementwise phase, and
+every other rotation a block-local gather. Every term maps each block onto
+itself, and every flip permutes the local positions of all blocks alike
+(:class:`BlockSchedule`). A row of the kernel, :func:`_evolve_trotter2`, is
+two numbers on that one step: its step count r and tau = t/r, so a stack
+evolves each state at its own time and step count, only on the blocks where
+it has weight, as one block-local row per block it occupies. Rows are
+ordered by step count, most first, and cut into chunks; step s makes one
+pass per gate over the rows of a chunk that still run it, and the Z singles
+that end one step and begin the next fuse into one run. A chunk holds
 ``STACK_AMPLITUDES`` = 4096 amplitudes' worth of rows, at least one: 64 rows
 of 64 at N=8 (4 blocks), 2 of 2048 at N=12 (2 blocks), 1 of 16384 at N=16
-(4 blocks). A state in one block, as every QSE ground-state basis state is,
-so costs a quarter of the register's gate work at N=8 and N=16. Each
-amplitude gets exactly the arithmetic of rotating that state alone on the
-full register under its own schedule, with its maximal diagonal runs fused,
-and amplitudes off its blocks stay +0.0, so a stacked row equals
+(4 blocks). Each amplitude gets exactly the arithmetic of rotating that
+state alone on the full register at its own tau, with its maximal diagonal
+runs fused, and amplitudes off its blocks stay +0.0, so a stacked row equals
 :func:`evolve` of it bit for bit, whichever rows share its passes. Callers
 stack every state under one Hamiltonian: ``qse.build_bases`` grows the
 subspaces of several references and step counts, such as the QSE Trotter
@@ -53,7 +48,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import groupby
 from typing import Callable, Literal, NamedTuple, Sequence
 
@@ -141,10 +135,10 @@ def grouped_by_axis(h: PauliSum) -> list[list[PauliTerm]]:
 class EvolutionOperator:
     """Time evolution V(t) = exp(-i t H), exact or second-order Trotterized.
 
-    Exact mode reads the Hamiltonian's eigendecomposition, trotter2 mode its
-    step count's :class:`StepTables` on the Hamiltonian's compiled step (one
-    :class:`BlockSchedule` for every operator of an equal Hamiltonian); each
-    is built on first use and kept.
+    Exact mode reads the Hamiltonian's eigendecomposition, built on first use
+    and kept. Trotter2 mode keeps no state of its own: it runs the one step
+    compiled for its Hamiltonian (:func:`compile_trotter2`), which every
+    operator of an equal Hamiltonian shares at any step count.
     """
 
     hamiltonian: PauliSum
@@ -169,60 +163,51 @@ class EvolutionOperator:
             self._eigenvalues = self._spectrum.eigenvalues
         return self._spectrum
 
-    @cached_property
-    def _step_tables(self) -> StepTables:
-        """This step count's tables on the Hamiltonian's compiled step (:func:`step_tables`), on first use."""
-        step, steps = _one_step(trotter_schedule(self, 1.0), self.trotter_steps)
-        return step_tables(_compiled_step(self.hamiltonian, step), step, steps)
-
 
 def _evolve_exact(op: EvolutionOperator, amplitudes: np.ndarray, t: float) -> np.ndarray:
     spectrum = op._eigendecomposition()
     return spectrum.expand(spectrum.project(amplitudes) * np.exp(-1j * t * spectrum.eigenvalues))
 
 
-def trotter_schedule(op: EvolutionOperator, t: float) -> list[tuple[PauliTerm, float]]:
-    """(term, angle) rotations of one trotter2 V(t), in the order they run.
+def trotter_step(h: PauliSum) -> tuple[list[tuple[PauliTerm, float]], bool]:
+    """(term, a) rotations of one trotter2 step of ``h`` at unit tau, in the order they run, and
+    whether V_r(t) repeats the step r times at tau = t/r.
 
-    The groups are :func:`grouped_by_axis` of the Hamiltonian. Per step:
-    head groups, the last group at a doubled angle (the merged symmetrized
-    middle pair), head groups reversed. One commuting group is exact at any
-    r and runs once.
+    The groups are :func:`grouped_by_axis` of ``h``: head groups at a = 1,
+    the last group at a = 2 (the merged symmetrized middle pair), head groups
+    reversed. One commuting group is exact at any r: its terms run at a = 2,
+    once, at tau = t.
+    """
+    groups = grouped_by_axis(h)
+    if len(groups) == 1:
+        return [(term, 2.0) for term in groups[0]], False
+    head, middle = groups[:-1], groups[-1]
+    step = [(term, 1.0) for group in head for term in group]
+    step += [(term, 2.0) for term in middle]
+    step += [(term, 1.0) for group in reversed(head) for term in group]
+    return step, True
+
+
+def trotter_schedule(op: EvolutionOperator, t: float) -> list[tuple[PauliTerm, float]]:
+    """(term, angle) rotations of one trotter2 V(t), in the order they run: :func:`trotter_step`
+    r times at angles a * tau, tau = t/r, or once at tau = t when the step does not repeat.
 
     The schedule is a palindrome of rotations, and the terms within a group
     commute, so reversing it equals negating every angle:
     V_r(-t) = V_r(t)^dag, hence <a|V(-t)|b> = conj(<b|V(t)|a>). HOA assembly
     (``qse.assemble_matrices``) evolves in one direction on that identity.
 
-    Every angle is a fixed multiple of t (of tau = t/r), so the schedule at
-    t is the schedule at t = 1 with its angles scaled by t; the kernel,
-    :func:`_evolve_trotter2`, runs the t = 1 schedule on that rule, one
-    step of it at a time (:func:`_one_step`).
+    Every angle is a fixed multiple of tau, so the kernel,
+    :func:`_evolve_trotter2`, runs the one compiled step at each row's tau.
     """
-    groups = grouped_by_axis(op.hamiltonian)
-    if len(groups) == 1:
-        return [(term, 2.0 * t) for term in groups[0]]
-    tau = t / op.trotter_steps
-    head, middle = groups[:-1], groups[-1]
-    step = [(term, tau) for group in head for term in group]
-    step += [(term, 2.0 * tau) for term in middle]
-    step += [(term, tau) for group in reversed(head) for term in group]
-    return step * op.trotter_steps
-
-
-def _one_step(schedule: list[tuple[PauliTerm, float]], steps: int) -> tuple[list[tuple[PauliTerm, float]], int]:
-    """(first step, step count) of a schedule that runs one step ``steps`` times. A schedule that
-    does not (one commuting group runs once at any r), or whose step holds no off-diagonal
-    rotation (the whole schedule is one diagonal run), is one step."""
-    size = len(schedule) // steps
-    step = schedule[:size]
-    if size * steps == len(schedule) and schedule[size:] == schedule[:-size] and any(t.masks[0] for t, _ in step):
-        return step, steps
-    return schedule, 1
+    step, repeats = trotter_step(op.hamiltonian)
+    steps = op.trotter_steps if repeats else 1
+    tau = t / steps
+    return [(term, a * tau) for term, a in step] * steps
 
 
 class BlockSchedule(NamedTuple):
-    """One trotter2 step compiled onto the Z-syndrome blocks of its Hamiltonian, for every step count.
+    """One trotter2 step at unit tau, compiled onto the Z-syndrome blocks of its Hamiltonian.
 
     Row b of ``members`` lists block b's states in ascending order. Block b
     is the coset m_b ^ K of the syndrome-0 block K, m_b its smallest state,
@@ -230,44 +215,34 @@ class BlockSchedule(NamedTuple):
     in m_b), so local position i holds m_b ^ K[i]. Every term's flip lies in
     K and so permutes the local positions of every block alike, and rows of
     different blocks share a gate pass. ``gates`` holds the step's gates in
-    order: an int per maximal run of diagonal rotations (its index in
-    ``runs``) and, per off-diagonal rotation, (src, phase): src the local
-    gather padded to a chunk of :func:`chunk_rows` rows, row j of the
-    flattened chunk reading row j, and phase the index in ``phases`` of the
-    term's phase, None for a string without Z or Y sites (sign mask 0), where
-    it is +1 everywhere. The phases are ``(blocks, size)`` tables laid out as
-    ``members``, row b holding block b's values in local order, so a chunk
-    reads them as whole rows by block label. ``runs`` holds each diagonal
-    run's step positions, and ``rotations`` and ``coefficients`` each
-    off-diagonal rotation's step position and real coefficient, in gate
-    order: a step count's angles and exponents are read at those positions
-    (:class:`StepTables`). With a ``boundary`` the step begins and ends with
-    a diagonal run, and the last entry of ``runs`` is the trailing run
-    followed by the leading one: the run that fuses two adjacent steps.
+    order: per maximal run of diagonal rotations, the index in ``exponents``
+    of its exponent d per unit tau, and, per off-diagonal rotation,
+    (src, phase): src the local gather padded to a chunk of
+    :func:`chunk_rows` rows, row j of the flattened chunk reading row j, and
+    phase the index in ``phases`` of the term's phase, None for a string
+    without Z or Y sites (sign mask 0), where it is +1 everywhere. The phases
+    and exponents are ``(blocks, size)`` tables laid out as ``members``, row b
+    holding block b's values in local order, so a chunk reads them as whole
+    rows by block label; runs of the same rotations share one table.
+    ``angles`` and ``coefficients`` hold each off-diagonal rotation's unit
+    angle a (1, or 2 in the middle group) and real coefficient c, in gate
+    order: a row at tau rotates by theta = 0.5 * (a * tau) * c and takes a
+    run as exp(-i tau d). With a ``boundary`` the step begins and ends with a
+    diagonal run, and the last exponent is the run that fuses two adjacent
+    steps, summed over the trailing rotations and then the leading ones.
+    ``repeats`` is false when V(t) runs the step once, at tau = t: for one
+    commuting group, and for a step with no off-diagonal rotation, whose r
+    steps are one diagonal run.
     """
 
     members: np.ndarray
     gates: list[int | tuple[np.ndarray, int | None]]
     phases: list[np.ndarray]
-    runs: list[tuple[int, ...]]
-    rotations: list[int]
+    exponents: list[np.ndarray]
+    angles: np.ndarray
     coefficients: np.ndarray
     boundary: bool
-
-
-class StepTables(NamedTuple):
-    """What one or more step counts run a :class:`BlockSchedule` with, stacked along a first axis
-    of step counts: ``steps``, each count's number of steps; ``angles`` (counts, rotations), each
-    off-diagonal rotation's unit-time angle; ``exponents``, distinct tables of the diagonal runs'
-    exponents, each count's (blocks, size) table laid out as ``members`` and the counts' tables
-    stacked, so count c reads block b at row c * blocks + b; schedule run i reads table
-    ``runs[i]``."""
-
-    schedule: BlockSchedule
-    steps: np.ndarray
-    angles: np.ndarray
-    exponents: list[np.ndarray]
-    runs: list[int]
+    repeats: bool
 
 
 def chunk_rows(block_size: int) -> int:
@@ -278,45 +253,54 @@ def chunk_rows(block_size: int) -> int:
 _COMPILED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _compiled_step(h: PauliSum, step: list[tuple[PauliTerm, float]]) -> BlockSchedule:
-    """:func:`compile_trotter2` of one step's rotations on ``h``'s symmetry blocks, compiled once
-    and returned for every ``PauliSum`` equal to ``h`` whose step runs the same Pauli strings,
-    at any step count."""
-    compiled = _COMPILED.setdefault(h, {})
-    strings = tuple(term.axes for term, _ in step)
-    if strings not in compiled:
-        compiled[strings] = compile_trotter2([term for term, _ in step], symmetry_blocks(h))
-    return compiled[strings]
+def _compiled_step(h: PauliSum) -> BlockSchedule:
+    """:func:`compile_trotter2` of ``h``, compiled once and returned for every ``PauliSum`` equal to ``h``."""
+    schedule = _COMPILED.get(h)
+    if schedule is None:
+        schedule = _COMPILED[h] = compile_trotter2(h)
+    return schedule
 
 
-def compile_trotter2(step: Sequence[PauliTerm], blocks: Sequence[np.ndarray]) -> BlockSchedule:
-    """The :class:`BlockSchedule` of one step's rotations, in order, on ``blocks``,
-    :func:`oracle.symmetry_blocks` of its Hamiltonian.
+def compile_trotter2(h: PauliSum) -> BlockSchedule:
+    """The :class:`BlockSchedule` of ``h``'s :func:`trotter_step` on its
+    :func:`oracle.symmetry_blocks`.
 
     Each maximal run of consecutive Z-only rotations, which are diagonal and
-    commute, becomes an int gate; its exponent, the one number of the run that
-    depends on the step count, is a :class:`StepTables` entry. A rotation whose
-    flip mask is nonzero stays a gate of its own, whose local gather is its flip
-    read on K through K's inverse position map, built once per distinct Pauli
-    string, with its phase read at the blocks' states into a per-block table.
+    commute, becomes an int gate whose exponent per unit tau is
+    d = sum_k (a_k c_k / 2) phase_k over its rotations in order, read at the
+    blocks' states. A rotation whose flip mask is nonzero stays a gate of its
+    own, whose local gather is its flip read on K through K's inverse position
+    map, built once per distinct Pauli string, with its phase read at the
+    blocks' states into a per-block table.
     """
+    step, repeats = trotter_step(h)
+    blocks = symmetry_blocks(h)
     kernel = blocks[0]
     size = kernel.size
     members = _read_only(np.stack(blocks))
     position = np.empty(kernel[-1] + 1, dtype=np.int64)
     position[kernel] = np.arange(size)
     padding = np.arange(chunk_rows(size), dtype=np.int64)[:, None] * size
+
+    def exponent(run: tuple[tuple[PauliTerm, float], ...]) -> np.ndarray:
+        d = sum(0.5 * a * term.coefficient.real * term.action[1].real for term, a in run)
+        return _read_only(d[members])
+
     gates: list[int | tuple[np.ndarray, int | None]] = []
-    runs: list[tuple[int, ...]] = []
+    runs: dict[tuple[tuple[PauliTerm, float], ...], int] = {}
     actions: dict[str, tuple[np.ndarray, int | None]] = {}
     phases: list[np.ndarray] = []
-    rotations, coefficients = [], []
-    for diagonal, run in groupby(enumerate(step), key=lambda gate: gate[1].masks[0] == 0):
+    exponents: list[np.ndarray] = []
+    angles, coefficients = [], []
+    for diagonal, run in groupby(step, key=lambda gate: gate[0].masks[0] == 0):
         if diagonal:
-            gates.append(len(runs))
-            runs.append(tuple(p for p, _ in run))
+            run = tuple(run)
+            if run not in runs:
+                runs[run] = len(exponents)
+                exponents.append(exponent(run))
+            gates.append(runs[run])
             continue
-        for p, term in run:
+        for term, a in run:
             if term.axes not in actions:
                 src, phase = term.action
                 local = _read_only(padding + position[src[kernel]])
@@ -326,49 +310,15 @@ def compile_trotter2(step: Sequence[PauliTerm], blocks: Sequence[np.ndarray]) ->
                     actions[term.axes] = local, len(phases)
                     phases.append(_read_only(phase[members]))
             gates.append(actions[term.axes])
-            rotations.append(p)
+            angles.append(a)
             coefficients.append(term.coefficient.real)
     boundary = len(gates) > 1 and isinstance(gates[0], int) and isinstance(gates[-1], int)
     if boundary:
-        runs.append(runs[gates[-1]] + runs[gates[0]])
-    return BlockSchedule(members, gates, phases, runs, rotations, np.array(coefficients, dtype=float), boundary)
-
-
-def step_tables(schedule: BlockSchedule, step: list[tuple[PauliTerm, float]], steps: int) -> StepTables:
-    """One step count's :class:`StepTables`: ``step`` the (term, unit-time angle) rotations that
-    ``schedule`` compiles, run ``steps`` times. A run's exponent per unit time is
-    d = sum_k (a_k c_k / 2) phase_k over its rotations in order, read at the blocks' states, so
-    the run at time t is exp(-i t d) elementwise; runs of the same rotations at the same angles
-    share one table."""
-    exponents: list[np.ndarray] = []
-    runs: list[int] = []
-    tables: dict[tuple[tuple[PauliTerm, float], ...], int] = {}
-    for run in schedule.runs:
-        gates = tuple(step[p] for p in run)
-        if gates not in tables:
-            tables[gates] = len(exponents)
-            d = sum(0.5 * angle * term.coefficient.real * term.action[1].real for term, angle in gates)
-            exponents.append(_read_only(d[schedule.members]))
-        runs.append(tables[gates])
-    angles = np.array([[step[p][1] for p in schedule.rotations]], dtype=float)
-    return StepTables(schedule, np.array([steps]), angles, exponents, runs)
-
-
-def _stacked(tables: list[StepTables]) -> StepTables:
-    """The tables of several step counts of one schedule as one, in order: each schedule run reads
-    one stacked table per distinct combination of the counts' own."""
-    if len(tables) == 1:
-        return tables[0]
-    if any(table.schedule is not tables[0].schedule for table in tables):
-        raise SimulationError("the rows of one stack evolve under one Hamiltonian")
-    combinations = list(zip(*(table.runs for table in tables)))
-    distinct = list(dict.fromkeys(combinations))
-    return StepTables(
-        tables[0].schedule,
-        np.concatenate([table.steps for table in tables]),
-        np.concatenate([table.angles for table in tables]),
-        [np.concatenate([table.exponents[i] for table, i in zip(tables, combination)]) for combination in distinct],
-        [distinct.index(combination) for combination in combinations],
+        distinct = list(runs)
+        exponents.append(exponent(distinct[gates[-1]] + distinct[gates[0]]))
+    return BlockSchedule(
+        members, gates, phases, exponents, np.array(angles, dtype=float), np.array(coefficients, dtype=float),
+        boundary, repeats and bool(angles),
     )
 
 
@@ -378,79 +328,83 @@ def _evolve_trotter2(
     """V(times[j]) applied to row j of a (k, 2^N) stack, as a new stack, under ``op``, or under
     op[j] when ``op`` holds one operator per row.
 
-    Each row is split into block-local rows, one per symmetry block where it
-    has a nonzero amplitude; it stays zero on every other block. Block-local
-    rows are ordered by step count, most first, and cut into chunks of
-    :func:`chunk_rows` rows; step s of the compiled step makes one pass per
-    gate over the rows of a chunk that still run it. Per amplitude this is
-    the arithmetic of :func:`_rotation_inplace` under the row's own schedule,
-    theta = (0.5 * angle * t) * c and psi <- cos(theta) psi - i sin(theta)
-    phase * psi[src], with its maximal diagonal runs fused as exp(-i t d).
+    Row j runs its Hamiltonian's one compiled step r_j times at
+    tau_j = times[j] / r_j, r_j its operator's step count (or once at
+    tau_j = times[j] when the step does not repeat). Each row is split into
+    block-local rows, one per symmetry block where it has a nonzero
+    amplitude; it stays zero on every other block. Block-local rows are
+    ordered by step count, most first, and cut into chunks of
+    :func:`chunk_rows` rows; step s makes one pass per gate over the rows of
+    a chunk that still run it. Per amplitude this is the arithmetic of
+    :func:`_rotation_inplace` under the row's own schedule,
+    theta = 0.5 * (a * tau) * c and psi <- cos(theta) psi - i sin(theta)
+    phase * psi[src], with its maximal diagonal runs fused as exp(-i tau d).
     """
-    operators = [op] * len(amplitudes) if isinstance(op, EvolutionOperator) else op
-    distinct: dict[int, tuple[int, EvolutionOperator]] = {}
-    which = np.array([distinct.setdefault(id(o), (len(distinct), o))[0] for o in operators], dtype=np.intp)
-    tables = _stacked([o._step_tables for _, o in distinct.values()])
-    members = tables.schedule.members
-    amplitudes, times = np.asarray(amplitudes, dtype=complex), np.asarray(times, dtype=float)
+    ops = [op] if isinstance(op, EvolutionOperator) else op
+    hamiltonians = list({id(o.hamiltonian): o.hamiltonian for o in ops}.values())
+    schedule = _compiled_step(hamiltonians[0])
+    if any(_compiled_step(h) is not schedule for h in hamiltonians[1:]):
+        raise SimulationError("the rows of one stack evolve under one Hamiltonian")
+    steps = np.broadcast_to([o.trotter_steps if schedule.repeats else 1 for o in ops], len(amplitudes))
+    members = schedule.members
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    tau = np.asarray(times, dtype=float) / steps
     rows, labels = np.nonzero((amplitudes != 0).take(members, axis=1).any(axis=2))
-    order = np.argsort(-tables.steps[which[rows]], kind="stable")  # most steps first
+    order = np.argsort(-steps[rows], kind="stable")  # most steps first
     rows, labels = rows[order], labels[order]
     index = members[labels]
     local = amplitudes[rows[:, None], index]  # C-ordered (m, size): each chunk below is a run of whole rows
     per_chunk = chunk_rows(members.shape[1])
     for start in range(0, len(local), per_chunk):
         part = slice(start, start + per_chunk)
-        t = times[rows[part], None]  # one row's blocks share its time
+        t = tau[rows[part], None]  # one row's blocks share its tau
         one = rows[part][-1] == rows[start]  # a row's blocks are adjacent, so the chunk holds one row
-        _run_chunk(tables, local[part], t[:1] if one else t, labels[part], which[rows[part]])
+        _run_chunk(schedule, local[part], t[:1] if one else t, labels[part], steps[rows[part]].tolist())
     out = np.zeros(amplitudes.shape, dtype=complex)
     out[rows[:, None], index] = local
     return out
 
 
-def _run_chunk(tables: StepTables, chunk: np.ndarray, t: np.ndarray, labels: np.ndarray, which: np.ndarray) -> None:
+def _run_chunk(
+    schedule: BlockSchedule, chunk: np.ndarray, tau: np.ndarray, labels: np.ndarray, steps: list[int]
+) -> None:
     """Every step of every row's schedule on a C-ordered chunk of block-local rows, in place: row j
-    holds block labels[j] at time t[j, 0], or all rows are at t[0, 0] when t has one row, and runs
-    the step count of ``tables`` row which[j]. Rows come in descending step count, so the rows
-    still running step s lead the chunk. Each row reads its block's row of the phase tables and
-    its step count's angles and exponents. With a step boundary the leading run runs before step
-    0 alone, and each row ends a step with the fused run, or with the trailing run after its last.
+    holds block labels[j] and runs steps[j] steps at tau[j, 0], or all rows are at tau[0, 0] when
+    tau has one row. Rows come in descending step count, so the rows still running step s lead
+    the chunk. Each row reads its block's row of the phase and exponent tables. With a step
+    boundary the leading run runs before step 0 alone, and each row ends a step with the fused
+    run, or with the trailing run after its last.
     """
-    schedule = tables.schedule
-    steps = tables.steps[which].tolist()
     flat = chunk.reshape(-1)  # a view: the chunk is a run of C-ordered rows
-    exponent_rows = which * len(schedule.members) + labels
-    diagonals = [np.exp(-1j * t * d[exponent_rows]) for d in tables.exponents]
-    runs = [diagonals[i] for i in tables.runs]
+    exponents = [np.exp(-1j * tau * d[labels]) for d in schedule.exponents]
     phases = [phase[labels] for phase in schedule.phases]
-    theta = 0.5 * (tables.angles[which[: len(t)]].T[:, :, None] * t) * schedule.coefficients[:, None, None]
+    theta = 0.5 * (schedule.angles[:, None, None] * tau) * schedule.coefficients[:, None, None]
     cos, minus_i_sin = np.cos(theta), -1j * np.sin(theta)
-    if len(t) == 1:  # one time takes plain scalars, cheaper than a (k, 1) column per gate
+    if len(tau) == 1:  # one tau takes plain scalars, cheaper than a (k, 1) column per gate
         cos, minus_i_sin = cos.ravel().tolist(), minus_i_sin.ravel().tolist()
     gates = schedule.gates[1:-1] if schedule.boundary else schedule.gates
     if schedule.boundary:
-        chunk *= runs[schedule.gates[0]]
+        chunk *= exponents[schedule.gates[0]]
     active = len(chunk)
     for s in range(steps[0]):
         if steps[active - 1] <= s:  # rows past their last step leave the chunk's end (one row's blocks never do)
             active = sum(count > s for count in steps)
             chunk, cos, minus_i_sin = chunk[:active], cos[:, :active], minus_i_sin[:, :active]
-            runs, phases = [d[:active] for d in runs], [phase[:active] for phase in phases]
+            exponents, phases = [d[:active] for d in exponents], [phase[:active] for phase in phases]
         rotations = zip(cos, minus_i_sin)  # one (cos, -i sin) per off-diagonal gate, in order
         for gate in gates:
             if isinstance(gate, int):
-                chunk *= runs[gate]
+                chunk *= exponents[gate]
             else:
                 src, phase = gate
                 _rotate_rows(chunk, flat, src, None if phase is None else phases[phase], *next(rotations))
         if schedule.boundary:  # rows with another step fuse into it, the others end
             going = active if steps[active - 1] > s + 1 else sum(count > s + 1 for count in steps)
             if going == active:
-                chunk *= runs[-1]
+                chunk *= exponents[-1]
             else:
-                chunk[:going] *= runs[-1][:going]
-                chunk[going:] *= runs[schedule.gates[-1]][going:]
+                chunk[:going] *= exponents[-1][:going]
+                chunk[going:] *= exponents[schedule.gates[-1]][going:]
 
 
 def _rotate_rows(
@@ -499,6 +453,8 @@ def evolve_stack(
     share each gate pass while both still have steps to run.
     """
     ops = [op] if isinstance(op, EvolutionOperator) else op
+    if len(ops) == 0:
+        raise SimulationError("a stack evolves under at least one operator")
     if any(o.mode != "trotter2" for o in ops):
         raise SimulationError("stacked evolution runs the trotter2 circuit")
     amplitudes, n = np.asarray(amplitudes), ops[0].hamiltonian.num_sites

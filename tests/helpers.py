@@ -89,22 +89,29 @@ def trotter_rotation_by_rotation(op, amplitudes: np.ndarray, t: float) -> np.nda
 def full_register_trotter2(op, amplitudes: np.ndarray, times) -> np.ndarray:
     """trotter2 V(times[j]) on row j of a (k, 2^N) stack under ``op``, or under op[j] when it holds
     one operator per row: the bit-for-bit reference for the block-local kernel, read off
-    :func:`simulator.trotter_schedule` alone. Each row runs its operator's t = 1 schedule on the
-    full register, scaled by its time: every maximal run of consecutive Z-only rotations as one
-    phase exp(-i t d) with d = sum_k (a_k c_k / 2) phase_k, and every other rotation as one
-    gather through its term's action, theta = (0.5 * a * t) * c."""
+    :func:`simulator.trotter_schedule` alone. One step at tau = 1 is the one-step schedule at t = 1,
+    whose angles are the unit angles a; a row runs it r times at tau = t/r, r the length of its
+    operator's schedule over the step's, on the full register. Its steps are one gate list, so a
+    step's trailing Z singles fuse with the next step's leading ones: every maximal run of
+    consecutive Z-only rotations is one phase exp(-i tau d) with d = sum_k (a_k c_k / 2) phase_k,
+    and every other rotation one gather through its term's action, theta = 0.5 * (a * tau) * c.
+    Steps with no off-diagonal rotation are one diagonal run, taken once at tau = t."""
     operators = [op] * len(amplitudes) if isinstance(op, EvolutionOperator) else op
     out = np.array(amplitudes, dtype=complex)
     for row, operator, t in zip(out[:, None], operators, times):
-        t = np.array([[t]], dtype=float)
-        for diagonal, run in groupby(trotter_schedule(operator, 1.0), key=lambda gate: gate[0].masks[0] == 0):
+        step = trotter_schedule(EvolutionOperator(operator.hamiltonian, "trotter2"), 1.0)
+        steps = len(trotter_schedule(operator, 1.0)) // len(step)
+        if not any(term.masks[0] for term, _ in step):
+            steps = 1
+        tau = np.array([[t / steps]], dtype=float)
+        for diagonal, run in groupby(step * steps, key=lambda gate: gate[0].masks[0] == 0):
             run = list(run)
             if diagonal:
-                row *= np.exp(-1j * t * sum(0.5 * a * term.coefficient.real * term.action[1].real for term, a in run))
+                row *= np.exp(-1j * tau * sum(0.5 * a * term.coefficient.real * term.action[1].real for term, a in run))
                 continue
             angles, coefficients = (np.array(column, dtype=float) for column in zip(*((a, term.coefficient.real)
                                                                                         for term, a in run)))
-            theta = 0.5 * (angles * t) * coefficients
+            theta = 0.5 * (angles * tau) * coefficients
             for (term, _), c, minus_i_s in zip(run, np.cos(theta).ravel().tolist(), (-1j * np.sin(theta)).ravel().tolist()):
                 src, phase = term.action
                 rotated = row[:, src] * phase

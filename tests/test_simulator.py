@@ -138,8 +138,10 @@ class TestGrouping:
 
     def test_grouped_only_when_read(self, h_8, monkeypatch):
         # exact V(t) never reads the Trotter grouping; a trotter2 operator groups its
-        # Hamiltonian once, when its first evolve compiles the schedule
+        # Hamiltonian once, when its first evolve compiles the step; an earlier test may have
+        # compiled h's step already
         calls = []
+        monkeypatch.setattr(simulator, "_COMPILED", weakref.WeakKeyDictionary())
         monkeypatch.setattr(simulator, "grouped_by_axis", lambda h: calls.append(h) or grouped_by_axis(h))
         psi = random_state(8, 3)
         exact = EvolutionOperator(h_8)
@@ -241,18 +243,21 @@ class TestEvolve:
         assert self.reversal_error(op, 0.37) <= 1e-13
 
     def test_unreversed_schedule_breaks_time_reversal(self, h_8, monkeypatch):
-        # the same gates with the trailing head groups in forward order: not a palindrome
-        def unreversed(op, t):
-            tau = t / op.trotter_steps
-            groups = grouped_by_axis(op.hamiltonian)
+        # the same gates with the trailing head groups in forward order: not a palindrome. The
+        # kernel compiles the one step that trotter_schedule repeats, so patching it reaches V(t)
+        def unreversed(h):
+            groups = grouped_by_axis(h)
             head, middle = groups[:-1], groups[-1]
-            step = [(term, tau) for group in head for term in group]
-            step += [(term, 2.0 * tau) for term in middle]
-            step += [(term, tau) for group in head for term in group]
-            return step * op.trotter_steps
+            step = [(term, 1.0) for group in head for term in group]
+            step += [(term, 2.0) for term in middle]
+            step += [(term, 1.0) for group in head for term in group]
+            return step, True
 
         op = EvolutionOperator(h_8, mode="trotter2", trotter_steps=5)
-        monkeypatch.setattr(simulator, "trotter_schedule", unreversed)
+        monkeypatch.setattr(simulator, "trotter_step", unreversed)
+        monkeypatch.setattr(simulator, "_COMPILED", weakref.WeakKeyDictionary())
+        patched = [term for term, _ in unreversed(h_8)[0]]
+        assert [term for term, _ in simulator.trotter_schedule(op, 0.37)[:36]] == patched
         assert self.reversal_error(op, 0.37) > 1e-6
 
     def test_norm_preserved_through_long_product(self, h_8):
@@ -305,16 +310,27 @@ FUSED_FIELDS = {"z": 0.1, "zero": 0.0, "tilted": [0.3, 0.0, 0.3]}
 
 
 class TestFusedSchedule:
-    @pytest.mark.parametrize("case", [f"{n}-{f}" for n in FUSED_SHAPES for f in FUSED_FIELDS] + ["x0+z0"])
+    @pytest.mark.parametrize(
+        "case", [f"{n}-{f}" for n in FUSED_SHAPES for f in FUSED_FIELDS] + ["x0+z0", "xx-chain", "ising"]
+    )
     def test_matches_the_schedule_rotation_by_rotation(self, case):
+        # the two last cases run their step once at tau = t: an XX chain is one commuting group,
+        # and the ZZ bonds and Z field of an Ising sum are two groups with no off-diagonal rotation
         from kitaevqse.lattice import build_lattice, kitaev_hamiltonian
 
         if case == "x0+z0":
             h = pauli_sum([single_site("X", 0, 1), single_site("Z", 0, 1)], 1)
+        elif case == "xx-chain":
+            h = pauli_sum([two_site("X", i, i + 1, 6, 0.3 + 0.1 * i) for i in range(5)], 6)
+        elif case == "ising":
+            bonds = [two_site("Z", i, i + 1, 6, 0.7 - 0.1 * i) for i in range(5)]
+            h = pauli_sum(bonds + [single_site("Z", i, 6, 0.2 + 0.05 * i) for i in range(6)], 6)
         else:
             shape, field = case.split("-")
             h = kitaev_hamiltonian(build_lattice(*FUSED_SHAPES[shape]), -1.0, FUSED_FIELDS[field])
         psi = random_state(h.num_sites, 21)
+        repeats = case not in ("xx-chain", "ising")
+        assert simulator._compiled_step(h).repeats == repeats
         for steps in (1, 3, 5):
             op = EvolutionOperator(h, mode="trotter2", trotter_steps=steps)
             for t in (0.37, -0.37, 2.1):
@@ -343,13 +359,17 @@ class TestFusedSchedule:
         # a step's diagonal runs are its leading Z singles, the ZZ bonds and its trailing Z singles;
         # the trailing and next leading Z singles fuse into one run at a step boundary, so the
         # leading run runs before step 0 alone: 2r + 1 diagonal passes. The leading and trailing
-        # runs share one exponent table
-        tables = op._step_tables
-        compiled = tables.schedule
+        # runs share one exponent table, and the fused run's table comes last
+        compiled = simulator._compiled_step(h_8)
         diagonal = [gate for gate in compiled.gates if isinstance(gate, int)]
-        assert compiled.boundary and diagonal == [0, 1, 2] and diagonal == [compiled.gates[i] for i in (0, 9, -1)]
-        assert compiled.runs[3] == compiled.runs[2] + compiled.runs[0] and len(compiled.runs[0]) == 8
-        assert tables.runs == [0, 1, 0, 2] and tables.steps.tolist() == [steps]
+        assert compiled.boundary and compiled.repeats
+        assert diagonal == [0, 1, 0] and diagonal == [compiled.gates[i] for i in (0, 9, -1)]
+        assert len(compiled.exponents) == 3
+        # per unit tau: the Z singles at a = 1 on both sides of the fusion, every bond rotation at a = 1
+        z_field = sum(0.5 * t.coefficient.real * t.action[1].real for t in h_8.terms if t.axes.count("Z") == 1)
+        assert np.allclose(compiled.exponents[0], z_field[compiled.members], rtol=0, atol=1e-15)
+        assert np.allclose(compiled.exponents[-1], 2 * compiled.exponents[0], rtol=0, atol=1e-15)
+        assert compiled.angles.tolist() == [1.0] * 16
 
     @pytest.mark.parametrize("steps", [1, 5])
     def test_schedule_angles_are_linear_in_time(self, h_8, steps):
@@ -363,13 +383,14 @@ class TestFusedSchedule:
 
     def test_compiled_once_on_first_evolve(self, h_8, monkeypatch):
         calls = []
-        schedule = simulator.trotter_schedule
-        monkeypatch.setattr(simulator, "trotter_schedule", lambda op, t: calls.append(t) or schedule(op, t))
+        step = simulator.trotter_step
+        monkeypatch.setattr(simulator, "trotter_step", lambda h: calls.append(h) or step(h))
+        monkeypatch.setattr(simulator, "_COMPILED", weakref.WeakKeyDictionary())
         op = EvolutionOperator(h_8, mode="trotter2", trotter_steps=3)
         assert calls == []
         psi = random_state(8, 24)
         evolve(evolve(psi, op, 0.4), op, -0.7)
-        assert calls == [1.0]
+        assert calls == [h_8]
 
 
 class TestStackedEvolution:
@@ -453,12 +474,20 @@ class TestStackedEvolution:
             assert np.array_equal(out[j], evolve_stack(op, stack[j:j + 1], times[j:j + 1])[0])
         assert not np.any(out[6]) and not np.signbit(out[6].view(float)).any()
 
-    def test_operators_of_one_hamiltonian_share_one_compiled_step(self, h_8, h0_8):
-        # every step count reads the one compiled step of its Hamiltonian; a stack mixing two
-        # Hamiltonians is refused
-        operators = [EvolutionOperator(h_8, mode="trotter2", trotter_steps=r) for r in (1, 4)]
-        assert operators[0]._step_tables.schedule is operators[1]._step_tables.schedule
+    def test_operators_of_one_hamiltonian_share_one_compiled_step(self, h_8, h0_8, monkeypatch):
+        # every step count, and every operator of an equal Hamiltonian, runs the one compiled step
+        # of its Hamiltonian; a stack mixing two Hamiltonians is refused
+        compiled = []
+        compile_step = simulator.compile_trotter2
+        monkeypatch.setattr(simulator, "compile_trotter2", lambda h: compiled.append(h) or compile_step(h))
+        monkeypatch.setattr(simulator, "_COMPILED", weakref.WeakKeyDictionary())
+        equal = pauli_sum(h_8.terms, 8)
+        assert equal == h_8 and equal is not h_8
+        operators = [EvolutionOperator(h, mode="trotter2", trotter_steps=r) for h, r in ((h_8, 1), (equal, 4))]
         stack, times = self.stack_and_times(8, 2, 41)
+        evolve_stack(operators, stack, times)
+        evolve_stack(operators[1], stack, times)
+        assert compiled == [h_8] and simulator._compiled_step(equal) is simulator._compiled_step(h_8)
         with pytest.raises(SimulationError, match="operators"):
             evolve_stack(operators, stack[:1], times[:1])
         with pytest.raises(SimulationError, match="one Hamiltonian"):
@@ -497,8 +526,7 @@ class TestStackedEvolution:
         # XXI and YIY flip 110 and 101, so Z on every site is the one Z symmetry: blocks
         # {0, 3, 5, 6} and {1, 2, 4, 7} = 1 ^ {0, 3, 5, 6}
         h = pauli_sum([PauliTerm(0.5, "XXI"), PauliTerm(0.5, "YIY"), PauliTerm(0.3, "ZII")], 3)
-        op = EvolutionOperator(h, mode="trotter2")
-        schedule = op._step_tables.schedule
+        schedule = simulator._compiled_step(h)
         assert np.array_equal(schedule.members, [[0, 3, 5, 6], [1, 2, 4, 7]])
         (xx_src, xx_phase), (yy_src, yy_phase) = [gate for gate in schedule.gates if not isinstance(gate, int)][:2]
         assert xx_phase is None  # an X string's all-+1 phase is dropped
@@ -521,6 +549,14 @@ class TestStackedEvolution:
             evolve_stack(op, stack[0], times[:1])
         with pytest.raises(SimulationError, match="times"):
             evolve_stack(op, stack, times[:1])
+
+    def test_empty_stacks(self, h_8):
+        # zero rows under one operator are a (0, 2^N) stack; no operator at all is refused
+        op = EvolutionOperator(h_8, mode="trotter2", trotter_steps=3)
+        out = evolve_stack(op, np.zeros((0, 1 << 8)), [])
+        assert out.shape == (0, 1 << 8) and out.dtype == complex
+        with pytest.raises(SimulationError, match="at least one operator"):
+            evolve_stack([], np.zeros((0, 1 << 8)), [])
 
 
 class TestCnotDepth:
