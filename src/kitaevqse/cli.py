@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -144,18 +145,31 @@ def _load_artifact(out_dir: Path, name: str, config: RunConfig, keys: tuple[str,
 
 
 def _vqe_reference(lat, out_dir: Path, config: RunConfig) -> StateVector:
-    """The trained VQE state that the vqe stage's artifact describes."""
+    """The trained VQE state that the vqe stage's artifact describes. Raises :class:`PipelineError`
+    naming the key when ``sector_targets``, ``layers`` or ``optimal_parameters`` has the wrong type
+    or length for ``lat``."""
     artifact = _load_artifact(
         out_dir, "vqe_result.json", config, ("sector_targets", "layers", "optimal_parameters")
     )
-    group = lattice_mod.stabilizer_group(
-        lat,
-        artifact["sector_targets"][: len(lat.plaquettes)],
-        tuple(artifact["sector_targets"][len(lat.plaquettes):]),
-    )
-    init_state = vqe.prepare_sector_state(group, lat)
-    ansatz = vqe.AnsatzCircuit.for_lattice(lat, artifact["layers"])
-    return ansatz.apply(np.asarray(artifact["optimal_parameters"], dtype=float), init_state)
+
+    def check(key: str, holds: bool, wanted: str) -> None:
+        if not holds:
+            shown = repr(artifact[key])
+            shown = shown if len(shown) <= 60 else shown[:56] + " ..."
+            raise PipelineError(f"{out_dir / 'vqe_result.json'}: {key} is {shown}, not {wanted}; rerun the vqe stage")
+
+    targets, layers, angles = artifact["sector_targets"], artifact["layers"], artifact["optimal_parameters"]
+    plaquettes, layer = len(lat.plaquettes), vqe.AnsatzCircuit.for_lattice(lat, 1)
+    check("sector_targets",
+          isinstance(targets, list) and len(targets) == plaquettes + 2
+          and all(type(t) is int and t in (-1, 1) for t in targets), f"a list of {plaquettes + 2} entries of 1 or -1")
+    check("layers", type(layers) is int and layers >= 0, "a non-negative integer")
+    check("optimal_parameters",
+          isinstance(angles, list) and len(angles) == layers * layer.num_parameters
+          and all(type(a) is float and math.isfinite(a) for a in angles),
+          f"a list of {layers * layer.num_parameters} finite floats")
+    group = lattice_mod.stabilizer_group(lat, targets[:plaquettes], tuple(targets[plaquettes:]))
+    return layer.repeated(layers).apply(np.asarray(angles), vqe.prepare_sector_state(group, lat))
 
 
 def _ed_ground_vector(decomp: SpectralDecomposition, qse_state: StateVector, hz: float) -> np.ndarray | None:
@@ -205,12 +219,12 @@ def _field_engine(config: RunConfig, reference: StateVector, h: PauliSum) -> Gre
 
 def cmd_vqe(config: RunConfig, out_dir: Path) -> None:
     lat, h0, _ = _model(config)
-    ranked = vqe.rank_sectors(lat, h0)  # depth-independent: one ranking serves every depth
+    problem = vqe.SectorProblem.build(lat, h0)  # depth-independent: one sector problem serves every depth
 
     def train(layers: int) -> vqe.VqeResult:
         # training is deterministic in (layers, seed)
         _, result, _ = vqe.prepare_reference_state(
-            lat, h0, layers=layers, epochs=config.vqe.epochs, seed=config.seed, ranked=ranked,
+            lat, h0, layers=layers, epochs=config.vqe.epochs, seed=config.seed, problem=problem,
         )
         return result
 
@@ -284,6 +298,8 @@ def cmd_qse(config: RunConfig, out_dir: Path) -> None:
         "trotter_steps": config.qse.trotter_steps,
         "assembly_mode": mats.assembly_mode,
         "regularization": gs.regularization_report,
+        # the energy change from the (n_k, n_l - 1) block of these matrices: how far the shape moved it
+        "nested_energy_change": qse.nested_energy_change(basis, mats, gs),
     }
     write_json(out_dir / "qse_ground_state.json", config, payload)
     print(f"qse: E={gs.energy:.12f} dE={abs(gs.energy - exact_energy):.3e} "

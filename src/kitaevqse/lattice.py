@@ -24,6 +24,7 @@ a2 = (-1/2, sqrt(3)/2) with the B site displaced by (0, 1/sqrt(3)).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +52,12 @@ class HoneycombLattice:
 
     def bonds(self, kind: str) -> tuple[tuple[int, int], ...]:
         return {"x": self.bonds_x, "y": self.bonds_y, "z": self.bonds_z}[kind]
+
+    @cached_property
+    def stabilizer_strings(self) -> tuple[PauliTerm, ...]:
+        """The plaquette strings, then the row and column loop strings: the generators of
+        every :func:`stabilizer_group` of the lattice, walked once per lattice."""
+        return (*plaquette_operators(self), *loop_operators(self))
 
     def to_fixture_dict(self) -> dict:
         return {
@@ -236,12 +243,11 @@ def stabilizer_group(
     plaquette_targets=1,
     loop_targets=(1, 1),
 ) -> StabilizerGroup:
-    """Plaquette + loop generators with per-generator target eigenvalues."""
-    plaq = plaquette_operators(lat)
-    lx, ly = loop_operators(lat)
+    """Plaquette + loop generators (:attr:`HoneycombLattice.stabilizer_strings`) with
+    per-generator target eigenvalues."""
     if np.ndim(plaquette_targets) == 0:
-        p_targets = [int(plaquette_targets)] * len(plaq)
+        p_targets = [int(plaquette_targets)] * len(lat.plaquettes)
     else:
         p_targets = [int(t) for t in plaquette_targets]
     targets = tuple(p_targets) + (int(loop_targets[0]), int(loop_targets[1]))
-    return StabilizerGroup(tuple(plaq) + (lx, ly), targets)
+    return StabilizerGroup(lat.stabilizer_strings, targets)

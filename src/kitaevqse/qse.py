@@ -190,6 +190,10 @@ class SubspaceMatrices:
     def assembly_mode(self) -> str:
         return "exact" if self.hoa_tau is None else "hoa"
 
+    def block(self, rows: slice) -> "SubspaceMatrices":
+        """The principal submatrices of H and S on ``rows``, assembled as these were."""
+        return SubspaceMatrices(self.hamiltonian[rows, rows], self.overlap[rows, rows], self.hoa_tau)
+
     def to_json_dict(self) -> dict:
         return {
             "assembly_mode": self.assembly_mode,
@@ -262,6 +266,14 @@ def _statevector_matrices(basis: SubspaceBasis, hoa_tau: float | None) -> tuple[
     return 0.5 * (s_mat + s_mat.conj().T), 0.5 * (h_mat + h_mat.conj().T)
 
 
+def nested_block(basis: SubspaceBasis, n_l: int) -> slice:
+    """The rows of ``basis`` whose |l| <= n_l: the n_l grid, the middle block of a deeper one."""
+    if not 0 <= n_l <= basis.n_l:
+        raise QseError(f"n_l = {n_l} is not nested in a basis of depth {basis.n_l}")
+    start = (basis.n_l - n_l) * (basis.n_k + 1)  # the n_k + 1 steps of each deeper |l| on either side
+    return slice(start, len(basis) - start)
+
+
 def nested_subspace(
     basis: SubspaceBasis, mats: SubspaceMatrices, n_l: int
 ) -> tuple[SubspaceBasis, SubspaceMatrices]:
@@ -273,17 +285,14 @@ def nested_subspace(
     the principal submatrices; an exact block holds no states and reads its
     own Toeplitz sequences, which match a basis assembled alone exactly.
     """
-    if not 0 <= n_l <= basis.n_l:
-        raise QseError(f"n_l = {n_l} is not nested in a basis of depth {basis.n_l}")
+    block = nested_block(basis, n_l)
     if n_l == basis.n_l:
         return basis, mats
-    start = (basis.n_l - n_l) * (basis.n_k + 1)  # the n_k + 1 steps of each deeper |l| on either side
-    block = slice(start, len(basis) - start)
     rows = None if basis.amplitudes is None else basis.amplitudes[block]
     sub = SubspaceBasis(basis.reference, basis.n_k, n_l, basis.delta_t, basis.evolution, rows)
     if rows is None:
         return sub, assemble_matrices(sub, mats.hoa_tau)
-    return sub, SubspaceMatrices(mats.hamiltonian[block, block], mats.overlap[block, block], mats.hoa_tau)
+    return sub, mats.block(block)
 
 
 @dataclass
@@ -343,6 +352,15 @@ def solve_ground_state(
         "condition_number": float(s_eigs[-1] / s_eigs[-kept]),
     }
     return QseGroundState(coefficients=coeffs, energy=float(evals[0]), regularization_report=report)
+
+
+def nested_energy_change(basis: SubspaceBasis, mats: SubspaceMatrices, gs: QseGroundState) -> float | None:
+    """``gs``'s energy minus the ground energy of the (n_k, n_l - 1) block of ``mats``, its S and H
+    sliced at :func:`nested_block` (HOA-assembled ones included) and solved once more, with no
+    state evolved and nothing assembled again; None at n_l = 0, which nests no smaller shape."""
+    if basis.n_l == 0:
+        return None
+    return gs.energy - solve_ground_state(mats.block(nested_block(basis, basis.n_l - 1))).energy
 
 
 def reconstruct_state(gs: QseGroundState, basis: SubspaceBasis) -> StateVector:

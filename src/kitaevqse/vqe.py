@@ -16,7 +16,10 @@ untapered qubits, and the sector of the initial state is a
 the adjoint sweep on them one run of commuting strings at a time, in each
 run's joint eigenbasis; BFGS (:func:`_bfgs_minimize`) trains on that sweep
 with no step size to tune. Only mapping the initial state into the frame
-touches 2^N amplitudes. :meth:`AnsatzCircuit.apply` and
+touches 2^N amplitudes. A depth-d circuit is one layer repeated d times, so
+every depth of a sweep trains on one :class:`SectorProblem`: the winning
+sector, its state and its span are built once, and each depth's span is
+tiled from them. :meth:`AnsatzCircuit.apply` and
 :meth:`AnsatzCircuit.energy_and_gradient` stay full-space; the trained state
 and its infidelity come from ``apply``.
 
@@ -35,6 +38,7 @@ on the shipped tori the winner is size-dependent and has to be computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -58,6 +62,10 @@ INVARIANCE_TOLERANCE = 1e-12
 # A scored reference is converged when its energy is this close to the exact ground energy.
 CONVERGENCE_TOLERANCE = 1e-8
 
+# numpy's SeedSequence (a pool of four 32-bit words) and PCG64 (128-bit LCG, XSL-RR output)
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
 
 class VqeError(RuntimeError):
     pass
@@ -73,22 +81,19 @@ class AnsatzCircuit:
 
     @classmethod
     def for_lattice(cls, lat: HoneycombLattice, layers: int) -> "AnsatzCircuit":
-        if layers < 0:
-            raise VqeError("layer count must be non-negative")
-        gens_one_layer = []
-        for kind in "xyz":
-            for u, v in lat.bonds(kind):
-                gens_one_layer.append(pauli.two_site(kind.upper(), u, v, lat.num_sites))
-        stab = stabilizer_group(lat)
-        for gen in gens_one_layer:
-            for s in stab.generators:
+        n = lat.num_sites
+        layer = tuple(pauli.two_site(kind.upper(), u, v, n) for kind in "xyz" for u, v in lat.bonds(kind))
+        for gen in layer:
+            for s in lat.stabilizer_strings:
                 if not commutes(gen, s):
                     raise VqeError(f"generator {gen} does not centralize the stabilizer group")
-        return cls(
-            num_sites=lat.num_sites,
-            layers=layers,
-            generators=tuple(gens_one_layer) * layers,
-        )
+        return cls(num_sites=n, layers=1, generators=layer).repeated(layers)
+
+    def repeated(self, times: int) -> "AnsatzCircuit":
+        """This circuit run ``times`` times over; of a one-layer circuit, the ``times``-layer one."""
+        if times < 0:
+            raise VqeError("layer count must be non-negative")
+        return AnsatzCircuit(self.num_sites, self.layers * times, self.generators * times)
 
     @property
     def num_parameters(self) -> int:
@@ -315,6 +320,62 @@ def prepare_sector_state(group: StabilizerGroup, lat: HoneycombLattice) -> State
     raise VqeError("inconsistent sector: projector cascade annihilates every basis state")
 
 
+def _hashmix(value: int, hash_const: list[int]) -> int:
+    value = (value ^ hash_const[0]) & _MASK32
+    hash_const[0] = (hash_const[0] * 0x931E8875) & _MASK32
+    value = (value * hash_const[0]) & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x: int, y: int) -> int:
+    result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _seed_words(seed: int, count: int) -> list[int]:
+    """The first ``count`` 64-bit words of ``numpy.random.SeedSequence(seed).generate_state``."""
+    entropy = [seed & _MASK32]  # little-endian 32-bit words, at least one
+    while seed >> 32 * len(entropy):
+        entropy.append((seed >> 32 * len(entropy)) & _MASK32)
+    hash_const = [0x43B0D7E5]
+    pool = [_hashmix(entropy[i] if i < len(entropy) else 0, hash_const) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], hash_const))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(word, hash_const))
+    words, hash_const = [], 0x8B51F9DD
+    for i in range(2 * count):
+        value = pool[i % 4] ^ hash_const
+        hash_const = (hash_const * 0x58F38DED) & _MASK32
+        value = (value * hash_const) & _MASK32
+        words.append(value ^ (value >> 16))
+    return [low | high << 32 for low, high in zip(words[::2], words[1::2])]
+
+
+def _uniform_angles(seed: int, count: int) -> np.ndarray:
+    """``np.random.default_rng(seed).uniform(-pi, pi, count)`` bit for bit, without ``numpy.random``.
+
+    numpy 2 imports ``numpy.random`` on its first use, a fixed cost that has
+    nothing to do with training. Here ``seed`` goes through numpy's
+    SeedSequence mixing into PCG64's 128-bit state and increment, and each
+    draw is PCG64's XSL-RR output x (O'Neill, HMC-CS-2014-0905) as the double
+    (x >> 11) 2^-53 in [0, 1), scaled as ``Generator.uniform`` scales it.
+    """
+    state_high, state_low, inc_high, inc_low = _seed_words(seed, 4)
+    inc = (((inc_high << 64) | inc_low) << 1 | 1) & _MASK128
+    # pcg64_set_seed: one step from state 0 (which lands on inc), add the seed, step again
+    state = ((inc + ((state_high << 64) | state_low)) * _PCG64_MULTIPLIER + inc) & _MASK128
+    draws = []
+    for _ in range(count):
+        state = (state * _PCG64_MULTIPLIER + inc) & _MASK128
+        folded, rotation = ((state >> 64) ^ state) & _MASK64, state >> 122
+        draws.append((((folded >> rotation) | (folded << (64 - rotation))) & _MASK64) >> 11)
+    return -np.pi + 2 * np.pi * (np.array(draws, dtype=float) * 2.0 ** -53)
+
+
 def _reached(energy: float, target: float | None) -> bool:
     return target is not None and energy - target <= TARGET_TOLERANCE * max(1.0, abs(target))
 
@@ -369,30 +430,34 @@ def train(
     epochs: int = 800,
     seed: int = 0,
     target: float | None = None,
+    span: SectorSpan | None = None,
 ) -> VqeResult:
     """Minimize <U(theta) psi0|H0|U(theta) psi0> on the :class:`SectorSpan` by :func:`_bfgs_minimize`.
 
-    Initial angles are uniform random in [-pi, pi], drawn from ``seed``. The
-    history keeps every energy-and-gradient evaluation, line-search trials
-    included, and its running best, which is monotone by construction.
-    Given a ``target``, training stops at the first evaluation whose running
-    best is at most ``TARGET_TOLERANCE * max(1, |target|)`` above it;
-    ``epochs`` caps the evaluations either way, and the best-so-far angles
-    are returned. Raises :class:`VqeError` when a term of ``h0`` is not one of
-    the ansatz's bond strings or ``init_state`` is not in one sector of
-    ``h0``'s frame (:meth:`SectorSpan.build`).
+    Initial angles are uniform random in [-pi, pi), drawn from ``seed``: the
+    stream of ``np.random.default_rng(seed).uniform(-pi, pi, n)``, bit for bit
+    (:func:`_uniform_angles`). The history keeps every energy-and-gradient
+    evaluation, line-search trials included, and its running best, which is
+    monotone by construction. Given a ``target``, training stops at the first
+    evaluation whose running best is at most ``TARGET_TOLERANCE * max(1, |target|)``
+    above it; ``epochs`` caps the evaluations either way, and the best-so-far
+    angles are returned. ``span`` is the span of ``ansatz``, ``h0`` and
+    ``init_state`` when the caller holds it (:meth:`SectorProblem.span`), and is
+    built here otherwise, which raises :class:`VqeError` when a term of ``h0`` is
+    not one of the ansatz's bond strings or ``init_state`` is not in one sector
+    of ``h0``'s frame (:meth:`SectorSpan.build`).
     """
     if not h0.is_hermitian():
         raise VqeError("training requires a Hermitian Hamiltonian")
-    rng = np.random.default_rng(seed)
-    theta0 = rng.uniform(-np.pi, np.pi, ansatz.num_parameters)
+    theta0 = _uniform_angles(seed, ansatz.num_parameters)
 
     if ansatz.num_parameters == 0:
         theta, energies = theta0, [expectation(init_state, h0)]
         stop_reason = "target" if _reached(energies[0], target) else "epochs"
         dimension = None
     else:
-        span = SectorSpan.build(ansatz, h0, init_state)
+        if span is None:
+            span = SectorSpan.build(ansatz, h0, init_state)
         theta, energies, stop_reason = _bfgs_minimize(span.energy_and_gradient, theta0, epochs, target)
         dimension = span.dimension
 
@@ -473,35 +538,86 @@ def rank_sectors(lat: HoneycombLattice, h0: PauliSum) -> SectorRanking:
     return SectorRanking(ranked, lowest)
 
 
+@dataclass(frozen=True)
+class SectorProblem:
+    """The part of training that no depth changes, built once for a sweep of depths.
+
+    ``group`` is the lowest-energy sector of ``ranking``, ties within 1e-9
+    broken by ranking order, ``energy`` its exact ground energy (the training
+    target) and ``state`` its projector-cascade state; ``layer`` is the
+    one-layer ansatz. A depth-d circuit is ``layer`` repeated d times, so its
+    span is the layer's runs repeated d times, joined by the link across a
+    layer boundary: :meth:`span` tiles it from the span of two layers, built
+    on first use.
+    """
+
+    ranking: SectorRanking
+    group: StabilizerGroup
+    energy: float
+    state: StateVector
+    layer: AnsatzCircuit
+    hamiltonian: PauliSum
+
+    @classmethod
+    def build(cls, lat: HoneycombLattice, h0: PauliSum) -> "SectorProblem":
+        """:func:`rank_sectors` of ``h0``, its winner's :func:`prepare_sector_state` and the one-layer
+        :meth:`AnsatzCircuit.for_lattice`."""
+        ranking = rank_sectors(lat, h0)
+        lowest = min(energy for _, energy in ranking.sectors)
+        group, energy = next((g, energy) for g, energy in ranking.sectors if energy <= lowest + 1e-9)
+        layer = AnsatzCircuit.for_lattice(lat, 1)
+        return cls(ranking, group, energy, prepare_sector_state(group, lat), layer, h0)
+
+    @cached_property
+    def _two_layers(self) -> SectorSpan:
+        return SectorSpan.build(self.layer.repeated(2), self.hamiltonian, self.state)
+
+    def span(self, layers: int) -> SectorSpan:
+        """:meth:`SectorSpan.build` of ``layer.repeated(layers)`` (``layers`` >= 1), field for field,
+        sliced and tiled from the span of two layers. No run crosses a layer boundary: a layer's first
+        run is its x bonds, each sharing a site with a z bond of the run before it."""
+        two, params = self._two_layers, self.layer.num_parameters
+        runs = len(two.run_starts) // 2
+        offsets = np.arange(layers)[:, None]
+        return SectorSpan(
+            start=two.start,
+            signs=np.tile(two.signs[:params], (layers, 1)),
+            half_angles=np.tile(two.half_angles[:params], layers),
+            run_starts=(two.run_starts[:runs] + params * offsets).ravel(),
+            runs=(two.runs[:params] + runs * offsets).ravel(),
+            links=np.tile(two.links[:runs], (layers, 1, 1))[:-1],
+            hamiltonian=two.hamiltonian,
+        )
+
+
 def prepare_reference_state(
     lat: HoneycombLattice,
     h0: PauliSum,
     layers: int,
     epochs: int = 800,
     seed: int = 0,
-    ranked: SectorRanking | None = None,
+    problem: SectorProblem | None = None,
 ) -> tuple[StateVector, VqeResult, StabilizerGroup]:
     """Symmetry-guided VQE ground-state preparation for the zero-field model.
 
-    Takes the lowest-energy sector of ``ranked`` (by default
-    :func:`rank_sectors` of ``h0``; a caller training several depths
-    passes one ranking to all of them), breaking ties within 1e-9 by
-    ranking order, and trains only the winner, stopping at its exact
+    Trains ``layers`` layers on ``problem`` (by default :meth:`SectorProblem.build`
+    of ``lat`` and ``h0``; a caller training several depths passes one problem
+    to all of them): only the winning sector is trained, stopping at its exact
     energy. The result records every ranked sector's energy in
     ``sector_energies`` and the lowest of all sectors in
     ``global_sector_minimum``. The circuit runs once on the full space: the
     state it returns is scored against ``oracle.diagonalize(h0)`` (:func:`_score`).
     """
-    ansatz = AnsatzCircuit.for_lattice(lat, layers)
-    if ranked is None:
-        ranked = rank_sectors(lat, h0)
-    lowest = min(energy for _, energy in ranked.sectors)
-    group, sector_energy = next((g, energy) for g, energy in ranked.sectors if energy <= lowest + 1e-9)
-    init_state = prepare_sector_state(group, lat)
-    result = train(h0, ansatz, init_state, epochs=epochs, seed=seed, target=sector_energy)
-    state = ansatz.apply(result.optimal_parameters, init_state)  # the one circuit application
+    if problem is None:
+        problem = SectorProblem.build(lat, h0)
+    elif problem.hamiltonian != h0:
+        raise VqeError("the sector problem was built for another Hamiltonian")
+    ansatz = problem.layer.repeated(layers)
+    span = problem.span(layers) if layers else None
+    result = train(h0, ansatz, problem.state, epochs=epochs, seed=seed, target=problem.energy, span=span)
+    state = ansatz.apply(result.optimal_parameters, problem.state)  # the one circuit application
     _score(result, state, oracle.diagonalize(h0))
-    result.sector_targets = group.target_eigenvalues
-    result.sector_energies = [(g.target_eigenvalues, energy) for g, energy in ranked.sectors]
-    result.global_sector_minimum = ranked.global_minimum
-    return state, result, group
+    result.sector_targets = problem.group.target_eigenvalues
+    result.sector_energies = [(g.target_eigenvalues, energy) for g, energy in problem.ranking.sectors]
+    result.global_sector_minimum = problem.ranking.global_minimum
+    return state, result, problem.group

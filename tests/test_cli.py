@@ -204,6 +204,17 @@ class TestPipeline:
         # statevector assembly is Rayleigh-Ritz: nothing below E0 beyond roundoff
         assert gs["energy_minus_exact"] >= -1e-10
 
+    def test_qse_records_its_nested_energy_change(self, workdir, tmp_path):
+        # the final (n_k, n_l) = (2, 2) solve against its (2, 1) block; at n_l = 0 nothing is nested
+        path, _ = workdir
+        gs = json.loads((path / "out" / "qse_ground_state.json").read_text())
+        assert isinstance(gs["nested_energy_change"], float) and abs(gs["nested_energy_change"]) < 1e-3
+        shutil.copy(path / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
+        config_path = tmp_path / "flat.json"
+        config_path.write_text(json.dumps({**FAST_CONFIG, "qse": {**FAST_CONFIG["qse"], "n_l": 0}}))
+        assert main(["qse", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "qse_ground_state.json").read_text())["nested_energy_change"] is None
+
     def test_layer_sweep_contents(self, workdir):
         path, _ = workdir
         lines = [
@@ -764,6 +775,23 @@ class TestPipeline:
         err = self._one_error_line(capsys)
         assert artifact in err and f"lacks {key}" in err
 
+    @pytest.mark.parametrize("key, damage", [
+        pytest.param("sector_targets", lambda value: value[:5], id="targets-cut"),
+        pytest.param("sector_targets", lambda value: None, id="targets-null"),
+        pytest.param("optimal_parameters", lambda value: [str(x) for x in value], id="angles-strings"),
+        pytest.param("layers", lambda value: str(value), id="layers-string"),
+    ])
+    @pytest.mark.parametrize("stage", ["qse", "greens", "dsf"])
+    def test_malformed_vqe_result_exits_2(self, workdir, tmp_path, capsys, stage, key, damage):
+        path, config_path = workdir
+        payload = json.loads((path / "out" / "vqe_result.json").read_text())
+        payload[key] = damage(payload[key])
+        (tmp_path / "vqe_result.json").write_text(json.dumps(payload))
+        rc = main([stage, "--config", str(config_path), "--out", str(tmp_path)])
+        assert rc == 2
+        err = self._one_error_line(capsys)
+        assert "vqe_result.json: " in err and f": {key} is " in err
+
     def test_greens_deviation_is_absolute(self, workdir, tmp_path, capsys):
         # G_12^ED of kinds X and Y vanishes by symmetry on this torus, so the
         # printed deviation must not be a ratio to it
@@ -852,6 +880,16 @@ class TestDeterminism:
         config_path.write_text(json.dumps(FAST_CONFIG))
         assert main(["vqe", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
         assert (len(stacks), len(eigvalsh_calls)) == (1, 0)
+
+    def test_vqe_builds_one_sector_problem(self, tmp_path, monkeypatch):
+        # every depth of the default sweep [0..4] trains from one sector state, and the spans of
+        # depths 1-4 are tiled from one span of two layers
+        calls = []
+        sector_state, span = vqe.prepare_sector_state, vqe.SectorSpan.build
+        monkeypatch.setattr(vqe, "prepare_sector_state", lambda *a: calls.append("state") or sector_state(*a))
+        monkeypatch.setattr(vqe.SectorSpan, "build", lambda *a: calls.append(a[0].layers) or span(*a))
+        assert main(["vqe", "--out", str(tmp_path / "o")]) == 0
+        assert calls == ["state", 2]
 
     def test_vqe_applies_the_circuit_once_per_depth(self, tmp_path, monkeypatch):
         calls = []
@@ -1008,3 +1046,24 @@ class TestRuntimeDependencies:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "o" / "dsf_qse.csv").exists()
+
+    def test_vqe_stage_does_not_import_numpy_random(self, tmp_path):
+        # numpy 2 imports numpy.random on its first use, and the initial angles are drawn without
+        # it; a fresh process, since this one has imported it
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps(FAST_CONFIG))
+        argv = ["vqe", "--config", str(config_path), "--out", str(tmp_path / "o")]
+        script = (
+            "import sys\n"
+            "from kitaevqse.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print('numpy.random' in sys.modules)\n"
+            "sys.exit(code)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(kitaevqse.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=600
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+        assert (tmp_path / "o" / "vqe_result.json").exists()

@@ -14,6 +14,7 @@ from kitaevqse.qse import (
     canonical_orthogonalization,
     deepest_subspaces,
     default_time_step,
+    nested_energy_change,
     nested_subspace,
     prepare_qse_ground_state,
     qse_energy_curve,
@@ -429,6 +430,35 @@ class TestNestedSubspaces:
         assert np.array_equal(sub.amplitudes, deep.amplitudes[6:17])
         assert np.array_equal(sub_mats.overlap, deep_mats.overlap[6:17, 6:17])
         assert nested_subspace(deep, deep_mats, 3) == (deep, deep_mats)
+
+    def test_nested_energy_change_slices_the_final_matrices(self, ref8, h_8, monkeypatch):
+        # HOA-assembled trotter2 matrices: the change solves their (n_k, n_l - 1) block, with no
+        # state evolved and nothing assembled again
+        dt = default_time_step(h_8)
+        op = EvolutionOperator(h_8, "trotter2", 2)
+        basis, flat = build_basis(ref8, 2, 2, dt, op), build_basis(ref8, 2, 0, dt, op)
+        mats = assemble_matrices(basis, 0.5 / gershgorin_kappa(h_8))
+        gs = solve_ground_state(mats)
+        _, block = nested_subspace(basis, mats, 1)
+        expected = gs.energy - solve_ground_state(block).energy
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("evolved or assembled again")
+
+        monkeypatch.setattr(qse, "assemble_matrices", forbidden)
+        monkeypatch.setattr(qse, "evolve_stack", forbidden)
+        assert nested_energy_change(basis, mats, gs) == expected
+        assert nested_energy_change(flat, mats.block(slice(0, len(flat))), gs) is None
+
+    def test_nested_energy_change_at_n8_default(self, qse8):
+        # the default (n_k, n_l) = (3, 3) has converged at N=8: its (3, 2) block reads the same energy
+        gs, basis, mats = qse8
+        assert abs(nested_energy_change(basis, mats, gs)) < 1e-12
+
+    def test_nested_energy_change_at_n12(self, ref12, h_12):
+        # at N=12 the (3, 3) shape still lowers the energy of its (3, 2) block by about 3e-3
+        gs, basis, mats = prepare_qse_ground_state(ref12, h_12, 3, 3)
+        assert nested_energy_change(basis, mats, gs) < -1e-4
 
     def test_deeper_than_basis_rejected(self, qse8):
         _, basis, mats = qse8

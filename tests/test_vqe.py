@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ from kitaevqse.simulator import StateVector, expectation
 from kitaevqse.vqe import (
     TARGET_TOLERANCE,
     AnsatzCircuit,
+    SectorProblem,
     SectorSpan,
     VqeError,
     candidate_sectors,
@@ -193,6 +195,17 @@ class TestSectorSpan:
         assert list(span.runs) == [r for r, size in enumerate(blocks) for _ in range(size)]
         assert len(span.links) == 3 * layers - 1
 
+    @pytest.mark.parametrize("sites, layers", [(8, 1), (8, 2), (8, 3), (8, 4), (12, 1), (12, 2)])
+    def test_tiled_span_equals_a_standalone_build(self, lat8, h0_8, lat12, h0_12, sites, layers):
+        # the vqe stage tiles every depth's span from one sector problem; a depth-d span built
+        # on its own is the same, field for field and bit for bit
+        lat, h0 = {8: (lat8, h0_8), 12: (lat12, h0_12)}[sites]
+        problem = SectorProblem.build(lat, h0)
+        tiled = problem.span(layers)
+        alone = SectorSpan.build(AnsatzCircuit.for_lattice(lat, layers), h0, problem.state)
+        for field in dataclasses.fields(SectorSpan):
+            assert np.array_equal(getattr(tiled, field.name), getattr(alone, field.name)), field.name
+
     @pytest.mark.parametrize("string", range(12))
     def test_string_off_the_run_eigenbasis_raises(self, h0_8, ansatz8, init8, monkeypatch, string):
         axes = ansatz8.distinct_generators[string].axes
@@ -248,6 +261,49 @@ class TestSectorSpan:
         leaked = StateVector(init8.amplitudes + tapered.frame.from_frame(leak), 8)
         with pytest.raises(VqeError, match="not in one symmetry sector"):
             SectorSpan.build(ansatz8, h0_8, leaked)
+
+
+class TestSectorProblem:
+    def test_holds_the_winning_sector_and_its_state(self, lat8, h0_8, gs_sector8, init8):
+        problem = SectorProblem.build(lat8, h0_8)
+        assert problem.group == gs_sector8
+        assert problem.energy == min(energy for _, energy in problem.ranking.sectors)
+        assert np.array_equal(problem.state.amplitudes, init8.amplitudes)
+        assert problem.layer == AnsatzCircuit.for_lattice(lat8, 1)
+        assert problem.layer.repeated(3) == AnsatzCircuit.for_lattice(lat8, 3)
+
+    def test_a_depth_does_not_depend_on_the_depths_sharing_it(self, lat8, h0_8):
+        shared = SectorProblem.build(lat8, h0_8)
+        for layers in (4, 2):
+            _, together, _ = prepare_reference_state(lat8, h0_8, layers=layers, seed=3, problem=shared)
+            _, alone, _ = prepare_reference_state(lat8, h0_8, layers=layers, seed=3)
+            assert np.array_equal(together.optimal_parameters, alone.optimal_parameters)
+            assert together.training_history == alone.training_history
+
+    def test_problem_of_another_hamiltonian_rejected(self, lat8, h0_8):
+        problem = SectorProblem.build(lat8, h0_8)
+        with pytest.raises(VqeError, match="another Hamiltonian"):
+            prepare_reference_state(lat8, kitaev_hamiltonian(lat8, 1.0), layers=1, problem=problem)
+
+    def test_negative_depth_rejected(self, lat8, h0_8):
+        with pytest.raises(VqeError, match="non-negative"):
+            prepare_reference_state(lat8, h0_8, layers=-1, problem=SectorProblem.build(lat8, h0_8))
+
+
+class TestAngleStream:
+    """The initial angles: numpy's default_rng uniform stream, drawn without numpy.random."""
+
+    @pytest.mark.parametrize("count", [0, 1, 12, 48])
+    def test_equals_default_rng_uniform(self, count):
+        # one-word seeds, and seeds of two, three and five 32-bit words
+        for seed in [*range(101), 2**32, 2**64 + 5, 2**130 + 3]:
+            expected = np.random.default_rng(seed).uniform(-np.pi, np.pi, count)
+            assert np.array_equal(vqe._uniform_angles(seed, count), expected), seed
+
+    def test_training_starts_from_the_stream(self, h0_8, ansatz8, init8):
+        # one evaluation: the best angles are the initial ones
+        result = train(h0_8, ansatz8, init8, epochs=1, seed=7)
+        assert np.array_equal(result.optimal_parameters, np.random.default_rng(7).uniform(-np.pi, np.pi, 12))
 
 
 class TestFidelity:
@@ -329,10 +385,11 @@ class TestSectorScan:
 class TestTargetStop:
     @pytest.fixture(scope="class")
     def problems(self, lat8, h0_8, lat12, h0_12):
-        """(lattice, h0, sector ranking) per size, each ranking shared by all its cases."""
+        """(lattice, h0, sector problem) per size, each problem shared by all its cases, as the
+        ``vqe`` stage shares one across its depths."""
         return {
-            8: (lat8, h0_8, rank_sectors(lat8, h0_8)),
-            12: (lat12, h0_12, rank_sectors(lat12, h0_12)),
+            8: (lat8, h0_8, SectorProblem.build(lat8, h0_8)),
+            12: (lat12, h0_12, SectorProblem.build(lat12, h0_12)),
         }
 
     @pytest.mark.parametrize("sites, seed, layers", [
@@ -342,8 +399,8 @@ class TestTargetStop:
           for layers in (2, 3) for seed in (1, 2, 3, 4, 5)),
     ])
     def test_stopped_training_meets_criterion_1(self, problems, sites, seed, layers):
-        lat, h0, ranked = problems[sites]
-        _, result, _ = prepare_reference_state(lat, h0, layers=layers, seed=seed, ranked=ranked)
+        lat, h0, problem = problems[sites]
+        _, result, _ = prepare_reference_state(lat, h0, layers=layers, seed=seed, problem=problem)
         assert result.energy_distance <= 1e-8
         assert result.infidelity <= 1e-8
         assert len(result.training_history["energy"]) == result.stop_epoch
