@@ -77,7 +77,7 @@ def write_csv(
     out.append(",".join(header))
     for row in rows:
         out.append(",".join(map(str, row)))  # str(float) is its shortest round-trip repr
-    path.write_text("\n".join(out) + "\n")
+    _write_text(path, "\n".join(out) + "\n")
 
 
 def write_json(path: Path, config: RunConfig, payload: dict) -> None:
@@ -88,7 +88,15 @@ def write_json(path: Path, config: RunConfig, payload: dict) -> None:
         "config": _recorded_config(config),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    path.write_text(json.dumps(payload, separators=(",", ":")))  # an indent would take the pure-Python encoder
+    _write_text(path, json.dumps(payload, separators=(",", ":")))  # an indent would take the pure-Python encoder
+
+
+def _write_text(path: Path, text: str) -> None:
+    """The one artifact write: a failure raises :class:`PipelineError` with the path and the reason."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise PipelineError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _map_tasks(fn, items, threads: int):
@@ -125,6 +133,8 @@ def _load_artifact(out_dir: Path, name: str, config: RunConfig, keys: tuple[str,
         raise PipelineError(f"missing upstream artifact {path}; run the earlier pipeline stage first")
     try:
         artifact = json.loads(path.read_text())
+    except OSError as exc:
+        raise PipelineError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise PipelineError(f"{path} is not valid JSON ({exc}); rerun the stage that writes it") from exc
     if not isinstance(artifact, dict):

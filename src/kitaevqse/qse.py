@@ -10,9 +10,9 @@ reference's row M and each row's (l, k) (:func:`split_steps`) follow from
 middle block of a deeper one's, and its states are those of the n_l basis
 itself, bit for bit, so a sweep over n_l builds one basis per n_k and
 reads each smaller n_l off its principal submatrices
-(:func:`nested_subspace`). For a trotter2 basis that block's S and H equal
-a separate assembly to roundoff (about 1e-10 in the swept energies); an
-exact block reads its own Toeplitz sequences, as cheap as slicing.
+(:func:`nested_subspace`). In either evolution mode that block's S and H
+equal a separate assembly to roundoff (about 1e-10 in the swept trotter2
+energies).
 
 A basis is always assembled under the Hamiltonian it evolves under, either
 applying H directly or through the Hamiltonian operator approximation
@@ -280,19 +280,15 @@ def nested_subspace(
     """The |l| <= n_l block of an assembled basis, and its S and H.
 
     The block holds the states that ``build_basis`` gives at n_l, bit for
-    bit: the anchor chain and the fine evolutions are the same calls. A
-    trotter2 block is a slice of the amplitude stack and reads S and H off
-    the principal submatrices; an exact block holds no states and reads its
-    own Toeplitz sequences, which match a basis assembled alone exactly.
+    bit: the anchor chain and the fine evolutions are the same calls. Its S
+    and H are the principal submatrices of ``mats``; a trotter2 block's
+    states are a slice of the amplitude stack, and an exact block holds none.
     """
     block = nested_block(basis, n_l)
     if n_l == basis.n_l:
         return basis, mats
     rows = None if basis.amplitudes is None else basis.amplitudes[block]
-    sub = SubspaceBasis(basis.reference, basis.n_k, n_l, basis.delta_t, basis.evolution, rows)
-    if rows is None:
-        return sub, assemble_matrices(sub, mats.hoa_tau)
-    return sub, mats.block(block)
+    return SubspaceBasis(basis.reference, basis.n_k, n_l, basis.delta_t, basis.evolution, rows), mats.block(block)
 
 
 @dataclass

@@ -31,17 +31,18 @@ two numbers on that one step: its step count r and tau = t/r, so a stack
 evolves each state at its own time and step count, only on the blocks where
 it has weight, as one block-local row per block it occupies. Rows are
 ordered by step count, most first, and cut into chunks; step s makes one
-pass per gate over the rows of a chunk that still run it, and the Z singles
-that end one step and begin the next fuse into one run. A chunk holds
-``STACK_AMPLITUDES`` = 4096 amplitudes' worth of rows, at least one: 64 rows
-of 64 at N=8 (4 blocks), 2 of 2048 at N=12 (2 blocks), 1 of 16384 at N=16
-(4 blocks). Each amplitude gets exactly the arithmetic of rotating that
-state alone on the full register at its own tau, with its maximal diagonal
-runs fused, and amplitudes off its blocks stay +0.0, so a stacked row equals
-:func:`evolve` of it bit for bit, whichever rows share its passes. Callers
-stack every state under one Hamiltonian: ``qse.build_bases`` grows the
-subspaces of several references and step counts, such as the QSE Trotter
-sweep or the Krylov seeds of one field, through shared stacks.
+pass per gate over the rows of a chunk that still run it. Steps are closed:
+V_r(t) is r runs of the compiled step, so it equals r one-step evolutions
+at tau bit for bit. A chunk holds ``STACK_AMPLITUDES`` = 4096 amplitudes'
+worth of rows, at least one: 64 rows of 64 at N=8 (4 blocks), 2 of 2048 at
+N=12 (2 blocks), 1 of 16384 at N=16 (4 blocks). Each amplitude gets exactly
+the arithmetic of rotating that state alone on the full register at its own
+tau, with each step's maximal diagonal runs fused, and amplitudes off its
+blocks stay +0.0, so a stacked row equals :func:`evolve` of it bit for bit,
+whichever rows share its passes. Callers stack every state under one
+Hamiltonian: ``qse.build_bases`` grows the subspaces of several references
+and step counts, such as the QSE Trotter sweep or the Krylov seeds of one
+field, through shared stacks.
 """
 
 from __future__ import annotations
@@ -227,12 +228,9 @@ class BlockSchedule(NamedTuple):
     ``angles`` and ``coefficients`` hold each off-diagonal rotation's unit
     angle a (1, or 2 in the middle group) and real coefficient c, in gate
     order: a row at tau rotates by theta = 0.5 * (a * tau) * c and takes a
-    run as exp(-i tau d). With a ``boundary`` the step begins and ends with a
-    diagonal run, and the last exponent is the run that fuses two adjacent
-    steps, summed over the trailing rotations and then the leading ones.
-    ``repeats`` is false when V(t) runs the step once, at tau = t: for one
-    commuting group, and for a step with no off-diagonal rotation, whose r
-    steps are one diagonal run.
+    run as exp(-i tau d). ``repeats`` is false when V(t) runs the step once,
+    at tau = t: for one commuting group, and for a step with no off-diagonal
+    rotation, whose r steps are one diagonal run.
     """
 
     members: np.ndarray
@@ -241,7 +239,6 @@ class BlockSchedule(NamedTuple):
     exponents: list[np.ndarray]
     angles: np.ndarray
     coefficients: np.ndarray
-    boundary: bool
     repeats: bool
 
 
@@ -282,10 +279,6 @@ def compile_trotter2(h: PauliSum) -> BlockSchedule:
     position[kernel] = np.arange(size)
     padding = np.arange(chunk_rows(size), dtype=np.int64)[:, None] * size
 
-    def exponent(run: tuple[tuple[PauliTerm, float], ...]) -> np.ndarray:
-        d = sum(0.5 * a * term.coefficient.real * term.action[1].real for term, a in run)
-        return _read_only(d[members])
-
     gates: list[int | tuple[np.ndarray, int | None]] = []
     runs: dict[tuple[tuple[PauliTerm, float], ...], int] = {}
     actions: dict[str, tuple[np.ndarray, int | None]] = {}
@@ -297,7 +290,8 @@ def compile_trotter2(h: PauliSum) -> BlockSchedule:
             run = tuple(run)
             if run not in runs:
                 runs[run] = len(exponents)
-                exponents.append(exponent(run))
+                d = sum(0.5 * a * term.coefficient.real * term.action[1].real for term, a in run)
+                exponents.append(_read_only(d[members]))
             gates.append(runs[run])
             continue
         for term, a in run:
@@ -312,13 +306,9 @@ def compile_trotter2(h: PauliSum) -> BlockSchedule:
             gates.append(actions[term.axes])
             angles.append(a)
             coefficients.append(term.coefficient.real)
-    boundary = len(gates) > 1 and isinstance(gates[0], int) and isinstance(gates[-1], int)
-    if boundary:
-        distinct = list(runs)
-        exponents.append(exponent(distinct[gates[-1]] + distinct[gates[0]]))
     return BlockSchedule(
         members, gates, phases, exponents, np.array(angles, dtype=float), np.array(coefficients, dtype=float),
-        boundary, repeats and bool(angles),
+        repeats and bool(angles),
     )
 
 
@@ -338,7 +328,7 @@ def _evolve_trotter2(
     a chunk that still run it. Per amplitude this is the arithmetic of
     :func:`_rotation_inplace` under the row's own schedule,
     theta = 0.5 * (a * tau) * c and psi <- cos(theta) psi - i sin(theta)
-    phase * psi[src], with its maximal diagonal runs fused as exp(-i tau d).
+    phase * psi[src], with each step's maximal diagonal runs fused as exp(-i tau d).
     """
     ops = [op] if isinstance(op, EvolutionOperator) else op
     hamiltonians = list({id(o.hamiltonian): o.hamiltonian for o in ops}.values())
@@ -371,9 +361,8 @@ def _run_chunk(
     """Every step of every row's schedule on a C-ordered chunk of block-local rows, in place: row j
     holds block labels[j] and runs steps[j] steps at tau[j, 0], or all rows are at tau[0, 0] when
     tau has one row. Rows come in descending step count, so the rows still running step s lead
-    the chunk. Each row reads its block's row of the phase and exponent tables. With a step
-    boundary the leading run runs before step 0 alone, and each row ends a step with the fused
-    run, or with the trailing run after its last.
+    the chunk. Each row reads its block's row of the phase and exponent tables, and each step
+    runs every gate of the compiled step.
     """
     flat = chunk.reshape(-1)  # a view: the chunk is a run of C-ordered rows
     exponents = [np.exp(-1j * tau * d[labels]) for d in schedule.exponents]
@@ -382,9 +371,6 @@ def _run_chunk(
     cos, minus_i_sin = np.cos(theta), -1j * np.sin(theta)
     if len(tau) == 1:  # one tau takes plain scalars, cheaper than a (k, 1) column per gate
         cos, minus_i_sin = cos.ravel().tolist(), minus_i_sin.ravel().tolist()
-    gates = schedule.gates[1:-1] if schedule.boundary else schedule.gates
-    if schedule.boundary:
-        chunk *= exponents[schedule.gates[0]]
     active = len(chunk)
     for s in range(steps[0]):
         if steps[active - 1] <= s:  # rows past their last step leave the chunk's end (one row's blocks never do)
@@ -392,19 +378,12 @@ def _run_chunk(
             chunk, cos, minus_i_sin = chunk[:active], cos[:, :active], minus_i_sin[:, :active]
             exponents, phases = [d[:active] for d in exponents], [phase[:active] for phase in phases]
         rotations = zip(cos, minus_i_sin)  # one (cos, -i sin) per off-diagonal gate, in order
-        for gate in gates:
+        for gate in schedule.gates:
             if isinstance(gate, int):
                 chunk *= exponents[gate]
             else:
                 src, phase = gate
                 _rotate_rows(chunk, flat, src, None if phase is None else phases[phase], *next(rotations))
-        if schedule.boundary:  # rows with another step fuse into it, the others end
-            going = active if steps[active - 1] > s + 1 else sum(count > s + 1 for count in steps)
-            if going == active:
-                chunk *= exponents[-1]
-            else:
-                chunk[:going] *= exponents[-1][:going]
-                chunk[going:] *= exponents[schedule.gates[-1]][going:]
 
 
 def _rotate_rows(

@@ -816,6 +816,16 @@ class TestPipeline:
         assert rc == 2
         assert re.match(r"error: cannot create output directory .*afile: ", self._one_error_line(capsys))
 
+    @pytest.mark.parametrize("stage, artifact, verb", [
+        ("qse", "vqe_result.json", "read"),  # the upstream artifact the stage loads
+        ("ed-reference", "lattice_fixture.json", "write"),  # the first artifact the stage writes
+    ])
+    def test_artifact_io_failure_exits_2(self, tmp_path, capsys, stage, artifact, verb):
+        (tmp_path / artifact).mkdir()
+        rc = main([stage, "--out", str(tmp_path)])
+        assert rc == 2
+        assert re.match(rf"error: cannot {verb} .*{re.escape(artifact)}: Is a directory$", self._one_error_line(capsys))
+
     def test_metadata_header(self, workdir):
         path, _ = workdir
         text = (path / "out" / "qse_shape_sweep.csv").read_text()

@@ -342,34 +342,57 @@ class TestFusedSchedule:
         # per step the schedule holds 36 rotations: 8 Z singles twice, 4 ZZ bonds,
         # and the 4 XX and 4 YY bonds twice; only the 16 bond rotations off the diagonal run,
         # each as one pass over the state's one block of 64 amplitudes
-        passes = []
+        passes, diagonal_passes = [], []
         rotate_rows = simulator._rotate_rows
 
         def counted(block, flat, src, *rest):
             passes.append((block.shape, src[0, 0]))
             rotate_rows(block, flat, src, *rest)
 
+        class CountedGates(list):
+            def __iter__(self):
+                for gate in super().__iter__():
+                    if isinstance(gate, int):
+                        diagonal_passes.append(gate)
+                    yield gate
+
+        compiled = simulator.compile_trotter2(h_8)
         monkeypatch.setattr(simulator, "_rotate_rows", counted)
+        monkeypatch.setattr(simulator, "_COMPILED", weakref.WeakKeyDictionary(
+            {h_8: compiled._replace(gates=CountedGates(compiled.gates))}))
         op = EvolutionOperator(h_8, mode="trotter2", trotter_steps=steps)
         assert len(simulator.trotter_schedule(op, 0.4)) == 36 * steps
         evolve(one_block_state(h_8, 23), op, 0.4)
         assert len(passes) == 16 * steps
         # local position 0 reads the position of its state ^ flip, never itself off the diagonal
         assert all(shape == (1, 64) and src != 0 for shape, src in passes)
-        # a step's diagonal runs are its leading Z singles, the ZZ bonds and its trailing Z singles;
-        # the trailing and next leading Z singles fuse into one run at a step boundary, so the
-        # leading run runs before step 0 alone: 2r + 1 diagonal passes. The leading and trailing
-        # runs share one exponent table, and the fused run's table comes last
-        compiled = simulator._compiled_step(h_8)
-        diagonal = [gate for gate in compiled.gates if isinstance(gate, int)]
-        assert compiled.boundary and compiled.repeats
-        assert diagonal == [0, 1, 0] and diagonal == [compiled.gates[i] for i in (0, 9, -1)]
-        assert len(compiled.exponents) == 3
-        # per unit tau: the Z singles at a = 1 on both sides of the fusion, every bond rotation at a = 1
+        # a step's diagonal runs are its leading Z singles, the ZZ bonds and its trailing Z singles,
+        # and every step runs all three: 3r diagonal passes, nothing fused across a step boundary.
+        # The leading and trailing runs share one exponent table, and the ZZ bonds have the other
+        assert diagonal_passes == [0, 1, 0] * steps
+        assert [compiled.gates[i] for i in (0, 9, -1)] == [0, 1, 0] and len(compiled.exponents) == 2
+        assert compiled.repeats and "boundary" not in simulator.BlockSchedule._fields
+        # per unit tau: the Z singles at a = 1, every bond rotation at a = 1
         z_field = sum(0.5 * t.coefficient.real * t.action[1].real for t in h_8.terms if t.axes.count("Z") == 1)
         assert np.allclose(compiled.exponents[0], z_field[compiled.members], rtol=0, atol=1e-15)
-        assert np.allclose(compiled.exponents[-1], 2 * compiled.exponents[0], rtol=0, atol=1e-15)
         assert compiled.angles.tolist() == [1.0] * 16
+
+    @pytest.mark.parametrize("case", [f"{n}-{f}" for n in FUSED_SHAPES for f in FUSED_FIELDS])
+    @pytest.mark.parametrize("steps", [2, 4])
+    def test_r_steps_equal_r_single_steps_bit_for_bit(self, case, steps):
+        # V_r(t) is r closed runs of the compiled step: no diagonal run fuses across a step boundary,
+        # so r steps at r * tau equal r one-step evolutions at tau (tau = 0.25, so r * tau / r is tau)
+        from kitaevqse.lattice import build_lattice, kitaev_hamiltonian
+
+        shape, field = case.split("-")
+        h = kitaev_hamiltonian(build_lattice(*FUSED_SHAPES[shape]), -1.0, FUSED_FIELDS[field])
+        psi = random_state(h.num_sites, 42)
+        tau, one = 0.25, EvolutionOperator(h, mode="trotter2", trotter_steps=1)
+        stepped = psi
+        for _ in range(steps):
+            stepped = evolve(stepped, one, tau)
+        out = evolve(psi, EvolutionOperator(h, mode="trotter2", trotter_steps=steps), steps * tau)
+        assert np.array_equal(out.amplitudes, stepped.amplitudes)
 
     @pytest.mark.parametrize("steps", [1, 5])
     def test_schedule_angles_are_linear_in_time(self, h_8, steps):
@@ -453,7 +476,7 @@ class TestStackedEvolution:
         # one stack, one operator per row at r = 1, 2, 3, 5 and 10, each r twice at two times: rows
         # in one block, in two (an X seed), on every block and all zero share gate passes while
         # they have steps left. Each row is its own operator's evolution, and the full-register
-        # reference's, which fuses a step's trailing Z singles with the next step's leading ones
+        # reference's, which runs each of its steps on its own
         from kitaevqse.lattice import build_lattice, kitaev_hamiltonian
         from kitaevqse.pauli import apply_term
 
