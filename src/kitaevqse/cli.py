@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from functools import lru_cache
 from pathlib import Path
@@ -48,17 +49,18 @@ _EXIT_2_ERRORS = (
 
 def _recorded_config(config: RunConfig) -> dict:
     """The configuration every artifact echoes: all of it but where the run
-    writes and how many workers it uses, which change no number."""
+    writes and how many workers it uses, which change no number. Each stage
+    builds it once and hands it to every artifact it writes."""
     echo = config.to_json_dict()
     del echo["output_dir"], echo["threads"]
     return echo
 
 
-def _metadata_lines(config: RunConfig, extra: dict | None = None) -> list[str]:
+def _metadata_lines(echo: dict, extra: dict | None = None) -> list[str]:
     lines = [
         f"# kitaevqse_version = {__version__}",
-        f"# seed = {config.seed}",
-        f"# config = {json.dumps(_recorded_config(config), sort_keys=True)}",
+        f"# seed = {echo['seed']}",
+        f"# config = {json.dumps(echo, sort_keys=True)}",
     ]
     for key, value in (extra or {}).items():
         lines.append(f"# {key} = {value}")
@@ -68,24 +70,26 @@ def _metadata_lines(config: RunConfig, extra: dict | None = None) -> list[str]:
 
 def write_csv(
     path: Path,
-    config: RunConfig,
+    echo: dict,
     header: list[str],
     rows: list[list],
     extra_metadata: dict | None = None,
 ) -> None:
-    out = _metadata_lines(config, extra_metadata)
+    """``rows`` under ``header``, after the metadata lines of ``echo``, the stage's :func:`_recorded_config`."""
+    out = _metadata_lines(echo, extra_metadata)
     out.append(",".join(header))
     for row in rows:
         out.append(",".join(map(str, row)))  # str(float) is its shortest round-trip repr
     _write_text(path, "\n".join(out) + "\n")
 
 
-def write_json(path: Path, config: RunConfig, payload: dict) -> None:
+def write_json(path: Path, echo: dict, payload: dict) -> None:
+    """``payload`` with ``_meta`` recording ``echo``, the stage's :func:`_recorded_config`."""
     payload = dict(payload)
     payload["_meta"] = {
         "kitaevqse_version": __version__,
-        "seed": config.seed,
-        "config": _recorded_config(config),
+        "seed": echo["seed"],
+        "config": echo,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     _write_text(path, json.dumps(payload, separators=(",", ":")))  # an indent would take the pure-Python encoder
@@ -143,8 +147,7 @@ def _load_artifact(out_dir: Path, name: str, config: RunConfig, keys: tuple[str,
         )
     meta = artifact.get("_meta")
     recorded = meta.get("config") if isinstance(meta, dict) else None
-    current = _recorded_config(config)
-    wanted = {key: current[key] for key in ("lattice", "coupling", "field_z")}
+    wanted = {"lattice": asdict(config.lattice), "coupling": config.coupling, "field_z": config.field_z}
     stored = {key: recorded.get(key) for key in wanted} if isinstance(recorded, dict) else None
     if stored != wanted:
         raise PipelineError(f"{path} was produced for {stored}, current config wants {wanted}")
@@ -228,6 +231,7 @@ def _field_engine(config: RunConfig, reference: StateVector, h: PauliSum) -> Gre
 # ---------------------------------------------------------------------------
 
 def cmd_vqe(config: RunConfig, out_dir: Path) -> None:
+    echo = _recorded_config(config)
     lat, h0, _ = _model(config)
     problem = vqe.SectorProblem.build(lat, h0)  # depth-independent: one sector problem serves every depth
 
@@ -244,7 +248,7 @@ def cmd_vqe(config: RunConfig, out_dir: Path) -> None:
         for d in config.vqe.layer_sweep
     ]
     header = ["d", "infidelity", "delta_e", "stop_epoch", "stop_reason"]
-    write_csv(out_dir / "vqe_layer_sweep.csv", config, header, sweep_rows)
+    write_csv(out_dir / "vqe_layer_sweep.csv", echo, header, sweep_rows)
 
     layers = config.vqe.layers
     result = trained[layers] if layers in trained else train(layers)
@@ -257,12 +261,13 @@ def cmd_vqe(config: RunConfig, out_dir: Path) -> None:
         )
     payload = result.to_json_dict()
     payload["layers"] = layers
-    write_json(out_dir / "vqe_result.json", config, payload)
+    write_json(out_dir / "vqe_result.json", echo, payload)
     print(f"vqe: dE={result.energy_distance:.3e} infidelity={result.infidelity:.3e} "
           f"sector={result.sector_targets}")
 
 
 def cmd_qse(config: RunConfig, out_dir: Path) -> None:
+    echo = _recorded_config(config)
     lat, _, h = _model(config)
     reference = _vqe_reference(lat, out_dir, config)
 
@@ -282,7 +287,7 @@ def cmd_qse(config: RunConfig, out_dir: Path) -> None:
     header = ["n_l", "n_k", "n_phi", "r", "mode", "energy", "delta_e"]
     for name, rows in (("qse_shape_sweep.csv", shape_rows), ("qse_trotter_sweep.csv", trotter_rows)):
         write_csv(
-            out_dir / name, config, header, [[r[key] for key in header] for r in rows],
+            out_dir / name, echo, header, [[r[key] for key in header] for r in rows],
             {"kappa": kappa, "delta_t": delta_t, "exact_energy": exact_energy},
         )
 
@@ -291,7 +296,7 @@ def cmd_qse(config: RunConfig, out_dir: Path) -> None:
     if tau is not None:
         mats = qse.assemble_matrices(basis, tau)
     gs = qse.solve_ground_state(mats)
-    write_json(out_dir / "qse_matrices.json", config, mats.to_json_dict())
+    write_json(out_dir / "qse_matrices.json", echo, mats.to_json_dict())
     payload = {
         "energy": gs.energy,
         "exact_energy": exact_energy,
@@ -311,12 +316,13 @@ def cmd_qse(config: RunConfig, out_dir: Path) -> None:
         # the energy change from the (n_k, n_l - 1) block of these matrices: how far the shape moved it
         "nested_energy_change": qse.nested_energy_change(basis, mats, gs),
     }
-    write_json(out_dir / "qse_ground_state.json", config, payload)
+    write_json(out_dir / "qse_ground_state.json", echo, payload)
     print(f"qse: E={gs.energy:.12f} dE={abs(gs.energy - exact_energy):.3e} "
           f"(mode={config.qse.evolution_mode})")
 
 
 def cmd_greens(config: RunConfig, out_dir: Path) -> None:
+    echo = _recorded_config(config)
     lat, _, h = _model(config)
     engine = _field_engine(config, _vqe_reference(lat, out_dir, config), h)
     site_a, site_b = (s - 1 for s in config.gf.site_pair)
@@ -333,7 +339,7 @@ def cmd_greens(config: RunConfig, out_dir: Path) -> None:
         gf_ed = oracle.exact_resolvent_gf(decomp, c_a, c_b, z, ground_vector)
         suffix = kind.lower()
         write_csv(
-            out_dir / f"gf_curve_{suffix}.csv", config,
+            out_dir / f"gf_curve_{suffix}.csv", echo,
             ["omega", "re_qse", "im_qse", "re_ed", "im_ed"],
             [
                 [float(w), float(v.real), float(v.imag), float(e.real), float(e.imag)]
@@ -343,7 +349,7 @@ def cmd_greens(config: RunConfig, out_dir: Path) -> None:
         )
         sf_qse, sf_ed = -np.imag(gf_qse) / np.pi, -np.imag(gf_ed) / np.pi
         write_csv(
-            out_dir / f"sf_curve_{suffix}.csv", config,
+            out_dir / f"sf_curve_{suffix}.csv", echo,
             ["omega", "sf_qse", "sf_ed"],
             [[float(w), float(a), float(b)] for w, a, b in zip(omega, sf_qse, sf_ed)],
             {"site_pair": config.gf.site_pair, "kind": kind, "delta": delta},
@@ -352,14 +358,15 @@ def cmd_greens(config: RunConfig, out_dir: Path) -> None:
         dev = np.max(np.abs(gf_qse - gf_ed))
         print(f"greens[{kind}]: max |G_qse - G_ed| = {dev:.3e}")
 
-        # tridiagonal coefficients of the pair seed behind G_ab, with the S rank that bounds
-        # their depth, for reproducibility audits; the hole part is the same recursion with a -> -a
+        # tridiagonal coefficients of the pair seed behind G_ab, with the S rank that bounds their
+        # depth, an audit record that no curve reads; the hole part is the same recursion with a -> -a
         coeffs, _ = engine.recursion(greens.pair_excitation(kind, site_a, site_b, lat.num_sites))
-        write_json(out_dir / f"lanczos_greater_{suffix}.json", config, coeffs.to_json_dict())
-        write_json(out_dir / f"lanczos_lesser_{suffix}.json", config, coeffs.hole().to_json_dict())
+        write_json(out_dir / f"lanczos_greater_{suffix}.json", echo, coeffs.to_json_dict())
+        write_json(out_dir / f"lanczos_lesser_{suffix}.json", echo, coeffs.hole().to_json_dict())
 
 
 def cmd_dsf(config: RunConfig, out_dir: Path) -> None:
+    echo = _recorded_config(config)
     lat, _, _ = _model(config)
     reference = _vqe_reference(lat, out_dir, config)
     omega = config.dsf.omega_grid()
@@ -386,7 +393,7 @@ def cmd_dsf(config: RunConfig, out_dir: Path) -> None:
     for name, table in (("dsf_qse.csv", table_qse), ("dsf_ed.csv", table_ed)):
         rows = [[hz, w, value] for hz, line in zip(fields, table.tolist()) for w, value in zip(frequencies, line)]
         write_csv(
-            out_dir / name, config, ["h_z", "omega", "s_normalized"], rows,
+            out_dir / name, echo, ["h_z", "omega", "s_normalized"], rows,
             {"delta": delta, "q": list(config.dsf.q)},
         )
     print(f"dsf: max |QSE - ED| of normalized tables = {np.max(np.abs(table_qse - table_ed)):.4f}")
@@ -414,14 +421,15 @@ def fixture_entry(label: str, h: PauliSum, decomp: SpectralDecomposition) -> dic
 
 
 def cmd_ed_reference(config: RunConfig, out_dir: Path) -> None:
+    echo = _recorded_config(config)
     lat, h0, h = _model(config)
     decomp = oracle.diagonalize(h)  # first: with a field, h is the one the dense cap refuses
     entries = [
         fixture_entry(f"h0_j{config.coupling}", h0, oracle.diagonalize(h0)),
         fixture_entry(f"h_j{config.coupling}_hz{config.field_z}", h, decomp),
     ]
-    write_json(out_dir / "lattice_fixture.json", config, lat.to_fixture_dict())
-    write_json(out_dir / "ed_reference.json", config, {"entries": entries})
+    write_json(out_dir / "lattice_fixture.json", echo, lat.to_fixture_dict())
+    write_json(out_dir / "ed_reference.json", echo, {"entries": entries})
     failed = [e["label"] for e in entries if not e["completeness"]["holds"]]
     if failed:
         raise PipelineError(f"the factorization of {', '.join(failed)} fails its completeness certificate")

@@ -4,15 +4,20 @@ The retarded correlator for an excitation operator A splits into a
 particle-like part <GS| A^dag (z - H)^-1 A |GS> and a hole-like part
 <GS| A^dag (z + H)^-1 A |GS>. Both are evaluated in a multigrid subspace
 grown from the normalized A|GS>, which is itself the step-0 row of that
-subspace (:attr:`qse.SubspaceBasis.reference_row`). The dynamical Lanczos
-recursion (Gagliano & Balseiro, PRL 59, 2999 (1987)) starts at that basis
-state and runs purely on the subspace H/S matrices, through the package's
-one Hermitian Lanczos, :func:`oracle.lanczos`, with b_n the norm of the
-reorthogonalized residual. It yields tridiagonal coefficients {a_n},
-{b_n}, and the correlator is the standard continued fraction in those
-coefficients, times the squared seed norm because A need not be unitary.
-The hole-like part is the same recursion with a -> -a: (z + H)^-1 =
-(z - (-H))^-1, and the recursion for -H from the same seed is (-a_n, b_n).
+subspace (:attr:`qse.SubspaceBasis.reference_row`). Each seed's subspace is
+solved once (:func:`seed_poles`): canonical orthogonalization of S, H in
+those S-orthonormal coordinates, one ``eigh``. Its eigenvalues theta_n are
+the poles and |<v_n|y>|^2, y the normalized seed there, the weights, times
+the squared seed norm because A need not be unitary. The hole part has the
+same weights at -theta_n, since (z + H)^-1 = (z - (-H))^-1. Every curve is
+then one :func:`oracle.lehmann_sum` over (+-theta, w), the function the
+exact-diagonalization side evaluates on (+-E, w). This is the Gauss
+quadrature of the seed's spectral measure (Golub & Meurant, *Matrices,
+Moments and Quadrature*, 2010) that the dynamical Lanczos continued fraction
+(Gagliano & Balseiro, PRL 59, 2999 (1987)) also evaluates;
+:func:`lanczos_iterate`, run through the package's one Hermitian Lanczos
+(:func:`oracle.lanczos`), still writes each pair seed's tridiagonal
+coefficients as an audit record, from which no curve is evaluated.
 
 Single-site Green's functions take A = sigma_a. Off-diagonal elements
 come from the polarization identity G_ab = (G+_ab - G_aa - G_bb) / 2 with
@@ -24,7 +29,8 @@ collective operator A_q^mu = sum_i exp(i q.r_i) sigma_i^mu, whose
 correlator is the whole double site sum sum_ij exp(-i q.(r_i - r_j)) G_ij.
 The seeds that one call needs, the kinds of a structure factor or the three
 seeds of a pair, are grown together (:meth:`GreensEngine.seed_subspaces`),
-so in trotter2 mode they share every evolution stack.
+so in trotter2 mode they share every evolution stack, and a structure
+factor sums all its kinds' poles in one Lehmann sum.
 The exact-diagonalization side builds its Lehmann weights from the same
 operator, so both sides always measure the same quantity.
 
@@ -48,7 +54,6 @@ from .qse import (
     SubspaceMatrices,
     assemble_matrices,
     build_bases,
-    canonical_orthogonalization,
     default_time_step,
     reconstruct_state,
 )
@@ -117,6 +122,15 @@ def continued_fraction(coeffs: LanczosCoefficients, z) -> np.ndarray | complex:
     return out if out.shape else complex(out)
 
 
+def _orthonormal_seed(psi_mats: SubspaceMatrices, psi0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(X, H in the S-orthonormal coordinates of the regularized subspace, psi0 there) at
+    ``LANCZOS_S_THRESHOLD``, from the matrices' one factorization of S at it."""
+    transform, s_eigs, h_ortho = psi_mats.orthonormal_frame(LANCZOS_S_THRESHOLD)
+    # orthonormal coordinates of psi0: y = X^dag S psi0 = s X^dag psi0 on the kept block
+    y = s_eigs[-transform.shape[1]:] * (transform.conj().T @ np.asarray(psi0, dtype=complex))
+    return transform, h_ortho, y
+
+
 def lanczos_iterate(
     psi_mats: SubspaceMatrices,
     psi0: np.ndarray,
@@ -139,15 +153,9 @@ def lanczos_iterate(
     hole part, the recursion for -H, is this run with a -> -a
     (:meth:`LanczosCoefficients.hole`).
     """
-    transform, s_eigs = canonical_orthogonalization(psi_mats.overlap, LANCZOS_S_THRESHOLD)
+    transform, h_ortho, y = _orthonormal_seed(psi_mats, psi0)
     rank = transform.shape[1]
-    h_ortho = transform.conj().T @ psi_mats.hamiltonian @ transform
-    h_ortho = 0.5 * (h_ortho + h_ortho.conj().T)
-
     b2_tol = LANCZOS_B2_REL_TOL * max(kappa / 2.0, 1.0) ** 2
-
-    # orthonormal coordinates of psi0: y = X^dag S psi0 = s X^dag psi0 on the kept block
-    y = s_eigs[-rank:] * (transform.conj().T @ np.asarray(psi0, dtype=complex))
     a, b, krylov, stop_reason = oracle_mod.lanczos(h_ortho.__matmul__, y, rank, b2_tol)
     return LanczosCoefficients(
         a=a,
@@ -159,11 +167,48 @@ def lanczos_iterate(
     )
 
 
+def seed_poles(psi_mats: SubspaceMatrices, psi0: np.ndarray, norm_sq: float) -> tuple[np.ndarray, np.ndarray]:
+    """(poles, weights) with norm_sq <psi0|(z - H)^-1 + (z + H)^-1|psi0> = sum_n weights_n / (z - poles_n)
+    on the regularized subspace (H, S).
+
+    One ``eigh`` of H in the S-orthonormal coordinates of :func:`lanczos_iterate` gives the
+    poles theta_n and eigenvectors v_n; with y the coordinates of psi0 there, the particle part
+    has the weights norm_sq |<v_n|y>|^2 / <y|y> at +theta_n and the hole part the same weights
+    at -theta_n. This is the Gauss quadrature of the seed's spectral measure that the Lanczos
+    continued fraction evaluates, on the whole regularized subspace.
+    """
+    _, h_ortho, y = _orthonormal_seed(psi_mats, psi0)
+    theta, vectors = np.linalg.eigh(h_ortho)
+    weights = norm_sq * np.abs(vectors.conj().T @ y) ** 2 / np.vdot(y, y).real
+    return np.concatenate([theta, -theta]), np.concatenate([weights, weights])
+
+
+def _resolvent(weights: np.ndarray, poles: np.ndarray, z_grid: np.ndarray) -> np.ndarray:
+    """:func:`oracle.lehmann_sum` on the grid; raises when a z sits on a pole."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = oracle_mod.lehmann_sum(weights, poles, np.asarray(z_grid, dtype=complex))
+    if not np.all(np.isfinite(out)):
+        raise GreensError("the Lehmann sum hit a pole; evaluate with Im z != 0")
+    return out
+
+
+@dataclass(frozen=True)
+class KrylovSeed:
+    """One excitation's solved subspace: its matrices, psi0, squared seed norm and the
+    (poles, weights) of its correlator (:func:`seed_poles`)."""
+
+    matrices: SubspaceMatrices
+    psi0: np.ndarray
+    norm_sq: float
+    poles: np.ndarray
+    weights: np.ndarray
+
+
 @dataclass
 class GreensEngine:
     """Shared context for GF runs on one (Hamiltonian, QSE ground state).
 
-    Caches the ground statevector, each seed's Lanczos recursion and
+    Caches the ground statevector, each seed's solved subspace and
     finished diagonal curves, which every off-diagonal element through the
     polarization identity reuses. Every seed subspace evolves under the
     engine's one ``EvolutionOperator(hamiltonian, config.evolution_mode,
@@ -179,7 +224,7 @@ class GreensEngine:
     gs_basis: SubspaceBasis
     config: KrylovBasisConfig
     _gs_state: StateVector | None = field(default=None, repr=False)
-    _recursions: dict = field(default_factory=dict, repr=False)
+    _seeds: dict = field(default_factory=dict, repr=False)
     _diag_cache: dict = field(default_factory=dict, repr=False)
     _evolution: EvolutionOperator = field(init=False, repr=False)
 
@@ -239,26 +284,25 @@ class GreensEngine:
         (subspace,) = self.seed_subspaces([excitation])
         return subspace
 
-    def recursions(self, excitations: list[PauliSum]) -> list[tuple[LanczosCoefficients, float]]:
-        """(particle-part Lanczos coefficients, seed norm squared) per excitation, one run per
-        seed; the seeds not run yet are built together (:meth:`seed_subspaces`)."""
-        missing = list(dict.fromkeys(e for e in excitations if e not in self._recursions))
+    def solved_seeds(self, excitations: list[PauliSum]) -> list[KrylovSeed]:
+        """Each excitation's solved subspace, built and solved once per seed; the seeds not
+        solved yet are built together (:meth:`seed_subspaces`)."""
+        missing = list(dict.fromkeys(e for e in excitations if e not in self._seeds))
         if missing:
             for excitation, (_, psi_mats, psi0, norm_sq) in zip(missing, self.seed_subspaces(missing)):
-                coeffs = lanczos_iterate(psi_mats, psi0, kappa=self.kappa)
-                self._recursions[excitation] = (coeffs, norm_sq)
-        return [self._recursions[e] for e in excitations]
+                self._seeds[excitation] = KrylovSeed(psi_mats, psi0, norm_sq, *seed_poles(psi_mats, psi0, norm_sq))
+        return [self._seeds[e] for e in excitations]
 
     def recursion(self, excitation: PauliSum) -> tuple[LanczosCoefficients, float]:
-        """(particle-part Lanczos coefficients, seed norm squared), one run per seed."""
-        (out,) = self.recursions([excitation])
-        return out
+        """(particle-part Lanczos coefficients, seed norm squared) on the seed's solved subspace:
+        the coefficient dumps' audit record, from which no curve is evaluated."""
+        (seed,) = self.solved_seeds([excitation])
+        return lanczos_iterate(seed.matrices, seed.psi0, kappa=self.kappa), seed.norm_sq
 
     def correlator(self, excitation: PauliSum, z_grid: np.ndarray) -> np.ndarray:
         """Particle plus hole resolvent for one (possibly composite) excitation."""
-        coeffs, norm_sq = self.recursion(excitation)
-        z = np.asarray(z_grid, dtype=complex)
-        return norm_sq * (continued_fraction(coeffs, z) + continued_fraction(coeffs.hole(), z))
+        (seed,) = self.solved_seeds([excitation])
+        return _resolvent(seed.weights, seed.poles, z_grid)
 
     def diagonal_gf(self, kind: str, site: int, z_grid: np.ndarray) -> np.ndarray:
         key = (kind, site, _grid_key(z_grid))
@@ -272,7 +316,7 @@ class GreensEngine:
             raise GreensError("off-diagonal path requires distinct sites")
         combined = pair_excitation(kind, site_a, site_b, self.num_sites)
         # the three seeds of the polarization identity share their evolution stacks
-        self.recursions([combined, *(pauli_sum([term], self.num_sites) for term in combined.terms)])
+        self.solved_seeds([combined, *(pauli_sum([term], self.num_sites) for term in combined.terms)])
         plus = self.correlator(combined, z_grid)
         g_aa = self.diagonal_gf(kind, site_a, z_grid)
         g_bb = self.diagonal_gf(kind, site_b, z_grid)
@@ -340,16 +384,13 @@ def dynamical_structure_factor(
     One Krylov subspace per Pauli kind, seeded by the collective
     excitation A_q^mu; its correlator equals the double site sum
     sum_ij exp(-i q.(r_i - r_j)) G^mumu_ij, so the result is real. The
-    kinds' subspaces are built together (:meth:`GreensEngine.recursions`).
+    kinds' subspaces are built together (:meth:`GreensEngine.solved_seeds`), and their poles
+    go into one Lehmann sum.
     """
-    omega = np.asarray(omega_grid, dtype=float)
-    z = omega + 1j * delta
-    excitations = [_collective_excitation(kind, positions, q) for kind in kinds]
-    engine.recursions(excitations)
-    total = np.zeros(omega.size)
-    for excitation in excitations:
-        total += np.imag(engine.correlator(excitation, z))
-    return total / engine.num_sites
+    z = np.asarray(omega_grid, dtype=float) + 1j * delta
+    seeds = engine.solved_seeds([_collective_excitation(kind, positions, q) for kind in kinds])
+    weights, poles = (np.concatenate([getattr(seed, name) for seed in seeds]) for name in ("weights", "poles"))
+    return np.imag(_resolvent(weights, poles, z)) / engine.num_sites
 
 
 def dynamical_structure_factor_ed(
@@ -367,7 +408,7 @@ def dynamical_structure_factor_ed(
 
     A_q^mu is the same collective operator that seeds the subspace side.
     The kinds' seeds are projected together and their weights summed, so one
-    particle and one hole Lehmann sum serve the table. ``positions`` may be
+    Lehmann sum over the poles +-E_n serves the table. ``positions`` may be
     omitted only at q = 0, where every phase is one. A degenerate ground space
     needs an explicit ``ground_vector`` (:func:`oracle.resolve_ground_vector`).
     """
@@ -380,8 +421,8 @@ def dynamical_structure_factor_ed(
     seeded = np.stack([apply_sum(_collective_excitation(kind, positions, q), gs) for kind in kinds])
     weights = np.sum(np.abs(decomp.project(seeded)) ** 2, axis=0)
     evals = decomp.eigenvalues
-    resolvent = oracle_mod.lehmann_sum(weights, evals, z) + oracle_mod.lehmann_sum(weights, -evals, z)
-    return np.imag(resolvent) / num_sites
+    both = oracle_mod.lehmann_sum(np.concatenate([weights, weights]), np.concatenate([evals, -evals]), z)
+    return np.imag(both) / num_sites
 
 
 def normalize_intensity(table: np.ndarray) -> np.ndarray:

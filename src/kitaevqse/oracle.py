@@ -255,7 +255,9 @@ class TaperedSum:
         """(permutation, stack): every sector sum's :func:`symmetry_blocks`, sector by sector, as
         one (blocks, size, size) stack, real when every term's c i^popcount(x & z) is, its entries
         being that times +-1; row i of block b is frame basis state ``permutation[b * size + i]``.
-        The sector sums share their strings, so their blocks. 2^k sectors of 2^z Z-syndrome blocks
+        The sector sums share their strings, so their blocks. The terms sharing a flip mask are
+        summed in term order, as :func:`pauli.group_by_flip` does, and scattered once per distinct
+        flip: distinct flips fill distinct entries. 2^k sectors of 2^z Z-syndrome blocks
         of 2^(N-k-z) states hold 2^(2N-k-z) entries; above ``DENSE_STACK_CAP`` raises
         :class:`OracleError` before building anything 2^N wide."""
         n = self.num_sites - len(self.frame.sites)
@@ -270,10 +272,17 @@ class TaperedSum:
         row_start = np.arange(local.size) * size  # entry (b, r, c) of a sector's blocks is (b*size + r)*size + c
         real = all((t.coefficient * 1j ** (t.masks[0] & t.masks[1]).bit_count()).imag == 0 for t in self.terms)
         flat = np.zeros((self.num_sectors, local.size * size), dtype=float if real else complex)
+        flips: dict[int, list] = {}  # flip mask -> [src, summed entries]
         for signs, term in zip(self.sector_signs.T, self.terms):
             src, phase = term.action
             entries = term.coefficient * phase[local]
-            flat[:, row_start + position[src[local]] % size] += signs[:, None] * (entries.real if real else entries)
+            entries = signs[:, None] * (entries.real if real else entries)
+            if term.masks[0] in flips:
+                flips[term.masks[0]][1] += entries
+            else:
+                flips[term.masks[0]] = [src, entries]
+        for src, entries in flips.values():  # distinct flips fill distinct entries: one scatter each
+            flat[:, row_start + position[src[local]] % size] += entries
         return self.frame_index[:, local].ravel(), flat.reshape(-1, size, size)
 
 
@@ -502,12 +511,24 @@ def ground_space_fidelity(amplitudes: np.ndarray, decomp: SpectralDecomposition)
 
 def lehmann_sum(weights: np.ndarray, poles: np.ndarray, z: np.ndarray) -> np.ndarray:
     """sum_n weights_n / (z - poles_n) on a grid of z in real arithmetic, 1/(x + iy) =
-    (x - iy)/(x^2 + y^2) with x = Re z - pole_n, y = Im z; exact zero weights are skipped."""
-    weights, poles = weights[weights != 0], poles[weights != 0]
+    (x - iy)/(x^2 + y^2) with x = Re z - pole_n, y = Im z.
+
+    Weights of size at most eps^2 times their total are skipped: they are the
+    roundoff of exact zeros, such as symmetry-forbidden Lehmann weights
+    projected through the eigenvectors, and all of them together move the
+    sum by far less than its own roundoff.
+    """
+    size = np.abs(weights)
+    keep = size > np.finfo(float).eps ** 2 * np.sum(size)
+    weights, poles = weights[keep], poles[keep]
     x, y = z.real[:, None] - poles, z.imag[:, None]
-    inverse = 1.0 / (x * x + y * y)
+    inverse = x * x  # the (grid, poles) temporaries are reused in place
+    inverse += y * y
+    np.divide(1.0, inverse, out=inverse)
     parts = np.stack([np.real(weights), np.imag(weights)], axis=1)
-    along_x, plain = (x * inverse) @ parts, y * (inverse @ parts)
+    plain = y * (inverse @ parts)
+    x *= inverse
+    along_x = x @ parts
     return along_x[:, 0] + plain[:, 1] + 1j * (along_x[:, 1] - plain[:, 0])
 
 

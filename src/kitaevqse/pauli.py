@@ -173,6 +173,14 @@ class PauliSum:
     def __len__(self) -> int:
         return len(self.terms)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The field-based hash, computed once: every cache lookup of this sum reads it."""
+        return hash((self.terms, self.num_sites))
+
     def is_hermitian(self, tol: float = 1e-12) -> bool:
         return all(abs(t.coefficient.imag) <= tol for t in self.terms)
 

@@ -33,8 +33,9 @@ orthogonalization: eigendecompose S, drop the near-null directions,
 transform to an ordinary Hermitian problem, solve densely. Spectral
 truncation (rather than a ridge term) keeps the solution inside the
 span of the basis, so the variational bound on the energy survives
-regularization. :func:`canonical_orthogonalization` factorizes S here
-and in ``greens``.
+regularization. :func:`canonical_orthogonalization` factorizes S, once
+per matrices and threshold (:meth:`SubspaceMatrices.orthonormal_frame`),
+for the ground-state solve here and for each Krylov seed in ``greens``.
 """
 
 from __future__ import annotations
@@ -180,15 +181,35 @@ def build_basis(
     return basis
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubspaceMatrices:
+    """H and S over one basis, read-only, with the S-orthonormal frame of each threshold they
+    were solved at (:meth:`orthonormal_frame`)."""
+
     hamiltonian: np.ndarray
     overlap: np.ndarray
     hoa_tau: float | None = None
+    _frames: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.hamiltonian.flags.writeable = self.overlap.flags.writeable = False
 
     @property
     def assembly_mode(self) -> str:
         return "exact" if self.hoa_tau is None else "hoa"
+
+    def orthonormal_frame(self, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(X, ascending S eigenvalues, X^dag H X hermitized): :func:`canonical_orthogonalization`
+        of S at ``threshold`` and H in its S-orthonormal coordinates, computed once per threshold."""
+        frame = self._frames.get(threshold)
+        if frame is None:
+            transform, s_eigs = canonical_orthogonalization(self.overlap, threshold)
+            h_ortho = transform.conj().T @ self.hamiltonian @ transform
+            frame = transform, s_eigs, 0.5 * (h_ortho + h_ortho.conj().T)
+            for array in frame:
+                array.flags.writeable = False
+            self._frames[threshold] = frame
+        return frame
 
     def block(self, rows: slice) -> "SubspaceMatrices":
         """The principal submatrices of H and S on ``rows``, assembled as these were."""
@@ -331,11 +352,9 @@ def solve_ground_state(
         if residual > 1e-8 * max(1.0, np.max(np.abs(mat))):
             raise QseError(f"{name} is not Hermitian (residual {residual:g})")
 
-    transform, s_eigs = canonical_orthogonalization(s_mat, threshold)
+    transform, s_eigs, h_ortho = mats.orthonormal_frame(threshold)
     if s_eigs[0] < -psd_tol * s_eigs[-1]:
         raise QseError(f"overlap matrix is not PSD: min eigenvalue {s_eigs[0]:g}")
-    h_ortho = transform.conj().T @ h_mat @ transform
-    h_ortho = 0.5 * (h_ortho + h_ortho.conj().T)
     evals, evecs = np.linalg.eigh(h_ortho)
     coeffs = transform @ evecs[:, 0]
 

@@ -280,6 +280,28 @@ class TestPipeline:
         assert lesser["s_rank"] == greater["s_rank"] >= greater["termination_index"]
         assert (greater["stop_reason"] == "rank") == (greater["termination_index"] == greater["s_rank"])
 
+    def test_dumped_coefficients_give_the_pole_form_correlator(self, workdir, tmp_path, monkeypatch):
+        # the dumps are audit records of the pair seed whose poles the curve sums: their continued
+        # fractions, times the seed norm, give the same correlator
+        path, config_path = workdir
+        shutil.copy(path / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
+        engines = []
+        build = cli._field_engine
+        monkeypatch.setattr(cli, "_field_engine", lambda *args: engines.append(build(*args)) or engines[-1])
+        assert main(["greens", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+        (engine,) = engines
+        config = config_from_dict(FAST_CONFIG)
+        pair = greens.pair_excitation("Z", *(s - 1 for s in config.gf.site_pair), 8)
+        (seed,) = engine.solved_seeds([pair])
+        z = config.gf.omega_grid() + 1j * config.gf.delta
+        fractions = []
+        for tag in ("greater", "lesser"):
+            dump = json.loads((tmp_path / f"lanczos_{tag}_z.json").read_text())
+            coeffs = greens.LanczosCoefficients(dump["a"], dump["b"], dump["termination_index"])
+            fractions.append(greens.continued_fraction(coeffs, z))
+        from_dumps = seed.norm_sq * (fractions[0] + fractions[1])
+        assert np.max(np.abs(engine.correlator(pair, z) - from_dumps)) <= 1e-10 * np.max(np.abs(from_dumps))
+
     @pytest.mark.parametrize("qse_config", [
         {},
         {"evolution_mode": "trotter2", "trotter_steps": 2, "assembly_mode": "hoa"},
@@ -328,8 +350,7 @@ class TestPipeline:
             calls.append(args[0].shape)
             return original(*args, **kwargs)
 
-        for module in (qse, greens):
-            monkeypatch.setattr(module, "canonical_orthogonalization", counting)
+        monkeypatch.setattr(qse, "canonical_orthogonalization", counting)
         config_path = tmp_path / "c.json"
         config_path.write_text(json.dumps({**FAST_CONFIG, "gf": {**FAST_CONFIG["gf"], "kinds": ["X", "Z"]}}))
         counts = {}
@@ -337,8 +358,9 @@ class TestPipeline:
             calls.clear()
             assert main([stage, "--config", str(config_path), "--out", str(tmp_path)]) == 0
             counts[stage] = len(calls)
-        # greens: the ground-state solve plus three seeds per kind, one recursion each;
-        # dsf, per field: the ground-state solve plus one collective seed per Pauli kind
+        # greens: the ground-state solve plus three seeds per kind, one pole solve each, which the
+        # pair seed's coefficient dump shares; dsf, per field: the ground-state solve plus one
+        # collective seed per Pauli kind
         assert counts["greens"] == 3 * 2 + 1
         assert counts["dsf"] == 4 * len(FAST_CONFIG["dsf"]["h_values"])
 
@@ -436,9 +458,9 @@ class TestPipeline:
         assert texts[0] == texts[1]
 
     def test_one_lanczos_run_per_recursion(self, tmp_path, monkeypatch):
-        # oracle.lanczos is the only Lanczos loop and serves the Green's functions alone:
-        # the vqe stage ranks the sectors off the oracle's one eigh of h0's tapered sector sums, and
-        # every lanczos_iterate runs it once
+        # oracle.lanczos is the only Lanczos loop and serves the coefficient dumps alone:
+        # the vqe stage ranks the sectors off the oracle's one eigh of h0's tapered sector sums,
+        # every curve is a Lehmann sum of its seeds' poles, and every lanczos_iterate runs it once
         runs, iterates = [], []
         original_run, original_iterate = oracle.lanczos, greens.lanczos_iterate
         monkeypatch.setattr(oracle, "lanczos", lambda *args: runs.append(args[2]) or original_run(*args))
@@ -455,8 +477,8 @@ class TestPipeline:
         config = config_from_dict(FAST_CONFIG)
         assert counts["vqe"] == (0, 0)
         assert counts["qse"] == (0, 0)
-        assert counts["greens"] == (3 * len(config.gf.kinds),) * 2  # pair seed and both sites
-        assert counts["dsf"] == (3 * len(config.dsf.h_values),) * 2  # one seed per Pauli kind
+        assert counts["greens"] == (len(config.gf.kinds),) * 2  # the pair seed's dump per kind
+        assert counts["dsf"] == (0, 0)
 
     def test_dsf_ed_table_follows_q(self, workdir, tmp_path):
         path, _ = workdir
@@ -1024,7 +1046,7 @@ class TestArtifactDiff:
 class TestWriteCsv:
     def test_cells_are_plain_numbers(self, tmp_path):
         # a numpy scalar is written as its number, never as np.float64(...)
-        cli.write_csv(tmp_path / "t.csv", RunConfig(), ["a", "b", "c"], [[np.float64(0.1), 1 / 3, 2]])
+        cli.write_csv(tmp_path / "t.csv", cli._recorded_config(RunConfig()), ["a", "b", "c"], [[np.float64(0.1), 1 / 3, 2]])
         assert (tmp_path / "t.csv").read_text().splitlines()[-1] == "0.1,0.3333333333333333,2"
 
 

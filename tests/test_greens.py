@@ -204,6 +204,45 @@ class TestLanczosIterate:
             LanczosCoefficients(a=[0.1], b=[0.3], termination_index=1)
 
 
+class TestSeedPoles:
+    @pytest.mark.parametrize("mode", [("exact", 1), ("trotter2", 2)])
+    @pytest.mark.parametrize("sites", [[0], [3], [1, 4]])
+    def test_pole_sum_equals_the_subspace_resolvent(self, h_8, qse8, mode, sites):
+        # <y|(z - H)^-1|y> + <y|(z + H)^-1|y> solved directly on the S-orthonormalized subspace,
+        # H there hermitized (its anti-Hermitian part is roundoff), y = X^dag S psi0 normalized,
+        # times the squared seed norm
+        gs, basis, _ = qse8
+        engine = GreensEngine(h_8, gs, basis, KrylovBasisConfig(3, 3, *mode))
+        excitation = pauli_sum([single_site("X", s, 8) for s in sites], 8)
+        (seed,) = engine.solved_seeds([excitation])
+        transform, _ = qse_mod.canonical_orthogonalization(seed.matrices.overlap, greens.LANCZOS_S_THRESHOLD)
+        h_ortho = transform.conj().T @ seed.matrices.hamiltonian @ transform
+        h_ortho = (h_ortho + h_ortho.conj().T) / 2
+        y = transform.conj().T @ seed.matrices.overlap @ seed.psi0
+        y /= np.linalg.norm(y)
+        eye = np.eye(y.size)
+        z = np.linspace(-9.0, 9.0, 37) + 0.1j
+        brute = seed.norm_sq * np.array([
+            np.vdot(y, np.linalg.solve(w * eye - h_ortho, y)) + np.vdot(y, np.linalg.solve(w * eye + h_ortho, y))
+            for w in z
+        ])
+        assert np.max(np.abs(engine.correlator(excitation, z) - brute)) <= 1e-12 * np.max(np.abs(brute))
+
+    def test_poles_come_in_signed_pairs_of_equal_weight(self, engine8):
+        (seed,) = engine8.solved_seeds([pauli_sum([single_site("Y", 2, 8)], 8)])
+        half = seed.poles.size // 2
+        assert np.array_equal(seed.poles[half:], -seed.poles[:half])
+        assert np.array_equal(seed.weights[half:], seed.weights[:half])
+        # the particle weights sum to the squared seed norm: the seed lies in its own subspace
+        assert np.sum(seed.weights[:half]) == pytest.approx(seed.norm_sq, rel=1e-12)
+
+    def test_a_z_on_a_pole_raises(self, engine8):
+        excitation = pauli_sum([single_site("Y", 2, 8)], 8)
+        (seed,) = engine8.solved_seeds([excitation])
+        with pytest.raises(GreensError, match="pole"):
+            engine8.correlator(excitation, seed.poles[:1] + 0j)
+
+
 class TestKrylovSeed:
     def test_foreign_ground_state_rejected(self, qse8, h_8, h0_8):
         # qse8's basis evolves under h_8: seeds grown under h0_8 from it would mix two Hamiltonians
@@ -288,20 +327,20 @@ class TestRetardedGf:
         gs, basis, _ = qse8
         engine = GreensEngine(h_8, gs, basis, KrylovBasisConfig(tilde_n_k=2, tilde_n_l=2))
         calls = []
-        original = greens.lanczos_iterate
+        original = greens.seed_poles
 
         def counting(*args, **kwargs):
             calls.append(args[1].size)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(greens, "lanczos_iterate", counting)
+        monkeypatch.setattr(greens, "seed_poles", counting)
         z = np.linspace(-5, 5, 11) + 0.1j
         excitation = pauli_sum([single_site("X", 5, 8)], 8)
         first = engine.correlator(excitation, z)
-        assert len(calls) == 1  # particle and hole part from one recursion
+        assert len(calls) == 1  # particle and hole part from one pole solve
         again = engine.correlator(excitation, z)
         engine.correlator(excitation, z + 0.5)
-        assert len(calls) == 1  # the same seed reuses its recursion on any grid
+        assert len(calls) == 1  # the same seed reuses its poles on any grid
         assert np.array_equal(first, again)
 
     def test_swapped_pair_runs_no_new_seed(self, h_8, qse8, monkeypatch):
@@ -400,20 +439,26 @@ class TestDsf:
         with pytest.raises(GreensError, match="positions"):
             dynamical_structure_factor_ed(dec_8, 8, np.zeros(3), 0.1, q=(1.0, 0.0))
 
-    def test_one_correlator_per_kind(self, engine8, lat8, monkeypatch):
-        calls = []
-        original = GreensEngine.correlator
-
-        def counting(self, excitation, z_grid):
-            calls.append(len(excitation))
-            return original(self, excitation, z_grid)
-
-        monkeypatch.setattr(GreensEngine, "correlator", counting)
+    def test_one_correlator_per_kind(self, h_8, qse8, lat8, monkeypatch):
+        # per kind one collective seed over all 8 sites, solved once; per call one Lehmann sum
+        gs, basis, _ = qse8
+        requests, solves, sums = [], [], []
+        build, solve, lehmann = GreensEngine.seed_subspaces, greens.seed_poles, oracle.lehmann_sum
+        monkeypatch.setattr(GreensEngine, "seed_subspaces",
+                            lambda self, excitations: requests.append(list(map(len, excitations))) or build(
+                                self, excitations))
+        monkeypatch.setattr(greens, "seed_poles", lambda *args: solves.append(1) or solve(*args))
+        monkeypatch.setattr(oracle, "lehmann_sum", lambda *args: sums.append(args[1].size) or lehmann(*args))
         omega = np.linspace(-5, 5, 11)
         for kinds in ("XYZ", "Z"):
-            calls.clear()
-            dynamical_structure_factor(engine8, lat8.positions, np.zeros(2), omega, 0.1, kinds=kinds)
-            assert calls == [8] * len(kinds)  # one collective seed over all 8 sites per kind
+            requests.clear(), solves.clear(), sums.clear()
+            engine = GreensEngine(h_8, gs, basis, KrylovBasisConfig(tilde_n_k=3, tilde_n_l=3))
+            dynamical_structure_factor(engine, lat8.positions, np.zeros(2), omega, 0.1, kinds=kinds)
+            assert requests == [[8] * len(kinds)]
+            assert len(solves) == len(kinds)
+            assert len(sums) == 1
+            seeds = engine.solved_seeds([greens._collective_excitation(k, lat8.positions, np.zeros(2)) for k in kinds])
+            assert sums == [sum(seed.poles.size for seed in seeds)]  # every kind's +-poles
 
     def test_collective_excitation_built_once_per_input(self, engine8, lat8, dec_8, monkeypatch):
         # A_q, and with it its compiled grouped action, is built once per (kind, positions, q):
@@ -485,25 +530,24 @@ class TestSharedSeedStacks:
     def test_dsf_field(self, h_8, qse8, lat8, monkeypatch):
         omega = np.linspace(-6.0, 6.0, 25)
         alone = self.engine(h_8, qse8)
-        total = np.zeros(omega.size)
-        for kind in "XYZ":
-            total += np.imag(alone.correlator(greens._collective_excitation(kind, lat8.positions, np.zeros(2)),
-                                              omega + 0.1j))
+        seeds = [alone.solved_seeds([greens._collective_excitation(kind, lat8.positions, np.zeros(2))])[0]
+                 for kind in "XYZ"]  # one seed at a time
+        weights, poles = (np.concatenate([getattr(seed, name) for seed in seeds]) for name in ("weights", "poles"))
         stacks = self.counted_stacks(monkeypatch)
         shared = dynamical_structure_factor(self.engine(h_8, qse8), lat8.positions, np.zeros(2), omega, 0.1)
         assert len(stacks) == 3 + 1  # tilde_n_l + 1; one seed at a time made 3 (3 + 1)
         assert stacks[:3] == [6, 6, 6]  # three seeds' +-l anchors per level
-        assert np.array_equal(shared, total / 8)
+        assert np.array_equal(shared, np.imag(oracle.lehmann_sum(weights, poles, omega + 0.1j)) / 8)
 
     def test_pair_gf(self, h_8, qse8, monkeypatch):
         z = np.linspace(-6.0, 6.0, 25) + 0.1j
         alone = self.engine(h_8, qse8)
         for sites in ([0, 1], [0], [1]):
-            alone.recursion(pauli_sum([single_site("Z", s, 8) for s in sites], 8))  # one seed at a time
+            alone.solved_seeds([pauli_sum([single_site("Z", s, 8) for s in sites], 8)])  # one seed at a time
         stacks = self.counted_stacks(monkeypatch)
         engine = self.engine(h_8, qse8)
         shared = engine.offdiagonal_gf("Z", 0, 1, z)
         assert len(stacks) == 3 + 1
         assert np.array_equal(shared, alone.offdiagonal_gf("Z", 0, 1, z))
         engine.offdiagonal_gf("Z", 0, 1, z + 0.5)
-        assert len(stacks) == 3 + 1  # the engine reuses every seed's recursion on any grid
+        assert len(stacks) == 3 + 1  # the engine reuses every seed's poles on any grid

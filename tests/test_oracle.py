@@ -268,6 +268,33 @@ class TestTapering:
         assert oracle.taper(h0_8).block_stack()[1].dtype == np.float64
         assert oracle.taper(_chain8("XY")).block_stack()[1].dtype == np.complex128
 
+    @staticmethod
+    def per_term_block_stack(tapered):
+        """The stack scattered one term at a time into zeros, in term order."""
+        n = tapered.num_sites - len(tapered.frame.sites)
+        blocks = oracle.symmetry_blocks(oracle.PauliSum(tapered.terms, n))
+        local = np.concatenate(blocks)
+        size = blocks[0].size
+        position = np.argsort(local)
+        row_start = np.arange(local.size) * size
+        real = all((t.coefficient * 1j ** (t.masks[0] & t.masks[1]).bit_count()).imag == 0 for t in tapered.terms)
+        flat = np.zeros((tapered.num_sectors, local.size * size), dtype=float if real else complex)
+        for signs, term in zip(tapered.sector_signs.T, tapered.terms):
+            src, phase = term.action
+            entries = term.coefficient * phase[local]
+            flat[:, row_start + position[src[local]] % size] += signs[:, None] * (entries.real if real else entries)
+        return tapered.frame_index[:, local].ravel(), flat.reshape(-1, size, size)
+
+    @pytest.mark.parametrize("name", ["h0_8", "h_8", "h0_12", "h_12"])
+    def test_block_stack_scatters_each_flip_once_bit_for_bit(self, name, request):
+        # terms sharing a flip mask are summed, in term order, before their one scatter; distinct
+        # flips fill distinct entries, so the stack equals the per-term scatter bit for bit
+        tapered = oracle.taper(request.getfixturevalue(name))
+        permutation, stack = tapered.block_stack()
+        reference_permutation, reference = self.per_term_block_stack(tapered)
+        assert np.array_equal(permutation, reference_permutation)
+        assert stack.dtype == reference.dtype and stack.tobytes() == reference.tobytes()
+
     def test_field_hamiltonian_keeps_the_z_syndrome_factorization(self, h_8):
         # the identity frame runs the Z-syndrome path bit for bit
         for h in (h_8, _chain8("XY"), _chain8("XX", ("XIIIIIII",))):

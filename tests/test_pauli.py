@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kitaevqse import pauli
-from kitaevqse.lattice import kitaev_hamiltonian
+from kitaevqse.lattice import build_lattice, kitaev_hamiltonian
 from kitaevqse.pauli import (
     PauliError,
     PauliTerm,
@@ -182,6 +182,27 @@ class TestPauliSum:
         n = 1
         assert pauli_sum([single_site("Z", 0, n, 0.3)], n).is_hermitian()
         assert not pauli_sum([single_site("Z", 0, n, 0.3j)], n).is_hermitian()
+
+
+    def test_hash_is_kept_and_equality_reads_the_terms(self, monkeypatch):
+        lat = build_lattice(2, 2)
+        first, second = kitaev_hamiltonian(lat, -1.0, 0.1), kitaev_hamiltonian(lat, -1.0, 0.1)
+        assert first is not second and first == second
+        assert hash(first) == hash(second) == hash((first.terms, first.num_sites))
+        assert {first: 1}[second] == 1
+        # each term is hashed once per sum: later lookups read the kept hash
+        hashed = []
+        term_hash = pauli.PauliTerm.__hash__
+        monkeypatch.setattr(pauli.PauliTerm, "__hash__", lambda term: hashed.append(term) or term_hash(term))
+        third = kitaev_hamiltonian(lat, -1.0, 0.1)
+        for _ in range(3):
+            assert hash(third) == hash(first)
+        assert len(hashed) == len(third)
+        # a hash collision never stands in for equal terms
+        moved = pauli_sum([*third.terms[:-1], third.terms[-1].with_coefficient(0.2)], 8)
+        moved.__dict__["_hash"] = hash(third)
+        assert hash(moved) == hash(third) and moved != third
+        assert {third: 1}.get(moved) is None
 
 
 class TestToMatrix:
