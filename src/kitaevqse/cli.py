@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import asdict
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import __version__, greens, lattice as lattice_mod, oracle, qse, vqe
 from .config import ConfigError, RunConfig, load_config
-from .greens import GreensEngine, GreensError, KrylovBasisConfig
+from .greens import GreensEngine, GreensError
 from .lattice import HoneycombLattice, LatticeError
 from .oracle import OracleError, SpectralDecomposition
 from .pauli import PauliError, PauliSum, gershgorin_kappa, single_site
@@ -69,17 +70,15 @@ def _metadata_lines(echo: dict, extra: dict | None = None) -> list[str]:
 
 
 def write_csv(
-    path: Path,
-    echo: dict,
-    header: list[str],
-    rows: list[list],
-    extra_metadata: dict | None = None,
+    path: Path, echo: dict, columns: dict[str, Sequence | np.ndarray], extra_metadata: dict | None = None
 ) -> None:
-    """``rows`` under ``header``, after the metadata lines of ``echo``, the stage's :func:`_recorded_config`."""
+    """``columns``, name to values, side by side after the metadata lines of ``echo``, the stage's
+    :func:`_recorded_config`. Each cell is ``str`` of its Python value, an array's through ``tolist``:
+    a float's shortest round-trip repr. Raises ``ValueError`` on columns of unequal length."""
+    cells = [map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns.values()]
     out = _metadata_lines(echo, extra_metadata)
-    out.append(",".join(header))
-    for row in rows:
-        out.append(",".join(map(str, row)))  # str(float) is its shortest round-trip repr
+    out.append(",".join(columns))
+    out.extend(map(",".join, zip(*cells, strict=True)))
     _write_text(path, "\n".join(out) + "\n")
 
 
@@ -185,24 +184,6 @@ def _vqe_reference(lat, out_dir: Path, config: RunConfig) -> StateVector:
     return layer.repeated(layers).apply(np.asarray(angles), vqe.prepare_sector_state(group, lat))
 
 
-def _ed_ground_vector(decomp: SpectralDecomposition, qse_state: StateVector, hz: float) -> np.ndarray | None:
-    """The ground state ED compares with: its own (None) when it is the only one, else the normalized
-    projection of the QSE ground state onto the degenerate ED ground space, the member in its sector.
-    The stage stops when that keeps less than 1 - 1e-8 of the weight: the state lies outside the space."""
-    if decomp.ground_degeneracy == 1:
-        return None
-    space = decomp.ground_space()
-    coords = space.conj().T @ qse_state.amplitudes
-    norm = np.linalg.norm(coords)
-    weight = float((norm / np.linalg.norm(qse_state.amplitudes)) ** 2)
-    if weight < 1.0 - 1e-8:
-        raise PipelineError(
-            f"at h_z = {hz} the QSE ground state keeps {weight:.10f} of its weight in the "
-            f"{decomp.ground_degeneracy}-fold degenerate ED ground space, below 1 - 1e-8"
-        )
-    return space @ (coords / norm)
-
-
 def _hoa_tau(config: RunConfig, h: PauliSum) -> float | None:
     """The HOA step of a ground-state assembly under h, hoa_tau_scale / kappa(h), or None
     when ``qse.assembly_mode`` applies H directly."""
@@ -211,19 +192,12 @@ def _hoa_tau(config: RunConfig, h: PauliSum) -> float | None:
 
 def _field_engine(config: RunConfig, reference: StateVector, h: PauliSum) -> GreensEngine:
     """The QSE ground state under h, solved as the qse stage configures it, and the Green's-function
-    engine on it. One V(t) serves the ground-state basis and, when gf shares qse's mode and step
-    count, every Krylov seed."""
+    engine on it, whose Krylov seeds take their shape and V(t) from the gf section."""
     evolution = EvolutionOperator(h, config.qse.evolution_mode, config.qse.trotter_steps)
     gs, basis, _ = qse.prepare_qse_ground_state(
         reference, h, config.qse.n_k, config.qse.n_l, evolution=evolution, hoa_tau=_hoa_tau(config, h)
     )
-    krylov = KrylovBasisConfig(
-        tilde_n_k=config.gf.tilde_n_k,
-        tilde_n_l=config.gf.tilde_n_l,
-        evolution_mode=config.gf.evolution_mode,
-        trotter_steps=config.gf.trotter_steps,
-    )
-    return GreensEngine(h, gs, basis, krylov)
+    return GreensEngine(h, gs, basis, config.gf)
 
 
 # ---------------------------------------------------------------------------
@@ -243,12 +217,14 @@ def cmd_vqe(config: RunConfig, out_dir: Path) -> None:
         return result
 
     trained = {d: train(d) for d in dict.fromkeys(config.vqe.layer_sweep)}
-    sweep_rows = [
-        [d, trained[d].infidelity, trained[d].energy_distance, trained[d].stop_epoch, trained[d].stop_reason]
-        for d in config.vqe.layer_sweep
-    ]
-    header = ["d", "infidelity", "delta_e", "stop_epoch", "stop_reason"]
-    write_csv(out_dir / "vqe_layer_sweep.csv", echo, header, sweep_rows)
+    sweep = [trained[d] for d in config.vqe.layer_sweep]
+    write_csv(out_dir / "vqe_layer_sweep.csv", echo, {
+        "d": config.vqe.layer_sweep,
+        "infidelity": [r.infidelity for r in sweep],
+        "delta_e": [r.energy_distance for r in sweep],
+        "stop_epoch": [r.stop_epoch for r in sweep],
+        "stop_reason": [r.stop_reason for r in sweep],
+    })
 
     layers = config.vqe.layers
     result = trained[layers] if layers in trained else train(layers)
@@ -287,7 +263,7 @@ def cmd_qse(config: RunConfig, out_dir: Path) -> None:
     header = ["n_l", "n_k", "n_phi", "r", "mode", "energy", "delta_e"]
     for name, rows in (("qse_shape_sweep.csv", shape_rows), ("qse_trotter_sweep.csv", trotter_rows)):
         write_csv(
-            out_dir / name, echo, header, [[r[key] for key in header] for r in rows],
+            out_dir / name, echo, {key: [r[key] for r in rows] for key in header},
             {"kappa": kappa, "delta_t": delta_t, "exact_energy": exact_energy},
         )
 
@@ -330,7 +306,7 @@ def cmd_greens(config: RunConfig, out_dir: Path) -> None:
     delta = config.gf.delta
     z = omega + 1j * delta
     decomp = oracle.diagonalize(h)
-    ground_vector = _ed_ground_vector(decomp, engine.ground_state(), config.field_z)
+    ground_vector = decomp.ground_vector(near=engine.ground_state().amplitudes)
 
     for kind in config.gf.kinds:
         gf_qse = greens.retarded_gf(engine, site_a, site_b, kind, omega, delta)
@@ -338,22 +314,13 @@ def cmd_greens(config: RunConfig, out_dir: Path) -> None:
         c_b = single_site(kind, site_b, lat.num_sites)
         gf_ed = oracle.exact_resolvent_gf(decomp, c_a, c_b, z, ground_vector)
         suffix = kind.lower()
-        write_csv(
-            out_dir / f"gf_curve_{suffix}.csv", echo,
-            ["omega", "re_qse", "im_qse", "re_ed", "im_ed"],
-            [
-                [float(w), float(v.real), float(v.imag), float(e.real), float(e.imag)]
-                for w, v, e in zip(omega, gf_qse, gf_ed)
-            ],
-            {"site_pair": config.gf.site_pair, "kind": kind, "delta": delta},
-        )
-        sf_qse, sf_ed = -np.imag(gf_qse) / np.pi, -np.imag(gf_ed) / np.pi
-        write_csv(
-            out_dir / f"sf_curve_{suffix}.csv", echo,
-            ["omega", "sf_qse", "sf_ed"],
-            [[float(w), float(a), float(b)] for w, a, b in zip(omega, sf_qse, sf_ed)],
-            {"site_pair": config.gf.site_pair, "kind": kind, "delta": delta},
-        )
+        meta = {"site_pair": config.gf.site_pair, "kind": kind, "delta": delta}
+        write_csv(out_dir / f"gf_curve_{suffix}.csv", echo, {
+            "omega": omega, "re_qse": gf_qse.real, "im_qse": gf_qse.imag, "re_ed": gf_ed.real, "im_ed": gf_ed.imag,
+        }, meta)
+        write_csv(out_dir / f"sf_curve_{suffix}.csv", echo, {
+            "omega": omega, "sf_qse": -np.imag(gf_qse) / np.pi, "sf_ed": -np.imag(gf_ed) / np.pi,
+        }, meta)
         # absolute: G_ab^ED of a kind can vanish by symmetry, so no ratio to it
         dev = np.max(np.abs(gf_qse - gf_ed))
         print(f"greens[{kind}]: max |G_qse - G_ed| = {dev:.3e}")
@@ -380,7 +347,7 @@ def cmd_dsf(config: RunConfig, out_dir: Path) -> None:
         decomp = oracle.diagonalize(h)
         s_ed = greens.dynamical_structure_factor_ed(
             decomp, lat.num_sites, omega, delta, positions=lat.positions, q=q,
-            ground_vector=_ed_ground_vector(decomp, engine.ground_state(), hz),
+            ground_vector=decomp.ground_vector(near=engine.ground_state().amplitudes),
         )
         return s_qse, s_ed
 
@@ -388,14 +355,11 @@ def cmd_dsf(config: RunConfig, out_dir: Path) -> None:
     table_qse = greens.normalize_intensity(np.array([r[0] for r in results]))
     table_ed = greens.normalize_intensity(np.array([r[1] for r in results]))
 
-    # each field and frequency is rendered once, as write_csv's str(float) would render it
-    fields, frequencies = [str(float(hz)) for hz in config.dsf.h_values], [str(w) for w in omega.tolist()]
+    fields = np.asarray(config.dsf.h_values, dtype=float)
     for name, table in (("dsf_qse.csv", table_qse), ("dsf_ed.csv", table_ed)):
-        rows = [[hz, w, value] for hz, line in zip(fields, table.tolist()) for w, value in zip(frequencies, line)]
-        write_csv(
-            out_dir / name, echo, ["h_z", "omega", "s_normalized"], rows,
-            {"delta": delta, "q": list(config.dsf.q)},
-        )
+        write_csv(out_dir / name, echo, {
+            "h_z": np.repeat(fields, omega.size), "omega": np.tile(omega, fields.size), "s_normalized": table.ravel(),
+        }, {"delta": delta, "q": list(config.dsf.q)})
     print(f"dsf: max |QSE - ED| of normalized tables = {np.max(np.abs(table_qse - table_ed)):.4f}")
 
 

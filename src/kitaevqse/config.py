@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .pauli import MERGE_TOL
+
 
 class ConfigError(ValueError):
     """Configuration rejected; message carries the JSON path of the offender."""
@@ -80,10 +82,13 @@ def _pair(item):
 
 
 def _coupling(value, path):
-    """One number for all three bond colors, or one per color."""
-    if isinstance(value, (list, tuple)):
-        return _list_of(_number(), length=3)(value, path)
-    return _number()(value, path)
+    """One number for all three bond colors, or one per color, each |J| above ``pauli.MERGE_TOL``:
+    the Hamiltonian prunes a smaller one, which switches that color's bonds off."""
+    parse = _list_of(_number(), length=3) if isinstance(value, (list, tuple)) else _number()
+    value = parse(value, path)
+    _require(all(abs(j) > MERGE_TOL for j in np.atleast_1d(value)), path,
+             f"every bond color needs |J| > {MERGE_TOL}; {value} switches one off")
+    return value
 
 
 def _field(default, check):

@@ -30,9 +30,14 @@ correlator is the whole double site sum sum_ij exp(-i q.(r_i - r_j)) G_ij.
 The seeds that one call needs, the kinds of a structure factor or the three
 seeds of a pair, are grown together (:meth:`GreensEngine.seed_subspaces`),
 so in trotter2 mode they share every evolution stack, and a structure
-factor sums all its kinds' poles in one Lehmann sum.
+factor sums all its kinds' poles in one Lehmann sum. Every seed's shape
+(tilde n_k, tilde n_l) and V(t) are the run's ``gf`` section
+(:class:`config.GfConfig`), which :class:`GreensEngine` reads as it is.
 The exact-diagonalization side builds its Lehmann weights from the same
-operator, so both sides always measure the same quantity.
+operator on the same ground state, the member of a degenerate ED ground
+space that the subspace side's ground state projects onto
+(:meth:`oracle.SpectralDecomposition.ground_vector`), so both sides always
+measure the same quantity.
 
 No ground-energy shift is applied to z: the evaluation argument is
 exactly z = omega + i*delta on both the subspace and the
@@ -47,6 +52,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import oracle as oracle_mod
+from .config import GfConfig
 from .pauli import PauliSum, apply_sum, gershgorin_kappa, pauli_sum, single_site
 from .qse import (
     QseGroundState,
@@ -67,14 +73,7 @@ class GreensError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class KrylovBasisConfig:
-    """Multigrid parameters for the excitation subspace (tilde family)."""
-
-    tilde_n_k: int
-    tilde_n_l: int
-    evolution_mode: str = "exact"
-    trotter_steps: int = 1
+KrylovBasisConfig = GfConfig  # the Krylov shape is the gf section; the benchmark's layer probe imports this name
 
 
 @dataclass
@@ -210,19 +209,19 @@ class GreensEngine:
 
     Caches the ground statevector, each seed's solved subspace and
     finished diagonal curves, which every off-diagonal element through the
-    polarization identity reuses. Every seed subspace evolves under the
-    engine's one ``EvolutionOperator(hamiltonian, config.evolution_mode,
-    config.trotter_steps)``, which in trotter2 mode runs the Hamiltonian's
-    one compiled step, as the ground-state basis does at any step count, and
-    in exact mode reads the oracle's one factorization of the Hamiltonian.
-    When the ground-state basis evolves under an equal operator, the engine
-    takes that one, with the spectrum it has read.
+    polarization identity reuses. ``config`` is the run's ``gf`` section, of
+    which the engine reads the Krylov shape (``tilde_n_k``, ``tilde_n_l``)
+    and V(t) (``evolution_mode``, ``trotter_steps``). Every seed subspace
+    evolves under the engine's one ``EvolutionOperator`` of those, which in
+    trotter2 mode runs the Hamiltonian's one compiled step, as the
+    ground-state basis does at any step count, and in exact mode reads the
+    oracle's one factorization of the Hamiltonian.
     """
 
     hamiltonian: PauliSum
     gs: QseGroundState
     gs_basis: SubspaceBasis
-    config: KrylovBasisConfig
+    config: GfConfig
     _gs_state: StateVector | None = field(default=None, repr=False)
     _seeds: dict = field(default_factory=dict, repr=False)
     _diag_cache: dict = field(default_factory=dict, repr=False)
@@ -231,8 +230,7 @@ class GreensEngine:
     def __post_init__(self):
         if self.gs_basis.evolution.hamiltonian != self.hamiltonian:
             raise GreensError("the ground state was prepared under a Hamiltonian other than the engine's")
-        wanted = EvolutionOperator(self.hamiltonian, self.config.evolution_mode, self.config.trotter_steps)
-        self._evolution = self.gs_basis.evolution if self.gs_basis.evolution == wanted else wanted
+        self._evolution = EvolutionOperator(self.hamiltonian, self.config.evolution_mode, self.config.trotter_steps)
 
     @property
     def num_sites(self) -> int:
@@ -409,15 +407,17 @@ def dynamical_structure_factor_ed(
     A_q^mu is the same collective operator that seeds the subspace side.
     The kinds' seeds are projected together and their weights summed, so one
     Lehmann sum over the poles +-E_n serves the table. ``positions`` may be
-    omitted only at q = 0, where every phase is one. A degenerate ground space
-    needs an explicit ``ground_vector`` (:func:`oracle.resolve_ground_vector`).
+    omitted only at q = 0, where every phase is one. ``ground_vector`` defaults
+    to :meth:`oracle.SpectralDecomposition.ground_vector`, which refuses a
+    degenerate ground space: a comparison passes ``decomp.ground_vector(near=...)``
+    of the subspace side's ground state.
     """
     if positions is None:
         if np.any(np.asarray(q) != 0.0):
             raise GreensError("q != 0 needs the site positions")
         positions = np.zeros((num_sites, 2))
     z = np.asarray(omega_grid, dtype=float) + 1j * delta
-    gs = oracle_mod.resolve_ground_vector(decomp, ground_vector)
+    gs = decomp.ground_vector() if ground_vector is None else ground_vector
     seeded = np.stack([apply_sum(_collective_excitation(kind, positions, q), gs) for kind in kinds])
     weights = np.sum(np.abs(decomp.project(seeded)) ** 2, axis=0)
     evals = decomp.eigenvalues

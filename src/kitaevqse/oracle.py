@@ -365,8 +365,29 @@ class SpectralDecomposition:
         """Orthonormal columns spanning the (near-)degenerate ground space."""
         return _read_only(self.expand(np.eye(self.ground_degeneracy, self.eigenvalues.size)).T)
 
-    def ground_vector(self) -> np.ndarray:
-        return self.ground_space()[:, 0]
+    def ground_vector(self, near: np.ndarray | None = None) -> np.ndarray:
+        """The ground state a comparison with ED uses: the ground eigenvector when it is unique,
+        else the normalized projection of the state ``near`` onto the degenerate ground space, the
+        member in its sector. Which member the eigensolver returns first is arbitrary (symmetry
+        blocking changes it), so a degenerate ground space raises :class:`OracleError` without
+        ``near``, and when the projection keeps less than 1 - 1e-8 of the weight of ``near``:
+        that state lies outside the space."""
+        space = self.ground_space()
+        if self.ground_degeneracy == 1:
+            return space[:, 0]
+        if near is None:
+            raise OracleError(
+                f"ground space is {self.ground_degeneracy}-fold degenerate: pass the state to project onto it"
+            )
+        coords = space.conj().T @ near
+        norm = np.linalg.norm(coords)
+        weight = float((norm / np.linalg.norm(near)) ** 2)
+        if weight < 1.0 - 1e-8:
+            raise OracleError(
+                f"the compared state keeps {weight:.10f} of its weight in the {self.ground_degeneracy}-fold "
+                f"degenerate ED ground space at E0 = {self.ground_energy}, below 1 - 1e-8"
+            )
+        return space @ (coords / norm)
 
     @property
     def eigenvectors(self) -> np.ndarray:
@@ -546,15 +567,15 @@ def exact_resolvent_gf(
     lesser:   <GS| c_a^dag (z + H)^-1 c_b |GS>
     retarded: greater + lesser
 
-    ``ground_vector`` is the ground state to use; pass the same vector
-    used on the subspace-expansion side when comparing. It defaults to the
-    ground eigenvector, and must be given when the ground space is
-    degenerate, since no member of it is preferred.
+    ``ground_vector`` is the ground state to use, by default
+    :meth:`SpectralDecomposition.ground_vector`, which refuses a degenerate
+    ground space: a comparison passes ``decomp.ground_vector(near=...)`` of
+    the state on the subspace-expansion side.
     """
     z = np.asarray(z_grid, dtype=complex)
     if np.any(z.imag == 0.0):
         raise OracleError("resolvent evaluation requires Im z != 0")
-    gs = resolve_ground_vector(decomp, ground_vector)
+    gs = decomp.ground_vector() if ground_vector is None else ground_vector
 
     def _sum(left: PauliTerm, right: PauliTerm, poles: np.ndarray) -> np.ndarray:
         # weights <GS|left^dag|n><n|right|GS>
@@ -568,22 +589,6 @@ def exact_resolvent_gf(
     if kind not in parts:
         raise OracleError(f"unknown GF kind {kind!r}")
     return _sum(*parts[kind])
-
-
-def resolve_ground_vector(decomp: SpectralDecomposition, ground_vector: np.ndarray | None) -> np.ndarray:
-    """``ground_vector``, or the ground eigenvector when it is the only one.
-
-    Which member of a degenerate ground space the eigensolver returns is
-    arbitrary (symmetry blocking changes it), so a degenerate ground space
-    without an explicit vector raises instead of picking one silently.
-    """
-    if ground_vector is not None:
-        return ground_vector
-    if decomp.ground_degeneracy > 1:
-        raise OracleError(
-            f"ground space is {decomp.ground_degeneracy}-fold degenerate: pass the ground vector to use"
-        )
-    return decomp.ground_vector()
 
 
 def _dagger(term: PauliTerm) -> PauliTerm:

@@ -1,7 +1,8 @@
 import pytest
 
 from kitaevqse import lattice, oracle, qse, vqe
-from kitaevqse.greens import GreensEngine, KrylovBasisConfig
+from kitaevqse.config import GfConfig
+from kitaevqse.greens import GreensEngine
 from kitaevqse.simulator import EvolutionOperator
 
 
@@ -68,7 +69,7 @@ def qse8(ref8, h_8):
 @pytest.fixture(scope="session")
 def engine8(h_8, qse8):
     gs, basis, _ = qse8
-    return GreensEngine(h_8, gs, basis, KrylovBasisConfig(tilde_n_k=3, tilde_n_l=3))
+    return GreensEngine(h_8, gs, basis, GfConfig(tilde_n_k=3, tilde_n_l=3))
 
 
 # ---- N=12 (heavier; built lazily, shared once built) ----

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from kitaevqse import greens, lattice, oracle, pauli, qse, vqe
+from kitaevqse.config import GfConfig
 from kitaevqse.greens import (
     GreensEngine,
-    KrylovBasisConfig,
     continued_fraction,
     lanczos_iterate,
     normalize_intensity,
@@ -179,7 +179,7 @@ def test_criterion_6_gf_equivalence_trotter(ref8, h_8, dec_8):
     gs, basis, _ = qse.prepare_qse_ground_state(
         ref8, h_8, 3, 3, evolution=EvolutionOperator(h_8, "trotter2", 5)
     )
-    cfg = KrylovBasisConfig(tilde_n_k=3, tilde_n_l=3, evolution_mode="trotter2", trotter_steps=5)
+    cfg = GfConfig(tilde_n_k=3, tilde_n_l=3, evolution_mode="trotter2", trotter_steps=5)
     engine = GreensEngine(h_8, gs, basis, cfg)
     omega = np.arange(-10.0, 10.0001, 0.1)
     re_dev, sf_dev = _gf_deviations(engine, dec_8, omega, 0.1)
@@ -197,7 +197,7 @@ def test_criterion_7_dsf_qualitative_agreement(lat8, ref8):
     omega = np.arange(-10.0, 10.0001, 0.1)
     delta = 0.1
     h_values = [round(0.05 * i, 10) for i in range(11)]
-    cfg = KrylovBasisConfig(tilde_n_k=3, tilde_n_l=3)
+    cfg = GfConfig(tilde_n_k=3, tilde_n_l=3)
     rows_qse, rows_ed = [], []
     for hz in h_values:
         h = lattice.kitaev_hamiltonian(lat8, -1.0, hz)

@@ -154,6 +154,12 @@ class TestConfigValidation:
         ({"qse": {"assembly_mode": "hoa", "hoa_tau_scale": 1.0}}, "$.qse.hoa_tau_scale"),
         ({"qse": {"assembly_mode": "hoa", "hoa_tau_scale": 0}}, "$.qse.hoa_tau_scale"),
         ({"dsf": {"omega_step": 0.002}}, "$.dsf.omega_step"),  # 10001 points, one over the cap
+        # a bond color with |J| <= pauli.MERGE_TOL is pruned from the Hamiltonian: switched off
+        ({"coupling": [-1, -1, 0]}, "$.coupling"),
+        ({"coupling": [-1, 1e-15, -1]}, "$.coupling"),
+        ({"coupling": [-1, -1, -1e-14]}, "$.coupling"),
+        ({"coupling": -1e-20}, "$.coupling"),
+        ({"coupling": 0}, "$.coupling"),
     ])
     def test_malformed_value_path(self, raw, path):
         with pytest.raises(ConfigError, match="^" + re.escape(path) + ": "):
@@ -651,8 +657,9 @@ class TestPipeline:
         assert basis.amplitudes is None and calls == []  # an exact basis never forms its states
 
     def test_degenerate_ed_ground_space_exits_2(self, workdir, tmp_path, monkeypatch, capsys):
-        # at a degenerate field ED takes the QSE ground state's projection onto its ground space;
-        # a QSE state outside that space (here the bare reference, c = e_(0,0)) stops the stage
+        # at a degenerate field ED takes the QSE ground state's projection onto its ground space
+        # (SpectralDecomposition.ground_vector); a QSE state outside that space (here the bare
+        # reference, c = e_(0,0)) stops the stage with the OracleError that names the degeneracy
         path, config_path = workdir
         shutil.copy(path / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
         original = oracle.diagonalize
@@ -685,7 +692,8 @@ class TestPipeline:
 
     def test_zero_field_n12_ed_uses_the_qse_sector_member(self, lat12, h0_12, dec0_12, vqe12):
         # at h_z = 0 the N=12 ground space is 4-fold degenerate: ED takes the member in the
-        # sector of the QSE ground state, and a QSE state from an excited sector raises
+        # sector of the QSE ground state, the normalized projection onto the ground space, and
+        # refuses to pick one with no state to project, or for a QSE state from an excited sector
         assert dec0_12.ground_degeneracy == 4
         ref, _, _ = vqe12
 
@@ -694,7 +702,12 @@ class TestPipeline:
             return qse.reconstruct_state(gs, basis)
 
         state = qse_state(ref)
-        vector = cli._ed_ground_vector(dec0_12, state, 0.0)
+        vector = dec0_12.ground_vector(near=state.amplitudes)
+        space = dec0_12.ground_space()
+        coords = space.conj().T @ state.amplitudes
+        assert np.array_equal(vector, space @ (coords / np.linalg.norm(coords)))
+        with pytest.raises(oracle.OracleError, match="4-fold degenerate"):
+            dec0_12.ground_vector()
         assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-12)
         assert np.real(np.vdot(vector, apply_sum(h0_12, vector))) == pytest.approx(dec0_12.ground_energy, abs=1e-10)
         assert abs(np.vdot(vector, state.amplitudes)) ** 2 >= 1.0 - 1e-8
@@ -704,8 +717,8 @@ class TestPipeline:
             assert np.real(np.vdot(vector, apply_term(op, vector))) == pytest.approx(sign, abs=1e-8)
 
         flipped = StateVector(apply_term(single_site("Z", 0, 12), ref.amplitudes), 12)  # two visons
-        with pytest.raises(cli.PipelineError, match="4-fold degenerate ED ground space"):
-            cli._ed_ground_vector(dec0_12, qse_state(flipped), 0.0)
+        with pytest.raises(oracle.OracleError, match="4-fold degenerate ED ground space at E0 = "):
+            dec0_12.ground_vector(near=qse_state(flipped).amplitudes)
 
     @pytest.mark.parametrize("sweep, named", [
         ([0, 1], "the shallowest swept depth that reaches it is 1"),
@@ -1046,8 +1059,32 @@ class TestArtifactDiff:
 class TestWriteCsv:
     def test_cells_are_plain_numbers(self, tmp_path):
         # a numpy scalar is written as its number, never as np.float64(...)
-        cli.write_csv(tmp_path / "t.csv", cli._recorded_config(RunConfig()), ["a", "b", "c"], [[np.float64(0.1), 1 / 3, 2]])
+        columns = {"a": [np.float64(0.1)], "b": [1 / 3], "c": [2]}
+        cli.write_csv(tmp_path / "t.csv", cli._recorded_config(RunConfig()), columns)
         assert (tmp_path / "t.csv").read_text().splitlines()[-1] == "0.1,0.3333333333333333,2"
+
+    def test_columns_render_as_str_of_each_row_value(self, tmp_path):
+        # each cell is str of its Python value, an array column's through tolist: the bytes of
+        # rendering the same table row by row with str
+        grid = np.linspace(-1.0, 1.0, 7) / 3
+        columns = {
+            "d": [0, 1, 2, 3, 4, 5, 6],
+            "x": [1 / 3, 1e-20, 2.5e16, -0.0, 0.1, 1e-5, 123.456],
+            "name": ["target", "epochs", "a", "b", "c", "d", "e"],
+            "np64": [np.float64(v) for v in grid],
+            "listed": grid.tolist(),
+            "array": grid * 7,
+        }
+        cli.write_csv(tmp_path / "t.csv", cli._recorded_config(RunConfig()), columns)
+        body = [line for line in (tmp_path / "t.csv").read_text().splitlines() if not line.startswith("#")]
+        columns["array"] = columns["array"].tolist()
+        assert body == [",".join(columns)] + [",".join(map(str, row)) for row in zip(*columns.values())]
+        assert body[1] == "0,0.3333333333333333,target,-0.3333333333333333,-0.3333333333333333,-2.333333333333333"
+
+    def test_unequal_columns_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            cli.write_csv(tmp_path / "t.csv", cli._recorded_config(RunConfig()), {"a": [1, 2], "b": [1.0]})
+        assert not (tmp_path / "t.csv").exists()
 
 
 class TestFixtureEmission:

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from kitaevqse import greens, oracle
 from kitaevqse import qse as qse_mod
+from kitaevqse.config import GfConfig
 from kitaevqse.greens import (
     GreensEngine,
     GreensError,
-    KrylovBasisConfig,
     LanczosCoefficients,
     continued_fraction,
     dynamical_structure_factor,
@@ -212,7 +212,8 @@ class TestSeedPoles:
         # H there hermitized (its anti-Hermitian part is roundoff), y = X^dag S psi0 normalized,
         # times the squared seed norm
         gs, basis, _ = qse8
-        engine = GreensEngine(h_8, gs, basis, KrylovBasisConfig(3, 3, *mode))
+        config = GfConfig(tilde_n_k=3, tilde_n_l=3, evolution_mode=mode[0], trotter_steps=mode[1])
+        engine = GreensEngine(h_8, gs, basis, config)
         excitation = pauli_sum([single_site("X", s, 8) for s in sites], 8)
         (seed,) = engine.solved_seeds([excitation])
         transform, _ = qse_mod.canonical_orthogonalization(seed.matrices.overlap, greens.LANCZOS_S_THRESHOLD)
@@ -247,14 +248,14 @@ class TestKrylovSeed:
     def test_foreign_ground_state_rejected(self, qse8, h_8, h0_8):
         # qse8's basis evolves under h_8: seeds grown under h0_8 from it would mix two Hamiltonians
         gs, basis, _ = qse8
-        cfg = KrylovBasisConfig(tilde_n_k=1, tilde_n_l=1)
+        cfg = GfConfig(tilde_n_k=1, tilde_n_l=1)
         with pytest.raises(GreensError, match="Hamiltonian other than the engine's"):
             GreensEngine(h0_8, gs, basis, cfg)
         assert GreensEngine(h_8, gs, basis, cfg).num_sites == 8
 
     def test_trivial_single_state_basis(self, qse8, h_8):
         gs, basis, _ = qse8
-        cfg = KrylovBasisConfig(tilde_n_k=0, tilde_n_l=0)
+        cfg = GfConfig(tilde_n_k=0, tilde_n_l=0)
         engine = GreensEngine(h_8, gs, basis, cfg)
         excitation = pauli_sum([single_site("Z", 0, 8)], 8)
         psi_basis, _, psi0, _ = engine.seed_subspace(excitation)
@@ -325,7 +326,7 @@ class TestRetardedGf:
 
     def test_one_recursion_per_seed(self, h_8, qse8, monkeypatch):
         gs, basis, _ = qse8
-        engine = GreensEngine(h_8, gs, basis, KrylovBasisConfig(tilde_n_k=2, tilde_n_l=2))
+        engine = GreensEngine(h_8, gs, basis, GfConfig(tilde_n_k=2, tilde_n_l=2))
         calls = []
         original = greens.seed_poles
 
@@ -347,7 +348,7 @@ class TestRetardedGf:
         # sigma_a + sigma_b is seeded in ascending site order: G_ba after G_ab requests no seed,
         # and reads the same recursion as an engine that ran G_ba first
         gs, basis, _ = qse8
-        config = KrylovBasisConfig(tilde_n_k=2, tilde_n_l=2)
+        config = GfConfig(tilde_n_k=2, tilde_n_l=2)
         requests = []
         original = GreensEngine.seed_subspaces
         monkeypatch.setattr(GreensEngine, "seed_subspaces",
@@ -452,7 +453,7 @@ class TestDsf:
         omega = np.linspace(-5, 5, 11)
         for kinds in ("XYZ", "Z"):
             requests.clear(), solves.clear(), sums.clear()
-            engine = GreensEngine(h_8, gs, basis, KrylovBasisConfig(tilde_n_k=3, tilde_n_l=3))
+            engine = GreensEngine(h_8, gs, basis, GfConfig(tilde_n_k=3, tilde_n_l=3))
             dynamical_structure_factor(engine, lat8.positions, np.zeros(2), omega, 0.1, kinds=kinds)
             assert requests == [[8] * len(kinds)]
             assert len(solves) == len(kinds)
@@ -517,7 +518,8 @@ class TestSharedSeedStacks:
     @staticmethod
     def engine(h_8, qse8):
         gs, basis, _ = qse8
-        return GreensEngine(h_8, gs, basis, KrylovBasisConfig(3, 3, "trotter2", 2))
+        config = GfConfig(tilde_n_k=3, tilde_n_l=3, evolution_mode="trotter2", trotter_steps=2)
+        return GreensEngine(h_8, gs, basis, config)
 
     @staticmethod
     def counted_stacks(monkeypatch):
