@@ -364,8 +364,11 @@ def _collective_excitation(kind: str, positions: np.ndarray, q: np.ndarray) -> P
 def _collective_sum(
     kind: str, positions_shape: tuple[int, ...], positions_bytes: bytes, q_shape: tuple[int, ...], q_bytes: bytes
 ) -> PauliSum:
-    positions = np.frombuffer(positions_bytes).reshape(positions_shape)
-    phases = np.exp(1j * (positions @ np.frombuffer(q_bytes).reshape(q_shape)))
+    positions, q = np.frombuffer(positions_bytes).reshape(positions_shape), np.frombuffer(q_bytes).reshape(q_shape)
+    with np.errstate(all="ignore"):  # an overflowing q.r is refused below, not warned about
+        phases = np.exp(1j * (positions @ q))
+    if not np.isfinite(phases).all():
+        raise GreensError(f"q = {q.tolist()} overflows the phases exp(i q.r) of its collective excitation")
     return pauli_sum([single_site(kind, i, len(phases), phase) for i, phase in enumerate(phases)], len(phases))
 
 

@@ -16,6 +16,7 @@ is their one inverse.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable
@@ -205,7 +206,9 @@ def pauli_sum(terms: Iterable[PauliTerm], num_sites: int) -> PauliSum:
     """Merge duplicate axes, prune coefficients below MERGE_TOL.
 
     Term order follows first occurrence of each axes string, so sums
-    built from ordered bond lists stay in bond order.
+    built from ordered bond lists stay in bond order. A non-finite merged
+    coefficient raises :class:`PauliError` (NaN would fail the pruning test
+    and drop its term silently).
     """
     merged: dict[str, complex] = {}
     order: list[str] = []
@@ -217,6 +220,9 @@ def pauli_sum(terms: Iterable[PauliTerm], num_sites: int) -> PauliSum:
             order.append(t.axes)
         else:
             merged[t.axes] += t.coefficient
+    bad = next((ax for ax in order if not cmath.isfinite(merged[ax])), None)
+    if bad is not None:
+        raise PauliError(f"term {bad} has the non-finite coefficient {merged[bad]}")
     kept = tuple(
         PauliTerm(merged[ax], ax) for ax in order if abs(merged[ax]) > MERGE_TOL
     )

@@ -31,7 +31,9 @@ two numbers on that one step: its step count r and tau = t/r, so a stack
 evolves each state at its own time and step count, only on the blocks where
 it has weight, as one block-local row per block it occupies. Rows are
 ordered by step count, most first, and cut into chunks; step s makes one
-pass per gate over the rows of a chunk that still run it. Steps are closed:
+pass per gate over the rows of a chunk that still run it. A rotation's
+factors are fixed across a row's steps, so a chunk builds them once, one
+table per distinct rotation, and every step reads them. Steps are closed:
 V_r(t) is r runs of the compiled step, so it equals r one-step evolutions
 at tau bit for bit. A chunk holds ``STACK_AMPLITUDES`` = 4096 amplitudes'
 worth of rows, at least one: 64 rows of 64 at N=8 (4 blocks), 2 of 2048 at
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import groupby
 from typing import Callable, Literal, NamedTuple, Sequence
 
@@ -228,9 +231,16 @@ class BlockSchedule(NamedTuple):
     ``angles`` and ``coefficients`` hold each off-diagonal rotation's unit
     angle a (1, or 2 in the middle group) and real coefficient c, in gate
     order: a row at tau rotates by theta = 0.5 * (a * tau) * c and takes a
-    run as exp(-i tau d). ``repeats`` is false when V(t) runs the step once,
-    at tau = t: for one commuting group, and for a step with no off-diagonal
-    rotation, whose r steps are one diagonal run.
+    run as exp(-i tau d). The next three fields dedup the rotations once, at
+    compile time, so that a chunk builds each of its factor tables once
+    (:func:`_run_chunk`): ``turns`` holds, per distinct (a, c), the position
+    of its first off-diagonal gate, whose theta every gate of that turn
+    shares; ``rotations`` lists each distinct (phase, turn), the pairs whose
+    -i sin(theta) * phase tables are equal (X strings of one turn share one);
+    and ``slots`` gives each off-diagonal gate, in order, its (rotation,
+    turn). ``repeats`` is false when V(t) runs the step once, at tau = t:
+    for one commuting group, and for a step with no off-diagonal rotation,
+    whose r steps are one diagonal run.
     """
 
     members: np.ndarray
@@ -239,6 +249,9 @@ class BlockSchedule(NamedTuple):
     exponents: list[np.ndarray]
     angles: np.ndarray
     coefficients: np.ndarray
+    turns: np.ndarray
+    rotations: list[tuple[int | None, int]]
+    slots: list[tuple[int, int]]
     repeats: bool
 
 
@@ -268,7 +281,8 @@ def compile_trotter2(h: PauliSum) -> BlockSchedule:
     blocks' states. A rotation whose flip mask is nonzero stays a gate of its
     own, whose local gather is its flip read on K through K's inverse position
     map, built once per distinct Pauli string, with its phase read at the
-    blocks' states into a per-block table.
+    blocks' states into a per-block table. Off-diagonal rotations of equal
+    (a, c) share a turn, and those of equal phase and turn a rotation.
     """
     step, repeats = trotter_step(h)
     blocks = symmetry_blocks(h)
@@ -285,6 +299,9 @@ def compile_trotter2(h: PauliSum) -> BlockSchedule:
     phases: list[np.ndarray] = []
     exponents: list[np.ndarray] = []
     angles, coefficients = [], []
+    turns: dict[tuple[float, float], tuple[int, int]] = {}  # (a, c) -> (turn, its first off-diagonal gate)
+    rotations: dict[tuple[int | None, int], int] = {}  # (phase, turn) -> rotation
+    slots: list[tuple[int, int]] = []
     for diagonal, run in groupby(step, key=lambda gate: gate[0].masks[0] == 0):
         if diagonal:
             run = tuple(run)
@@ -304,10 +321,14 @@ def compile_trotter2(h: PauliSum) -> BlockSchedule:
                     actions[term.axes] = local, len(phases)
                     phases.append(_read_only(phase[members]))
             gates.append(actions[term.axes])
+            c = term.coefficient.real
+            turn = turns.setdefault((a, c), (len(turns), len(angles)))[0]
+            slots.append((rotations.setdefault((actions[term.axes][1], turn), len(rotations)), turn))
             angles.append(a)
-            coefficients.append(term.coefficient.real)
+            coefficients.append(c)
     return BlockSchedule(
         members, gates, phases, exponents, np.array(angles, dtype=float), np.array(coefficients, dtype=float),
+        np.array([first for _, first in turns.values()], dtype=np.int64), list(rotations), slots,
         repeats and bool(angles),
     )
 
@@ -361,52 +382,58 @@ def _run_chunk(
     """Every step of every row's schedule on a C-ordered chunk of block-local rows, in place: row j
     holds block labels[j] and runs steps[j] steps at tau[j, 0], or all rows are at tau[0, 0] when
     tau has one row. Rows come in descending step count, so the rows still running step s lead
-    the chunk. Each row reads its block's row of the phase and exponent tables, and each step
-    runs every gate of the compiled step.
+    the chunk. Each step runs every gate of the compiled step.
+
+    Nothing a rotation multiplies by changes across a row's steps, so the chunk builds its tables
+    once, before step 0: exp(-i tau d) per exponent, cos(theta) per turn and
+    -i sin(theta) * phase per rotation of :class:`BlockSchedule`, each row at its block's phases.
+    Rows that leave the chunk leave these tables too, as slices. The tables are full-shape; a
+    factor constant along the rows, cos(theta) and the phase-free -i sin(theta), is a plain scalar
+    when the chunk is one row's blocks at one tau. -i sin(theta) * phase equals the two products
+    in turn bit for bit, since the phase is exactly +-1 or +-i and -i sin(theta) is imaginary.
     """
     flat = chunk.reshape(-1)  # a view: the chunk is a run of C-ordered rows
     exponents = [np.exp(-1j * tau * d[labels]) for d in schedule.exponents]
-    phases = [phase[labels] for phase in schedule.phases]
-    theta = 0.5 * (schedule.angles[:, None, None] * tau) * schedule.coefficients[:, None, None]
-    cos, minus_i_sin = np.cos(theta), -1j * np.sin(theta)
-    if len(tau) == 1:  # one tau takes plain scalars, cheaper than a (k, 1) column per gate
-        cos, minus_i_sin = cos.ravel().tolist(), minus_i_sin.ravel().tolist()
+    first = schedule.turns
+    theta = 0.5 * (schedule.angles[first, None, None] * tau) * schedule.coefficients[first, None, None]
+    # numpy would run a (k, 1) column as one inner loop per row on every pass
+    constant = np.ndarray.item if len(tau) == 1 else partial(np.full, chunk.shape, dtype=complex)
+    cos = [constant(c) for c in np.cos(theta)]
+    minus_i_sin = -1j * np.sin(theta)
+    tables = [
+        constant(minus_i_sin[turn]) if phase is None else schedule.phases[phase][labels] * minus_i_sin[turn]
+        for phase, turn in schedule.rotations
+    ]
+    factors = [(tables[rotation], cos[turn]) for rotation, turn in schedule.slots]  # one pair per off-diagonal gate
     active = len(chunk)
     for s in range(steps[0]):
         if steps[active - 1] <= s:  # rows past their last step leave the chunk's end (one row's blocks never do)
             active = sum(count > s for count in steps)
-            chunk, cos, minus_i_sin = chunk[:active], cos[:, :active], minus_i_sin[:, :active]
-            exponents, phases = [d[:active] for d in exponents], [phase[:active] for phase in phases]
-        rotations = zip(cos, minus_i_sin)  # one (cos, -i sin) per off-diagonal gate, in order
+            chunk, exponents = chunk[:active], [d[:active] for d in exponents]
+            factors = [(coefficient[:active], c[:active]) for coefficient, c in factors]
+        rotations = iter(factors)
         for gate in schedule.gates:
             if isinstance(gate, int):
                 chunk *= exponents[gate]
             else:
-                src, phase = gate
-                _rotate_rows(chunk, flat, src, None if phase is None else phases[phase], *next(rotations))
+                _rotate_rows(chunk, flat, gate[0], *next(rotations))
 
 
 def _rotate_rows(
-    chunk: np.ndarray,
-    flat: np.ndarray,
-    src: np.ndarray,
-    phase: np.ndarray | None,
-    cos: np.ndarray,
-    minus_i_sin: np.ndarray,
+    chunk: np.ndarray, flat: np.ndarray, src: np.ndarray, coefficient: np.ndarray | complex, cos: np.ndarray | float
 ) -> None:
-    """One off-diagonal rotation of every row of a (k, size) chunk of block-local rows, in place.
+    """One off-diagonal rotation of every row of a (k, size) chunk of block-local rows, in place:
+    chunk <- cos * chunk + coefficient * P chunk.
 
     ``flat`` is the chunk's flattened view, which the padded local gather
-    (:class:`BlockSchedule`, at least k rows) reads from; ``phase`` is
-    (k, size); ``cos`` and ``minus_i_sin`` are (k, 1) columns, or scalars
-    when the rows share one time.
+    (:class:`BlockSchedule`, at least k rows) reads from; ``coefficient`` is
+    the (k, size) table -i sin(theta) * phase and ``cos`` the table
+    cos(theta), each a scalar when it is constant over the chunk; the chunk
+    builds them once for all its steps (:func:`_run_chunk`).
     """
-    k = len(chunk)
-    rotated = flat[src[:k]]
-    if phase is not None:
-        rotated *= phase
+    rotated = flat[src[: len(chunk)]]
+    rotated *= coefficient
     chunk *= cos
-    rotated *= minus_i_sin
     chunk += rotated
 
 

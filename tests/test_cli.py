@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 import weakref
 from pathlib import Path
@@ -448,20 +449,43 @@ class TestPipeline:
         config_path.write_text(json.dumps(config))
         assert main(["all", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
 
-    def test_dsf_tables_independent_of_threads(self, workdir, tmp_path):
-        # the fields share memoized collective operators, read from pool threads
-        path, config_path = workdir
+    @staticmethod
+    def dsf_tables_by_threads(workdir, tmp_path, config_path):
+        """Both DSF tables, timestamps dropped, of one dsf stage at --threads 1 and one at 2."""
         texts = []
         for threads in ("1", "2"):
             out = tmp_path / threads
             out.mkdir()
-            shutil.copy(path / "out" / "vqe_result.json", out / "vqe_result.json")
+            shutil.copy(workdir[0] / "out" / "vqe_result.json", out / "vqe_result.json")
             assert main(["dsf", "--config", str(config_path), "--out", str(out), "--threads", threads]) == 0
             texts.append([
                 [line for line in (out / name).read_text().splitlines() if not line.startswith("# timestamp")]
                 for name in ("dsf_qse.csv", "dsf_ed.csv")
             ])
+        return texts
+
+    def test_dsf_tables_independent_of_threads(self, workdir, tmp_path):
+        # the fields share memoized collective operators, read from pool threads
+        texts = self.dsf_tables_by_threads(workdir, tmp_path, workdir[1])
         assert texts[0] == texts[1]
+
+    def test_dsf_tables_independent_of_threads_under_trotter2(self, workdir, tmp_path, monkeypatch):
+        # with trotter2 V(t) for the ground-state basis (HOA) and the Krylov seeds, the pool's
+        # threads run the trotter2 kernel, each field's chunks on tables of their own
+        trotter = {"evolution_mode": "trotter2", "trotter_steps": 2}
+        config_path = tmp_path / "c.json"
+        config_path.write_text(json.dumps({
+            **FAST_CONFIG,
+            "qse": {**FAST_CONFIG["qse"], **trotter, "assembly_mode": "hoa"},
+            "gf": {**FAST_CONFIG["gf"], **trotter},
+        }))
+        threads = []
+        run_chunk = simulator._run_chunk
+        monkeypatch.setattr(simulator, "_run_chunk",
+                            lambda *args: threads.append(threading.current_thread()) or run_chunk(*args))
+        texts = self.dsf_tables_by_threads(workdir, tmp_path, config_path)
+        assert texts[0] == texts[1]
+        assert threading.main_thread() in threads and len(set(threads)) > 1
 
     def test_one_lanczos_run_per_recursion(self, tmp_path, monkeypatch):
         # oracle.lanczos is the only Lanczos loop and serves the coefficient dumps alone:
@@ -733,6 +757,18 @@ class TestPipeline:
         err = self._one_error_line(capsys)
         assert err.startswith("error: vqe depth 0 stops at dE = ") and named in err
         assert (tmp_path / "vqe_layer_sweep.csv").exists() and not (tmp_path / "vqe_result.json").exists()
+
+    def test_overflowing_q_exits_2(self, workdir, tmp_path, capsys):
+        # q.r overflows to inf and exp(i q.r) to NaN: the stage stops with one line naming q,
+        # and no RuntimeWarning, instead of writing the DSF of an operator that lost its NaN terms
+        shutil.copy(workdir[0] / "out" / "vqe_result.json", tmp_path / "vqe_result.json")
+        config_path = tmp_path / "q.json"
+        config_path.write_text(json.dumps({**FAST_CONFIG, "dsf": {**FAST_CONFIG["dsf"], "q": [1e308, 1e308]}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["dsf", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+        err = self._one_error_line(capsys)
+        assert err.startswith("error: q = [1e+308, 1e+308] overflows") and not (tmp_path / "dsf_qse.csv").exists()
 
     def test_package_error_exits_2_without_traceback(self, tmp_path, capsys):
         # 5x2 cells is N=20: h with its field stacks 2^39 entries, beyond the oracle's dense cap,

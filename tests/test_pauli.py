@@ -171,6 +171,12 @@ class TestPauliSum:
         s = pauli_sum([single_site("Z", 0, n, 1.0), single_site("Z", 0, n, -1.0)], n)
         assert len(s) == 0
 
+    @pytest.mark.parametrize("coefficients", [[float("nan")], [complex(0.5, float("inf"))], [1e308, 1e308]])
+    def test_non_finite_coefficient_raises(self, coefficients):
+        # NaN would fail the pruning test and vanish; a merge can overflow to inf
+        with pytest.raises(PauliError, match="term ZI has the non-finite coefficient"):
+            pauli_sum([single_site("X", 1, 2)] + [single_site("Z", 0, 2, c) for c in coefficients], 2)
+
     def test_first_occurrence_order(self):
         n = 2
         s = pauli_sum(

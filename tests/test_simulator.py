@@ -377,6 +377,32 @@ class TestFusedSchedule:
         assert np.allclose(compiled.exponents[0], z_field[compiled.members], rtol=0, atol=1e-15)
         assert compiled.angles.tolist() == [1.0] * 16
 
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_chunk_builds_each_table_once(self, h_8, steps, monkeypatch):
+        # three one-block rows at three times share one (3, 64) chunk. Before step 0 it builds one
+        # -i sin(theta) * phase table per distinct rotation, the 4 XX bonds sharing one (phase +1,
+        # one coupling) and the 4 YY bonds one each, and one cos(theta) table for the one (a, c)
+        # of every bond; all 16r passes of its r steps read those same tables
+        passes = []
+        rotate_rows = simulator._rotate_rows
+
+        def counted(chunk, flat, src, coefficient, cos):
+            passes.append((coefficient, cos))
+            rotate_rows(chunk, flat, src, coefficient, cos)
+
+        monkeypatch.setattr(simulator, "_rotate_rows", counted)
+        op = EvolutionOperator(h_8, mode="trotter2", trotter_steps=steps)
+        stack = np.stack([one_block_state(h_8, seed).amplitudes for seed in range(3)])
+        evolve_stack(op, stack, [0.4, -0.3, 1.1])
+        assert len(passes) == 16 * steps
+        tables = [{id(table): table for table in group} for group in zip(*passes)]
+        schedule = simulator._compiled_step(h_8)
+        assert [len(group) for group in tables] == [len(schedule.rotations), len(schedule.turns)] == [5, 1]
+        assert all(table.shape == (3, 64) for group in tables for table in group.values())
+        ids = [(id(coefficient), id(cos)) for coefficient, cos in passes]
+        per_step = [ids[16 * s:16 * (s + 1)] for s in range(steps)]
+        assert per_step == per_step[:1] * steps
+
     @pytest.mark.parametrize("case", [f"{n}-{f}" for n in FUSED_SHAPES for f in FUSED_FIELDS])
     @pytest.mark.parametrize("steps", [2, 4])
     def test_r_steps_equal_r_single_steps_bit_for_bit(self, case, steps):
