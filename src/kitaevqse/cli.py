@@ -75,11 +75,23 @@ def write_csv(
     """``columns``, name to values, side by side after the metadata lines of ``echo``, the stage's
     :func:`_recorded_config`. Each cell is ``str`` of its Python value, an array's through ``tolist``:
     a float's shortest round-trip repr. Raises ``ValueError`` on columns of unequal length."""
-    cells = [map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns.values()]
+    cells = [_cells(c) if isinstance(c, np.ndarray) else map(str, c) for c in columns.values()]
     out = _metadata_lines(echo, extra_metadata)
     out.append(",".join(columns))
     out.extend(map(",".join, zip(*cells, strict=True)))
     _write_text(path, "\n".join(out) + "\n")
+
+
+def _cells(column: np.ndarray) -> list[str]:
+    """``str`` of each value of an array column; a float64 column renders each distinct value once,
+    told apart by its bits, as 0.0 and -0.0 compare equal but render differently."""
+    if column.dtype != np.float64:
+        return list(map(str, column.tolist()))
+    bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    if bits.size == column.size:
+        return list(map(str, column.tolist()))
+    rendered = list(map(str, bits.view(np.float64).tolist()))
+    return [rendered[i] for i in inverse.tolist()]
 
 
 def write_json(path: Path, echo: dict, payload: dict) -> None:
@@ -379,6 +391,8 @@ def fixture_entry(label: str, h: PauliSum, decomp: SpectralDecomposition) -> dic
             "z_syndrome_generators": (blocks >> tapered).bit_length() - 1,
             "blocks": blocks,
             "block_size": size,
+            "site_group_order": decomp.site_group_order,
+            "sub_block_sizes": list(decomp.sub_block_sizes),
         },
         "completeness": oracle.completeness_certificate(h, decomp),
     }

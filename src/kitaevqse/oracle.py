@@ -18,6 +18,24 @@ shipped Kitaev instance. Every dense eigensolve of a Hamiltonian in the
 package runs here, the VQE sector ranking's too, under one bound counted
 before anything is allocated (:meth:`TaperedSum.block_stack`).
 
+An identity-frame sum (every field Hamiltonian) with site symmetries goes
+one step further. :func:`site_symmetries` finds, from the sum alone, the
+site permutations that keep its bond colours and map its terms,
+coefficients included, onto themselves: on the honeycomb torus the
+translations and inversions. The elements that fix every Z-block hold an
+abelian group G (:func:`_largest_abelian`: the translations at N=12, which
+do not commute with the inversions, and at N=8 four elements that do), and
+each Z-block splits into the real sub-blocks of G's orbit vectors, one per
+real character and one per conjugate pair of complex ones (Sandvik,
+arXiv:1101.3281, section 4; Weisse & Fehske, Lect. Notes Phys. 739, 529).
+Their matrices are gathered from the Z-block stack, factorized by one
+batched ``eigh`` per sub-block shape, and their eigenvectors taken back
+through the sparse orbit vectors into the same ``(blocks, size, size)``
+layout (:func:`_solve_sub_blocks`); a Z-block that a symmetry takes
+from another shares that one's factorization. At N=12 the two Z-blocks of
+2048 states become sub-blocks of 332 to 700. Tapered sums and sums without
+site symmetry keep the Z-block ``eigh``.
+
 :func:`diagonalize` factorizes each Hamiltonian once and :func:`taper` builds
 each frame once: ``PauliSum`` is a frozen value, and both results are kept for
 as long as the first equal sum is alive, so the ED side, exact-mode ``V(t)``
@@ -34,6 +52,7 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,10 +163,16 @@ def tapering_frame(h: PauliSum) -> TaperingFrame:
     where it has X or Y, and sigma_i = Z there (X where it has Z), which
     anticommutes with it; every later generator that anticommutes with
     sigma_i is multiplied by tau_i, so it commutes with sigma_i and tau_i and
-    the rotation (sigma_i + tau_i)/sqrt(2) leaves it as it is.
+    the rotation (sigma_i + tau_i)/sqrt(2) leaves it as it is. It reads only
+    the terms' masks, so it is memoized on them: every field of a model
+    shares one frame.
     """
-    n = h.num_sites
-    rows = [(z << n) | x for x, z in (t.masks for t in h.terms)]
+    return _frame_of(h.num_sites, tuple(t.masks for t in h.terms))
+
+
+@lru_cache(maxsize=16)
+def _frame_of(n: int, masks: tuple[tuple[int, int], ...]) -> TaperingFrame:
+    rows = [(z << n) | x for x, z in masks]
     taus = [(1.0, v >> n, v & ((1 << n) - 1)) for v in _null_space(rows, 2 * n)]
     if (not any(x for _, x, _ in taus) or len(taus) >= n
             or any(anticommutes(a, b) for a, b in combinations(taus, 2))):
@@ -315,6 +340,8 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     ground_degeneracy: int
     frame: TaperingFrame = TaperingFrame()
+    site_group_order: int = 1  # of the site group whose sub-blocks were factorized (1: none)
+    sub_block_sizes: tuple[int, ...] = ()  # the factorized sub-blocks, Z-block by Z-block
     _phase_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -431,6 +458,242 @@ def _syndrome_blocks(n: int, flips: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return tuple(map(_read_only, np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)))
 
 
+def site_symmetries(h: PauliSum) -> tuple[tuple[int, ...], ...]:
+    """The site permutations p (site q to site p[q]) that keep the bond colours of ``h`` and map its
+    terms, coefficients included, onto themselves; the identity alone when there are none.
+
+    A bond is a two-site term with one axis on both sites (XX, YY or ZZ),
+    its colour that axis. When no site has two bonds of one colour and the
+    bonds connect every site, a colour-keeping permutation is forced by the
+    image of site 0: each bond u-v of colour c goes to the c-bond at p[u].
+    Each image of site 0 gives one candidate (:func:`_colour_automorphisms`),
+    kept when it permutes the term strings and every term keeps its
+    coefficient. On the honeycomb torus in a uniform field these are the
+    translations and the inversions.
+    """
+    candidates = _colour_automorphisms(h.num_sites, tuple(t.axes for t in h.terms))
+    coefficients = np.array([t.coefficient for t in h.terms])
+    return tuple(p for p, images in candidates if np.array_equal(coefficients[list(images)], coefficients))
+
+
+@lru_cache(maxsize=16)
+def _colour_automorphisms(n: int, axes: tuple[str, ...]) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(p, :func:`_term_images`) of each colour-keeping candidate of :func:`site_symmetries` that
+    maps the strings ``axes`` onto themselves, the identity first."""
+    identity = ((tuple(range(n)), tuple(range(len(axes)))),)
+    bond: dict[tuple[int, str], int] = {}  # (site, colour) -> the other end
+    for string in axes:
+        ends = [q for q, ch in enumerate(string) if ch != "I"]
+        if len(ends) == 2 and string[ends[0]] == string[ends[1]]:
+            for u, v in (ends, ends[::-1]):
+                if bond.setdefault((u, string[u]), v) != v:
+                    return identity
+    reached, tree = [0], []  # breadth first from site 0: (u, colour, v) reaching each v
+    for u in reached:
+        for colour in "XYZ":
+            v = bond.get((u, colour))
+            if v is not None and v not in reached:
+                reached.append(v)
+                tree.append((u, colour, v))
+    if len(reached) < n:
+        return identity
+    candidates = []
+    for start in range(n):
+        p = [start] * n
+        for u, colour, v in tree:
+            if (p[u], colour) not in bond:
+                break
+            p[v] = bond[p[u], colour]
+        else:
+            images = _term_images(axes, p) if sorted(p) == list(range(n)) else None
+            if images is not None:
+                candidates.append((tuple(p), images))
+    return tuple(candidates)
+
+
+def _term_images(axes: tuple[str, ...], p: Sequence[int]) -> tuple[int, ...] | None:
+    """The index in ``axes`` of each string's image under the site permutation p, None when some
+    string goes to a string outside ``axes``."""
+    index = {string: j for j, string in enumerate(axes)}
+    source = sorted(range(len(p)), key=p.__getitem__)  # site i of an image reads site source[i]
+    images = [index.get("".join(string[q] for q in source)) for string in axes]
+    return None if None in images else tuple(images)
+
+
+def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The site permutation a after b."""
+    return tuple(a[q] for q in b)
+
+
+def _largest_abelian(group: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The largest of the commuting subsets grown from each element of ``group`` in turn, the first
+    on ties: an element joins when it commutes with every member so far. Each is a subgroup, as
+    a product of members commutes with every member and so joined when it came."""
+    best: list[tuple[int, ...]] = []
+    for first in group:
+        members = [first]
+        for p in group:
+            if p not in members and all(_compose(p, m) == _compose(m, p) for m in members):
+                members.append(p)
+        best = max(best, members, key=len)
+    return best
+
+
+def _characters(members: Sequence[tuple[int, ...]]) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+    """(elements, characters) of an abelian group of site permutations given by its members.
+
+    The elements are the products g_1^k_1 ... g_m^k_m, g_i the first member
+    outside the span of the earlier ones and k_i below its order r_i over
+    that span (k_1 slowest). A character is the list of its turns t on them,
+    chi(g) = exp(2 pi i t / |G|), integers as every chi(g) is a |G|-th root
+    of unity. A character of the span extends to g_i by each of the r_i
+    turns phi with r_i phi equal to its turn at g_i^r_i, mod |G|.
+    """
+    elements, steps = [tuple(range(len(members[0])))], []
+    for g in members:
+        if g in elements:
+            continue
+        powers, power = [elements[0]], g
+        while power not in elements:
+            powers.append(power)
+            power = _compose(g, power)
+        steps.append((elements.index(power), len(powers)))
+        elements = [_compose(p, e) for p in powers for e in elements]
+    order, characters = len(elements), [[0]]
+    for at, r in steps:
+        characters = [[(turn + k * phi) % order for k in range(r) for turn in psi]
+                      for psi in characters for phi in ((psi[at] + m * order) // r for m in range(r))]
+    return elements, characters
+
+
+class _SubBlocks(NamedTuple):
+    """The m sub-blocks of one shape of a :func:`_site_plan`: k R-row orbit vector sets, k = 1 for
+    a real character of the site group G and 2 for a complex one with its conjugate, each a d x d
+    matrix, d = k R. Rows are flat Z-block stack rows, b * size + local row."""
+
+    reps: np.ndarray  # (m, R) the flat row of each kept orbit's smallest state
+    images: np.ndarray  # (m, |G|, R) the local row of each element's image of each representative
+    weights: np.ndarray  # (m, k, |G|) the character's cosine, then its sine when k = 2
+    scale: np.ndarray  # (m, R) 1/sqrt(|stabilizer|) of each representative
+    columns: np.ndarray  # (m,) flat index b * size + c of each sub-block's first eigenpair
+    bounds: np.ndarray  # (m + 1,) sub-block i's rows are rows[bounds[i]:bounds[i + 1]]
+    rows: np.ndarray  # (L,) the rows of the kept orbits, sub-block after sub-block
+    sources: np.ndarray  # (L,) sub-block * d + the index of each row's representative
+    amplitudes: np.ndarray  # (k, L) each row's entry in its orbit vectors
+
+
+class _SitePlan(NamedTuple):
+    """How a :func:`_site_plan` splits a Z-block stack: the own Z-blocks into ``groups`` of
+    sub-blocks, and each Z-block in ``shared`` into its leader's eigenvectors with rows permuted
+    (row i of the Z-block is row rows[i] of the leader)."""
+
+    order: int  # |G|
+    groups: list[_SubBlocks]
+    shared: dict[int, tuple[int, np.ndarray]]
+    sizes: tuple[int, ...]  # the sub-block sizes, Z-block by Z-block
+
+
+@lru_cache(maxsize=16)
+def _site_plan(n: int, flips: tuple[int, ...], group: tuple[tuple[int, ...], ...]) -> _SitePlan:
+    """The sub-blocks of the Z-syndrome blocks of the flip masks ``flips`` under the site
+    permutations ``group``, a group that maps the Z-blocks onto one another.
+
+    G is the :func:`_largest_abelian` subgroup of the elements that fix every
+    Z-block. A Z-block that an element takes from an earlier own Z-block
+    shares that one's factorization; every other is own and splits into the
+    :func:`_sub_blocks` of G's characters, whose eigenvectors fill its
+    columns in sub-block order. Memoized on the flips and the group, which
+    every field of a model shares.
+    """
+    blocks = _syndrome_blocks(n, flips)
+    local, size = np.concatenate(blocks), blocks[0].size
+    flat = np.empty(1 << n, dtype=np.int64)  # flat stack row of each basis state
+    flat[local] = np.arange(local.size)
+    moved = flat[np.stack([_spread(p, n) for p in group])[:, local]]  # each element's image of each flat row
+    takes = moved[:, ::size] // size  # (elements, blocks): the Z-block each element takes each Z-block to
+    fixing = [p for p, to in zip(group, takes) if np.array_equal(to, np.arange(len(blocks)))]
+    elements, characters = _characters(_largest_abelian(fixing))
+    images = flat[np.stack([_spread(p, n) for p in elements])[:, local]]
+    own: list[int] = []
+    shared: dict[int, tuple[int, np.ndarray]] = {}
+    shapes: dict[tuple[int, int], list] = {}  # (k, R) -> [(b, column, sub-block)]
+    sizes: dict[int, list[int]] = {}
+    for b in range(len(blocks)):
+        source = next(((g, a) for g in range(len(group)) for a in own if takes[g, a] == b), None)
+        if source is not None:
+            g, a = source
+            rows = np.empty(size, dtype=np.int64)
+            rows[moved[g, a * size:(a + 1) * size] - b * size] = np.arange(size)
+            shared[b], sizes[b] = (a, _read_only(rows)), sizes[a]
+            continue
+        own.append(b)
+        sizes[b], column = [], 0
+        for sub in _sub_blocks(images[:, b * size:(b + 1) * size] - b * size, characters):
+            k, r = sub[2].shape[0], sub[0].size
+            shapes.setdefault((k, r), []).append((b, column, sub))
+            sizes[b].append(k * r)
+            column += k * r
+    groups = []
+    for (k, r), members in shapes.items():
+        starts = [b * size for b, _, _ in members]  # each sub-block's Z-block's first flat row
+        reps, sub_images, weights, scale, rows, columns, amplitudes = zip(*(sub for _, _, sub in members))
+        groups.append(_SubBlocks(*map(_read_only, (
+            np.stack([start + x for start, x in zip(starts, reps)]),
+            np.stack(sub_images), np.stack(weights), np.stack(scale),
+            np.array([start + column for start, (_, column, _) in zip(starts, members)]),
+            np.cumsum([0] + [len(x) for x in rows]),
+            np.concatenate([start + x for start, x in zip(starts, rows)]),
+            np.concatenate([i * k * r + c for i, c in enumerate(columns)]),
+            np.concatenate(amplitudes, axis=1),
+        ))))
+    return _SitePlan(len(elements), groups, shared, tuple(d for b in range(len(blocks)) for d in sizes[b]))
+
+
+def _sub_blocks(images: np.ndarray, characters: list[list[int]]) -> list[tuple[np.ndarray, ...]]:
+    """(reps, images, weights, scale, rows, columns, amplitudes) of each nonempty sub-block of a
+    Z-block whose local rows go to ``images`` (elements, rows) under G, one per real character
+    and one per conjugate pair, in character order (see :class:`_SubBlocks`; ``columns`` holds
+    the index of each row's representative in ``reps``).
+
+    Following Sandvik (arXiv:1101.3281, section 4), the orbit vector of
+    representative r is sum_g chi(g) |g r>, nonzero when chi is 1 on r's
+    stabilizer S_r. For an H commuting with G, the real vectors
+    sum_g cos theta(g) |g r> and sum_g sin theta(g) |g r>, chi = exp(i theta),
+    span chi's and its conjugate's sectors, each of norm sqrt(|S_r| |G| / 2)
+    when chi is complex. Their matrix elements are
+    C = sum_g cos theta(g) H[r', g r] and S = sum_g sin theta(g) H[r', g r]
+    over sqrt(|S_r'| |S_r|): [[C, S], [-S, C]] for a pair, C alone for a real
+    chi, whose vectors have norm sqrt(|S_r| |G|).
+    """
+    order, size = images.shape
+    rep = images.min(axis=0)  # each row's orbit representative, its smallest image
+    is_rep = rep == np.arange(size)
+    reps = np.flatnonzero(is_rep)
+    stabilizer = images[:, reps] == reps
+    fixing = stabilizer.sum(axis=0)  # |S_r|
+    column = (np.cumsum(is_rep) - 1)[rep]
+    element = np.argmax(images[:, rep] == np.arange(size), axis=0)  # an element taking rep[i] to row i
+    index = {tuple(turns): i for i, turns in enumerate(characters)}
+    out = []
+    for i, turns in enumerate(characters):
+        conjugate = index[tuple(-turn % order for turn in turns)]
+        if conjugate < i:
+            continue
+        angle = 2 * np.pi / order * np.array(turns)
+        weights = np.array([np.cos(angle)] if conjugate == i else [np.cos(angle), np.sin(angle)])
+        trivial = np.array(turns) == 0
+        kept = np.all(trivial[:, None] | ~stabilizer, axis=0)
+        if not kept.any():
+            continue
+        rows = np.flatnonzero(kept[column])
+        out.append((
+            reps[kept], images[:, reps[kept]], weights, 1 / np.sqrt(fixing[kept]),
+            rows, (np.cumsum(kept) - 1)[column[rows]],
+            weights[:, element[rows]] * np.sqrt(len(weights) * fixing[column[rows]] / order),
+        ))
+    return out
+
+
 def diagonalize(h: PauliSum) -> SpectralDecomposition:
     """Dense Hermitian eigensolution with degeneracy detection, computed once
     and returned, read-only, for every ``PauliSum`` equal to ``h``. Raises
@@ -444,15 +707,76 @@ def diagonalize(h: PauliSum) -> SpectralDecomposition:
 
 
 def _factorize_blocks(h: PauliSum) -> SpectralDecomposition:
-    """One batched ``eigh`` of the blocks of every sector sum of ``h`` (:meth:`TaperedSum.block_stack`)."""
+    """The eigenpairs of the blocks of every sector sum of ``h`` (:meth:`TaperedSum.block_stack`):
+    one batched ``eigh`` of the stack, or, for an identity-frame sum with :func:`site_symmetries`,
+    of the sub-blocks of its :func:`_site_plan` (:func:`_solve_sub_blocks`), whose matrices are
+    gathered first so that the stack is released before the eigenvectors are allocated."""
     tapered = taper(h)
     permutation, stack = tapered.block_stack()
-    block_evals, block_vectors = np.linalg.eigh(stack)
+    group = site_symmetries(h) if tapered.frame == TaperingFrame() else ()
+    if len(group) > 1:
+        plan = _site_plan(h.num_sites, tuple(t.masks[0] for t in h.terms), group)
+        matrices = [_sub_block_matrices(stack, sub) for sub in plan.groups]
+        shape, dtype = stack.shape, stack.dtype
+        del stack
+        block_evals, block_vectors = _solve_sub_blocks(matrices, plan, shape, dtype)
+        sizes, site_group = plan.sizes, plan.order
+    else:
+        block_evals, block_vectors = np.linalg.eigh(stack)
+        sizes, site_group = (stack.shape[1],) * len(stack), 1
     order = np.argsort(block_evals.ravel(), kind="stable")
     evals = block_evals.ravel()[order]
     degeneracy = int(np.sum(evals <= evals[0] + DEGENERACY_GAP))
     arrays = map(_read_only, (permutation, block_vectors, order, evals))
-    return SpectralDecomposition(*arrays, degeneracy, tapered.frame)
+    return SpectralDecomposition(*arrays, degeneracy, tapered.frame, site_group, sizes)
+
+
+def _sub_block_matrices(stack: np.ndarray, group: _SubBlocks) -> np.ndarray:
+    """The (m, d, d) matrices of ``group``, gathered from the Z-block stack, |G| entries each."""
+    m, k, order = group.weights.shape
+    r = group.reps.shape[1]
+    gathered = stack.reshape(-1, stack.shape[2])[group.reps[:, None, :, None], group.images[:, :, None, :]]
+    parts = (group.weights @ gathered.reshape(m, order, r * r)).reshape(m, k, r, r)
+    parts *= group.scale[:, None, :, None] * group.scale[:, None, None, :]
+    c = parts[:, 0]
+    return c if k == 1 else np.block([[c, parts[:, 1]], [-parts[:, 1], c]])
+
+
+def _solve_sub_blocks(
+    matrices: list[np.ndarray], plan: _SitePlan, shape: tuple[int, ...], dtype: np.dtype
+) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) in the layout of the ``eigh`` of a Z-block stack of ``shape``
+    and ``dtype``, from the :func:`_sub_block_matrices` of each group of ``plan``: one batched
+    ``eigh`` per group, each eigenvector taken back to its Z-block's rows through its orbit
+    vectors (:func:`_orbit_rows`), and a shared Z-block its leader's eigenvalues and eigenvector
+    rows, permuted. ``matrices`` is emptied as it goes."""
+    count, size, _ = shape
+    evals = np.empty(count * size)
+    vectors = np.zeros((count * size, size), dtype=dtype)
+    for group in plan.groups:
+        w, v = np.linalg.eigh(matrices.pop(0))
+        d = w.shape[1]
+        evals[group.columns[:, None] + np.arange(d)] = w
+        for i, column in enumerate(group.columns % size):
+            part = slice(group.bounds[i], group.bounds[i + 1])
+            vectors[group.rows[part], column:column + d] = _orbit_rows(v.reshape(-1, d), group, part)
+    evals, vectors = evals.reshape(count, size), vectors.reshape(count, size, size)
+    for b, (a, rows) in plan.shared.items():
+        evals[b], vectors[b] = evals[a], vectors[a][rows]
+    return evals, vectors
+
+
+def _orbit_rows(v: np.ndarray, group: _SubBlocks, part: slice) -> np.ndarray:
+    """The rows ``part`` of a sub-block's eigenvectors in its Z-block: each row's orbit-vector
+    entries times the eigenvector rows of its representative (``v`` holds the group's
+    eigenvectors, one sub-block after another)."""
+    rows = v[group.sources[part]]
+    rows *= group.amplitudes[0, part, None]
+    if len(group.amplitudes) == 2:
+        sines = v[group.sources[part] + group.reps.shape[1]]
+        sines *= group.amplitudes[1, part, None]
+        rows += sines
+    return rows
 
 
 def completeness_certificate(h: PauliSum, decomp: SpectralDecomposition) -> dict:

@@ -220,12 +220,10 @@ class BlockSchedule(NamedTuple):
     K and so permutes the local positions of every block alike, and rows of
     different blocks share a gate pass. ``gates`` holds the step's gates in
     order: per maximal run of diagonal rotations, the index in ``exponents``
-    of its exponent d per unit tau, and, per off-diagonal rotation,
-    (src, phase): src the local gather padded to a chunk of
-    :func:`chunk_rows` rows, row j of the flattened chunk reading row j, and
-    phase the index in ``phases`` of the term's phase, None for a string
-    without Z or Y sites (sign mask 0), where it is +1 everywhere. The phases
-    and exponents are ``(blocks, size)`` tables laid out as ``members``, row b
+    of its exponent d per unit tau, and, per off-diagonal rotation, its local
+    gather padded to a chunk of :func:`chunk_rows` rows, row j of the
+    flattened chunk reading row j. The phases and exponents are
+    ``(blocks, size)`` tables laid out as ``members``, row b
     holding block b's values in local order, so a chunk reads them as whole
     rows by block label; runs of the same rotations share one table.
     ``angles`` and ``coefficients`` hold each off-diagonal rotation's unit
@@ -236,7 +234,9 @@ class BlockSchedule(NamedTuple):
     (:func:`_run_chunk`): ``turns`` holds, per distinct (a, c), the position
     of its first off-diagonal gate, whose theta every gate of that turn
     shares; ``rotations`` lists each distinct (phase, turn), the pairs whose
-    -i sin(theta) * phase tables are equal (X strings of one turn share one);
+    -i sin(theta) * phase tables are equal, phase the index in ``phases`` of
+    the term's phase, None for a string without Z or Y sites (sign mask 0),
+    where it is +1 everywhere (X strings of one turn share one);
     and ``slots`` gives each off-diagonal gate, in order, its (rotation,
     turn). ``repeats`` is false when V(t) runs the step once, at tau = t:
     for one commuting group, and for a step with no off-diagonal rotation,
@@ -244,7 +244,7 @@ class BlockSchedule(NamedTuple):
     """
 
     members: np.ndarray
-    gates: list[int | tuple[np.ndarray, int | None]]
+    gates: list[int | np.ndarray]
     phases: list[np.ndarray]
     exponents: list[np.ndarray]
     angles: np.ndarray
@@ -293,7 +293,7 @@ def compile_trotter2(h: PauliSum) -> BlockSchedule:
     position[kernel] = np.arange(size)
     padding = np.arange(chunk_rows(size), dtype=np.int64)[:, None] * size
 
-    gates: list[int | tuple[np.ndarray, int | None]] = []
+    gates: list[int | np.ndarray] = []
     runs: dict[tuple[tuple[PauliTerm, float], ...], int] = {}
     actions: dict[str, tuple[np.ndarray, int | None]] = {}
     phases: list[np.ndarray] = []
@@ -320,10 +320,11 @@ def compile_trotter2(h: PauliSum) -> BlockSchedule:
                 else:
                     actions[term.axes] = local, len(phases)
                     phases.append(_read_only(phase[members]))
-            gates.append(actions[term.axes])
+            gather, phase_index = actions[term.axes]
+            gates.append(gather)
             c = term.coefficient.real
             turn = turns.setdefault((a, c), (len(turns), len(angles)))[0]
-            slots.append((rotations.setdefault((actions[term.axes][1], turn), len(rotations)), turn))
+            slots.append((rotations.setdefault((phase_index, turn), len(rotations)), turn))
             angles.append(a)
             coefficients.append(c)
     return BlockSchedule(
@@ -416,7 +417,7 @@ def _run_chunk(
             if isinstance(gate, int):
                 chunk *= exponents[gate]
             else:
-                _rotate_rows(chunk, flat, gate[0], *next(rotations))
+                _rotate_rows(chunk, flat, gate, *next(rotations))
 
 
 def _rotate_rows(

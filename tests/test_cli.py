@@ -239,10 +239,13 @@ class TestPipeline:
 
     def test_ed_reference_records_layout_and_certificate(self, workdir):
         entries = json.loads((workdir[0] / "out" / "ed_reference.json").read_text())["entries"]
-        # h0 is tapered by its 5 plaquette/loop generators; h keeps its two Z-syndromes
+        # h0 is tapered by its 5 plaquette/loop generators; h keeps its two Z-syndromes, whose
+        # blocks split on four site permutations, blocks (0, 1) and (1, 0) alike
         assert [e["symmetry"] for e in entries] == [
-            {"tapered_generators": 5, "z_syndrome_generators": 0, "blocks": 32, "block_size": 8},
-            {"tapered_generators": 0, "z_syndrome_generators": 2, "blocks": 4, "block_size": 64},
+            {"tapered_generators": 5, "z_syndrome_generators": 0, "blocks": 32, "block_size": 8,
+             "site_group_order": 1, "sub_block_sizes": [8] * 32},
+            {"tapered_generators": 0, "z_syndrome_generators": 2, "blocks": 4, "block_size": 64,
+             "site_group_order": 4, "sub_block_sizes": [28, 12, 12, 12] + [16] * 12},
         ]
         for entry in entries:
             certificate = entry["completeness"]
@@ -450,12 +453,12 @@ class TestPipeline:
         assert main(["all", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 0
 
     @staticmethod
-    def dsf_tables_by_threads(workdir, tmp_path, config_path):
-        """Both DSF tables, timestamps dropped, of one dsf stage at --threads 1 and one at 2."""
+    def dsf_tables_by_threads(workdir, tmp_path, config_path, counts=("1", "2")):
+        """Both DSF tables, timestamps dropped, of one dsf stage at each --threads count."""
         texts = []
-        for threads in ("1", "2"):
+        for threads in counts:
             out = tmp_path / threads
-            out.mkdir()
+            out.mkdir(parents=True)
             shutil.copy(workdir[0] / "out" / "vqe_result.json", out / "vqe_result.json")
             assert main(["dsf", "--config", str(config_path), "--out", str(out), "--threads", threads]) == 0
             texts.append([
@@ -464,10 +467,20 @@ class TestPipeline:
             ])
         return texts
 
-    def test_dsf_tables_independent_of_threads(self, workdir, tmp_path):
-        # the fields share memoized collective operators, read from pool threads
-        texts = self.dsf_tables_by_threads(workdir, tmp_path, workdir[1])
+    def test_dsf_tables_independent_of_threads(self, workdir, tmp_path, monkeypatch):
+        # the fields share memoized collective operators, read from pool threads; each run
+        # factorizes its fields afresh, so the pool's threads build the site sub-block plan
+        threads = []
+        sub_blocks = oracle._sub_blocks
+        monkeypatch.setattr(oracle, "_sub_blocks",
+                            lambda *args: threads.append(threading.current_thread()) or sub_blocks(*args))
+        texts = []
+        for run in ("1", "2"):
+            monkeypatch.setattr(oracle, "_DECOMPOSITIONS", weakref.WeakKeyDictionary())
+            oracle._site_plan.cache_clear()
+            texts.append(self.dsf_tables_by_threads(workdir, tmp_path / run, workdir[1], (run,))[0])
         assert texts[0] == texts[1]
+        assert threading.main_thread() in threads and any(t is not threading.main_thread() for t in threads)
 
     def test_dsf_tables_independent_of_threads_under_trotter2(self, workdir, tmp_path, monkeypatch):
         # with trotter2 V(t) for the ground-state basis (HOA) and the Krylov seeds, the pool's
@@ -1116,6 +1129,24 @@ class TestWriteCsv:
         columns["array"] = columns["array"].tolist()
         assert body == [",".join(columns)] + [",".join(map(str, row)) for row in zip(*columns.values())]
         assert body[1] == "0,0.3333333333333333,target,-0.3333333333333333,-0.3333333333333333,-2.333333333333333"
+
+    def test_repeated_columns_render_each_cell_as_before(self, tmp_path):
+        # the DSF tables' np.repeat / np.tile columns, with 0.0 and -0.0 side by side: each
+        # distinct value is rendered once, told apart by its bits; the bytes are those of
+        # rendering every cell with str, pinned here
+        fields = np.array([0.0, -0.0, 0.1])
+        omega = np.array([-0.5, -0.0, 0.0, 1 / 3])
+        table = np.where(np.arange(12) % 5 == 0, -0.0, np.arange(12) / 7)
+        columns = {"h_z": np.repeat(fields, omega.size), "omega": np.tile(omega, fields.size), "s": table}
+        cli.write_csv(tmp_path / "t.csv", cli._recorded_config(RunConfig()), columns)
+        body = [line for line in (tmp_path / "t.csv").read_text().splitlines() if not line.startswith("#")]
+        assert body == [
+            "h_z,omega,s", "0.0,-0.5,-0.0", "0.0,-0.0,0.14285714285714285", "0.0,0.0,0.2857142857142857",
+            "0.0,0.3333333333333333,0.42857142857142855", "-0.0,-0.5,0.5714285714285714", "-0.0,-0.0,-0.0",
+            "-0.0,0.0,0.8571428571428571", "-0.0,0.3333333333333333,1.0", "0.1,-0.5,1.1428571428571428",
+            "0.1,-0.0,1.2857142857142858", "0.1,0.0,-0.0", "0.1,0.3333333333333333,1.5714285714285714",
+        ]
+        assert body[1:] == [",".join(map(str, row)) for row in zip(*(c.tolist() for c in columns.values()))]
 
     def test_unequal_columns_refused(self, tmp_path):
         with pytest.raises(ValueError):

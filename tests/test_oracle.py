@@ -295,11 +295,16 @@ class TestTapering:
         assert np.array_equal(permutation, reference_permutation)
         assert stack.dtype == reference.dtype and stack.tobytes() == reference.tobytes()
 
-    def test_field_hamiltonian_keeps_the_z_syndrome_factorization(self, h_8):
-        # the identity frame runs the Z-syndrome path bit for bit
-        for h in (h_8, _chain8("XY"), _chain8("XX", ("XIIIIIII",))):
+    def test_field_hamiltonian_keeps_the_z_syndrome_factorization(self, lat8):
+        # an identity-frame sum without site symmetry runs the Z-syndrome path bit for bit: a
+        # field that differs on every site breaks every translation and inversion of the torus
+        from kitaevqse.lattice import kitaev_hamiltonian
+
+        per_site = kitaev_hamiltonian(lat8, -1.0, np.outer(0.1 + 0.01 * np.arange(8), [0.0, 0.0, 1.0]))
+        for h in (per_site, _chain8("XY"), _chain8("XX", ("XIIIIIII",))):
             dec = diagonalize(h)
             assert dec.frame == oracle.TaperingFrame()
+            assert oracle.site_symmetries(h) == (tuple(range(8)),) and dec.site_group_order == 1
             reference = z_blocked_factorization(h)
             arrays = (dec.permutation, dec.block_vectors, dec.order, dec.eigenvalues)
             assert all(np.array_equal(ours, ref) for ours, ref in zip(arrays, reference))
@@ -371,6 +376,102 @@ class TestTapering:
         frame = oracle.tapering_frame(h0_8)
         with pytest.raises(OracleError, match="X or Y on a tapered site"):
             frame.reduce(single_site("Z", 0, 8))
+
+
+class TestSiteSubBlocks:
+    """Field Hamiltonians factorized on the site-symmetry sub-blocks of their Z-syndrome blocks,
+    against the Z-blocked factorization written out in the tests and a dense eigh."""
+
+    @pytest.fixture(params=[0.1, [0.3, 0.0, 0.3], [0.1, 0.2, 0.3]], ids=["field_z", "tilted", "complex"])
+    def field_8(self, request, lat8, h_8):
+        from kitaevqse.lattice import kitaev_hamiltonian
+
+        h = h_8 if request.param == 0.1 else kitaev_hamiltonian(lat8, -1.0, request.param)
+        return h, diagonalize(h)
+
+    def test_n8_eigenpairs_against_z_blocked_and_dense_eigh(self, field_8):
+        h, dec = field_8
+        assert dec.site_group_order > 1 and sum(dec.sub_block_sizes) == 256
+        assert max(dec.sub_block_sizes) < dec.block_vectors.shape[1]
+        mat = dense_matrix(h)
+        _, reference, _, z_blocked = z_blocked_factorization(h)
+        assert reference.dtype == dec.block_vectors.dtype
+        dense = np.linalg.eigvalsh(mat)
+        assert np.max(np.abs(dec.eigenvalues - z_blocked)) <= 1e-12
+        assert np.max(np.abs(dec.eigenvalues - dense)) <= 1e-12
+        vectors = dec.eigenvectors
+        assert np.max(np.abs(mat @ vectors - vectors * dec.eigenvalues)) <= 1e-12
+        assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(256))) <= 1e-12
+
+    def test_n8_projections_and_ground_space_against_z_blocked(self, field_8):
+        h, dec = field_8
+        permutation, block_vectors, order, evals = z_blocked_factorization(h)
+        reference = oracle.SpectralDecomposition(permutation, block_vectors, order, evals, dec.ground_degeneracy)
+        g = dec.ground_degeneracy
+        assert g == int(np.sum(evals <= evals[0] + oracle.DEGENERACY_GAP))
+        ours, theirs = dec.ground_space(), reference.ground_space()
+        assert np.max(np.abs(ours @ ours.conj().T - theirs @ theirs.conj().T)) <= 1e-12
+        rng = np.random.default_rng(7)
+        v = rng.normal(size=(3, 256)) + 1j * rng.normal(size=(3, 256))
+        assert np.max(np.abs(dec.expand(dec.project(v)) - v)) <= 1e-12 * 16
+        # |<n|v>|^2 summed over each level is gauge-free, so it matches level by level
+        levels = np.split(np.arange(256), np.flatnonzero(np.diff(evals) > oracle.DEGENERACY_GAP) + 1)
+        ours, theirs = np.abs(dec.project(v)) ** 2, np.abs(reference.project(v)) ** 2
+        for level in levels:
+            assert np.max(np.abs(ours[:, level].sum(axis=1) - theirs[:, level].sum(axis=1))) <= 1e-12 * 256
+
+    def test_n8_layout(self, h_8, dec_8):
+        # of the 4 translations and 4 inversions of the 2 x 2 torus, the identity, one translation
+        # and two inversions fix every Z-block; the other four swap blocks (0, 1) and (1, 0), which
+        # share one factorization
+        assert len(oracle.site_symmetries(h_8)) == 8 and dec_8.site_group_order == 4
+        assert dec_8.block_vectors.shape == (4, 64, 64)
+        plan = oracle._site_plan(8, tuple(t.masks[0] for t in h_8.terms), oracle.site_symmetries(h_8))
+        assert list(plan.shared) == [2] and plan.shared[2][0] == 1
+        assert dec_8.sub_block_sizes[4:8] == dec_8.sub_block_sizes[8:12]
+        assert np.array_equal(dec_8.block_vectors[2], dec_8.block_vectors[1][plan.shared[2][1]])
+        by_block = np.argsort(dec_8.order).reshape(4, 64)  # the ascending rank of each block column
+        assert np.array_equal(np.sort(dec_8.eigenvalues[by_block[1]]), np.sort(dec_8.eigenvalues[by_block[2]]))
+
+    def test_n12_eigenvalues_against_z_blocked_eigvalsh(self, h_12, dec_12):
+        # six translations: two real characters and two conjugate pairs per Z-block
+        assert dec_12.site_group_order == 6 and len(dec_12.sub_block_sizes) == 8
+        assert max(dec_12.sub_block_sizes) <= 700 and sum(dec_12.sub_block_sizes) == 4096
+        reference = np.sort(np.linalg.eigvalsh(oracle.taper(h_12).block_stack()[1]).ravel())
+        assert np.max(np.abs(dec_12.eigenvalues - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("members", [
+        [(1, 2, 3, 0)],  # Z4 from its generator
+        [(2, 3, 0, 1), (1, 2, 3, 0), (3, 0, 1, 2)],  # Z4 reached through its order-2 element first
+        [(1, 0, 2, 3, 4), (0, 1, 3, 4, 2)],  # Z2 x Z3
+    ])
+    def test_characters_are_the_homomorphisms(self, members):
+        elements, characters = oracle._characters(members)
+        order = len(elements)
+        assert order == len(set(elements)) == len({tuple(c) for c in characters})
+        index = {g: i for i, g in enumerate(elements)}
+        for chi in characters:
+            for a, g in enumerate(elements):
+                for b, h in enumerate(elements):
+                    assert chi[index[oracle._compose(g, h)]] == (chi[a] + chi[b]) % order
+
+    def test_check_rejects_a_term_onto_a_non_term(self, lat8, h_8):
+        axes = tuple(t.axes for t in h_8.terms)
+        symmetries = oracle.site_symmetries(h_8)
+        assert all(oracle._term_images(axes, p) is not None for p in symmetries)
+        # swapping sites 1 and 3 takes the z-bond 0-1 onto 0-3, which holds an x-bond only
+        swapped = list(range(8))
+        swapped[1], swapped[3] = 3, 1
+        assert oracle._term_images(axes, swapped) is None
+        # a permutation that moves a field term onto a site of another coefficient is no symmetry
+        from kitaevqse.lattice import kitaev_hamiltonian
+
+        field = np.zeros((8, 3))
+        field[:, 2] = 0.1
+        field[5, 2] = 0.2
+        h = kitaev_hamiltonian(lat8, -1.0, field)
+        assert set(oracle.site_symmetries(h)) < set(symmetries)
+        assert all(p[5] == 5 for p in oracle.site_symmetries(h))
 
 
 def _xx_chain(n):

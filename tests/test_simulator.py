@@ -577,7 +577,9 @@ class TestStackedEvolution:
         h = pauli_sum([PauliTerm(0.5, "XXI"), PauliTerm(0.5, "YIY"), PauliTerm(0.3, "ZII")], 3)
         schedule = simulator._compiled_step(h)
         assert np.array_equal(schedule.members, [[0, 3, 5, 6], [1, 2, 4, 7]])
-        (xx_src, xx_phase), (yy_src, yy_phase) = [gate for gate in schedule.gates if not isinstance(gate, int)][:2]
+        xx_src, yy_src = [gate for gate in schedule.gates if not isinstance(gate, int)][:2]
+        # each off-diagonal gate's (rotation, turn) slot, in gate order, names its (phase, turn)
+        xx_phase, yy_phase = (schedule.rotations[rotation][0] for rotation, _ in schedule.slots[:2])
         assert xx_phase is None  # an X string's all-+1 phase is dropped
         for src, term in ((xx_src, h.terms[0]), (yy_src, h.terms[1])):
             # row j of a flattened chunk reads row j; local position i reads the position of
